@@ -1,7 +1,13 @@
 //! Microbenchmarks of the state-vector substrate: gate kernels, state
 //! copies (the quantity behind Fig. 10), sampling, noise ops, and the
 //! fused-matrix kernel ladder `mat2..mat32` (the dense cluster widths the
-//! fusion window can emit) swept across state sizes 2^10..2^20.
+//! fusion window can emit) swept across state sizes 2^10..2^20. The
+//! tiered kernels (`mat2`, `mat4`, `diag1`, `diag2`, the 6-term `DiagRun`
+//! sweep) are timed with their low operand at qubit 0, 1, 3 and n−2: below
+//! qubit 2 a contiguous run is shorter than a vector register and the
+//! kernels exchange lane bits in-register instead, which this ladder keeps
+//! visible. The header and the JSON name the instruction-set tier the
+//! kernels dispatched to on this CPU.
 //!
 //! Plain-main harness in the house style (no external bench framework):
 //! each primitive is timed over enough repetitions to dominate timer noise
@@ -14,10 +20,10 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 use tqsim_bench::Table;
-use tqsim_circuit::math::{c64, Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{c64, Mat16, Mat32, Mat8, C64};
 use tqsim_circuit::{Gate, GateKind};
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{kernels, StateVector};
+use tqsim_statevec::{kernels, DiagRun, StateVector};
 
 fn scrambled_state(n: u16) -> StateVector {
     let mut sv = StateVector::zero(n);
@@ -51,54 +57,114 @@ fn dense<const D: usize>() -> [[C64; D]; D] {
 /// One row of the fused-matrix kernel sweep.
 struct MatRow {
     kernel: &'static str,
+    /// The operand qubits, most significant first.
+    operands: Vec<usize>,
     qubits: u16,
     amps: usize,
     ns_op: f64,
     ns_amp: f64,
 }
 
-/// Time every `mat2..mat32` kernel on an `n`-qubit scrambled state with
-/// spread operands (highest qubit + low qubits: the strided access
-/// pattern the cache-blocked wide kernels exist for).
+/// A 6-term diagonal run over the six qubits from `low` up (three
+/// single-qubit phases, three controlled phases): the multi-term
+/// `FusedDiag` sweep as the planner emits it on the random-circuit suites.
+fn six_term_run(low: usize) -> DiagRun {
+    let q = |k: usize| (low + k) as u16;
+    let phase = |k: usize| C64::from_polar(1.0, 0.37 * k as f64 + 0.2);
+    let mut run = DiagRun::new();
+    for k in 0..3 {
+        run.push1(q(2 * k), [phase(k), phase(k + 7)]);
+        run.push2(
+            q(2 * k + 1),
+            q(2 * k),
+            [phase(1), phase(k + 2), phase(k + 3), phase(k + 4)],
+        );
+    }
+    run
+}
+
+/// Time the kernel ladder on an `n`-qubit scrambled state. The tiered
+/// kernels take the highest qubit plus a low operand swept over
+/// {0, 1, 3, n−2}; the wide `mat8..mat32` take the highest qubit plus the
+/// lowest ones (the strided access pattern their cache blocking exists
+/// for).
 fn sweep_matrix_kernels(n: u16, reps: u32, rows: &mut Vec<MatRow>) {
     let mut sv = scrambled_state(n);
     let amps = sv.amplitudes_mut();
     let len = amps.len();
     let hi = usize::from(n) - 1;
-    let m2 = Mat2(dense::<2>());
-    let m4 = Mat4(dense::<4>());
+    // Unitary operands for the rows that are read as ns/amplitude: a
+    // contracting matrix would walk the state into denormals over the reps.
+    let m2 = GateKind::U3(0.3, 0.7, 1.1).matrix1().expect("1q matrix");
+    let m4 = m2
+        .kron(&m2)
+        .mul(&GateKind::FSim(0.5, 0.2).matrix2().expect("2q matrix"));
     let m8 = Mat8(dense::<8>());
     let m16 = Mat16(dense::<16>());
     let m32 = Mat32(dense::<32>());
-    let mut push = |kernel: &'static str, ns_op: f64| {
+    let d = [
+        c64(0.6, -0.8),
+        c64(-0.28, 0.96),
+        c64(0.0, 1.0),
+        c64(1.0, 0.0),
+    ];
+    let mut push = |kernel: &'static str, operands: &[usize], ns_op: f64| {
         rows.push(MatRow {
             kernel,
+            operands: operands.to_vec(),
             qubits: n,
             amps: len,
             ns_op,
             ns_amp: ns_op / len as f64,
         });
     };
-    push(
-        "mat2",
-        ns_per_op(reps, || kernels::apply_mat2(black_box(amps), hi, &m2)),
-    );
-    push(
-        "mat4",
-        ns_per_op(reps, || kernels::apply_mat4(black_box(amps), hi, 0, &m4)),
-    );
+    for lo in [0, 1, 3, hi - 1] {
+        push(
+            "mat2",
+            &[lo],
+            ns_per_op(reps, || kernels::apply_mat2(black_box(amps), lo, &m2)),
+        );
+        push(
+            "diag1",
+            &[lo],
+            ns_per_op(reps, || {
+                kernels::apply_diag1(black_box(amps), lo, d[0], d[1])
+            }),
+        );
+        push(
+            "mat4",
+            &[hi, lo],
+            ns_per_op(reps, || kernels::apply_mat4(black_box(amps), hi, lo, &m4)),
+        );
+        push(
+            "diag2",
+            &[hi, lo],
+            ns_per_op(reps, || kernels::apply_diag2(black_box(amps), hi, lo, d)),
+        );
+    }
+    for low in [0, 3, usize::from(n) - 6] {
+        let run = six_term_run(low);
+        push(
+            "diagrun6",
+            &[low + 5, low],
+            ns_per_op(reps, || run.apply(black_box(amps))),
+        );
+    }
     push(
         "mat8",
+        &[hi, 1, 0],
         ns_per_op(reps, || kernels::apply_mat8(black_box(amps), hi, 1, 0, &m8)),
     );
     push(
         "mat16",
+        &[hi, 2, 1, 0],
         ns_per_op(reps, || {
             kernels::apply_mat16(black_box(amps), [hi, 2, 1, 0], &m16)
         }),
     );
     push(
         "mat32",
+        &[hi, 3, 2, 1, 0],
         ns_per_op(reps, || {
             kernels::apply_mat32(black_box(amps), [hi, 3, 2, 1, 0], &m32)
         }),
@@ -129,6 +195,7 @@ fn main() {
             "scaled-down"
         }
     );
+    println!("kernel tier: {}", kernels::kernel_tier());
     println!("================================================================");
     // TQSIM_FULL is read directly rather than via Scale::from_env: the
     // latter also profiles the host copy cost, which is its own benchmark
@@ -197,28 +264,36 @@ fn main() {
         let reps = ((1u32 << 22) >> n).clamp(4, 4096) * if full { 4 } else { 1 };
         sweep_matrix_kernels(n, reps, &mut mat_rows);
     }
-    let mut mat_table = Table::new(&["kernel", "qubits", "amps", "ns/op", "ns/amp"]);
+    let mut mat_table = Table::new(&["kernel", "operands", "qubits", "amps", "ns/op", "ns/amp"]);
     for r in &mat_rows {
         mat_table.row(&[
             r.kernel.to_string(),
+            format!("{:?}", r.operands),
             r.qubits.to_string(),
             r.amps.to_string(),
             format!("{:.0}", r.ns_op),
             format!("{:.3}", r.ns_amp),
         ]);
     }
-    println!("\nfused-matrix kernel ladder (one call sweeps the full state)");
+    println!(
+        "\nkernel ladder, tier {} (one call sweeps the full state)",
+        kernels::kernel_tier()
+    );
     mat_table.print();
 
     // Hand-rolled JSON (no serde in the offline workspace). Wall-clock
     // only — recorded for trend inspection, never asserted.
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"mode\": \"wall-clock\",\n");
-    json.push_str(&format!("  \"full\": {full},\n  \"matrix_sweep\": [\n"));
+    json.push_str(&format!(
+        "  \"full\": {full},\n  \"tier\": \"{}\",\n  \"matrix_sweep\": [\n",
+        kernels::kernel_tier()
+    ));
     for (i, r) in mat_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"qubits\": {}, \"amps\": {}, \
+            "    {{\"kernel\": \"{}\", \"operands\": {:?}, \"qubits\": {}, \"amps\": {}, \
              \"ns_per_op\": {:.1}, \"ns_per_amp\": {:.4}}}{}\n",
             r.kernel,
+            r.operands,
             r.qubits,
             r.amps,
             r.ns_op,

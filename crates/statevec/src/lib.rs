@@ -26,6 +26,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// The crate's only `unsafe` is the ISA-tier dispatch and the vector
+// load/store/arithmetic intrinsics behind it (`kernels::simd`); every block
+// states why it is sound.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod backend;
 pub mod expectation;

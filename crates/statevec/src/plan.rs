@@ -338,58 +338,88 @@ impl DiagRun {
         self.apply_offset(amps, 0);
     }
 
+    /// The run's factor for the amplitude at *global* index `g`: the
+    /// product of its terms in absorption order, starting from one.
+    #[inline]
+    fn factor(&self, g: usize) -> C64 {
+        let mut f = C64::new(1.0, 0.0);
+        for &(q, d) in &self.terms1 {
+            f *= d[(g >> q) & 1];
+        }
+        for &(a, b, d) in &self.terms2 {
+            f *= d[(((g >> a) & 1) << 1) | ((g >> b) & 1)];
+        }
+        f
+    }
+
     /// Apply the run to an amplitude slice whose first element has *global*
     /// index `base` (a distributed node slice; `base` must be a multiple of
-    /// the slice length). Qubits whose stride fits inside the slice use the
-    /// local kernels — bit-identical to [`DiagRun::apply`] on the full
-    /// array — while higher ("global") qubits read constant bits from
+    /// the slice length). Qubits whose stride fits inside the slice index
+    /// the sweep, while higher ("global") qubits read constant bits from
     /// `base`, so the sweep stays node-local: **diagonal runs never
-    /// communicate**, however the qubits are sliced.
+    /// communicate**, however the qubits are sliced. Each amplitude is
+    /// multiplied by the same factor, computed in the same order, as under
+    /// [`DiagRun::apply`] on the full array.
     pub fn apply_offset(&self, amps: &mut [C64], base: usize) {
         let len = amps.len();
         debug_assert!(base.is_multiple_of(len), "offset must be slice-aligned");
+        let local = |q: u16| 1usize << q < len;
+        let bit = |q: u16| (base >> q) & 1;
         match (self.terms1.as_slice(), self.terms2.as_slice()) {
             ([], []) => {}
-            // Single-term runs use the pristine specialised kernels, so an
-            // unfused diagonal gate stays bit-identical to direct dispatch.
-            ([(q, d)], []) => {
-                let mask = 1usize << q;
-                if mask < len {
-                    kernels::apply_diag1(amps, *q as usize, d[0], d[1]);
+            // Single-term runs multiply by the term's own entries (never by
+            // `1·d`), so an unfused diagonal gate stays bit-identical to
+            // direct dispatch. A global qubit picks its entries from `base`.
+            (&[(q, d)], []) => {
+                if local(q) {
+                    kernels::apply_diag1(amps, q as usize, d[0], d[1]);
                 } else {
-                    // The qubit selects whole slices: one constant factor.
-                    let dd = d[usize::from(base & mask != 0)];
-                    kernels::for_each_amp_indexed(amps, move |_, amp| *amp *= dd);
+                    kernels::apply_diag_table(amps, &[], &[d[bit(q)]]);
                 }
             }
-            ([], [(a, b, d)]) => {
-                let (ma, mb) = (1usize << *a, 1usize << *b);
-                if ma < len && mb < len {
-                    kernels::apply_diag2(amps, *a as usize, *b as usize, *d);
-                } else {
-                    let d = *d;
-                    kernels::for_each_amp_indexed(amps, move |i, amp| {
-                        let g = base | i;
-                        let sel = (usize::from(g & ma != 0) << 1) | usize::from(g & mb != 0);
-                        *amp *= d[sel];
+            ([], &[(a, b, d)]) => match (local(a), local(b)) {
+                (true, true) => kernels::apply_diag2(amps, a as usize, b as usize, d),
+                (true, false) => kernels::apply_diag1(amps, a as usize, d[bit(b)], d[2 | bit(b)]),
+                (false, true) => {
+                    let row = bit(a) << 1;
+                    kernels::apply_diag1(amps, b as usize, d[row], d[row | 1]);
+                }
+                (false, false) => {
+                    kernels::apply_diag_table(amps, &[], &[d[(bit(a) << 1) | bit(b)]]);
+                }
+            },
+            // Several terms: one factor per assignment of the slice-local
+            // support qubits, built once per call, then one blockwise
+            // `amp *= table[…]` pass. When the support is as wide as the
+            // slice there is no sharing to exploit and each amplitude
+            // computes its own factor.
+            _ => {
+                let mut support: Vec<usize> = self
+                    .support()
+                    .into_iter()
+                    .filter(|&q| local(q))
+                    .map(usize::from)
+                    .collect();
+                support.sort_unstable();
+                if 1usize << support.len() >= len {
+                    kernels::for_each_span(amps, |offset, span| {
+                        for (i, amp) in span.iter_mut().enumerate() {
+                            *amp *= self.factor(base | (offset + i));
+                        }
                     });
+                    return;
                 }
+                let table: Vec<C64> = (0..1usize << support.len())
+                    .map(|entry| {
+                        let g = support
+                            .iter()
+                            .enumerate()
+                            .fold(base, |g, (k, &q)| g | (((entry >> k) & 1) << q));
+                        self.factor(g)
+                    })
+                    .collect();
+                kernels::apply_diag_table(amps, &support, &table);
             }
-            // Allocation-free sweep (the replay hot path runs once per
-            // tree node): masks are a single shift from the stored qubits.
-            (t1, t2) => kernels::for_each_amp_indexed(amps, move |i, amp| {
-                let g = base | i;
-                let mut f = C64::new(1.0, 0.0);
-                for &(q, d) in t1 {
-                    f *= d[usize::from(g & (1usize << q) != 0)];
-                }
-                for &(a, b, d) in t2 {
-                    let sel = (usize::from(g & (1usize << a) != 0) << 1)
-                        | usize::from(g & (1usize << b) != 0);
-                    f *= d[sel];
-                }
-                *amp *= f;
-            }),
         }
     }
 }

@@ -21,7 +21,12 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number `re + i·im`.
+///
+/// `#[repr(C)]` as in the real crate: memory-layout compatible with
+/// `[T; 2]`, which the vector-width amplitude kernels rely on to load and
+/// store runs of amplitudes as runs of `f64`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct Complex<T> {
     /// Real part.
     pub re: T,
