@@ -309,6 +309,20 @@ impl<'a> TreeExecutor<'a> {
 /// threaded through the whole walk, so for a fixed seed the `Counts` are
 /// bit-identical on every backend.
 ///
+/// **Error-free sibling sharing.** Below the root level a node first
+/// probes its noise draws on a clone of the RNG
+/// ([`NoiseModel::draws_error_free`]). An error-free node is a
+/// deterministic function of its parent's amplitudes, so when its level's
+/// slot still holds the error-free child of this very parent write, the
+/// node adopts the probed RNG and recurses with no copy and no replay
+/// ([`OpCounts::nodes_shared`]); every other node runs in full on live
+/// draws. Slots are tagged with write ids, so a slot overwritten by an
+/// erroneous sibling, or computed from an earlier write of the parent
+/// slot, is never reused; no state beyond the `k + 1` is kept. Root-level
+/// nodes always execute (a flat plan stays the plain per-shot reference)
+/// and state-dependent channels never probe error-free. RNG stream,
+/// amplitudes and `Counts` are those of the unshared walk bit for bit.
+///
 /// # Panics
 ///
 /// Panics if `states` is shorter than `subcircuits.len() + 1` or
@@ -327,7 +341,7 @@ pub fn run_tree_nodes<B, R>(
     options: ExecOptions,
 ) where
     B: PooledBackend,
-    R: rand::Rng + ?Sized,
+    R: rand::Rng + Clone,
 {
     assert!(
         states.len() > subcircuits.len(),
@@ -337,94 +351,123 @@ pub fn run_tree_nodes<B, R>(
         options.leaf_samples >= 1,
         "need at least one sample per leaf"
     );
-    recurse_nodes(
+    TreeWalk {
         backend,
         subcircuits,
         compiled,
         tree,
         noise,
-        0,
+        options,
+        writes: vec![SlotWrite::default(); states.len()],
+        last_write: 0,
         states,
         counts,
         ops,
         rng,
-        options,
-        &[],
-    );
+    }
+    .recurse_nodes(0, &[]);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse_nodes<B, R>(
-    backend: &B,
-    subcircuits: &[Circuit],
-    compiled: &[CompiledCircuit],
-    tree: &TreeStructure,
-    noise: &NoiseModel,
-    level: usize,
-    states: &mut [B::State],
-    counts: &mut Counts,
-    ops: &mut OpCounts,
-    rng: &mut R,
+/// What a level's state slot holds: the id of the write that produced it
+/// and, when that write was an error-free realization, the id of the parent
+/// write it was computed from. Ids are unique within a walk; the root state
+/// is write 0.
+#[derive(Clone, Copy, Default)]
+struct SlotWrite {
+    id: u64,
+    error_free_of: Option<u64>,
+}
+
+/// The state of one [`run_tree_nodes`] walk.
+struct TreeWalk<'a, B: PooledBackend, R> {
+    backend: &'a B,
+    subcircuits: &'a [Circuit],
+    compiled: &'a [CompiledCircuit],
+    tree: &'a TreeStructure,
+    noise: &'a NoiseModel,
     options: ExecOptions,
-    tail: &[FusedOp],
-) where
+    states: &'a mut [B::State],
+    /// `writes[l]` describes `states[l]`.
+    writes: Vec<SlotWrite>,
+    last_write: u64,
+    counts: &'a mut Counts,
+    ops: &'a mut OpCounts,
+    rng: &'a mut R,
+}
+
+impl<B, R> TreeWalk<'_, B, R>
+where
     B: PooledBackend,
-    R: rand::Rng + ?Sized,
+    R: rand::Rng + Clone,
 {
-    let k = subcircuits.len();
-    if level == k {
-        let n = QuantumState::n_qubits(&states[k]);
-        if !tail.is_empty() {
-            ops.sample_fused += 1;
+    /// Run the `arities[level]` children of the node whose state is
+    /// `states[level]`; `tail` is that node's pending fused window when
+    /// `level` is the leaf level.
+    fn recurse_nodes(&mut self, level: usize, tail: &[FusedOp]) {
+        let k = self.subcircuits.len();
+        if level == k {
+            let n = QuantumState::n_qubits(&self.states[k]);
+            if !tail.is_empty() {
+                self.ops.sample_fused += 1;
+            }
+            let (counts, ops) = (&mut *self.counts, &mut *self.ops);
+            draw_leaf_outcomes_fused(
+                &mut self.states[k],
+                self.noise,
+                n,
+                self.options.leaf_samples,
+                tail,
+                self.rng,
+                |outcome| {
+                    counts.increment(outcome);
+                    ops.samples += 1;
+                },
+            );
+            return;
         }
-        draw_leaf_outcomes_fused(
-            &mut states[k],
-            noise,
-            n,
-            options.leaf_samples,
-            tail,
-            rng,
-            |outcome| {
-                counts.increment(outcome);
-                ops.samples += 1;
-            },
-        );
-        return;
-    }
-    for _rep in 0..tree.arities()[level] {
-        let plan = &compiled[level];
-        let head: &[FusedOp] = if options.fusion { plan.head_ops() } else { &[] };
-        let (parents, children) = states.split_at_mut(level + 1);
-        let child = &mut children[0];
-        backend.copy_into_apply(child, &parents[level], head);
-        ops.state_copies += 1;
-        if !head.is_empty() {
-            ops.copy_apply += 1;
+        let parent_write = self.writes[level].id;
+        for _rep in 0..self.tree.arities()[level] {
+            let mut probe = self.rng.clone();
+            let error_free = level >= 1
+                && self
+                    .noise
+                    .draws_error_free(&self.subcircuits[level], &mut probe);
+            if error_free && self.writes[level + 1].error_free_of == Some(parent_write) {
+                // The slot already holds this node's state, fully
+                // materialised: a leaf's tail window was applied by the
+                // sampling sweep of the sibling that computed it.
+                *self.rng = probe;
+                self.ops.nodes_shared += 1;
+                self.recurse_nodes(level + 1, &[]);
+                continue;
+            }
+            let plan = &self.compiled[level];
+            let fusion = self.options.fusion;
+            let head: &[FusedOp] = if fusion { plan.head_ops() } else { &[] };
+            let (parents, children) = self.states.split_at_mut(level + 1);
+            let child = &mut children[0];
+            self.backend.copy_into_apply(child, &parents[level], head);
+            self.ops.state_copies += 1;
+            if !head.is_empty() {
+                self.ops.copy_apply += 1;
+            }
+            let next_tail = run_subcircuit_boundary(
+                child,
+                &self.subcircuits[level],
+                plan,
+                self.noise,
+                self.rng,
+                self.ops,
+                fusion,
+                level + 1 == k,
+            );
+            self.last_write += 1;
+            self.writes[level + 1] = SlotWrite {
+                id: self.last_write,
+                error_free_of: error_free.then_some(parent_write),
+            };
+            self.recurse_nodes(level + 1, &next_tail);
         }
-        let next_tail = run_subcircuit_boundary(
-            child,
-            &subcircuits[level],
-            plan,
-            noise,
-            rng,
-            ops,
-            options.fusion,
-            level + 1 == k,
-        );
-        recurse_nodes(
-            backend,
-            subcircuits,
-            compiled,
-            tree,
-            noise,
-            level + 1,
-            states,
-            counts,
-            ops,
-            rng,
-            options,
-            &next_tail,
-        );
     }
 }
 
@@ -613,24 +656,34 @@ mod tests {
     #[test]
     fn op_accounting_matches_tree_math() {
         let c = generators::qft(6); // uniform-split friendly
-        let noise = NoiseModel::ideal();
-        let r = run(
-            &c,
-            &noise,
-            &Strategy::Custom {
-                arities: vec![4, 2],
-            },
-            8,
-            3,
-        );
-        // Copies = subcircuit executions = 4 + 8 = 12.
-        assert_eq!(r.ops.state_copies, 12);
+        let lens = [c.len() as u64 / 2, c.len() as u64 - c.len() as u64 / 2];
+        let strat = Strategy::Custom {
+            arities: vec![4, 2],
+        };
+        // Ideal noise: every realization is error-free, so under each of
+        // the 4 root-level nodes one node per level executes and its
+        // sibling is served from the same state.
+        let r = run(&c, &NoiseModel::ideal(), &strat, 8, 3);
+        assert_eq!(r.ops.state_copies, 4 + 4);
+        assert_eq!(r.ops.nodes_shared, 4);
         assert_eq!(r.ops.samples, 8);
-        // Gates: instances-weighted subcircuit lengths.
-        let lens = [c.len() / 2, c.len() - c.len() / 2];
-        let expect = 4 * lens[0] as u64 + 8 * lens[1] as u64;
-        assert_eq!(r.ops.total_gates(), expect);
+        assert_eq!(r.ops.total_gates(), 4 * lens[0] + 4 * lens[1]);
         assert_eq!(r.ops.noise_ops, 0, "ideal model injects nothing");
+        // Any noise: every node below the root is either materialised or
+        // shared, root-level nodes always execute, and gates are charged
+        // per materialised node.
+        for noise in [NoiseModel::sycamore(), NoiseModel::amplitude_damping(0.01)] {
+            let r = run(&c, &noise, &strat, 8, 3);
+            assert_eq!(
+                r.ops.state_copies + r.ops.nodes_shared,
+                r.tree.subcircuit_executions()
+            );
+            assert_eq!(
+                r.ops.total_gates(),
+                4 * lens[0] + (r.ops.state_copies - 4) * lens[1]
+            );
+            assert_eq!(r.ops.samples, 8);
+        }
     }
 
     #[test]
@@ -800,9 +853,15 @@ mod tests {
         );
         assert_eq!(r.counts.total(), 40);
         assert_eq!(r.ops.samples, 40);
-        // Gate work unchanged vs leaf_samples = 1.
-        let r1 = exec.run(1);
-        assert_eq!(r.ops.total_gates(), r1.ops.total_gates());
+        // Gate work is per materialised node, whatever the leaves draw.
+        let lens = [c.len() as u64 / 2, c.len() as u64 - c.len() as u64 / 2];
+        for r in [r, exec.run(1)] {
+            assert_eq!(r.ops.state_copies + r.ops.nodes_shared, 5 + 10);
+            assert_eq!(
+                r.ops.total_gates(),
+                5 * lens[0] + (r.ops.state_copies - 5) * lens[1]
+            );
+        }
     }
 
     #[test]

@@ -98,8 +98,13 @@ proptest! {
             .unwrap();
         let expect: u64 = arities.iter().product();
         prop_assert_eq!(result.counts.total(), expect);
-        // Copies = subcircuit executions.
-        prop_assert_eq!(result.ops.state_copies, result.tree.subcircuit_executions());
+        // Every subcircuit execution is materialised (one copy) or served
+        // by an error-free sibling's state; root-level nodes always copy.
+        prop_assert_eq!(
+            result.ops.state_copies + result.ops.nodes_shared,
+            result.tree.subcircuit_executions()
+        );
+        prop_assert!(result.ops.state_copies >= arities[0]);
     }
 
     #[test]

@@ -31,9 +31,17 @@
 //! the pool's allocation counter verifies this). Small per-task
 //! bookkeeping — the boxed task itself and interior nodes' `Arc` — still
 //! allocates, but those are O(bytes) against the O(2^n) amplitude buffers
-//! the pool eliminates. Op accounting matches the serial executor exactly:
-//! one `state_reset` per run, one `state_copy` per node, per-gate and
-//! noise tallies identical.
+//! the pool eliminates.
+//!
+//! **Error-free sibling sharing.** Before an interior node spawns, it probes
+//! every child's path-derived stream ([`NoiseModel::draws_error_free`]):
+//! error-free children of one parent state are the same state bit for bit,
+//! so they travel as **one** task that materialises once and then samples
+//! or spawns for each member with that member's own RNG; erroneous children
+//! spawn alone. Root-level nodes always execute. Op accounting follows the
+//! serial executor: one `state_reset` per run, one `state_copy` per node
+//! materialised, one `nodes_shared` per node served by a sibling's state —
+//! under ideal noise the two executors agree count for count.
 //!
 //! [`StatePool`]: tqsim_statevec::StatePool
 
@@ -219,7 +227,7 @@ pub(crate) fn launch_tree<B: PooledBackend>(
     for index in 0..roots {
         let shared = Arc::clone(&shared);
         let hash = child_hash(seed, index);
-        pool.inject(move |ctx| run_node(&shared, Parent::Root, 0, hash, ctx));
+        pool.inject(move |ctx| run_node(&shared, Parent::Root, 0, hash, Vec::new(), ctx));
     }
 }
 
@@ -258,13 +266,19 @@ pub(crate) fn run_tree<B: PooledBackend>(
     rx.recv().expect("job completion callback must have fired")
 }
 
-/// Materialise the node at `level` (executing subcircuit `level`), then
-/// sample (leaf) or spawn the children.
+/// An error-free node riding on a sibling's task: its path hash and its RNG,
+/// already past the subcircuit's (all-identity) noise draws.
+type Sharer = (u64, StdRng);
+
+/// Materialise the node `hash` at `level` (executing subcircuit `level`),
+/// then sample (leaf) or spawn the children — for the node itself and for
+/// each of `sharers`, the error-free siblings whose state this is too.
 fn run_node<B: PooledBackend>(
     shared: &Arc<TreeShared>,
     parent: Parent<B>,
     level: usize,
     hash: u64,
+    sharers: Vec<Sharer>,
     ctx: &WorkerCtx<'_, B>,
 ) {
     // First statement, so a panic anywhere below still retires this node
@@ -281,6 +295,8 @@ fn run_node<B: PooledBackend>(
     }
     let k = shared.subcircuits.len();
     let mut ops = OpCounts::new();
+    let n_members = 1 + sharers.len();
+    ops.nodes_shared += sharers.len() as u64;
 
     let plan = &shared.plans[level];
     // Boundary fusion: the plan's no-emission head window rides the
@@ -321,75 +337,97 @@ fn run_node<B: PooledBackend>(
         shared.fusion,
         level + 1 == k,
     );
+    let members = std::iter::once((hash, rng)).chain(sharers);
 
     if level + 1 == k {
         // Leaf sampling shares draw_leaf_outcomes with the serial executor
         // so both consume the RNG stream identically (batched CDF walk when
-        // oversampling). Fold straight into this worker's accumulator — the
-        // lock is effectively uncontended (only this worker touches its
-        // slot until the final merge), and it saves a throwaway histogram
-        // per leaf. Only a streaming job buffers the leaf batch (the sink
-        // must not be called under the accumulator lock); the plain path
-        // stays allocation-free.
+        // oversampling). The first member's sweep applies the tail window;
+        // the sharers sample the materialised state with an empty one.
         if !tail.is_empty() {
             ops.sample_fused += 1;
         }
-        if let Some(sink) = &shared.sink {
-            let mut outcomes = Vec::with_capacity(shared.leaf_samples as usize);
+        let mut tail = tail.as_slice();
+        let mut draw = |rng: &mut StdRng, sink: &mut dyn FnMut(u64)| {
             tqsim::draw_leaf_outcomes_fused(
                 &mut *state,
                 &shared.noise,
                 shared.n_qubits,
                 shared.leaf_samples,
-                &tail,
-                &mut rng,
-                |outcome| {
-                    outcomes.push(outcome);
-                    ops.samples += 1;
-                },
+                std::mem::take(&mut tail),
+                rng,
+                sink,
             );
+        };
+        // Fold straight into this worker's accumulator — the lock is
+        // effectively uncontended (only this worker touches its slot until
+        // the final merge), and it saves a throwaway histogram per leaf.
+        // Only a streaming job buffers the leaf batch (the sink must not be
+        // called under the accumulator lock); the plain path stays
+        // allocation-free.
+        if let Some(sink) = &shared.sink {
+            let mut outcomes = Vec::with_capacity(shared.leaf_samples as usize * n_members);
+            for (_, mut rng) in members {
+                draw(&mut rng, &mut |outcome| outcomes.push(outcome));
+            }
             drop(state); // back to the worker's pool
+            ops.samples += outcomes.len() as u64;
             {
                 let mut accum = lock_recover(&shared.accums[ctx.index()]);
                 for &outcome in &outcomes {
                     accum.counts.increment(outcome);
                 }
-                accum.ops.merge(&ops);
             }
-            sink(&outcomes);
+            // One chunk per leaf, as each leaf's batch is drawn.
+            for leaf in outcomes.chunks(shared.leaf_samples as usize) {
+                sink(leaf);
+            }
         } else {
             let mut accum = lock_recover(&shared.accums[ctx.index()]);
-            tqsim::draw_leaf_outcomes_fused(
-                &mut *state,
-                &shared.noise,
-                shared.n_qubits,
-                shared.leaf_samples,
-                &tail,
-                &mut rng,
-                |outcome| {
+            for (_, mut rng) in members {
+                draw(&mut rng, &mut |outcome| {
                     accum.counts.increment(outcome);
                     ops.samples += 1;
-                },
-            );
-            accum.ops.merge(&ops);
+                });
+            }
             drop(accum);
             drop(state); // back to the worker's pool
         }
     } else {
         let state = Arc::new(state);
-        let arity = shared.arities[level + 1];
+        // Probe every child of every member before the first spawn: the
+        // erroneous ones run alone, the error-free ones as one task.
+        let child_level = &shared.subcircuits[level + 1];
+        let mut tasks: Vec<(u64, Vec<Sharer>)> = Vec::new();
+        let mut error_free: Vec<Sharer> = Vec::new();
+        for (member, _) in members {
+            for index in 0..shared.arities[level + 1] {
+                let child = child_hash(member, index);
+                let mut probe = StdRng::seed_from_u64(shared.seed ^ child);
+                if shared.noise.draws_error_free(child_level, &mut probe) {
+                    error_free.push((child, probe));
+                } else {
+                    tasks.push((child, Vec::new()));
+                }
+            }
+        }
+        // Any member can materialise the shared state: its live draws
+        // repeat its probe.
+        if let Some((child, _)) = error_free.pop() {
+            tasks.push((child, error_free));
+        }
         // Register the children before the first spawn: a fast child must
         // never observe the job count at zero while siblings are pending.
-        shared.remaining.fetch_add(arity, Ordering::AcqRel);
-        for index in 0..arity {
+        shared
+            .remaining
+            .fetch_add(tasks.len() as u64, Ordering::AcqRel);
+        for (child, sharers) in tasks {
             let shared2 = Arc::clone(shared);
             let parent = Parent::State(Arc::clone(&state));
-            let hash2 = child_hash(hash, index);
-            ctx.spawn(move |ctx2| run_node(&shared2, parent, level + 1, hash2, ctx2));
+            ctx.spawn(move |ctx2| run_node(&shared2, parent, level + 1, child, sharers, ctx2));
         }
-        let mut accum = lock_recover(&shared.accums[ctx.index()]);
-        accum.ops.merge(&ops);
     }
+    lock_recover(&shared.accums[ctx.index()]).ops.merge(&ops);
 }
 
 #[cfg(test)]
@@ -442,11 +480,215 @@ mod tests {
         let pool = WorkerPool::new(2);
         let par = run_tree(&pool, &plan, 3, 1, true);
         // Identical op accounting (noiseless ⇒ even the RNG plays no role),
-        // including the fused-path amp_passes/fused_gates counters.
+        // including the fused-path amp_passes/fused_gates counters: both
+        // executors materialise one node per level under each root-level
+        // node and serve its sibling from the same state.
         assert_eq!(par.ops, serial.ops);
+        assert_eq!((par.ops.state_copies, par.ops.nodes_shared), (8, 4));
         // Ideal noise: identical leaf states ⇒ engine and serial agree on
         // which outcomes are possible, though RNG streams differ.
         assert_eq!(par.counts.total(), serial.counts.total());
+    }
+
+    /// The unshared reference: every node materialised from its parent on
+    /// its own path-derived stream, from the public primitives, serially.
+    struct Mirror<'a> {
+        plan: &'a JobPlan,
+        seed: u64,
+        leaf_samples: u32,
+        fusion: bool,
+        counts: Counts,
+        ops: OpCounts,
+    }
+
+    impl Mirror<'_> {
+        fn node(&mut self, parent: Option<&tqsim_statevec::StateVector>, level: usize, hash: u64) {
+            use tqsim_statevec::SingleNode;
+            let k = self.plan.subcircuits.len();
+            let compiled = &self.plan.compiled[level];
+            let head = if self.fusion {
+                compiled.head_ops()
+            } else {
+                &[]
+            };
+            let mut state = SingleNode.allocate(self.plan.n_qubits);
+            match parent {
+                None => tqsim_statevec::apply_window(&mut state, head),
+                Some(parent) => SingleNode.copy_into_apply(&mut state, parent, head),
+            }
+            self.ops.state_copies += 1;
+            let mut rng = StdRng::seed_from_u64(self.seed ^ hash);
+            let tail = tqsim::run_subcircuit_boundary(
+                &mut state,
+                &self.plan.subcircuits[level],
+                compiled,
+                &self.plan.noise,
+                &mut rng,
+                &mut self.ops,
+                self.fusion,
+                level + 1 == k,
+            );
+            if level + 1 == k {
+                let (counts, ops) = (&mut self.counts, &mut self.ops);
+                tqsim::draw_leaf_outcomes_fused(
+                    &mut state,
+                    &self.plan.noise,
+                    self.plan.n_qubits,
+                    self.leaf_samples,
+                    &tail,
+                    &mut rng,
+                    |outcome| {
+                        counts.increment(outcome);
+                        ops.samples += 1;
+                    },
+                );
+            } else {
+                for index in 0..self.plan.partition.tree.arities()[level + 1] {
+                    self.node(Some(&state), level + 1, child_hash(hash, index));
+                }
+            }
+        }
+    }
+
+    fn unshared_mirror(plan: &JobPlan, seed: u64, leaf_samples: u32, fusion: bool) -> Mirror<'_> {
+        let mut mirror = Mirror {
+            plan,
+            seed,
+            leaf_samples,
+            fusion,
+            counts: Counts::new(plan.n_qubits),
+            ops: OpCounts::new(),
+        };
+        for index in 0..plan.partition.tree.arities()[0] {
+            mirror.node(None, 0, child_hash(seed, index));
+        }
+        mirror
+    }
+
+    #[test]
+    fn shared_tree_counts_equal_the_unshared_mirror_on_the_full_grid() {
+        use tqsim_noise::ReadoutError;
+        // QFT plus Toffoli blocks: 1q, 2q and 3q noise sites.
+        let mut circuit = generators::qft(7);
+        circuit
+            .ccx(0, 1, 2)
+            .h(3)
+            .ccx(4, 5, 6)
+            .cx(6, 0)
+            .t(2)
+            .ccx(2, 3, 4);
+        let pools: Vec<WorkerPool> = (1..=3).map(WorkerPool::new).collect();
+        for noise in [
+            NoiseModel::ideal(),
+            NoiseModel::sycamore(),
+            NoiseModel::depolarizing(0.05, 0.2),
+            NoiseModel::amplitude_damping(0.01),
+            NoiseModel::phase_damping(0.01),
+            NoiseModel::sycamore().with_readout(ReadoutError::symmetric(0.02)),
+        ] {
+            for arities in [
+                vec![40],
+                vec![1, 2],
+                vec![4, 4, 4],
+                vec![63, 2, 2],
+                vec![2, 2, 2, 2, 2],
+            ] {
+                for boundary in [false, true] {
+                    let strategy = Strategy::Custom {
+                        arities: arities.clone(),
+                    };
+                    let window = crate::FusionConfig {
+                        max_fuse_qubits: 2,
+                        boundary,
+                    };
+                    let plan = Arc::new(
+                        JobPlan::plan_with(&circuit, &noise, 1, &strategy, window).unwrap(),
+                    );
+                    let nodes = plan.partition.tree.subcircuit_executions();
+                    for fusion in [true, false] {
+                        for leaf_samples in [1u32, 3] {
+                            let cell = format!(
+                                "{} {arities:?} boundary={boundary} fusion={fusion} \
+                                 leaf_samples={leaf_samples}",
+                                noise.name()
+                            );
+                            let mirror = unshared_mirror(&plan, 17, leaf_samples, fusion);
+                            assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
+                            let runs: Vec<RunResult> = pools
+                                .iter()
+                                .map(|pool| run_tree(pool, &plan, 17, leaf_samples, fusion))
+                                .collect();
+                            for (r, pool) in runs.iter().zip(&pools) {
+                                let cell = format!("{cell} workers={}", pool.workers());
+                                assert_eq!(r.counts, mirror.counts, "{cell}");
+                                assert_eq!(r.ops, runs[0].ops, "{cell}");
+                                assert_eq!(
+                                    r.ops.state_copies + r.ops.nodes_shared,
+                                    nodes,
+                                    "{cell}"
+                                );
+                            }
+                            let ops = runs[0].ops;
+                            let state_dependent = noise
+                                .channels_1q()
+                                .iter()
+                                .any(|ch| !ch.samples_state_free());
+                            if arities.len() == 1 || state_dependent {
+                                // Root level and damping families never
+                                // share: the tree is the mirror.
+                                assert_eq!(ops.nodes_shared, 0, "{cell}");
+                                assert_eq!(ops.amp_passes, mirror.ops.amp_passes, "{cell}");
+                                assert_eq!(ops.noise_ops, mirror.ops.noise_ops, "{cell}");
+                            } else if noise.is_ideal() {
+                                assert_eq!(
+                                    ops.state_copies,
+                                    arities[0] * arities.len() as u64,
+                                    "{cell}"
+                                );
+                            } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
+                                assert!(ops.nodes_shared > 0, "{cell}");
+                                assert!(ops.amp_passes < mirror.ops.amp_passes, "{cell}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn error_free_siblings_travel_as_one_task() {
+        // Ideal noise: under each of the 5 root tasks the 3 children are one
+        // task, and so are their 6 children — 15 tasks for 50 nodes, each
+        // streamed leaf still its own chunk.
+        let plan = plan_for(vec![5, 3, 2], &NoiseModel::ideal());
+        let pool = WorkerPool::new(2);
+        let chunks = Arc::new(Mutex::new(Vec::<usize>::new()));
+        let sink_target = Arc::clone(&chunks);
+        let sink: ChunkSink = Arc::new(move |chunk: &[u64]| {
+            sink_target.lock().unwrap().push(chunk.len());
+        });
+        let (tx, rx) = mpsc::channel();
+        launch_tree(
+            &pool,
+            &plan,
+            9,
+            2,
+            true,
+            Some(sink),
+            Box::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        );
+        let result = rx.recv().unwrap();
+        pool.wait_idle();
+        // Each node task acquires exactly one pooled state.
+        let stats = pool.pool_stats();
+        assert_eq!(stats.allocations + stats.reuses, 15);
+        assert_eq!(result.ops.state_copies, 15);
+        assert_eq!(result.ops.nodes_shared, 35);
+        assert_eq!(result.counts.total(), 60);
+        assert_eq!(*chunks.lock().unwrap(), vec![2; 30]);
     }
 
     #[test]

@@ -329,6 +329,32 @@ impl NoiseModel {
         ops
     }
 
+    /// Whether this model's realization of `subcircuit` on `rng` is
+    /// error-free: every channel after every gate draws its identity
+    /// branch. Consumes exactly the draws [`NoiseModel::apply_after_gate`]
+    /// and [`NoiseModel::apply_after_gate_deferred`] consume for such a
+    /// realization, so on `true` `rng` sits where a replay of the
+    /// subcircuit leaves it; returns `false` at the first fired branch or
+    /// the first channel whose branch depends on the state (damping
+    /// families), with `rng` part-way through. Executors call it on a
+    /// clone of a tree node's RNG: error-free nodes of one parent state
+    /// are the same state bit for bit.
+    pub fn draws_error_free<R: Rng + ?Sized>(&self, subcircuit: &Circuit, rng: &mut R) -> bool {
+        subcircuit.gates().iter().all(|gate| {
+            if gate.arity() == 1 {
+                self.channels_1q
+                    .iter()
+                    .all(|ch| ch.sample_branch_1q(rng) == BranchSample::Identity)
+            } else {
+                // One joint draw over the first two qubits, one more for a
+                // Toffoli's third; non-depolarizing channels need the state.
+                self.channels_2q.iter().all(|ch| {
+                    (1..gate.arity()).all(|_| ch.sample_branch_2q(rng) == BranchSample::Identity)
+                })
+            }
+        })
+    }
+
     /// Apply readout error (if configured) to a sampled outcome.
     pub fn apply_readout<R: Rng + ?Sized>(&self, outcome: u64, n_qubits: u16, rng: &mut R) -> u64 {
         match self.readout {
@@ -564,6 +590,83 @@ mod tests {
                         "seed {seed} amp {i}: {a:?} vs {b:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn error_free_probe_leaves_the_rng_where_a_clean_replay_does() {
+        use rand::Rng;
+        use tqsim_statevec::OpCounts;
+        // 1q, 2q and Toffoli noise sites (the Toffoli draws twice).
+        let mut circuit = tqsim_circuit::Circuit::new(3);
+        circuit
+            .h(0)
+            .cx(0, 1)
+            .t(1)
+            .ccx(0, 1, 2)
+            .rz(0.4, 2)
+            .cz(1, 2)
+            .ccx(2, 0, 1)
+            .sx(0);
+        let mut reference = StateVector::zero(3);
+        for gate in &circuit {
+            reference.apply_gate(gate);
+        }
+        for noise in [
+            NoiseModel::ideal(),
+            NoiseModel::sycamore(),
+            NoiseModel::depolarizing(0.05, 0.2),
+            NoiseModel::sycamore().with_channel_2q(Channel::Depolarizing { p: 0.01 }),
+        ] {
+            let compiled = noise.compile(&circuit);
+            let (mut clean, mut dirty) = (0, 0);
+            for seed in 0..300u64 {
+                let mut probe = StdRng::seed_from_u64(seed);
+                if !noise.draws_error_free(&circuit, &mut probe) {
+                    dirty += 1;
+                    continue;
+                }
+                clean += 1;
+                let after_probe = probe.next_u64();
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut plain = StateVector::zero(3);
+                for gate in &circuit {
+                    plain.apply_gate(gate);
+                    noise.apply_after_gate(&mut plain, gate, &mut rng);
+                }
+                assert_eq!(rng.next_u64(), after_probe, "{} seed {seed}", noise.name());
+                assert_eq!(plain.amplitudes(), reference.amplitudes());
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut fused = StateVector::zero(3);
+                compiled.replay(&mut fused, &mut OpCounts::new(), |gate, ctx| {
+                    noise.apply_after_gate_deferred(gate, ctx, &mut rng)
+                });
+                assert_eq!(rng.next_u64(), after_probe, "{} seed {seed}", noise.name());
+            }
+            if noise.is_ideal() {
+                assert_eq!(dirty, 0, "nothing to draw, nothing to fire");
+            } else {
+                assert!(
+                    clean > 0 && dirty > 0,
+                    "{}: {clean} / {dirty}",
+                    noise.name()
+                );
+            }
+        }
+        // Damping families read the state to pick a branch: never error-free,
+        // however small the ratio.
+        for noise in [
+            NoiseModel::amplitude_damping(1e-9),
+            NoiseModel::phase_damping(1e-9),
+            NoiseModel::thermal_relaxation_sycamore(),
+            NoiseModel::sycamore().with_channel_1q(Channel::PhaseDamping { lambda: 1e-9 }),
+        ] {
+            for seed in 0..20u64 {
+                let mut probe = StdRng::seed_from_u64(seed);
+                assert!(!noise.draws_error_free(&circuit, &mut probe));
             }
         }
     }

@@ -83,6 +83,7 @@ struct OpTotals {
     amp_passes: Arc<tqsim_obs::Counter>,
     fused_gates: Arc<tqsim_obs::Counter>,
     copy_apply: Arc<tqsim_obs::Counter>,
+    nodes_shared: Arc<tqsim_obs::Counter>,
     sample_fused: Arc<tqsim_obs::Counter>,
 }
 
@@ -100,6 +101,7 @@ impl OpTotals {
             amp_passes: c("amp_passes"),
             fused_gates: c("fused_gates"),
             copy_apply: c("copy_apply"),
+            nodes_shared: c("nodes_shared"),
             sample_fused: c("sample_fused"),
         }
     }
@@ -149,6 +151,7 @@ impl ServiceMetrics {
         self.ops.amp_passes.add(ops.amp_passes);
         self.ops.fused_gates.add(ops.fused_gates);
         self.ops.copy_apply.add(ops.copy_apply);
+        self.ops.nodes_shared.add(ops.nodes_shared);
         self.ops.sample_fused.add(ops.sample_fused);
     }
 

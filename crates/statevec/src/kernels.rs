@@ -63,8 +63,18 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
 
-/// Default serial/parallel switch point, in amplitudes.
-pub const DEFAULT_PAR_MIN_LEN: usize = 1 << 14;
+/// Default serial/parallel switch point, in amplitudes: the first power of
+/// two at which the pool beats one thread on the `kernels` bench ladder
+/// (2 vCPU, AVX-512F; ns per amplitude over the operand placements of the
+/// `diag1`/`diag2`/`mat2`/`mat4` rows, pooled vs serial):
+///
+/// | n  | pooled    | serial    |
+/// |----|-----------|-----------|
+/// | 14 | 0.97–1.79 | 0.30–0.94 |
+/// | 16 | 0.56–0.95 | 0.34–1.02 |
+/// | 18 | 0.45–0.70 | 0.49–0.88 |
+/// | 20 | 0.34–0.60 | 0.53–1.05 |
+pub const DEFAULT_PAR_MIN_LEN: usize = 1 << 17;
 
 /// Upper bound on pool tasks per gate-kernel call (the amplitude pool's own
 /// per-drive cap, so one task is one pool task).

@@ -43,6 +43,11 @@ pub struct OpCounts {
     /// (cross-boundary fusion: |ψ|² was read in the same sweep that
     /// applied the final fused ops).
     pub sample_fused: u64,
+    /// Tree nodes served without copy or replay: error-free realizations
+    /// that reused the state a sibling had already computed from the same
+    /// parent state. Every other count stays *work done*, so
+    /// `state_copies + nodes_shared` counts the tree's nodes below the root.
+    pub nodes_shared: u64,
 }
 
 impl OpCounts {
@@ -107,6 +112,7 @@ impl Add for OpCounts {
             fused_gates: self.fused_gates + rhs.fused_gates,
             copy_apply: self.copy_apply + rhs.copy_apply,
             sample_fused: self.sample_fused + rhs.sample_fused,
+            nodes_shared: self.nodes_shared + rhs.nodes_shared,
         }
     }
 }

@@ -63,13 +63,16 @@ pub struct FusionConfig {
 
 impl Default for FusionConfig {
     /// The default window is 2 qubits unless the `TQSIM_FUSE_QUBITS`
-    /// environment variable overrides it (clamped to 2..=5). Boundary
-    /// fusion stays opt-in.
+    /// environment variable overrides it (clamped to 2..=5; read once per
+    /// process, like `TQSIM_PAR_MIN_LEN`). Boundary fusion stays opt-in.
     fn default() -> Self {
-        let max_fuse_qubits = std::env::var("TQSIM_FUSE_QUBITS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .map_or(2, |w| w.clamp(2, 5));
+        static ENV_WIDTH: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
+        let max_fuse_qubits = *ENV_WIDTH.get_or_init(|| {
+            std::env::var("TQSIM_FUSE_QUBITS")
+                .ok()
+                .and_then(|v| v.trim().parse::<u8>().ok())
+                .map_or(2, |w| w.clamp(2, 5))
+        });
         FusionConfig {
             max_fuse_qubits,
             boundary: false,
@@ -698,9 +701,13 @@ impl Fuser {
 
     /// An empty buffer with an explicit fusion window.
     pub fn with_config(cfg: FusionConfig) -> Self {
+        // Built field by field: a replay makes one per tree node and per
+        // Monte-Carlo shot, and must not consult the default config.
         Fuser {
             cfg,
-            ..Self::default()
+            dense: None,
+            diag: DiagRun::new(),
+            diag_noise_only: false,
         }
     }
 
@@ -1921,6 +1928,26 @@ mod tests {
     use super::*;
     use crate::state::StateVector;
     use tqsim_circuit::c64;
+
+    #[test]
+    fn default_config_reads_the_environment_once() {
+        // Replay builds a `Fuser` per tree node and per Monte-Carlo shot; the
+        // default window must be a process constant, not an env lookup.
+        let before = FusionConfig::default();
+        let other = if before.max_fuse_qubits == 5 {
+            "2"
+        } else {
+            "5"
+        };
+        let saved = std::env::var_os("TQSIM_FUSE_QUBITS");
+        std::env::set_var("TQSIM_FUSE_QUBITS", other);
+        let after = FusionConfig::default();
+        match saved {
+            Some(v) => std::env::set_var("TQSIM_FUSE_QUBITS", v),
+            None => std::env::remove_var("TQSIM_FUSE_QUBITS"),
+        }
+        assert_eq!(after, before);
+    }
 
     fn apply_both(c: &Circuit) -> (StateVector, StateVector, OpCounts) {
         let mut reference = StateVector::zero(c.n_qubits());

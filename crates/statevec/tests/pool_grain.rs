@@ -5,7 +5,8 @@
 //!
 //! Before the span-based split, a `mat4` on qubits (1, 0) at n = 16 ran
 //! 16 512 pool tasks (one per quad of a nested `par_chunks_mut`) and the
-//! same gate on (15, 14) exactly 2. Exact counts come from
+//! same gate on (15, 14) exactly 2. The sweep runs at n = 17, the
+//! narrowest width the default threshold pools. Exact counts come from
 //! `rayon::pool_stats().tasks`, a process-wide counter, so this file holds
 //! one test and is its own process.
 
@@ -13,12 +14,12 @@ use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_circuit::GateKind;
 use tqsim_statevec::kernels::{self, DEFAULT_PAR_MIN_LEN};
 
-const N: usize = 16;
+const N: usize = 17;
 
 /// `len / (par_min_len / 4)`: every task is exactly one grain at this size.
 const TASKS_PER_CALL: u64 = ((1usize << N) / (DEFAULT_PAR_MIN_LEN / 4)) as u64;
 
-// Small and fixed, and never a single task — (15, 14) included.
+// Small and fixed, and never a single task — (16, 15) included.
 const _: () = assert!(TASKS_PER_CALL >= 2 && TASKS_PER_CALL <= 16);
 
 fn scrambled() -> Vec<C64> {
@@ -83,4 +84,11 @@ fn one_kernel_call_costs_a_bounded_number_of_pool_tasks() {
         }
     }
     kernels::set_par_min_len(DEFAULT_PAR_MIN_LEN);
+
+    // One width below the default threshold a call stays on its thread.
+    let mut narrow = scrambled();
+    narrow.truncate(1 << (N - 1));
+    let before = rayon::pool_stats().tasks;
+    pool.install(|| kernels::apply_mat4(&mut narrow, 3, 1, &m4));
+    assert_eq!(rayon::pool_stats().tasks, before, "2^16 amplitudes pooled");
 }

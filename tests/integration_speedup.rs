@@ -108,6 +108,9 @@ fn tree_executor_baseline_agrees_with_independent_flat_runner() {
     assert_eq!(tree.counts.total(), flat.counts.total());
     // Both draw one sample per shot.
     assert_eq!(tree.ops.samples, flat.ops.samples);
+    // A flat plan is the per-shot reference: root-level nodes never share.
+    assert_eq!(tree.ops.nodes_shared, 0);
+    assert_eq!(tree.ops.state_copies, shots);
 }
 
 #[test]
