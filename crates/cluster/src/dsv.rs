@@ -3,25 +3,26 @@
 //! The full `2^n` amplitude array is split across `2^g` nodes; node `i`
 //! holds the contiguous slice of global indices `i·2^{n−g} .. (i+1)·2^{n−g}`,
 //! i.e. the **top `g` qubits select the node**. Gates on local (low) qubits
-//! run embarrassingly parallel, one thread per node; gates touching a global
-//! qubit are handled the way real distributed simulators do it — a
-//! *distributed swap* brings the global qubit down to a scratch local qubit
-//! (one pairwise half-slice exchange each way), the gate runs locally, and
-//! the swap is undone. Every exchange is counted and priced by the
-//! [`InterconnectModel`].
+//! need no communication; gates touching a global qubit are handled the way
+//! real distributed simulators do it — a *distributed swap* brings the
+//! global qubit down to a scratch local qubit (one pairwise half-slice
+//! exchange each way), the gate runs locally, and the swap is undone. Every
+//! exchange is counted and priced by the [`InterconnectModel`].
+//!
+//! No sweep creates a thread. Node slices (and, for exchanges, partner
+//! pairs of slices) run in turn on the caller's thread; the kernels pool
+//! *inside* a slice once it reaches `kernels::par_min_len`, capped by
+//! `rayon::ThreadPool::install` like any other amplitude work — one level
+//! of pool parallelism per sweep.
 
 use crate::layout::{DensePlan, LayoutTracker};
 use crate::model::{ClusterCounters, InterconnectModel};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use tqsim_obs::{Counter, Registry};
-
-/// Below this per-node slice length, node work runs on the calling thread —
-/// the semantics are identical and thread-spawn overhead would dominate.
-const THREAD_MIN_SLICE: usize = 1 << 12;
 use tqsim_circuit::math::{c64, Mat16, Mat2, Mat32, Mat4, Mat8, C64};
 use tqsim_circuit::Gate;
+use tqsim_obs::{Counter, Registry};
 use tqsim_statevec::{kernels, DiagRun, PooledBackend, QuantumState, StateVector};
 
 /// Error constructing a [`DistributedStateVector`].
@@ -369,70 +370,53 @@ impl DistributedStateVector {
         self.counters.simulated_seconds += self.model.compute_time(slice_len);
     }
 
-    /// Apply `op` to every node slice concurrently (one thread per node),
-    /// handing the closure its node index. The single serial/threaded
-    /// dispatch point for node-local sweeps.
-    fn each_node_indexed<F>(&mut self, op: F)
+    /// Apply `op` to every node slice in turn, handing the closure its node
+    /// index.
+    fn each_node_indexed<F>(&mut self, mut op: F)
     where
-        F: Fn(usize, &mut [C64]) + Sync,
+        F: FnMut(usize, &mut [C64]),
     {
-        if self.slice_len() < THREAD_MIN_SLICE {
-            for (node, slice) in self.slices.iter_mut().enumerate() {
-                op(node, slice);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (node, slice) in self.slices.iter_mut().enumerate() {
-                    let op = &op;
-                    scope.spawn(move || op(node, slice));
-                }
-            });
+        for (node, slice) in self.slices.iter_mut().enumerate() {
+            op(node, slice);
         }
         self.charge_compute_pass();
     }
 
-    /// Apply `op` to every node slice concurrently (one thread per node).
+    /// Apply `op` to every node slice.
     fn each_node<F>(&mut self, op: F)
     where
-        F: Fn(&mut [C64]) + Sync,
+        F: Fn(&mut [C64]),
     {
         self.each_node_indexed(|_, slice| op(slice));
     }
 
-    /// Distributed swap of global bit `gb` (0-based within the top `g`)
-    /// with local qubit `lq`: pairwise half-slice exchange.
-    fn dswap(&mut self, gb: u16, lq: u16) {
-        debug_assert!(gb < self.g && lq < self.local_n);
+    /// One exchange round: `op` runs in turn on every partner pair of node
+    /// slices whose node indices differ in global bit `gb`, each node
+    /// moving `bytes_per_node` over the interconnect. Counted, timed and
+    /// priced.
+    fn exchange_round<F>(&mut self, gb: u16, bytes_per_node: u64, mut op: F)
+    where
+        F: FnMut(&mut [C64], &mut [C64]),
+    {
+        debug_assert!(gb < self.g);
         // Failpoint modelling an interconnect fault (dropped exchange,
-        // slow link via the delay action). Converted to a panic for the
-        // same reason as `copy_from`.
+        // slow link via the delay action). No error channel through the
+        // state API, so an injected error panics; the engine's per-task
+        // `catch_unwind` contains it to the running job.
         if let Err(fault) = tqsim_faults::trigger("cluster.exchange") {
             panic!("{fault}");
         }
         let start = Instant::now();
         let step = 1usize << gb;
-        let sl = 1usize << lq;
-        if self.slice_len() < THREAD_MIN_SLICE {
-            for chunk in self.slices.chunks_mut(step * 2) {
-                let (lo, hi) = chunk.split_at_mut(step);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    exchange_halves(a, b, sl);
-                }
+        for chunk in self.slices.chunks_mut(step * 2) {
+            let (lo, hi) = chunk.split_at_mut(step);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                op(a, b);
             }
-        } else {
-            std::thread::scope(|scope| {
-                for chunk in self.slices.chunks_mut(step * 2) {
-                    let (lo, hi) = chunk.split_at_mut(step);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        scope.spawn(move || exchange_halves(a, b, sl));
-                    }
-                }
-            });
         }
         let measured = start.elapsed().as_secs_f64();
-        let half_bytes = (self.slice_len() / 2 * 16) as u64;
-        let simulated = self.model.exchange_time(half_bytes);
-        let total_bytes = half_bytes * self.n_nodes() as u64;
+        let simulated = self.model.exchange_time(bytes_per_node);
+        let total_bytes = bytes_per_node * self.n_nodes() as u64;
         self.counters.exchanges += 1;
         self.counters.bytes_exchanged += total_bytes;
         self.counters.simulated_seconds += simulated;
@@ -442,48 +426,79 @@ impl DistributedStateVector {
         }
     }
 
-    /// Distributed-swap every global qubit in `qubits` down to a scratch
-    /// local qubit. Returns the remapped (now all-local) qubit list and the
-    /// swap plan to undo with [`DistributedStateVector::undo_remap`].
-    fn remap_to_local(&mut self, qubits: &[u16]) -> (Vec<u16>, Vec<(u16, u16)>) {
+    /// Distributed swap of global bit `gb` (0-based within the top `g`)
+    /// with local qubit `lq`: pairwise half-slice exchange.
+    fn dswap(&mut self, gb: u16, lq: u16) {
+        debug_assert!(lq < self.local_n);
+        let sl = 1usize << lq;
+        let half_bytes = (self.slice_len() / 2 * 16) as u64;
+        self.exchange_round(gb, half_bytes, |a, b| exchange_halves(a, b, sl));
+    }
+
+    /// Eager dense dispatch: distributed-swap every global qubit of `qs`
+    /// down to a scratch local qubit, apply `f` on every node at the local
+    /// positions, and swap back. All-local operands need no swap and count
+    /// as a local gate. Nothing here touches the heap: an op has at most
+    /// [`MAX_OP_QUBITS`] qubits.
+    fn apply_remapped<F>(&mut self, qs: &[u16], f: F)
+    where
+        F: Fn(&mut [C64], &[u16]),
+    {
         let local_n = self.local_n;
-        let mut qubits = qubits.to_vec();
-        // Scratch = highest local qubits not used by the operation itself.
-        let mut scratch: Vec<u16> = (0..local_n)
-            .rev()
-            .filter(|q| !qubits.contains(q))
-            .take(qubits.len())
-            .collect();
-        let mut swaps: Vec<(u16, u16)> = Vec::new();
-        for q in qubits.iter_mut() {
-            if *q >= local_n {
-                let dst = scratch
-                    .pop()
-                    .expect("constructor guarantees >= 3 local qubits");
-                let gb = *q - local_n;
-                self.dswap(gb, dst);
-                swaps.push((gb, dst));
-                *q = dst;
+        let k = qs.len();
+        let mut phys = [0u16; MAX_OP_QUBITS];
+        phys[..k].copy_from_slice(qs);
+        // `(global bit, local qubit)` of every swap made, in order.
+        let mut swaps = [(0u16, 0u16); MAX_OP_QUBITS];
+        let mut n_swaps = 0;
+        if qs.iter().any(|&q| q >= local_n) {
+            // Scratch = the `k` highest local qubits not used by the
+            // operation itself, handed out lowest first (`tqsim-shard`
+            // makes the same choice, so both transports exchange on the
+            // same schedule).
+            let mut scratch = [0u16; MAX_OP_QUBITS];
+            let mut n_scratch = 0;
+            for q in (0..local_n).rev().filter(|q| !qs.contains(q)).take(k) {
+                scratch[n_scratch] = q;
+                n_scratch += 1;
+            }
+            for q in &mut phys[..k] {
+                if *q >= local_n {
+                    n_scratch = n_scratch
+                        .checked_sub(1)
+                        .expect("constructor guarantees >= 3 local qubits");
+                    let swap = (*q - local_n, scratch[n_scratch]);
+                    self.dswap(swap.0, swap.1);
+                    swaps[n_swaps] = swap;
+                    n_swaps += 1;
+                    *q = swap.1;
+                }
             }
         }
-        (qubits, swaps)
-    }
-
-    /// Undo a [`DistributedStateVector::remap_to_local`] swap plan.
-    fn undo_remap(&mut self, swaps: &[(u16, u16)]) {
-        for &(gb, dst) in swaps.iter().rev() {
+        let phys = &phys[..k];
+        self.each_node(|slice| f(slice, phys));
+        for &(gb, dst) in swaps[..n_swaps].iter().rev() {
             self.dswap(gb, dst);
+        }
+        if n_swaps == 0 {
+            self.note_local_gate();
+        } else {
+            self.note_remapped_gate();
         }
     }
 
-    /// Remap any global qubits of `gate` onto scratch local qubits, apply
-    /// locally, and restore. Returns the swap plan applied (for testing).
-    fn apply_gate_remapped(&mut self, gate: &Gate) -> usize {
-        let (qubits, swaps) = self.remap_to_local(gate.qubits());
-        let remapped = Gate::new(*gate.kind(), &qubits);
-        self.each_node(|slice| kernels::apply_gate_amps(slice, &remapped));
-        self.undo_remap(&swaps);
-        swaps.len()
+    /// Dense dispatch of a fused operand on qubits `qs`: through the
+    /// [`LayoutTracker`] under exchange batching, eagerly otherwise.
+    fn apply_dense<F>(&mut self, qs: &[u16], f: F)
+    where
+        F: Fn(&mut [C64], &[u16]),
+    {
+        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
+        if self.batching {
+            self.apply_batched(qs, f);
+        } else {
+            self.apply_remapped(qs, f);
+        }
     }
 
     /// Batched-mode dense dispatch: consult the [`LayoutTracker`], execute
@@ -493,7 +508,7 @@ impl DistributedStateVector {
     /// remap path — only the exchange schedule differs.
     fn apply_batched<F>(&mut self, qs: &[u16], f: F)
     where
-        F: Fn(&mut [C64], &[u16]) + Sync,
+        F: Fn(&mut [C64], &[u16]),
     {
         let logically_local = qs.iter().all(|&q| q < self.local_n);
         let phys = match self.layout.decide_dense(qs) {
@@ -671,18 +686,15 @@ impl PooledBackend for ClusterBackend {
     }
 }
 
+/// The most qubits one operation touches (a 5-qubit fused cluster).
+const MAX_OP_QUBITS: usize = 5;
+
 /// Exchange the `lq`-bit=1 half of `a` with the `lq`-bit=0 half of `b`
-/// (the distributed-swap wire protocol; `sl = 1 << lq`).
+/// (the distributed-swap wire protocol; `sl = 1 << lq`): whole `sl`-long
+/// runs at a time.
 fn exchange_halves(a: &mut [C64], b: &mut [C64], sl: usize) {
-    let len = a.len();
-    let mut base = 0;
-    while base < len {
-        for off in 0..sl {
-            let i = base + sl + off; // bit set in a
-            let j = base + off; //      bit clear in b
-            std::mem::swap(&mut a[i], &mut b[j]);
-        }
-        base += sl * 2;
+    for (ra, rb) in a.chunks_exact_mut(sl * 2).zip(b.chunks_exact_mut(sl * 2)) {
+        ra[sl..].swap_with_slice(&mut rb[..sl]);
     }
 }
 
@@ -692,175 +704,54 @@ impl QuantumState for DistributedStateVector {
     }
 
     fn apply_gate(&mut self, gate: &Gate) {
-        for &q in gate.qubits() {
-            assert!(q < self.n_qubits, "gate {gate} out of range");
-        }
-        if self.batching {
-            let kind = *gate.kind();
-            self.apply_batched(gate.qubits(), move |slice, ps| {
-                kernels::apply_gate_amps(slice, &Gate::new(kind, ps));
-            });
-            return;
-        }
-        let local_n = self.local_n;
-        if gate.qubits().iter().all(|&q| q < local_n) {
-            self.each_node(|slice| kernels::apply_gate_amps(slice, gate));
-            self.note_local_gate();
-        } else {
-            self.apply_gate_remapped(gate);
-            self.note_remapped_gate();
-        }
+        let kind = *gate.kind();
+        self.apply_dense(gate.qubits(), |slice, ps| {
+            kernels::apply_gate_amps(slice, &Gate::new(kind, ps));
+        });
     }
 
     fn apply_mat2(&mut self, q: u16, m: &Mat2) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        if self.batching {
-            let m = *m;
-            self.apply_batched(&[q], move |slice, ps| {
-                kernels::apply_mat2(slice, ps[0] as usize, &m);
-            });
-            return;
-        }
-        if q < self.local_n {
-            // Fused kernel runs node-local, one thread per node.
-            let ql = q as usize;
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat2(slice, ql, &m));
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q]);
-            let ql = qs[0] as usize;
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat2(slice, ql, &m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        self.apply_dense(&[q], |slice, ps| {
+            kernels::apply_mat2(slice, ps[0] as usize, m);
+        });
     }
 
     fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
-        assert!(
-            q_hi < self.n_qubits && q_lo < self.n_qubits,
-            "qubit out of range"
-        );
-        if self.batching {
-            let m = *m;
-            self.apply_batched(&[q_hi, q_lo], move |slice, ps| {
-                kernels::apply_mat4(slice, ps[0] as usize, ps[1] as usize, &m);
-            });
-            return;
-        }
-        if q_hi < self.local_n && q_lo < self.local_n {
-            // Both qubits node-local: the fused quad sweep never leaves the
-            // node, exactly like the single-node kernel.
-            let (hi, lo) = (q_hi as usize, q_lo as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat4(slice, hi, lo, &m));
-            self.note_local_gate();
-        } else {
-            // Fall back to the distributed-swap remap path.
-            let (qs, swaps) = self.remap_to_local(&[q_hi, q_lo]);
-            let (hi, lo) = (qs[0] as usize, qs[1] as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat4(slice, hi, lo, &m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        self.apply_dense(&[q_hi, q_lo], |slice, ps| {
+            kernels::apply_mat4(slice, ps[0] as usize, ps[1] as usize, m);
+        });
     }
 
     fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-        assert!(
-            q2 < self.n_qubits && q1 < self.n_qubits && q0 < self.n_qubits,
-            "qubit out of range"
-        );
-        if self.batching {
-            let m = *m;
-            self.apply_batched(&[q2, q1, q0], move |slice, ps| {
-                kernels::apply_mat8(slice, ps[0] as usize, ps[1] as usize, ps[2] as usize, &m);
-            });
-            return;
-        }
-        if q2 < self.local_n && q1 < self.local_n && q0 < self.local_n {
-            // All three qubits node-local: the fused octet sweep never
-            // leaves the node, exactly like the single-node kernel.
-            let (b2, b1, b0) = (q2 as usize, q1 as usize, q0 as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat8(slice, b2, b1, b0, &m));
-            self.note_local_gate();
-        } else {
-            // Fall back to the distributed-swap remap path.
-            let (qs, swaps) = self.remap_to_local(&[q2, q1, q0]);
-            let (b2, b1, b0) = (qs[0] as usize, qs[1] as usize, qs[2] as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat8(slice, b2, b1, b0, &m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        self.apply_dense(&[q2, q1, q0], |slice, ps| {
+            kernels::apply_mat8(slice, ps[0] as usize, ps[1] as usize, ps[2] as usize, m);
+        });
     }
 
     fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
         assert!(
             self.local_n >= 4,
             "4-qubit fusion clusters need >= 4 node-local qubits \
              (n_qubits >= log2(nodes) + 4); lower max_fuse_qubits"
         );
-        if self.batching {
-            self.apply_batched(&qs, move |slice, ps| {
-                kernels::apply_mat16(slice, [ps[0], ps[1], ps[2], ps[3]].map(usize::from), m);
-            });
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            // All four qubits node-local: the fused 16-amp sweep never
-            // leaves the node, exactly like the single-node kernel.
-            let bs = qs.map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat16(slice, bs, m));
-            self.note_local_gate();
-        } else {
-            // Fall back to the distributed-swap remap path.
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let bs = [remapped[0], remapped[1], remapped[2], remapped[3]].map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat16(slice, bs, m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        self.apply_dense(&qs, |slice, ps| {
+            kernels::apply_mat16(slice, [ps[0], ps[1], ps[2], ps[3]].map(usize::from), m);
+        });
     }
 
     fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
         assert!(
             self.local_n >= 5,
             "5-qubit fusion clusters need >= 5 node-local qubits \
              (n_qubits >= log2(nodes) + 5); lower max_fuse_qubits"
         );
-        if self.batching {
-            self.apply_batched(&qs, move |slice, ps| {
-                kernels::apply_mat32(
-                    slice,
-                    [ps[0], ps[1], ps[2], ps[3], ps[4]].map(usize::from),
-                    m,
-                );
-            });
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            let bs = qs.map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat32(slice, bs, m));
-            self.note_local_gate();
-        } else {
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let bs = [
-                remapped[0],
-                remapped[1],
-                remapped[2],
-                remapped[3],
-                remapped[4],
-            ]
-            .map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat32(slice, bs, m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        self.apply_dense(&qs, |slice, ps| {
+            kernels::apply_mat32(
+                slice,
+                [ps[0], ps[1], ps[2], ps[3], ps[4]].map(usize::from),
+                m,
+            );
+        });
     }
 
     fn apply_diag_run(&mut self, run: &DiagRun) {
@@ -929,50 +820,16 @@ impl QuantumState for DistributedStateVector {
         assert!(q < self.n_qubits, "qubit out of range");
         self.flush_layout();
         if q >= self.local_n {
-            // Same interconnect failpoint as `dswap`: the cross-node
-            // combine is an exchange round too.
-            if let Err(fault) = tqsim_faults::trigger("cluster.exchange") {
-                panic!("{fault}");
-            }
-            let start = Instant::now();
-            // Pairwise cross-node combine: a' = a01·b, b' = a10·a.
-            let step = 1usize << (q - self.local_n);
-            let combine = |a: &mut Vec<C64>, b: &mut Vec<C64>| {
+            // Pairwise cross-node combine, a' = a01·b and b' = a10·a: an
+            // exchange round in which every node ships its whole slice.
+            let bytes = (self.slice_len() * 16) as u64;
+            self.exchange_round(q - self.local_n, bytes, |a, b| {
                 for (x, y) in a.iter_mut().zip(b.iter_mut()) {
                     let (vx, vy) = (*x, *y);
                     *x = a01 * vy;
                     *y = a10 * vx;
                 }
-            };
-            if self.slice_len() < THREAD_MIN_SLICE {
-                for chunk in self.slices.chunks_mut(step * 2) {
-                    let (lo, hi) = chunk.split_at_mut(step);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        combine(a, b);
-                    }
-                }
-            } else {
-                std::thread::scope(|scope| {
-                    for chunk in self.slices.chunks_mut(step * 2) {
-                        let (lo, hi) = chunk.split_at_mut(step);
-                        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                            let combine = &combine;
-                            scope.spawn(move || combine(a, b));
-                        }
-                    }
-                });
-            }
-            let measured = start.elapsed().as_secs_f64();
-            let bytes = (self.slice_len() * 16) as u64;
-            let simulated = self.model.exchange_time(bytes);
-            let total_bytes = bytes * self.n_nodes() as u64;
-            self.counters.exchanges += 1;
-            self.counters.bytes_exchanged += total_bytes;
-            self.counters.simulated_seconds += simulated;
-            self.counters.measured_exchange_seconds += measured;
-            if let Some(obs) = &self.obs {
-                obs.note_exchange(total_bytes, measured, simulated);
-            }
+            });
         } else {
             let q = q as usize;
             self.each_node(|slice| kernels::apply_antidiag1(slice, q, a01, a10));
@@ -1026,6 +883,42 @@ mod tests {
     use super::*;
     use tqsim_circuit::generators;
     use tqsim_circuit::{Circuit, GateKind};
+
+    /// The `perf` `dist_cluster` shape — 14 qubits over 4 nodes, slices of
+    /// 2^12 — runs every per-slice and per-pair closure on the caller's
+    /// thread: nothing is spawned. (A thread per node per sweep cost this
+    /// shape 8x its arithmetic.)
+    #[test]
+    fn sweeps_and_exchanges_run_on_the_callers_thread() {
+        let m = InterconnectModel::commodity_cluster();
+        let mut dsv = DistributedStateVector::zero(14, 4, m).unwrap();
+        assert_eq!(dsv.slice_len(), 1 << 12);
+        let caller = std::thread::current().id();
+        let mut nodes = Vec::new();
+        dsv.each_node_indexed(|node, _| {
+            assert_eq!(std::thread::current().id(), caller);
+            nodes.push(node);
+        });
+        assert_eq!(nodes, [0, 1, 2, 3]);
+        // Both global bits: two partner pairs per round.
+        for gb in 0..2 {
+            let mut pairs = 0;
+            dsv.exchange_round(gb, 16, |_, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                pairs += 1;
+            });
+            assert_eq!(pairs, 2);
+        }
+        // The public sweeps sit on those two: a local quad sweep, a global
+        // pair sweep (a dswap each way) and a cross-node combine.
+        let h = GateKind::H.matrix1().unwrap();
+        let cx = GateKind::Cx.matrix2().unwrap();
+        QuantumState::apply_mat4(&mut dsv, 3, 1, &cx);
+        QuantumState::apply_mat2(&mut dsv, 13, &h);
+        dsv.apply_antidiag1(12, c64(0.0, 1.0), c64(0.0, -1.0));
+        assert_eq!(dsv.counters.exchanges, 2 + 3);
+        assert!((dsv.norm_sqr() - 1.0).abs() < 1e-12);
+    }
 
     fn assert_states_match(dsv: &DistributedStateVector, sv: &StateVector) {
         let gathered = dsv.gather();

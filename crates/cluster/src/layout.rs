@@ -124,7 +124,7 @@ impl LayoutTracker {
         if qs.iter().all(|&q| q < self.local_n) {
             return DensePlan::FlushThenLocal { undo };
         }
-        // Mirror `DistributedStateVector::remap_to_local`: scratch = the
+        // Mirror `DistributedStateVector::apply_remapped`: scratch = the
         // highest local qubits not used by the operation itself, popped
         // from the low end of that descending list.
         let mut qubits = qs.to_vec();

@@ -3,12 +3,14 @@
 //! qHiPSTER-style distributed state-vector substrate — the multi-node
 //! evaluation platform of the TQSim reproduction (paper §5.3, Fig. 13).
 //!
-//! The full amplitude array is sliced across simulated nodes (one thread
-//! per node); gates on global qubits perform the pairwise half-slice
-//! exchanges a real cluster would, with every byte counted and priced by an
-//! [`InterconnectModel`]. Results are validated bit-exactly against the
-//! single-node engine, and an analytic estimator extrapolates the Fig. 13
-//! strong/weak-scaling curves to widths this environment cannot execute.
+//! The full amplitude array is sliced across simulated nodes (swept in
+//! turn on the caller's thread; the kernels pool inside a slice once it is
+//! long enough); gates on global qubits perform
+//! the pairwise half-slice exchanges a real cluster would, with every byte
+//! counted and priced by an [`InterconnectModel`]. Results are validated
+//! bit-exactly against the single-node engine, and an analytic estimator
+//! extrapolates the Fig. 13 strong/weak-scaling curves to widths this
+//! environment cannot execute.
 //!
 //! ```
 //! use tqsim_cluster::{DistributedStateVector, InterconnectModel};

@@ -64,7 +64,7 @@ pub struct ClusterCounters {
     pub state_copies: u64,
     /// Modeled wall-clock seconds under the configured interconnect.
     pub simulated_seconds: f64,
-    /// **Measured** wall-clock seconds spent in exchange rounds — thread
+    /// **Measured** wall-clock seconds spent in exchange rounds — in-memory
     /// half-slice swaps on the in-process backend, TCP round-trips on the
     /// multi-process shard backend. Kept alongside `simulated_seconds` so
     /// model-vs-measured drift is directly visible; excluded from equality

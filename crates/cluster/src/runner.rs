@@ -376,6 +376,34 @@ mod tests {
         }
     }
 
+    /// The `perf` `dist_cluster` shape, counter for counter. How node
+    /// slices are dispatched must never show in what is exchanged or swept:
+    /// these are the values the thread-per-node dispatch returned.
+    #[test]
+    fn qft14_on_four_nodes_pins_the_exchange_schedule() {
+        let circuit = generators::qft(14);
+        let noise = NoiseModel::sycamore();
+        let partition = Strategy::Custom {
+            arities: vec![8, 4, 4],
+        }
+        .plan(&circuit, &noise, 128)
+        .unwrap();
+        let model = InterconnectModel::commodity_cluster();
+        let r = run_distributed(&circuit, &noise, &partition, 4, model, 3).unwrap();
+        assert_eq!(r.counters.exchanges, 4_140);
+        assert_eq!(r.counters.bytes_exchanged, 542_638_080);
+        assert_eq!(r.counters.local_gates, 7_722);
+        assert_eq!(r.counters.global_gates, 1_960);
+        assert_eq!(r.counters.state_copies, 146);
+        assert_eq!(r.counters.amp_ops, 161_021_952);
+        assert_eq!(r.counters.simulated_seconds.to_bits(), 4585818856184292217);
+        assert_eq!(r.ops.amp_passes, 9_682);
+        let serial = tqsim::TreeExecutor::new(&circuit, &noise, partition)
+            .unwrap()
+            .run(3);
+        assert_eq!(r.counts, serial.counts);
+    }
+
     #[test]
     fn bad_node_count_is_an_error() {
         let circuit = generators::bv(6);

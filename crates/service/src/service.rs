@@ -622,7 +622,8 @@ fn fire_timer(shared: &Arc<Shared>, task: TimerTask) {
 /// executor over the identical plans, so everything above this enum
 /// (placement, retries, degradation, metrics) is transport-agnostic.
 enum ClusterEngine {
-    /// Simulated nodes: one thread per node in this process.
+    /// Simulated nodes: slices of this process's memory, swept in turn on
+    /// the engine worker's thread (kernels pool inside long slices).
     InProcess(Engine<ClusterBackend>),
     /// Real shard worker processes over loopback TCP (`tqsim-shard`).
     MultiProcess(Engine<ShardBackend>),

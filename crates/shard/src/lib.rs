@@ -5,11 +5,12 @@
 //! in-process distributed backend.
 //!
 //! The in-process `tqsim-cluster` backend simulates a qHiPSTER node group
-//! with one thread per node; this crate replaces the threads with actual
-//! OS processes and the shared-memory half-slice swaps with a real wire
-//! protocol, while keeping every observable — amplitudes, `Counts`,
-//! deterministic cluster counters, exchange schedules — **bit-identical**
-//! to that backend. The pieces:
+//! as slices of one address space, swept in turn on the caller's thread
+//! (the kernels pool inside long slices); this crate gives every node an
+//! actual OS process and replaces the shared-memory half-slice swaps with
+//! a real wire protocol, while keeping every observable — amplitudes,
+//! `Counts`, deterministic cluster counters, exchange schedules —
+//! **bit-identical** to that backend. The pieces:
 //!
 //! * [`proto`] — the wire protocol: line-delimited JSON control verbs
 //!   (the `tqsim-service` codec idiom, via `tqsim-json`) plus

@@ -9,15 +9,22 @@
 //!
 //! Also: widening the fusion window to 3-qubit `Mat8` clusters changes
 //! the pass count, never the histogram.
+//!
+//! And on the cluster, whose node slices run in turn on the caller's
+//! thread: amplitudes and `ClusterCounters` are bit-equal whether the
+//! kernels sweep each slice serially or pool inside it
+//! (`slice_len >= par_min_len`).
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use tqsim::Strategy as PlanStrategy;
+use tqsim_circuit::math::{c64, C64};
 use tqsim_circuit::{generators, Circuit, Gate, GateKind};
-use tqsim_cluster::{ClusterBackend, InterconnectModel};
+use tqsim_cluster::{ClusterBackend, ClusterCounters, DistributedStateVector, InterconnectModel};
 use tqsim_engine::{Engine, EngineConfig, FusionConfig, JobPlan, PlannedJob};
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::kernels::{set_par_min_len, DEFAULT_PAR_MIN_LEN};
+use tqsim_statevec::{OpCounts, PooledBackend, QuantumState};
 
 /// Serialises the tests in this binary: `par_min_len` is a process-wide
 /// knob, so only one test may hold it at 1 at a time.
@@ -31,8 +38,13 @@ struct ForceParallel<'a> {
 
 impl ForceParallel<'_> {
     fn new() -> Self {
+        Self::at(1)
+    }
+
+    /// Hold the knob at `par_min_len` instead of 1.
+    fn at(par_min_len: usize) -> Self {
         let guard = PAR_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        set_par_min_len(1);
+        set_par_min_len(par_min_len);
         ForceParallel { _guard: guard }
     }
 }
@@ -111,11 +123,19 @@ fn run_capped<B: tqsim_statevec::PooledBackend>(
     job: &PlannedJob,
     amp_threads: usize,
 ) -> tqsim::RunResult {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(amp_threads)
-        .build()
-        .expect("shim pools are infallible to build")
-        .install(|| engine.run_planned(job))
+    with_cap(Some(amp_threads), || engine.run_planned(job))
+}
+
+/// `f` under an amplitude-pool cap, or under the pool default for `None`.
+fn with_cap<R>(cap: Option<usize>, f: impl FnOnce() -> R) -> R {
+    match cap {
+        None => f(),
+        Some(n) => rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("shim pools are infallible to build")
+            .install(f),
+    }
 }
 
 proptest! {
@@ -266,4 +286,64 @@ fn qft_anchor_thread_sweep_and_mat8_gain() {
         fused.ops.amp_passes,
         reference.ops.amp_passes
     );
+}
+
+/// 12 qubits over 4 nodes: slices of 2^10.
+const CLUSTER_QUBITS: u16 = 12;
+const CLUSTER_NODES: usize = 4;
+/// Never pools: serial kernels on every slice.
+const SERIAL_KERNELS: usize = usize::MAX;
+/// `2^10 >= 2^10`: each kernel pools inside its slice.
+const POOL_KERNELS: usize = 1 << 10;
+
+/// A noisy fused replay, a parent→child copy and a cross-node
+/// antidiagonal combine on the 4-node cluster, under whatever
+/// `par_min_len` and pool cap the caller holds.
+fn cluster_walk(circuit: &Circuit) -> (Vec<C64>, ClusterCounters) {
+    use rand::SeedableRng;
+    let noise = NoiseModel::sycamore();
+    let compiled = noise.compile(circuit);
+    let backend = ClusterBackend::new(CLUSTER_NODES, InterconnectModel::commodity_cluster());
+    let mut parent = backend.allocate(CLUSTER_QUBITS);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let mut ops = OpCounts::new();
+    compiled.replay(&mut parent, &mut ops, |gate, ctx| {
+        noise.apply_after_gate_deferred(gate, ctx, &mut rng)
+    });
+    let mut child: DistributedStateVector = backend.allocate(CLUSTER_QUBITS);
+    backend.copy_into(&mut child, &parent);
+    child.apply_antidiag1(CLUSTER_QUBITS - 1, c64(0.0, 1.0), c64(0.0, -1.0));
+    compiled.replay(&mut child, &mut ops, |gate, ctx| {
+        noise.apply_after_gate_deferred(gate, ctx, &mut rng)
+    });
+    let mut counters = parent.counters;
+    counters.merge(&child.counters);
+    (child.gather().amplitudes().to_vec(), counters)
+}
+
+/// Kernels pooling inside every node slice against the serial run, at pool
+/// caps 1, 2 and default.
+#[test]
+fn cluster_is_bit_identical_when_kernels_pool_inside_slices() {
+    for circuit in [
+        generators::qft(CLUSTER_QUBITS),
+        generators::qsc(CLUSTER_QUBITS, 24, 7),
+    ] {
+        let reference = {
+            let _knob = ForceParallel::at(SERIAL_KERNELS);
+            cluster_walk(&circuit)
+        };
+        assert!(reference.1.exchanges > 0 && reference.1.state_copies == 1);
+        let _knob = ForceParallel::at(POOL_KERNELS);
+        for cap in [Some(1), Some(2), None] {
+            let tasks = rayon::pool_stats().tasks;
+            let (amps, counters) = with_cap(cap, || cluster_walk(&circuit));
+            assert!(amps == reference.0, "cap {cap:?}: amplitudes moved");
+            assert_eq!(counters, reference.1, "cap {cap:?}");
+            assert!(
+                rayon::pool_stats().tasks > tasks,
+                "cap {cap:?}: the sweeps never reached the pool"
+            );
+        }
+    }
 }
