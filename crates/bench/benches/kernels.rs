@@ -1,9 +1,8 @@
 //! Microbenchmarks of the state-vector substrate: gate kernels, state
 //! copies (the quantity behind Fig. 10), sampling, noise ops, and the
-//! fused-matrix kernel ladder `mat2..mat32` (the dense cluster widths the
-//! fusion window can emit) swept across state sizes 2^10..2^20. The
-//! tiered kernels (`mat2`, `mat4`, `diag1`, `diag2`, the 6-term `DiagRun`
-//! sweep) are timed with their low operand at qubit 0, 1, 3 and n−2: below
+//! fused-op kernel ladder (`mat2`, `mat4`, `diag1`, `diag2`, the 6-term
+//! `DiagRun` sweep — everything the fusion window can emit) swept across
+//! state sizes 2^10..2^20. The ladder is timed with their low operand at qubit 0, 1, 3 and n−2: below
 //! qubit 2 a contiguous run is shorter than a vector register and the
 //! kernels exchange lane bits in-register instead, which this ladder keeps
 //! visible. The header and the JSON name the instruction-set tier the
@@ -11,8 +10,8 @@
 //!
 //! Plain-main harness in the house style (no external bench framework):
 //! each primitive is timed over enough repetitions to dominate timer noise
-//! and reported as ns/op (and ns/amplitude for the matrix ladder, which is
-//! the cache-blocking figure of merit). The matrix sweep is written to
+//! and reported as ns/op (and ns/amplitude for the kernel ladder). The
+//! ladder sweep is written to
 //! `BENCH_kernels.json` (override with `TQSIM_BENCH_JSON=<path>`);
 //! wall-clock numbers are recorded for inspection, never asserted.
 
@@ -20,7 +19,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 use tqsim_bench::Table;
-use tqsim_circuit::math::{c64, Mat16, Mat32, Mat8, C64};
+use tqsim_circuit::math::{c64, C64};
 use tqsim_circuit::{Gate, GateKind};
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::{kernels, DiagRun, StateVector};
@@ -36,22 +35,6 @@ fn scrambled_state(n: u16) -> StateVector {
     }
     sv.apply_circuit(&c);
     sv
-}
-
-/// A dense matrix filled with index-derived values: unitarity is
-/// irrelevant for throughput, but every entry must be nonzero so the
-/// kernels cannot short-circuit.
-fn dense<const D: usize>() -> [[C64; D]; D] {
-    let mut m = [[c64(0.0, 0.0); D]; D];
-    for (i, row) in m.iter_mut().enumerate() {
-        for (j, e) in row.iter_mut().enumerate() {
-            *e = c64(
-                1.0 / (1.0 + i as f64 + 2.0 * j as f64),
-                1.0 / (2.0 + 2.0 * i as f64 + j as f64),
-            );
-        }
-    }
-    m
 }
 
 /// One row of the fused-matrix kernel sweep.
@@ -83,11 +66,8 @@ fn six_term_run(low: usize) -> DiagRun {
     run
 }
 
-/// Time the kernel ladder on an `n`-qubit scrambled state. The tiered
-/// kernels take the highest qubit plus a low operand swept over
-/// {0, 1, 3, n−2}; the wide `mat8..mat32` take the highest qubit plus the
-/// lowest ones (the strided access pattern their cache blocking exists
-/// for).
+/// Time the kernel ladder on an `n`-qubit scrambled state: the highest
+/// qubit plus a low operand swept over {0, 1, 3, n−2}.
 fn sweep_matrix_kernels(n: u16, reps: u32, rows: &mut Vec<MatRow>) {
     let mut sv = scrambled_state(n);
     let amps = sv.amplitudes_mut();
@@ -99,9 +79,6 @@ fn sweep_matrix_kernels(n: u16, reps: u32, rows: &mut Vec<MatRow>) {
     let m4 = m2
         .kron(&m2)
         .mul(&GateKind::FSim(0.5, 0.2).matrix2().expect("2q matrix"));
-    let m8 = Mat8(dense::<8>());
-    let m16 = Mat16(dense::<16>());
-    let m32 = Mat32(dense::<32>());
     let d = [
         c64(0.6, -0.8),
         c64(-0.28, 0.96),
@@ -150,25 +127,6 @@ fn sweep_matrix_kernels(n: u16, reps: u32, rows: &mut Vec<MatRow>) {
             ns_per_op(reps, || run.apply(black_box(amps))),
         );
     }
-    push(
-        "mat8",
-        &[hi, 1, 0],
-        ns_per_op(reps, || kernels::apply_mat8(black_box(amps), hi, 1, 0, &m8)),
-    );
-    push(
-        "mat16",
-        &[hi, 2, 1, 0],
-        ns_per_op(reps, || {
-            kernels::apply_mat16(black_box(amps), [hi, 2, 1, 0], &m16)
-        }),
-    );
-    push(
-        "mat32",
-        &[hi, 3, 2, 1, 0],
-        ns_per_op(reps, || {
-            kernels::apply_mat32(black_box(amps), [hi, 3, 2, 1, 0], &m32)
-        }),
-    );
 }
 
 /// Nanoseconds per call of `f`, with a warm-up pass.
@@ -256,7 +214,7 @@ fn main() {
 
     table.print();
 
-    // ---- fused-matrix kernel ladder (mat2..mat32, 2^10..2^20 amps) ----
+    // ---- fused-op kernel ladder (2^10..2^20 amps) ----
     let mut mat_rows: Vec<MatRow> = Vec::new();
     for n in (10..=20u16).step_by(2) {
         // One kernel call sweeps the whole state: scale repetitions down

@@ -1,13 +1,10 @@
 //! Small dense complex matrices used for gate definitions.
 //!
-//! These are deliberately tiny fixed-size types ([`Mat2`], [`Mat4`],
-//! [`Mat8`], [`Mat16`], [`Mat32`]) rather than a general matrix library:
-//! every quantum gate in this workspace is a 2×2 or 4×4 unitary (named
-//! three-qubit gates are handled structurally by the kernels; the wider
-//! types exist for the fusion planner's 3–5-qubit clusters), and fixed
-//! arrays keep the narrow ones `Copy` and cache-friendly. The wide ones
-//! ([`Mat16`] at 4 KiB, [`Mat32`] at 16 KiB) are meant to live behind a
-//! `Box` in plan vectors.
+//! These are deliberately tiny fixed-size types ([`Mat2`], [`Mat4`]) rather
+//! than a general matrix library: every quantum gate in this workspace is a
+//! 2×2 or 4×4 unitary (named three-qubit gates are handled structurally by
+//! the kernels), those are the two shapes the amplitude kernels specialise
+//! on, and fixed arrays keep them `Copy` and cache-friendly.
 
 use num_complex::Complex;
 
@@ -249,389 +246,6 @@ impl Default for Mat4 {
     }
 }
 
-/// An 8×8 complex matrix (three-qubit operator), row-major.
-///
-/// Row/column index convention: `idx = (b2 << 2) | (b1 << 1) | b0` where
-/// `b2` is the most significant qubit slot. Built by the fusion planner's
-/// 3-qubit clusters via [`Mat8::from_mat2`] / [`Mat8::from_mat4`] embedding
-/// and [`Mat8::mul`] accumulation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Mat8(pub [[C64; 8]; 8]);
-
-impl Mat8 {
-    /// The 8×8 identity matrix.
-    pub const fn identity() -> Self {
-        let mut m = [[ZERO; 8]; 8];
-        let mut i = 0;
-        while i < 8 {
-            m[i][i] = ONE;
-            i += 1;
-        }
-        Mat8(m)
-    }
-
-    /// Embed a single-qubit operator acting on matrix-bit `pos` (0 = least
-    /// significant) into the 8×8 space, identity on the other two bits.
-    pub fn from_mat2(m: &Mat2, pos: usize) -> Mat8 {
-        debug_assert!(pos < 3, "mat8 bit position out of range");
-        let keep = !(1usize << pos) & 7;
-        let mut out = [[ZERO; 8]; 8];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                if r & keep == c & keep {
-                    *cell = m.0[(r >> pos) & 1][(c >> pos) & 1];
-                }
-            }
-        }
-        Mat8(out)
-    }
-
-    /// Embed a two-qubit operator whose more significant matrix bit sits at
-    /// `pos_hi` and less significant at `pos_lo`, identity on the third bit.
-    pub fn from_mat4(m: &Mat4, pos_hi: usize, pos_lo: usize) -> Mat8 {
-        debug_assert!(
-            pos_hi < 3 && pos_lo < 3 && pos_hi != pos_lo,
-            "mat8 bit positions out of range"
-        );
-        let keep = !((1usize << pos_hi) | (1usize << pos_lo)) & 7;
-        let mut out = [[ZERO; 8]; 8];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                if r & keep == c & keep {
-                    let rr = (((r >> pos_hi) & 1) << 1) | ((r >> pos_lo) & 1);
-                    let cc = (((c >> pos_hi) & 1) << 1) | ((c >> pos_lo) & 1);
-                    *cell = m.0[rr][cc];
-                }
-            }
-        }
-        Mat8(out)
-    }
-
-    /// Matrix product `self * rhs`.
-    pub fn mul(&self, rhs: &Mat8) -> Mat8 {
-        let mut out = [[ZERO; 8]; 8];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                let mut acc = ZERO;
-                for k in 0..8 {
-                    acc += self.0[r][k] * rhs.0[k][c];
-                }
-                *cell = acc;
-            }
-        }
-        Mat8(out)
-    }
-
-    /// Left-multiply by a diagonal operator: `diag(d) * self` (scales rows).
-    pub fn scale_rows(&self, d: &[C64; 8]) -> Mat8 {
-        let mut out = self.0;
-        for (row, s) in out.iter_mut().zip(d.iter()) {
-            for cell in row {
-                *cell *= *s;
-            }
-        }
-        Mat8(out)
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Mat8 {
-        let mut out = [[ZERO; 8]; 8];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                *cell = self.0[c][r].conj();
-            }
-        }
-        Mat8(out)
-    }
-
-    /// Matrix–vector product.
-    pub fn mul_vec(&self, v: [C64; 8]) -> [C64; 8] {
-        let mut out = [ZERO; 8];
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut acc = ZERO;
-            for (k, x) in v.iter().enumerate() {
-                acc += self.0[r][k] * x;
-            }
-            *o = acc;
-        }
-        out
-    }
-
-    /// Whether `self * self.adjoint() ≈ I` within `tol`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        self.mul(&self.adjoint()).approx_eq(&Mat8::identity(), tol)
-    }
-
-    /// Entry-wise approximate equality within `tol`.
-    pub fn approx_eq(&self, rhs: &Mat8, tol: f64) -> bool {
-        self.0
-            .iter()
-            .flatten()
-            .zip(rhs.0.iter().flatten())
-            .all(|(a, b)| (a - b).norm() <= tol)
-    }
-}
-
-impl Default for Mat8 {
-    fn default() -> Self {
-        Mat8::identity()
-    }
-}
-
-/// Embed a `SUB`-dimensional operator into a `FULL`-dimensional space:
-/// sub-matrix bit `k` sits at full-matrix bit `pos[k]`, identity on the
-/// remaining bits. The shared keep-mask construction behind every
-/// `Mat8`/`Mat16`/`Mat32` embedding.
-fn embed<const SUB: usize, const FULL: usize>(
-    sub: &[[C64; SUB]; SUB],
-    pos: &[usize],
-) -> [[C64; FULL]; FULL] {
-    debug_assert_eq!(1usize << pos.len(), SUB, "position count matches SUB");
-    let mut mask = 0usize;
-    for &p in pos {
-        debug_assert!(1usize << (p + 1) <= FULL, "bit position out of range");
-        mask |= 1 << p;
-    }
-    debug_assert_eq!(mask.count_ones() as usize, pos.len(), "distinct positions");
-    let keep = !mask & (FULL - 1);
-    let gather = |i: usize| -> usize {
-        let mut g = 0usize;
-        for (k, &p) in pos.iter().enumerate() {
-            g |= ((i >> p) & 1) << k;
-        }
-        g
-    };
-    let mut out = [[ZERO; FULL]; FULL];
-    for (r, row) in out.iter_mut().enumerate() {
-        for (c, cell) in row.iter_mut().enumerate() {
-            if r & keep == c & keep {
-                *cell = sub[gather(r)][gather(c)];
-            }
-        }
-    }
-    out
-}
-
-/// A 16×16 complex matrix (four-qubit operator), row-major — the fusion
-/// planner's 4-qubit clusters (`FusionConfig { max_fuse_qubits: 4 }`).
-///
-/// Row/column index convention: `idx = (b3 << 3) | (b2 << 2) | (b1 << 1) |
-/// b0` with `b3` the most significant qubit slot. At 4 KiB this type is
-/// **not** `Copy`; plan vectors box it so narrow-window plans don't pay
-/// for the wide variant's size.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Mat16(pub [[C64; 16]; 16]);
-
-impl Mat16 {
-    /// The 16×16 identity matrix.
-    pub fn identity() -> Self {
-        let mut m = [[ZERO; 16]; 16];
-        for (i, row) in m.iter_mut().enumerate() {
-            row[i] = ONE;
-        }
-        Mat16(m)
-    }
-
-    /// Embed a single-qubit operator acting on matrix-bit `pos`.
-    pub fn from_mat2(m: &Mat2, pos: usize) -> Mat16 {
-        Mat16(embed::<2, 16>(&m.0, &[pos]))
-    }
-
-    /// Embed a two-qubit operator; its more significant matrix bit sits at
-    /// `pos_hi`, the less significant at `pos_lo`.
-    pub fn from_mat4(m: &Mat4, pos_hi: usize, pos_lo: usize) -> Mat16 {
-        Mat16(embed::<4, 16>(&m.0, &[pos_lo, pos_hi]))
-    }
-
-    /// Embed a three-qubit operator; `pos2`/`pos1`/`pos0` receive the
-    /// operator's matrix bits 2/1/0.
-    pub fn from_mat8(m: &Mat8, pos2: usize, pos1: usize, pos0: usize) -> Mat16 {
-        Mat16(embed::<8, 16>(&m.0, &[pos0, pos1, pos2]))
-    }
-
-    /// Matrix product `self * rhs`.
-    pub fn mul(&self, rhs: &Mat16) -> Mat16 {
-        let mut out = [[ZERO; 16]; 16];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                let mut acc = ZERO;
-                for k in 0..16 {
-                    acc += self.0[r][k] * rhs.0[k][c];
-                }
-                *cell = acc;
-            }
-        }
-        Mat16(out)
-    }
-
-    /// Left-multiply by a diagonal operator: `diag(d) * self` (scales rows).
-    pub fn scale_rows(&self, d: &[C64; 16]) -> Mat16 {
-        let mut out = self.0;
-        for (row, s) in out.iter_mut().zip(d.iter()) {
-            for cell in row {
-                *cell *= *s;
-            }
-        }
-        Mat16(out)
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Mat16 {
-        let mut out = [[ZERO; 16]; 16];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                *cell = self.0[c][r].conj();
-            }
-        }
-        Mat16(out)
-    }
-
-    /// Matrix–vector product.
-    pub fn mul_vec(&self, v: [C64; 16]) -> [C64; 16] {
-        let mut out = [ZERO; 16];
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut acc = ZERO;
-            for (k, x) in v.iter().enumerate() {
-                acc += self.0[r][k] * x;
-            }
-            *o = acc;
-        }
-        out
-    }
-
-    /// Whether `self * self.adjoint() ≈ I` within `tol`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        self.mul(&self.adjoint()).approx_eq(&Mat16::identity(), tol)
-    }
-
-    /// Entry-wise approximate equality within `tol`.
-    pub fn approx_eq(&self, rhs: &Mat16, tol: f64) -> bool {
-        self.0
-            .iter()
-            .flatten()
-            .zip(rhs.0.iter().flatten())
-            .all(|(a, b)| (a - b).norm() <= tol)
-    }
-}
-
-impl Default for Mat16 {
-    fn default() -> Self {
-        Mat16::identity()
-    }
-}
-
-/// A 32×32 complex matrix (five-qubit operator), row-major — the fusion
-/// planner's 5-qubit clusters (`FusionConfig { max_fuse_qubits: 5 }`).
-///
-/// Same index convention as [`Mat16`] with `b4` the most significant slot.
-/// At 16 KiB this type is **not** `Copy`; plan vectors box it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Mat32(pub [[C64; 32]; 32]);
-
-impl Mat32 {
-    /// The 32×32 identity matrix.
-    pub fn identity() -> Self {
-        let mut m = [[ZERO; 32]; 32];
-        for (i, row) in m.iter_mut().enumerate() {
-            row[i] = ONE;
-        }
-        Mat32(m)
-    }
-
-    /// Embed a single-qubit operator acting on matrix-bit `pos`.
-    pub fn from_mat2(m: &Mat2, pos: usize) -> Mat32 {
-        Mat32(embed::<2, 32>(&m.0, &[pos]))
-    }
-
-    /// Embed a two-qubit operator; its more significant matrix bit sits at
-    /// `pos_hi`, the less significant at `pos_lo`.
-    pub fn from_mat4(m: &Mat4, pos_hi: usize, pos_lo: usize) -> Mat32 {
-        Mat32(embed::<4, 32>(&m.0, &[pos_lo, pos_hi]))
-    }
-
-    /// Embed a three-qubit operator; `pos2`/`pos1`/`pos0` receive the
-    /// operator's matrix bits 2/1/0.
-    pub fn from_mat8(m: &Mat8, pos2: usize, pos1: usize, pos0: usize) -> Mat32 {
-        Mat32(embed::<8, 32>(&m.0, &[pos0, pos1, pos2]))
-    }
-
-    /// Embed a four-qubit operator; `pos[k]` receives the operator's
-    /// matrix bit `k` (least significant first).
-    pub fn from_mat16(m: &Mat16, pos: [usize; 4]) -> Mat32 {
-        Mat32(embed::<16, 32>(&m.0, &pos))
-    }
-
-    /// Matrix product `self * rhs`.
-    pub fn mul(&self, rhs: &Mat32) -> Mat32 {
-        let mut out = [[ZERO; 32]; 32];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                let mut acc = ZERO;
-                for k in 0..32 {
-                    acc += self.0[r][k] * rhs.0[k][c];
-                }
-                *cell = acc;
-            }
-        }
-        Mat32(out)
-    }
-
-    /// Left-multiply by a diagonal operator: `diag(d) * self` (scales rows).
-    pub fn scale_rows(&self, d: &[C64; 32]) -> Mat32 {
-        let mut out = self.0;
-        for (row, s) in out.iter_mut().zip(d.iter()) {
-            for cell in row {
-                *cell *= *s;
-            }
-        }
-        Mat32(out)
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Mat32 {
-        let mut out = [[ZERO; 32]; 32];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, cell) in row.iter_mut().enumerate() {
-                *cell = self.0[c][r].conj();
-            }
-        }
-        Mat32(out)
-    }
-
-    /// Matrix–vector product.
-    pub fn mul_vec(&self, v: [C64; 32]) -> [C64; 32] {
-        let mut out = [ZERO; 32];
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut acc = ZERO;
-            for (k, x) in v.iter().enumerate() {
-                acc += self.0[r][k] * x;
-            }
-            *o = acc;
-        }
-        out
-    }
-
-    /// Whether `self * self.adjoint() ≈ I` within `tol`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        self.mul(&self.adjoint()).approx_eq(&Mat32::identity(), tol)
-    }
-
-    /// Entry-wise approximate equality within `tol`.
-    pub fn approx_eq(&self, rhs: &Mat32, tol: f64) -> bool {
-        self.0
-            .iter()
-            .flatten()
-            .zip(rhs.0.iter().flatten())
-            .all(|(a, b)| (a - b).norm() <= tol)
-    }
-}
-
-impl Default for Mat32 {
-    fn default() -> Self {
-        Mat32::identity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,105 +296,6 @@ mod tests {
         // X⊗Z swapped = Z⊗X
         let zx = Mat2::pauli_z().kron(&Mat2::pauli_x());
         assert!(m.swapped_qubits().approx_eq(&zx, 1e-15));
-    }
-
-    #[test]
-    fn mat8_embeddings_commute_on_disjoint_bits() {
-        // X on bit 2 and Z on bit 0 act on disjoint bits: products in
-        // either order agree and equal X ⊗ I ⊗ Z.
-        let a = Mat8::from_mat2(&Mat2::pauli_x(), 2);
-        let b = Mat8::from_mat2(&Mat2::pauli_z(), 0);
-        assert!(a.mul(&b).approx_eq(&b.mul(&a), 1e-15));
-        assert!(a.is_unitary(1e-12) && b.is_unitary(1e-12));
-        // |000> -> |100>, with Z trivial on bit 0 = 0.
-        let mut v = [ZERO; 8];
-        v[0] = ONE;
-        assert_eq!(a.mul(&b).mul_vec(v)[0b100], ONE);
-    }
-
-    #[test]
-    fn mat8_from_mat4_matches_mat2_product_on_same_bits() {
-        // Embedding X⊗Z on (hi=2, lo=1) equals the product of the two
-        // single-bit embeddings.
-        let m4 = Mat2::pauli_x().kron(&Mat2::pauli_z());
-        let via4 = Mat8::from_mat4(&m4, 2, 1);
-        let via2 = Mat8::from_mat2(&Mat2::pauli_x(), 2).mul(&Mat8::from_mat2(&Mat2::pauli_z(), 1));
-        assert!(via4.approx_eq(&via2, 1e-15));
-        // And the swapped embedding reorders the bits, not the operator.
-        let swapped = Mat8::from_mat4(&m4, 1, 2);
-        let via2s = Mat8::from_mat2(&Mat2::pauli_x(), 1).mul(&Mat8::from_mat2(&Mat2::pauli_z(), 2));
-        assert!(swapped.approx_eq(&via2s, 1e-15));
-    }
-
-    #[test]
-    fn mat8_scale_rows_is_left_diag_mul() {
-        let m = Mat8::from_mat2(&Mat2::pauli_x(), 1);
-        let mut d = [ONE; 8];
-        d[3] = c64(0.0, 1.0);
-        d[5] = c64(-1.0, 0.0);
-        let mut diag = [[ZERO; 8]; 8];
-        for (i, row) in diag.iter_mut().enumerate() {
-            row[i] = d[i];
-        }
-        assert!(m.scale_rows(&d).approx_eq(&Mat8(diag).mul(&m), 1e-15));
-    }
-
-    #[test]
-    fn mat16_embeddings_match_mat8_structure() {
-        // Embedding X at bit 3 and Z at bit 0 commute; product maps
-        // |0000> -> |1000>.
-        let a = Mat16::from_mat2(&Mat2::pauli_x(), 3);
-        let b = Mat16::from_mat2(&Mat2::pauli_z(), 0);
-        assert!(a.mul(&b).approx_eq(&b.mul(&a), 1e-15));
-        assert!(a.is_unitary(1e-12) && b.is_unitary(1e-12));
-        let mut v = [ZERO; 16];
-        v[0] = ONE;
-        assert_eq!(a.mul(&b).mul_vec(v)[0b1000], ONE);
-        // A Mat8 embedded on the low three bits with identity on bit 3
-        // equals the product of the individual embeddings.
-        let m8 = Mat8::from_mat2(&Mat2::pauli_x(), 2).mul(&Mat8::from_mat2(&Mat2::pauli_z(), 0));
-        let via8 = Mat16::from_mat8(&m8, 2, 1, 0);
-        let direct =
-            Mat16::from_mat2(&Mat2::pauli_x(), 2).mul(&Mat16::from_mat2(&Mat2::pauli_z(), 0));
-        assert!(via8.approx_eq(&direct, 1e-15));
-    }
-
-    #[test]
-    fn mat32_from_mat16_round_trips_bit_positions() {
-        // X⊗Z on mat16 bits (3, 1), embedded into mat32 with bit k at
-        // position k, equals the direct mat32 embeddings.
-        let m16 = Mat16::from_mat2(&Mat2::pauli_x(), 3).mul(&Mat16::from_mat2(&Mat2::pauli_z(), 1));
-        let via16 = Mat32::from_mat16(&m16, [0, 1, 2, 3]);
-        let direct =
-            Mat32::from_mat2(&Mat2::pauli_x(), 3).mul(&Mat32::from_mat2(&Mat2::pauli_z(), 1));
-        assert!(via16.approx_eq(&direct, 1e-15));
-        // And with a permuted placement the bits move with the positions.
-        let perm = Mat32::from_mat16(&m16, [4, 1, 2, 0]);
-        let direct_perm =
-            Mat32::from_mat2(&Mat2::pauli_x(), 0).mul(&Mat32::from_mat2(&Mat2::pauli_z(), 1));
-        assert!(perm.approx_eq(&direct_perm, 1e-15));
-        assert!(perm.is_unitary(1e-12));
-    }
-
-    #[test]
-    fn wide_scale_rows_is_left_diag_mul() {
-        let m = Mat16::from_mat2(&Mat2::pauli_x(), 1);
-        let mut d = [ONE; 16];
-        d[3] = c64(0.0, 1.0);
-        d[9] = c64(-1.0, 0.0);
-        let mut diag = [[ZERO; 16]; 16];
-        for (i, row) in diag.iter_mut().enumerate() {
-            row[i] = d[i];
-        }
-        assert!(m.scale_rows(&d).approx_eq(&Mat16(diag).mul(&m), 1e-15));
-        let m = Mat32::from_mat2(&Mat2::pauli_y(), 2);
-        let mut d = [ONE; 32];
-        d[17] = c64(0.5, -0.5);
-        let mut diag = [[ZERO; 32]; 32];
-        for (i, row) in diag.iter_mut().enumerate() {
-            row[i] = d[i];
-        }
-        assert!(m.scale_rows(&d).approx_eq(&Mat32(diag).mul(&m), 1e-15));
     }
 
     #[test]

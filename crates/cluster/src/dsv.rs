@@ -15,12 +15,11 @@
 //! `rayon::ThreadPool::install` like any other amplitude work — one level
 //! of pool parallelism per sweep.
 
-use crate::layout::{DensePlan, LayoutTracker};
 use crate::model::{ClusterCounters, InterconnectModel};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use tqsim_circuit::math::{c64, Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_circuit::Gate;
 use tqsim_obs::{Counter, Registry};
 use tqsim_statevec::{kernels, DiagRun, PooledBackend, QuantumState, StateVector};
@@ -119,11 +118,6 @@ pub struct DistributedStateVector {
     /// Operation counters, including modeled cluster time.
     pub counters: ClusterCounters,
     obs: Option<Arc<ClusterObs>>,
-    /// Exchange batching: defer dswap undos across runs of compatible ops
-    /// (qsim-style global gate scheduling). Off by default — eager mode is
-    /// the counted baseline every existing estimator test is pinned to.
-    batching: bool,
-    layout: LayoutTracker,
 }
 
 impl DistributedStateVector {
@@ -152,8 +146,6 @@ impl DistributedStateVector {
             model,
             counters: ClusterCounters::default(),
             obs: None,
-            batching: false,
-            layout: LayoutTracker::new(n_qubits, local_n),
         })
     }
 
@@ -186,27 +178,6 @@ impl DistributedStateVector {
         self.obs = Some(obs);
     }
 
-    /// Enable/disable exchange batching (deferred dswap undos). The final
-    /// amplitudes and `Counts` are bit-identical either way — only the
-    /// exchange schedule (and therefore the exchange counters) changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if swaps are currently deferred (call
-    /// [`QuantumState::sync_layout`] first).
-    pub fn set_exchange_batching(&mut self, on: bool) {
-        assert!(
-            self.layout.is_canonical(),
-            "cannot toggle batching with deferred swaps active"
-        );
-        self.batching = on;
-    }
-
-    /// Whether exchange batching is enabled.
-    pub fn exchange_batching(&self) -> bool {
-        self.batching
-    }
-
     /// Amplitudes held per node.
     pub fn slice_len(&self) -> usize {
         1usize << self.local_n
@@ -225,7 +196,6 @@ impl DistributedStateVector {
     /// Gather the full state onto "one node" (for verification / sampling
     /// at small scale).
     pub fn gather(&self) -> StateVector {
-        debug_assert!(self.layout.is_canonical(), "gather on deferred layout");
         let mut amps = Vec::with_capacity(1usize << self.n_qubits);
         for slice in &self.slices {
             amps.extend_from_slice(slice);
@@ -244,9 +214,6 @@ impl DistributedStateVector {
     /// Reset to `|0…0⟩` (counted as one compute pass; counters otherwise
     /// retained).
     pub fn reset_zero(&mut self) {
-        // The amplitudes are overwritten wholesale: deferred swaps are
-        // forgotten, not undone.
-        self.layout.reset();
         for slice in &mut self.slices {
             slice.fill(c64(0.0, 0.0));
         }
@@ -269,10 +236,6 @@ impl DistributedStateVector {
         if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
             panic!("{fault}");
         }
-        // Sources are always post-replay states in canonical layout; the
-        // destination's own deferred swaps (if any) are overwritten.
-        debug_assert!(src.layout.is_canonical(), "copy from non-canonical state");
-        self.layout.reset();
         for (dst, s) in self.slices.iter_mut().zip(src.slices.iter()) {
             dst.copy_from_slice(s);
         }
@@ -290,7 +253,6 @@ impl DistributedStateVector {
     /// state on every backend (floating-point addition is non-associative;
     /// a per-node pre-summed walk would diverge on edge draws).
     pub fn sample_with(&self, u: f64) -> u64 {
-        debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
         let mut acc = 0.0f64;
         for (node, slice) in self.slices.iter().enumerate() {
             for (i, a) in slice.iter().enumerate() {
@@ -321,7 +283,6 @@ impl DistributedStateVector {
     /// same addition sequence, so oversampled leaves stay bit-identical
     /// across backends.
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
         let mut order: Vec<usize> = (0..us.len()).collect();
         order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
         let mut out = vec![0u64; us.len()];
@@ -435,15 +396,16 @@ impl DistributedStateVector {
         self.exchange_round(gb, half_bytes, |a, b| exchange_halves(a, b, sl));
     }
 
-    /// Eager dense dispatch: distributed-swap every global qubit of `qs`
-    /// down to a scratch local qubit, apply `f` on every node at the local
-    /// positions, and swap back. All-local operands need no swap and count
-    /// as a local gate. Nothing here touches the heap: an op has at most
-    /// [`MAX_OP_QUBITS`] qubits.
-    fn apply_remapped<F>(&mut self, qs: &[u16], f: F)
+    /// Dense dispatch of an operand on qubits `qs`: distributed-swap every
+    /// global qubit of `qs` down to a scratch local qubit, apply `f` on
+    /// every node at the local positions, and swap back. All-local operands
+    /// need no swap and count as a local gate. Nothing here touches the
+    /// heap: an op has at most [`MAX_OP_QUBITS`] qubits.
+    fn apply_dense<F>(&mut self, qs: &[u16], f: F)
     where
         F: Fn(&mut [C64], &[u16]),
     {
+        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
         let local_n = self.local_n;
         let k = qs.len();
         let mut phys = [0u16; MAX_OP_QUBITS];
@@ -486,62 +448,6 @@ impl DistributedStateVector {
             self.note_remapped_gate();
         }
     }
-
-    /// Dense dispatch of a fused operand on qubits `qs`: through the
-    /// [`LayoutTracker`] under exchange batching, eagerly otherwise.
-    fn apply_dense<F>(&mut self, qs: &[u16], f: F)
-    where
-        F: Fn(&mut [C64], &[u16]),
-    {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        if self.batching {
-            self.apply_batched(qs, f);
-        } else {
-            self.apply_remapped(qs, f);
-        }
-    }
-
-    /// Batched-mode dense dispatch: consult the [`LayoutTracker`], execute
-    /// whatever dswaps it mandates, and apply `f` at the physical operand
-    /// positions it returns. The kernels' per-amplitude arithmetic is
-    /// position-independent, so the result is bit-identical to the eager
-    /// remap path — only the exchange schedule differs.
-    fn apply_batched<F>(&mut self, qs: &[u16], f: F)
-    where
-        F: Fn(&mut [C64], &[u16]),
-    {
-        let logically_local = qs.iter().all(|&q| q < self.local_n);
-        let phys = match self.layout.decide_dense(qs) {
-            DensePlan::InPlace { phys } => phys,
-            DensePlan::FlushThenLocal { undo } => {
-                for &(gb, dst) in &undo {
-                    self.dswap(gb, dst);
-                }
-                qs.to_vec()
-            }
-            DensePlan::FlushThenRemap { undo, swaps, phys } => {
-                for &(gb, dst) in undo.iter().chain(swaps.iter()) {
-                    self.dswap(gb, dst);
-                }
-                phys
-            }
-        };
-        self.each_node(|slice| f(slice, &phys));
-        if logically_local {
-            self.note_local_gate();
-        } else {
-            self.note_remapped_gate();
-        }
-    }
-
-    /// Undo deferred swaps so the amplitude layout is canonical again.
-    fn flush_layout(&mut self) {
-        if !self.layout.is_canonical() {
-            for (gb, dst) in self.layout.decide_sync() {
-                self.dswap(gb, dst);
-            }
-        }
-    }
 }
 
 /// The single source of truth for the slicing invariant: `n_nodes` must
@@ -576,16 +482,13 @@ pub struct ClusterBackend {
     n_nodes: usize,
     model: InterconnectModel,
     obs: Option<Arc<ClusterObs>>,
-    batching: bool,
 }
 
-/// Backends compare by topology (node count, interconnect model, batching
-/// mode); whether one is observed does not change what it computes.
+/// Backends compare by topology (node count, interconnect model); whether
+/// one is observed does not change what it computes.
 impl PartialEq for ClusterBackend {
     fn eq(&self, other: &Self) -> bool {
-        self.n_nodes == other.n_nodes
-            && self.model == other.model
-            && self.batching == other.batching
+        self.n_nodes == other.n_nodes && self.model == other.model
     }
 }
 
@@ -606,7 +509,6 @@ impl ClusterBackend {
             n_nodes,
             model,
             obs: None,
-            batching: false,
         }
     }
 
@@ -615,15 +517,6 @@ impl ClusterBackend {
     #[must_use]
     pub fn observed(mut self, obs: Arc<ClusterObs>) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Enable exchange batching (deferred dswap undos, see
-    /// [`DistributedStateVector::set_exchange_batching`]) on every state
-    /// this backend allocates.
-    #[must_use]
-    pub fn exchange_batching(mut self, on: bool) -> Self {
-        self.batching = on;
         self
     }
 
@@ -669,7 +562,6 @@ impl PooledBackend for ClusterBackend {
         if let Some(obs) = &self.obs {
             state.observe(Arc::clone(obs));
         }
-        state.set_exchange_batching(self.batching);
         state
     }
 
@@ -686,8 +578,8 @@ impl PooledBackend for ClusterBackend {
     }
 }
 
-/// The most qubits one operation touches (a 5-qubit fused cluster).
-const MAX_OP_QUBITS: usize = 5;
+/// The most qubits one operation touches (a Toffoli).
+const MAX_OP_QUBITS: usize = 3;
 
 /// Exchange the `lq`-bit=1 half of `a` with the `lq`-bit=0 half of `b`
 /// (the distributed-swap wire protocol; `sl = 1 << lq`): whole `sl`-long
@@ -722,55 +614,10 @@ impl QuantumState for DistributedStateVector {
         });
     }
 
-    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-        self.apply_dense(&[q2, q1, q0], |slice, ps| {
-            kernels::apply_mat8(slice, ps[0] as usize, ps[1] as usize, ps[2] as usize, m);
-        });
-    }
-
-    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-        assert!(
-            self.local_n >= 4,
-            "4-qubit fusion clusters need >= 4 node-local qubits \
-             (n_qubits >= log2(nodes) + 4); lower max_fuse_qubits"
-        );
-        self.apply_dense(&qs, |slice, ps| {
-            kernels::apply_mat16(slice, [ps[0], ps[1], ps[2], ps[3]].map(usize::from), m);
-        });
-    }
-
-    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-        assert!(
-            self.local_n >= 5,
-            "5-qubit fusion clusters need >= 5 node-local qubits \
-             (n_qubits >= log2(nodes) + 5); lower max_fuse_qubits"
-        );
-        self.apply_dense(&qs, |slice, ps| {
-            kernels::apply_mat32(
-                slice,
-                [ps[0], ps[1], ps[2], ps[3], ps[4]].map(usize::from),
-                m,
-            );
-        });
-    }
-
     fn apply_diag_run(&mut self, run: &DiagRun) {
         // Diagonals never move amplitudes: each node sweeps its slice with
         // the slice's global base index — no communication even when the
-        // run touches node-selecting (global) qubits. Under batching the
-        // sweep reads qubit positions against the *canonical* index, so a
-        // run touching any displaced qubit must flush first; runs on
-        // undisturbed qubits apply through deferred swaps for free.
-        if self.batching
-            && !(self
-                .layout
-                .is_identity_on(run.terms1().iter().map(|(q, _)| q))
-                && self
-                    .layout
-                    .is_identity_on(run.terms2().iter().flat_map(|(a, b, _)| [a, b])))
-        {
-            self.flush_layout();
-        }
+        // run touches node-selecting (global) qubits.
         let local_n = self.local_n;
         self.each_node_indexed(|node, slice| run.apply_offset(slice, node << local_n));
         self.note_local_gate();
@@ -778,7 +625,6 @@ impl QuantumState for DistributedStateVector {
 
     fn marginal_one(&self, q: u16) -> f64 {
         assert!(q < self.n_qubits, "qubit out of range");
-        debug_assert!(self.layout.is_canonical(), "marginal on deferred layout");
         if q >= self.local_n {
             let mask = 1usize << (q - self.local_n);
             self.slices
@@ -800,7 +646,6 @@ impl QuantumState for DistributedStateVector {
 
     fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
         if q >= self.local_n {
             // Node-selecting bit: scale whole slices, no communication.
             let mask = 1usize << (q - self.local_n);
@@ -818,7 +663,6 @@ impl QuantumState for DistributedStateVector {
 
     fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
         if q >= self.local_n {
             // Pairwise cross-node combine, a' = a01·b and b' = a10·a: an
             // exchange round in which every node ships its whole slice.
@@ -837,7 +681,6 @@ impl QuantumState for DistributedStateVector {
     }
 
     fn renormalize(&mut self) {
-        self.flush_layout();
         let n = self.norm_sqr();
         assert!(n > 1e-300, "cannot normalise a zero state");
         let s = 1.0 / n.sqrt();
@@ -859,10 +702,6 @@ impl QuantumState for DistributedStateVector {
 
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         DistributedStateVector::sample_many(self, us)
-    }
-
-    fn sync_layout(&mut self) {
-        self.flush_layout();
     }
 }
 
@@ -1161,99 +1000,6 @@ mod tests {
         b.copy_from(&a);
         assert_eq!(b.counters.state_copies, 1);
         assert_states_match(&b, &a.gather());
-    }
-
-    /// Exchange batching elides swap-back/swap-down pairs but performs the
-    /// same per-gate arithmetic at the same physical positions, so the
-    /// final amplitudes are **bit**-identical to the eager run — and the
-    /// boundary-straddling ladder pays far fewer exchanges.
-    #[test]
-    fn batched_execution_is_bit_identical_with_fewer_exchanges() {
-        let m = InterconnectModel::commodity_cluster();
-        let mut c = Circuit::new(8);
-        // Three rounds of a ladder sharing global qubit 7, each round ended
-        // by a conflicting access to the scratch position (local qubit 5).
-        for _ in 0..3 {
-            for lq in 0..4u16 {
-                c.cx(7, lq);
-            }
-            c.h(5);
-        }
-        let mut eager = DistributedStateVector::zero(8, 4, m).unwrap();
-        let mut batched = DistributedStateVector::zero(8, 4, m).unwrap();
-        batched.set_exchange_batching(true);
-        for g in &c {
-            eager.apply_gate(g);
-            batched.apply_gate(g);
-        }
-        QuantumState::sync_layout(&mut batched);
-        let (a, b) = (eager.gather(), batched.gather());
-        assert_eq!(a.amplitudes(), b.amplitudes(), "batching changed the math");
-        assert!(
-            batched.counters.exchanges * 2 <= eager.counters.exchanges,
-            "batching saved too little: {} vs {} exchanges",
-            batched.counters.exchanges,
-            eager.counters.exchanges
-        );
-        // Layout is canonical again, so per-gate totals agree.
-        assert_eq!(
-            eager.counters.local_gates + eager.counters.global_gates,
-            batched.counters.local_gates + batched.counters.global_gates
-        );
-    }
-
-    /// Diagonal sweeps on qubits untouched by the deferred permutation
-    /// apply in place; a sweep on a displaced qubit forces the flush.
-    #[test]
-    fn batched_diag_runs_flush_only_on_conflict() {
-        let m = InterconnectModel::commodity_cluster();
-        let mut dsv = DistributedStateVector::zero(8, 4, m).unwrap();
-        dsv.set_exchange_batching(true);
-        dsv.apply_gate(&Gate::new(GateKind::H, &[7]));
-        dsv.apply_gate(&Gate::new(GateKind::Cx, &[7, 0])); // defers q7 ↔ 5
-        let after_remap = dsv.counters.exchanges;
-        let mut run = tqsim_statevec::DiagRun::new();
-        run.push1(1, GateKind::T.diag1().unwrap());
-        QuantumState::apply_diag_run(&mut dsv, &run);
-        assert_eq!(dsv.counters.exchanges, after_remap, "q1 is undisplaced");
-        let mut conflict = tqsim_statevec::DiagRun::new();
-        conflict.push1(7, GateKind::S.diag1().unwrap());
-        QuantumState::apply_diag_run(&mut dsv, &conflict);
-        assert!(dsv.counters.exchanges > after_remap, "q7 is displaced");
-        // The flush restored canonical layout: queries are now safe.
-        assert!((dsv.norm_sqr() - 1.0).abs() < 1e-12);
-    }
-
-    /// The replay path (`CompiledCircuit` + noise) syncs the layout at every
-    /// flush point, so batched and eager replays agree bit for bit even
-    /// with state-dependent noise sampling in between.
-    #[test]
-    fn batched_backend_matches_eager_under_compiled_replay() {
-        use rand::SeedableRng;
-        use tqsim_statevec::OpCounts;
-        let m = InterconnectModel::commodity_cluster();
-        let circuit = generators::qsc(8, 30, 7);
-        let noise = tqsim_noise::fig16_models().pop().unwrap();
-        let compiled = noise.compile(&circuit);
-        let eager_backend = ClusterBackend::new(4, m);
-        let batched_backend = ClusterBackend::new(4, m).exchange_batching(true);
-        let mut eager = eager_backend.allocate(8);
-        let mut batched = batched_backend.allocate(8);
-        assert!(batched.exchange_batching() && !eager.exchange_batching());
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(11);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(11);
-        let mut ops_a = OpCounts::new();
-        let mut ops_b = OpCounts::new();
-        compiled.replay(&mut eager, &mut ops_a, |gate, ctx| {
-            noise.apply_after_gate_deferred(gate, ctx, &mut rng_a)
-        });
-        compiled.replay(&mut batched, &mut ops_b, |gate, ctx| {
-            noise.apply_after_gate_deferred(gate, ctx, &mut rng_b)
-        });
-        assert_eq!(ops_a.noise_ops, ops_b.noise_ops);
-        let (a, b) = (eager.gather(), batched.gather());
-        assert_eq!(a.amplitudes(), b.amplitudes());
-        assert!(batched.counters.exchanges <= eager.counters.exchanges);
     }
 
     #[test]

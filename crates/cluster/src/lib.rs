@@ -31,12 +31,10 @@
 #![warn(missing_docs)]
 
 pub mod dsv;
-pub mod layout;
 pub mod model;
 pub mod runner;
 
 pub use dsv::{check_layout, ClusterBackend, ClusterError, ClusterObs, DistributedStateVector};
-pub use layout::{DensePlan, LayoutTracker};
 pub use model::{ClusterCounters, InterconnectModel};
 pub use runner::{
     estimate_shot_seconds, estimate_tree_seconds, run_distributed, run_distributed_with_options,

@@ -13,7 +13,6 @@ use crate::partition::{Partition, PlanError};
 use crate::tree::TreeStructure;
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::FusionConfig;
 
 /// Tunables of the DCP planner.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,13 +38,6 @@ pub struct DcpConfig {
     /// quantiles. `copy_cost` is then measured in amplitude passes rather
     /// than gates. Off by default to preserve the paper-pinned plans.
     pub plan_aware: bool,
-    /// Fusion window the plan-aware cost model assumes the executor will
-    /// use: wider windows (`max_fuse_qubits` 3–5) collapse more gates per
-    /// pass, and [`FusionConfig::boundary`] discounts the head window (it
-    /// rides the parent→child copy) and the trailing window (it rides the
-    /// sampling sweep). Must match the executor's config for the charged
-    /// costs to be what replay actually measures.
-    pub fusion: FusionConfig,
 }
 
 impl Default for DcpConfig {
@@ -57,7 +49,6 @@ impl Default for DcpConfig {
             memory_budget_bytes: None,
             max_subcircuits: None,
             plan_aware: false,
-            fusion: FusionConfig::default(),
         }
     }
 }
@@ -189,43 +180,24 @@ pub fn plan_dcp(
 
 /// `costs[i]` = estimated fused amplitude passes of the length-`i` prefix —
 /// the cost [`tqsim_statevec::CompiledCircuit::amp_pass_estimate`] reports
-/// for the prefix compiled in isolation under `fusion` — computed online in
-/// one O(len) sweep by streaming gate classifications through a [`Fuser`]
-/// and counting emitted sweeps plus the pending buffer.
-///
-/// Width-aware (the streaming fuser honours `fusion`, so 3–5-qubit clusters
-/// count one pass) and boundary-aware: with [`FusionConfig::boundary`] set,
-/// the head window (the ops emitted by the first flush event — they ride
-/// the parent→child copy) and the trailing pending window (it rides the
-/// sampling sweep) are both discounted.
-fn fused_prefix_costs(circuit: &Circuit, fusion: FusionConfig) -> Vec<u64> {
+/// for the prefix compiled in isolation — computed online in one O(len)
+/// sweep by streaming gate classifications through a [`Fuser`] and counting
+/// emitted sweeps plus the pending buffer.
+fn fused_prefix_costs(circuit: &Circuit) -> Vec<u64> {
     use tqsim_statevec::{classify, Fuser};
     let mut costs = Vec::with_capacity(circuit.len() + 1);
     costs.push(0);
-    let mut fuser = Fuser::with_config(fusion);
+    let mut fuser = Fuser::new();
     let mut emitted = 0u64;
-    // Passes of the plan's head window, frozen at the first emission event:
-    // everything flushed there was pending from gate 0, i.e. is exactly the
-    // maximal no-emission plan prefix that `compile_with` hoists.
-    let mut head_passes = 0u64;
     for gate in circuit {
         if let Some(op) = classify(gate) {
-            let before = emitted;
             fuser.push(&op, &mut |_, noise_only| {
                 if !noise_only {
                     emitted += 1;
                 }
             });
-            if fusion.boundary && head_passes == 0 {
-                head_passes = emitted - before;
-            }
         }
-        costs.push(if fusion.boundary {
-            // Head rides the copy, pending tail rides the sampling sweep.
-            emitted - head_passes
-        } else {
-            emitted + fuser.pending_passes()
-        });
+        costs.push(emitted + fuser.pending_passes());
     }
     costs
 }
@@ -244,7 +216,7 @@ fn plan_dcp_pass_costed(
     cfg: &DcpConfig,
 ) -> Result<Partition, PlanError> {
     let len = circuit.len();
-    let costs = fused_prefix_costs(circuit, cfg.fusion);
+    let costs = fused_prefix_costs(circuit);
     let total = costs[len] as f64;
 
     // Phase 1: first subcircuit = shortest prefix whose *compiled* cost
@@ -452,7 +424,7 @@ mod tests {
         assert!(aware.tree.outcomes() >= 32_000);
         // The prefix's compiled cost actually covers the copy cost, and the
         // one-gate-shorter prefix does not (shortest qualifying prefix).
-        let costs = fused_prefix_costs(&c, FusionConfig::default());
+        let costs = fused_prefix_costs(&c);
         let l0 = aware.boundaries()[1];
         assert!(costs[l0] >= 20);
         assert!(costs[l0 - 1] < 20);
@@ -467,7 +439,7 @@ mod tests {
             ..DcpConfig::default()
         };
         let p = plan_dcp(&c, &noise, 32_000, &cfg).unwrap();
-        let costs = fused_prefix_costs(&c, cfg.fusion);
+        let costs = fused_prefix_costs(&c);
         let bounds = p.boundaries();
         assert!(bounds.len() >= 3, "expected a real partition, got {p:?}");
         // Per-subcircuit compiled costs past the prefix stay within 2× of
@@ -542,56 +514,17 @@ mod tests {
 
     #[test]
     fn prefix_costs_match_compiled_estimates() {
-        let c = generators::qft(8);
-        let costs = fused_prefix_costs(&c, FusionConfig::default());
-        assert_eq!(costs.len(), c.len() + 1);
-        assert_eq!(costs[0], 0);
-        // The full-circuit entry equals the compiled estimate.
-        let compiled = tqsim_statevec::CompiledCircuit::compile(&c, |_| false);
-        assert_eq!(costs[c.len()], compiled.amp_pass_estimate());
-        // And fusion makes it strictly cheaper than the gate count.
-        assert!(costs[c.len()] < c.len() as u64);
-    }
-
-    #[test]
-    fn prefix_costs_track_width_and_boundary() {
-        // The streaming estimator must agree with the compiled estimate for
-        // every fusion window and with boundary fusion on, where the head
-        // window rides the copy and the trailing window rides the sampler.
-        for gen in [generators::qft(8), generators::qv(8, 2)] {
-            let mut prev_total = u64::MAX;
-            for max_fuse_qubits in [2u8, 3, 4, 5] {
-                for boundary in [false, true] {
-                    let cfg = FusionConfig {
-                        max_fuse_qubits,
-                        boundary,
-                    };
-                    let costs = fused_prefix_costs(&gen, cfg);
-                    let compiled =
-                        tqsim_statevec::CompiledCircuit::compile_with(&gen, |_| false, cfg);
-                    assert_eq!(
-                        costs[gen.len()],
-                        compiled.amp_pass_estimate(),
-                        "width {max_fuse_qubits} boundary {boundary}"
-                    );
-                    // Prefix costs are monotone in the prefix length.
-                    assert!(costs.windows(2).all(|w| w[0] <= w[1]));
-                    // Boundary fusion can only discount.
-                    if boundary {
-                        let eager = fused_prefix_costs(
-                            &gen,
-                            FusionConfig {
-                                boundary: false,
-                                ..cfg
-                            },
-                        );
-                        assert!(costs[gen.len()] <= eager[gen.len()]);
-                    } else {
-                        assert!(costs[gen.len()] <= prev_total, "wider must not cost more");
-                        prev_total = costs[gen.len()];
-                    }
-                }
-            }
+        for c in [generators::qft(8), generators::qv(8, 2)] {
+            let costs = fused_prefix_costs(&c);
+            assert_eq!(costs.len(), c.len() + 1);
+            assert_eq!(costs[0], 0);
+            // Prefix costs are monotone in the prefix length.
+            assert!(costs.windows(2).all(|w| w[0] <= w[1]));
+            // The full-circuit entry equals the compiled estimate.
+            let compiled = tqsim_statevec::CompiledCircuit::compile(&c, |_| false);
+            assert_eq!(costs[c.len()], compiled.amp_pass_estimate());
+            // And fusion makes it strictly cheaper than the gate count.
+            assert!(costs[c.len()] < c.len() as u64);
         }
     }
 

@@ -9,8 +9,7 @@ use std::time::{Duration, Instant};
 use tqsim_circuit::{Circuit, GateKind};
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::{
-    CompiledCircuit, FusedOp, FusionConfig, OpCounts, PooledBackend, QuantumState, SingleNode,
-    StateVector,
+    CompiledCircuit, OpCounts, PooledBackend, QuantumState, SingleNode, StateVector,
 };
 
 /// Measurement histogram of a simulation run.
@@ -193,22 +192,6 @@ impl<'a> TreeExecutor<'a> {
         noise: &'a NoiseModel,
         partition: Partition,
     ) -> Result<Self, PlanError> {
-        Self::with_fusion_config(circuit, noise, partition, FusionConfig::default())
-    }
-
-    /// [`TreeExecutor::new`] with an explicit fusion window for the
-    /// per-subcircuit plans (`max_fuse_qubits: 3` enables `Mat8` clusters).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::BadBoundaries`] if the partition does not cover
-    /// exactly the circuit's gates.
-    pub fn with_fusion_config(
-        circuit: &'a Circuit,
-        noise: &'a NoiseModel,
-        partition: Partition,
-        fusion: FusionConfig,
-    ) -> Result<Self, PlanError> {
         if partition.covered_gates() != circuit.len() {
             return Err(PlanError::BadBoundaries(format!(
                 "partition covers {} gates, circuit has {}",
@@ -217,10 +200,7 @@ impl<'a> TreeExecutor<'a> {
             )));
         }
         let subcircuits = partition.subcircuits(circuit);
-        let compiled = subcircuits
-            .iter()
-            .map(|sc| noise.compile_with(sc, fusion))
-            .collect();
+        let compiled = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
         Ok(TreeExecutor {
             circuit,
             noise,
@@ -365,7 +345,7 @@ pub fn run_tree_nodes<B, R>(
         ops,
         rng,
     }
-    .recurse_nodes(0, &[]);
+    .recurse_nodes(0);
 }
 
 /// What a level's state slot holds: the id of the write that produced it
@@ -401,22 +381,17 @@ where
     R: rand::Rng + Clone,
 {
     /// Run the `arities[level]` children of the node whose state is
-    /// `states[level]`; `tail` is that node's pending fused window when
-    /// `level` is the leaf level.
-    fn recurse_nodes(&mut self, level: usize, tail: &[FusedOp]) {
+    /// `states[level]`.
+    fn recurse_nodes(&mut self, level: usize) {
         let k = self.subcircuits.len();
         if level == k {
             let n = QuantumState::n_qubits(&self.states[k]);
-            if !tail.is_empty() {
-                self.ops.sample_fused += 1;
-            }
             let (counts, ops) = (&mut *self.counts, &mut *self.ops);
-            draw_leaf_outcomes_fused(
-                &mut self.states[k],
+            draw_leaf_outcomes(
+                &self.states[k],
                 self.noise,
                 n,
                 self.options.leaf_samples,
-                tail,
                 self.rng,
                 |outcome| {
                     counts.increment(outcome);
@@ -433,40 +408,31 @@ where
                     .noise
                     .draws_error_free(&self.subcircuits[level], &mut probe);
             if error_free && self.writes[level + 1].error_free_of == Some(parent_write) {
-                // The slot already holds this node's state, fully
-                // materialised: a leaf's tail window was applied by the
-                // sampling sweep of the sibling that computed it.
+                // The slot already holds this node's state.
                 *self.rng = probe;
                 self.ops.nodes_shared += 1;
-                self.recurse_nodes(level + 1, &[]);
+                self.recurse_nodes(level + 1);
                 continue;
             }
-            let plan = &self.compiled[level];
-            let fusion = self.options.fusion;
-            let head: &[FusedOp] = if fusion { plan.head_ops() } else { &[] };
             let (parents, children) = self.states.split_at_mut(level + 1);
             let child = &mut children[0];
-            self.backend.copy_into_apply(child, &parents[level], head);
+            self.backend.copy_into(child, &parents[level]);
             self.ops.state_copies += 1;
-            if !head.is_empty() {
-                self.ops.copy_apply += 1;
-            }
-            let next_tail = run_subcircuit_boundary(
+            run_subcircuit(
                 child,
                 &self.subcircuits[level],
-                plan,
+                &self.compiled[level],
                 self.noise,
                 self.rng,
                 self.ops,
-                fusion,
-                level + 1 == k,
+                self.options.fusion,
             );
             self.last_write += 1;
             self.writes[level + 1] = SlotWrite {
                 id: self.last_write,
                 error_free_of: error_free.then_some(parent_write),
             };
-            self.recurse_nodes(level + 1, &next_tail);
+            self.recurse_nodes(level + 1);
         }
     }
 }
@@ -510,44 +476,6 @@ pub fn run_subcircuit<S, R>(
     }
 }
 
-/// [`run_subcircuit`] with cross-boundary fusion: the plan's head window is
-/// assumed already applied (it rode the parent→child copy through
-/// [`PooledBackend::copy_into_apply`]), and with `want_tail` the trailing
-/// fused window is **returned unapplied** so the caller can fold it into the
-/// leaf sampling sweep ([`QuantumState::sample_fused`]). Pass
-/// `want_tail: false` for non-leaf levels — their states get copied to
-/// children and must be fully materialised.
-///
-/// The RNG stream is consumed identically to [`run_subcircuit`], so for a
-/// fixed seed the `Counts` match the eager path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_subcircuit_boundary<S, R>(
-    state: &mut S,
-    subcircuit: &Circuit,
-    plan: &CompiledCircuit,
-    noise: &NoiseModel,
-    rng: &mut R,
-    ops: &mut OpCounts,
-    fusion: bool,
-    want_tail: bool,
-) -> Vec<FusedOp>
-where
-    S: QuantumState + ?Sized,
-    R: rand::Rng + ?Sized,
-{
-    if fusion {
-        plan.replay_boundary(
-            state,
-            ops,
-            |gate, ctx| noise.apply_after_gate_deferred(gate, ctx, rng),
-            want_tail,
-        )
-    } else {
-        run_subcircuit(state, subcircuit, plan, noise, rng, ops, false);
-        Vec::new()
-    }
-}
-
 /// Draw `leaf_samples` readout-corrected outcomes from a leaf state,
 /// feeding each to `sink`. A single draw walks the CDF directly;
 /// oversampled leaves batch all uniforms into one
@@ -578,41 +506,6 @@ pub fn draw_leaf_outcomes<S, R>(
         .map(|_| rand::RngExt::random(rng))
         .collect();
     for outcome in state.sample_many(&us) {
-        sink(noise.apply_readout(outcome, n_qubits, rng));
-    }
-}
-
-/// [`draw_leaf_outcomes`] with a pending fused `tail` window: the window is
-/// applied in the **same sweep** that reads `|ψ|²`
-/// ([`QuantumState::sample_fused`]), saving one full amplitude pass per
-/// deferred op. With an empty tail this is exactly [`draw_leaf_outcomes`];
-/// either way the RNG stream (uniforms first, then readout noise per
-/// outcome) is consumed identically, preserving `Counts` equivalence.
-pub fn draw_leaf_outcomes_fused<S, R>(
-    state: &mut S,
-    noise: &NoiseModel,
-    n_qubits: u16,
-    leaf_samples: u32,
-    tail: &[FusedOp],
-    rng: &mut R,
-    mut sink: impl FnMut(u64),
-) where
-    S: QuantumState + ?Sized,
-    R: rand::Rng + ?Sized,
-{
-    if tail.is_empty() {
-        return draw_leaf_outcomes(state, noise, n_qubits, leaf_samples, rng, sink);
-    }
-    if leaf_samples == 1 {
-        let u = rand::RngExt::random(rng);
-        let outcome = state.sample_fused(tail, &[u])[0];
-        sink(noise.apply_readout(outcome, n_qubits, rng));
-        return;
-    }
-    let us: Vec<f64> = (0..leaf_samples)
-        .map(|_| rand::RngExt::random(rng))
-        .collect();
-    for outcome in state.sample_fused(tail, &us) {
         sink(noise.apply_readout(outcome, n_qubits, rng));
     }
 }

@@ -298,63 +298,42 @@ fn run_node<B: PooledBackend>(
     let n_members = 1 + sharers.len();
     ops.nodes_shared += sharers.len() as u64;
 
-    let plan = &shared.plans[level];
-    // Boundary fusion: the plan's no-emission head window rides the
-    // parent→child copy (or the root reset) instead of costing its own
-    // passes; `run_subcircuit_boundary` then replays from past the head.
-    let head: &[tqsim_statevec::FusedOp] = if shared.fusion { plan.head_ops() } else { &[] };
     let mut state = ctx.acquire(shared.n_qubits);
     match &parent {
-        Parent::Root => {
-            state.reset_zero();
-            if !head.is_empty() {
-                tqsim_statevec::apply_window(&mut *state, head);
-            }
-        }
-        Parent::State(p) => ctx.backend().copy_into_apply(&mut state, p, head),
+        Parent::Root => state.reset_zero(),
+        Parent::State(p) => ctx.backend().copy_into(&mut state, p),
     }
     // Both arms are one full pass over the amplitudes; charged as the
     // state copy every node performs in the serial executor's accounting.
     ops.state_copies += 1;
-    if !head.is_empty() {
-        ops.copy_apply += 1;
-    }
     drop(parent); // release the parent buffer as early as possible
 
     let mut rng = StdRng::seed_from_u64(shared.seed ^ hash);
     // Compile-once/replay-many through the shared generic driver: the node
     // replays the batch's fused plan with its own RNG stream (or dispatches
     // per gate when fusion is off), consuming the stream identically to the
-    // serial executor. A leaf keeps the plan's tail window pending so it
-    // can fuse into the sampling sweep below.
-    let tail = tqsim::run_subcircuit_boundary(
+    // serial executor.
+    tqsim::run_subcircuit(
         &mut *state,
         &shared.subcircuits[level],
-        plan,
+        &shared.plans[level],
         &shared.noise,
         &mut rng,
         &mut ops,
         shared.fusion,
-        level + 1 == k,
     );
     let members = std::iter::once((hash, rng)).chain(sharers);
 
     if level + 1 == k {
         // Leaf sampling shares draw_leaf_outcomes with the serial executor
         // so both consume the RNG stream identically (batched CDF walk when
-        // oversampling). The first member's sweep applies the tail window;
-        // the sharers sample the materialised state with an empty one.
-        if !tail.is_empty() {
-            ops.sample_fused += 1;
-        }
-        let mut tail = tail.as_slice();
-        let mut draw = |rng: &mut StdRng, sink: &mut dyn FnMut(u64)| {
-            tqsim::draw_leaf_outcomes_fused(
-                &mut *state,
+        // oversampling); the sharers sample the same state.
+        let draw = |rng: &mut StdRng, sink: &mut dyn FnMut(u64)| {
+            tqsim::draw_leaf_outcomes(
+                &*state,
                 &shared.noise,
                 shared.n_qubits,
                 shared.leaf_samples,
-                std::mem::take(&mut tail),
                 rng,
                 sink,
             );
@@ -505,37 +484,28 @@ mod tests {
         fn node(&mut self, parent: Option<&tqsim_statevec::StateVector>, level: usize, hash: u64) {
             use tqsim_statevec::SingleNode;
             let k = self.plan.subcircuits.len();
-            let compiled = &self.plan.compiled[level];
-            let head = if self.fusion {
-                compiled.head_ops()
-            } else {
-                &[]
-            };
             let mut state = SingleNode.allocate(self.plan.n_qubits);
-            match parent {
-                None => tqsim_statevec::apply_window(&mut state, head),
-                Some(parent) => SingleNode.copy_into_apply(&mut state, parent, head),
+            if let Some(parent) = parent {
+                SingleNode.copy_into(&mut state, parent);
             }
             self.ops.state_copies += 1;
             let mut rng = StdRng::seed_from_u64(self.seed ^ hash);
-            let tail = tqsim::run_subcircuit_boundary(
+            tqsim::run_subcircuit(
                 &mut state,
                 &self.plan.subcircuits[level],
-                compiled,
+                &self.plan.compiled[level],
                 &self.plan.noise,
                 &mut rng,
                 &mut self.ops,
                 self.fusion,
-                level + 1 == k,
             );
             if level + 1 == k {
                 let (counts, ops) = (&mut self.counts, &mut self.ops);
-                tqsim::draw_leaf_outcomes_fused(
-                    &mut state,
+                tqsim::draw_leaf_outcomes(
+                    &state,
                     &self.plan.noise,
                     self.plan.n_qubits,
                     self.leaf_samples,
-                    &tail,
                     &mut rng,
                     |outcome| {
                         counts.increment(outcome);
@@ -593,62 +563,49 @@ mod tests {
                 vec![63, 2, 2],
                 vec![2, 2, 2, 2, 2],
             ] {
-                for boundary in [false, true] {
-                    let strategy = Strategy::Custom {
-                        arities: arities.clone(),
-                    };
-                    let window = crate::FusionConfig {
-                        max_fuse_qubits: 2,
-                        boundary,
-                    };
-                    let plan = Arc::new(
-                        JobPlan::plan_with(&circuit, &noise, 1, &strategy, window).unwrap(),
-                    );
-                    let nodes = plan.partition.tree.subcircuit_executions();
-                    for fusion in [true, false] {
-                        for leaf_samples in [1u32, 3] {
-                            let cell = format!(
-                                "{} {arities:?} boundary={boundary} fusion={fusion} \
-                                 leaf_samples={leaf_samples}",
-                                noise.name()
+                let strategy = Strategy::Custom {
+                    arities: arities.clone(),
+                };
+                let plan = Arc::new(JobPlan::plan(&circuit, &noise, 1, &strategy).unwrap());
+                let nodes = plan.partition.tree.subcircuit_executions();
+                for fusion in [true, false] {
+                    for leaf_samples in [1u32, 3] {
+                        let cell = format!(
+                            "{} {arities:?} fusion={fusion} leaf_samples={leaf_samples}",
+                            noise.name()
+                        );
+                        let mirror = unshared_mirror(&plan, 17, leaf_samples, fusion);
+                        assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
+                        let runs: Vec<RunResult> = pools
+                            .iter()
+                            .map(|pool| run_tree(pool, &plan, 17, leaf_samples, fusion))
+                            .collect();
+                        for (r, pool) in runs.iter().zip(&pools) {
+                            let cell = format!("{cell} workers={}", pool.workers());
+                            assert_eq!(r.counts, mirror.counts, "{cell}");
+                            assert_eq!(r.ops, runs[0].ops, "{cell}");
+                            assert_eq!(r.ops.state_copies + r.ops.nodes_shared, nodes, "{cell}");
+                        }
+                        let ops = runs[0].ops;
+                        let state_dependent = noise
+                            .channels_1q()
+                            .iter()
+                            .any(|ch| !ch.samples_state_free());
+                        if arities.len() == 1 || state_dependent {
+                            // Root level and damping families never
+                            // share: the tree is the mirror.
+                            assert_eq!(ops.nodes_shared, 0, "{cell}");
+                            assert_eq!(ops.amp_passes, mirror.ops.amp_passes, "{cell}");
+                            assert_eq!(ops.noise_ops, mirror.ops.noise_ops, "{cell}");
+                        } else if noise.is_ideal() {
+                            assert_eq!(
+                                ops.state_copies,
+                                arities[0] * arities.len() as u64,
+                                "{cell}"
                             );
-                            let mirror = unshared_mirror(&plan, 17, leaf_samples, fusion);
-                            assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
-                            let runs: Vec<RunResult> = pools
-                                .iter()
-                                .map(|pool| run_tree(pool, &plan, 17, leaf_samples, fusion))
-                                .collect();
-                            for (r, pool) in runs.iter().zip(&pools) {
-                                let cell = format!("{cell} workers={}", pool.workers());
-                                assert_eq!(r.counts, mirror.counts, "{cell}");
-                                assert_eq!(r.ops, runs[0].ops, "{cell}");
-                                assert_eq!(
-                                    r.ops.state_copies + r.ops.nodes_shared,
-                                    nodes,
-                                    "{cell}"
-                                );
-                            }
-                            let ops = runs[0].ops;
-                            let state_dependent = noise
-                                .channels_1q()
-                                .iter()
-                                .any(|ch| !ch.samples_state_free());
-                            if arities.len() == 1 || state_dependent {
-                                // Root level and damping families never
-                                // share: the tree is the mirror.
-                                assert_eq!(ops.nodes_shared, 0, "{cell}");
-                                assert_eq!(ops.amp_passes, mirror.ops.amp_passes, "{cell}");
-                                assert_eq!(ops.noise_ops, mirror.ops.noise_ops, "{cell}");
-                            } else if noise.is_ideal() {
-                                assert_eq!(
-                                    ops.state_copies,
-                                    arities[0] * arities.len() as u64,
-                                    "{cell}"
-                                );
-                            } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
-                                assert!(ops.nodes_shared > 0, "{cell}");
-                                assert!(ops.amp_passes < mirror.ops.amp_passes, "{cell}");
-                            }
+                        } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
+                            assert!(ops.nodes_shared > 0, "{cell}");
+                            assert!(ops.amp_passes < mirror.ops.amp_passes, "{cell}");
                         }
                     }
                 }

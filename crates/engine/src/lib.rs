@@ -84,7 +84,7 @@ mod exec;
 pub mod pool;
 
 pub use pool::{Task, WorkerCtx, WorkerPool};
-pub use tqsim_statevec::{FusionConfig, PoolStats};
+pub use tqsim_statevec::PoolStats;
 
 use std::sync::{mpsc, Arc};
 use tqsim::{Partition, PlanError, RunResult, Strategy, Tqsim, TreeStructure};
@@ -160,7 +160,6 @@ pub struct JobSpec<'c> {
     seed: u64,
     leaf_samples: u32,
     fusion: bool,
-    fusion_window: FusionConfig,
 }
 
 impl<'c> JobSpec<'c> {
@@ -174,7 +173,6 @@ impl<'c> JobSpec<'c> {
             seed: 0,
             leaf_samples: 1,
             fusion: true,
-            fusion_window: FusionConfig::default(),
         }
     }
 
@@ -221,14 +219,6 @@ impl<'c> JobSpec<'c> {
     /// [`tqsim::ExecOptions`]).
     pub fn fusion(mut self, enabled: bool) -> Self {
         self.fusion = enabled;
-        self
-    }
-
-    /// Set the fusion window for plan compilation (`max_fuse_qubits: 3`
-    /// enables 3-qubit `Mat8` clusters; the default keeps 2-qubit `Mat4`
-    /// windows). Jobs with different windows never share a plan.
-    pub fn fusion_window(mut self, window: FusionConfig) -> Self {
-        self.fusion_window = window;
         self
     }
 }
@@ -279,30 +269,9 @@ impl JobPlan {
         shots: u64,
         strategy: &Strategy,
     ) -> Result<JobPlan, PlanError> {
-        Self::plan_with(circuit, noise, shots, strategy, FusionConfig::default())
-    }
-
-    /// [`JobPlan::plan`] with an explicit fusion window for subcircuit
-    /// compilation (`max_fuse_qubits: 3` enables `Mat8` clusters).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] for unplannable inputs.
-    pub fn plan_with(
-        circuit: &Circuit,
-        noise: &NoiseModel,
-        shots: u64,
-        strategy: &Strategy,
-        fusion: FusionConfig,
-    ) -> Result<JobPlan, PlanError> {
         let partition = strategy.plan(circuit, noise, shots)?;
         let subcircuits = Arc::new(partition.subcircuits(circuit));
-        let compiled = Arc::new(
-            subcircuits
-                .iter()
-                .map(|sc| noise.compile_with(sc, fusion))
-                .collect(),
-        );
+        let compiled = Arc::new(subcircuits.iter().map(|sc| noise.compile(sc)).collect());
         Ok(JobPlan {
             partition,
             subcircuits,
@@ -487,7 +456,6 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
                 let prev = &self.jobs[idx];
                 prev.shots == job.shots
                     && prev.strategy == job.strategy
-                    && prev.fusion_window == job.fusion_window
                     && prev.noise == job.noise
                     // Pointer equality is the cheap common case (one
                     // circuit threaded through a seed sweep); fall back to
@@ -501,12 +469,11 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
                     assignments.push(Arc::clone(plan));
                 }
                 None => {
-                    let plan = Arc::new(JobPlan::plan_with(
+                    let plan = Arc::new(JobPlan::plan(
                         job.circuit,
                         &job.noise,
                         job.shots,
                         &job.strategy,
-                        job.fusion_window,
                     )?);
                     stats.planned += 1;
                     assignments.push(Arc::clone(&plan));

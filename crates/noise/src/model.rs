@@ -3,7 +3,7 @@
 use crate::channel::{BranchSample, Channel};
 use rand::{Rng, RngExt};
 use tqsim_circuit::{Circuit, Gate};
-use tqsim_statevec::plan::{CompiledCircuit, FlushCtx, FusionConfig};
+use tqsim_statevec::plan::{CompiledCircuit, FlushCtx};
 use tqsim_statevec::QuantumState;
 
 /// Classical readout error: each measured bit flips with the given
@@ -262,12 +262,6 @@ impl NoiseModel {
     /// [`NoiseModel::apply_after_gate_deferred`] as the noise hook.
     pub fn compile(&self, circuit: &Circuit) -> CompiledCircuit {
         CompiledCircuit::compile(circuit, |g| self.has_gate_channels(g))
-    }
-
-    /// [`NoiseModel::compile`] with an explicit fusion window (e.g. 3-qubit
-    /// `Mat8` clusters via `FusionConfig { max_fuse_qubits: 3 }`).
-    pub fn compile_with(&self, circuit: &Circuit, fusion: FusionConfig) -> CompiledCircuit {
-        CompiledCircuit::compile_with(circuit, |g| self.has_gate_channels(g), fusion)
     }
 
     /// The fused-execution counterpart of [`NoiseModel::apply_after_gate`]:

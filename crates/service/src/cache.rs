@@ -9,8 +9,7 @@
 //! `CompiledCircuit` fusion all happen on the first request and are
 //! replayed everywhere else.
 //!
-//! Keying: `(circuit fingerprint, noise model, strategy, shots, fusion,
-//! fusion window)`.
+//! Keying: `(circuit fingerprint, noise model, strategy, shots, fusion)`.
 //! The fingerprint ([`Circuit::fingerprint`]) is a stable content hash, so
 //! structurally equal circuits hit regardless of how or where they were
 //! built; the remaining components are compared by value (two noise models
@@ -29,7 +28,7 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use tqsim::{PlanError, Strategy};
 use tqsim_circuit::Circuit;
-use tqsim_engine::{FusionConfig, JobPlan};
+use tqsim_engine::JobPlan;
 use tqsim_noise::NoiseModel;
 
 /// The full cache key (the fingerprint is the index; the rest disambiguates
@@ -49,11 +48,6 @@ pub struct PlanKey {
     pub shots: u64,
     /// Fused vs reference-unfused replay.
     pub fusion: bool,
-    /// Fusion-window shape the plan was compiled with (cluster width and
-    /// cross-boundary fusion): plans with different windows hold different
-    /// statically fused frames and head/tail splits, so they must never
-    /// alias in the cache.
-    pub fusion_window: FusionConfig,
 }
 
 impl PlanKey {
@@ -61,7 +55,6 @@ impl PlanKey {
         self.fingerprint == other.fingerprint
             && self.shots == other.shots
             && self.fusion == other.fusion
-            && self.fusion_window == other.fusion_window
             && self.noise == other.noise
             && self.strategy == other.strategy
             && (Arc::ptr_eq(&self.circuit, &other.circuit) || self.circuit == other.circuit)
@@ -182,12 +175,11 @@ impl PlanCache {
         // Plan outside the lock: planning is O(gates) and compilation is
         // O(gates · matrices); concurrent misses on *different* keys must
         // not serialize on the cache.
-        let plan = Arc::new(JobPlan::plan_with(
+        let plan = Arc::new(JobPlan::plan(
             &key.circuit,
             &key.noise,
             key.shots,
             &key.strategy,
-            key.fusion_window,
         )?);
         let mut inner = unmark.clear();
         inner.stats.compiled += 1;
@@ -314,7 +306,6 @@ mod tests {
             },
             shots,
             fusion: true,
-            fusion_window: FusionConfig::default(),
         }
     }
 

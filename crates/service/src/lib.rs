@@ -97,7 +97,6 @@ pub use service::{
     run_one, BackendPolicy, ClusterTransport, JobRequest, RetryPolicy, Service, ServiceConfig,
     ServiceStats,
 };
-pub use tqsim_engine::FusionConfig;
 pub use wire::{serve, ServerHandle};
 
 #[cfg(test)]

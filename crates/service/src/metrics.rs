@@ -82,9 +82,7 @@ struct OpTotals {
     samples: Arc<tqsim_obs::Counter>,
     amp_passes: Arc<tqsim_obs::Counter>,
     fused_gates: Arc<tqsim_obs::Counter>,
-    copy_apply: Arc<tqsim_obs::Counter>,
     nodes_shared: Arc<tqsim_obs::Counter>,
-    sample_fused: Arc<tqsim_obs::Counter>,
 }
 
 impl OpTotals {
@@ -100,9 +98,7 @@ impl OpTotals {
             samples: c("samples"),
             amp_passes: c("amp_passes"),
             fused_gates: c("fused_gates"),
-            copy_apply: c("copy_apply"),
             nodes_shared: c("nodes_shared"),
-            sample_fused: c("sample_fused"),
         }
     }
 }
@@ -150,9 +146,7 @@ impl ServiceMetrics {
         self.ops.samples.add(ops.samples);
         self.ops.amp_passes.add(ops.amp_passes);
         self.ops.fused_gates.add(ops.fused_gates);
-        self.ops.copy_apply.add(ops.copy_apply);
         self.ops.nodes_shared.add(ops.nodes_shared);
-        self.ops.sample_fused.add(ops.sample_fused);
     }
 
     /// Copy the mirrored values (service counters, cache stats, per-engine

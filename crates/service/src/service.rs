@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use tqsim::Strategy;
 use tqsim_circuit::Circuit;
 use tqsim_cluster::{ClusterBackend, InterconnectModel};
-use tqsim_engine::{ChunkSink, Engine, EngineConfig, FusionConfig, PlannedJob};
+use tqsim_engine::{ChunkSink, Engine, EngineConfig, PlannedJob};
 use tqsim_noise::NoiseModel;
 use tqsim_shard::ShardBackend;
 
@@ -313,10 +313,6 @@ pub struct JobRequest {
     pub leaf_samples: u32,
     /// Fused plan replay (defaults to on).
     pub fusion: bool,
-    /// Fusion-window shape: widest dense cluster (2..=5 qubits) and
-    /// whether head/tail windows fuse across subcircuit boundaries
-    /// (defaults to [`FusionConfig::default`]).
-    pub fusion_window: FusionConfig,
     /// Execution retry policy (defaults to no retries).
     pub retry: RetryPolicy,
     /// Wall-clock budget measured from admission; when it passes before
@@ -336,7 +332,6 @@ impl JobRequest {
             seed: 0,
             leaf_samples: 1,
             fusion: true,
-            fusion_window: FusionConfig::default(),
             retry: RetryPolicy::default(),
             deadline: None,
         }
@@ -383,12 +378,6 @@ impl JobRequest {
         self
     }
 
-    /// Set the fusion-window shape (cluster width, boundary fusion).
-    pub fn fusion_config(mut self, window: FusionConfig) -> Self {
-        self.fusion_window = window;
-        self
-    }
-
     /// Set the execution retry policy.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
@@ -409,7 +398,6 @@ impl JobRequest {
             strategy: self.strategy.clone(),
             shots: self.shots,
             fusion: self.fusion,
-            fusion_window: self.fusion_window,
         }
     }
 }

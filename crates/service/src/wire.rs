@@ -319,20 +319,6 @@ pub fn request_from_json(value: &Value) -> Result<(String, JobRequest), String> 
     if let Some(fusion) = value.get("fusion") {
         request = request.fusion(fusion.as_bool().ok_or("fusion must be a bool")?);
     }
-    if value.get("fusion_qubits").is_some() || value.get("fusion_boundary").is_some() {
-        let mut window = crate::FusionConfig::default();
-        if let Some(w) = value.get("fusion_qubits") {
-            let w = w
-                .as_u64()
-                .filter(|&w| (2..=5).contains(&w))
-                .ok_or("fusion_qubits must be an integer in 2..=5")?;
-            window.max_fuse_qubits = w as u8;
-        }
-        if let Some(b) = value.get("fusion_boundary") {
-            window.boundary = b.as_bool().ok_or("fusion_boundary must be a bool")?;
-        }
-        request = request.fusion_config(window);
-    }
     if let Some(attempts) = value.get("retry_max_attempts") {
         let attempts = attempts
             .as_u64()

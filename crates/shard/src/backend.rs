@@ -24,18 +24,15 @@ pub struct ShardBackend {
     cluster: Arc<ShardCluster>,
     model: InterconnectModel,
     obs: Option<Arc<ClusterObs>>,
-    batching: bool,
 }
 
-/// Backends compare by topology (worker count, interconnect model,
-/// batching mode); whether one is observed does not change what it
-/// computes. Two backends over *different* live clusters with the same
-/// topology compare equal — they compute the same thing.
+/// Backends compare by topology (worker count, interconnect model);
+/// whether one is observed does not change what it computes. Two backends
+/// over *different* live clusters with the same topology compare equal —
+/// they compute the same thing.
 impl PartialEq for ShardBackend {
     fn eq(&self, other: &Self) -> bool {
-        self.cluster.n_workers() == other.cluster.n_workers()
-            && self.model == other.model
-            && self.batching == other.batching
+        self.cluster.n_workers() == other.cluster.n_workers() && self.model == other.model
     }
 }
 
@@ -67,7 +64,6 @@ impl ShardBackend {
             cluster,
             model,
             obs: None,
-            batching: false,
         })
     }
 
@@ -76,15 +72,6 @@ impl ShardBackend {
     #[must_use]
     pub fn observed(mut self, obs: Arc<ClusterObs>) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Enable exchange batching (deferred dswap undos, see
-    /// [`ShardedStateVector::set_exchange_batching`]) on every state this
-    /// backend allocates.
-    #[must_use]
-    pub fn exchange_batching(mut self, on: bool) -> Self {
-        self.batching = on;
         self
     }
 
@@ -137,7 +124,6 @@ impl PooledBackend for ShardBackend {
         if let Some(obs) = &self.obs {
             state.observe(Arc::clone(obs));
         }
-        state.set_exchange_batching(self.batching);
         state
     }
 
@@ -147,15 +133,6 @@ impl PooledBackend for ShardBackend {
 
     fn copy_into(&self, dst: &mut ShardedStateVector, src: &ShardedStateVector) {
         dst.copy_from(src);
-    }
-
-    fn copy_into_apply(
-        &self,
-        dst: &mut ShardedStateVector,
-        src: &ShardedStateVector,
-        head: &[tqsim_statevec::FusedOp],
-    ) {
-        dst.copy_from_apply(src, head);
     }
 
     fn state_bytes(&self, state: &ShardedStateVector) -> usize {
@@ -168,7 +145,6 @@ impl std::fmt::Debug for ShardBackend {
         f.debug_struct("ShardBackend")
             .field("n_workers", &self.cluster.n_workers())
             .field("model", &self.model)
-            .field("batching", &self.batching)
             .finish()
     }
 }

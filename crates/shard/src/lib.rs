@@ -26,11 +26,6 @@
 //! * [`backend`] — [`ShardBackend`], the `PooledBackend` descriptor that
 //!   plugs the whole thing in behind the engine's executor seam.
 //!
-//! Exchange batching (deferred dswap undos across runs of fused ops) is
-//! shared with the in-process backend through
-//! `tqsim_cluster::LayoutTracker`, so both backends produce the same
-//! reduced exchange schedule when it is enabled.
-//!
 //! Transport failures — a worker process dying mid-job, or an injected
 //! `shard.transport` failpoint — panic on the coordinator thread driving
 //! the job; the engine's per-task panic isolation contains the blast

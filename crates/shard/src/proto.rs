@@ -20,10 +20,10 @@
 //! in-process one.
 
 use std::io::{self, BufRead, Read, Write};
-use tqsim_circuit::math::{c64, Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_circuit::{Gate, GateKind};
 use tqsim_json::{num, num_u64, obj, str_val, Value};
-use tqsim_statevec::{DiagRun, FusedOp};
+use tqsim_statevec::DiagRun;
 
 // ------------------------------------------------------------ line plane
 
@@ -286,63 +286,6 @@ pub fn mat4_from_value(value: &Value) -> Result<Mat4, String> {
     Ok(Mat4(m))
 }
 
-/// Encode a dense 8×8 matrix (row-major flat complex list).
-pub fn mat8_to_value(m: &Mat8) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 8×8 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat8_from_value(value: &Value) -> Result<Mat8, String> {
-    let v = c64s_from_value(value, 64)?;
-    let mut m = [[c64(0.0, 0.0); 8]; 8];
-    for (r, row) in m.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 8..r * 8 + 8]);
-    }
-    Ok(Mat8(m))
-}
-
-/// Encode a dense 16×16 matrix (row-major flat complex list).
-pub fn mat16_to_value(m: &Mat16) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 16×16 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat16_from_value(value: &Value) -> Result<Mat16, String> {
-    let v = c64s_from_value(value, 256)?;
-    let mut m = Mat16::default();
-    for (r, row) in m.0.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 16..r * 16 + 16]);
-    }
-    Ok(m)
-}
-
-/// Encode a dense 32×32 matrix (row-major flat complex list).
-pub fn mat32_to_value(m: &Mat32) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 32×32 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat32_from_value(value: &Value) -> Result<Mat32, String> {
-    let v = c64s_from_value(value, 1024)?;
-    let mut m = Mat32::default();
-    for (r, row) in m.0.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 32..r * 32 + 32]);
-    }
-    Ok(m)
-}
-
 /// Encode a coalesced diagonal run as
 /// `{"t1":[[q, re0, im0, re1, im1], …], "t2":[[qh, ql, re0 … im3], …]}`.
 pub fn diag_run_to_value(run: &DiagRun) -> Value {
@@ -412,158 +355,6 @@ pub fn diag_run_from_value(value: &Value) -> Result<DiagRun, String> {
     Ok(run)
 }
 
-// ---------------------------------------------------------- window codec
-
-/// Encode a fused-op window (a plan head or tail) as an array of tagged op
-/// objects. Pristine single-gate ops (`src` present) are sent as their
-/// source gate so the worker replays them through the same specialised
-/// kernel the single-node [`tqsim_statevec::apply_window_amps`] uses —
-/// bit-identical application by construction.
-pub fn window_to_value(window: &[FusedOp]) -> Value {
-    let ops = window
-        .iter()
-        .map(|op| match op {
-            FusedOp::Unitary1 { src: Some(g), .. } | FusedOp::Passthrough(g) => {
-                obj(vec![("k", str_val("g")), ("g", gate_to_value(g))])
-            }
-            FusedOp::Unitary1 { q, m, src: None } => obj(vec![
-                ("k", str_val("m1")),
-                ("q", num_u64(u64::from(*q))),
-                ("m", mat2_to_value(m)),
-            ]),
-            FusedOp::Unitary2 { src: Some(g), .. } => {
-                obj(vec![("k", str_val("g")), ("g", gate_to_value(g))])
-            }
-            FusedOp::Unitary2 {
-                q_hi,
-                q_lo,
-                m,
-                src: None,
-            } => obj(vec![
-                ("k", str_val("m2")),
-                ("hi", num_u64(u64::from(*q_hi))),
-                ("lo", num_u64(u64::from(*q_lo))),
-                ("m", mat4_to_value(m)),
-            ]),
-            FusedOp::Unitary3 { q2, q1, q0, m } => obj(vec![
-                ("k", str_val("m3")),
-                (
-                    "qs",
-                    Value::Arr([q2, q1, q0].map(|&q| num_u64(u64::from(q))).to_vec()),
-                ),
-                ("m", mat8_to_value(m)),
-            ]),
-            FusedOp::Unitary4 { qs, m } => obj(vec![
-                ("k", str_val("m4")),
-                ("qs", Value::Arr(qs.map(|q| num_u64(u64::from(q))).to_vec())),
-                ("m", mat16_to_value(m)),
-            ]),
-            FusedOp::Unitary5 { qs, m } => obj(vec![
-                ("k", str_val("m5")),
-                ("qs", Value::Arr(qs.map(|q| num_u64(u64::from(q))).to_vec())),
-                ("m", mat32_to_value(m)),
-            ]),
-            FusedOp::FusedDiag(run) => {
-                obj(vec![("k", str_val("d")), ("r", diag_run_to_value(run))])
-            }
-        })
-        .collect();
-    Value::Arr(ops)
-}
-
-/// Decode a fused-op window (see [`window_to_value`]).
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn window_from_value(value: &Value) -> Result<Vec<FusedOp>, String> {
-    let qs_of = |op: &Value, n: usize| -> Result<Vec<u16>, String> {
-        let arr = op
-            .get("qs")
-            .and_then(Value::as_arr)
-            .ok_or("window op: no qs")?;
-        if arr.len() != n {
-            return Err(format!("window op: expected {n} qubits"));
-        }
-        arr.iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|q| u16::try_from(q).ok())
-                    .ok_or("window op: bad qubit".to_string())
-            })
-            .collect()
-    };
-    fn m_of(op: &Value) -> Result<&Value, String> {
-        op.get("m").ok_or_else(|| "window op: no m".to_string())
-    }
-    value
-        .as_arr()
-        .ok_or("window is not an array")?
-        .iter()
-        .map(|op| {
-            let kind = op
-                .get("k")
-                .and_then(Value::as_str)
-                .ok_or("window op lacks a kind")?;
-            Ok(match kind {
-                "g" => {
-                    FusedOp::Passthrough(gate_from_value(op.get("g").ok_or("window op: no g")?)?)
-                }
-                "m1" => FusedOp::Unitary1 {
-                    q: op
-                        .get("q")
-                        .and_then(Value::as_u64)
-                        .and_then(|q| u16::try_from(q).ok())
-                        .ok_or("window op: bad q")?,
-                    m: mat2_from_value(m_of(op)?)?,
-                    src: None,
-                },
-                "m2" => {
-                    let q = |key: &str| {
-                        op.get(key)
-                            .and_then(Value::as_u64)
-                            .and_then(|q| u16::try_from(q).ok())
-                            .ok_or(format!("window op: bad {key}"))
-                    };
-                    FusedOp::Unitary2 {
-                        q_hi: q("hi")?,
-                        q_lo: q("lo")?,
-                        m: mat4_from_value(m_of(op)?)?,
-                        src: None,
-                    }
-                }
-                "m3" => {
-                    let qs = qs_of(op, 3)?;
-                    FusedOp::Unitary3 {
-                        q2: qs[0],
-                        q1: qs[1],
-                        q0: qs[2],
-                        m: Box::new(mat8_from_value(m_of(op)?)?),
-                    }
-                }
-                "m4" => {
-                    let qs = qs_of(op, 4)?;
-                    FusedOp::Unitary4 {
-                        qs: [qs[0], qs[1], qs[2], qs[3]],
-                        m: Box::new(mat16_from_value(m_of(op)?)?),
-                    }
-                }
-                "m5" => {
-                    let qs = qs_of(op, 5)?;
-                    FusedOp::Unitary5 {
-                        qs: [qs[0], qs[1], qs[2], qs[3], qs[4]],
-                        m: Box::new(mat32_from_value(m_of(op)?)?),
-                    }
-                }
-                "d" => {
-                    FusedOp::FusedDiag(diag_run_from_value(op.get("r").ok_or("window op: no r")?)?)
-                }
-                other => return Err(format!("unknown window op kind {other:?}")),
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,57 +399,6 @@ mod tests {
                 .unwrap();
         assert_eq!(back.terms1(), run.terms1());
         assert_eq!(back.terms2(), run.terms2());
-    }
-
-    #[test]
-    fn wide_matrices_and_windows_round_trip() {
-        // Build genuinely wide matrices through the embed helpers so every
-        // row carries non-trivial values.
-        let m4 = GateKind::FSim(0.777, -1.3).matrix2().unwrap();
-        let m16 = Mat16::from_mat4(&m4, 3, 1).mul(&Mat16::from_mat4(&m4, 2, 0));
-        let back16 =
-            mat16_from_value(&tqsim_json::parse(&mat16_to_value(&m16).to_json()).unwrap()).unwrap();
-        assert_eq!(back16.0, m16.0, "mat16 must round-trip bit-exactly");
-        let m32 = Mat32::from_mat16(&m16, [0, 2, 3, 4]);
-        let back32 =
-            mat32_from_value(&tqsim_json::parse(&mat32_to_value(&m32).to_json()).unwrap()).unwrap();
-        assert_eq!(back32.0, m32.0, "mat32 must round-trip bit-exactly");
-
-        let mut run = DiagRun::new();
-        run.push1(2, GateKind::T.diag1().unwrap());
-        let window = vec![
-            FusedOp::Passthrough(Gate::new(GateKind::H, &[1])),
-            FusedOp::Unitary1 {
-                q: 0,
-                m: GateKind::Sw.matrix1().unwrap(),
-                src: None,
-            },
-            FusedOp::Unitary2 {
-                q_hi: 3,
-                q_lo: 1,
-                m: m4,
-                src: None,
-            },
-            FusedOp::Unitary4 {
-                qs: [4, 3, 1, 0],
-                m: Box::new(m16),
-            },
-            FusedOp::Unitary5 {
-                qs: [5, 4, 3, 1, 0],
-                m: Box::new(m32),
-            },
-            FusedOp::FusedDiag(run),
-        ];
-        let text = window_to_value(&window).to_json();
-        let back = window_from_value(&tqsim_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.len(), window.len());
-        // Application equivalence: the decoded window produces bit-identical
-        // amplitudes on a slice.
-        let mut a: Vec<C64> = (0..64).map(|i| c64(1.0 / (i as f64 + 1.0), 0.1)).collect();
-        let mut b = a.clone();
-        tqsim_statevec::apply_window_amps(&mut a, 64, &window);
-        tqsim_statevec::apply_window_amps(&mut b, 64, &back);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! A [`ShardedStateVector`] owns no amplitudes — worker processes hold the
 //! node slices — but it owns **everything that must be deterministic**:
-//! the global↔local remap decisions (the shared
-//! [`tqsim_cluster::LayoutTracker`]), every counter, the interconnect
+//! the global↔local remap decisions, every counter, the interconnect
 //! pricing, and the chained floating-point reductions for norms, marginals
 //! and sampling. Each operation mirrors the in-process implementation
 //! decision for decision and addition for addition, so the two backends
@@ -15,11 +14,11 @@
 use crate::cluster::{ClusterLink, ShardCluster};
 use std::sync::Arc;
 use std::time::Instant;
-use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{Mat2, Mat4, C64};
 use tqsim_circuit::Gate;
-use tqsim_cluster::{ClusterCounters, ClusterObs, DensePlan, InterconnectModel, LayoutTracker};
+use tqsim_cluster::{ClusterCounters, ClusterObs, InterconnectModel};
 use tqsim_json::{num, num_u64, obj, str_val, Value};
-use tqsim_statevec::{window_span, DiagRun, FusedOp, QuantumState, StateVector};
+use tqsim_statevec::{DiagRun, QuantumState, StateVector};
 
 fn verb(name: &str, fields: Vec<(&str, Value)>) -> Value {
     let mut all = vec![("v", str_val(name))];
@@ -40,8 +39,6 @@ pub struct ShardedStateVector {
     /// op stream.
     pub counters: ClusterCounters,
     obs: Option<Arc<ClusterObs>>,
-    batching: bool,
-    layout: LayoutTracker,
 }
 
 impl ShardedStateVector {
@@ -81,8 +78,6 @@ impl ShardedStateVector {
             model,
             counters: ClusterCounters::default(),
             obs: None,
-            batching: false,
-            layout: LayoutTracker::new(n_qubits, local_n),
         })
     }
 
@@ -94,26 +89,6 @@ impl ShardedStateVector {
     /// Mirror this state's communication and gate activity into `obs`.
     pub fn observe(&mut self, obs: Arc<ClusterObs>) {
         self.obs = Some(obs);
-    }
-
-    /// Enable/disable exchange batching (deferred dswap undos). Identical
-    /// semantics to the in-process backend: results are bit-identical
-    /// either way, only the exchange schedule changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if swaps are currently deferred.
-    pub fn set_exchange_batching(&mut self, on: bool) {
-        assert!(
-            self.layout.is_canonical(),
-            "cannot toggle batching with deferred swaps active"
-        );
-        self.batching = on;
-    }
-
-    /// Whether exchange batching is enabled.
-    pub fn exchange_batching(&self) -> bool {
-        self.batching
     }
 
     /// Amplitudes held per worker.
@@ -138,7 +113,6 @@ impl ShardedStateVector {
     ///
     /// On transport faults.
     pub fn gather(&self) -> StateVector {
-        debug_assert!(self.layout.is_canonical(), "gather on deferred layout");
         let mut link = self.cluster.link();
         let mut amps = Vec::with_capacity(1usize << self.n_qubits);
         for rank in 0..self.n_nodes() {
@@ -167,7 +141,6 @@ impl ShardedStateVector {
 
     /// Reset to `|0…0⟩` (counters retained, like the in-process backend).
     pub fn reset_zero(&mut self) {
-        self.layout.reset();
         let mut link = self.cluster.link();
         link.broadcast(&verb("reset", vec![("sid", num_u64(self.sid))]));
         drop(link);
@@ -190,8 +163,6 @@ impl ShardedStateVector {
         if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
             panic!("{fault}");
         }
-        debug_assert!(src.layout.is_canonical(), "copy from non-canonical state");
-        self.layout.reset();
         let mut link = self.cluster.link();
         link.broadcast(&verb(
             "copy",
@@ -205,86 +176,10 @@ impl ShardedStateVector {
         self.charge_compute_pass();
     }
 
-    /// Whether a fused window can run worker-local at canonical positions:
-    /// every dense op (and passthrough gate) must sit below the node
-    /// boundary — diagonal runs are offset-aware and never disqualify.
-    fn window_is_local(&self, window: &[FusedOp]) -> bool {
-        window_span(window).is_none_or(|s| s < self.local_n)
-    }
-
-    /// Same fault site as the single-node fused seams, so chaos suites
-    /// exercise every backend with one failpoint name.
-    fn boundary_failpoint() {
-        if tqsim_faults::any_armed() {
-            if let Err(e) = tqsim_faults::trigger("plan.boundary") {
-                std::panic::panic_any(e);
-            }
-        }
-    }
-
-    /// Overwrite with `src`'s amplitudes **and** apply the child plan's
-    /// head window in the same worker visit (cross-boundary fusion): one
-    /// silent `capply` broadcast instead of a copy broadcast plus one
-    /// broadcast per head op. Counter-for-counter identical to
-    /// [`ShardedStateVector::copy_from`] followed by eager window
-    /// application, so cross-backend counter parity holds.
-    ///
-    /// Falls back to exactly that eager sequence when the window touches a
-    /// node-selecting qubit (dswaps cannot ride a copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if layouts differ, on transport faults, or on injected
-    /// `cluster.state_copy` / `plan.boundary` faults.
-    pub fn copy_from_apply(&mut self, src: &ShardedStateVector, head: &[FusedOp]) {
-        if head.is_empty() {
-            return self.copy_from(src);
-        }
-        if !self.window_is_local(head) {
-            // `apply_window` hits the plan.boundary failpoint itself, so
-            // both paths trigger it exactly once per fused copy.
-            self.copy_from(src);
-            tqsim_statevec::apply_window(self, head);
-            return;
-        }
-        Self::boundary_failpoint();
-        assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
-        assert!(
-            Arc::ptr_eq(&self.cluster, &src.cluster),
-            "states live on different shard clusters"
-        );
-        if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
-            panic!("{fault}");
-        }
-        debug_assert!(src.layout.is_canonical(), "copy from non-canonical state");
-        self.layout.reset();
-        let mut link = self.cluster.link();
-        link.broadcast(&verb(
-            "capply",
-            vec![
-                ("dst", num_u64(self.sid)),
-                ("src", num_u64(src.sid)),
-                ("w", crate::proto::window_to_value(head)),
-            ],
-        ));
-        drop(link);
-        self.counters.state_copies += 1;
-        if let Some(obs) = &self.obs {
-            obs.state_copies.inc();
-        }
-        self.charge_compute_pass();
-        // Charge the window ops as the eager path would have.
-        for _ in head {
-            self.note_local_gate();
-            self.charge_compute_pass();
-        }
-    }
-
     /// Sample one outcome given a uniform draw: the CDF walk is chained
     /// worker to worker with a single running accumulator, replicating the
     /// in-process backend's global-index-order addition sequence exactly.
     pub fn sample_with(&self, u: f64) -> u64 {
-        debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
         let mut link = self.cluster.link();
         let mut acc = 0.0f64;
         for rank in 0..self.n_nodes() {
@@ -310,7 +205,6 @@ impl ShardedStateVector {
     /// across workers with (index, accumulator) state — draw-for-draw
     /// identical to both in-process backends.
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
         let mut order: Vec<usize> = (0..us.len()).collect();
         order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
         let mut out = vec![0u64; us.len()];
@@ -432,7 +326,7 @@ impl ShardedStateVector {
     }
 
     /// Distributed-swap every global operand down to a scratch local qubit
-    /// (the eager remap; same scratch-selection rule as in-process).
+    /// (same scratch-selection rule as in-process).
     fn remap_to_local(&mut self, qubits: &[u16]) -> (Vec<u16>, Vec<(u16, u16)>) {
         let local_n = self.local_n;
         let mut qubits = qubits.to_vec();
@@ -456,59 +350,24 @@ impl ShardedStateVector {
         (qubits, swaps)
     }
 
-    fn undo_remap(&mut self, swaps: &[(u16, u16)]) {
-        for &(gb, dst) in swaps.iter().rev() {
-            self.dswap(gb, dst);
-        }
-    }
-
-    /// Batched-mode dense dispatch: the same [`LayoutTracker`] decision
-    /// procedure as the in-process backend, with `make` building the
-    /// node-local sweep verb for the physical operand positions.
-    fn apply_batched<F>(&mut self, qs: &[u16], make: F)
-    where
-        F: Fn(&[u16]) -> Value,
-    {
-        let logically_local = qs.iter().all(|&q| q < self.local_n);
-        let phys = match self.layout.decide_dense(qs) {
-            DensePlan::InPlace { phys } => phys,
-            DensePlan::FlushThenLocal { undo } => {
-                for &(gb, dst) in &undo {
-                    self.dswap(gb, dst);
-                }
-                qs.to_vec()
-            }
-            DensePlan::FlushThenRemap { undo, swaps, phys } => {
-                for &(gb, dst) in undo.iter().chain(swaps.iter()) {
-                    self.dswap(gb, dst);
-                }
-                phys
-            }
-        };
-        self.each_node(&make(&phys));
-        if logically_local {
+    /// Dense dispatch of an operand on qubits `qs` — the transport twin of
+    /// the in-process `apply_dense`: swap every global operand down,
+    /// broadcast the node-local sweep verb `make` builds for the physical
+    /// positions, and swap back. All-local operands need no swap and count
+    /// as a local gate.
+    fn apply_dense(&mut self, qs: &[u16], make: impl Fn(&[u16]) -> Value) {
+        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
+        if qs.iter().all(|&q| q < self.local_n) {
+            self.each_node(&make(qs));
             self.note_local_gate();
         } else {
-            self.note_remapped_gate();
-        }
-    }
-
-    fn flush_layout(&mut self) {
-        if !self.layout.is_canonical() {
-            for (gb, dst) in self.layout.decide_sync() {
+            let (phys, swaps) = self.remap_to_local(qs);
+            self.each_node(&make(&phys));
+            for &(gb, dst) in swaps.iter().rev() {
                 self.dswap(gb, dst);
             }
+            self.note_remapped_gate();
         }
-    }
-
-    fn gate_verb(&self, gate: &Gate) -> Value {
-        verb(
-            "gate",
-            vec![
-                ("sid", num_u64(self.sid)),
-                ("g", crate::proto::gate_to_value(gate)),
-            ],
-        )
     }
 }
 
@@ -530,39 +389,21 @@ impl QuantumState for ShardedStateVector {
     }
 
     fn apply_gate(&mut self, gate: &Gate) {
-        for &q in gate.qubits() {
-            assert!(q < self.n_qubits, "gate {gate} out of range");
-        }
-        if self.batching {
-            let kind = *gate.kind();
-            let sid = self.sid;
-            self.apply_batched(gate.qubits(), move |ps| {
-                verb(
-                    "gate",
-                    vec![
-                        ("sid", num_u64(sid)),
-                        ("g", crate::proto::gate_to_value(&Gate::new(kind, ps))),
-                    ],
-                )
-            });
-            return;
-        }
-        if gate.qubits().iter().all(|&q| q < self.local_n) {
-            let v = self.gate_verb(gate);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qubits, swaps) = self.remap_to_local(gate.qubits());
-            let v = self.gate_verb(&Gate::new(*gate.kind(), &qubits));
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        let (sid, kind) = (self.sid, *gate.kind());
+        self.apply_dense(gate.qubits(), |ps| {
+            verb(
+                "gate",
+                vec![
+                    ("sid", num_u64(sid)),
+                    ("g", crate::proto::gate_to_value(&Gate::new(kind, ps))),
+                ],
+            )
+        });
     }
 
     fn apply_mat2(&mut self, q: u16, m: &Mat2) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        let mk = |sid: u64, ps: &[u16], m: &Mat2| {
+        let sid = self.sid;
+        self.apply_dense(&[q], |ps| {
             verb(
                 "mat2",
                 vec![
@@ -571,32 +412,12 @@ impl QuantumState for ShardedStateVector {
                     ("m", crate::proto::mat2_to_value(m)),
                 ],
             )
-        };
-        if self.batching {
-            let sid = self.sid;
-            let m = *m;
-            self.apply_batched(&[q], move |ps| mk(sid, ps, &m));
-            return;
-        }
-        if q < self.local_n {
-            let v = mk(self.sid, &[q], m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q]);
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        });
     }
 
     fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
-        assert!(
-            q_hi < self.n_qubits && q_lo < self.n_qubits,
-            "qubit out of range"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat4| {
+        let sid = self.sid;
+        self.apply_dense(&[q_hi, q_lo], |ps| {
             verb(
                 "mat4",
                 vec![
@@ -606,151 +427,10 @@ impl QuantumState for ShardedStateVector {
                     ("m", crate::proto::mat4_to_value(m)),
                 ],
             )
-        };
-        if self.batching {
-            let sid = self.sid;
-            let m = *m;
-            self.apply_batched(&[q_hi, q_lo], move |ps| mk(sid, ps, &m));
-            return;
-        }
-        if q_hi < self.local_n && q_lo < self.local_n {
-            let v = mk(self.sid, &[q_hi, q_lo], m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q_hi, q_lo]);
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-        assert!(
-            q2 < self.n_qubits && q1 < self.n_qubits && q0 < self.n_qubits,
-            "qubit out of range"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat8| {
-            verb(
-                "mat8",
-                vec![
-                    ("sid", num_u64(sid)),
-                    ("q2", num_u64(u64::from(ps[0]))),
-                    ("q1", num_u64(u64::from(ps[1]))),
-                    ("q0", num_u64(u64::from(ps[2]))),
-                    ("m", crate::proto::mat8_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            let m = *m;
-            self.apply_batched(&[q2, q1, q0], move |ps| mk(sid, ps, &m));
-            return;
-        }
-        if q2 < self.local_n && q1 < self.local_n && q0 < self.local_n {
-            let v = mk(self.sid, &[q2, q1, q0], m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q2, q1, q0]);
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        assert!(
-            self.local_n >= 4,
-            "4-qubit fusion clusters need >= 4 node-local qubits \
-             (n_qubits >= log2(workers) + 4); lower max_fuse_qubits"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat16| {
-            verb(
-                "mat16",
-                vec![
-                    ("sid", num_u64(sid)),
-                    (
-                        "qs",
-                        Value::Arr(ps.iter().map(|&q| num_u64(u64::from(q))).collect()),
-                    ),
-                    ("m", crate::proto::mat16_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            self.apply_batched(&qs, move |ps| mk(sid, ps, m));
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let v = mk(self.sid, &remapped, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        assert!(
-            self.local_n >= 5,
-            "5-qubit fusion clusters need >= 5 node-local qubits \
-             (n_qubits >= log2(workers) + 5); lower max_fuse_qubits"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat32| {
-            verb(
-                "mat32",
-                vec![
-                    ("sid", num_u64(sid)),
-                    (
-                        "qs",
-                        Value::Arr(ps.iter().map(|&q| num_u64(u64::from(q))).collect()),
-                    ),
-                    ("m", crate::proto::mat32_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            self.apply_batched(&qs, move |ps| mk(sid, ps, m));
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let v = mk(self.sid, &remapped, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
+        });
     }
 
     fn apply_diag_run(&mut self, run: &DiagRun) {
-        // Same flush rule as in-process: diagonal sweeps read canonical
-        // bit positions, so a run touching displaced qubits flushes first.
-        if self.batching
-            && !(self
-                .layout
-                .is_identity_on(run.terms1().iter().map(|(q, _)| q))
-                && self
-                    .layout
-                    .is_identity_on(run.terms2().iter().flat_map(|(a, b, _)| [a, b])))
-        {
-            self.flush_layout();
-        }
         let mut v = crate::proto::diag_run_to_value(run);
         if let Value::Obj(fields) = &mut v {
             fields.insert(0, ("v".to_string(), str_val("diagrun")));
@@ -762,7 +442,6 @@ impl QuantumState for ShardedStateVector {
 
     fn marginal_one(&self, q: u16) -> f64 {
         assert!(q < self.n_qubits, "qubit out of range");
-        debug_assert!(self.layout.is_canonical(), "marginal on deferred layout");
         let mut link = self.cluster.link();
         if q >= self.local_n {
             // Node-selecting bit: per-slice sums of the masked nodes,
@@ -804,7 +483,6 @@ impl QuantumState for ShardedStateVector {
 
     fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
         if q >= self.local_n {
             let mask = 1u64 << (q - self.local_n);
             let v = verb(
@@ -831,7 +509,6 @@ impl QuantumState for ShardedStateVector {
 
     fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
         if q >= self.local_n {
             // Cross-node combine: an exchange round, same fault site and
             // accounting as in-process (no compute pass charged).
@@ -876,7 +553,6 @@ impl QuantumState for ShardedStateVector {
     }
 
     fn renormalize(&mut self) {
-        self.flush_layout();
         let mut link = self.cluster.link();
         let n = self.norm_sqr_locked(&mut link);
         assert!(n > 1e-300, "cannot normalise a zero state");
@@ -900,94 +576,6 @@ impl QuantumState for ShardedStateVector {
 
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         ShardedStateVector::sample_many(self, us)
-    }
-
-    /// Fused tail-window sampling over the wire: one chained `fwalk` pass
-    /// where each visited worker applies the window to its slice and then
-    /// walks the sorted CDF, so the tail never costs a separate broadcast
-    /// round. Workers the walk never reaches get a fire-and-forget
-    /// `wapply` so the state still materialises identically everywhere.
-    fn sample_fused(&mut self, window: &[FusedOp], us: &[f64]) -> Vec<u64> {
-        if window.is_empty() {
-            return self.sample_many(us);
-        }
-        if us.is_empty() || !self.layout.is_canonical() || !self.window_is_local(window) {
-            // `apply_window` hits the plan.boundary failpoint itself, so
-            // both paths trigger it exactly once per fused sample.
-            tqsim_statevec::apply_window(self, window);
-            return self.sample_many(us);
-        }
-        Self::boundary_failpoint();
-        for _ in window {
-            self.note_local_gate();
-            self.charge_compute_pass();
-        }
-        let wv = crate::proto::window_to_value(window);
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
-        let total = 1u64 << self.n_qubits;
-        let n_nodes = self.n_nodes();
-        let sid = self.sid;
-        let mut link = self.cluster.link();
-        let mut done = 0usize;
-        let mut idx = 0u64;
-        let mut acc = 0.0f64;
-        let mut visited = 0usize;
-        for rank in 0..n_nodes {
-            visited = rank + 1;
-            let pending = Value::Arr(order[done..].iter().map(|&slot| num(us[slot])).collect());
-            let reply = link.request(
-                rank,
-                &verb(
-                    "fwalk",
-                    vec![
-                        ("sid", num_u64(sid)),
-                        ("us", pending),
-                        ("idx", num_u64(idx)),
-                        ("acc", num(acc)),
-                        ("total", num_u64(total)),
-                        ("init", Value::Bool(rank == 0)),
-                        ("w", wv.clone()),
-                    ],
-                ),
-            );
-            let outcomes = reply
-                .get("out")
-                .and_then(Value::as_arr)
-                .unwrap_or_else(|| panic!("shard transport: malformed fwalk reply"));
-            for outcome in outcomes {
-                let oc = outcome
-                    .as_u64()
-                    .unwrap_or_else(|| panic!("shard transport: malformed fwalk outcome"));
-                out[order[done]] = oc;
-                done += 1;
-            }
-            if done == order.len() {
-                break;
-            }
-            idx = reply
-                .get("idx")
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("shard transport: malformed fwalk idx"));
-            acc = reply
-                .get("acc")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("shard transport: malformed fwalk acc"));
-        }
-        debug_assert_eq!(done, order.len(), "fwalk chain under-consumed draws");
-        // Materialise the window on ranks the early-exit walk skipped.
-        for rank in visited..n_nodes {
-            link.send(
-                rank,
-                &verb("wapply", vec![("sid", num_u64(sid)), ("w", wv.clone())]),
-            );
-        }
-        out
-    }
-
-    fn sync_layout(&mut self) {
-        self.flush_layout();
     }
 }
 

@@ -220,88 +220,6 @@ impl Worker {
                 kernels::apply_mat4(slice, hi, lo, &m);
                 Ok(None)
             }
-            "mat8" => {
-                let q2 = need_u64(msg, "q2")? as usize;
-                let q1 = need_u64(msg, "q1")? as usize;
-                let q0 = need_u64(msg, "q0")? as usize;
-                let m = proto::mat8_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat8", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat8", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat8(slice, q2, q1, q0, &m);
-                Ok(None)
-            }
-            "mat16" => {
-                let qs = Self::need_qubits::<4>(msg)?;
-                let m = proto::mat16_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat16", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat16", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat16(slice, qs.map(|q| q as usize), &m);
-                Ok(None)
-            }
-            "mat32" => {
-                let qs = Self::need_qubits::<5>(msg)?;
-                let m = proto::mat32_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat32", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat32", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat32(slice, qs.map(|q| q as usize), &m);
-                Ok(None)
-            }
-            "wapply" => {
-                // Apply a fused window to this node's slice in place —
-                // the cross-boundary tail for ranks the sampling walk
-                // never reached.
-                let window = Self::need_window(msg)?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let base = rank << Self::local_n(slice);
-                tqsim_statevec::apply_window_amps(slice, base, &window);
-                Ok(None)
-            }
-            "capply" => {
-                // Copy-and-apply: overwrite dst with src and run the child
-                // plan's head window in the same visit — the parent→child
-                // copy that starts replay one pass ahead.
-                let window = Self::need_window(msg)?;
-                let dst = need_u64(msg, "dst")?;
-                let src = need_u64(msg, "src")?;
-                let from = self
-                    .slices
-                    .get(&src)
-                    .ok_or_else(|| wire_err("capply", format!("unknown source {src}")))?
-                    .clone();
-                let rank = self.rank;
-                let to = self
-                    .slices
-                    .get_mut(&dst)
-                    .ok_or_else(|| wire_err("capply", format!("unknown destination {dst}")))?;
-                to.copy_from_slice(&from);
-                let base = rank << Self::local_n(to);
-                tqsim_statevec::apply_window_amps(to, base, &window);
-                Ok(None)
-            }
-            "fwalk" => {
-                // Fused sampling chain link: apply the trailing window to
-                // this slice, then resolve draws exactly like "walk" — the
-                // |ψ|² read happens in the same visit that finished the
-                // state.
-                let window = Self::need_window(msg)?;
-                let rank = self.rank;
-                {
-                    let (_, slice) = self.slice_mut(msg)?;
-                    let base = rank << Self::local_n(slice);
-                    tqsim_statevec::apply_window_amps(slice, base, &window);
-                }
-                self.walk_reply(msg)
-            }
             "diagrun" => {
                 let run = proto::diag_run_from_value(msg).map_err(|e| wire_err("diagrun", e))?;
                 let rank = self.rank;
@@ -428,37 +346,9 @@ impl Worker {
         }
     }
 
-    /// Decode a fixed-width qubit list from the verb's `"qs"` field.
-    fn need_qubits<const W: usize>(msg: &Value) -> io::Result<[u16; W]> {
-        let arr = msg
-            .get("qs")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| wire_err("shard verb", "missing qs".into()))?;
-        if arr.len() != W {
-            return Err(wire_err("shard verb", format!("expected {W} qubits")));
-        }
-        let mut qs = [0u16; W];
-        for (dst, v) in qs.iter_mut().zip(arr) {
-            *dst = v
-                .as_u64()
-                .and_then(|q| u16::try_from(q).ok())
-                .ok_or_else(|| wire_err("shard verb", "bad qubit".into()))?;
-        }
-        Ok(qs)
-    }
-
-    /// Decode the fused window from the verb's `"w"` field.
-    fn need_window(msg: &Value) -> io::Result<Vec<tqsim_statevec::FusedOp>> {
-        proto::window_from_value(
-            msg.get("w")
-                .ok_or_else(|| wire_err("shard verb", "missing w".into()))?,
-        )
-        .map_err(|e| wire_err("window", e))
-    }
-
     /// Batched sorted-CDF chain link (see the coordinator's `sample_many`):
     /// resolve as many sorted draws as land in this slice, then hand
-    /// (idx, acc) to the next node. Shared by "walk" and "fwalk".
+    /// (idx, acc) to the next node.
     fn walk_reply(&mut self, msg: &Value) -> io::Result<Option<Value>> {
         let us: Vec<f64> = msg
             .get("us")

@@ -1,14 +1,13 @@
 //! Cross-process bit-identity: the multi-process shard backend must be
 //! indistinguishable — amplitudes, `Counts`, deterministic cluster
 //! counters, exchange schedules — from the in-process distributed state
-//! vector it mirrors, at 2 and 4 shards, with and without noise, with and
-//! without exchange batching. Only `measured_exchange_seconds` may (and
-//! must) differ: here it times real TCP round-trips.
+//! vector it mirrors, at 2 and 4 shards, with and without noise. Only
+//! `measured_exchange_seconds` may (and must) differ: here it times real
+//! TCP round-trips.
 
 use std::sync::Arc;
 use tqsim::Strategy;
 use tqsim_circuit::generators;
-use tqsim_circuit::Circuit;
 use tqsim_cluster::{DistributedStateVector, InterconnectModel};
 use tqsim_engine::{Engine, EngineConfig, JobPlan, PlannedJob};
 use tqsim_noise::NoiseModel;
@@ -111,85 +110,4 @@ fn engine_counts_bit_identical_across_backends_ideal_and_noisy() {
             assert_eq!(stats.outstanding, 0, "every sharded buffer returned");
         }
     }
-}
-
-/// A workload whose dense ops straddle the node boundary in runs: rounds
-/// of cx(7, t) ladders (same global qubit) with a per-round local
-/// conflict on the scratch qubit, so eager mode pays two exchanges per
-/// gate while batching pays two per run.
-fn boundary_ladder() -> Circuit {
-    let mut c = Circuit::new(8);
-    for _ in 0..3 {
-        for t in 0..4 {
-            c.cx(7, t);
-        }
-        c.h(5);
-    }
-    c
-}
-
-#[test]
-fn batched_execution_matches_eager_and_in_process_with_fewer_exchanges() {
-    let circuit = boundary_ladder();
-
-    let cluster = Arc::new(ShardCluster::spawn(4).expect("spawn workers"));
-    let mut eager = ShardedStateVector::zero(Arc::clone(&cluster), 8, model()).unwrap();
-    let mut batched = ShardedStateVector::zero(Arc::clone(&cluster), 8, model()).unwrap();
-    batched.set_exchange_batching(true);
-    let mut dsv_eager = DistributedStateVector::zero(8, 4, model()).unwrap();
-    let mut dsv_batched = DistributedStateVector::zero(8, 4, model()).unwrap();
-    dsv_batched.set_exchange_batching(true);
-
-    for gate in &circuit {
-        eager.apply_gate(gate);
-        batched.apply_gate(gate);
-        dsv_eager.apply_gate(gate);
-        dsv_batched.apply_gate(gate);
-    }
-    batched.sync_layout();
-    dsv_batched.sync_layout();
-
-    let amps = eager.gather();
-    assert_eq!(batched.gather().amplitudes(), amps.amplitudes());
-    assert_eq!(dsv_eager.gather().amplitudes(), amps.amplitudes());
-    assert_eq!(dsv_batched.gather().amplitudes(), amps.amplitudes());
-
-    // Exchange schedules — not just totals — are shared with the
-    // in-process backend through the same layout tracker.
-    assert_eq!(eager.counters, dsv_eager.counters);
-    assert_eq!(batched.counters, dsv_batched.counters);
-    assert!(
-        batched.counters.exchanges * 2 <= eager.counters.exchanges,
-        "batching must at least halve exchanges on a boundary ladder \
-         (batched {} vs eager {})",
-        batched.counters.exchanges,
-        eager.counters.exchanges
-    );
-}
-
-#[test]
-fn batched_backend_counts_match_under_the_engine() {
-    // Exchange batching composes with plan replay + noise: the engine's
-    // Counts are unchanged when the shard backend defers swap-backs.
-    let circuit = boundary_ladder();
-    let plan = Arc::new(
-        JobPlan::plan(
-            &circuit,
-            &NoiseModel::sycamore(),
-            16,
-            &Strategy::Custom {
-                arities: vec![3, 2],
-            },
-        )
-        .unwrap(),
-    );
-    let reference = Engine::new(EngineConfig::default().parallelism(1))
-        .run_planned(&PlannedJob::new(Arc::clone(&plan)).seed(11));
-    let backend = ShardBackend::spawn(2)
-        .expect("spawn workers")
-        .exchange_batching(true);
-    let engine = Engine::with_backend(EngineConfig::default().parallelism(2), backend);
-    let r = engine.run_planned(&PlannedJob::new(Arc::clone(&plan)).seed(11));
-    assert_eq!(r.counts, reference.counts);
-    assert_eq!(r.ops, reference.ops);
 }

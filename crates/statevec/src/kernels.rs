@@ -61,7 +61,7 @@ use rayon::prelude::*;
 use simd::{Kernel, Tier, Vf};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{Mat2, Mat4, C64};
 
 /// Default serial/parallel switch point, in amplitudes: the first power of
 /// two at which the pool beats one thread on the `kernels` bench ladder
@@ -887,161 +887,6 @@ pub fn apply_mat4(amps: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
     }
 }
 
-/// Generic three-qubit unitary on distinct qubits `(q2, q1, q0)`, where
-/// `q2` indexes the most significant matrix bit and `q0` the least. The
-/// qubits may come in any numeric order: gather/scatter indices are built
-/// per matrix bit, so no matrix permutation is needed (this is what lets
-/// the distributed backend reuse this kernel verbatim after a remap).
-pub fn apply_mat8(amps: &mut [C64], q2: usize, q1: usize, q0: usize, m: &Mat8) {
-    debug_assert!(
-        q2 != q1 && q1 != q0 && q2 != q0,
-        "mat8 qubits must be distinct"
-    );
-    let mut s = [q0, q1, q2];
-    s.sort_unstable();
-    let [s0, s1, s2] = s;
-    let block = 1usize << (s2 + 1);
-    debug_assert!(block <= amps.len(), "qubit {s2} out of range");
-    // Per block: enumerate every sub-index with zeros at the three qubit
-    // positions, expanding the free bits around them (ascending positions).
-    let free = 1usize << (s2 - 2);
-    let inner = |chunk: &mut [C64]| {
-        for t in 0..free {
-            let mut b = t;
-            b = ((b >> s0) << (s0 + 1)) | (b & ((1usize << s0) - 1));
-            b = ((b >> s1) << (s1 + 1)) | (b & ((1usize << s1) - 1));
-            let mut idx = [0usize; 8];
-            for (k, slot) in idx.iter_mut().enumerate() {
-                *slot = b | (((k >> 2) & 1) << q2) | (((k >> 1) & 1) << q1) | ((k & 1) << q0);
-            }
-            let v = idx.map(|i| chunk[i]);
-            for (r, row) in m.0.iter().enumerate() {
-                let mut acc = C64::new(0.0, 0.0);
-                for (coef, x) in row.iter().zip(v.iter()) {
-                    acc += *coef * *x;
-                }
-                chunk[idx[r]] = acc;
-            }
-        }
-    };
-    if amps.len() < par_min_len() {
-        for chunk in amps.chunks_mut(block) {
-            inner(chunk);
-        }
-    } else {
-        amps.par_chunks_mut(block).for_each(|chunk| {
-            par_worker_failpoint();
-            inner(chunk);
-        });
-    }
-}
-
-/// Generic four-qubit unitary on distinct qubits `(q3, q2, q1, q0)`, `q3`
-/// indexing the most significant matrix bit. Cache-blocked gather/scatter:
-/// each 16-amplitude group is gathered into one contiguous stack block,
-/// multiplied, and scattered back, so the 4 KiB matrix plus the working
-/// group stay L1-resident. Parallel chunking uses the same fixed block
-/// boundaries as [`apply_mat8`], keeping results bit-identical at any
-/// thread count.
-pub fn apply_mat16(amps: &mut [C64], qs: [usize; 4], m: &Mat16) {
-    debug_assert!(
-        (0..4).all(|i| (i + 1..4).all(|j| qs[i] != qs[j])),
-        "mat16 qubits must be distinct"
-    );
-    let mut s = qs;
-    s.sort_unstable();
-    let [s0, s1, s2, s3] = s;
-    let block = 1usize << (s3 + 1);
-    debug_assert!(block <= amps.len(), "qubit {s3} out of range");
-    let free = 1usize << (s3 - 3);
-    let inner = |chunk: &mut [C64]| {
-        for t in 0..free {
-            let mut b = t;
-            b = ((b >> s0) << (s0 + 1)) | (b & ((1usize << s0) - 1));
-            b = ((b >> s1) << (s1 + 1)) | (b & ((1usize << s1) - 1));
-            b = ((b >> s2) << (s2 + 1)) | (b & ((1usize << s2) - 1));
-            let mut idx = [0usize; 16];
-            for (k, slot) in idx.iter_mut().enumerate() {
-                let mut i = b;
-                for (j, &q) in qs.iter().enumerate() {
-                    i |= ((k >> (3 - j)) & 1) << q;
-                }
-                *slot = i;
-            }
-            let v = idx.map(|i| chunk[i]);
-            for (r, row) in m.0.iter().enumerate() {
-                let mut acc = C64::new(0.0, 0.0);
-                for (coef, x) in row.iter().zip(v.iter()) {
-                    acc += *coef * *x;
-                }
-                chunk[idx[r]] = acc;
-            }
-        }
-    };
-    if amps.len() < par_min_len() {
-        for chunk in amps.chunks_mut(block) {
-            inner(chunk);
-        }
-    } else {
-        amps.par_chunks_mut(block).for_each(|chunk| {
-            par_worker_failpoint();
-            inner(chunk);
-        });
-    }
-}
-
-/// Generic five-qubit unitary on distinct qubits `(q4 … q0)`, `q4` indexing
-/// the most significant matrix bit. Same cache-blocked gather/scatter and
-/// deterministic fixed-boundary chunking as [`apply_mat16`]; the 16 KiB
-/// matrix plus one 32-amplitude group still fit comfortably in L1.
-pub fn apply_mat32(amps: &mut [C64], qs: [usize; 5], m: &Mat32) {
-    debug_assert!(
-        (0..5).all(|i| (i + 1..5).all(|j| qs[i] != qs[j])),
-        "mat32 qubits must be distinct"
-    );
-    let mut s = qs;
-    s.sort_unstable();
-    let [s0, s1, s2, s3, s4] = s;
-    let block = 1usize << (s4 + 1);
-    debug_assert!(block <= amps.len(), "qubit {s4} out of range");
-    let free = 1usize << (s4 - 4);
-    let inner = |chunk: &mut [C64]| {
-        for t in 0..free {
-            let mut b = t;
-            b = ((b >> s0) << (s0 + 1)) | (b & ((1usize << s0) - 1));
-            b = ((b >> s1) << (s1 + 1)) | (b & ((1usize << s1) - 1));
-            b = ((b >> s2) << (s2 + 1)) | (b & ((1usize << s2) - 1));
-            b = ((b >> s3) << (s3 + 1)) | (b & ((1usize << s3) - 1));
-            let mut idx = [0usize; 32];
-            for (k, slot) in idx.iter_mut().enumerate() {
-                let mut i = b;
-                for (j, &q) in qs.iter().enumerate() {
-                    i |= ((k >> (4 - j)) & 1) << q;
-                }
-                *slot = i;
-            }
-            let v = idx.map(|i| chunk[i]);
-            for (r, row) in m.0.iter().enumerate() {
-                let mut acc = C64::new(0.0, 0.0);
-                for (coef, x) in row.iter().zip(v.iter()) {
-                    acc += *coef * *x;
-                }
-                chunk[idx[r]] = acc;
-            }
-        }
-    };
-    if amps.len() < par_min_len() {
-        for chunk in amps.chunks_mut(block) {
-            inner(chunk);
-        }
-    } else {
-        amps.par_chunks_mut(block).for_each(|chunk| {
-            par_worker_failpoint();
-            inner(chunk);
-        });
-    }
-}
-
 /// Toffoli with controls `c1`, `c2` and target `t`.
 pub fn apply_ccx(amps: &mut [C64], c1: usize, c2: usize, t: usize) {
     let mask = (1usize << c1) | (1usize << c2);
@@ -1192,121 +1037,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mat8_matches_composed_kernels_in_any_qubit_order() {
-        use tqsim_circuit::math::Mat8;
-        let h = tqsim_circuit::GateKind::H.matrix1().unwrap();
-        let cx = tqsim_circuit::GateKind::Cx.matrix2().unwrap();
-        // Mat8 = CX(bits 2,0) · H(bit 1), applied on several physical
-        // qubit orderings of a 4-qubit register.
-        let m8 = Mat8::from_mat4(&cx, 2, 0).mul(&Mat8::from_mat2(&h, 1));
-        for (q2, q1, q0) in [(3usize, 1usize, 0usize), (0, 2, 3), (2, 0, 1)] {
-            for start in 0..16 {
-                let mut a = basis(4, start);
-                let mut b = basis(4, start);
-                // Reference: H on the bit-1 qubit, then CX(control=bit-2
-                // qubit, target=bit-0 qubit).
-                apply_h(&mut a, q1);
-                apply_cx(&mut a, q2, q0);
-                apply_mat8(&mut b, q2, q1, q0, &m8);
-                for i in 0..16 {
-                    assert!(
-                        (a[i] - b[i]).norm() < 1e-12,
-                        "qs=({q2},{q1},{q0}) start={start} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mat16_matches_composed_kernels_in_any_qubit_order() {
-        use tqsim_circuit::math::Mat16;
-        let h = tqsim_circuit::GateKind::H.matrix1().unwrap();
-        let cx = tqsim_circuit::GateKind::Cx.matrix2().unwrap();
-        // Mat16 = CX(bits 3,0) · H(bit 2) · H(bit 1).
-        let m16 = Mat16::from_mat4(&cx, 3, 0)
-            .mul(&Mat16::from_mat2(&h, 2))
-            .mul(&Mat16::from_mat2(&h, 1));
-        for qs in [[4usize, 2, 1, 0], [0, 3, 5, 2], [3, 0, 4, 1]] {
-            let [q3, q2, q1, q0] = qs;
-            for start in 0..64 {
-                let mut a = basis(6, start);
-                let mut b = basis(6, start);
-                apply_h(&mut a, q1);
-                apply_h(&mut a, q2);
-                apply_cx(&mut a, q3, q0);
-                apply_mat16(&mut b, qs, &m16);
-                for i in 0..64 {
-                    assert!(
-                        (a[i] - b[i]).norm() < 1e-12,
-                        "qs={qs:?} start={start} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mat32_matches_composed_kernels_in_any_qubit_order() {
-        use tqsim_circuit::math::Mat32;
-        let h = tqsim_circuit::GateKind::H.matrix1().unwrap();
-        let cx = tqsim_circuit::GateKind::Cx.matrix2().unwrap();
-        let t = tqsim_circuit::GateKind::T.matrix1().unwrap();
-        // Mat32 = T(bit 4) · CX(bits 3,1) · H(bit 2) · H(bit 0).
-        let m32 = Mat32::from_mat2(&t, 4)
-            .mul(&Mat32::from_mat4(&cx, 3, 1))
-            .mul(&Mat32::from_mat2(&h, 2))
-            .mul(&Mat32::from_mat2(&h, 0));
-        for qs in [[4usize, 3, 2, 1, 0], [1, 5, 0, 4, 2], [5, 0, 3, 1, 4]] {
-            let [q4, q3, q2, q1, q0] = qs;
-            for start in 0..64 {
-                let mut a = basis(6, start);
-                let mut b = basis(6, start);
-                apply_h(&mut a, q0);
-                apply_h(&mut a, q2);
-                apply_cx(&mut a, q3, q1);
-                apply_mat2(&mut a, q4, &t);
-                apply_mat32(&mut b, qs, &m32);
-                for i in 0..64 {
-                    assert!(
-                        (a[i] - b[i]).norm() < 1e-12,
-                        "qs={qs:?} start={start} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_kernels_bit_identical_serial_vs_parallel() {
-        use tqsim_circuit::math::{Mat16, Mat32};
-        let h = tqsim_circuit::GateKind::H.matrix1().unwrap();
-        let cx = tqsim_circuit::GateKind::Cx.matrix2().unwrap();
-        let m16 = Mat16::from_mat4(&cx, 3, 1).mul(&Mat16::from_mat2(&h, 0));
-        let m32 = Mat32::from_mat4(&cx, 4, 0).mul(&Mat32::from_mat2(&h, 2));
-        let n = 15usize;
-        let mut base = vec![c64(0.0, 0.0); 1 << n];
-        for (i, a) in base.iter_mut().enumerate() {
-            *a = c64(1.0 / (i as f64 + 2.0), -0.5 / (i as f64 + 3.0));
-        }
-        let _knob = ParKnob::hold();
-        let qs16 = [12usize, 7, 3, 0];
-        let qs32 = [13usize, 9, 6, 2, 1];
-        let mut serial16 = base.clone();
-        let mut serial32 = base.clone();
-        set_par_min_len(usize::MAX);
-        apply_mat16(&mut serial16, qs16, &m16);
-        apply_mat32(&mut serial32, qs32, &m32);
-        let mut par16 = base.clone();
-        let mut par32 = base;
-        set_par_min_len(1);
-        apply_mat16(&mut par16, qs16, &m16);
-        apply_mat32(&mut par32, qs32, &m32);
-        assert_eq!(serial16, par16, "mat16 must be thread-count invariant");
-        assert_eq!(serial32, par32, "mat32 must be thread-count invariant");
     }
 
     #[test]

@@ -45,10 +45,7 @@ pub mod traits;
 pub use backend::CostProfile;
 pub use expectation::{expect_cut_value, expect_z_string, ZString};
 pub use ops::OpCounts;
-pub use plan::{
-    apply_window, apply_window_amps, classify, window_span, CompiledCircuit, DiagRun, FlushCtx,
-    FusedOp, Fuser, FusionConfig, PlanOp,
-};
+pub use plan::{classify, CompiledCircuit, DiagRun, FlushCtx, FusedOp, Fuser, PlanOp};
 pub use pool::{PoolCounters, PoolStats, PooledState, StatePool};
 pub use state::{StateVector, MAX_QUBITS};
 pub use traits::{PooledBackend, QuantumState, SingleNode};

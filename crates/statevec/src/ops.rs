@@ -35,14 +35,6 @@ pub struct OpCounts {
     /// Gates (or fired noise branches) that were merged into an already
     /// pending fused operation instead of costing their own pass.
     pub fused_gates: u64,
-    /// Parent→child copies that carried the child plan's head window
-    /// (cross-boundary fusion: a copy sweep that also applied gates, so
-    /// the replay started a pass ahead).
-    pub copy_apply: u64,
-    /// Leaf sampling sweeps that carried the plan's trailing window
-    /// (cross-boundary fusion: |ψ|² was read in the same sweep that
-    /// applied the final fused ops).
-    pub sample_fused: u64,
     /// Tree nodes served without copy or replay: error-free realizations
     /// that reused the state a sibling had already computed from the same
     /// parent state. Every other count stays *work done*, so
@@ -110,8 +102,6 @@ impl Add for OpCounts {
             samples: self.samples + rhs.samples,
             amp_passes: self.amp_passes + rhs.amp_passes,
             fused_gates: self.fused_gates + rhs.fused_gates,
-            copy_apply: self.copy_apply + rhs.copy_apply,
-            sample_fused: self.sample_fused + rhs.sample_fused,
             nodes_shared: self.nodes_shared + rhs.nodes_shared,
         }
     }

@@ -41,97 +41,8 @@
 use crate::kernels;
 use crate::ops::OpCounts;
 use crate::traits::QuantumState;
-use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{Mat2, Mat4, C64};
 use tqsim_circuit::{Circuit, Gate, GateKind};
-
-/// Fusion-window configuration for the [`Fuser`] and [`CompiledCircuit`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FusionConfig {
-    /// Widest dense fusion cluster, in qubits: 2 keeps today's `Mat4`
-    /// windows (the default), 3 enables greedy `Mat8` clusters (qsim-style
-    /// wider fusion), 4/5 enable the cache-blocked `Mat16`/`Mat32`
-    /// kernels. Values above 5 behave as 5; values below 2 as 2.
-    pub max_fuse_qubits: u8,
-    /// Cross-boundary fusion: fuse a subcircuit's head window into the
-    /// parent→child state copy ([`CompiledCircuit::head_ops`]) and its
-    /// trailing window into the leaf sampling sweep
-    /// ([`CompiledCircuit::replay_boundary`] +
-    /// [`crate::traits::QuantumState::sample_fused`]), so neither boundary
-    /// costs a dedicated amplitude pass.
-    pub boundary: bool,
-}
-
-impl Default for FusionConfig {
-    /// The default window is 2 qubits unless the `TQSIM_FUSE_QUBITS`
-    /// environment variable overrides it (clamped to 2..=5; read once per
-    /// process, like `TQSIM_PAR_MIN_LEN`). Boundary fusion stays opt-in.
-    fn default() -> Self {
-        static ENV_WIDTH: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
-        let max_fuse_qubits = *ENV_WIDTH.get_or_init(|| {
-            std::env::var("TQSIM_FUSE_QUBITS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u8>().ok())
-                .map_or(2, |w| w.clamp(2, 5))
-        });
-        FusionConfig {
-            max_fuse_qubits,
-            boundary: false,
-        }
-    }
-}
-
-impl FusionConfig {
-    /// Whether 3-qubit `Mat8` clusters are enabled.
-    #[inline]
-    fn fuse3(&self) -> bool {
-        self.max_fuse_qubits >= 3
-    }
-
-    /// The effective cluster-width ceiling (2..=5).
-    #[inline]
-    fn width(&self) -> usize {
-        usize::from(self.max_fuse_qubits.clamp(2, 5))
-    }
-}
-
-/// Canonical 3-qubit cluster frame: qubits in descending order, so
-/// `frame[0]` is the most significant `Mat8` bit (bit 2).
-#[inline]
-fn frame3(qs: [u16; 3]) -> [u16; 3] {
-    let mut f = qs;
-    f.sort_unstable_by(|a, b| b.cmp(a));
-    f
-}
-
-/// The `Mat8` bit position of qubit `q` within a descending frame.
-#[inline]
-fn frame_pos(frame: &[u16; 3], q: u16) -> usize {
-    match frame.iter().position(|&x| x == q) {
-        Some(0) => 2,
-        Some(1) => 1,
-        Some(2) => 0,
-        _ => unreachable!("qubit {q} not in cluster frame {frame:?}"),
-    }
-}
-
-/// Canonical wide cluster frame: qubits in descending order, so `frame[0]`
-/// is the most significant matrix bit (generalises [`frame3`]).
-#[inline]
-fn frame_sorted<const W: usize>(qs: [u16; W]) -> [u16; W] {
-    let mut f = qs;
-    f.sort_unstable_by(|a, b| b.cmp(a));
-    f
-}
-
-/// The matrix bit position of qubit `q` within a descending frame of any
-/// width (generalises [`frame_pos`]: slot `j` maps to bit `W-1-j`).
-#[inline]
-fn frame_pos_n(frame: &[u16], q: u16) -> usize {
-    match frame.iter().position(|&x| x == q) {
-        Some(j) => frame.len() - 1 - j,
-        None => unreachable!("qubit {q} not in cluster frame {frame:?}"),
-    }
-}
 
 /// A run of diagonal operators collapsed into one indexed sweep.
 ///
@@ -289,53 +200,6 @@ impl DiagRun {
         e
     }
 
-    /// The run as a diagonal octuple in the descending `(q2, q1, q0)`
-    /// cluster frame (support must lie within the triple).
-    fn as_diag3(&self, q2: u16, q1: u16, q0: u16) -> [C64; 8] {
-        debug_assert!(self.support_within(&[q2, q1, q0]));
-        let frame = [q2, q1, q0];
-        let mut e = [C64::new(1.0, 0.0); 8];
-        for &(q, d) in &self.terms1 {
-            let pos = frame_pos(&frame, q);
-            for (idx, entry) in e.iter_mut().enumerate() {
-                *entry *= d[(idx >> pos) & 1];
-            }
-        }
-        for &(a, b, d) in &self.terms2 {
-            let pa = frame_pos(&frame, a);
-            let pb = frame_pos(&frame, b);
-            for (idx, entry) in e.iter_mut().enumerate() {
-                let sel = (((idx >> pa) & 1) << 1) | ((idx >> pb) & 1);
-                *entry *= d[sel];
-            }
-        }
-        e
-    }
-
-    /// The run as a diagonal of `2^W` entries in a descending cluster
-    /// frame of width `W` (support must lie within the frame).
-    /// Generalises [`DiagRun::as_diag3`] to the 4/5-qubit windows.
-    fn as_diag_n<const W: usize, const D: usize>(&self, frame: &[u16; W]) -> [C64; D] {
-        debug_assert_eq!(D, 1 << W);
-        debug_assert!(self.support_within(frame));
-        let mut e = [C64::new(1.0, 0.0); D];
-        for &(q, d) in &self.terms1 {
-            let pos = frame_pos_n(frame, q);
-            for (idx, entry) in e.iter_mut().enumerate() {
-                *entry *= d[(idx >> pos) & 1];
-            }
-        }
-        for &(a, b, d) in &self.terms2 {
-            let pa = frame_pos_n(frame, a);
-            let pb = frame_pos_n(frame, b);
-            for (idx, entry) in e.iter_mut().enumerate() {
-                let sel = (((idx >> pa) & 1) << 1) | ((idx >> pb) & 1);
-                *entry *= d[sel];
-            }
-        }
-        e
-    }
-
     /// Apply the run to an amplitude slice in one sweep.
     pub fn apply(&self, amps: &mut [C64]) {
         self.apply_offset(amps, 0);
@@ -433,7 +297,6 @@ impl DiagRun {
 /// The `Mat4` variant dominates the size (256 bytes inline); keeping it
 /// unboxed is deliberate — ops are constructed on the replay hot path,
 /// where a per-emit heap allocation would cost more than the copy.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum FusedOp {
     /// Dense single-qubit unitary. `src` is the original gate when the
@@ -458,40 +321,6 @@ pub enum FusedOp {
         m: Mat4,
         /// Original gate if the matrix is an unfused single gate.
         src: Option<Gate>,
-    },
-    /// Dense three-qubit cluster (`Mat8`), built only when
-    /// [`FusionConfig::max_fuse_qubits`] ≥ 3. Qubits are stored in the
-    /// canonical descending frame (`q2 > q1 > q0`); always a product of
-    /// several source gates, so there is no pristine `src` form.
-    Unitary3 {
-        /// Most significant cluster qubit.
-        q2: u16,
-        /// Middle cluster qubit.
-        q1: u16,
-        /// Least significant cluster qubit.
-        q0: u16,
-        /// The accumulated 8×8 matrix, boxed so the rare wide cluster
-        /// does not inflate every op in the plan vector.
-        m: Box<Mat8>,
-    },
-    /// Dense four-qubit cluster (`Mat16`), built only when
-    /// [`FusionConfig::max_fuse_qubits`] ≥ 4. Qubits are stored in the
-    /// canonical descending frame (`qs[0]` is the most significant matrix
-    /// bit); the 4 KiB matrix is boxed so plan-vector elements stay small
-    /// for narrow-window users.
-    Unitary4 {
-        /// Cluster qubits in descending order.
-        qs: [u16; 4],
-        /// The accumulated 16×16 matrix.
-        m: Box<Mat16>,
-    },
-    /// Dense five-qubit cluster (`Mat32`), built only when
-    /// [`FusionConfig::max_fuse_qubits`] ≥ 5 (see [`FusedOp::Unitary4`]).
-    Unitary5 {
-        /// Cluster qubits in descending order.
-        qs: [u16; 5],
-        /// The accumulated 32×32 matrix.
-        m: Box<Mat32>,
     },
     /// A coalesced diagonal run (one sweep).
     FusedDiag(DiagRun),
@@ -539,9 +368,6 @@ pub fn classify(gate: &Gate) -> Option<FusedOp> {
 /// sweeps are noise work (the unfused path accounts them under
 /// `noise_ops`, never `amp_passes`), so the emit sink is told to skip the
 /// pass charge — keeping fused and unfused `amp_passes` comparable.
-// One instance lives in the fuser's accumulator slot (never a vector of
-// them), so the `Three` variant's inline `Mat8` costs nothing per-plan.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 enum Dense {
     One {
@@ -557,117 +383,12 @@ enum Dense {
         src: Option<Gate>,
         noise_only: bool,
     },
-    /// 3-qubit `Mat8` cluster in the canonical descending frame
-    /// (`q2 > q1 > q0`); only built when the fuser's config allows it.
-    Three {
-        q2: u16,
-        q1: u16,
-        q0: u16,
-        m: Mat8,
-        noise_only: bool,
-    },
-    /// 4-qubit `Mat16` cluster in a descending frame, boxed (the slot
-    /// lives on the stack but clusters this wide are rare and 4 KiB).
-    Four {
-        qs: [u16; 4],
-        m: Box<Mat16>,
-        noise_only: bool,
-    },
-    /// 5-qubit `Mat32` cluster in a descending frame, boxed (16 KiB).
-    Five {
-        qs: [u16; 5],
-        m: Box<Mat32>,
-        noise_only: bool,
-    },
 }
 
 impl Dense {
     fn noise_only(&self) -> bool {
         match self {
-            Dense::One { noise_only, .. }
-            | Dense::Two { noise_only, .. }
-            | Dense::Three { noise_only, .. }
-            | Dense::Four { noise_only, .. }
-            | Dense::Five { noise_only, .. } => *noise_only,
-        }
-    }
-
-    /// The qubits the pending op acts on.
-    fn qubits(&self) -> Vec<u16> {
-        match self {
-            Dense::One { q, .. } => vec![*q],
-            Dense::Two { q_hi, q_lo, .. } => vec![*q_hi, *q_lo],
-            Dense::Three { q2, q1, q0, .. } => vec![*q2, *q1, *q0],
-            Dense::Four { qs, .. } => qs.to_vec(),
-            Dense::Five { qs, .. } => qs.to_vec(),
-        }
-    }
-
-    /// Lift the pending matrix into an 8×8 on the given descending frame
-    /// (every acted-on qubit must be in the frame).
-    fn embed8(&self, frame: &[u16; 3]) -> Mat8 {
-        match self {
-            Dense::One { q, m, .. } => Mat8::from_mat2(m, frame_pos(frame, *q)),
-            Dense::Two { q_hi, q_lo, m, .. } => {
-                Mat8::from_mat4(m, frame_pos(frame, *q_hi), frame_pos(frame, *q_lo))
-            }
-            Dense::Three { q2, q1, q0, m, .. } => {
-                debug_assert_eq!(&[*q2, *q1, *q0], frame);
-                *m
-            }
-            _ => unreachable!("wide cluster cannot embed into a 3-qubit frame"),
-        }
-    }
-
-    /// Lift the pending matrix into a 16×16 on the given descending frame.
-    fn embed16(&self, frame: &[u16; 4]) -> Mat16 {
-        match self {
-            Dense::One { q, m, .. } => Mat16::from_mat2(m, frame_pos_n(frame, *q)),
-            Dense::Two { q_hi, q_lo, m, .. } => {
-                Mat16::from_mat4(m, frame_pos_n(frame, *q_hi), frame_pos_n(frame, *q_lo))
-            }
-            Dense::Three { q2, q1, q0, m, .. } => Mat16::from_mat8(
-                m,
-                frame_pos_n(frame, *q2),
-                frame_pos_n(frame, *q1),
-                frame_pos_n(frame, *q0),
-            ),
-            Dense::Four { qs, m, .. } => {
-                debug_assert_eq!(qs, frame);
-                (**m).clone()
-            }
-            Dense::Five { .. } => {
-                unreachable!("5-qubit cluster cannot embed into a 4-qubit frame")
-            }
-        }
-    }
-
-    /// Lift the pending matrix into a 32×32 on the given descending frame.
-    fn embed32(&self, frame: &[u16; 5]) -> Mat32 {
-        match self {
-            Dense::One { q, m, .. } => Mat32::from_mat2(m, frame_pos_n(frame, *q)),
-            Dense::Two { q_hi, q_lo, m, .. } => {
-                Mat32::from_mat4(m, frame_pos_n(frame, *q_hi), frame_pos_n(frame, *q_lo))
-            }
-            Dense::Three { q2, q1, q0, m, .. } => Mat32::from_mat8(
-                m,
-                frame_pos_n(frame, *q2),
-                frame_pos_n(frame, *q1),
-                frame_pos_n(frame, *q0),
-            ),
-            Dense::Four { qs, m, .. } => Mat32::from_mat16(
-                m,
-                [
-                    frame_pos_n(frame, qs[3]),
-                    frame_pos_n(frame, qs[2]),
-                    frame_pos_n(frame, qs[1]),
-                    frame_pos_n(frame, qs[0]),
-                ],
-            ),
-            Dense::Five { qs, m, .. } => {
-                debug_assert_eq!(qs, frame);
-                (**m).clone()
-            }
+            Dense::One { noise_only, .. } | Dense::Two { noise_only, .. } => *noise_only,
         }
     }
 }
@@ -685,7 +406,6 @@ impl Dense {
 /// (see [`Dense`]).
 #[derive(Clone, Debug, Default)]
 pub struct Fuser {
-    cfg: FusionConfig,
     dense: Option<Dense>,
     diag: DiagRun,
     /// Whether every term in `diag` came from a noise branch (meaningful
@@ -694,21 +414,9 @@ pub struct Fuser {
 }
 
 impl Fuser {
-    /// An empty buffer with the default (2-qubit) fusion window.
+    /// An empty buffer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty buffer with an explicit fusion window.
-    pub fn with_config(cfg: FusionConfig) -> Self {
-        // Built field by field: a replay makes one per tree node and per
-        // Monte-Carlo shot, and must not consult the default config.
-        Fuser {
-            cfg,
-            dense: None,
-            diag: DiagRun::new(),
-            diag_noise_only: false,
-        }
     }
 
     /// Whether nothing is pending.
@@ -773,120 +481,7 @@ impl Fuser {
                         *noise_only &= from_noise;
                         return true;
                     }
-                    Some(Dense::Three {
-                        q2,
-                        q1,
-                        q0,
-                        m,
-                        noise_only,
-                    }) if run.support_within(&[*q2, *q1, *q0]) => {
-                        *m = m.scale_rows(&run.as_diag3(*q2, *q1, *q0));
-                        *noise_only &= from_noise;
-                        return true;
-                    }
-                    Some(Dense::Four { qs, m, noise_only }) if run.support_within(qs) => {
-                        **m = m.scale_rows(&run.as_diag_n::<4, 16>(qs));
-                        *noise_only &= from_noise;
-                        return true;
-                    }
-                    Some(Dense::Five { qs, m, noise_only }) if run.support_within(qs) => {
-                        **m = m.scale_rows(&run.as_diag_n::<5, 32>(qs));
-                        *noise_only &= from_noise;
-                        return true;
-                    }
                     _ => {}
-                }
-                // Under a 3-qubit window a diagonal can also *widen* the
-                // pending dense op: promote it to cover the union of both
-                // supports and fold the run into the enlarged matrix
-                // (sound because the run commutes with the accumulator).
-                if self.cfg.fuse3() {
-                    if let Some(dense) = self.dense.take() {
-                        let mut union = dense.qubits();
-                        for q in run.support() {
-                            if !union.contains(&q) {
-                                union.push(q);
-                            }
-                        }
-                        match union.len() {
-                            2 => {
-                                // In-support pairs returned above, so the
-                                // pending op here is a One reaching out.
-                                if let Dense::One {
-                                    q, m, noise_only, ..
-                                } = dense
-                                {
-                                    let (q_hi, q_lo) =
-                                        (union[0].max(union[1]), union[0].min(union[1]));
-                                    let id = Mat2::identity();
-                                    let mut mat = if q == q_hi { m.kron(&id) } else { id.kron(&m) };
-                                    let e = run.as_diag2(q_hi, q_lo);
-                                    for (r, row) in mat.0.iter_mut().enumerate() {
-                                        for cell in row.iter_mut() {
-                                            *cell *= e[r];
-                                        }
-                                    }
-                                    self.dense = Some(Dense::Two {
-                                        q_hi,
-                                        q_lo,
-                                        m: mat,
-                                        src: None,
-                                        noise_only: noise_only && from_noise,
-                                    });
-                                    return true;
-                                }
-                                self.dense = Some(dense);
-                            }
-                            3 => {
-                                let frame = frame3([union[0], union[1], union[2]]);
-                                let noise_only = dense.noise_only() && from_noise;
-                                let m = dense
-                                    .embed8(&frame)
-                                    .scale_rows(&run.as_diag3(frame[0], frame[1], frame[2]));
-                                self.dense = Some(Dense::Three {
-                                    q2: frame[0],
-                                    q1: frame[1],
-                                    q0: frame[2],
-                                    m,
-                                    noise_only,
-                                });
-                                return true;
-                            }
-                            4 if self.cfg.width() >= 4 => {
-                                let frame = frame_sorted([union[0], union[1], union[2], union[3]]);
-                                let noise_only = dense.noise_only() && from_noise;
-                                let m = dense
-                                    .embed16(&frame)
-                                    .scale_rows(&run.as_diag_n::<4, 16>(&frame));
-                                self.dense = Some(Dense::Four {
-                                    qs: frame,
-                                    m: Box::new(m),
-                                    noise_only,
-                                });
-                                return true;
-                            }
-                            5 if self.cfg.width() >= 5 => {
-                                let frame = frame_sorted([
-                                    union[0], union[1], union[2], union[3], union[4],
-                                ]);
-                                let noise_only = dense.noise_only() && from_noise;
-                                let m = dense
-                                    .embed32(&frame)
-                                    .scale_rows(&run.as_diag_n::<5, 32>(&frame));
-                                self.dense = Some(Dense::Five {
-                                    qs: frame,
-                                    m: Box::new(m),
-                                    noise_only,
-                                });
-                                return true;
-                            }
-                            _ => {
-                                // Union too wide for the window: put the
-                                // dense op back and ride the accumulator.
-                                self.dense = Some(dense);
-                            }
-                        }
-                    }
                 }
                 // Otherwise it rides the accumulator, which sits after the
                 // dense op and commutes with every other diagonal — a
@@ -904,27 +499,6 @@ impl Fuser {
             FusedOp::Unitary2 { q_hi, q_lo, m, src } => {
                 self.push_dense2(*q_hi, *q_lo, m, *src, from_noise, emit)
             }
-            FusedOp::Unitary3 { q2, q1, q0, m } => {
-                self.push_dense3(*q2, *q1, *q0, m, from_noise, emit)
-            }
-            FusedOp::Unitary4 { qs, m } => self.push_dense_wide(
-                Dense::Four {
-                    qs: *qs,
-                    m: m.clone(),
-                    noise_only: from_noise,
-                },
-                from_noise,
-                emit,
-            ),
-            FusedOp::Unitary5 { qs, m } => self.push_dense_wide(
-                Dense::Five {
-                    qs: *qs,
-                    m: m.clone(),
-                    noise_only: from_noise,
-                },
-                from_noise,
-                emit,
-            ),
             FusedOp::Passthrough(_) => {
                 self.flush(emit);
                 emit(op, from_noise);
@@ -1003,58 +577,18 @@ impl Fuser {
                 });
                 true
             }
-            Some(Dense::Two {
-                q_hi,
-                q_lo,
-                m: pm,
-                noise_only,
-                ..
-            }) if self.cfg.fuse3() => {
-                // Disjoint 1q next to a 2q op: grow the window to a
-                // 3-qubit cluster (shared-qubit pairs matched above).
-                let frame = frame3([q_hi, q_lo, q]);
-                let m8 = Mat8::from_mat2(m, frame_pos(&frame, q)).mul(&Mat8::from_mat4(
-                    &pm,
-                    frame_pos(&frame, q_hi),
-                    frame_pos(&frame, q_lo),
-                ));
-                self.dense = Some(Dense::Three {
-                    q2: frame[0],
-                    q1: frame[1],
-                    q0: frame[2],
-                    m: m8,
-                    noise_only: noise_only && from_noise,
-                });
-                true
-            }
-            Some(Dense::Three {
-                q2,
-                q1,
-                q0,
-                m: pm,
-                noise_only,
-            }) if q == q2 || q == q1 || q == q0 => {
-                let frame = [q2, q1, q0];
-                self.dense = Some(Dense::Three {
-                    q2,
-                    q1,
-                    q0,
-                    m: Mat8::from_mat2(m, frame_pos(&frame, q)).mul(&pm),
-                    noise_only: noise_only && from_noise,
-                });
-                true
-            }
-            Some(other) => self.widen_or_replace(
-                other,
-                Dense::One {
+            Some(disjoint) => {
+                // A 2q op this gate shares no qubit with: it materialises
+                // and the gate takes the slot.
+                Self::emit_dense(&disjoint, emit);
+                self.dense = Some(Dense::One {
                     q,
                     m: *m,
                     src,
                     noise_only: from_noise,
-                },
-                from_noise,
-                emit,
-            ),
+                });
+                false
+            }
         }
     }
 
@@ -1098,25 +632,6 @@ impl Fuser {
                 });
                 true
             }
-            Some(Dense::One {
-                q: pq,
-                m: pm,
-                noise_only,
-                ..
-            }) if self.cfg.fuse3() => {
-                // 2q op next to a disjoint pending 1q: 3-qubit cluster.
-                let frame = frame3([qa, qb, pq]);
-                let m8 = Mat8::from_mat4(m, frame_pos(&frame, qa), frame_pos(&frame, qb))
-                    .mul(&Mat8::from_mat2(&pm, frame_pos(&frame, pq)));
-                self.dense = Some(Dense::Three {
-                    q2: frame[0],
-                    q1: frame[1],
-                    q0: frame[2],
-                    m: m8,
-                    noise_only: noise_only && from_noise,
-                });
-                true
-            }
             Some(Dense::Two {
                 q_hi,
                 q_lo,
@@ -1138,179 +653,18 @@ impl Fuser {
                 });
                 true
             }
-            Some(Dense::Two {
-                q_hi,
-                q_lo,
-                m: pm,
-                noise_only,
-                ..
-            }) if self.cfg.fuse3() && (q_hi == qa || q_hi == qb || q_lo == qa || q_lo == qb) => {
-                // Two 2q ops sharing exactly one qubit (same-pair matched
-                // above): their union is a 3-qubit cluster.
-                let new_q = if qa == q_hi || qa == q_lo { qb } else { qa };
-                let frame = frame3([q_hi, q_lo, new_q]);
-                let m8 = Mat8::from_mat4(m, frame_pos(&frame, qa), frame_pos(&frame, qb)).mul(
-                    &Mat8::from_mat4(&pm, frame_pos(&frame, q_hi), frame_pos(&frame, q_lo)),
-                );
-                self.dense = Some(Dense::Three {
-                    q2: frame[0],
-                    q1: frame[1],
-                    q0: frame[2],
-                    m: m8,
-                    noise_only: noise_only && from_noise,
-                });
-                true
-            }
-            Some(Dense::Three {
-                q2,
-                q1,
-                q0,
-                m: pm,
-                noise_only,
-            }) if [qa, qb].iter().all(|&x| x == q2 || x == q1 || x == q0) => {
-                let frame = [q2, q1, q0];
-                self.dense = Some(Dense::Three {
-                    q2,
-                    q1,
-                    q0,
-                    m: Mat8::from_mat4(m, frame_pos(&frame, qa), frame_pos(&frame, qb)).mul(&pm),
-                    noise_only: noise_only && from_noise,
-                });
-                true
-            }
-            Some(other) => self.widen_or_replace(
-                other,
-                Dense::Two {
+            Some(other) => {
+                // No 4×4 holds both (a disjoint op, or two 2q ops sharing
+                // one qubit): the pending op materialises and this gate
+                // takes the slot.
+                Self::emit_dense(&other, emit);
+                self.dense = Some(Dense::Two {
                     q_hi: qa,
                     q_lo: qb,
                     m: *m,
                     src,
                     noise_only: from_noise,
-                },
-                from_noise,
-                emit,
-            ),
-        }
-    }
-
-    /// Feed an already-built 3-qubit cluster (a statically fused plan op
-    /// replayed through the dynamic fuser). No `fuse3` gate: `Unitary3`
-    /// only exists in plans compiled with a 3-qubit window.
-    fn push_dense3(
-        &mut self,
-        q2: u16,
-        q1: u16,
-        q0: u16,
-        m: &Mat8,
-        from_noise: bool,
-        emit: &mut impl FnMut(&FusedOp, bool),
-    ) -> bool {
-        if self.diag.touches(q2) || self.diag.touches(q1) || self.diag.touches(q0) {
-            self.flush(emit);
-        }
-        let frame = [q2, q1, q0];
-        match self.dense.take() {
-            None => {
-                self.dense = Some(Dense::Three {
-                    q2,
-                    q1,
-                    q0,
-                    m: *m,
-                    noise_only: from_noise,
                 });
-                false
-            }
-            Some(prev) if prev.qubits().iter().all(|q| frame.contains(q)) => {
-                let noise_only = prev.noise_only() && from_noise;
-                self.dense = Some(Dense::Three {
-                    q2,
-                    q1,
-                    q0,
-                    m: m.mul(&prev.embed8(&frame)),
-                    noise_only,
-                });
-                true
-            }
-            Some(other) => self.widen_or_replace(
-                other,
-                Dense::Three {
-                    q2,
-                    q1,
-                    q0,
-                    m: *m,
-                    noise_only: from_noise,
-                },
-                from_noise,
-                emit,
-            ),
-        }
-    }
-
-    /// Feed an already-built 4/5-qubit cluster (statically fused plan ops
-    /// replayed through the dynamic fuser; such ops only exist in plans
-    /// compiled with a matching window).
-    fn push_dense_wide(
-        &mut self,
-        new: Dense,
-        from_noise: bool,
-        emit: &mut impl FnMut(&FusedOp, bool),
-    ) -> bool {
-        if new.qubits().iter().any(|&q| self.diag.touches(q)) {
-            self.flush(emit);
-        }
-        match self.dense.take() {
-            None => {
-                self.dense = Some(new);
-                false
-            }
-            Some(prev) => self.widen_or_replace(prev, new, from_noise, emit),
-        }
-    }
-
-    /// Merge an incoming dense op into the pending one by growing the
-    /// cluster to the union of their supports, when the union fits a
-    /// 4/5-qubit window. Otherwise the pending op is emitted and the
-    /// incoming one takes the slot (the narrow windows' historical
-    /// behaviour). Returns `true` when the ops merged.
-    fn widen_or_replace(
-        &mut self,
-        prev: Dense,
-        new: Dense,
-        from_noise: bool,
-        emit: &mut impl FnMut(&FusedOp, bool),
-    ) -> bool {
-        let mut union = prev.qubits();
-        for q in new.qubits() {
-            if !union.contains(&q) {
-                union.push(q);
-            }
-        }
-        match union.len() {
-            4 if self.cfg.width() >= 4 => {
-                let frame = frame_sorted([union[0], union[1], union[2], union[3]]);
-                let noise_only = prev.noise_only() && from_noise;
-                let m = new.embed16(&frame).mul(&prev.embed16(&frame));
-                self.dense = Some(Dense::Four {
-                    qs: frame,
-                    m: Box::new(m),
-                    noise_only,
-                });
-                true
-            }
-            5 if self.cfg.width() >= 5 => {
-                let frame = frame_sorted([union[0], union[1], union[2], union[3], union[4]]);
-                let noise_only = prev.noise_only() && from_noise;
-                let m = new.embed32(&frame).mul(&prev.embed32(&frame));
-                self.dense = Some(Dense::Five {
-                    qs: frame,
-                    m: Box::new(m),
-                    noise_only,
-                });
-                true
-            }
-            _ => {
-                Self::emit_dense(&prev, emit);
-                self.dense = Some(new);
                 false
             }
         }
@@ -1356,29 +710,6 @@ impl Fuser {
                 },
                 noise_only,
             ),
-            Dense::Three { q2, q1, q0, m, .. } => emit(
-                &FusedOp::Unitary3 {
-                    q2: *q2,
-                    q1: *q1,
-                    q0: *q0,
-                    m: Box::new(*m),
-                },
-                noise_only,
-            ),
-            Dense::Four { qs, m, .. } => emit(
-                &FusedOp::Unitary4 {
-                    qs: *qs,
-                    m: m.clone(),
-                },
-                noise_only,
-            ),
-            Dense::Five { qs, m, .. } => emit(
-                &FusedOp::Unitary5 {
-                    qs: *qs,
-                    m: m.clone(),
-                },
-                noise_only,
-            ),
         }
     }
 }
@@ -1405,110 +736,9 @@ fn apply_fused_op_raw<S: QuantumState + ?Sized>(sv: &mut S, op: &FusedOp) {
             Some(gate) => sv.apply_gate(gate),
             None => sv.apply_mat4(*q_hi, *q_lo, m),
         },
-        FusedOp::Unitary3 { q2, q1, q0, m } => sv.apply_mat8(*q2, *q1, *q0, m),
-        FusedOp::Unitary4 { qs, m } => sv.apply_mat16(*qs, m),
-        FusedOp::Unitary5 { qs, m } => sv.apply_mat32(*qs, m),
         FusedOp::FusedDiag(run) => sv.apply_diag_run(run),
         FusedOp::Passthrough(gate) => sv.apply_gate(gate),
     }
-}
-
-/// The `plan.boundary` failpoint, armed at the cross-boundary fusion seams
-/// (copy-and-apply, fused sampling). Error-action faults are converted to
-/// panics — the seams have no `Result` channel; the executors' panic
-/// isolation contains them to the owning job.
-pub(crate) fn boundary_failpoint() {
-    if tqsim_faults::any_armed() {
-        if let Err(e) = tqsim_faults::trigger("plan.boundary") {
-            std::panic::panic_any(e);
-        }
-    }
-}
-
-/// Apply a boundary window (a head or tail of fused ops, in order) to any
-/// backend through the standard fused-op dispatch. The caller accounts the
-/// pass (`OpCounts::copy_apply` / `OpCounts::sample_fused`); the window
-/// itself is the pass that boundary fusion *removed*.
-pub fn apply_window<S: QuantumState + ?Sized>(sv: &mut S, window: &[FusedOp]) {
-    boundary_failpoint();
-    for op in window {
-        apply_fused_op_raw(sv, op);
-    }
-}
-
-/// Apply a boundary window directly to an amplitude slice whose first
-/// element has global index `base` (`base` slice-aligned, as in
-/// [`DiagRun::apply_offset`]). Dense ops must fit inside the slice;
-/// diagonal runs may touch global qubits. Chunk-wise application through
-/// this helper is bit-identical to [`apply_window`] on the full array —
-/// the single-node fused copy/sample sweeps rely on that.
-pub fn apply_window_amps(amps: &mut [C64], base: usize, window: &[FusedOp]) {
-    for op in window {
-        match op {
-            FusedOp::Unitary1 { q, m, src } => match src {
-                Some(gate) => kernels::apply_gate_amps(amps, gate),
-                None => kernels::apply_mat2(amps, *q as usize, m),
-            },
-            FusedOp::Unitary2 { q_hi, q_lo, m, src } => match src {
-                Some(gate) => kernels::apply_gate_amps(amps, gate),
-                None => kernels::apply_mat4(amps, *q_hi as usize, *q_lo as usize, m),
-            },
-            FusedOp::Unitary3 { q2, q1, q0, m } => {
-                kernels::apply_mat8(amps, *q2 as usize, *q1 as usize, *q0 as usize, m)
-            }
-            FusedOp::Unitary4 { qs, m } => kernels::apply_mat16(amps, qs.map(|q| q as usize), m),
-            FusedOp::Unitary5 { qs, m } => kernels::apply_mat32(amps, qs.map(|q| q as usize), m),
-            FusedOp::FusedDiag(run) => run.apply_offset(amps, base),
-            FusedOp::Passthrough(gate) => kernels::apply_gate_amps(amps, gate),
-        }
-    }
-}
-
-/// The chunk length a fused copy/sample sweep advances at once: big enough
-/// to cover every dense op in the window (chunked application stays exact),
-/// and otherwise sized so one chunk of amplitudes stays L1-resident. Always
-/// a power of two ≤ `len`, so chunk starts remain slice-aligned for
-/// [`DiagRun::apply_offset`].
-pub(crate) fn window_chunk(len: usize, window: &[FusedOp]) -> usize {
-    /// 2^11 amplitudes = 32 KiB of `C64` — within one L1 data cache.
-    const L1_AMPS: usize = 1 << 11;
-    let span = window_span(window).map_or(1, |s| 1usize << (s + 1));
-    span.max(L1_AMPS).min(len).max(1)
-}
-
-/// The widest qubit a window's dense ops touch, or `None` for an empty /
-/// purely-global-diagonal window. Determines the chunk a fused sweep must
-/// advance at once to keep chunked application exact.
-pub fn window_span(window: &[FusedOp]) -> Option<u16> {
-    let mut span: Option<u16> = None;
-    let mut bump = |q: u16| span = Some(span.map_or(q, |s| s.max(q)));
-    for op in window {
-        match op {
-            FusedOp::Unitary1 { q, .. } => bump(*q),
-            // Operand fields order MATRIX bit significance, not qubit
-            // index (a `Cx(2, 9)` frame has q_hi = 2): every operand can
-            // be the widest, so all of them bound the chunk.
-            FusedOp::Unitary2 { q_hi, q_lo, .. } => {
-                bump(*q_hi);
-                bump(*q_lo);
-            }
-            FusedOp::Unitary3 { q2, q1, q0, .. } => {
-                bump(*q2);
-                bump(*q1);
-                bump(*q0);
-            }
-            FusedOp::Unitary4 { qs, .. } => qs.iter().for_each(|&q| bump(q)),
-            FusedOp::Unitary5 { qs, .. } => qs.iter().for_each(|&q| bump(q)),
-            // Diagonal runs are offset-aware: they never bound the chunk.
-            FusedOp::FusedDiag(_) => {}
-            FusedOp::Passthrough(gate) => {
-                for &q in gate.qubits() {
-                    bump(q);
-                }
-            }
-        }
-    }
-    span
 }
 
 /// One instruction of a compiled plan.
@@ -1534,18 +764,6 @@ pub struct CompiledCircuit {
     /// Gates absorbed by *static* fusion (merged at compile time).
     static_fused: u64,
     n_qubits: u16,
-    /// Fusion window used at compile time *and* by the dynamic replay
-    /// fuser, so static and dynamic fusion always agree.
-    fusion: FusionConfig,
-    /// Cross-boundary head window (empty unless `fusion.boundary`): the
-    /// fused ops the dynamic fuser would hold pending before its first
-    /// emission and before the first noise marker. Boundary-fused
-    /// executors apply these during the parent→child copy
-    /// ([`crate::traits::PooledBackend::copy_into_apply`]) and replay
-    /// skips the first `head_len` plan ops.
-    head: Vec<FusedOp>,
-    /// Leading plan ops covered by `head`.
-    head_len: usize,
 }
 
 /// Mutable view handed to the noise hook at a [`PlanOp::Noise`] marker; the
@@ -1565,10 +783,6 @@ impl<S: QuantumState + ?Sized> FlushCtx<'_, S> {
         let sv = &mut *self.sv;
         let ops = &mut *self.ops;
         self.fuser.flush(&mut apply_sink(sv, ops));
-        // The caller is about to read or branch on the state directly
-        // (marginals, Kraus application), which assumes the canonical
-        // amplitude layout — undo any deferred distributed swaps first.
-        sv.sync_layout();
         self.sv
     }
 
@@ -1608,19 +822,9 @@ impl CompiledCircuit {
     /// this to the model's channel bindings). Static fusion never crosses a
     /// noise marker; the replay-time fuser re-fuses across markers whose
     /// sampled branch is the identity.
-    pub fn compile(circuit: &Circuit, noise_site: impl FnMut(&Gate) -> bool) -> Self {
-        Self::compile_with(circuit, noise_site, FusionConfig::default())
-    }
-
-    /// [`CompiledCircuit::compile`] with an explicit fusion window; the
-    /// config is stored so replay's dynamic fuser uses the same window.
-    pub fn compile_with(
-        circuit: &Circuit,
-        mut noise_site: impl FnMut(&Gate) -> bool,
-        fusion: FusionConfig,
-    ) -> Self {
+    pub fn compile(circuit: &Circuit, mut noise_site: impl FnMut(&Gate) -> bool) -> Self {
         let mut plan: Vec<PlanOp> = Vec::new();
-        let mut fuser = Fuser::with_config(fusion);
+        let mut fuser = Fuser::new();
         let mut src_gates = [0u64; 3];
         let mut static_fused = 0u64;
         for gate in circuit {
@@ -1638,50 +842,12 @@ impl CompiledCircuit {
             }
         }
         fuser.flush(&mut |o: &FusedOp, _| plan.push(PlanOp::Gate(o.clone())));
-        let (head, head_len) = if fusion.boundary {
-            Self::compute_head(&plan, fusion)
-        } else {
-            (Vec::new(), 0)
-        };
         CompiledCircuit {
             plan,
             src_gates,
             static_fused,
             n_qubits: circuit.n_qubits(),
-            fusion,
-            head,
-            head_len,
         }
-    }
-
-    /// The maximal no-emission prefix of the plan, flushed into a window of
-    /// complete fused ops. Replaying `plan[head_len..]` with a fresh fuser
-    /// on a state the head was already applied to reproduces the baseline
-    /// replay's emission sequence: within the pre-marker prefix the dynamic
-    /// fuser mirrors the static one, so nothing in the head would have
-    /// merged with a later op.
-    fn compute_head(plan: &[PlanOp], fusion: FusionConfig) -> (Vec<FusedOp>, usize) {
-        let mut fuser = Fuser::with_config(fusion);
-        let mut head_len = 0usize;
-        for op in plan {
-            let PlanOp::Gate(fop) = op else { break };
-            let mut probe = fuser.clone();
-            let mut emitted = false;
-            probe.push(fop, &mut |_, _| emitted = true);
-            if emitted {
-                break;
-            }
-            fuser = probe;
-            head_len += 1;
-        }
-        let mut head = Vec::new();
-        fuser.flush(&mut |o: &FusedOp, _| head.push(o.clone()));
-        (head, head_len)
-    }
-
-    /// The fusion window this plan was compiled with.
-    pub fn fusion_config(&self) -> FusionConfig {
-        self.fusion
     }
 
     /// The instruction stream.
@@ -1710,22 +876,6 @@ impl CompiledCircuit {
             .iter()
             .filter(|op| matches!(op, PlanOp::Noise(_)))
             .count()
-    }
-
-    /// The cross-boundary head window: fused ops a boundary-fused executor
-    /// applies during the parent→child copy (or right after the root
-    /// reset), in place of the first amplitude passes of the replay.
-    /// Empty unless the plan was compiled with
-    /// [`FusionConfig::boundary`].
-    pub fn head_ops(&self) -> &[FusedOp] {
-        &self.head
-    }
-
-    /// Amplitude passes the head window would otherwise have cost (one per
-    /// flushed pending op: 0–2, at most one dense cluster plus one
-    /// diagonal run).
-    pub fn head_passes(&self) -> u64 {
-        self.head.len() as u64
     }
 
     /// Replay the plan onto any [`QuantumState`] backend `sv`, invoking
@@ -1757,7 +907,7 @@ impl CompiledCircuit {
             self.n_qubits,
             sv.n_qubits()
         );
-        let mut fuser = Fuser::with_config(self.fusion);
+        let mut fuser = Fuser::new();
         for op in &self.plan {
             match op {
                 PlanOp::Gate(fop) => {
@@ -1786,9 +936,6 @@ impl CompiledCircuit {
             let ops = &mut *ops;
             fuser.flush(&mut apply_sink(sv, ops));
         }
-        // Leaf sampling and parent→child copies follow a replay directly;
-        // both assume the canonical layout.
-        sv.sync_layout();
         ops.gates_1q += self.src_gates[0];
         ops.gates_2q += self.src_gates[1];
         ops.gates_3q += self.src_gates[2];
@@ -1800,84 +947,6 @@ impl CompiledCircuit {
         self.replay(sv, ops, |_, _| 0);
     }
 
-    /// Cross-boundary replay: assumes [`CompiledCircuit::head_ops`] was
-    /// already applied to `sv` (fused into the parent→child copy), skips
-    /// the corresponding leading plan ops, and — when `want_tail` is true
-    /// (leaf nodes) — returns the trailing pending window *unapplied*
-    /// instead of flushing it, for the caller to fuse into the sampling
-    /// sweep via [`crate::traits::QuantumState::sample_fused`]. Non-leaf
-    /// callers pass `want_tail = false` and get a fully materialised state
-    /// (their children's copies need it), with an empty return.
-    ///
-    /// Both boundary windows are gated on `FusionConfig::boundary`: a plan
-    /// compiled with `boundary: false` ignores `want_tail` and replays
-    /// exactly like [`CompiledCircuit::replay`], so executors can call this
-    /// unconditionally and still get the eager baseline for eager plans.
-    ///
-    /// Gate tallies are charged exactly as [`CompiledCircuit::replay`];
-    /// the head and tail passes are the ones boundary fusion removes from
-    /// `amp_passes`. Amplitudes match the non-boundary replay to
-    /// floating-point reordering (head/tail ops are applied in the same
-    /// operator order, chunk-exact), and `Counts` stay bit-identical —
-    /// the same equivalence standard fusion itself is held to.
-    pub fn replay_boundary<S, F>(
-        &self,
-        sv: &mut S,
-        ops: &mut OpCounts,
-        mut on_noise: F,
-        want_tail: bool,
-    ) -> Vec<FusedOp>
-    where
-        S: QuantumState + ?Sized,
-        F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
-    {
-        assert!(
-            self.n_qubits <= sv.n_qubits(),
-            "{}-qubit plan on {}-qubit state",
-            self.n_qubits,
-            sv.n_qubits()
-        );
-        let want_tail = want_tail && self.fusion.boundary;
-        let mut fuser = Fuser::with_config(self.fusion);
-        for op in &self.plan[self.head_len..] {
-            match op {
-                PlanOp::Gate(fop) => {
-                    let merged = {
-                        let sv = &mut *sv;
-                        let ops = &mut *ops;
-                        fuser.push(fop, &mut apply_sink(sv, ops))
-                    };
-                    if merged {
-                        ops.fused_gates += 1;
-                    }
-                }
-                PlanOp::Noise(gate) => {
-                    let mut ctx = FlushCtx {
-                        sv,
-                        fuser: &mut fuser,
-                        ops,
-                    };
-                    let noise_ops = on_noise(gate, &mut ctx);
-                    ops.noise_ops += noise_ops;
-                }
-            }
-        }
-        let mut tail = Vec::new();
-        if want_tail {
-            fuser.flush(&mut |o: &FusedOp, _| tail.push(o.clone()));
-        } else {
-            let sv = &mut *sv;
-            let ops = &mut *ops;
-            fuser.flush(&mut apply_sink(sv, ops));
-        }
-        sv.sync_layout();
-        ops.gates_1q += self.src_gates[0];
-        ops.gates_2q += self.src_gates[1];
-        ops.gates_3q += self.src_gates[2];
-        ops.fused_gates += self.static_fused;
-        tail
-    }
-
     /// Estimated amplitude passes of one replay assuming every noise marker
     /// samples the identity branch — the overwhelming case at realistic
     /// error rates, and exact for ideal-model plans. Computed by streaming
@@ -1887,38 +956,20 @@ impl CompiledCircuit {
     ///
     /// This is the cost DCP's plan-aware mode charges a candidate
     /// subcircuit instead of its source gate count.
-    ///
-    /// Width-aware (the streaming fuser honours the plan's
-    /// [`FusionConfig`], so `Unitary3`+ clusters count one pass however
-    /// many gates they absorbed) and boundary-aware: with
-    /// [`FusionConfig::boundary`] set, the head window rides the
-    /// parent→child copy and the trailing window rides the sampling sweep,
-    /// so neither is charged — matching what
-    /// [`CompiledCircuit::replay_boundary`] measures at a leaf.
     pub fn amp_pass_estimate(&self) -> u64 {
-        let start = if self.fusion.boundary {
-            self.head_len
-        } else {
-            0
-        };
-        let mut fuser = Fuser::with_config(self.fusion);
+        let mut fuser = Fuser::new();
         let mut passes = 0u64;
-        for op in &self.plan[start..] {
+        let mut count = |_: &FusedOp, noise_only: bool| {
+            if !noise_only {
+                passes += 1;
+            }
+        };
+        for op in &self.plan {
             if let PlanOp::Gate(fop) = op {
-                fuser.push(fop, &mut |_, noise_only| {
-                    if !noise_only {
-                        passes += 1;
-                    }
-                });
+                fuser.push(fop, &mut count);
             }
         }
-        if !self.fusion.boundary {
-            fuser.flush(&mut |_, noise_only| {
-                if !noise_only {
-                    passes += 1;
-                }
-            });
-        }
+        fuser.flush(&mut count);
         passes
     }
 }
@@ -1928,26 +979,6 @@ mod tests {
     use super::*;
     use crate::state::StateVector;
     use tqsim_circuit::c64;
-
-    #[test]
-    fn default_config_reads_the_environment_once() {
-        // Replay builds a `Fuser` per tree node and per Monte-Carlo shot; the
-        // default window must be a process constant, not an env lookup.
-        let before = FusionConfig::default();
-        let other = if before.max_fuse_qubits == 5 {
-            "2"
-        } else {
-            "5"
-        };
-        let saved = std::env::var_os("TQSIM_FUSE_QUBITS");
-        std::env::set_var("TQSIM_FUSE_QUBITS", other);
-        let after = FusionConfig::default();
-        match saved {
-            Some(v) => std::env::set_var("TQSIM_FUSE_QUBITS", v),
-            None => std::env::remove_var("TQSIM_FUSE_QUBITS"),
-        }
-        assert_eq!(after, before);
-    }
 
     fn apply_both(c: &Circuit) -> (StateVector, StateVector, OpCounts) {
         let mut reference = StateVector::zero(c.n_qubits());
@@ -2188,113 +1219,6 @@ mod tests {
         assert_eq!(compiled.amp_pass_estimate(), ops.amp_passes);
     }
 
-    fn apply_both_with(c: &Circuit, cfg: FusionConfig) -> (StateVector, StateVector, OpCounts) {
-        let mut reference = StateVector::zero(c.n_qubits());
-        reference.apply_circuit(c);
-        let compiled = CompiledCircuit::compile_with(c, |_| false, cfg);
-        let mut fused = StateVector::zero(c.n_qubits());
-        let mut ops = OpCounts::new();
-        compiled.replay_ideal(&mut fused, &mut ops);
-        (reference, fused, ops)
-    }
-
-    const FUSE3: FusionConfig = FusionConfig {
-        max_fuse_qubits: 3,
-        boundary: false,
-    };
-
-    const FUSE4: FusionConfig = FusionConfig {
-        max_fuse_qubits: 4,
-        boundary: false,
-    };
-
-    const FUSE5: FusionConfig = FusionConfig {
-        max_fuse_qubits: 5,
-        boundary: false,
-    };
-
-    #[test]
-    fn fuse3_folds_overlapping_cx_chain_into_one_pass() {
-        // The pair that *cannot* fold under the default 2-qubit window
-        // (see overlapping_two_qubit_ops_do_not_fuse) becomes one Mat8.
-        let mut c = Circuit::new(3);
-        c.cx(0, 1).cx(1, 2);
-        let (reference, fused, ops) = apply_both_with(&c, FUSE3);
-        assert_close(&reference, &fused, 1e-12);
-        assert_eq!(ops.amp_passes, 1, "shared-one-qubit pair folds into Mat8");
-        assert_eq!(ops.fused_gates, 1);
-    }
-
-    #[test]
-    fn fuse3_absorbs_disjoint_1q_and_2q_neighbours() {
-        let mut c = Circuit::new(4);
-        // One(2) + disjoint cx(0,1) → Three(2,1,0); then both later gates
-        // fold into the cluster in place.
-        c.h(2).cx(0, 1).ry(0.3, 2).fsim(0.2, 0.4, 1, 0);
-        let (reference, fused, ops) = apply_both_with(&c, FUSE3);
-        assert_close(&reference, &fused, 1e-12);
-        assert_eq!(ops.amp_passes, 1);
-        assert_eq!(ops.fused_gates, 3);
-    }
-
-    #[test]
-    fn fuse3_diagonal_widens_the_dense_window() {
-        // cp ladders drive the promotion: h(0); cp(1,0) promotes One→Two
-        // with the diagonal folded in; h(1) folds; cp(2,1) promotes
-        // Two→Three. One sweep for the whole block.
-        let mut c = Circuit::new(3);
-        c.h(0).cp(0.7, 1, 0).h(1).cp(0.5, 2, 1);
-        let (reference, fused, ops) = apply_both_with(&c, FUSE3);
-        assert_close(&reference, &fused, 1e-12);
-        assert_eq!(ops.amp_passes, 1);
-        assert_eq!(ops.fused_gates, 3);
-    }
-
-    #[test]
-    fn fuse3_qft_block_beats_default_window() {
-        let n = 8u16;
-        let mut c = Circuit::new(n);
-        for i in 0..n {
-            c.h(i);
-            for j in (i + 1)..n {
-                c.cp(std::f64::consts::PI / f64::from(1 << (j - i)), j, i);
-            }
-        }
-        let default_passes = CompiledCircuit::compile(&c, |_| false).amp_pass_estimate();
-        let (reference, fused, ops) = apply_both_with(&c, FUSE3);
-        assert_close(&reference, &fused, 1e-10);
-        assert!(
-            ops.amp_passes < default_passes,
-            "Mat8 clusters should cut passes: {} vs default {default_passes}",
-            ops.amp_passes,
-        );
-    }
-
-    #[test]
-    fn default_window_config_is_two_qubits() {
-        let mut c = Circuit::new(3);
-        c.cx(0, 1).cx(1, 2);
-        let compiled = CompiledCircuit::compile(&c, |_| false);
-        assert_eq!(compiled.fusion_config(), FusionConfig::default());
-        assert_eq!(compiled.amp_pass_estimate(), 2, "default stays Mat4-wide");
-    }
-
-    #[test]
-    fn fuse3_replay_crosses_identity_noise_points() {
-        // Static fusion is blocked by markers, but the dynamic fuser
-        // re-fuses Unitary3 plan ops across identity branches.
-        let mut c = Circuit::new(3);
-        c.cx(0, 1).cx(1, 2).cx(0, 2);
-        let compiled = CompiledCircuit::compile_with(&c, |_| true, FUSE3);
-        let mut sv = StateVector::zero(3);
-        let mut ops = OpCounts::new();
-        compiled.replay(&mut sv, &mut ops, |_, _| 1);
-        assert_eq!(ops.amp_passes, 1, "one Mat8 sweep across all markers");
-        let mut reference = StateVector::zero(3);
-        reference.apply_circuit(&c);
-        assert_close(&reference, &sv, 1e-12);
-    }
-
     #[test]
     fn apply_offset_matches_full_array_sweep() {
         // A run touching low (slice-local) and high (slice-selecting)
@@ -2328,186 +1252,6 @@ mod tests {
         for (a, b) in full2.iter().zip(&sliced2) {
             assert!((a - b).norm() < 1e-15);
         }
-    }
-
-    #[test]
-    fn fuse4_folds_disjoint_pair_of_two_qubit_ops() {
-        // Two disjoint CXes cannot fold at window ≤ 3; window 4 makes one
-        // Mat16 cluster and a single sweep.
-        let mut c = Circuit::new(4);
-        c.cx(0, 1).cx(2, 3).h(1).h(3);
-        let (reference, fused, ops) = apply_both_with(&c, FUSE4);
-        assert_close(&reference, &fused, 1e-12);
-        assert_eq!(ops.amp_passes, 1, "whole block is one Mat16 sweep");
-        assert_eq!(ops.fused_gates, 3);
-    }
-
-    #[test]
-    fn fuse5_collapses_five_qubit_block() {
-        // Dense 1q/2q neighbours spanning five qubits collapse into one
-        // Mat32 cluster.
-        let mut c = Circuit::new(5);
-        c.cx(0, 1).cx(2, 3).h(4).fsim(0.3, 0.2, 1, 2).ry(0.7, 4);
-        let (reference, fused, ops) = apply_both_with(&c, FUSE5);
-        assert_close(&reference, &fused, 1e-12);
-        assert_eq!(ops.amp_passes, 1, "five-qubit block is one Mat32 sweep");
-        assert_eq!(ops.fused_gates, 4);
-    }
-
-    #[test]
-    fn fuse4_diagonal_widens_across_four_qubits() {
-        let mut c = Circuit::new(4);
-        c.h(0).cp(0.4, 1, 0).cp(0.3, 2, 1).cp(0.2, 3, 2);
-        let (reference, fused, ops) = apply_both_with(&c, FUSE4);
-        assert_close(&reference, &fused, 1e-12);
-        assert_eq!(ops.amp_passes, 1);
-    }
-
-    #[test]
-    fn wider_windows_monotonically_cut_qft_passes() {
-        let n = 8u16;
-        let mut c = Circuit::new(n);
-        for i in 0..n {
-            c.h(i);
-            for j in (i + 1)..n {
-                c.cp(std::f64::consts::PI / f64::from(1 << (j - i)), j, i);
-            }
-        }
-        let passes = |cfg: FusionConfig| {
-            CompiledCircuit::compile_with(&c, |_| false, cfg).amp_pass_estimate()
-        };
-        let (p3, p4, p5) = (passes(FUSE3), passes(FUSE4), passes(FUSE5));
-        assert!(p4 < p3, "window 4 beats window 3: {p4} vs {p3}");
-        assert!(p5 <= p4, "window 5 no worse than 4: {p5} vs {p4}");
-        let (reference, fused, ops) = apply_both_with(&c, FUSE5);
-        assert_close(&reference, &fused, 1e-10);
-        assert_eq!(ops.amp_passes, p5);
-    }
-
-    #[test]
-    fn head_window_and_boundary_replay_match_plain_replay() {
-        let n = 6u16;
-        let mut c = Circuit::new(n);
-        for i in 0..n {
-            c.h(i);
-            for j in (i + 1)..n {
-                c.cp(0.3, j, i);
-            }
-        }
-        for width in [2u8, 3, 4, 5] {
-            let cfg = FusionConfig {
-                max_fuse_qubits: width,
-                boundary: true,
-            };
-            let compiled = CompiledCircuit::compile_with(&c, |_| false, cfg);
-            assert!(!compiled.head_ops().is_empty(), "head at width {width}");
-            // Plain replay of the same plan.
-            let mut plain = StateVector::zero(n);
-            let mut plain_ops = OpCounts::new();
-            compiled.replay_ideal(&mut plain, &mut plain_ops);
-            // Boundary replay: head applied up front, tail returned.
-            let mut sv = StateVector::zero(n);
-            apply_window(&mut sv, compiled.head_ops());
-            let mut ops = OpCounts::new();
-            let tail = compiled.replay_boundary(&mut sv, &mut ops, |_, _| 0, true);
-            assert_eq!(
-                ops.amp_passes,
-                compiled.amp_pass_estimate(),
-                "estimate matches boundary replay at width {width}"
-            );
-            assert!(
-                ops.amp_passes + compiled.head_passes() + tail.len() as u64 >= plain_ops.amp_passes,
-                "boundary only removes the head/tail passes"
-            );
-            assert!(
-                ops.amp_passes < plain_ops.amp_passes,
-                "boundary replay saves passes at width {width}"
-            );
-            apply_window(&mut sv, &tail);
-            assert_close(&plain, &sv, 1e-12);
-            assert_eq!(ops.total_gates(), plain_ops.total_gates());
-        }
-    }
-
-    #[test]
-    fn boundary_head_never_crosses_noise_markers() {
-        let mut c = Circuit::new(2);
-        c.h(0).h(1).cx(0, 1);
-        let cfg = FusionConfig {
-            max_fuse_qubits: 2,
-            boundary: true,
-        };
-        let compiled = CompiledCircuit::compile_with(&c, |_| true, cfg);
-        // Noise after every gate: the head stops at the first marker.
-        assert!(compiled.head_passes() <= 1);
-        let mut sv = StateVector::zero(2);
-        apply_window(&mut sv, compiled.head_ops());
-        let mut ops = OpCounts::new();
-        let tail = compiled.replay_boundary(&mut sv, &mut ops, |_, _| 1, true);
-        apply_window(&mut sv, &tail);
-        assert_eq!(ops.noise_ops, 3, "marker order preserved");
-        let mut reference = StateVector::zero(2);
-        reference.apply_circuit(&c);
-        assert_close(&reference, &sv, 1e-12);
-    }
-
-    #[test]
-    fn apply_window_amps_chunked_matches_full_array() {
-        // Chunk-wise window application (the fused copy/sample sweeps)
-        // must equal the full-array path bit for bit.
-        let mut c = Circuit::new(5);
-        c.h(0).h(1).h(2).h(3).h(4).cx(0, 3).t(4);
-        let mut sv = StateVector::zero(5);
-        sv.apply_circuit(&c);
-        let window = vec![
-            FusedOp::Unitary2 {
-                q_hi: 1,
-                q_lo: 0,
-                m: GateKind::Cx.matrix2().unwrap(),
-                src: None,
-            },
-            FusedOp::FusedDiag({
-                let mut run = DiagRun::new();
-                run.push1(4, [c64(1.0, 0.0), c64(0.0, 1.0)]);
-                run.push2(1, 0, GateKind::Cz.diag2().unwrap());
-                run
-            }),
-        ];
-        let mut full = sv.amplitudes().to_vec();
-        apply_window_amps(&mut full, 0, &window);
-        let mut chunked = sv.amplitudes().to_vec();
-        let span = window_span(&window).unwrap();
-        let chunk = 1usize << (span + 1);
-        for (k, c) in chunked.chunks_mut(chunk).enumerate() {
-            apply_window_amps(c, k * chunk, &window);
-        }
-        assert_eq!(full, chunked, "chunked window application is exact");
-    }
-
-    #[test]
-    fn window_span_covers_every_operand_qubit() {
-        // Operand fields order matrix-bit significance, not qubit index:
-        // a Cx(2, 9) classifies to q_hi = 2, q_lo = 9. The span (and so
-        // the fused-sweep chunk) must still reach qubit 9 — an
-        // under-sized chunk makes the kernel silently skip the op.
-        let g = Gate::new(GateKind::Cx, &[2, 9]);
-        let window = vec![classify(&g).unwrap()];
-        assert!(matches!(
-            window[0],
-            FusedOp::Unitary2 {
-                q_hi: 2,
-                q_lo: 9,
-                ..
-            }
-        ));
-        assert_eq!(window_span(&window), Some(9));
-        assert!(window_chunk(1 << 12, &window) >= 1 << 10);
-
-        let wide = vec![FusedOp::Unitary4 {
-            qs: [1, 11, 3, 0],
-            m: Box::new(Mat16::identity()),
-        }];
-        assert_eq!(window_span(&wide), Some(11));
     }
 
     #[test]

@@ -127,35 +127,6 @@ impl StateVector {
         self.amps.copy_from_slice(&src.amps);
     }
 
-    /// Cross-boundary fused copy: overwrite this state with `src` while
-    /// applying a head window of fused ops, one L1-resident chunk at a
-    /// time — the chunk is copied and transformed while still cache-hot,
-    /// so the child plan starts a full amplitude pass ahead. Bit-identical
-    /// to [`StateVector::copy_from`] followed by
-    /// [`crate::plan::apply_window`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn copy_from_apply(&mut self, src: &StateVector, head: &[crate::plan::FusedOp]) {
-        assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
-        if head.is_empty() {
-            self.amps.copy_from_slice(&src.amps);
-            return;
-        }
-        crate::plan::boundary_failpoint();
-        let chunk = crate::plan::window_chunk(self.amps.len(), head);
-        for (k, (d, s)) in self
-            .amps
-            .chunks_mut(chunk)
-            .zip(src.amps.chunks(chunk))
-            .enumerate()
-        {
-            d.copy_from_slice(s);
-            crate::plan::apply_window_amps(d, k * chunk, head);
-        }
-    }
-
     /// Squared 2-norm `⟨ψ|ψ⟩` (1 for a normalised state).
     pub fn norm_sqr(&self) -> f64 {
         kernels::norm_sqr_amps(&self.amps)
@@ -252,52 +223,6 @@ impl StateVector {
                 acc += self.amps[idx].norm_sqr();
             }
             out[slot] = idx as u64;
-        }
-        out
-    }
-
-    /// Cross-boundary fused sampling: apply a trailing `window` of fused
-    /// ops while reading |ψ|² in the same sweep. The sorted-CDF walk of
-    /// [`StateVector::sample_many`] runs unchanged, but the window's
-    /// kernels advance lazily one L1-resident chunk ahead of the walk
-    /// front, so the leaf's final amplitude pass and its sampling pass
-    /// collapse into one. Chunked application is bit-identical to applying
-    /// the window up front, so each outcome is exactly what
-    /// `apply_window` + `sample_with(us[i])` would return; the state is
-    /// fully advanced past the window on return.
-    pub fn sample_fused(&mut self, window: &[crate::plan::FusedOp], us: &[f64]) -> Vec<u64> {
-        if window.is_empty() {
-            return self.sample_many(us);
-        }
-        crate::plan::boundary_failpoint();
-        let len = self.amps.len();
-        let chunk = crate::plan::window_chunk(len, window);
-        // Exclusive end of the transformed prefix.
-        crate::plan::apply_window_amps(&mut self.amps[..chunk], 0, window);
-        let mut applied = chunk;
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
-        let mut idx = 0usize;
-        let mut acc = self.amps[0].norm_sqr();
-        for &slot in &order {
-            while us[slot] >= acc && idx + 1 < len {
-                idx += 1;
-                if idx >= applied {
-                    let end = (applied + chunk).min(len);
-                    crate::plan::apply_window_amps(&mut self.amps[applied..end], applied, window);
-                    applied = end;
-                }
-                acc += self.amps[idx].norm_sqr();
-            }
-            out[slot] = idx as u64;
-        }
-        // The walk rarely reaches the top of the CDF; finish advancing so
-        // the state (recycled by the pool) sits fully past the window.
-        while applied < len {
-            let end = (applied + chunk).min(len);
-            crate::plan::apply_window_amps(&mut self.amps[applied..end], applied, window);
-            applied = end;
         }
         out
     }

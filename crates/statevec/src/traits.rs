@@ -27,8 +27,8 @@
 //! same pooled tree executor run on the single-node and the distributed
 //! backend.
 
-use crate::plan::{DiagRun, FusedOp};
-use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use crate::plan::DiagRun;
+use tqsim_circuit::math::{Mat2, Mat4, C64};
 use tqsim_circuit::Gate;
 
 /// Operations a pure-state engine must expose for gate application,
@@ -52,21 +52,6 @@ pub trait QuantumState {
     /// Apply a dense two-qubit unitary; `q_hi` indexes the more significant
     /// matrix bit — the fused `Mat4` surface of plan replay.
     fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4);
-
-    /// Apply a dense three-qubit unitary; `q2`/`q1`/`q0` index matrix bits
-    /// 2/1/0 — the fused `Mat8` cluster surface of plan replay (emitted
-    /// only when a plan is compiled with `max_fuse_qubits ≥ 3`).
-    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8);
-
-    /// Apply a dense four-qubit cluster; `qs[0]` indexes the most
-    /// significant matrix bit (descending frame) — emitted only when a
-    /// plan is compiled with `max_fuse_qubits ≥ 4`.
-    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16);
-
-    /// Apply a dense five-qubit cluster; `qs[0]` indexes the most
-    /// significant matrix bit (descending frame) — emitted only when a
-    /// plan is compiled with `max_fuse_qubits ≥ 5`.
-    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32);
 
     /// Apply a coalesced diagonal run in one sweep. Diagonals never move
     /// amplitudes, so distributed implementations can run this node-local
@@ -101,31 +86,6 @@ pub trait QuantumState {
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         us.iter().map(|&u| self.sample_with(u)).collect()
     }
-
-    /// Cross-boundary fused sampling: apply a trailing `window` of fused
-    /// ops (a leaf plan's pending tail, see
-    /// [`crate::plan::CompiledCircuit::replay_boundary`]) and sample one
-    /// outcome per draw in `us`, with `out[i]` exactly what applying the
-    /// window then calling `sample_with(us[i])` would return. The state is
-    /// fully advanced past the window on return.
-    ///
-    /// The default applies the window then delegates to
-    /// [`QuantumState::sample_many`]; [`crate::StateVector`] overrides
-    /// with a single lazily-advancing sweep that reads |ψ|² while the
-    /// window's kernels stream through each chunk.
-    fn sample_fused(&mut self, window: &[FusedOp], us: &[f64]) -> Vec<u64> {
-        crate::plan::apply_window(self, window);
-        self.sample_many(us)
-    }
-
-    /// Restore the canonical amplitude layout, if the backend deferred any
-    /// layout changes. Distributed backends with exchange batching enabled
-    /// leave global↔local distributed swaps in place across runs of fused
-    /// ops and undo them lazily; the plan replayer calls this before any
-    /// state-dependent access (noise marginals, sampling) and at the end of
-    /// every replay. Single-address-space backends need nothing: the
-    /// default is a no-op.
-    fn sync_layout(&mut self) {}
 }
 
 /// A factory + lifecycle surface for poolable execution states: how to
@@ -177,21 +137,6 @@ pub trait PooledBackend: Clone + Send + Sync + 'static {
     /// global vector.
     fn copy_into(&self, dst: &mut Self::State, src: &Self::State);
 
-    /// Cross-boundary fused copy: overwrite `dst` with `src` *and* apply
-    /// the child plan's head window (see
-    /// [`crate::plan::CompiledCircuit::head_ops`]), so the child starts
-    /// its replay one full pass ahead. The result must match
-    /// [`PooledBackend::copy_into`] followed by
-    /// [`crate::plan::apply_window`] bit for bit; the default does exactly
-    /// that, while backends with direct amplitude access fuse the copy and
-    /// the window into one chunked sweep.
-    fn copy_into_apply(&self, dst: &mut Self::State, src: &Self::State, head: &[FusedOp]) {
-        self.copy_into(dst, src);
-        if !head.is_empty() {
-            crate::plan::apply_window(dst, head);
-        }
-    }
-
     /// Amplitude bytes held by `state` (summed across nodes for
     /// distributed backends), for pool memory accounting.
     fn state_bytes(&self, state: &Self::State) -> usize;
@@ -218,15 +163,6 @@ impl PooledBackend for SingleNode {
         dst.copy_from(src);
     }
 
-    fn copy_into_apply(
-        &self,
-        dst: &mut crate::StateVector,
-        src: &crate::StateVector,
-        head: &[FusedOp],
-    ) {
-        dst.copy_from_apply(src, head);
-    }
-
     fn state_bytes(&self, state: &crate::StateVector) -> usize {
         state.bytes()
     }
@@ -247,24 +183,6 @@ impl QuantumState for crate::StateVector {
 
     fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
         crate::kernels::apply_mat4(self.amplitudes_mut(), q_hi as usize, q_lo as usize, m);
-    }
-
-    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-        crate::kernels::apply_mat8(
-            self.amplitudes_mut(),
-            q2 as usize,
-            q1 as usize,
-            q0 as usize,
-            m,
-        );
-    }
-
-    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-        crate::kernels::apply_mat16(self.amplitudes_mut(), qs.map(|q| q as usize), m);
-    }
-
-    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-        crate::kernels::apply_mat32(self.amplitudes_mut(), qs.map(|q| q as usize), m);
     }
 
     fn apply_diag_run(&mut self, run: &DiagRun) {
@@ -297,10 +215,6 @@ impl QuantumState for crate::StateVector {
 
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         crate::StateVector::sample_many(self, us)
-    }
-
-    fn sample_fused(&mut self, window: &[FusedOp], us: &[f64]) -> Vec<u64> {
-        crate::StateVector::sample_fused(self, window, us)
     }
 }
 
@@ -355,15 +269,6 @@ mod tests {
             fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
                 QuantumState::apply_mat4(&mut self.0, q_hi, q_lo, m);
             }
-            fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-                QuantumState::apply_mat8(&mut self.0, q2, q1, q0, m);
-            }
-            fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-                QuantumState::apply_mat16(&mut self.0, qs, m);
-            }
-            fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-                QuantumState::apply_mat32(&mut self.0, qs, m);
-            }
             fn apply_diag_run(&mut self, run: &DiagRun) {
                 QuantumState::apply_diag_run(&mut self.0, run);
             }
@@ -391,18 +296,5 @@ mod tests {
         w.apply_gate(&Gate::new(GateKind::H, &[2]));
         let us = [0.9, 0.1, 0.4, 0.7];
         assert_eq!(w.sample_many(&us), w.0.sample_many(&us));
-
-        // The default sample_fused (apply window, then sample_many) must
-        // match the StateVector override's lazily-advancing sweep.
-        let window = vec![crate::plan::FusedOp::Unitary1 {
-            q: 1,
-            m: GateKind::H.matrix1().unwrap(),
-            src: None,
-        }];
-        let mut sv = w.0.clone();
-        let fused = w.sample_fused(&window, &us);
-        let direct = sv.sample_fused(&window, &us);
-        assert_eq!(fused, direct);
-        assert_eq!(w.0.amplitudes(), sv.amplitudes());
     }
 }

@@ -696,99 +696,6 @@ fn persistent_shard_transport_fault_degrades_to_single_node() {
     service.shutdown();
 }
 
-// ------------------------------------------- cross-boundary fusion seams
-
-/// A panic injected at the `plan.boundary` failpoint — the cross-boundary
-/// fused copy and fused sampling seams — aborts only the boundary-fused
-/// job that hit it: a concurrently running eager job, whose plan never
-/// crosses the seam, completes untouched. Re-armed under a retry budget,
-/// the boundary job then succeeds with `Counts` bit-identical to a
-/// fault-free boundary-fused run.
-#[test]
-fn boundary_fusion_fault_is_contained_and_retries_bit_identical() {
-    let _gate = chaos_gate();
-    let _reset = ResetOnDrop;
-    let circuit = Arc::new(generators::qft(6));
-    let wide = tqsim_service::FusionConfig {
-        max_fuse_qubits: 4,
-        boundary: true,
-    };
-    let boundary_request = |seed: u64| request(&circuit, seed).fusion_config(wide);
-
-    // Fault-free references: one boundary-fused, one eager. The boundary
-    // reference must really cross the seams it claims to exercise.
-    let clean = Service::start(
-        ServiceConfig::default()
-            .parallelism(2)
-            .max_concurrent_jobs(1),
-    );
-    let reference = clean
-        .submit("reference", boundary_request(17))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert!(
-        reference.ops.copy_apply > 0 && reference.ops.sample_fused > 0,
-        "boundary plan rides head windows on copies and tail windows on sampling"
-    );
-    let eager_reference = clean
-        .submit("eager-reference", request(&circuit, 18))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(
-        eager_reference.ops.copy_apply + eager_reference.ops.sample_fused,
-        0,
-        "the eager plan never crosses a boundary seam"
-    );
-    clean.shutdown();
-
-    // Containment: the first seam crossing panics; only the boundary job
-    // dies, the concurrent eager job is untouched.
-    let service = Service::start(
-        ServiceConfig::default()
-            .parallelism(2)
-            .max_concurrent_jobs(2),
-    );
-    tqsim_faults::configure("plan.boundary", FaultConfig::panic().nth(1));
-    let victim = service.submit("victim", boundary_request(17)).unwrap();
-    let bystander = service.submit("bystander", request(&circuit, 18)).unwrap();
-    let err = victim
-        .wait()
-        .expect_err("boundary-seam panic aborts the faulted job");
-    assert_eq!(err.code(), "job_aborted");
-    let unharmed = bystander.wait().expect("eager job never hits the seam");
-    assert_eq!(unharmed.counts, eager_reference.counts);
-    assert_eq!(tqsim_faults::fired("plan.boundary"), 1);
-
-    // Retry determinism: re-armed as a one-shot, the failed attempt is
-    // retried in place and lands bit-identical boundary-fused counts.
-    tqsim_faults::configure("plan.boundary", FaultConfig::panic().nth(1));
-    let retried = service
-        .submit(
-            "retried",
-            boundary_request(17)
-                .retry(RetryPolicy::attempts(2).initial_backoff(Duration::from_millis(1))),
-        )
-        .unwrap()
-        .wait()
-        .expect("second attempt runs clean");
-    assert_eq!(
-        retried.counts, reference.counts,
-        "retried boundary counts bit-identical to the fault-free run"
-    );
-    assert_eq!(
-        retried.ops, reference.ops,
-        "the retry replayed the same boundary-fused plan"
-    );
-    let stats = service.stats();
-    assert_eq!(stats.aborted, 1, "only the un-retried victim aborted");
-    assert_eq!(stats.retried, 1, "one in-place retry");
-    assert_eq!(stats.completed, 2, "bystander + retried job");
-    assert_quiescent(&service);
-    service.shutdown();
-}
-
 // ------------------------------------------------- exact accounting
 
 /// Alternating faulted/clean jobs: every failure counter and metrics

@@ -305,15 +305,7 @@ fn tcp_loopback_smoke() {
         result.get("total").and_then(json::Value::as_u64),
         Some(reference.counts.total())
     );
-    let mut wire_counts = Counts::new(5);
-    for pair in result.get("counts").and_then(json::Value::as_arr).unwrap() {
-        let pair = pair.as_arr().unwrap();
-        let outcome = pair[0].as_u64().unwrap();
-        for _ in 0..pair[1].as_u64().unwrap() {
-            wire_counts.increment(outcome);
-        }
-    }
-    assert_eq!(wire_counts, reference.counts);
+    assert_eq!(wire_counts(&result, 5), reference.counts);
     // Streamed outcomes equal the final histogram as a multiset.
     let mut streamed_counts = Counts::new(5);
     for o in streamed {
@@ -347,6 +339,58 @@ fn tcp_loopback_smoke() {
         "already done ⇒ cancel is a no-op"
     );
 
+    server.stop();
+    service.shutdown();
+}
+
+/// The histogram of a `result` reply.
+fn wire_counts(result: &json::Value, n_qubits: u16) -> Counts {
+    let mut counts = Counts::new(n_qubits);
+    for pair in result.get("counts").and_then(json::Value::as_arr).unwrap() {
+        let pair = pair.as_arr().unwrap();
+        let outcome = pair[0].as_u64().unwrap();
+        for _ in 0..pair[1].as_u64().unwrap() {
+            counts.increment(outcome);
+        }
+    }
+    counts
+}
+
+/// `fusion_qubits` and `fusion_boundary` used to select plan shapes that no
+/// longer exist. Every value of both gave bit-identical `Counts`, so a
+/// client that still sends them is served like one that does not: they are
+/// unknown keys now, accepted and ignored — whatever they hold.
+#[test]
+fn wire_ignores_the_retired_fusion_keys() {
+    let service = Service::start(ServiceConfig::default().parallelism(2));
+    let server = wire::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+    let mut client = WireClient::connect(server.addr());
+    let circuit = generators::qft(5);
+    let mut run = |extra: &str| {
+        let line = format!(
+            r#"{{"op":"submit","client":"legacy","circuit":{},"shots":24,"seed":7,"noise":"sycamore","strategy":{{"kind":"custom","arities":[6,4]}}{extra}}}"#,
+            wire::circuit_to_json(&circuit).to_json()
+        );
+        let reply = client.request(&line);
+        assert_eq!(
+            reply.get("ok").and_then(json::Value::as_bool),
+            Some(true),
+            "{extra}: {reply:?}"
+        );
+        let job = reply.get("job").and_then(json::Value::as_u64).unwrap();
+        let result = client.request(&format!("{{\"op\":\"result\",\"job\":{job}}}"));
+        wire_counts(&result, 5)
+    };
+    let plain = run("");
+    assert_eq!(plain.total(), 24);
+    for extra in [
+        r#","fusion_qubits":5"#,
+        r#","fusion_boundary":true"#,
+        r#","fusion_qubits":3,"fusion_boundary":false"#,
+        r#","fusion_qubits":"wide","fusion_boundary":9"#,
+    ] {
+        assert_eq!(run(extra), plain, "{extra}");
+    }
     server.stop();
     service.shutdown();
 }

@@ -7,9 +7,6 @@
 //! from the thread count. The tests force the parallel kernel path by
 //! dropping `par_min_len` to 1 so even 6-qubit slices are chunked.
 //!
-//! Also: widening the fusion window to 3-qubit `Mat8` clusters changes
-//! the pass count, never the histogram.
-//!
 //! And on the cluster, whose node slices run in turn on the caller's
 //! thread: amplitudes and `ClusterCounters` are bit-equal whether the
 //! kernels sweep each slice serially or pool inside it
@@ -21,7 +18,7 @@ use tqsim::Strategy as PlanStrategy;
 use tqsim_circuit::math::{c64, C64};
 use tqsim_circuit::{generators, Circuit, Gate, GateKind};
 use tqsim_cluster::{ClusterBackend, ClusterCounters, DistributedStateVector, InterconnectModel};
-use tqsim_engine::{Engine, EngineConfig, FusionConfig, JobPlan, PlannedJob};
+use tqsim_engine::{Engine, EngineConfig, JobPlan, PlannedJob};
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::kernels::{set_par_min_len, DEFAULT_PAR_MIN_LEN};
 use tqsim_statevec::{OpCounts, PooledBackend, QuantumState};
@@ -56,8 +53,7 @@ impl Drop for ForceParallel<'_> {
 }
 
 /// Random gates over `n` qubits, mixing 1q, rotation and 2q kinds so
-/// compiled plans hold fused `Mat4` windows (and, at window 3, `Mat8`
-/// clusters) alongside diagonal runs.
+/// compiled plans hold fused `Mat4` windows alongside diagonal runs.
 fn arb_gate(n: u16) -> impl Strategy<Value = Gate> {
     let q = 0..n;
     let angle = -6.3f64..6.3;
@@ -198,94 +194,30 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn mat8_clusters_preserve_the_histogram_and_cut_passes_only(
-        circuit in arb_circuit(6, 16),
-        noise_idx in 0usize..2,
-        seed in 0u64..1000,
-    ) {
-        let _force = ForceParallel::new();
-        let noise = noise_for(noise_idx);
-        let strategy = PlanStrategy::Custom { arities: vec![3, 2] };
-        let narrow = Arc::new(JobPlan::plan(&circuit, &noise, 6, &strategy).unwrap());
-        let wide = Arc::new(
-            JobPlan::plan_with(
-                &circuit,
-                &noise,
-                6,
-                &strategy,
-                FusionConfig { max_fuse_qubits: 3, boundary: false },
-            )
-            .unwrap(),
-        );
-        let engine = Engine::new(EngineConfig::default().parallelism(2));
-        let base = run_capped(&engine, &PlannedJob::new(Arc::clone(&narrow)).seed(seed), 2);
-        let fused = run_capped(&engine, &PlannedJob::new(Arc::clone(&wide)).seed(seed), 2);
-        // `Mat8` clusters are an execution-plan change, not a semantic
-        // one: identical histograms, never more amplitude passes.
-        prop_assert_eq!(&fused.counts, &base.counts);
-        prop_assert!(
-            fused.ops.amp_passes <= base.ops.amp_passes,
-            "window 3 took {} passes, window 2 took {}",
-            fused.ops.amp_passes,
-            base.ops.amp_passes
-        );
-        // And on the cluster backend the widened plan replays to the
-        // same histogram as single-node.
-        let cluster = Engine::with_backend(
-            EngineConfig::default().parallelism(2),
-            ClusterBackend::new(4, InterconnectModel::commodity_cluster()),
-        );
-        let r = run_capped(&cluster, &PlannedJob::new(Arc::clone(&wide)).seed(seed), 2);
-        prop_assert_eq!(&r.counts, &base.counts);
-    }
 }
 
 /// A deterministic (non-property) anchor: the 6-qubit QFT under sycamore
-/// noise lands the same histogram at every amp-thread cap, and the wide
-/// window strictly reduces passes for this known-fusable structure.
+/// noise lands the same histogram at every amp-thread cap.
 #[test]
-fn qft_anchor_thread_sweep_and_mat8_gain() {
+fn qft_anchor_thread_sweep() {
     let _force = ForceParallel::new();
     let circuit = generators::qft(6);
     let noise = NoiseModel::sycamore();
     let strategy = PlanStrategy::Custom {
         arities: vec![3, 2],
     };
-    let narrow = Arc::new(JobPlan::plan(&circuit, &noise, 8, &strategy).unwrap());
-    let wide = Arc::new(
-        JobPlan::plan_with(
-            &circuit,
-            &noise,
-            8,
-            &strategy,
-            FusionConfig {
-                max_fuse_qubits: 3,
-                boundary: false,
-            },
-        )
-        .unwrap(),
-    );
+    let plan = Arc::new(JobPlan::plan(&circuit, &noise, 8, &strategy).unwrap());
     let engine = Engine::new(EngineConfig::default().parallelism(2));
-    let reference = run_capped(&engine, &PlannedJob::new(Arc::clone(&narrow)).seed(11), 1);
+    let reference = run_capped(&engine, &PlannedJob::new(Arc::clone(&plan)).seed(11), 1);
     for amp_threads in [2usize, 4] {
         let r = run_capped(
             &engine,
-            &PlannedJob::new(Arc::clone(&narrow)).seed(11),
+            &PlannedJob::new(Arc::clone(&plan)).seed(11),
             amp_threads,
         );
         assert_eq!(r.counts, reference.counts, "{amp_threads} amp threads");
         assert_eq!(r.ops, reference.ops, "{amp_threads} amp threads");
     }
-    let fused = run_capped(&engine, &PlannedJob::new(Arc::clone(&wide)).seed(11), 2);
-    assert_eq!(fused.counts, reference.counts);
-    assert!(
-        fused.ops.amp_passes < reference.ops.amp_passes,
-        "QFT gains from Mat8 clusters: {} vs {}",
-        fused.ops.amp_passes,
-        reference.ops.amp_passes
-    );
 }
 
 /// 12 qubits over 4 nodes: slices of 2^10.

@@ -1,9 +1,9 @@
 //! Error-free sibling sharing is an execution shortcut, never a semantic
-//! one: for every noise model × tree shape × fusion × boundary fusion ×
-//! leaf oversampling, the serial walk's `Counts` must be bit-identical to an
-//! **unshared mirror** of the walk built here from the public primitives
-//! (`copy_into_apply` → `run_subcircuit_boundary` →
-//! `draw_leaf_outcomes_fused`, one RNG — every node copied and replayed).
+//! one: for every noise model × tree shape × fusion × leaf oversampling, the
+//! serial walk's `Counts` must be bit-identical to an **unshared mirror** of
+//! the walk built here from the public primitives (`copy_into` →
+//! `run_subcircuit` → `draw_leaf_outcomes`, one RNG — every node copied and
+//! replayed).
 //! The op counters must say what was saved: nothing on flat plans or under
 //! state-dependent channels, whole subtrees under ideal noise, and strictly
 //! fewer amplitude passes under the paper's depolarizing rates. The
@@ -13,16 +13,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tqsim::{
-    draw_leaf_outcomes_fused, run_subcircuit_boundary, run_tree_nodes, Counts, ExecOptions,
-    Partition, Strategy, TreeExecutor,
+    draw_leaf_outcomes, run_subcircuit, run_tree_nodes, Counts, ExecOptions, Partition, Strategy,
+    TreeExecutor,
 };
 use tqsim_circuit::{generators, Circuit};
 use tqsim_cluster::{ClusterBackend, ClusterCounters, InterconnectModel};
 use tqsim_noise::{NoiseModel, ReadoutError};
 use tqsim_shard::ShardBackend;
-use tqsim_statevec::{
-    CompiledCircuit, FusedOp, FusionConfig, OpCounts, PooledBackend, QuantumState, SingleNode,
-};
+use tqsim_statevec::{CompiledCircuit, OpCounts, PooledBackend, QuantumState, SingleNode};
 
 const SEED: u64 = 17;
 
@@ -78,17 +76,16 @@ struct Mirror<'a, B: PooledBackend> {
 }
 
 impl<B: PooledBackend> Mirror<'_, B> {
-    fn walk(&mut self, level: usize, tail: &[FusedOp]) {
+    fn walk(&mut self, level: usize) {
         let k = self.subcircuits.len();
         if level == k {
             let n = QuantumState::n_qubits(&self.states[k]);
             let (counts, ops) = (&mut self.counts, &mut self.ops);
-            draw_leaf_outcomes_fused(
-                &mut self.states[k],
+            draw_leaf_outcomes(
+                &self.states[k],
                 self.noise,
                 n,
                 self.options.leaf_samples,
-                tail,
                 &mut self.rng,
                 |outcome| {
                     counts.increment(outcome);
@@ -98,27 +95,19 @@ impl<B: PooledBackend> Mirror<'_, B> {
             return;
         }
         for _ in 0..self.arities[level] {
-            let plan = &self.plans[level];
-            let head: &[FusedOp] = if self.options.fusion {
-                plan.head_ops()
-            } else {
-                &[]
-            };
             let (parents, children) = self.states.split_at_mut(level + 1);
-            self.backend
-                .copy_into_apply(&mut children[0], &parents[level], head);
+            self.backend.copy_into(&mut children[0], &parents[level]);
             self.ops.state_copies += 1;
-            let tail = run_subcircuit_boundary(
+            run_subcircuit(
                 &mut children[0],
                 &self.subcircuits[level],
-                plan,
+                &self.plans[level],
                 self.noise,
                 &mut self.rng,
                 &mut self.ops,
                 self.options.fusion,
-                level + 1 == k,
             );
-            self.walk(level + 1, &tail);
+            self.walk(level + 1);
         }
     }
 }
@@ -138,16 +127,12 @@ fn walk_on<B: PooledBackend>(
     circuit: &Circuit,
     noise: &NoiseModel,
     partition: &Partition,
-    fusion: FusionConfig,
     options: ExecOptions,
     shared: bool,
 ) -> Walked<B> {
     let n = circuit.n_qubits();
     let subcircuits = partition.subcircuits(circuit);
-    let plans: Vec<CompiledCircuit> = subcircuits
-        .iter()
-        .map(|sc| noise.compile_with(sc, fusion))
-        .collect();
+    let plans: Vec<CompiledCircuit> = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
     let mut states: Vec<B::State> = (0..=subcircuits.len())
         .map(|_| backend.allocate(n))
         .collect();
@@ -185,7 +170,7 @@ fn walk_on<B: PooledBackend>(
         counts,
         ops,
     };
-    mirror.walk(0, &[]);
+    mirror.walk(0);
     Walked {
         counts: mirror.counts,
         ops: mirror.ops,
@@ -200,79 +185,55 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
         for arities in trees() {
             let partition = plan(&circuit, &noise, &arities);
             let nodes = partition.tree.subcircuit_executions();
-            for boundary in [false, true] {
-                let fusion_config = FusionConfig {
-                    max_fuse_qubits: 2,
-                    boundary,
-                };
-                let exec = TreeExecutor::with_fusion_config(
-                    &circuit,
-                    &noise,
-                    partition.clone(),
-                    fusion_config,
-                )
-                .expect("plan binds");
-                for fusion in [true, false] {
-                    for leaf_samples in [1u32, 3] {
-                        let options = ExecOptions {
-                            leaf_samples,
-                            fusion,
-                        };
-                        let cell = format!(
-                            "{} {arities:?} boundary={boundary} fusion={fusion} leaf_samples={leaf_samples}",
-                            noise.name()
-                        );
-                        let shared = exec.run_with_options(SEED, options);
-                        let mirror = walk_on(
-                            &SingleNode,
-                            &circuit,
-                            &noise,
-                            &partition,
-                            fusion_config,
-                            options,
-                            false,
-                        );
-                        assert_eq!(shared.counts, mirror.counts, "{cell}");
-                        assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
+            let exec = TreeExecutor::new(&circuit, &noise, partition.clone()).expect("plan binds");
+            for fusion in [true, false] {
+                for leaf_samples in [1u32, 3] {
+                    let options = ExecOptions {
+                        leaf_samples,
+                        fusion,
+                    };
+                    let cell = format!(
+                        "{} {arities:?} fusion={fusion} leaf_samples={leaf_samples}",
+                        noise.name()
+                    );
+                    let shared = exec.run_with_options(SEED, options);
+                    let mirror = walk_on(&SingleNode, &circuit, &noise, &partition, options, false);
+                    assert_eq!(shared.counts, mirror.counts, "{cell}");
+                    assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
+                    assert_eq!(
+                        shared.ops.state_copies + shared.ops.nodes_shared,
+                        nodes,
+                        "{cell}"
+                    );
+                    assert_eq!(shared.ops.samples, mirror.ops.samples, "{cell}");
+                    assert_eq!(shared.peak_states, arities.len() + 1, "{cell}");
+
+                    let state_dependent = noise
+                        .channels_1q()
+                        .iter()
+                        .any(|ch| !ch.samples_state_free());
+                    if arities.len() == 1 || state_dependent {
+                        // Root level and damping families never share:
+                        // the walk is the mirror, pass for pass.
+                        assert_eq!(shared.ops.nodes_shared, 0, "{cell}");
+                        assert_eq!(shared.ops.amp_passes, mirror.ops.amp_passes, "{cell}");
+                        assert_eq!(shared.ops.noise_ops, mirror.ops.noise_ops, "{cell}");
+                        assert_eq!(shared.ops.total_gates(), mirror.ops.total_gates(), "{cell}");
+                    } else if noise.is_ideal() {
+                        // One node per level under each root-level node.
                         assert_eq!(
-                            shared.ops.state_copies + shared.ops.nodes_shared,
-                            nodes,
+                            shared.ops.state_copies,
+                            arities[0] * arities.len() as u64,
                             "{cell}"
                         );
-                        assert_eq!(shared.ops.samples, mirror.ops.samples, "{cell}");
-                        assert_eq!(shared.peak_states, arities.len() + 1, "{cell}");
-
-                        let state_dependent = noise
-                            .channels_1q()
-                            .iter()
-                            .any(|ch| !ch.samples_state_free());
-                        if arities.len() == 1 || state_dependent {
-                            // Root level and damping families never share:
-                            // the walk is the mirror, pass for pass.
-                            assert_eq!(shared.ops.nodes_shared, 0, "{cell}");
-                            assert_eq!(shared.ops.amp_passes, mirror.ops.amp_passes, "{cell}");
-                            assert_eq!(shared.ops.noise_ops, mirror.ops.noise_ops, "{cell}");
-                            assert_eq!(
-                                shared.ops.total_gates(),
-                                mirror.ops.total_gates(),
-                                "{cell}"
-                            );
-                        } else if noise.is_ideal() {
-                            // One node per level under each root-level node.
-                            assert_eq!(
-                                shared.ops.state_copies,
-                                arities[0] * arities.len() as u64,
-                                "{cell}"
-                            );
-                        } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
-                            assert!(shared.ops.nodes_shared > 0, "{cell}");
-                            assert!(
-                                shared.ops.amp_passes < mirror.ops.amp_passes,
-                                "{cell}: {} vs {}",
-                                shared.ops.amp_passes,
-                                mirror.ops.amp_passes
-                            );
-                        }
+                    } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
+                        assert!(shared.ops.nodes_shared > 0, "{cell}");
+                        assert!(
+                            shared.ops.amp_passes < mirror.ops.amp_passes,
+                            "{cell}: {} vs {}",
+                            shared.ops.amp_passes,
+                            mirror.ops.amp_passes
+                        );
                     }
                 }
             }
@@ -293,44 +254,31 @@ fn distributed_backends_share_the_same_nodes_and_exchange_the_same_bytes() {
     let circuit = circuit();
     let model = InterconnectModel::commodity_cluster();
     let shard = ShardBackend::spawn(2).expect("spawn workers");
-    let fusion = FusionConfig::default();
     let options = ExecOptions::default();
     for noise in [NoiseModel::ideal(), NoiseModel::sycamore()] {
         for arities in [vec![4, 4, 4], vec![2, 2, 2, 2, 2]] {
             let cell = format!("{} {arities:?}", noise.name());
             let partition = plan(&circuit, &noise, &arities);
-            let single = walk_on(
-                &SingleNode,
-                &circuit,
-                &noise,
-                &partition,
-                fusion,
-                options,
-                true,
-            );
+            let single = walk_on(&SingleNode, &circuit, &noise, &partition, options, true);
             assert!(single.ops.nodes_shared > 0, "{cell}");
 
             let mut exchanges = Vec::new();
             for nodes in [2usize, 4] {
                 let backend = ClusterBackend::new(nodes, model);
-                let dist = walk_on(
-                    &backend, &circuit, &noise, &partition, fusion, options, true,
-                );
+                let dist = walk_on(&backend, &circuit, &noise, &partition, options, true);
                 assert_eq!(dist.counts, single.counts, "{cell} on {nodes} nodes");
                 assert_eq!(dist.ops, single.ops, "{cell} on {nodes} nodes");
                 let counters = merged(dist.states.iter().map(|s| &s.counters));
                 assert_eq!(counters.state_copies, single.ops.state_copies, "{cell}");
 
-                let unshared = walk_on(
-                    &backend, &circuit, &noise, &partition, fusion, options, false,
-                );
+                let unshared = walk_on(&backend, &circuit, &noise, &partition, options, false);
                 assert_eq!(unshared.counts, single.counts, "{cell} on {nodes} nodes");
                 let unshared = merged(unshared.states.iter().map(|s| &s.counters));
                 assert!(counters.exchanges < unshared.exchanges, "{cell}");
                 exchanges.push(counters);
             }
 
-            let sharded = walk_on(&shard, &circuit, &noise, &partition, fusion, options, true);
+            let sharded = walk_on(&shard, &circuit, &noise, &partition, options, true);
             assert_eq!(sharded.counts, single.counts, "{cell} on 2 shards");
             assert_eq!(sharded.ops, single.ops, "{cell} on 2 shards");
             let counters = merged(sharded.states.iter().map(|s| &s.counters));
