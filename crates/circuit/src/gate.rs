@@ -296,6 +296,65 @@ impl GateKind {
             _ => Vec::new(),
         }
     }
+
+    /// `(parameter count, arity)` of the kind the mnemonic `name` names —
+    /// what a wire decoder needs to split `[name, params…, qubits…]`.
+    pub fn shape(name: &str) -> Option<(usize, usize)> {
+        Some(match name {
+            "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sy" | "sw" => (0, 1),
+            "rx" | "ry" | "rz" | "p" => (1, 1),
+            "u3" => (3, 1),
+            "u1q" => (8, 1),
+            "cx" | "cz" | "swap" => (0, 2),
+            "cp" | "rzz" => (1, 2),
+            "fsim" => (2, 2),
+            "u2q" => (32, 2),
+            "ccx" => (0, 3),
+            _ => return None,
+        })
+    }
+
+    /// The kind a mnemonic and its parameters name: the inverse of
+    /// [`GateKind::name`] and [`GateKind::params`]. `None` for an unknown
+    /// mnemonic or a parameter count other than [`GateKind::shape`]'s.
+    pub fn from_parts(name: &str, params: &[f64]) -> Option<GateKind> {
+        use GateKind::*;
+        if Self::shape(name)?.0 != params.len() {
+            return None;
+        }
+        let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
+        Some(match name {
+            "id" => Id,
+            "x" => X,
+            "y" => Y,
+            "z" => Z,
+            "h" => H,
+            "s" => S,
+            "sdg" => Sdg,
+            "t" => T,
+            "tdg" => Tdg,
+            "sx" => Sx,
+            "sy" => Sy,
+            "sw" => Sw,
+            "rx" => Rx(params[0]),
+            "ry" => Ry(params[0]),
+            "rz" => Rz(params[0]),
+            "p" => Phase(params[0]),
+            "u3" => U3(params[0], params[1], params[2]),
+            "u1q" => Unitary1(Mat2([[e(0), e(1)], [e(2), e(3)]])),
+            "cx" => Cx,
+            "cz" => Cz,
+            "swap" => Swap,
+            "cp" => CPhase(params[0]),
+            "rzz" => Rzz(params[0]),
+            "fsim" => FSim(params[0], params[1]),
+            "u2q" => Unitary2(Mat4(std::array::from_fn(|r| {
+                std::array::from_fn(|c| e(r * 4 + c))
+            }))),
+            "ccx" => Ccx,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for GateKind {
@@ -475,6 +534,49 @@ mod tests {
                 assert!(k.matrix2().unwrap().is_unitary(1e-12), "{k:?}");
             }
         }
+    }
+
+    /// Every kind survives `name` + `params` → `from_parts`, with the
+    /// shape its mnemonic declares.
+    #[test]
+    fn mnemonics_round_trip_through_from_parts() {
+        use GateKind::*;
+        let u1 = Unitary1(Sw.matrix1().unwrap());
+        let u2 = Unitary2(FSim(0.7, -1.3).matrix2().unwrap());
+        for k in [
+            Id,
+            X,
+            Y,
+            Z,
+            H,
+            S,
+            Sdg,
+            T,
+            Tdg,
+            Sx,
+            Sy,
+            Sw,
+            Rx(0.1),
+            Ry(0.2),
+            Rz(0.3),
+            Phase(0.4),
+            U3(0.5, 0.6, 0.7),
+            u1,
+            Cx,
+            Cz,
+            CPhase(0.8),
+            Swap,
+            Rzz(0.9),
+            FSim(1.0, 1.1),
+            u2,
+            Ccx,
+        ] {
+            let params = k.params();
+            assert_eq!(GateKind::shape(k.name()), Some((params.len(), k.arity())));
+            assert_eq!(GateKind::from_parts(k.name(), &params), Some(k));
+        }
+        assert_eq!(GateKind::from_parts("rx", &[]), None);
+        assert_eq!(GateKind::from_parts("nope", &[]), None);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The distributed state vector: qHiPSTER-style node slices.
+//! The distributed state vector: qHiPSTER-style node slices over a
+//! [`SliceTransport`].
 //!
 //! The full `2^n` amplitude array is split across `2^g` nodes; node `i`
 //! holds the contiguous slice of global indices `i·2^{n−g} .. (i+1)·2^{n−g}`,
@@ -9,20 +10,22 @@
 //! exchange each way), the gate runs locally, and the swap is undone. Every
 //! exchange is counted and priced by the [`InterconnectModel`].
 //!
-//! No sweep creates a thread. Node slices (and, for exchanges, partner
-//! pairs of slices) run in turn on the caller's thread; the kernels pool
-//! *inside* a slice once it reaches `kernels::par_min_len`, capped by
-//! `rayon::ThreadPool::install` like any other amplitude work — one level
-//! of pool parallelism per sweep.
+//! This is the one distributed state: it makes every decision and does all
+//! the accounting, and its [`SliceTransport`] only moves and touches slices
+//! — [`LocalSlices`] (the default) in this process, `tqsim-shard`'s over
+//! worker processes. `LocalSlices` creates no thread: slices (and partner
+//! pairs of slices) run in turn on the caller's thread, and the kernels
+//! pool *inside* a slice once it reaches `kernels::par_min_len`.
 
 use crate::model::{ClusterCounters, InterconnectModel};
+use crate::transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_circuit::Gate;
 use tqsim_obs::{Counter, Registry};
-use tqsim_statevec::{kernels, DiagRun, PooledBackend, QuantumState, StateVector};
+use tqsim_statevec::{DiagRun, PooledBackend, QuantumState, StateVector};
 
 /// Error constructing a [`DistributedStateVector`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,12 +111,67 @@ impl ClusterObs {
     }
 }
 
-/// A pure state distributed over `2^g` simulated nodes.
-pub struct DistributedStateVector {
-    n_qubits: u16,
-    g: u16,
+/// Every node slice in this process: the in-process [`SliceTransport`].
+#[derive(Clone, Debug)]
+pub struct LocalSlices {
     local_n: u16,
     slices: Vec<Vec<C64>>,
+}
+
+impl LocalSlices {
+    /// The partner pairs of one exchange round, lower rank first.
+    fn pairs(&mut self, gb: u16) -> impl Iterator<Item = (&mut Vec<C64>, &mut Vec<C64>)> {
+        let step = 1usize << gb;
+        self.slices.chunks_mut(step * 2).flat_map(move |chunk| {
+            let (lo, hi) = chunk.split_at_mut(step);
+            lo.iter_mut().zip(hi)
+        })
+    }
+}
+
+impl SliceTransport for LocalSlices {
+    fn n_nodes(&self) -> usize {
+        self.slices.len()
+    }
+
+    fn sweep(&mut self, op: &SliceOp<'_>) {
+        for (rank, slice) in self.slices.iter_mut().enumerate() {
+            op.apply(slice, rank << self.local_n);
+        }
+    }
+
+    fn exchange(&mut self, gb: u16, op: PairOp) {
+        for (lo, hi) in self.pairs(gb) {
+            op.apply_pair(lo, hi);
+        }
+    }
+
+    fn copy_from(&mut self, src: &Self) {
+        for (dst, s) in self.slices.iter_mut().zip(&src.slices) {
+            dst.copy_from_slice(s);
+        }
+    }
+
+    fn gather(&self) -> Vec<C64> {
+        self.slices.concat()
+    }
+
+    fn query<R>(&self, fold: impl FnOnce(&mut Ask<'_>) -> R) -> R {
+        fold(&mut |rank, q| q.answer(&self.slices[rank], rank << self.local_n))
+    }
+
+    fn query_then_sweep(&mut self, fold: impl FnOnce(&mut Ask<'_>) -> SliceOp<'static>) {
+        let op = self.query(fold);
+        self.sweep(&op);
+    }
+}
+
+/// A pure state distributed over `2^g` nodes, its slices held by the
+/// transport `T`.
+pub struct DistributedStateVector<T: SliceTransport = LocalSlices> {
+    n_qubits: u16,
+    local_n: u16,
+    slices: T,
     model: InterconnectModel,
     /// Operation counters, including modeled cluster time.
     pub counters: ClusterCounters,
@@ -121,7 +179,7 @@ pub struct DistributedStateVector {
 }
 
 impl DistributedStateVector {
-    /// `|0…0⟩` over `n_nodes` nodes.
+    /// `|0…0⟩` over `n_nodes` in-process nodes.
     ///
     /// # Errors
     ///
@@ -132,44 +190,44 @@ impl DistributedStateVector {
         n_nodes: usize,
         model: InterconnectModel,
     ) -> Result<Self, ClusterError> {
+        Self::with_transport(n_qubits, n_nodes, model, |local_n| {
+            let mut slices = vec![vec![c64(0.0, 0.0); 1usize << local_n]; n_nodes];
+            slices[0][0] = c64(1.0, 0.0);
+            LocalSlices { local_n, slices }
+        })
+    }
+}
+
+impl<T: SliceTransport> DistributedStateVector<T> {
+    /// `|0…0⟩` over `n_nodes` nodes, held by the transport `alloc` returns
+    /// for the node-local qubit count (`alloc` runs only once the layout is
+    /// valid).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError`] unless `n_nodes` is a power of two and at
+    /// least 3 qubits remain node-local.
+    pub fn with_transport(
+        n_qubits: u16,
+        n_nodes: usize,
+        model: InterconnectModel,
+        alloc: impl FnOnce(u16) -> T,
+    ) -> Result<Self, ClusterError> {
         check_layout(n_qubits, n_nodes)?;
-        let g = n_nodes.trailing_zeros() as u16;
-        let local_n = n_qubits - g;
-        let slice_len = 1usize << local_n;
-        let mut slices = vec![vec![c64(0.0, 0.0); slice_len]; n_nodes];
-        slices[0][0] = c64(1.0, 0.0);
+        let local_n = n_qubits - n_nodes.trailing_zeros() as u16;
         Ok(DistributedStateVector {
             n_qubits,
-            g,
             local_n,
-            slices,
+            slices: alloc(local_n),
             model,
             counters: ClusterCounters::default(),
             obs: None,
         })
     }
 
-    /// Scatter an existing single-node state across the cluster.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DistributedStateVector::zero`].
-    pub fn from_statevector(
-        sv: &StateVector,
-        n_nodes: usize,
-        model: InterconnectModel,
-    ) -> Result<Self, ClusterError> {
-        let mut dsv = Self::zero(sv.n_qubits(), n_nodes, model)?;
-        let slice_len = dsv.slice_len();
-        for (i, slice) in dsv.slices.iter_mut().enumerate() {
-            slice.copy_from_slice(&sv.amplitudes()[i * slice_len..(i + 1) * slice_len]);
-        }
-        Ok(dsv)
-    }
-
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
-        self.slices.len()
+        self.slices.n_nodes()
     }
 
     /// Mirror this state's communication and gate activity into `obs` (in
@@ -196,29 +254,19 @@ impl DistributedStateVector {
     /// Gather the full state onto "one node" (for verification / sampling
     /// at small scale).
     pub fn gather(&self) -> StateVector {
-        let mut amps = Vec::with_capacity(1usize << self.n_qubits);
-        for slice in &self.slices {
-            amps.extend_from_slice(slice);
-        }
-        StateVector::from_amplitudes(amps)
+        StateVector::from_amplitudes(self.slices.gather())
     }
 
-    /// Squared 2-norm across all nodes.
+    /// Squared 2-norm: per-node sums folded in rank order.
     pub fn norm_sqr(&self) -> f64 {
-        self.slices
-            .iter()
-            .map(|s| s.iter().map(|a| a.norm_sqr()).sum::<f64>())
-            .sum()
+        let n_nodes = self.n_nodes();
+        self.slices.query(|ask| norm_fold(n_nodes, ask))
     }
 
     /// Reset to `|0…0⟩` (counted as one compute pass; counters otherwise
     /// retained).
     pub fn reset_zero(&mut self) {
-        for slice in &mut self.slices {
-            slice.fill(c64(0.0, 0.0));
-        }
-        self.slices[0][0] = c64(1.0, 0.0);
-        self.charge_compute_pass();
+        self.sweep(&SliceOp::Reset);
     }
 
     /// Overwrite with `src`'s amplitudes (node-local memcpy on every node;
@@ -226,8 +274,9 @@ impl DistributedStateVector {
     ///
     /// # Panics
     ///
-    /// Panics if layouts differ.
-    pub fn copy_from(&mut self, src: &DistributedStateVector) {
+    /// Panics if layouts differ, or on an injected `cluster.state_copy`
+    /// fault.
+    pub fn copy_from(&mut self, src: &Self) {
         assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
         assert_eq!(self.n_nodes(), src.n_nodes(), "node-count mismatch");
         // Failpoint modelling a node failing mid-copy. No error channel
@@ -236,9 +285,7 @@ impl DistributedStateVector {
         if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
             panic!("{fault}");
         }
-        for (dst, s) in self.slices.iter_mut().zip(src.slices.iter()) {
-            dst.copy_from_slice(s);
-        }
+        self.slices.copy_from(&src.slices);
         self.counters.state_copies += 1;
         if let Some(obs) = &self.obs {
             obs.state_copies.inc();
@@ -247,30 +294,26 @@ impl DistributedStateVector {
     }
 
     /// Sample one outcome given a uniform draw, walking the cumulative
-    /// distribution amplitude by amplitude in global index order — the
-    /// **same accumulation order** as [`StateVector::sample_with`] and both
-    /// backends' `sample_many`, so a draw lands on the identical basis
-    /// state on every backend (floating-point addition is non-associative;
-    /// a per-node pre-summed walk would diverge on edge draws).
+    /// distribution amplitude by amplitude in global index order — one
+    /// accumulator carried from rank to rank, the **same accumulation
+    /// order** as [`StateVector::sample_with`] and every `sample_many`, so
+    /// a draw lands on the identical basis state on every backend
+    /// (floating-point addition is non-associative; a per-node pre-summed
+    /// walk would diverge on edge draws).
     pub fn sample_with(&self, u: f64) -> u64 {
-        let mut acc = 0.0f64;
-        for (node, slice) in self.slices.iter().enumerate() {
-            for (i, a) in slice.iter().enumerate() {
-                acc += a.norm_sqr();
-                if u < acc {
-                    return ((node as u64) << self.local_n) | i as u64;
+        let n_nodes = self.n_nodes();
+        self.slices.query(|ask| {
+            let mut acc = 0.0f64;
+            for rank in 0..n_nodes {
+                match ask(rank, Query::Pick(u, acc)) {
+                    Reply::Hit(outcome) => return outcome,
+                    reply => acc = sum_of(reply),
                 }
             }
-        }
-        // Over-range draw on a slightly sub-normalised state: last basis
-        // state, exactly like the single-node walk.
-        (1u64 << self.n_qubits) - 1
-    }
-
-    /// Sample one outcome with an RNG.
-    pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rand::RngExt::random(rng);
-        self.sample_with(u)
+            // Over-range draw on a slightly sub-normalised state: last
+            // basis state, exactly like the single-node walk.
+            (1u64 << self.n_qubits) - 1
+        })
     }
 
     /// Sample one outcome per uniform draw in `us`, walking the cumulative
@@ -280,8 +323,9 @@ impl DistributedStateVector {
     /// Mirrors [`StateVector::sample_many`] draw for draw — the draws are
     /// sorted internally, `out[i]` is the outcome for `us[i]` in original
     /// order, and the CDF is accumulated in global index order with the
-    /// same addition sequence, so oversampled leaves stay bit-identical
-    /// across backends.
+    /// same addition sequence (the walk's index and accumulator carried
+    /// from rank to rank), so oversampled leaves stay bit-identical across
+    /// backends.
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         let mut order: Vec<usize> = (0..us.len()).collect();
         order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
@@ -289,20 +333,33 @@ impl DistributedStateVector {
         if us.is_empty() {
             return out;
         }
-        let local_mask = self.slice_len() - 1;
-        let amp = |idx: usize| self.slices[idx >> self.local_n][idx & local_mask];
-        let total = 1usize << self.n_qubits;
-        let mut idx = 0usize;
-        let mut acc = amp(0).norm_sqr();
-        for &slot in &order {
-            // Mirror `sample_with`: smallest index with u < cdf(index),
-            // falling back to the last basis state for over-range draws.
-            while us[slot] >= acc && idx + 1 < total {
-                idx += 1;
-                acc += amp(idx).norm_sqr();
+        let sorted: Vec<f64> = order.iter().map(|&slot| us[slot]).collect();
+        let total = 1u64 << self.n_qubits;
+        let n_nodes = self.n_nodes();
+        self.slices.query(|ask| {
+            let (mut done, mut idx, mut acc) = (0usize, 0u64, 0.0f64);
+            for rank in 0..n_nodes {
+                let walk = Query::Walk {
+                    us: &sorted[done..],
+                    idx,
+                    acc,
+                    total,
+                    init: rank == 0,
+                };
+                let Reply::Walk(resolved, reached, cdf) = ask(rank, walk) else {
+                    panic!("slice transport answered a walk with another reply");
+                };
+                for outcome in resolved {
+                    out[order[done]] = outcome;
+                    done += 1;
+                }
+                if done == order.len() {
+                    break;
+                }
+                (idx, acc) = (reached, cdf);
             }
-            out[slot] = idx as u64;
-        }
+            debug_assert_eq!(done, order.len(), "walk chain under-consumed draws");
+        });
         out
     }
 
@@ -331,35 +388,16 @@ impl DistributedStateVector {
         self.counters.simulated_seconds += self.model.compute_time(slice_len);
     }
 
-    /// Apply `op` to every node slice in turn, handing the closure its node
-    /// index.
-    fn each_node_indexed<F>(&mut self, mut op: F)
-    where
-        F: FnMut(usize, &mut [C64]),
-    {
-        for (node, slice) in self.slices.iter_mut().enumerate() {
-            op(node, slice);
-        }
+    /// Run `op` on every node slice and charge the compute pass.
+    fn sweep(&mut self, op: &SliceOp<'_>) {
+        self.slices.sweep(op);
         self.charge_compute_pass();
     }
 
-    /// Apply `op` to every node slice.
-    fn each_node<F>(&mut self, op: F)
-    where
-        F: Fn(&mut [C64]),
-    {
-        self.each_node_indexed(|_, slice| op(slice));
-    }
-
-    /// One exchange round: `op` runs in turn on every partner pair of node
-    /// slices whose node indices differ in global bit `gb`, each node
-    /// moving `bytes_per_node` over the interconnect. Counted, timed and
-    /// priced.
-    fn exchange_round<F>(&mut self, gb: u16, bytes_per_node: u64, mut op: F)
-    where
-        F: FnMut(&mut [C64], &mut [C64]),
-    {
-        debug_assert!(gb < self.g);
+    /// One exchange round: `op` on every partner pair of node slices whose
+    /// node indices differ in global bit `gb`. Counted, timed and priced.
+    fn exchange_round(&mut self, gb: u16, op: PairOp) {
+        debug_assert!(1usize << gb < self.n_nodes());
         // Failpoint modelling an interconnect fault (dropped exchange,
         // slow link via the delay action). No error channel through the
         // state API, so an injected error panics; the engine's per-task
@@ -368,14 +406,9 @@ impl DistributedStateVector {
             panic!("{fault}");
         }
         let start = Instant::now();
-        let step = 1usize << gb;
-        for chunk in self.slices.chunks_mut(step * 2) {
-            let (lo, hi) = chunk.split_at_mut(step);
-            for (a, b) in lo.iter_mut().zip(hi) {
-                op(a, b);
-            }
-        }
+        self.slices.exchange(gb, op);
         let measured = start.elapsed().as_secs_f64();
+        let bytes_per_node = (op.frame_len(self.slice_len()) * 16) as u64;
         let simulated = self.model.exchange_time(bytes_per_node);
         let total_bytes = bytes_per_node * self.n_nodes() as u64;
         self.counters.exchanges += 1;
@@ -387,24 +420,12 @@ impl DistributedStateVector {
         }
     }
 
-    /// Distributed swap of global bit `gb` (0-based within the top `g`)
-    /// with local qubit `lq`: pairwise half-slice exchange.
-    fn dswap(&mut self, gb: u16, lq: u16) {
-        debug_assert!(lq < self.local_n);
-        let sl = 1usize << lq;
-        let half_bytes = (self.slice_len() / 2 * 16) as u64;
-        self.exchange_round(gb, half_bytes, |a, b| exchange_halves(a, b, sl));
-    }
-
     /// Dense dispatch of an operand on qubits `qs`: distributed-swap every
-    /// global qubit of `qs` down to a scratch local qubit, apply `f` on
-    /// every node at the local positions, and swap back. All-local operands
-    /// need no swap and count as a local gate. Nothing here touches the
-    /// heap: an op has at most [`MAX_OP_QUBITS`] qubits.
-    fn apply_dense<F>(&mut self, qs: &[u16], f: F)
-    where
-        F: Fn(&mut [C64], &[u16]),
-    {
+    /// global qubit of `qs` down to a scratch local qubit, sweep the op
+    /// `make` builds for the local positions, and swap back. All-local
+    /// operands need no swap and count as a local gate. Nothing here
+    /// touches the heap: an op has at most [`MAX_OP_QUBITS`] qubits.
+    fn apply_dense<'a>(&mut self, qs: &[u16], make: impl FnOnce(&[u16]) -> SliceOp<'a>) {
         assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
         let local_n = self.local_n;
         let k = qs.len();
@@ -415,9 +436,7 @@ impl DistributedStateVector {
         let mut n_swaps = 0;
         if qs.iter().any(|&q| q >= local_n) {
             // Scratch = the `k` highest local qubits not used by the
-            // operation itself, handed out lowest first (`tqsim-shard`
-            // makes the same choice, so both transports exchange on the
-            // same schedule).
+            // operation itself, handed out lowest first.
             let mut scratch = [0u16; MAX_OP_QUBITS];
             let mut n_scratch = 0;
             for q in (0..local_n).rev().filter(|q| !qs.contains(q)).take(k) {
@@ -429,18 +448,17 @@ impl DistributedStateVector {
                     n_scratch = n_scratch
                         .checked_sub(1)
                         .expect("constructor guarantees >= 3 local qubits");
-                    let swap = (*q - local_n, scratch[n_scratch]);
-                    self.dswap(swap.0, swap.1);
-                    swaps[n_swaps] = swap;
+                    let (gb, lq) = (*q - local_n, scratch[n_scratch]);
+                    self.exchange_round(gb, PairOp::HalfSwap(lq));
+                    swaps[n_swaps] = (gb, lq);
                     n_swaps += 1;
-                    *q = swap.1;
+                    *q = lq;
                 }
             }
         }
-        let phys = &phys[..k];
-        self.each_node(|slice| f(slice, phys));
-        for &(gb, dst) in swaps[..n_swaps].iter().rev() {
-            self.dswap(gb, dst);
+        self.sweep(&make(&phys[..k]));
+        for &(gb, lq) in swaps[..n_swaps].iter().rev() {
+            self.exchange_round(gb, PairOp::HalfSwap(lq));
         }
         if n_swaps == 0 {
             self.note_local_gate();
@@ -450,10 +468,25 @@ impl DistributedStateVector {
     }
 }
 
+/// Squared norm: per-rank sums folded in rank order.
+fn norm_fold(n_nodes: usize, ask: &mut Ask<'_>) -> f64 {
+    (0..n_nodes)
+        .map(|rank| sum_of(ask(rank, Query::Psum)))
+        .sum()
+}
+
+/// The accumulator of a sum reply.
+fn sum_of(reply: Reply) -> f64 {
+    match reply {
+        Reply::Acc(x) => x,
+        other => panic!("slice transport answered a sum with {other:?}"),
+    }
+}
+
 /// The single source of truth for the slicing invariant: `n_nodes` must
 /// be a power of two ≥ 1 and at least 3 qubits must stay node-local.
-/// [`DistributedStateVector::zero`], [`ClusterBackend::validate`], the
-/// runner's pre-checks and the `tqsim-shard` coordinator all delegate
+/// [`DistributedStateVector::with_transport`] (hence every transport),
+/// [`ClusterBackend::validate`] and the runner's pre-checks all delegate
 /// here, so the rule cannot drift.
 pub fn check_layout(n_qubits: u16, n_nodes: usize) -> Result<(), ClusterError> {
     if n_nodes == 0 || !n_nodes.is_power_of_two() {
@@ -581,67 +614,49 @@ impl PooledBackend for ClusterBackend {
 /// The most qubits one operation touches (a Toffoli).
 const MAX_OP_QUBITS: usize = 3;
 
-/// Exchange the `lq`-bit=1 half of `a` with the `lq`-bit=0 half of `b`
-/// (the distributed-swap wire protocol; `sl = 1 << lq`): whole `sl`-long
-/// runs at a time.
-fn exchange_halves(a: &mut [C64], b: &mut [C64], sl: usize) {
-    for (ra, rb) in a.chunks_exact_mut(sl * 2).zip(b.chunks_exact_mut(sl * 2)) {
-        ra[sl..].swap_with_slice(&mut rb[..sl]);
-    }
-}
-
-impl QuantumState for DistributedStateVector {
+impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
     fn n_qubits(&self) -> u16 {
         self.n_qubits
     }
 
     fn apply_gate(&mut self, gate: &Gate) {
         let kind = *gate.kind();
-        self.apply_dense(gate.qubits(), |slice, ps| {
-            kernels::apply_gate_amps(slice, &Gate::new(kind, ps));
-        });
+        self.apply_dense(gate.qubits(), |ps| SliceOp::Gate(Gate::new(kind, ps)));
     }
 
     fn apply_mat2(&mut self, q: u16, m: &Mat2) {
-        self.apply_dense(&[q], |slice, ps| {
-            kernels::apply_mat2(slice, ps[0] as usize, m);
-        });
+        self.apply_dense(&[q], |ps| SliceOp::Mat2(ps[0], m));
     }
 
     fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
-        self.apply_dense(&[q_hi, q_lo], |slice, ps| {
-            kernels::apply_mat4(slice, ps[0] as usize, ps[1] as usize, m);
-        });
+        self.apply_dense(&[q_hi, q_lo], |ps| SliceOp::Mat4(ps[0], ps[1], m));
     }
 
     fn apply_diag_run(&mut self, run: &DiagRun) {
         // Diagonals never move amplitudes: each node sweeps its slice with
         // the slice's global base index — no communication even when the
         // run touches node-selecting (global) qubits.
-        let local_n = self.local_n;
-        self.each_node_indexed(|node, slice| run.apply_offset(slice, node << local_n));
+        self.sweep(&SliceOp::DiagRun(run));
         self.note_local_gate();
     }
 
     fn marginal_one(&self, q: u16) -> f64 {
         assert!(q < self.n_qubits, "qubit out of range");
-        if q >= self.local_n {
-            let mask = 1usize << (q - self.local_n);
-            self.slices
-                .iter()
-                .enumerate()
-                .filter(|(node, _)| node & mask != 0)
-                .map(|(_, s)| s.iter().map(|a| a.norm_sqr()).sum::<f64>())
-                .sum()
-        } else {
-            let mask = 1usize << q;
-            self.slices
-                .iter()
-                .flat_map(|s| s.iter().enumerate())
-                .filter(|(i, _)| i & mask != 0)
-                .map(|(_, a)| a.norm_sqr())
-                .sum()
-        }
+        let (local_n, n_nodes) = (self.local_n, self.n_nodes());
+        self.slices.query(|ask| {
+            if q >= local_n {
+                // Node-selecting bit: the sums of the masked slices, folded
+                // in rank order.
+                let mask = 1usize << (q - local_n);
+                (0..n_nodes)
+                    .filter(|rank| rank & mask != 0)
+                    .map(|rank| sum_of(ask(rank, Query::Psum)))
+                    .sum()
+            } else {
+                // Local bit: one flat accumulator carried through the ranks.
+                (0..n_nodes).fold(0.0, |acc, rank| sum_of(ask(rank, Query::Msum(q, acc))))
+            }
+        })
     }
 
     fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
@@ -649,47 +664,32 @@ impl QuantumState for DistributedStateVector {
         if q >= self.local_n {
             // Node-selecting bit: scale whole slices, no communication.
             let mask = 1usize << (q - self.local_n);
-            self.each_node_indexed(|node, slice| {
-                let d = if node & mask != 0 { d1 } else { d0 };
-                for a in slice.iter_mut() {
-                    *a *= d;
-                }
-            });
+            self.sweep(&SliceOp::ScaleBit(mask, d0, d1));
         } else {
-            let q = q as usize;
-            self.each_node(|slice| kernels::apply_diag1(slice, q, d0, d1));
+            self.sweep(&SliceOp::Diag1(q, d0, d1));
         }
     }
 
     fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
         if q >= self.local_n {
-            // Pairwise cross-node combine, a' = a01·b and b' = a10·a: an
-            // exchange round in which every node ships its whole slice.
-            let bytes = (self.slice_len() * 16) as u64;
-            self.exchange_round(q - self.local_n, bytes, |a, b| {
-                for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                    let (vx, vy) = (*x, *y);
-                    *x = a01 * vy;
-                    *y = a10 * vx;
-                }
-            });
+            // Pairwise cross-node combine: an exchange round in which every
+            // node ships its whole slice (no compute pass charged).
+            self.exchange_round(q - self.local_n, PairOp::Antidiag(a01, a10));
         } else {
-            let q = q as usize;
-            self.each_node(|slice| kernels::apply_antidiag1(slice, q, a01, a10));
+            self.sweep(&SliceOp::Antidiag1(q, a01, a10));
         }
     }
 
     fn renormalize(&mut self) {
-        let n = self.norm_sqr();
-        assert!(n > 1e-300, "cannot normalise a zero state");
-        let s = 1.0 / n.sqrt();
-        self.each_node(|slice| {
-            for a in slice.iter_mut() {
-                *a *= s;
-            }
+        let n_nodes = self.n_nodes();
+        self.slices.query_then_sweep(|ask| {
+            let n = norm_fold(n_nodes, ask);
+            assert!(n > 1e-300, "cannot normalise a zero state");
+            SliceOp::Scale(1.0 / n.sqrt())
         });
-        self.counters.simulated_seconds += self.model.allreduce_time(self.n_nodes());
+        self.charge_compute_pass();
+        self.counters.simulated_seconds += self.model.allreduce_time(n_nodes);
     }
 
     fn norm_sqr(&self) -> f64 {
@@ -705,14 +705,13 @@ impl QuantumState for DistributedStateVector {
     }
 }
 
-impl fmt::Debug for DistributedStateVector {
+impl<T: SliceTransport> fmt::Debug for DistributedStateVector<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "DistributedStateVector[{} qubits over {} nodes; |ψ|²={:.6}]",
+            "DistributedStateVector[{} qubits over {} nodes]",
             self.n_qubits,
-            self.n_nodes(),
-            self.norm_sqr()
+            self.n_nodes()
         )
     }
 }
@@ -724,38 +723,37 @@ mod tests {
     use tqsim_circuit::{Circuit, GateKind};
 
     /// The `perf` `dist_cluster` shape — 14 qubits over 4 nodes, slices of
-    /// 2^12 — runs every per-slice and per-pair closure on the caller's
-    /// thread: nothing is spawned. (A thread per node per sweep cost this
-    /// shape 8x its arithmetic.)
+    /// 2^12 — runs every slice and every partner pair on the caller's
+    /// thread: `LocalSlices` walks plain iterators and spawns nothing. (A
+    /// thread per node per sweep cost this shape 8x its arithmetic.)
     #[test]
     fn sweeps_and_exchanges_run_on_the_callers_thread() {
         let m = InterconnectModel::commodity_cluster();
         let mut dsv = DistributedStateVector::zero(14, 4, m).unwrap();
         assert_eq!(dsv.slice_len(), 1 << 12);
         let caller = std::thread::current().id();
-        let mut nodes = Vec::new();
-        dsv.each_node_indexed(|node, _| {
-            assert_eq!(std::thread::current().id(), caller);
-            nodes.push(node);
-        });
-        assert_eq!(nodes, [0, 1, 2, 3]);
-        // Both global bits: two partner pairs per round.
-        for gb in 0..2 {
-            let mut pairs = 0;
-            dsv.exchange_round(gb, 16, |_, _| {
-                assert_eq!(std::thread::current().id(), caller);
-                pairs += 1;
-            });
-            assert_eq!(pairs, 2);
+        let addrs: Vec<*const Vec<C64>> = dsv.slices.slices.iter().map(|s| s as *const _).collect();
+        let rank = |s: &Vec<C64>| addrs.iter().position(|&a| std::ptr::eq(a, s)).unwrap();
+        // Both global bits: two partner pairs per round, lower rank first.
+        for (gb, expect) in [(0, [(0, 1), (2, 3)]), (1, [(0, 2), (1, 3)])] {
+            let pairs: Vec<(usize, usize)> = dsv
+                .slices
+                .pairs(gb)
+                .map(|(lo, hi)| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    (rank(lo), rank(hi))
+                })
+                .collect();
+            assert_eq!(pairs, expect);
         }
-        // The public sweeps sit on those two: a local quad sweep, a global
-        // pair sweep (a dswap each way) and a cross-node combine.
+        // The public sweeps sit on those rounds: a local quad sweep, a
+        // global pair sweep (a dswap each way) and a cross-node combine.
         let h = GateKind::H.matrix1().unwrap();
         let cx = GateKind::Cx.matrix2().unwrap();
         QuantumState::apply_mat4(&mut dsv, 3, 1, &cx);
         QuantumState::apply_mat2(&mut dsv, 13, &h);
         dsv.apply_antidiag1(12, c64(0.0, 1.0), c64(0.0, -1.0));
-        assert_eq!(dsv.counters.exchanges, 2 + 3);
+        assert_eq!(dsv.counters.exchanges, 3);
         assert!((dsv.norm_sqr() - 1.0).abs() < 1e-12);
     }
 

@@ -3,14 +3,15 @@
 //! qHiPSTER-style distributed state-vector substrate — the multi-node
 //! evaluation platform of the TQSim reproduction (paper §5.3, Fig. 13).
 //!
-//! The full amplitude array is sliced across simulated nodes (swept in
-//! turn on the caller's thread; the kernels pool inside a slice once it is
-//! long enough); gates on global qubits perform
-//! the pairwise half-slice exchanges a real cluster would, with every byte
-//! counted and priced by an [`InterconnectModel`]. Results are validated
-//! bit-exactly against the single-node engine, and an analytic estimator
-//! extrapolates the Fig. 13 strong/weak-scaling curves to widths this
-//! environment cannot execute.
+//! The full amplitude array is sliced across nodes; gates on global qubits
+//! perform the pairwise half-slice exchanges a real cluster would, with
+//! every byte counted and priced by an [`InterconnectModel`]. The one
+//! [`DistributedStateVector`] takes where its slices live as a
+//! [`SliceTransport`] parameter: [`LocalSlices`] in this process, or
+//! `tqsim-shard`'s worker processes. Results are validated bit-exactly
+//! against the single-node engine, and an analytic estimator extrapolates
+//! the Fig. 13 strong/weak-scaling curves to widths this environment cannot
+//! execute.
 //!
 //! ```
 //! use tqsim_cluster::{DistributedStateVector, InterconnectModel};
@@ -33,10 +34,14 @@
 pub mod dsv;
 pub mod model;
 pub mod runner;
+pub mod transport;
 
-pub use dsv::{check_layout, ClusterBackend, ClusterError, ClusterObs, DistributedStateVector};
+pub use dsv::{
+    check_layout, ClusterBackend, ClusterError, ClusterObs, DistributedStateVector, LocalSlices,
+};
 pub use model::{ClusterCounters, InterconnectModel};
 pub use runner::{
     estimate_shot_seconds, estimate_tree_seconds, run_distributed, run_distributed_with_options,
     DistRunResult,
 };
+pub use transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};

@@ -58,71 +58,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tqsim::{RunResult, Strategy};
-use tqsim_circuit::math::{c64, Mat2, Mat4};
 use tqsim_circuit::{Circuit, GateKind};
 use tqsim_noise::{NoiseModel, ReadoutError};
 
 // ---------------------------------------------------------------- codecs
-
-/// Per-mnemonic decode table: `(params, arity)`.
-fn gate_shape(name: &str) -> Option<(usize, usize)> {
-    Some(match name {
-        "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sy" | "sw" => (0, 1),
-        "rx" | "ry" | "rz" | "p" => (1, 1),
-        "u3" => (3, 1),
-        "u1q" => (8, 1),
-        "cx" | "cz" | "swap" => (0, 2),
-        "cp" | "rzz" => (1, 2),
-        "fsim" => (2, 2),
-        "u2q" => (32, 2),
-        "ccx" => (0, 3),
-        _ => return None,
-    })
-}
-
-fn gate_kind(name: &str, params: &[f64]) -> Option<GateKind> {
-    Some(match name {
-        "id" => GateKind::Id,
-        "x" => GateKind::X,
-        "y" => GateKind::Y,
-        "z" => GateKind::Z,
-        "h" => GateKind::H,
-        "s" => GateKind::S,
-        "sdg" => GateKind::Sdg,
-        "t" => GateKind::T,
-        "tdg" => GateKind::Tdg,
-        "sx" => GateKind::Sx,
-        "sy" => GateKind::Sy,
-        "sw" => GateKind::Sw,
-        "rx" => GateKind::Rx(params[0]),
-        "ry" => GateKind::Ry(params[0]),
-        "rz" => GateKind::Rz(params[0]),
-        "p" => GateKind::Phase(params[0]),
-        "u3" => GateKind::U3(params[0], params[1], params[2]),
-        "u1q" => {
-            let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
-            GateKind::Unitary1(Mat2([[e(0), e(1)], [e(2), e(3)]]))
-        }
-        "cx" => GateKind::Cx,
-        "cz" => GateKind::Cz,
-        "swap" => GateKind::Swap,
-        "cp" => GateKind::CPhase(params[0]),
-        "rzz" => GateKind::Rzz(params[0]),
-        "fsim" => GateKind::FSim(params[0], params[1]),
-        "u2q" => {
-            let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
-            let mut m = [[c64(0.0, 0.0); 4]; 4];
-            for (r, row) in m.iter_mut().enumerate() {
-                for (c_idx, cell) in row.iter_mut().enumerate() {
-                    *cell = e(r * 4 + c_idx);
-                }
-            }
-            GateKind::Unitary2(Mat4(m))
-        }
-        "ccx" => GateKind::Ccx,
-        _ => return None,
-    })
-}
 
 /// Encode a circuit as `{"n": width, "gates": [[name, params…, qubits…]]}`.
 pub fn circuit_to_json(circuit: &Circuit) -> Value {
@@ -166,8 +105,8 @@ pub fn circuit_from_json(value: &Value) -> Result<Circuit, String> {
             .first()
             .and_then(Value::as_str)
             .ok_or_else(|| format!("gate {idx} lacks a name"))?;
-        let (n_params, arity) =
-            gate_shape(name).ok_or_else(|| format!("gate {idx}: unknown mnemonic {name:?}"))?;
+        let (n_params, arity) = GateKind::shape(name)
+            .ok_or_else(|| format!("gate {idx}: unknown mnemonic {name:?}"))?;
         if parts.len() != 1 + n_params + arity {
             return Err(format!(
                 "gate {idx} ({name}): expected {n_params} params + {arity} qubits, got {} cells",
@@ -186,7 +125,7 @@ pub fn circuit_from_json(value: &Value) -> Result<Circuit, String> {
                     .ok_or_else(|| format!("gate {idx}: bad qubit"))
             })
             .collect::<Result<_, _>>()?;
-        let kind = gate_kind(name, &params).expect("shape-checked mnemonic");
+        let kind = GateKind::from_parts(name, &params).expect("shape-checked mnemonic");
         circuit
             .try_push(kind, &qubits)
             .map_err(|e| format!("gate {idx} ({name}): {e}"))?;

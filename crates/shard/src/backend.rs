@@ -6,20 +6,23 @@
 //! (the worker processes live behind an `Arc`), so `tqsim_statevec`'s
 //! state pool, the `tqsim-engine` pooled tree executor and `tqsim`'s
 //! serial tree walk drive real worker processes through exactly the same
-//! seam they drive threads through. Parent→child copies stay
-//! worker-local memcpys (one `copy` verb per worker); intermediate states
-//! never cross the wire.
+//! seam, and the states it allocates are the same distributed state over
+//! the [`ShardSlices`] transport. Parent→child copies stay worker-local
+//! memcpys (one `copy` verb per worker); intermediate states never cross
+//! the wire.
 
 use crate::cluster::ShardCluster;
-use crate::state::ShardedStateVector;
+use crate::state::{ShardSlices, ShardedStateVector};
 use std::io;
 use std::sync::Arc;
-use tqsim_cluster::{check_layout, ClusterError, ClusterObs, InterconnectModel};
+use tqsim_cluster::{
+    check_layout, ClusterError, ClusterObs, DistributedStateVector, InterconnectModel,
+};
 use tqsim_statevec::PooledBackend;
 
 /// A pooled-execution backend whose states are sliced across shard worker
 /// **processes**.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ShardBackend {
     cluster: Arc<ShardCluster>,
     model: InterconnectModel,
@@ -117,7 +120,11 @@ impl PooledBackend for ShardBackend {
     }
 
     fn allocate(&self, n_qubits: u16) -> ShardedStateVector {
-        let mut state = ShardedStateVector::zero(Arc::clone(&self.cluster), n_qubits, self.model)
+        let n_workers = self.cluster.n_workers();
+        let mut state =
+            DistributedStateVector::with_transport(n_qubits, n_workers, self.model, |local_n| {
+                ShardSlices::alloc(Arc::clone(&self.cluster), local_n)
+            })
             .unwrap_or_else(|err| {
                 panic!("executors must gate on PooledBackend::supports before allocating: {err}")
             });
@@ -137,14 +144,5 @@ impl PooledBackend for ShardBackend {
 
     fn state_bytes(&self, state: &ShardedStateVector) -> usize {
         state.bytes()
-    }
-}
-
-impl std::fmt::Debug for ShardBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardBackend")
-            .field("n_workers", &self.cluster.n_workers())
-            .field("model", &self.model)
-            .finish()
     }
 }

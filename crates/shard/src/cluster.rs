@@ -2,8 +2,8 @@
 //!
 //! [`ShardCluster::spawn`] launches one worker process per simulated node
 //! on loopback TCP, performs the hello/topology handshake, and hands out a
-//! shared handle the coordinator state ([`crate::ShardedStateVector`])
-//! drives verbs through. All control traffic runs under one mutex so that
+//! shared handle the slice transport ([`crate::ShardSlices`]) drives verbs
+//! through. All control traffic runs under one mutex so that
 //! multi-node verbs are enqueued in the **same order on every worker's
 //! FIFO control socket** — the invariant that keeps pairwise mesh
 //! exchanges from cross-pairing when several engine threads drive states
@@ -147,8 +147,13 @@ impl ClusterLink {
         self.recv(rank)
     }
 
-    /// Fetch worker `rank`'s amplitudes for slice `sid` (bulk binary).
-    pub fn fetch(&mut self, rank: usize, sid: u64) -> Vec<C64> {
+    /// Fetch worker `rank`'s `slice_len` amplitudes for slice `sid` (bulk
+    /// binary), appending them to `out`.
+    ///
+    /// # Panics
+    ///
+    /// On transport faults, or a reply of another length.
+    pub fn fetch(&mut self, rank: usize, sid: u64, slice_len: usize, out: &mut Vec<C64>) {
         let header = self.request(
             rank,
             &obj(vec![("v", str_val("fetch")), ("sid", num_u64(sid))]),
@@ -157,9 +162,9 @@ impl ClusterLink {
             .get("len")
             .and_then(Value::as_u64)
             .unwrap_or_else(|| panic!("shard transport: malformed fetch header"));
-        let amps = transport("fetch", proto::read_amps(&mut self.links[rank].reader));
-        assert_eq!(amps.len() as u64, len, "fetch length mismatch");
-        amps
+        assert_eq!(len, slice_len as u64, "fetch length mismatch");
+        let reader = &mut self.links[rank].reader;
+        transport("fetch", proto::read_amps(reader, slice_len, out));
     }
 }
 

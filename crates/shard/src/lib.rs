@@ -4,25 +4,29 @@
 //! across shard worker processes on loopback TCP, bit-identical to the
 //! in-process distributed backend.
 //!
-//! The in-process `tqsim-cluster` backend simulates a qHiPSTER node group
-//! as slices of one address space, swept in turn on the caller's thread
-//! (the kernels pool inside long slices); this crate gives every node an
-//! actual OS process and replaces the shared-memory half-slice swaps with
-//! a real wire protocol, while keeping every observable — amplitudes,
-//! `Counts`, deterministic cluster counters, exchange schedules —
-//! **bit-identical** to that backend. The pieces:
+//! `tqsim-cluster` has one distributed state over a pluggable slice
+//! transport; its in-process transport keeps every node slice in one
+//! address space. This crate is the other transport: it gives every node
+//! an actual OS process and replaces the shared-memory half-slice swaps
+//! with a real wire protocol. The state above both transports is the same
+//! code, so every observable — amplitudes, `Counts`, deterministic cluster
+//! counters, exchange schedules — is **bit-identical** to the in-process
+//! backend. The pieces:
 //!
 //! * [`proto`] — the wire protocol: line-delimited JSON control verbs
 //!   (the `tqsim-service` codec idiom, via `tqsim-json`) plus
 //!   length-prefixed binary amplitude frames;
-//! * [`worker`] — the worker process runtime: owns one node slice, applies
-//!   node-local kernels, and exchanges dswap halves peer-to-peer over a
-//!   lazily-dialed worker mesh;
+//! * [`worker`] — the worker process runtime: owns one node slice per
+//!   state, checks each decoded verb against it, runs `tqsim-cluster`'s
+//!   slice arithmetic on it, and trades exchange frames peer-to-peer over
+//!   a lazily-dialed worker mesh;
 //! * [`cluster`] — process lifecycle: spawn/handshake/shutdown, the
 //!   single-mutex coordinator transport, and the `kill_worker` chaos hook;
-//! * [`state`] — [`ShardedStateVector`], the coordinator-side
-//!   `QuantumState` that drives verbs and owns every deterministic
-//!   decision (layout remaps, counters, chained fp reductions);
+//! * [`state`] — [`ShardSlices`], the TCP `SliceTransport` (the verb
+//!   encoding, one verb per transport call), and [`ShardedStateVector`],
+//!   the one `tqsim_cluster::DistributedStateVector` over it — so layout
+//!   remaps, counters and the chained fp reductions are the in-process
+//!   backend's own code, not a copy;
 //! * [`backend`] — [`ShardBackend`], the `PooledBackend` descriptor that
 //!   plugs the whole thing in behind the engine's executor seam.
 //!
@@ -41,4 +45,4 @@ pub mod worker;
 
 pub use backend::ShardBackend;
 pub use cluster::{ClusterLink, ShardCluster};
-pub use state::ShardedStateVector;
+pub use state::{ShardSlices, ShardedStateVector};

@@ -69,6 +69,12 @@ pub fn ack() -> Value {
 
 // ---------------------------------------------------------- binary plane
 
+/// Amplitudes per stack chunk: frames are encoded and decoded through a
+/// 64 KiB buffer on the stack, so the data plane allocates no byte
+/// buffers, and a chunk outsizes the socket's `BufWriter`/`BufReader` (8
+/// KiB), so it moves in one system call rather than buffer-sized pieces.
+const CHUNK_AMPS: usize = 4096;
+
 /// Write `amps` as one length-prefixed binary frame (8-byte LE byte
 /// count, then `f64` LE re/im pairs).
 ///
@@ -76,105 +82,52 @@ pub fn ack() -> Value {
 ///
 /// Propagates transport errors.
 pub fn write_amps<W: Write>(w: &mut W, amps: &[C64]) -> io::Result<()> {
-    let bytes = (amps.len() * 16) as u64;
-    w.write_all(&bytes.to_le_bytes())?;
-    let mut buf = Vec::with_capacity(amps.len() * 16);
-    for a in amps {
-        buf.extend_from_slice(&a.re.to_le_bytes());
-        buf.extend_from_slice(&a.im.to_le_bytes());
+    w.write_all(&((amps.len() * 16) as u64).to_le_bytes())?;
+    let mut buf = [0u8; CHUNK_AMPS * 16];
+    for chunk in amps.chunks(CHUNK_AMPS) {
+        for (a, cell) in chunk.iter().zip(buf.chunks_exact_mut(16)) {
+            cell[..8].copy_from_slice(&a.re.to_le_bytes());
+            cell[8..].copy_from_slice(&a.im.to_le_bytes());
+        }
+        w.write_all(&buf[..chunk.len() * 16])?;
     }
-    w.write_all(&buf)?;
     w.flush()
 }
 
-/// Read one binary amplitude frame written by [`write_amps`].
+/// Read one binary amplitude frame written by [`write_amps`], which must
+/// hold exactly `expected` amplitudes, appending them to `out`. The length
+/// prefix is checked before anything is allocated, so a hostile prefix
+/// cannot size a buffer.
 ///
 /// # Errors
 ///
-/// Transport errors, or a frame whose byte count is not a multiple of 16.
-pub fn read_amps<R: Read>(r: &mut R) -> io::Result<Vec<C64>> {
+/// Transport errors, or a frame of any other length
+/// ([`io::ErrorKind::InvalidData`]).
+pub fn read_amps<R: Read>(r: &mut R, expected: usize, out: &mut Vec<C64>) -> io::Result<()> {
     let mut len = [0u8; 8];
     r.read_exact(&mut len)?;
-    let bytes = u64::from_le_bytes(len) as usize;
-    if !bytes.is_multiple_of(16) {
+    let bytes = u64::from_le_bytes(len);
+    if Some(bytes) != (expected as u64).checked_mul(16) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "amplitude frame length is not a multiple of 16",
+            format!("amplitude frame of {bytes} bytes, expected {expected} amplitudes"),
         ));
     }
-    let mut buf = vec![0u8; bytes];
-    r.read_exact(&mut buf)?;
-    let mut amps = Vec::with_capacity(bytes / 16);
-    for chunk in buf.chunks_exact(16) {
-        let re = f64::from_le_bytes(chunk[..8].try_into().expect("8-byte chunk"));
-        let im = f64::from_le_bytes(chunk[8..].try_into().expect("8-byte chunk"));
-        amps.push(c64(re, im));
+    out.reserve(expected);
+    let f64_at = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte half"));
+    let mut buf = [0u8; CHUNK_AMPS * 16];
+    for n in (0..expected)
+        .step_by(CHUNK_AMPS)
+        .map(|i| CHUNK_AMPS.min(expected - i))
+    {
+        r.read_exact(&mut buf[..n * 16])?;
+        let cells = buf[..n * 16].chunks_exact(16);
+        out.extend(cells.map(|cell| c64(f64_at(&cell[..8]), f64_at(&cell[8..]))));
     }
-    Ok(amps)
+    Ok(())
 }
 
 // ------------------------------------------------------------ gate codec
-
-/// Per-mnemonic decode table: `(params, arity)` — the same shapes as the
-/// service wire protocol, so one mnemonic set covers both protocols.
-fn gate_shape(name: &str) -> Option<(usize, usize)> {
-    Some(match name {
-        "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sy" | "sw" => (0, 1),
-        "rx" | "ry" | "rz" | "p" => (1, 1),
-        "u3" => (3, 1),
-        "u1q" => (8, 1),
-        "cx" | "cz" | "swap" => (0, 2),
-        "cp" | "rzz" => (1, 2),
-        "fsim" => (2, 2),
-        "u2q" => (32, 2),
-        "ccx" => (0, 3),
-        _ => return None,
-    })
-}
-
-fn gate_kind(name: &str, params: &[f64]) -> Option<GateKind> {
-    Some(match name {
-        "id" => GateKind::Id,
-        "x" => GateKind::X,
-        "y" => GateKind::Y,
-        "z" => GateKind::Z,
-        "h" => GateKind::H,
-        "s" => GateKind::S,
-        "sdg" => GateKind::Sdg,
-        "t" => GateKind::T,
-        "tdg" => GateKind::Tdg,
-        "sx" => GateKind::Sx,
-        "sy" => GateKind::Sy,
-        "sw" => GateKind::Sw,
-        "rx" => GateKind::Rx(params[0]),
-        "ry" => GateKind::Ry(params[0]),
-        "rz" => GateKind::Rz(params[0]),
-        "p" => GateKind::Phase(params[0]),
-        "u3" => GateKind::U3(params[0], params[1], params[2]),
-        "u1q" => {
-            let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
-            GateKind::Unitary1(Mat2([[e(0), e(1)], [e(2), e(3)]]))
-        }
-        "cx" => GateKind::Cx,
-        "cz" => GateKind::Cz,
-        "swap" => GateKind::Swap,
-        "cp" => GateKind::CPhase(params[0]),
-        "rzz" => GateKind::Rzz(params[0]),
-        "fsim" => GateKind::FSim(params[0], params[1]),
-        "u2q" => {
-            let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
-            let mut m = [[c64(0.0, 0.0); 4]; 4];
-            for (r, row) in m.iter_mut().enumerate() {
-                for (c_idx, cell) in row.iter_mut().enumerate() {
-                    *cell = e(r * 4 + c_idx);
-                }
-            }
-            GateKind::Unitary2(Mat4(m))
-        }
-        "ccx" => GateKind::Ccx,
-        _ => return None,
-    })
-}
 
 /// Encode a gate as `[name, params…, qubits…]`.
 pub fn gate_to_value(gate: &Gate) -> Value {
@@ -195,7 +148,8 @@ pub fn gate_from_value(value: &Value) -> Result<Gate, String> {
         .first()
         .and_then(Value::as_str)
         .ok_or("gate lacks a name")?;
-    let (n_params, arity) = gate_shape(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?;
+    let (n_params, arity) =
+        GateKind::shape(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?;
     if parts.len() != 1 + n_params + arity {
         return Err(format!(
             "gate {name}: expected {n_params} params + {arity} qubits, got {} cells",
@@ -214,20 +168,19 @@ pub fn gate_from_value(value: &Value) -> Result<Gate, String> {
                 .ok_or_else(|| format!("gate {name}: bad qubit"))
         })
         .collect::<Result<_, _>>()?;
-    let kind = gate_kind(name, &params).expect("shape-checked mnemonic");
-    Ok(Gate::new(kind, &qubits))
+    let kind = GateKind::from_parts(name, &params).expect("shape-checked mnemonic");
+    Gate::try_new(kind, &qubits).map_err(|e| format!("gate {name}: {e}"))
 }
 
 // ---------------------------------------------------------- matrix codec
 
 /// Encode complex values as a flat `[re, im, re, im, …]` array.
 pub fn c64s_to_value<'a>(xs: impl IntoIterator<Item = &'a C64>) -> Value {
-    let mut cells = Vec::new();
-    for x in xs {
-        cells.push(num(x.re));
-        cells.push(num(x.im));
-    }
-    Value::Arr(cells)
+    Value::Arr(
+        xs.into_iter()
+            .flat_map(|x| [num(x.re), num(x.im)])
+            .collect(),
+    )
 }
 
 /// Decode a flat `[re, im, …]` array of expected complex length `n`.
@@ -279,78 +232,56 @@ pub fn mat4_to_value(m: &Mat4) -> Value {
 /// A human-readable message for malformed input.
 pub fn mat4_from_value(value: &Value) -> Result<Mat4, String> {
     let v = c64s_from_value(value, 16)?;
-    let mut m = [[c64(0.0, 0.0); 4]; 4];
-    for (r, row) in m.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 4..r * 4 + 4]);
-    }
-    Ok(Mat4(m))
+    Ok(Mat4(std::array::from_fn(|r| {
+        std::array::from_fn(|c| v[r * 4 + c])
+    })))
 }
 
-/// Encode a coalesced diagonal run as
-/// `{"t1":[[q, re0, im0, re1, im1], …], "t2":[[qh, ql, re0 … im3], …]}`.
-pub fn diag_run_to_value(run: &DiagRun) -> Value {
-    let t1 = run
-        .terms1()
-        .iter()
-        .map(|(q, d)| {
-            let mut cells = vec![num_u64(u64::from(*q))];
-            for x in d {
-                cells.push(num(x.re));
-                cells.push(num(x.im));
-            }
-            Value::Arr(cells)
-        })
-        .collect();
-    let t2 = run
-        .terms2()
-        .iter()
-        .map(|(qh, ql, d)| {
-            let mut cells = vec![num_u64(u64::from(*qh)), num_u64(u64::from(*ql))];
-            for x in d {
-                cells.push(num(x.re));
-                cells.push(num(x.im));
-            }
-            Value::Arr(cells)
-        })
-        .collect();
-    obj(vec![("t1", Value::Arr(t1)), ("t2", Value::Arr(t2))])
+/// The fields of a coalesced diagonal run:
+/// `"t1":[[q, re0, im0, re1, im1], …]` and `"t2":[[qh, ql, re0 … im3], …]`.
+pub fn diag_run_fields(run: &DiagRun) -> Vec<(&'static str, Value)> {
+    let term = |qs: &[u16], d: &[C64]| {
+        let qs = qs.iter().map(|&q| num_u64(u64::from(q)));
+        Value::Arr(
+            qs.chain(d.iter().flat_map(|x| [num(x.re), num(x.im)]))
+                .collect(),
+        )
+    };
+    let t1 = run.terms1().iter().map(|(q, d)| term(&[*q], d));
+    let t2 = run.terms2().iter().map(|(qh, ql, d)| term(&[*qh, *ql], d));
+    vec![
+        ("t1", Value::Arr(t1.collect())),
+        ("t2", Value::Arr(t2.collect())),
+    ]
 }
 
-/// Decode a diagonal run (see [`diag_run_to_value`]).
+/// Decode a diagonal run (see [`diag_run_fields`]).
 ///
 /// # Errors
 ///
 /// A human-readable message for malformed input.
 pub fn diag_run_from_value(value: &Value) -> Result<DiagRun, String> {
-    let q_of = |v: &Value| {
-        v.as_u64()
-            .and_then(|q| u16::try_from(q).ok())
-            .ok_or("bad diag-run qubit".to_string())
-    };
     let mut run = DiagRun::new();
-    for term in value
-        .get("t1")
-        .and_then(Value::as_arr)
-        .ok_or("diag run needs \"t1\"")?
-    {
-        let cells = term.as_arr().ok_or("bad t1 term")?;
-        if cells.len() != 5 {
-            return Err("bad t1 term length".to_string());
+    // A term on `n_q` qubits: the qubits, then `2^n_q` complex entries.
+    for (key, n_q) in [("t1", 1), ("t2", 2)] {
+        let terms = value.get(key).and_then(Value::as_arr);
+        for term in terms.ok_or_else(|| format!("diag run needs {key:?}"))? {
+            let decode = || {
+                let cells = term.as_arr().filter(|c| c.len() == 5 * n_q)?;
+                let qs: Option<Vec<u16>> = cells[..n_q]
+                    .iter()
+                    .map(|q| u16::try_from(q.as_u64()?).ok())
+                    .collect();
+                let d = c64s_from_value(&Value::Arr(cells[n_q..].to_vec()), 2 * n_q).ok()?;
+                Some((qs?, d))
+            };
+            let (q, d) = decode().ok_or_else(|| format!("bad {key} term"))?;
+            match *q.as_slice() {
+                [q] => run.push1(q, [d[0], d[1]]),
+                [qh, ql] => run.push2(qh, ql, [d[0], d[1], d[2], d[3]]),
+                _ => unreachable!("one or two qubits per term"),
+            }
         }
-        let d = c64s_from_value(&Value::Arr(cells[1..].to_vec()), 2)?;
-        run.push1(q_of(&cells[0])?, [d[0], d[1]]);
-    }
-    for term in value
-        .get("t2")
-        .and_then(Value::as_arr)
-        .ok_or("diag run needs \"t2\"")?
-    {
-        let cells = term.as_arr().ok_or("bad t2 term")?;
-        if cells.len() != 10 {
-            return Err("bad t2 term length".to_string());
-        }
-        let d = c64s_from_value(&Value::Arr(cells[2..].to_vec()), 4)?;
-        run.push2(q_of(&cells[0])?, q_of(&cells[1])?, [d[0], d[1], d[2], d[3]]);
     }
     Ok(run)
 }
@@ -395,7 +326,7 @@ mod tests {
         run.push1(3, GateKind::T.diag1().unwrap());
         run.push2(5, 1, GateKind::Cz.diag2().unwrap());
         let back =
-            diag_run_from_value(&tqsim_json::parse(&diag_run_to_value(&run).to_json()).unwrap())
+            diag_run_from_value(&tqsim_json::parse(&obj(diag_run_fields(&run)).to_json()).unwrap())
                 .unwrap();
         assert_eq!(back.terms1(), run.terms1());
         assert_eq!(back.terms2(), run.terms2());
@@ -407,8 +338,34 @@ mod tests {
         let mut buf = Vec::new();
         write_amps(&mut buf, &amps).unwrap();
         assert_eq!(buf.len(), 8 + 32);
-        let back = read_amps(&mut &buf[..]).unwrap();
+        let mut back = Vec::new();
+        read_amps(&mut &buf[..], 2, &mut back).unwrap();
         assert_eq!(back, amps);
+        // A frame of another length is refused, not truncated or padded.
+        assert!(read_amps(&mut &buf[..], 3, &mut back).is_err());
+        // Frames longer than one stack chunk round-trip too.
+        let long: Vec<C64> = (0..1000).map(|i| c64(i as f64, -(i as f64))).collect();
+        buf.clear();
+        write_amps(&mut buf, &long).unwrap();
+        back.clear();
+        read_amps(&mut &buf[..], long.len(), &mut back).unwrap();
+        assert_eq!(back, long);
+    }
+
+    /// A hostile length prefix is refused before anything is allocated:
+    /// 2^62 bytes would abort the process if it sized the buffer.
+    #[test]
+    fn huge_length_prefix_is_refused_before_allocating() {
+        let mut frame = (1u64 << 62).to_le_bytes().to_vec();
+        frame.extend_from_slice(&[0u8; 32]);
+        let err = read_amps(&mut &frame[..], 2, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn repeated_gate_qubits_are_a_decode_error() {
+        let v = tqsim_json::parse(r#"["cx", 1, 1]"#).unwrap();
+        assert!(gate_from_value(&v).is_err());
     }
 
     #[test]

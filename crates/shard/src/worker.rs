@@ -1,16 +1,23 @@
 //! The shard worker runtime: one OS process per simulated cluster node.
 //!
 //! A worker is deliberately *thin*. It owns the node's amplitude slices
-//! (keyed by slice id) and applies statevector kernels on command; every
-//! layout decision, counter, RNG draw and noise branch lives on the
-//! coordinator, which is what keeps the multi-process backend bit-identical
-//! to the in-process [`tqsim_cluster::DistributedStateVector`] — the worker
-//! executes exactly the per-slice arithmetic the in-process node threads
-//! would, in the same order.
+//! (keyed by slice id) and runs `tqsim-cluster`'s slice arithmetic on
+//! command: a sweep verb decodes to a [`SliceOp`] and runs
+//! [`SliceOp::apply`], an exchange verb to a [`PairOp`], a query verb to a
+//! [`Query`] answered by [`Query::answer`]. Every layout decision, counter,
+//! RNG draw and noise branch lives in the coordinator's
+//! [`tqsim_cluster::DistributedStateVector`], which drives the in-process
+//! slices through the same functions — so the two transports agree bit for
+//! bit by construction.
+//!
+//! A decoded verb is checked against the slice it addresses before it runs
+//! (qubits in range and distinct, a power-of-two slice length of at least
+//! 8, a partner rank that exists): a malformed verb is a wire error that
+//! ends the worker, never a panic inside a kernel.
 //!
 //! Control arrives as line-delimited JSON on the coordinator socket (FIFO
 //! per worker; the coordinator broadcasts under one lock so every worker
-//! sees multi-node verbs in the same order). Amplitude halves move over a
+//! sees multi-node verbs in the same order). Amplitudes move over a
 //! lazily-established worker↔worker TCP mesh as length-prefixed binary
 //! frames; for each pair the lower rank connects and sends first, the
 //! higher rank accepts and receives first, so the pairwise exchanges can
@@ -18,11 +25,11 @@
 
 use crate::proto;
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use tqsim_circuit::math::{c64, C64};
+use tqsim_cluster::{PairOp, Query, Reply, SliceOp};
 use tqsim_json::{num, num_u64, obj, Value};
-use tqsim_statevec::kernels;
 
 /// A cached mesh connection to one peer worker.
 struct MeshConn {
@@ -36,22 +43,28 @@ struct Worker {
     peers: Vec<String>,
     mesh: HashMap<usize, MeshConn>,
     slices: HashMap<u64, Vec<C64>>,
+    /// Outgoing and incoming exchange frames, reused round after round so
+    /// the data plane allocates nothing per exchange.
+    frames: [Vec<C64>; 2],
 }
 
 fn wire_err(context: &str, message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{context}: {message}"))
 }
 
-fn need_u64(v: &Value, key: &str) -> io::Result<u64> {
+/// Field `key` of `v`, decoded by `get`.
+fn need<T>(v: &Value, key: &str, get: impl FnOnce(&Value) -> Option<T>) -> io::Result<T> {
     v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| wire_err("shard verb", format!("missing numeric {key:?}")))
+        .and_then(get)
+        .ok_or_else(|| wire_err("shard verb", format!("missing or malformed {key:?}")))
+}
+
+fn need_u64(v: &Value, key: &str) -> io::Result<u64> {
+    need(v, key, Value::as_u64)
 }
 
 fn need_f64(v: &Value, key: &str) -> io::Result<f64> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| wire_err("shard verb", format!("missing numeric {key:?}")))
+    need(v, key, Value::as_f64)
 }
 
 /// Run one worker process to completion: connect to `coordinator`, open
@@ -101,6 +114,7 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
         peers,
         mesh: HashMap::new(),
         slices: HashMap::new(),
+        frames: Default::default(),
     };
     loop {
         let msg = match proto::recv_line(&mut control_r) {
@@ -124,12 +138,38 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
     }
 }
 
-impl Worker {
-    /// Node-local qubit count of a slice (its length is always `2^local_n`).
-    fn local_n(slice: &[C64]) -> u16 {
-        slice.len().trailing_zeros() as u16
+/// Whether `op` fits a slice of `2^local_n` amplitudes of an `n_qubits`
+/// register — what [`SliceOp::apply`] assumes of it.
+fn op_fits(op: &SliceOp<'_>, local_n: u16, n_qubits: u16) -> bool {
+    match *op {
+        SliceOp::Gate(gate) => gate.qubits().iter().all(|&q| q < local_n),
+        SliceOp::Mat2(q, _) | SliceOp::Diag1(q, ..) | SliceOp::Antidiag1(q, ..) => q < local_n,
+        SliceOp::Mat4(hi, lo, _) => hi < local_n && lo < local_n && hi != lo,
+        SliceOp::DiagRun(run) => {
+            run.terms1().iter().all(|&(q, _)| q < n_qubits)
+                && run
+                    .terms2()
+                    .iter()
+                    .all(|&(a, b, _)| a < n_qubits && b < n_qubits && a != b)
+        }
+        SliceOp::Reset | SliceOp::ScaleBit(..) | SliceOp::Scale(_) => true,
     }
+}
 
+/// A query's reply line.
+fn reply_value(reply: Reply) -> Value {
+    match reply {
+        Reply::Acc(x) => obj(vec![("x", num(x))]),
+        Reply::Hit(outcome) => obj(vec![("hit", num_u64(outcome))]),
+        Reply::Walk(out, idx, acc) => obj(vec![
+            ("out", Value::Arr(out.into_iter().map(num_u64).collect())),
+            ("idx", num_u64(idx)),
+            ("acc", num(acc)),
+        ]),
+    }
+}
+
+impl Worker {
     fn slice_mut(&mut self, msg: &Value) -> io::Result<(u64, &mut Vec<C64>)> {
         let sid = need_u64(msg, "sid")?;
         let slice = self
@@ -144,247 +184,155 @@ impl Worker {
         &mut self,
         verb: &str,
         msg: &Value,
-        control_w: &mut BufWriter<TcpStream>,
+        control_w: &mut impl Write,
     ) -> io::Result<Option<Value>> {
+        let qubit = |key| need(msg, key, |v| v.as_u64().and_then(|q| u16::try_from(q).ok()));
+        let pair = |key| -> io::Result<[C64; 2]> {
+            need(msg, key, |v| {
+                proto::c64s_from_value(v, 2).ok()?.try_into().ok()
+            })
+        };
         match verb {
             "ping" => Ok(Some(proto::ack())),
             "alloc" => {
                 let sid = need_u64(msg, "sid")?;
-                let len = need_u64(msg, "len")? as usize;
-                let mut slice = vec![c64(0.0, 0.0); len];
-                if self.rank == 0 {
-                    slice[0] = c64(1.0, 0.0);
+                let len = need_u64(msg, "len")?;
+                if len < 8 || !len.is_power_of_two() {
+                    let why = format!("slice length {len} is not a power of two >= 8");
+                    return Err(wire_err("alloc", why));
                 }
+                let mut slice = Vec::new();
+                slice
+                    .try_reserve_exact(len as usize)
+                    .map_err(|e| wire_err("alloc", format!("slice length {len}: {e}")))?;
+                slice.resize(len as usize, c64(0.0, 0.0));
+                SliceOp::Reset.apply(&mut slice, self.rank << len.trailing_zeros());
                 self.slices.insert(sid, slice);
                 Ok(Some(proto::ack()))
             }
-            "reset" => {
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                slice.fill(c64(0.0, 0.0));
-                if rank == 0 {
-                    slice[0] = c64(1.0, 0.0);
-                }
-                Ok(None)
-            }
             "free" => {
-                let sid = need_u64(msg, "sid")?;
-                self.slices.remove(&sid);
+                self.slices.remove(&need_u64(msg, "sid")?);
                 Ok(None)
             }
             "copy" => {
-                let dst = need_u64(msg, "dst")?;
-                let src = need_u64(msg, "src")?;
-                let from = self
+                let (dst, src) = (need_u64(msg, "dst")?, need_u64(msg, "src")?);
+                let mut to = self
                     .slices
-                    .get(&src)
-                    .ok_or_else(|| wire_err("copy", format!("unknown source {src}")))?
-                    .clone();
-                let to = self
-                    .slices
-                    .get_mut(&dst)
+                    .remove(&dst)
                     .ok_or_else(|| wire_err("copy", format!("unknown destination {dst}")))?;
-                to.copy_from_slice(&from);
-                Ok(None)
+                let copied = match self.slices.get(&src) {
+                    Some(from) if from.len() == to.len() => {
+                        to.copy_from_slice(from);
+                        Ok(None)
+                    }
+                    _ => Err(wire_err(
+                        "copy",
+                        format!("no source {src} of {dst}'s length"),
+                    )),
+                };
+                self.slices.insert(dst, to);
+                copied
             }
+            "reset" => self.sweep(msg, SliceOp::Reset),
             "gate" => {
-                let gate = proto::gate_from_value(
-                    msg.get("g")
-                        .ok_or_else(|| wire_err("gate", "no g".into()))?,
-                )
-                .map_err(|e| wire_err("gate", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_gate_amps(slice, &gate);
-                Ok(None)
+                let g = msg.get("g").unwrap_or(&Value::Null);
+                let gate = proto::gate_from_value(g).map_err(|e| wire_err("gate", e))?;
+                self.sweep(msg, SliceOp::Gate(gate))
             }
             "mat2" => {
-                let q = need_u64(msg, "q")? as usize;
-                let m = proto::mat2_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat2", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat2", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat2(slice, q, &m);
-                Ok(None)
+                let m = need(msg, "m", |v| proto::mat2_from_value(v).ok())?;
+                self.sweep(msg, SliceOp::Mat2(qubit("q")?, &m))
             }
             "mat4" => {
-                let hi = need_u64(msg, "hi")? as usize;
-                let lo = need_u64(msg, "lo")? as usize;
-                let m = proto::mat4_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat4", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat4", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat4(slice, hi, lo, &m);
-                Ok(None)
+                let m = need(msg, "m", |v| proto::mat4_from_value(v).ok())?;
+                self.sweep(msg, SliceOp::Mat4(qubit("hi")?, qubit("lo")?, &m))
             }
             "diagrun" => {
                 let run = proto::diag_run_from_value(msg).map_err(|e| wire_err("diagrun", e))?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let base = rank << Self::local_n(slice);
-                run.apply_offset(slice, base);
-                Ok(None)
+                self.sweep(msg, SliceOp::DiagRun(&run))
             }
             "diag1" => {
-                let q = need_u64(msg, "q")? as usize;
-                let d = proto::c64s_from_value(
-                    msg.get("d")
-                        .ok_or_else(|| wire_err("diag1", "no d".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("diag1", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_diag1(slice, q, d[0], d[1]);
-                Ok(None)
+                let [d0, d1] = pair("d")?;
+                self.sweep(msg, SliceOp::Diag1(qubit("q")?, d0, d1))
             }
             "scale_bit" => {
-                // Global diag1: multiply the whole slice by d0 or d1
-                // depending on this node's bit in the mask.
+                let [d0, d1] = pair("d")?;
                 let mask = need_u64(msg, "mask")? as usize;
-                let d = proto::c64s_from_value(
-                    msg.get("d")
-                        .ok_or_else(|| wire_err("scale_bit", "no d".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("scale_bit", e))?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let dd = if rank & mask != 0 { d[1] } else { d[0] };
-                for a in slice.iter_mut() {
-                    *a *= dd;
-                }
-                Ok(None)
+                self.sweep(msg, SliceOp::ScaleBit(mask, d0, d1))
             }
             "antidiag" => {
-                let q = need_u64(msg, "q")? as usize;
-                let a = proto::c64s_from_value(
-                    msg.get("a")
-                        .ok_or_else(|| wire_err("antidiag", "no a".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("antidiag", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_antidiag1(slice, q, a[0], a[1]);
-                Ok(None)
+                let [a01, a10] = pair("a")?;
+                self.sweep(msg, SliceOp::Antidiag1(qubit("q")?, a01, a10))
+            }
+            "scale" => self.sweep(msg, SliceOp::Scale(need_f64(msg, "s")?)),
+            "dswap" => {
+                let gb = u32::try_from(need_u64(msg, "gb")?).unwrap_or(u32::MAX);
+                let step = 1u64.checked_shl(gb).unwrap_or(0);
+                self.exchange(msg, step, PairOp::HalfSwap(qubit("lq")?))
             }
             "antidiag_g" => {
-                let step = need_u64(msg, "step")? as usize;
-                let a = proto::c64s_from_value(
-                    msg.get("a")
-                        .ok_or_else(|| wire_err("antidiag_g", "no a".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("antidiag_g", e))?;
-                self.antidiag_global(msg, step, a[0], a[1])?;
-                Ok(Some(proto::ack()))
+                let [a01, a10] = pair("a")?;
+                self.exchange(msg, need_u64(msg, "step")?, PairOp::Antidiag(a01, a10))
             }
-            "dswap" => {
-                let gb = need_u64(msg, "gb")? as u16;
-                let lq = need_u64(msg, "lq")? as u16;
-                self.dswap(msg, gb, lq)?;
-                Ok(Some(proto::ack()))
+            "psum" => self.answer(msg, Query::Psum),
+            "msum" => self.answer(msg, Query::Msum(qubit("q")?, need_f64(msg, "acc")?)),
+            "pick" => self.answer(msg, Query::Pick(need_f64(msg, "u")?, need_f64(msg, "acc")?)),
+            "walk" => {
+                let us: Vec<f64> = need(msg, "us", |v| {
+                    v.as_arr()?.iter().map(Value::as_f64).collect()
+                })?;
+                let walk = Query::Walk {
+                    us: &us,
+                    idx: need_u64(msg, "idx")?,
+                    acc: need_f64(msg, "acc")?,
+                    total: need_u64(msg, "total")?,
+                    init: msg.get("init").and_then(Value::as_bool).unwrap_or(false),
+                };
+                self.answer(msg, walk)
             }
-            "scale" => {
-                let s = need_f64(msg, "s")?;
-                let (_, slice) = self.slice_mut(msg)?;
-                for amp in slice.iter_mut() {
-                    *amp *= s;
-                }
-                Ok(None)
-            }
-            "psum" => {
-                let (_, slice) = self.slice_mut(msg)?;
-                let sum: f64 = slice.iter().map(|a| a.norm_sqr()).sum();
-                Ok(Some(obj(vec![("x", num(sum))])))
-            }
-            "msum" => {
-                // Local-marginal chain link: continue the coordinator's
-                // single flat accumulator over this slice's filtered
-                // amplitudes — the exact addition sequence of the
-                // in-process backend's one-pass sum.
-                let q = need_u64(msg, "q")? as usize;
-                let mut acc = need_f64(msg, "acc")?;
-                let (_, slice) = self.slice_mut(msg)?;
-                let mask = 1usize << q;
-                for (i, amp) in slice.iter().enumerate() {
-                    if i & mask != 0 {
-                        acc += amp.norm_sqr();
-                    }
-                }
-                Ok(Some(obj(vec![("x", num(acc))])))
-            }
-            "pick" => {
-                // Single-draw CDF chain link (see the coordinator's
-                // `sample_with`): either a hit inside this slice or the
-                // accumulator to hand to the next node.
-                let u = need_f64(msg, "u")?;
-                let mut acc = need_f64(msg, "acc")?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let base = (rank as u64) << Self::local_n(slice);
-                for (i, amp) in slice.iter().enumerate() {
-                    acc += amp.norm_sqr();
-                    if u < acc {
-                        return Ok(Some(obj(vec![("hit", num_u64(base | i as u64))])));
-                    }
-                }
-                Ok(Some(obj(vec![("x", num(acc))])))
-            }
-            "walk" => self.walk_reply(msg),
             "fetch" => {
                 let (_, slice) = self.slice_mut(msg)?;
-                let len = slice.len();
-                let amps = slice.clone();
-                proto::send_line(control_w, &obj(vec![("len", num_u64(len as u64))]))?;
-                proto::write_amps(control_w, &amps)?;
+                proto::send_line(control_w, &obj(vec![("len", num_u64(slice.len() as u64))]))?;
+                proto::write_amps(control_w, slice)?;
                 Ok(None)
             }
             other => Err(wire_err("shard verb", format!("unknown verb {other:?}"))),
         }
     }
 
-    /// Batched sorted-CDF chain link (see the coordinator's `sample_many`):
-    /// resolve as many sorted draws as land in this slice, then hand
-    /// (idx, acc) to the next node.
-    fn walk_reply(&mut self, msg: &Value) -> io::Result<Option<Value>> {
-        let us: Vec<f64> = msg
-            .get("us")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| wire_err("walk", "no us".into()))?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| wire_err("walk", "bad u".into())))
-            .collect::<io::Result<_>>()?;
-        let mut idx = need_u64(msg, "idx")? as usize;
-        let mut acc = need_f64(msg, "acc")?;
-        let total = need_u64(msg, "total")? as usize;
-        let init = msg.get("init").and_then(Value::as_bool).unwrap_or(false);
+    /// Run `op` on the addressed slice once it is checked to fit.
+    fn sweep(&mut self, msg: &Value, op: SliceOp<'_>) -> io::Result<Option<Value>> {
+        let (rank, n_workers) = (self.rank, self.peers.len());
+        let (_, slice) = self.slice_mut(msg)?;
+        let local_n = slice.len().trailing_zeros() as u16;
+        let n_qubits = local_n + n_workers.trailing_zeros() as u16;
+        if !op_fits(&op, local_n, n_qubits) {
+            let why = format!("{op:?} does not fit {local_n} local qubits");
+            return Err(wire_err("shard verb", why));
+        }
+        op.apply(slice, rank << local_n);
+        Ok(None)
+    }
+
+    /// Answer `query` on the addressed slice once it is checked to fit.
+    fn answer(&mut self, msg: &Value, query: Query<'_>) -> io::Result<Option<Value>> {
         let rank = self.rank;
         let (_, slice) = self.slice_mut(msg)?;
-        let base = rank << Self::local_n(slice);
-        if init {
-            idx = 0;
-            acc = slice[0].norm_sqr();
-        }
-        let mut out = Vec::new();
-        for &u in &us {
-            while u >= acc && idx + 1 < total && idx + 1 < base + slice.len() {
-                idx += 1;
-                acc += slice[idx - base].norm_sqr();
+        let local_n = slice.len().trailing_zeros();
+        let base = rank << local_n;
+        let fits = match query {
+            Query::Msum(q, _) => u32::from(q) < local_n,
+            // A carried walk stands on the index just below this slice.
+            Query::Walk { idx, init, .. } => {
+                init || idx.checked_add(1).is_some_and(|next| next >= base as u64)
             }
-            if u < acc || idx + 1 >= total {
-                out.push(num_u64(idx as u64));
-            } else {
-                break;
-            }
+            Query::Psum | Query::Pick(..) => true,
+        };
+        if !fits {
+            let why = format!("{query:?} does not fit rank {rank}'s slice");
+            return Err(wire_err("shard query", why));
         }
-        Ok(Some(obj(vec![
-            ("out", Value::Arr(out)),
-            ("idx", num_u64(idx as u64)),
-            ("acc", num(acc)),
-        ])))
+        Ok(Some(reply_value(query.answer(slice, base))))
     }
 
     /// Get (establishing if necessary) the mesh connection to `peer`. The
@@ -428,78 +376,108 @@ impl Worker {
         Ok(self.mesh.get_mut(&peer).expect("just inserted"))
     }
 
-    /// One distributed swap: exchange this node's half-slice with its
-    /// partner's, mirroring the in-process `exchange_halves` exactly — the
-    /// lower node's `lq`-bit=1 half swaps with the higher node's bit=0
-    /// half, walked in the same index order on both ends.
-    fn dswap(&mut self, msg: &Value, gb: u16, lq: u16) -> io::Result<()> {
-        let partner = self.rank ^ (1usize << gb);
-        let sl = 1usize << lq;
+    /// This worker's side of one exchange round: trade [`PairOp::outgoing`]
+    /// frames with the partner `step` ranks away and [`PairOp::land`] what
+    /// arrives. The lower rank sends first, the higher receives first.
+    fn exchange(&mut self, msg: &Value, step: u64, op: PairOp) -> io::Result<Option<Value>> {
+        let rank = self.rank;
+        let partner = usize::try_from(step)
+            .ok()
+            .filter(|step| step.is_power_of_two())
+            .map(|step| rank ^ step)
+            .filter(|&partner| partner < self.peers.len())
+            .ok_or_else(|| wire_err("exchange", format!("no partner {step} ranks from {rank}")))?;
         let (sid, slice) = self.slice_mut(msg)?;
-        let mut slice = std::mem::take(slice);
-        // Lower node trades the bit-set half; higher node the bit-clear.
-        let send_set = self.rank < partner;
-        let offset = if send_set { sl } else { 0 };
-        let mut half = Vec::with_capacity(slice.len() / 2);
-        let mut base = 0;
-        while base < slice.len() {
-            half.extend_from_slice(&slice[base + offset..base + offset + sl]);
-            base += sl * 2;
+        if let PairOp::HalfSwap(lq) = op {
+            if u32::from(lq) >= slice.len().trailing_zeros() {
+                return Err(wire_err("dswap", format!("local qubit {lq} out of range")));
+            }
         }
+        let mut slice = std::mem::take(slice);
+        let [mut outgoing, mut incoming] = std::mem::take(&mut self.frames);
+        let is_lo = rank < partner;
+        outgoing.clear();
+        incoming.clear();
+        op.outgoing(&slice, is_lo, &mut outgoing);
         let outcome = (|| {
             let conn = self.mesh_with(partner)?;
-            let incoming = if send_set {
-                proto::write_amps(&mut conn.writer, &half)?;
-                proto::read_amps(&mut conn.reader)?
+            let n = outgoing.len();
+            if is_lo {
+                proto::write_amps(&mut conn.writer, &outgoing)?;
+                proto::read_amps(&mut conn.reader, n, &mut incoming)?;
             } else {
-                let incoming = proto::read_amps(&mut conn.reader)?;
-                proto::write_amps(&mut conn.writer, &half)?;
-                incoming
-            };
-            if incoming.len() != half.len() {
-                return Err(wire_err("dswap", "half-slice length mismatch".into()));
+                proto::read_amps(&mut conn.reader, n, &mut incoming)?;
+                proto::write_amps(&mut conn.writer, &outgoing)?;
             }
-            let mut base = 0;
-            let mut taken = 0;
-            while base < slice.len() {
-                slice[base + offset..base + offset + sl]
-                    .copy_from_slice(&incoming[taken..taken + sl]);
-                base += sl * 2;
-                taken += sl;
-            }
+            op.land(&mut slice, is_lo, &incoming);
             Ok(())
         })();
         self.slices.insert(sid, slice);
-        outcome
+        self.frames = [outgoing, incoming];
+        outcome.map(|()| Some(proto::ack()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rank `rank` of a `n_workers` group, with no mesh peers dialled.
+    fn worker(rank: usize, n_workers: usize) -> Worker {
+        Worker {
+            rank,
+            listener: TcpListener::bind("127.0.0.1:0").unwrap(),
+            peers: vec![String::new(); n_workers],
+            mesh: HashMap::new(),
+            slices: HashMap::new(),
+            frames: Default::default(),
+        }
     }
 
-    /// One global antidiagonal combine: swap full slices with the partner
-    /// and apply `lo' = a01·hi`, `hi' = a10·lo`.
-    fn antidiag_global(&mut self, msg: &Value, step: usize, a01: C64, a10: C64) -> io::Result<()> {
-        let partner = self.rank ^ step;
-        let is_lo = self.rank < partner;
-        let (sid, slice) = self.slice_mut(msg)?;
-        let mut slice = std::mem::take(slice);
-        let outcome = (|| {
-            let conn = self.mesh_with(partner)?;
-            let incoming = if is_lo {
-                proto::write_amps(&mut conn.writer, &slice)?;
-                proto::read_amps(&mut conn.reader)?
-            } else {
-                let incoming = proto::read_amps(&mut conn.reader)?;
-                proto::write_amps(&mut conn.writer, &slice)?;
-                incoming
-            };
-            if incoming.len() != slice.len() {
-                return Err(wire_err("antidiag_g", "slice length mismatch".into()));
-            }
-            let d = if is_lo { a01 } else { a10 };
-            for (mine, theirs) in slice.iter_mut().zip(incoming.iter()) {
-                *mine = d * *theirs;
-            }
-            Ok(())
-        })();
-        self.slices.insert(sid, slice);
-        outcome
+    fn send(w: &mut Worker, line: &str) -> io::Result<Option<Value>> {
+        let msg = tqsim_json::parse(line).unwrap();
+        let verb = msg.get("v").and_then(Value::as_str).unwrap().to_string();
+        w.dispatch(&verb, &msg, &mut io::sink())
+    }
+
+    fn refused(result: io::Result<Option<Value>>) -> bool {
+        result.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
+    }
+
+    #[test]
+    fn bad_alloc_lengths_are_wire_errors() {
+        let mut w = worker(0, 2);
+        for len in ["0", "4", "12", "4611686018427387904"] {
+            let line = format!(r#"{{"v":"alloc","sid":1,"len":{len}}}"#);
+            assert!(refused(send(&mut w, &line)), "len {len}");
+        }
+        assert!(w.slices.is_empty());
+        assert!(send(&mut w, r#"{"v":"alloc","sid":1,"len":8}"#).is_ok());
+        assert_eq!(w.slices[&1][0], c64(1.0, 0.0), "rank 0 holds |0…0⟩");
+    }
+
+    #[test]
+    fn out_of_range_ops_are_wire_errors_not_kernel_panics() {
+        let mut w = worker(1, 2);
+        send(&mut w, r#"{"v":"alloc","sid":1,"len":8}"#).unwrap();
+        let cx = proto::mat4_to_value(&tqsim_circuit::GateKind::Cx.matrix2().unwrap()).to_json();
+        let mat4 =
+            |hi: u16, lo: u16| format!(r#"{{"v":"mat4","sid":1,"hi":{hi},"lo":{lo},"m":{cx}}}"#);
+        assert!(refused(send(&mut w, &mat4(3, 0))), "qubit 3 of 3 local");
+        assert!(refused(send(&mut w, &mat4(1, 1))), "repeated operand");
+        assert!(send(&mut w, &mat4(2, 0)).is_ok());
+        for line in [
+            r#"{"v":"gate","sid":1,"g":["h",7]}"#,
+            r#"{"v":"diag1","sid":1,"q":3,"d":[1,0,1,0]}"#,
+            r#"{"v":"msum","sid":1,"q":40,"acc":0}"#,
+            // Rank 1's slice starts at index 8: a walk cannot resume at 2.
+            r#"{"v":"walk","sid":1,"us":[0.5],"idx":2,"acc":0,"total":16,"init":false}"#,
+            // Two workers: no partner across global bit 1, or 2^70 away.
+            r#"{"v":"dswap","sid":1,"gb":1,"lq":0}"#,
+            r#"{"v":"dswap","sid":1,"gb":70,"lq":0}"#,
+            r#"{"v":"antidiag_g","sid":1,"step":3,"a":[1,0,1,0]}"#,
+        ] {
+            assert!(refused(send(&mut w, line)), "{line}");
+        }
     }
 }

@@ -1,82 +1,179 @@
-//! Cross-process bit-identity: the multi-process shard backend must be
-//! indistinguishable — amplitudes, `Counts`, deterministic cluster
-//! counters, exchange schedules — from the in-process distributed state
-//! vector it mirrors, at 2 and 4 shards, with and without noise. Only
-//! `measured_exchange_seconds` may (and must) differ: here it times real
-//! TCP round-trips.
+//! One distributed state, two slice transports. The conformance body below
+//! drives every `SliceOp`, both `PairOp`s and every `Query` through a
+//! `DistributedStateVector<T>` and checks each result bit for bit against
+//! a flat `StateVector` driven through the same operations: amplitudes
+//! directly, reductions against the rank-ordered fold the distributed
+//! state documents. It runs on the in-process `LocalSlices` at 2, 4 and 8
+//! nodes and on the TCP `ShardSlices` at 2 and 4 worker processes, whose
+//! deterministic counters must equal the in-process ones. One level up,
+//! the engine must return identical `Counts` on either backend.
 
 use std::sync::Arc;
 use tqsim::Strategy;
-use tqsim_circuit::generators;
-use tqsim_cluster::{DistributedStateVector, InterconnectModel};
+use tqsim_circuit::math::{c64, C64};
+use tqsim_circuit::{generators, Gate, GateKind};
+use tqsim_cluster::{
+    ClusterBackend, ClusterCounters, DistributedStateVector, InterconnectModel, SliceTransport,
+};
 use tqsim_engine::{Engine, EngineConfig, JobPlan, PlannedJob};
 use tqsim_noise::NoiseModel;
-use tqsim_shard::{ShardBackend, ShardCluster, ShardedStateVector};
-use tqsim_statevec::QuantumState;
+use tqsim_shard::ShardBackend;
+use tqsim_statevec::{DiagRun, PooledBackend, QuantumState, StateVector};
+
+const N: u16 = 8;
 
 fn model() -> InterconnectModel {
     InterconnectModel::commodity_cluster()
 }
 
-#[test]
-fn state_level_amplitudes_and_counters_match_in_process() {
-    // Drive the identical op stream through a 4-process shard state and
-    // the 4-thread in-process DSV: every amplitude bit, every
-    // deterministic counter, and every floating-point reduction must
-    // agree exactly.
-    let cluster = Arc::new(ShardCluster::spawn(4).expect("spawn workers"));
-    let mut shard = ShardedStateVector::zero(Arc::clone(&cluster), 8, model()).unwrap();
-    let mut dsv = DistributedStateVector::zero(8, 4, model()).unwrap();
+fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+    amps.iter()
+        .map(|a| (a.re.to_bits(), a.im.to_bits()))
+        .collect()
+}
 
-    let circuit = generators::qsc(8, 40, 3);
-    for gate in &circuit {
-        shard.apply_gate(gate);
-        dsv.apply_gate(gate);
-    }
-    assert_eq!(
-        shard.gather().amplitudes(),
-        dsv.gather().amplitudes(),
-        "amplitudes must match bit for bit after the gate stream"
-    );
+/// The documented fold: per-slice `Σ|a|²` over the slices `keep` selects,
+/// added in rank order.
+fn rank_fold(amps: &[C64], n_nodes: usize, keep: impl Fn(usize) -> bool) -> f64 {
+    amps.chunks(amps.len() / n_nodes)
+        .enumerate()
+        .filter(|&(rank, _)| keep(rank))
+        .map(|(_, slice)| slice.iter().map(|a| a.norm_sqr()).sum::<f64>())
+        .sum()
+}
 
-    // Noise-surface ops, including global-qubit (anti)diagonals and the
-    // renormalisation that follows a Kraus branch.
-    for q in [0u16, 5, 6, 7] {
+/// The conformance body: returns the state's counters for comparison
+/// across transports.
+fn conform<T, B>(backend: &B) -> ClusterCounters
+where
+    T: SliceTransport,
+    B: PooledBackend<State = DistributedStateVector<T>>,
+{
+    let mut dsv = backend.allocate(N);
+    let mut sv = StateVector::zero(N);
+    let (n_nodes, local_n) = (dsv.n_nodes(), dsv.local_qubits());
+    let same = |dsv: &DistributedStateVector<T>, sv: &StateVector, what: &str| {
         assert_eq!(
-            shard.marginal_one(q).to_bits(),
-            dsv.marginal_one(q).to_bits()
+            bits(dsv.gather().amplitudes()),
+            bits(sv.amplitudes()),
+            "{what} on {n_nodes} nodes"
         );
+    };
+
+    // Gates: local ones sweep `SliceOp::Gate`; every operand on a global
+    // qubit is remapped by `PairOp::HalfSwap` rounds there and back.
+    let mut gates: Vec<Gate> = generators::qsc(N, 40, 3).iter().copied().collect();
+    gates.push(Gate::new(GateKind::Ccx, &[7, 6, 0]));
+    gates.push(Gate::new(GateKind::Swap, &[N - 1, 1]));
+    for gate in &gates {
+        dsv.apply_gate(gate);
+        sv.apply_gate(gate);
     }
-    let d0 = tqsim_circuit::math::c64(0.9, 0.0);
-    let d1 = tqsim_circuit::math::c64(0.0, 0.4);
-    for q in [1u16, 7] {
-        shard.apply_diag1(q, d0, d1);
+    same(&dsv, &sv, "gate stream");
+
+    // Dense fused matrices, local and global, and a diagonal run over
+    // local and node-selecting qubits.
+    let ry = GateKind::Ry(0.3).matrix1().unwrap();
+    let fsim = GateKind::FSim(0.4, -0.7).matrix2().unwrap();
+    for q in [0, N - 1] {
+        dsv.apply_mat2(q, &ry);
+        sv.apply_mat2(q, &ry);
+    }
+    for (hi, lo) in [(2, 0), (N - 1, 1), (N - 1, N - 2)] {
+        dsv.apply_mat4(hi, lo, &fsim);
+        sv.apply_mat4(hi, lo, &fsim);
+    }
+    let mut run = DiagRun::new();
+    run.push1(1, GateKind::T.diag1().unwrap());
+    run.push1(N - 1, GateKind::S.diag1().unwrap());
+    run.push2(N - 2, 0, GateKind::Cz.diag2().unwrap());
+    dsv.apply_diag_run(&run);
+    sv.apply_diag_run(&run);
+    same(&dsv, &sv, "fused ops");
+
+    // Kraus-branch surface: (anti)diagonals on a local qubit (sweeps) and
+    // on a node-selecting one (`ScaleBit` and the `PairOp::Antidiag` round).
+    let (d0, d1) = (c64(0.9, 0.0), c64(0.0, 0.4));
+    for q in [1, N - 1] {
         dsv.apply_diag1(q, d0, d1);
+        sv.apply_diag1(q, d0, d1);
     }
-    for q in [2u16, 6] {
-        shard.apply_antidiag1(q, d1, d0);
+    for q in [2, N - 1] {
         dsv.apply_antidiag1(q, d1, d0);
+        sv.apply_antidiag1(q, d1, d0);
     }
-    shard.renormalize();
-    dsv.renormalize();
-    assert_eq!(shard.norm_sqr().to_bits(), dsv.norm_sqr().to_bits());
-    assert_eq!(shard.gather().amplitudes(), dsv.gather().amplitudes());
+    same(&dsv, &sv, "diagonals");
 
-    // Sampling: the chained CDF walks must consume draws identically.
-    let us: Vec<f64> = (0..32).map(|i| (i as f64 + 0.37) / 32.0).collect();
-    assert_eq!(shard.sample_many(&us), dsv.sample_many(&us));
-    assert_eq!(shard.sample_with(0.123456789), dsv.sample_with(0.123456789));
-
-    // Deterministic counters agree exactly (`PartialEq` on the counters
-    // excludes the wall-clock field)…
-    assert_eq!(shard.counters, dsv.counters);
-    assert!(shard.counters.exchanges > 0, "qsc must hit global qubits");
-    // …while the shard's measured exchange time is real elapsed wall
-    // clock on a real wire, so it must actually accumulate.
-    assert!(
-        shard.counters.measured_exchange_seconds > 0.0,
-        "TCP exchanges take nonzero wall-clock time"
+    // Queries on the now sub-normalised state: norm and global marginals
+    // fold per-slice sums in rank order; a local marginal carries one
+    // accumulator through the ranks; sampling walks one CDF in global
+    // index order, so it is the flat state's own, draw for draw —
+    // including the over-range fallback to the last basis state.
+    let amps = sv.amplitudes();
+    assert_eq!(
+        dsv.norm_sqr().to_bits(),
+        rank_fold(amps, n_nodes, |_| true).to_bits()
     );
+    for q in 0..N {
+        let expect = if q >= local_n {
+            let mask = 1usize << (q - local_n);
+            rank_fold(amps, n_nodes, |rank| rank & mask != 0)
+        } else {
+            let set = amps.iter().enumerate().filter(|(i, _)| i & (1 << q) != 0);
+            set.fold(0.0, |acc, (_, a)| acc + a.norm_sqr())
+        };
+        assert_eq!(dsv.marginal_one(q).to_bits(), expect.to_bits(), "q{q}");
+    }
+    let mut us: Vec<f64> = (0..40).map(|i| (i as f64 + 0.37) / 40.0).collect();
+    us.extend([0.0, 0.999_999_9, 0.5, 0.5]);
+    assert_eq!(dsv.sample_many(&us), sv.sample_many(&us));
+    for &u in &us {
+        assert_eq!(dsv.sample_with(u), sv.sample_with(u), "u={u}");
+    }
+    assert!(dsv.sample_many(&[]).is_empty());
+
+    // Renormalisation scales by the folded norm (`Query::Psum`, then
+    // `SliceOp::Scale`).
+    let s = 1.0 / rank_fold(sv.amplitudes(), n_nodes, |_| true).sqrt();
+    dsv.renormalize();
+    for a in sv.amplitudes_mut() {
+        *a *= s;
+    }
+    same(&dsv, &sv, "renormalised");
+
+    // State copies and resets (`SliceOp::Reset`).
+    let mut child = backend.allocate(N);
+    child.copy_from(&dsv);
+    same(&child, &sv, "copy");
+    assert_eq!(child.counters.state_copies, 1);
+    child.reset_zero();
+    same(&child, &StateVector::zero(N), "reset");
+
+    assert!(dsv.counters.exchanges > 0, "global operands must exchange");
+    let mut counters = dsv.counters;
+    counters.merge(&child.counters);
+    counters
+}
+
+#[test]
+fn local_slices_conform_at_2_4_8_nodes() {
+    for nodes in [2usize, 4, 8] {
+        conform(&ClusterBackend::new(nodes, model()));
+    }
+}
+
+#[test]
+fn shard_slices_conform_at_2_4_workers_with_in_process_counters() {
+    for workers in [2usize, 4] {
+        let backend = ShardBackend::spawn(workers).expect("spawn workers");
+        let shard = conform(&backend);
+        // Deterministic counters agree exactly (`PartialEq` excludes the
+        // wall-clock field)…
+        assert_eq!(shard, conform(&ClusterBackend::new(workers, model())));
+        // …while the measured exchange time is real elapsed wall clock on
+        // a real wire, so it must accumulate.
+        assert!(shard.measured_exchange_seconds > 0.0);
+    }
 }
 
 #[test]

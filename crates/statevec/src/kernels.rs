@@ -49,9 +49,8 @@
 //! fit inside a span selects among the task's 2 or 4 spans instead, so the
 //! highest qubits split as evenly as the lowest. The serial path is the
 //! same body over a single whole-slice task. The threshold defaults to
-//! [`DEFAULT_PAR_MIN_LEN`] and is tunable per host via the
-//! `TQSIM_PAR_MIN_LEN` environment variable (read once) or
-//! [`set_par_min_len`]. The reductions (`norm_sqr`, sampling, …) keep the
+//! [`DEFAULT_PAR_MIN_LEN`] and is tunable with [`set_par_min_len`]. The
+//! reductions (`norm_sqr`, sampling, …) keep the
 //! pool's fixed-boundary chunking, which is what makes *them* thread-count
 //! invariant.
 
@@ -80,25 +79,14 @@ pub const DEFAULT_PAR_MIN_LEN: usize = 1 << 17;
 /// per-drive cap, so one task is one pool task).
 const MAX_POOL_TASKS: usize = 128;
 
-/// Runtime threshold; 0 means "not yet initialised from the environment".
-static PAR_MIN_LEN_V: AtomicUsize = AtomicUsize::new(0);
+/// Runtime threshold.
+static PAR_MIN_LEN_V: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_MIN_LEN);
 
-/// Below this many amplitudes, kernels run serially. Initialised lazily
-/// from `TQSIM_PAR_MIN_LEN` (falling back to [`DEFAULT_PAR_MIN_LEN`]);
-/// override programmatically with [`set_par_min_len`].
+/// Below this many amplitudes, kernels run serially: [`DEFAULT_PAR_MIN_LEN`]
+/// unless overridden with [`set_par_min_len`].
 #[inline]
 pub fn par_min_len() -> usize {
-    let v = PAR_MIN_LEN_V.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let init = std::env::var("TQSIM_PAR_MIN_LEN")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_PAR_MIN_LEN);
-    PAR_MIN_LEN_V.store(init, Ordering::Relaxed);
-    init
+    PAR_MIN_LEN_V.load(Ordering::Relaxed)
 }
 
 /// Set the serial/parallel switch point at runtime (clamped to ≥ 1).

@@ -6,9 +6,9 @@
 //! `into_par_iter`, `par_chunks_mut`, `ThreadPoolBuilder`) are provided here
 //! on top of a lazily-initialized, std-only work-sharing pool:
 //!
-//! - The pool is sized by [`std::thread::available_parallelism`], overridable
-//!   with the `TQSIM_AMP_THREADS` environment variable (read once, at first
-//!   use). Workers are spawned lazily and parked when idle.
+//! - The pool is sized by [`std::thread::available_parallelism`] (read
+//!   once, at first use); [`ThreadPool::install`] caps it per calling
+//!   thread. Workers are spawned lazily and parked when idle.
 //! - Every drive (`for_each`, `sum`, `collect`, …) splits its iterator into
 //!   **fixed task boundaries that depend only on the iterator's length**,
 //!   never on the thread count, and reductions combine per-task partials in
@@ -132,20 +132,14 @@ struct Pool {
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-/// Pool-default concurrency: `TQSIM_AMP_THREADS` override, else
-/// `available_parallelism`, else 1. Read once per process.
+/// Pool-default concurrency: `available_parallelism`, else 1. Read once per
+/// process.
 fn default_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        std::env::var("TQSIM_AMP_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     })
 }
 
@@ -333,7 +327,7 @@ pub fn pool_stats() -> PoolStats {
 
 /// The number of amplitude threads a drive started on this thread would
 /// use: the [`ThreadPool::install`] cap if one is active, else the pool
-/// default (`TQSIM_AMP_THREADS` / `available_parallelism`).
+/// default (`available_parallelism`).
 pub fn current_num_threads() -> usize {
     effective_threads()
 }
