@@ -130,13 +130,7 @@ fn main() {
         let mut gap = 0.0;
         let mut desc = (String::new(), 0u64, 0u64);
         for rep in 0..reps {
-            let r = exec.run_with_options(
-                0xAB5 + rep,
-                ExecOptions {
-                    leaf_samples,
-                    ..ExecOptions::default()
-                },
-            );
+            let r = exec.run_with_options(0xAB5 + rep, ExecOptions { leaf_samples });
             let f = metrics::normalized_fidelity(&ideal9, &r.counts.to_distribution());
             gap += (f - f_ref).abs();
             desc = (r.tree.to_string(), r.counts.total(), r.ops.total_gates());

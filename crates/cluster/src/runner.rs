@@ -24,7 +24,7 @@ pub struct DistRunResult {
 }
 
 /// Execute a TQSim partition on the distributed engine with default
-/// [`ExecOptions`] (fused replay, one sample per leaf). See
+/// [`ExecOptions`] (one sample per leaf). See
 /// [`run_distributed_with_options`].
 ///
 /// # Errors
@@ -287,52 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_distributed_counts_are_bit_identical_to_unfused() {
-        let circuit = generators::qft(8);
-        let noise = NoiseModel::sycamore();
-        let partition = tqsim::Strategy::Custom {
-            arities: vec![6, 2, 2],
-        }
-        .plan(&circuit, &noise, 24)
-        .unwrap();
-        let model = InterconnectModel::commodity_cluster();
-        for seed in [3u64, 77] {
-            let fused = run_distributed_with_options(
-                &circuit,
-                &noise,
-                &partition,
-                4,
-                model,
-                seed,
-                tqsim::ExecOptions::default(),
-            )
-            .unwrap();
-            let unfused = run_distributed_with_options(
-                &circuit,
-                &noise,
-                &partition,
-                4,
-                model,
-                seed,
-                tqsim::ExecOptions {
-                    fusion: false,
-                    ..tqsim::ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(fused.counts, unfused.counts, "seed {seed}");
-            assert_eq!(fused.ops.total_gates(), unfused.ops.total_gates());
-            assert_eq!(fused.ops.noise_ops, unfused.ops.noise_ops);
-            assert!(
-                fused.ops.amp_passes < unfused.ops.amp_passes,
-                "distributed fusion must reduce passes ({} vs {})",
-                fused.ops.amp_passes,
-                unfused.ops.amp_passes
-            );
-        }
-    }
-
-    #[test]
     fn distributed_replay_matches_serial_executor_bit_for_bit() {
         // Same seed, same partition: the distributed fused replay must
         // reproduce the serial single-node executor's Counts exactly, at
@@ -346,10 +300,7 @@ mod tests {
             .plan(&circuit, &noise, 20)
             .unwrap();
             for leaf_samples in [1u32, 3] {
-                let options = tqsim::ExecOptions {
-                    leaf_samples,
-                    ..tqsim::ExecOptions::default()
-                };
+                let options = tqsim::ExecOptions { leaf_samples };
                 let serial = tqsim::TreeExecutor::new(&circuit, &noise, partition.clone())
                     .unwrap()
                     .run_with_options(9, options);

@@ -146,20 +146,11 @@ pub struct ExecOptions {
     /// trade the `ablation_dcp` harness quantifies. Oversampled leaves are
     /// drawn in one batched CDF walk ([`StateVector::sample_many`]).
     pub leaf_samples: u32,
-    /// Replay each subcircuit's compiled fused plan (default) instead of
-    /// dispatching gate by gate. The compiled path consumes the RNG stream
-    /// identically — same trajectory branches, same `Counts` — while
-    /// performing fewer amplitude passes (see [`OpCounts::amp_passes`]).
-    /// The unfused path is kept as the bit-exact reference semantics.
-    pub fusion: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            leaf_samples: 1,
-            fusion: true,
-        }
+        ExecOptions { leaf_samples: 1 }
     }
 }
 
@@ -425,7 +416,7 @@ where
                 self.noise,
                 self.rng,
                 self.ops,
-                self.options.fusion,
+                true,
             );
             self.last_write += 1;
             self.writes[level + 1] = SlotWrite {
@@ -442,12 +433,15 @@ where
 /// `tqsim-engine` node executor, the Monte-Carlo baselines and
 /// `tqsim-cluster`'s distributed runner.
 ///
-/// With `fusion` on (the default everywhere) the compiled `plan` is
-/// replayed with the noise-adaptive flush; otherwise each source gate is
-/// dispatched and its noise applied per gate. Both arms consume the RNG
-/// stream identically — the fused/unfused and cross-backend `Counts`
-/// equivalences all rely on this function being the only fork point, so do
-/// not duplicate the loop or change the draw order.
+/// Every executor passes `fusion = true`: the compiled `plan` is replayed
+/// with the noise-adaptive flush. `false` dispatches each source gate and
+/// applies its noise per gate ([`NoiseModel::apply_after_gate`]) — not a
+/// mode any executor offers, but the bit-exact reference the tests' unshared
+/// mirror walks. The argument stays because `perf/src/layers.rs` compiles
+/// against this signature. Both arms consume the RNG stream identically —
+/// the fused/per-gate and cross-backend `Counts` equivalences all rely on
+/// this function being the only fork point, so do not duplicate the loop or
+/// change the draw order.
 pub fn run_subcircuit<S, R>(
     state: &mut S,
     subcircuit: &Circuit,
@@ -678,56 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_replay_matches_unfused_counts_bit_for_bit() {
-        // The compiled-plan path must consume the RNG stream identically to
-        // per-gate dispatch, so the histograms agree exactly — under noise,
-        // where the noise-adaptive flush is exercised, and without. The
-        // heavy depolarizing model fires branches constantly, checking that
-        // noise-only sweeps stay out of amp_passes (which the unfused path
-        // never counts either) and the pass reduction survives.
-        for noise in [
-            NoiseModel::sycamore(),
-            NoiseModel::ideal(),
-            NoiseModel::depolarizing(0.25, 0.35),
-        ] {
-            for (gen, shots) in [
-                (generators::bv(8), 60u64),
-                (generators::qft(7), 60),
-                (generators::qv(6, 2), 40),
-            ] {
-                let p = Strategy::Custom {
-                    arities: vec![5, 4, 3],
-                }
-                .plan(&gen, &noise, shots)
-                .unwrap();
-                let exec = TreeExecutor::new(&gen, &noise, p).unwrap();
-                for seed in [7u64, 1234] {
-                    let fused = exec.run_with_options(seed, ExecOptions::default());
-                    let unfused = exec.run_with_options(
-                        seed,
-                        ExecOptions {
-                            fusion: false,
-                            ..ExecOptions::default()
-                        },
-                    );
-                    assert_eq!(fused.counts, unfused.counts, "{}", noise.name());
-                    assert_eq!(fused.ops.total_gates(), unfused.ops.total_gates());
-                    assert_eq!(fused.ops.noise_ops, unfused.ops.noise_ops);
-                    assert_eq!(fused.ops.state_copies, unfused.ops.state_copies);
-                    assert!(
-                        fused.ops.amp_passes < unfused.ops.amp_passes,
-                        "{}: fusion must reduce passes ({} vs {})",
-                        noise.name(),
-                        fused.ops.amp_passes,
-                        unfused.ops.amp_passes
-                    );
-                    assert!(fused.ops.fused_gates > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn leaf_oversampling_multiplies_outcomes() {
         let c = generators::qft(6);
         let noise = NoiseModel::sycamore();
@@ -737,13 +681,7 @@ mod tests {
         .plan(&c, &noise, 10)
         .unwrap();
         let exec = TreeExecutor::new(&c, &noise, p).unwrap();
-        let r = exec.run_with_options(
-            1,
-            ExecOptions {
-                leaf_samples: 4,
-                ..ExecOptions::default()
-            },
-        );
+        let r = exec.run_with_options(1, ExecOptions { leaf_samples: 4 });
         assert_eq!(r.counts.total(), 40);
         assert_eq!(r.ops.samples, 40);
         // Gate work is per materialised node, whatever the leaves draw.

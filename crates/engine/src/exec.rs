@@ -74,7 +74,6 @@ struct TreeShared {
     noise: NoiseModel,
     seed: u64,
     leaf_samples: u32,
-    fusion: bool,
     accums: Vec<Mutex<Accum>>,
     /// Outstanding tasks of **this job** (not the pool): seeded with the
     /// root count; interior nodes add their children *before* spawning
@@ -183,7 +182,6 @@ pub(crate) fn launch_tree<B: PooledBackend>(
     plan: &Arc<JobPlan>,
     seed: u64,
     leaf_samples: u32,
-    fusion: bool,
     sink: Option<ChunkSink>,
     done: DoneFn,
 ) {
@@ -208,7 +206,6 @@ pub(crate) fn launch_tree<B: PooledBackend>(
         noise: plan.noise.clone(),
         seed,
         leaf_samples,
-        fusion,
         accums: (0..pool.workers())
             .map(|_| {
                 Mutex::new(Accum {
@@ -245,7 +242,6 @@ pub(crate) fn run_tree<B: PooledBackend>(
     plan: &Arc<JobPlan>,
     seed: u64,
     leaf_samples: u32,
-    fusion: bool,
 ) -> RunResult {
     pool.pool_counters().reset_high_water();
     let (tx, rx) = mpsc::channel();
@@ -254,7 +250,6 @@ pub(crate) fn run_tree<B: PooledBackend>(
         plan,
         seed,
         leaf_samples,
-        fusion,
         None,
         Box::new(move |result| {
             let _ = tx.send(result);
@@ -310,9 +305,8 @@ fn run_node<B: PooledBackend>(
 
     let mut rng = StdRng::seed_from_u64(shared.seed ^ hash);
     // Compile-once/replay-many through the shared generic driver: the node
-    // replays the batch's fused plan with its own RNG stream (or dispatches
-    // per gate when fusion is off), consuming the stream identically to the
-    // serial executor.
+    // replays the batch's fused plan with its own RNG stream, consuming the
+    // stream identically to the serial executor.
     tqsim::run_subcircuit(
         &mut *state,
         &shared.subcircuits[level],
@@ -320,7 +314,7 @@ fn run_node<B: PooledBackend>(
         &shared.noise,
         &mut rng,
         &mut ops,
-        shared.fusion,
+        true,
     );
     let members = std::iter::once((hash, rng)).chain(sharers);
 
@@ -422,19 +416,10 @@ mod tests {
     }
 
     fn run_with_workers(workers: usize, seed: u64, arities: Vec<u64>) -> RunResult {
-        run_with_workers_fusion(workers, seed, arities, true)
-    }
-
-    fn run_with_workers_fusion(
-        workers: usize,
-        seed: u64,
-        arities: Vec<u64>,
-        fusion: bool,
-    ) -> RunResult {
         let noise = NoiseModel::sycamore();
         let plan = plan_for(arities, &noise);
         let pool = WorkerPool::new(workers);
-        run_tree(&pool, &plan, seed, 1, fusion)
+        run_tree(&pool, &plan, seed, 1)
     }
 
     #[test]
@@ -457,7 +442,7 @@ mod tests {
             .run(3);
         let plan = Arc::new(JobPlan::plan(&circuit, &noise, 8, &strategy).unwrap());
         let pool = WorkerPool::new(2);
-        let par = run_tree(&pool, &plan, 3, 1, true);
+        let par = run_tree(&pool, &plan, 3, 1);
         // Identical op accounting (noiseless ⇒ even the RNG plays no role),
         // including the fused-path amp_passes/fused_gates counters: both
         // executors materialise one node per level under each root-level
@@ -469,13 +454,13 @@ mod tests {
         assert_eq!(par.counts.total(), serial.counts.total());
     }
 
-    /// The unshared reference: every node materialised from its parent on
-    /// its own path-derived stream, from the public primitives, serially.
+    /// The reference walk: every node materialised from its parent on its
+    /// own path-derived stream, from the public primitives, serially — and
+    /// dispatched gate by gate, so it neither shares nor fuses.
     struct Mirror<'a> {
         plan: &'a JobPlan,
         seed: u64,
         leaf_samples: u32,
-        fusion: bool,
         counts: Counts,
         ops: OpCounts,
     }
@@ -497,7 +482,7 @@ mod tests {
                 &self.plan.noise,
                 &mut rng,
                 &mut self.ops,
-                self.fusion,
+                false,
             );
             if level + 1 == k {
                 let (counts, ops) = (&mut self.counts, &mut self.ops);
@@ -520,12 +505,11 @@ mod tests {
         }
     }
 
-    fn unshared_mirror(plan: &JobPlan, seed: u64, leaf_samples: u32, fusion: bool) -> Mirror<'_> {
+    fn unshared_mirror(plan: &JobPlan, seed: u64, leaf_samples: u32) -> Mirror<'_> {
         let mut mirror = Mirror {
             plan,
             seed,
             leaf_samples,
-            fusion,
             counts: Counts::new(plan.n_qubits),
             ops: OpCounts::new(),
         };
@@ -568,45 +552,48 @@ mod tests {
                 };
                 let plan = Arc::new(JobPlan::plan(&circuit, &noise, 1, &strategy).unwrap());
                 let nodes = plan.partition.tree.subcircuit_executions();
-                for fusion in [true, false] {
-                    for leaf_samples in [1u32, 3] {
-                        let cell = format!(
-                            "{} {arities:?} fusion={fusion} leaf_samples={leaf_samples}",
-                            noise.name()
+                for leaf_samples in [1u32, 3] {
+                    let cell = format!("{} {arities:?} leaf_samples={leaf_samples}", noise.name());
+                    let mirror = unshared_mirror(&plan, 17, leaf_samples);
+                    assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
+                    let runs: Vec<RunResult> = pools
+                        .iter()
+                        .map(|pool| run_tree(pool, &plan, 17, leaf_samples))
+                        .collect();
+                    for (r, pool) in runs.iter().zip(&pools) {
+                        let cell = format!("{cell} workers={}", pool.workers());
+                        assert_eq!(r.counts, mirror.counts, "{cell}");
+                        assert_eq!(r.ops, runs[0].ops, "{cell}");
+                        assert_eq!(r.ops.state_copies + r.ops.nodes_shared, nodes, "{cell}");
+                    }
+                    let ops = runs[0].ops;
+                    let state_dependent = noise
+                        .channels_1q()
+                        .iter()
+                        .any(|ch| !ch.samples_state_free());
+                    // Fusion saves passes on every cell, sharing or not —
+                    // except under damping, which samples the state at
+                    // every noise site and so flushes gate by gate.
+                    assert!(ops.amp_passes <= mirror.ops.amp_passes, "{cell}");
+                    assert!(
+                        state_dependent || ops.amp_passes < mirror.ops.amp_passes,
+                        "{cell}"
+                    );
+                    if arities.len() == 1 || state_dependent {
+                        // Root level and damping families never share: the
+                        // tree is the mirror, gate for gate.
+                        assert_eq!(ops.nodes_shared, 0, "{cell}");
+                        assert_eq!(ops.total_gates(), mirror.ops.total_gates(), "{cell}");
+                        assert_eq!(ops.noise_ops, mirror.ops.noise_ops, "{cell}");
+                    } else if noise.is_ideal() {
+                        assert_eq!(
+                            ops.state_copies,
+                            arities[0] * arities.len() as u64,
+                            "{cell}"
                         );
-                        let mirror = unshared_mirror(&plan, 17, leaf_samples, fusion);
-                        assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
-                        let runs: Vec<RunResult> = pools
-                            .iter()
-                            .map(|pool| run_tree(pool, &plan, 17, leaf_samples, fusion))
-                            .collect();
-                        for (r, pool) in runs.iter().zip(&pools) {
-                            let cell = format!("{cell} workers={}", pool.workers());
-                            assert_eq!(r.counts, mirror.counts, "{cell}");
-                            assert_eq!(r.ops, runs[0].ops, "{cell}");
-                            assert_eq!(r.ops.state_copies + r.ops.nodes_shared, nodes, "{cell}");
-                        }
-                        let ops = runs[0].ops;
-                        let state_dependent = noise
-                            .channels_1q()
-                            .iter()
-                            .any(|ch| !ch.samples_state_free());
-                        if arities.len() == 1 || state_dependent {
-                            // Root level and damping families never
-                            // share: the tree is the mirror.
-                            assert_eq!(ops.nodes_shared, 0, "{cell}");
-                            assert_eq!(ops.amp_passes, mirror.ops.amp_passes, "{cell}");
-                            assert_eq!(ops.noise_ops, mirror.ops.noise_ops, "{cell}");
-                        } else if noise.is_ideal() {
-                            assert_eq!(
-                                ops.state_copies,
-                                arities[0] * arities.len() as u64,
-                                "{cell}"
-                            );
-                        } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
-                            assert!(ops.nodes_shared > 0, "{cell}");
-                            assert!(ops.amp_passes < mirror.ops.amp_passes, "{cell}");
-                        }
+                    } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
+                        assert!(ops.nodes_shared > 0, "{cell}");
+                        assert!(ops.total_gates() < mirror.ops.total_gates(), "{cell}");
                     }
                 }
             }
@@ -631,7 +618,6 @@ mod tests {
             &plan,
             9,
             2,
-            true,
             Some(sink),
             Box::new(move |r| {
                 let _ = tx.send(r);
@@ -646,25 +632,6 @@ mod tests {
         assert_eq!(result.ops.nodes_shared, 35);
         assert_eq!(result.counts.total(), 60);
         assert_eq!(*chunks.lock().unwrap(), vec![2; 30]);
-    }
-
-    #[test]
-    fn fused_and_unfused_counts_are_bit_identical() {
-        // The noise-adaptive flush must consume the per-node RNG streams
-        // exactly as the unfused loop does, so Counts match bit for bit.
-        for seed in [1u64, 42, 99] {
-            let fused = run_with_workers_fusion(2, seed, vec![5, 3, 2], true);
-            let unfused = run_with_workers_fusion(2, seed, vec![5, 3, 2], false);
-            assert_eq!(fused.counts, unfused.counts, "seed {seed}");
-            assert_eq!(fused.ops.total_gates(), unfused.ops.total_gates());
-            assert_eq!(fused.ops.noise_ops, unfused.ops.noise_ops);
-            assert!(
-                fused.ops.amp_passes < unfused.ops.amp_passes,
-                "fusion must reduce passes: {} vs {}",
-                fused.ops.amp_passes,
-                unfused.ops.amp_passes
-            );
-        }
     }
 
     #[test]
@@ -699,7 +666,7 @@ mod tests {
         let isolated: Vec<RunResult> = (0..3u64)
             .map(|seed| {
                 let pool = WorkerPool::new(2);
-                run_tree(&pool, &plan, seed, 1, true)
+                run_tree(&pool, &plan, seed, 1)
             })
             .collect();
 
@@ -712,7 +679,6 @@ mod tests {
                 &plan,
                 seed,
                 1,
-                true,
                 None,
                 Box::new(move |r| {
                     let _ = tx.send((seed, r));
@@ -747,7 +713,6 @@ mod tests {
             &plan,
             9,
             2,
-            true,
             Some(sink),
             Box::new(move |r| {
                 let _ = tx.send(r);

@@ -159,7 +159,6 @@ pub struct JobSpec<'c> {
     strategy: Strategy,
     seed: u64,
     leaf_samples: u32,
-    fusion: bool,
 }
 
 impl<'c> JobSpec<'c> {
@@ -172,7 +171,6 @@ impl<'c> JobSpec<'c> {
             strategy: Strategy::default_dcp(),
             seed: 0,
             leaf_samples: 1,
-            fusion: true,
         }
     }
 
@@ -209,16 +207,6 @@ impl<'c> JobSpec<'c> {
     pub fn leaf_samples(mut self, n: u32) -> Self {
         assert!(n >= 1, "need at least one sample per leaf");
         self.leaf_samples = n;
-        self
-    }
-
-    /// Toggle fused plan replay (default on). The fused path consumes the
-    /// node RNG streams identically to the unfused path — `Counts` are the
-    /// same either way — while performing fewer amplitude passes; the
-    /// unfused path remains as the reference semantics (see
-    /// [`tqsim::ExecOptions`]).
-    pub fn fusion(mut self, enabled: bool) -> Self {
-        self.fusion = enabled;
         self
     }
 }
@@ -315,17 +303,15 @@ pub struct PlannedJob {
     plan: Arc<JobPlan>,
     seed: u64,
     leaf_samples: u32,
-    fusion: bool,
 }
 
 impl PlannedJob {
-    /// A job executing `plan` with seed 0, one sample per leaf, fusion on.
+    /// A job executing `plan` with seed 0 and one sample per leaf.
     pub fn new(plan: Arc<JobPlan>) -> Self {
         PlannedJob {
             plan,
             seed: 0,
             leaf_samples: 1,
-            fusion: true,
         }
     }
 
@@ -343,12 +329,6 @@ impl PlannedJob {
     pub fn leaf_samples(mut self, n: u32) -> Self {
         assert!(n >= 1, "need at least one sample per leaf");
         self.leaf_samples = n;
-        self
-    }
-
-    /// Toggle fused plan replay (see [`JobSpec::fusion`]).
-    pub fn fusion(mut self, enabled: bool) -> Self {
-        self.fusion = enabled;
         self
     }
 
@@ -488,13 +468,7 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
                 .iter()
                 .zip(&assignments)
                 .map(|(job, plan)| {
-                    exec::run_tree(
-                        &self.engine.pool,
-                        plan,
-                        job.seed,
-                        job.leaf_samples,
-                        job.fusion,
-                    )
+                    exec::run_tree(&self.engine.pool, plan, job.seed, job.leaf_samples)
                 })
                 .collect(),
             BatchMode::Overlapped { max_jobs } => {
@@ -545,7 +519,6 @@ fn run_overlapped<B: PooledBackend>(
                 &plans[next],
                 job.seed,
                 job.leaf_samples,
-                job.fusion,
                 None,
                 Box::new(move |result| {
                     let _ = tx.send((idx, result));
@@ -658,7 +631,6 @@ impl<B: PooledBackend> Engine<B> {
             &job.plan,
             job.seed,
             job.leaf_samples,
-            job.fusion,
             sink,
             Box::new(on_done),
         );
@@ -905,33 +877,27 @@ mod tests {
     }
 
     #[test]
-    fn oversampled_leaves_are_schedule_and_fusion_invariant() {
+    fn oversampled_leaves_are_schedule_invariant() {
         // leaf_samples > 1 exercises the batched sample_many walk shared
-        // with the serial executor; counts must not depend on parallelism
-        // or on the fusion toggle.
+        // with the serial executor; counts must not depend on parallelism.
+        // (The per-gate reference for oversampled leaves is the unshared
+        // mirror grid in `exec`.)
         let circuit = generators::qft(6);
-        let run = |workers: usize, fusion: bool| {
+        let run = |workers: usize| {
             let engine = Engine::new(EngineConfig::default().parallelism(workers));
             engine
                 .submit(vec![JobSpec::new(&circuit)
                     .shots(32)
                     .leaf_samples(4)
-                    .seed(21)
-                    .fusion(fusion)])
+                    .seed(21)])
                 .run()
                 .unwrap()
                 .jobs
                 .remove(0)
         };
-        let reference = run(1, true);
+        let reference = run(1);
         assert_eq!(reference.counts.total(), 4 * reference.tree.outcomes());
-        for (workers, fusion) in [(4, true), (1, false), (4, false)] {
-            let r = run(workers, fusion);
-            assert_eq!(
-                r.counts, reference.counts,
-                "workers {workers}, fusion {fusion}"
-            );
-        }
+        assert_eq!(run(4).counts, reference.counts);
     }
 
     #[test]

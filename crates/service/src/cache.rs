@@ -9,14 +9,14 @@
 //! `CompiledCircuit` fusion all happen on the first request and are
 //! replayed everywhere else.
 //!
-//! Keying: `(circuit fingerprint, noise model, strategy, shots, fusion)`.
+//! Keying: `(circuit fingerprint, noise model, strategy, shots)`.
 //! The fingerprint ([`Circuit::fingerprint`]) is a stable content hash, so
 //! structurally equal circuits hit regardless of how or where they were
 //! built; the remaining components are compared by value (two noise models
 //! or DCP configs differing in any parameter are distinct plans). `shots`
 //! is part of the key because the planned tree shape depends on the shot
-//! budget; `fusion` is kept in the key so fused and reference-unfused
-//! workloads account separately. Fingerprint collisions cannot alias plans:
+//! budget. Nothing else a request carries reaches [`JobPlan::plan`], so
+//! nothing else is keyed. Fingerprint collisions cannot alias plans:
 //! entries store the full circuit and compare it by content on lookup.
 //!
 //! Eviction is LRU with a fixed capacity; hit/miss/eviction/compile
@@ -46,15 +46,12 @@ pub struct PlanKey {
     pub strategy: Strategy,
     /// Shot budget (the planned tree shape depends on it).
     pub shots: u64,
-    /// Fused vs reference-unfused replay.
-    pub fusion: bool,
 }
 
 impl PlanKey {
     fn matches(&self, other: &PlanKey) -> bool {
         self.fingerprint == other.fingerprint
             && self.shots == other.shots
-            && self.fusion == other.fusion
             && self.noise == other.noise
             && self.strategy == other.strategy
             && (Arc::ptr_eq(&self.circuit, &other.circuit) || self.circuit == other.circuit)
@@ -305,7 +302,6 @@ mod tests {
                 arities: vec![4, 3],
             },
             shots,
-            fusion: true,
         }
     }
 
@@ -330,14 +326,11 @@ mod tests {
         let bv = Arc::new(generators::bv(6));
         cache.get_or_plan(&key(Arc::clone(&qft), 12)).unwrap();
         cache.get_or_plan(&key(Arc::clone(&bv), 12)).unwrap();
-        cache.get_or_plan(&key(Arc::clone(&qft), 24)).unwrap(); // shots differ
-        let mut unfused = key(qft, 12);
-        unfused.fusion = false;
-        cache.get_or_plan(&unfused).unwrap(); // fusion flag differs
+        cache.get_or_plan(&key(qft, 24)).unwrap(); // shots differ
         let stats = cache.stats();
-        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.entries, 4);
+        assert_eq!(stats.entries, 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   to a serial `Engine::submit` run because node RNG streams derive only
 //!   from the job's own seed and tree path.
 //! - **Cross-request plan cache** ([`PlanCache`], [`CacheStats`]): plans
-//!   keyed by `(circuit fingerprint, noise, strategy, shots, fusion)` are
+//!   keyed by `(circuit fingerprint, noise, strategy, shots)` are
 //!   compiled once per distinct key for the whole service lifetime, with
 //!   LRU eviction and hit/miss/eviction counters in [`ServiceStats`].
 //! - **Streaming results** ([`Ticket`]): leaf-batch outcome chunks are

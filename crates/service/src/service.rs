@@ -311,8 +311,6 @@ pub struct JobRequest {
     pub seed: u64,
     /// Outcomes per leaf (defaults to 1).
     pub leaf_samples: u32,
-    /// Fused plan replay (defaults to on).
-    pub fusion: bool,
     /// Execution retry policy (defaults to no retries).
     pub retry: RetryPolicy,
     /// Wall-clock budget measured from admission; when it passes before
@@ -331,7 +329,6 @@ impl JobRequest {
             strategy: Strategy::default_dcp(),
             seed: 0,
             leaf_samples: 1,
-            fusion: true,
             retry: RetryPolicy::default(),
             deadline: None,
         }
@@ -372,12 +369,6 @@ impl JobRequest {
         self
     }
 
-    /// Toggle fused replay.
-    pub fn fusion(mut self, enabled: bool) -> Self {
-        self.fusion = enabled;
-        self
-    }
-
     /// Set the execution retry policy.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
@@ -397,7 +388,6 @@ impl JobRequest {
             noise: self.noise.clone(),
             strategy: self.strategy.clone(),
             shots: self.shots,
-            fusion: self.fusion,
         }
     }
 }
@@ -1322,8 +1312,7 @@ fn start_attempt(
     let leaf_samples = request.leaf_samples;
     let planned = PlannedJob::new(plan)
         .seed(request.seed)
-        .leaf_samples(leaf_samples)
-        .fusion(request.fusion);
+        .leaf_samples(leaf_samples);
     let on_done = move |result: tqsim::RunResult| {
         // A panicking node task abandons its subtree (the engine keeps
         // the pool healthy and completes the job with partial counts),

@@ -255,9 +255,6 @@ pub fn request_from_json(value: &Value) -> Result<(String, JobRequest), String> 
         }
         request = request.leaf_samples(ls as u32);
     }
-    if let Some(fusion) = value.get("fusion") {
-        request = request.fusion(fusion.as_bool().ok_or("fusion must be a bool")?);
-    }
     if let Some(attempts) = value.get("retry_max_attempts") {
         let attempts = attempts
             .as_u64()
@@ -1000,7 +997,6 @@ mod tests {
         assert_eq!(client, "anonymous");
         assert_eq!(request.shots, 64);
         assert_eq!(request.seed, 0);
-        assert!(request.fusion);
         assert_eq!(request.noise, NoiseModel::sycamore());
     }
 }

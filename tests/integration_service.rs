@@ -357,9 +357,10 @@ fn wire_counts(result: &json::Value, n_qubits: u16) -> Counts {
 }
 
 /// `fusion_qubits` and `fusion_boundary` used to select plan shapes that no
-/// longer exist. Every value of both gave bit-identical `Counts`, so a
-/// client that still sends them is served like one that does not: they are
-/// unknown keys now, accepted and ignored — whatever they hold.
+/// longer exist, and `fusion` a per-gate replay mode that no longer exists.
+/// Every value of each gave bit-identical `Counts`, so a client that still
+/// sends them is served like one that does not: they are unknown keys now,
+/// accepted and ignored — whatever they hold — and compile no second plan.
 #[test]
 fn wire_ignores_the_retired_fusion_keys() {
     let service = Service::start(ServiceConfig::default().parallelism(2));
@@ -383,14 +384,19 @@ fn wire_ignores_the_retired_fusion_keys() {
     };
     let plain = run("");
     assert_eq!(plain.total(), 24);
+    let compiled = service.stats().cache.compiled;
     for extra in [
         r#","fusion_qubits":5"#,
         r#","fusion_boundary":true"#,
         r#","fusion_qubits":3,"fusion_boundary":false"#,
         r#","fusion_qubits":"wide","fusion_boundary":9"#,
+        r#","fusion":false"#,
+        r#","fusion":"x""#,
     ] {
         assert_eq!(run(extra), plain, "{extra}");
     }
+    // Every row is the plain request's plan: no key reaches the cache.
+    assert_eq!(service.stats().cache.compiled, compiled);
     server.stop();
     service.shutdown();
 }

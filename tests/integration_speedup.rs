@@ -1,7 +1,7 @@
 //! Cross-crate speedup integration tests: the computational-reuse math must
 //! hold end to end (Fig. 11 / Table 3 shape at test scale).
 
-use tqsim::{speedup, DcpConfig, Strategy, Tqsim};
+use tqsim::{speedup, DcpConfig, RunResult, Strategy, Tqsim};
 use tqsim_baselines::run_baseline;
 use tqsim_circuit::generators::{self, table2_suite_capped};
 use tqsim_noise::NoiseModel;
@@ -80,8 +80,14 @@ fn measured_speedup_tracks_predicted_speedup() {
         .run()
         .unwrap();
 
-    let measured = base.wall_time.as_secs_f64() / tree.wall_time.as_secs_f64();
-    let predicted = speedup::predicted_speedup(&plan, shots, 5.0);
+    // Measured in `predicted_speedup`'s units — gates plus `COPY_COST` per
+    // state copy — from the op counters, not the clock: exact for fixed
+    // seeds, and blind to whatever else shares the host.
+    const COPY_COST: u64 = 5;
+    let cost = |r: &RunResult| r.ops.total_gates() + COPY_COST * r.ops.state_copies;
+    assert_eq!((cost(&base), cost(&tree)), (698_000, 278_005));
+    let measured = cost(&base) as f64 / cost(&tree) as f64;
+    let predicted = speedup::predicted_speedup(&plan, shots, COPY_COST as f64);
     assert!(measured > 1.2, "no speedup measured: {measured:.2}");
     assert!(
         (measured / predicted - 1.0).abs() < 0.6,

@@ -129,7 +129,7 @@ proptest! {
         let partition = PlanStrategy::Custom { arities: vec![3, 2] }
             .plan(&circuit, &noise, 6)
             .unwrap();
-        let options = ExecOptions { leaf_samples, ..ExecOptions::default() };
+        let options = ExecOptions { leaf_samples };
         let serial = TreeExecutor::new(&circuit, &noise, partition.clone())
             .unwrap()
             .run_with_options(seed, options);

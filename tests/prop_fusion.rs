@@ -1,16 +1,20 @@
-//! Property tests of the compile-once/replay-many fusion layer: random
-//! circuits under ideal and sycamore noise must produce **bit-identical
-//! `Counts`** fused vs. unfused (the RNG streams are identical by
-//! construction), across the serial executor and the engine at parallelism
+//! Property tests of the compile-once/replay-many fusion layer: on random
+//! circuits under ideal and sycamore noise the serial executor's fused,
+//! shared walk must produce **bit-identical `Counts`** to the unshared
+//! per-gate mirror ([`common::walk_on`]; the RNG streams are identical by
+//! construction), the engine must give the same `Counts` at parallelism
 //! 1..4, and replayed amplitudes must match per-gate dispatch to
 //! floating-point-reordering tolerance.
 
+mod common;
+
+use common::{walk_on, Walk};
 use proptest::prelude::*;
 use tqsim::{ExecOptions, Strategy as PlanStrategy, TreeExecutor};
 use tqsim_circuit::{Circuit, Gate, GateKind};
 use tqsim_engine::{Engine, EngineConfig, JobSpec};
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{OpCounts, StateVector};
+use tqsim_statevec::{OpCounts, SingleNode, StateVector};
 
 /// Random gates drawn from the full fusible + passthrough catalogue.
 fn arb_gate(n: u16) -> impl Strategy<Value = Gate> {
@@ -113,17 +117,15 @@ proptest! {
         let partition = PlanStrategy::Custom { arities: vec![4, 3] }
             .plan(&circuit, &noise, 12)
             .unwrap();
-        let exec = TreeExecutor::new(&circuit, &noise, partition).unwrap();
-        let fused = exec.run_with_options(seed, ExecOptions::default());
-        let unfused = exec.run_with_options(
-            seed,
-            ExecOptions { fusion: false, ..ExecOptions::default() },
+        let fused = TreeExecutor::new(&circuit, &noise, partition.clone()).unwrap().run(seed);
+        let reference = walk_on(
+            &SingleNode, &circuit, &noise, &partition, seed, ExecOptions::default(), Walk::PerGate,
         );
-        prop_assert_eq!(&fused.counts, &unfused.counts);
-        prop_assert_eq!(fused.ops.total_gates(), unfused.ops.total_gates());
-        prop_assert_eq!(fused.ops.noise_ops, unfused.ops.noise_ops);
-        prop_assert_eq!(fused.ops.samples, unfused.ops.samples);
-        prop_assert!(fused.ops.amp_passes <= unfused.ops.amp_passes);
+        prop_assert_eq!(&fused.counts, &reference.counts);
+        prop_assert_eq!(fused.ops.samples, reference.ops.samples);
+        // Sharing and fusion only ever remove work.
+        prop_assert!(fused.ops.total_gates() <= reference.ops.total_gates());
+        prop_assert!(fused.ops.amp_passes <= reference.ops.amp_passes);
     }
 
     #[test]
@@ -133,26 +135,24 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let noise = noise_for(noise_idx);
-        let run = |workers: usize, fusion: bool| {
+        let run = |workers: usize| {
             let engine = Engine::new(EngineConfig::default().parallelism(workers));
             engine
                 .submit(vec![JobSpec::new(&circuit)
                     .noise(noise.clone())
                     .shots(12)
                     .strategy(PlanStrategy::Custom { arities: vec![4, 3] })
-                    .seed(seed)
-                    .fusion(fusion)])
+                    .seed(seed)])
                 .run()
                 .unwrap()
                 .jobs
                 .remove(0)
         };
-        let reference = run(1, false);
-        for workers in 1..=4usize {
-            let fused = run(workers, true);
-            prop_assert_eq!(&fused.counts, &reference.counts, "workers = {}", workers);
-            prop_assert_eq!(fused.ops.total_gates(), reference.ops.total_gates());
-            prop_assert_eq!(fused.ops.noise_ops, reference.ops.noise_ops);
+        let reference = run(1);
+        for workers in 2..=4usize {
+            let r = run(workers);
+            prop_assert_eq!(&r.counts, &reference.counts, "workers = {}", workers);
+            prop_assert_eq!(r.ops, reference.ops, "workers = {}", workers);
         }
     }
 }

@@ -1,26 +1,24 @@
-//! Error-free sibling sharing is an execution shortcut, never a semantic
-//! one: for every noise model × tree shape × fusion × leaf oversampling, the
-//! serial walk's `Counts` must be bit-identical to an **unshared mirror** of
-//! the walk built here from the public primitives (`copy_into` →
-//! `run_subcircuit` → `draw_leaf_outcomes`, one RNG — every node copied and
-//! replayed).
+//! Error-free sibling sharing and fused replay are execution shortcuts,
+//! never semantic ones: for every circuit × noise model × tree shape × leaf
+//! oversampling, the serial walk's `Counts` must be bit-identical to an
+//! **unshared per-gate mirror** of the walk ([`common::walk_on`]) — one
+//! that neither shares nor fuses.
 //! The op counters must say what was saved: nothing on flat plans or under
-//! state-dependent channels, whole subtrees under ideal noise, and strictly
-//! fewer amplitude passes under the paper's depolarizing rates. The
-//! distributed backends run the same walk, so they share the same nodes and
-//! exchange the same bytes as each other.
+//! state-dependent channels, whole subtrees under ideal noise, strictly
+//! fewer amplitude passes under the paper's depolarizing rates, and at least
+//! half the passes from fusion on QFT. The distributed backends run the same
+//! walk, so they share the same nodes and exchange the same bytes as each
+//! other.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tqsim::{
-    draw_leaf_outcomes, run_subcircuit, run_tree_nodes, Counts, ExecOptions, Partition, Strategy,
-    TreeExecutor,
-};
+mod common;
+
+use common::{walk_on, Walk};
+use tqsim::{ExecOptions, Partition, Strategy, TreeExecutor};
 use tqsim_circuit::{generators, Circuit};
 use tqsim_cluster::{ClusterBackend, ClusterCounters, InterconnectModel};
 use tqsim_noise::{NoiseModel, ReadoutError};
 use tqsim_shard::ShardBackend;
-use tqsim_statevec::{CompiledCircuit, OpCounts, PooledBackend, QuantumState, SingleNode};
+use tqsim_statevec::SingleNode;
 
 const SEED: u64 = 17;
 
@@ -31,11 +29,24 @@ fn circuit() -> Circuit {
     c
 }
 
+/// Each circuit with the tree shapes it is walked under: every shape for
+/// the mixed-arity circuit, a few for the suite circuits.
+fn circuits() -> Vec<(&'static str, Circuit, Vec<Vec<u64>>)> {
+    vec![
+        ("qft+ccx", circuit(), trees()),
+        ("qft", generators::qft(8), vec![vec![8, 4], vec![5, 4, 3]]),
+        ("bv", generators::bv(8), vec![vec![5, 4, 3]]),
+        ("qv", generators::qv(6, 2), vec![vec![5, 4, 3]]),
+    ]
+}
+
 fn noises() -> Vec<NoiseModel> {
     vec![
         NoiseModel::ideal(),
         NoiseModel::sycamore(),
         NoiseModel::depolarizing(0.05, 0.2),
+        // Branches fire constantly: the noise-adaptive flush at its busiest.
+        NoiseModel::depolarizing(0.25, 0.35),
         NoiseModel::amplitude_damping(0.01),
         NoiseModel::phase_damping(0.01),
         NoiseModel::sycamore().with_readout(ReadoutError::symmetric(0.02)),
@@ -60,152 +71,42 @@ fn plan(circuit: &Circuit, noise: &NoiseModel, arities: &[u64]) -> Partition {
     .expect("custom tree plans")
 }
 
-/// The unshared reference walk: every node below the root copies its parent
-/// and replays its subcircuit on live draws.
-struct Mirror<'a, B: PooledBackend> {
-    backend: &'a B,
-    subcircuits: &'a [Circuit],
-    plans: &'a [CompiledCircuit],
-    arities: &'a [u64],
-    noise: &'a NoiseModel,
-    options: ExecOptions,
-    states: Vec<B::State>,
-    rng: StdRng,
-    counts: Counts,
-    ops: OpCounts,
-}
-
-impl<B: PooledBackend> Mirror<'_, B> {
-    fn walk(&mut self, level: usize) {
-        let k = self.subcircuits.len();
-        if level == k {
-            let n = QuantumState::n_qubits(&self.states[k]);
-            let (counts, ops) = (&mut self.counts, &mut self.ops);
-            draw_leaf_outcomes(
-                &self.states[k],
-                self.noise,
-                n,
-                self.options.leaf_samples,
-                &mut self.rng,
-                |outcome| {
-                    counts.increment(outcome);
-                    ops.samples += 1;
-                },
-            );
-            return;
-        }
-        for _ in 0..self.arities[level] {
-            let (parents, children) = self.states.split_at_mut(level + 1);
-            self.backend.copy_into(&mut children[0], &parents[level]);
-            self.ops.state_copies += 1;
-            run_subcircuit(
-                &mut children[0],
-                &self.subcircuits[level],
-                &self.plans[level],
-                self.noise,
-                &mut self.rng,
-                &mut self.ops,
-                self.options.fusion,
-            );
-            self.walk(level + 1);
-        }
-    }
-}
-
-/// What one walk of a tree gave: histogram, op counts and the backend's
-/// per-level states (for the distributed backends' own counters).
-struct Walked<B: PooledBackend> {
-    counts: Counts,
-    ops: OpCounts,
-    states: Vec<B::State>,
-}
-
-/// Walk `partition` on `backend`, through [`run_tree_nodes`] (`shared`) or
-/// through the unshared [`Mirror`].
-fn walk_on<B: PooledBackend>(
-    backend: &B,
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    partition: &Partition,
-    options: ExecOptions,
-    shared: bool,
-) -> Walked<B> {
-    let n = circuit.n_qubits();
-    let subcircuits = partition.subcircuits(circuit);
-    let plans: Vec<CompiledCircuit> = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
-    let mut states: Vec<B::State> = (0..=subcircuits.len())
-        .map(|_| backend.allocate(n))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut counts = Counts::new(n);
-    let mut ops = OpCounts::new();
-    if shared {
-        run_tree_nodes(
-            backend,
-            &subcircuits,
-            &plans,
-            &partition.tree,
-            noise,
-            &mut states,
-            &mut counts,
-            &mut ops,
-            &mut rng,
-            options,
-        );
-        return Walked {
-            counts,
-            ops,
-            states,
-        };
-    }
-    let mut mirror = Mirror {
-        backend,
-        subcircuits: &subcircuits,
-        plans: &plans,
-        arities: partition.tree.arities(),
-        noise,
-        options,
-        states,
-        rng,
-        counts,
-        ops,
-    };
-    mirror.walk(0);
-    Walked {
-        counts: mirror.counts,
-        ops: mirror.ops,
-        states: mirror.states,
-    }
-}
-
 #[test]
 fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
-    let circuit = circuit();
-    for noise in noises() {
-        for arities in trees() {
-            let partition = plan(&circuit, &noise, &arities);
-            let nodes = partition.tree.subcircuit_executions();
-            let exec = TreeExecutor::new(&circuit, &noise, partition.clone()).expect("plan binds");
-            for fusion in [true, false] {
+    for (name, circuit, trees) in circuits() {
+        for noise in noises() {
+            for arities in &trees {
+                let partition = plan(&circuit, &noise, arities);
+                let nodes = partition.tree.subcircuit_executions();
+                let exec =
+                    TreeExecutor::new(&circuit, &noise, partition.clone()).expect("plan binds");
+                let walk = |options, how| {
+                    walk_on(
+                        &SingleNode,
+                        &circuit,
+                        &noise,
+                        &partition,
+                        SEED,
+                        options,
+                        how,
+                    )
+                };
                 for leaf_samples in [1u32, 3] {
-                    let options = ExecOptions {
-                        leaf_samples,
-                        fusion,
-                    };
+                    let options = ExecOptions { leaf_samples };
                     let cell = format!(
-                        "{} {arities:?} fusion={fusion} leaf_samples={leaf_samples}",
+                        "{name} {} {arities:?} leaf_samples={leaf_samples}",
                         noise.name()
                     );
                     let shared = exec.run_with_options(SEED, options);
-                    let mirror = walk_on(&SingleNode, &circuit, &noise, &partition, options, false);
-                    assert_eq!(shared.counts, mirror.counts, "{cell}");
-                    assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
+                    let reference = walk(options, Walk::PerGate);
+                    assert_eq!(shared.counts, reference.counts, "{cell}");
+                    assert_eq!(reference.ops.state_copies, nodes, "{cell}");
                     assert_eq!(
                         shared.ops.state_copies + shared.ops.nodes_shared,
                         nodes,
                         "{cell}"
                     );
-                    assert_eq!(shared.ops.samples, mirror.ops.samples, "{cell}");
+                    assert_eq!(shared.ops.samples, reference.ops.samples, "{cell}");
                     assert_eq!(shared.peak_states, arities.len() + 1, "{cell}");
 
                     let state_dependent = noise
@@ -213,12 +114,31 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                         .iter()
                         .any(|ch| !ch.samples_state_free());
                     if arities.len() == 1 || state_dependent {
-                        // Root level and damping families never share:
-                        // the walk is the mirror, pass for pass.
+                        // Root level and damping families never share: the
+                        // walk is the fused mirror pass for pass, and the
+                        // per-gate mirror gate for gate.
+                        let fused = walk(options, Walk::Fused);
+                        assert_eq!(fused.counts, reference.counts, "{cell}");
                         assert_eq!(shared.ops.nodes_shared, 0, "{cell}");
-                        assert_eq!(shared.ops.amp_passes, mirror.ops.amp_passes, "{cell}");
-                        assert_eq!(shared.ops.noise_ops, mirror.ops.noise_ops, "{cell}");
-                        assert_eq!(shared.ops.total_gates(), mirror.ops.total_gates(), "{cell}");
+                        assert_eq!(shared.ops.amp_passes, fused.ops.amp_passes, "{cell}");
+                        assert_eq!(shared.ops.noise_ops, reference.ops.noise_ops, "{cell}");
+                        assert_eq!(
+                            shared.ops.total_gates(),
+                            reference.ops.total_gates(),
+                            "{cell}"
+                        );
+                        // Damping samples the state at every noise site, so
+                        // its plans flush gate by gate; every other model
+                        // fuses.
+                        if !state_dependent {
+                            assert!(fused.ops.fused_gates > 0, "{cell}");
+                            assert!(
+                                fused.ops.amp_passes < reference.ops.amp_passes,
+                                "{cell}: fusion must save passes ({} vs {})",
+                                fused.ops.amp_passes,
+                                reference.ops.amp_passes
+                            );
+                        }
                     } else if noise.is_ideal() {
                         // One node per level under each root-level node.
                         assert_eq!(
@@ -229,10 +149,20 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                     } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
                         assert!(shared.ops.nodes_shared > 0, "{cell}");
                         assert!(
-                            shared.ops.amp_passes < mirror.ops.amp_passes,
+                            shared.ops.amp_passes < reference.ops.amp_passes,
                             "{cell}: {} vs {}",
                             shared.ops.amp_passes,
-                            mirror.ops.amp_passes
+                            reference.ops.amp_passes
+                        );
+                    }
+                    if name == "qft" && (noise.is_ideal() || noise.name() == "sycamore-dc") {
+                        // Fusion alone at least halves QFT's passes.
+                        let fused = walk(options, Walk::Fused);
+                        assert!(
+                            reference.ops.amp_passes >= 2 * fused.ops.amp_passes,
+                            "{cell}: {} vs {}",
+                            reference.ops.amp_passes,
+                            fused.ops.amp_passes
                         );
                     }
                 }
@@ -251,38 +181,81 @@ fn merged<'a>(counters: impl Iterator<Item = &'a ClusterCounters>) -> ClusterCou
 
 #[test]
 fn distributed_backends_share_the_same_nodes_and_exchange_the_same_bytes() {
-    let circuit = circuit();
     let model = InterconnectModel::commodity_cluster();
     let shard = ShardBackend::spawn(2).expect("spawn workers");
     let options = ExecOptions::default();
-    for noise in [NoiseModel::ideal(), NoiseModel::sycamore()] {
-        for arities in [vec![4, 4, 4], vec![2, 2, 2, 2, 2]] {
-            let cell = format!("{} {arities:?}", noise.name());
-            let partition = plan(&circuit, &noise, &arities);
-            let single = walk_on(&SingleNode, &circuit, &noise, &partition, options, true);
-            assert!(single.ops.nodes_shared > 0, "{cell}");
+    for (name, circuit) in [("qft+ccx", circuit()), ("qft", generators::qft(8))] {
+        for noise in [NoiseModel::ideal(), NoiseModel::sycamore()] {
+            for arities in [vec![4, 4, 4], vec![2, 2, 2, 2, 2]] {
+                let cell = format!("{name} {} {arities:?}", noise.name());
+                let partition = plan(&circuit, &noise, &arities);
+                let walk = |backend: &ClusterBackend, how| {
+                    walk_on(backend, &circuit, &noise, &partition, SEED, options, how)
+                };
+                let single = walk_on(
+                    &SingleNode,
+                    &circuit,
+                    &noise,
+                    &partition,
+                    SEED,
+                    options,
+                    Walk::Shared,
+                );
+                assert!(single.ops.nodes_shared > 0, "{cell}");
 
-            let mut exchanges = Vec::new();
-            for nodes in [2usize, 4] {
-                let backend = ClusterBackend::new(nodes, model);
-                let dist = walk_on(&backend, &circuit, &noise, &partition, options, true);
-                assert_eq!(dist.counts, single.counts, "{cell} on {nodes} nodes");
-                assert_eq!(dist.ops, single.ops, "{cell} on {nodes} nodes");
-                let counters = merged(dist.states.iter().map(|s| &s.counters));
-                assert_eq!(counters.state_copies, single.ops.state_copies, "{cell}");
+                let mut exchanges = Vec::new();
+                for nodes in [2usize, 4] {
+                    let cell = format!("{cell} on {nodes} nodes");
+                    let backend = ClusterBackend::new(nodes, model);
+                    let dist = walk(&backend, Walk::Shared);
+                    assert_eq!(dist.counts, single.counts, "{cell}");
+                    assert_eq!(dist.ops, single.ops, "{cell}");
+                    let counters = merged(dist.states.iter().map(|s| &s.counters));
+                    assert_eq!(counters.state_copies, single.ops.state_copies, "{cell}");
 
-                let unshared = walk_on(&backend, &circuit, &noise, &partition, options, false);
-                assert_eq!(unshared.counts, single.counts, "{cell} on {nodes} nodes");
-                let unshared = merged(unshared.states.iter().map(|s| &s.counters));
-                assert!(counters.exchanges < unshared.exchanges, "{cell}");
-                exchanges.push(counters);
+                    let unshared = walk(&backend, Walk::Fused);
+                    assert_eq!(unshared.counts, single.counts, "{cell}");
+                    let reference = walk(&backend, Walk::PerGate);
+                    assert_eq!(reference.counts, single.counts, "{cell}");
+                    if name == "qft" && nodes == 4 {
+                        // Fusion's pass saving survives distribution.
+                        assert!(
+                            2 * reference.ops.amp_passes >= 3 * unshared.ops.amp_passes,
+                            "{cell}: {} vs {}",
+                            reference.ops.amp_passes,
+                            unshared.ops.amp_passes
+                        );
+                    }
+                    let unshared = merged(unshared.states.iter().map(|s| &s.counters));
+                    assert!(counters.exchanges < unshared.exchanges, "{cell}");
+                    exchanges.push(counters);
+                }
+
+                let cell = format!("{cell} on 2 shards");
+                let sharded = walk_on(
+                    &shard,
+                    &circuit,
+                    &noise,
+                    &partition,
+                    SEED,
+                    options,
+                    Walk::Shared,
+                );
+                assert_eq!(sharded.counts, single.counts, "{cell}");
+                assert_eq!(sharded.ops, single.ops, "{cell}");
+                let counters = merged(sharded.states.iter().map(|s| &s.counters));
+                assert_eq!(counters, exchanges[0], "{cell}: vs 2 nodes");
+                let reference = walk_on(
+                    &shard,
+                    &circuit,
+                    &noise,
+                    &partition,
+                    SEED,
+                    options,
+                    Walk::PerGate,
+                );
+                assert_eq!(reference.counts, single.counts, "{cell}");
             }
-
-            let sharded = walk_on(&shard, &circuit, &noise, &partition, options, true);
-            assert_eq!(sharded.counts, single.counts, "{cell} on 2 shards");
-            assert_eq!(sharded.ops, single.ops, "{cell} on 2 shards");
-            let counters = merged(sharded.states.iter().map(|s| &s.counters));
-            assert_eq!(counters, exchanges[0], "{cell}: 2 shards vs 2 nodes");
         }
     }
 }
