@@ -3,9 +3,8 @@
 //! The comparison systems of the TQSim evaluation:
 //!
 //! - [`monte_carlo`]: the flat per-shot noisy simulator (the paper's
-//!   "baseline", §4.4), including the Fig. 8 parallel-shots variant — an
-//!   implementation independent of the tree executor, used to cross-validate
-//!   it;
+//!   "baseline", §4.4) — an implementation independent of the tree
+//!   executor, used to cross-validate it;
 //! - [`redundancy`]: the inter-shot redundancy-elimination method of
 //!   Li et al. (DAC 2020), reproduced for the Fig. 19 comparison.
 //!
@@ -23,5 +22,5 @@
 pub mod monte_carlo;
 pub mod redundancy;
 
-pub use monte_carlo::{run_baseline, run_baseline_parallel, BaselineResult};
+pub use monte_carlo::{run_baseline, BaselineResult};
 pub use redundancy::{analyze_redundancy, tqsim_normalized_computation, RedundancyReport};

@@ -3,19 +3,21 @@
 //! This is an *independent* implementation of the tree-walk semantics that
 //! `tqsim`'s degenerate tree `(N)` also provides — the two are
 //! cross-validated in the integration tests, which is exactly why the
-//! duplication exists. Both baselines still benefit from the
-//! compile-once/replay-many layer: the circuit is compiled into one fused
-//! plan up front and replayed per shot (`N` replays of a single
-//! compilation), with the noise-adaptive flush keeping the RNG streams —
-//! and therefore `Counts` — identical to unfused per-gate dispatch.
+//! duplication exists. It still benefits from the compile-once/replay-many
+//! layer: the circuit is compiled into one fused plan up front and replayed
+//! per shot (`N` replays of a single compilation), with the noise-adaptive
+//! flush keeping the RNG streams — and therefore `Counts` — identical to
+//! unfused per-gate dispatch.
+//!
+//! Shots in flight at once (the paper's Fig. 8) are the flat tree `(N)` on
+//! `tqsim-engine`'s pool; this crate deliberately does not link the
+//! executor it cross-checks.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tqsim::Counts;
 use tqsim_circuit::Circuit;
-use tqsim_engine::WorkerPool;
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::{OpCounts, StateVector};
 
@@ -28,10 +30,7 @@ pub struct BaselineResult {
     pub ops: OpCounts,
     /// Measured wall-clock time.
     pub wall_time: Duration,
-    /// Peak amplitude memory in bytes. Serial runs use one state; parallel
-    /// runs report the **measured** high-water mark of the worker pool's
-    /// state buffers (at most one per worker, but less if some workers
-    /// never got a strip of shots).
+    /// Peak amplitude memory in bytes: the one state every shot reuses.
     pub peak_memory_bytes: usize,
 }
 
@@ -72,77 +71,6 @@ pub fn run_baseline(
     }
 }
 
-/// Run `shots` trajectories with up to `parallel` shots in flight at once —
-/// the Fig. 8 study, executed on a `tqsim-engine` work-stealing
-/// [`WorkerPool`]. Each worker draws its state buffer from a pooled free
-/// list (recycled across its shots), and per-shot RNGs are derived from
-/// `(seed, shot index)` so results are schedule-independent. Peak memory is
-/// the pool's measured live-buffer high-water mark, not an analytical
-/// `parallel · 16 · 2^n` estimate.
-///
-/// # Panics
-///
-/// Panics if `shots == 0`, `parallel == 0`, or the circuit is empty.
-pub fn run_baseline_parallel(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    shots: u64,
-    seed: u64,
-    parallel: usize,
-) -> BaselineResult {
-    assert!(
-        shots > 0 && parallel > 0,
-        "shots and parallelism must be positive"
-    );
-    assert!(!circuit.is_empty(), "empty circuit");
-    let t0 = Instant::now();
-    let n = circuit.n_qubits();
-
-    let pool = WorkerPool::new(parallel);
-    let accums: Arc<Vec<Mutex<(Counts, OpCounts)>>> = Arc::new(
-        (0..parallel)
-            .map(|_| Mutex::new((Counts::new(n), OpCounts::new())))
-            .collect(),
-    );
-    // One compilation shared by every worker's shots.
-    let task_data = Arc::new((
-        noise.compile(circuit),
-        circuit.clone(),
-        noise.clone(),
-        Arc::clone(&accums),
-    ));
-    pool.for_each_index(shots, move |shot, ctx| {
-        let (plan, circuit, noise, accums) = &*task_data;
-        let mut rng = StdRng::seed_from_u64(seed ^ (shot.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-        let mut ops = OpCounts::new();
-        let mut sv = ctx.acquire(n);
-        sv.reset_zero();
-        ops.state_resets += 1;
-        tqsim::run_subcircuit(&mut *sv, circuit, plan, noise, &mut rng, &mut ops, true);
-        let outcome = noise.apply_readout(sv.sample(&mut rng), n, &mut rng);
-        ops.samples += 1;
-        drop(sv); // recycle the buffer before merging
-        let mut slot = accums[ctx.index()].lock().expect("accumulator lock");
-        slot.0.increment(outcome);
-        slot.1 += ops;
-    });
-    let peak_memory_bytes = pool.pool_stats().high_water_bytes;
-
-    let mut counts = Counts::new(n);
-    let mut ops = OpCounts::new();
-    for slot in accums.iter() {
-        let (worker_counts, worker_ops) = &*slot.lock().expect("accumulator lock");
-        counts.merge(worker_counts);
-        ops += *worker_ops;
-    }
-    BaselineResult {
-        counts,
-        ops,
-        wall_time: t0.elapsed(),
-        peak_memory_bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,43 +94,6 @@ mod tests {
         let a = run_baseline(&c, &noise, 40, 9);
         let b = run_baseline(&c, &noise, 40, 9);
         assert_eq!(a.counts, b.counts);
-    }
-
-    #[test]
-    fn parallel_matches_serial_distribution() {
-        // Different RNG streams, same physics: the dominant-outcome
-        // frequency must agree within sampling noise.
-        let c = generators::bv(8);
-        let noise = NoiseModel::sycamore();
-        let serial = run_baseline(&c, &noise, 1500, 1);
-        let par = run_baseline_parallel(&c, &noise, 1500, 2, 4);
-        assert_eq!(par.counts.total(), 1500);
-        let secret = 0b111_1110u64;
-        let f = |r: &BaselineResult| {
-            (0..2u64)
-                .map(|a| r.counts.get(secret | (a << 7)))
-                .sum::<u64>() as f64
-                / 1500.0
-        };
-        assert!((f(&serial) - f(&par)).abs() < 0.06);
-    }
-
-    #[test]
-    fn parallel_is_schedule_independent() {
-        let c = generators::qft(6);
-        let noise = NoiseModel::sycamore();
-        let a = run_baseline_parallel(&c, &noise, 64, 5, 2);
-        let b = run_baseline_parallel(&c, &noise, 64, 5, 8);
-        assert_eq!(
-            a.counts, b.counts,
-            "per-shot seeding must decouple from scheduling"
-        );
-        // Measured peaks: at least one live buffer, never more than one per
-        // worker (how many of the 8 are concurrently mid-shot depends on
-        // the host's scheduling, so only the bounds are deterministic).
-        let state = 16usize << 6;
-        assert!((state..=2 * state).contains(&a.peak_memory_bytes));
-        assert!((state..=8 * state).contains(&b.peak_memory_bytes));
     }
 
     #[test]

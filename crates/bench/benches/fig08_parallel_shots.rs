@@ -2,16 +2,18 @@
 //!
 //! The paper's Fig. 8 parallelizes only the *baseline* (independent noisy
 //! shots in flight at once): speedup saturates while memory keeps climbing.
-//! This harness adds the matching rows for **TQSim tree mode on the
-//! `tqsim-engine` work-stealing pool**, which parallelizes the simulation
-//! tree itself while still sharing subcircuit states across shots — the
-//! combination naive shot parallelism cannot reach. Memory columns are
-//! *measured* pool high-water marks, not analytical `p · 2^n` formulas.
+//! Both row kinds run on the `tqsim-engine` work-stealing pool: the
+//! baseline rows are the flat tree `(N)` (one trajectory per shot on a
+//! pooled state), and the **TQSim tree mode** rows parallelize the
+//! simulation tree itself while still sharing subcircuit states across
+//! shots — the combination naive shot parallelism cannot reach. Memory
+//! columns are *measured* pool high-water marks, not analytical
+//! `p · 2^n` formulas.
 //!
 //! Note: wall-clock speedup columns only show scaling on multi-core hosts;
 //! on a single-CPU container every parallelism degree costs about the same.
 
-use tqsim_baselines::run_baseline_parallel;
+use tqsim::Strategy;
 use tqsim_bench::{banner, fmt_bytes, fmt_secs, timed, Scale, Table};
 use tqsim_circuit::generators;
 use tqsim_engine::{Engine, EngineConfig, JobSpec};
@@ -44,45 +46,34 @@ fn main() {
     ]);
     for n in widths {
         let circuit = generators::qft(n);
-
-        let mut t1 = None;
-        for par in parallel_degrees {
-            let (r, t) = timed(|| run_baseline_parallel(&circuit, &noise, shots, 3, par));
-            let base = *t1.get_or_insert(t.as_secs_f64());
-            table.row(&[
-                "baseline".into(),
-                n.to_string(),
-                par.to_string(),
-                fmt_secs(t.as_secs_f64()),
-                format!("{:.2}×", base / t.as_secs_f64().max(1e-12)),
-                fmt_bytes(r.peak_memory_bytes as f64),
-            ]);
-        }
-
-        let mut t1 = None;
-        for par in parallel_degrees {
-            let job = JobSpec::new(&circuit)
-                .noise(noise.clone())
-                .shots(shots)
-                .strategy(scale.dcp_strategy())
-                .seed(3);
-            // Engine construction sits inside the timed window on purpose:
-            // run_baseline_parallel builds (and joins) its worker pool
-            // internally, so both modes charge pool spin-up/teardown alike.
-            let (result, t) = timed(|| {
-                let engine = Engine::new(EngineConfig::default().parallelism(par));
-                engine.submit(vec![job]).run().expect("plannable")
-            });
-            let r = &result.jobs[0];
-            let base = *t1.get_or_insert(t.as_secs_f64());
-            table.row(&[
-                format!("tqsim {}", r.tree),
-                n.to_string(),
-                par.to_string(),
-                fmt_secs(t.as_secs_f64()),
-                format!("{:.2}×", base / t.as_secs_f64().max(1e-12)),
-                fmt_bytes(r.peak_memory_bytes as f64),
-            ]);
+        for (mode, strategy) in [
+            ("baseline", Strategy::Baseline),
+            ("tqsim", scale.dcp_strategy()),
+        ] {
+            let mut t1 = None;
+            for par in parallel_degrees {
+                let job = JobSpec::new(&circuit)
+                    .noise(noise.clone())
+                    .shots(shots)
+                    .strategy(strategy.clone())
+                    .seed(3);
+                // Engine construction sits inside the timed window, so every
+                // row charges pool spin-up and teardown alike.
+                let (result, t) = timed(|| {
+                    let engine = Engine::new(EngineConfig::default().parallelism(par));
+                    engine.submit(vec![job]).run().expect("plannable")
+                });
+                let r = &result.jobs[0];
+                let base = *t1.get_or_insert(t.as_secs_f64());
+                table.row(&[
+                    format!("{mode} {}", r.tree),
+                    n.to_string(),
+                    par.to_string(),
+                    fmt_secs(t.as_secs_f64()),
+                    format!("{:.2}×", base / t.as_secs_f64().max(1e-12)),
+                    fmt_bytes(r.peak_memory_bytes as f64),
+                ]);
+            }
         }
     }
     table.print();

@@ -7,7 +7,11 @@ use crate::partition::{Partition, PlanError, Strategy};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
 
-/// Builder for a TQSim run.
+/// Builder for a TQSim run, executed serially by the reference
+/// [`TreeExecutor`]. Parallel execution goes through the `tqsim-engine`
+/// crate instead: submit the same circuit, noise, shots, strategy and seed
+/// as a `JobSpec` to an `Engine`, whose `EngineConfig` sets the worker
+/// count.
 ///
 /// ```
 /// use tqsim::{Strategy, Tqsim};
@@ -31,7 +35,6 @@ pub struct Tqsim<'a> {
     shots: u64,
     strategy: Strategy,
     seed: u64,
-    parallelism: usize,
 }
 
 impl Strategy {
@@ -51,7 +54,6 @@ impl<'a> Tqsim<'a> {
             shots: 1000,
             strategy: Strategy::default_dcp(),
             seed: 0,
-            parallelism: 1,
         }
     }
 
@@ -77,56 +79,6 @@ impl<'a> Tqsim<'a> {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Request `n`-way parallel tree execution.
-    ///
-    /// This crate's own [`Tqsim::run`] executes serially regardless (the
-    /// single-threaded reference semantics); the option is consumed by the
-    /// `tqsim-engine` crate's `RunParallel::run_parallel`, which fans
-    /// independent subtrees across an `n`-worker work-stealing pool (an
-    /// explicit `Engine` uses its own pool size). Engine runs derive
-    /// per-subtree RNG streams from the seed, so their output is identical
-    /// at every parallelism level (but intentionally a different — equally
-    /// valid — stream than this serial executor's single-RNG walk).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        assert!(n >= 1, "parallelism must be at least 1");
-        self.parallelism = n;
-        self
-    }
-
-    /// The circuit under simulation.
-    pub fn circuit_ref(&self) -> &'a Circuit {
-        self.circuit
-    }
-
-    /// The configured noise model.
-    pub fn noise_ref(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    /// The configured shot count.
-    pub fn shots_count(&self) -> u64 {
-        self.shots
-    }
-
-    /// The configured strategy.
-    pub fn strategy_ref(&self) -> &Strategy {
-        &self.strategy
-    }
-
-    /// The configured RNG seed.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configured parallelism degree (see [`Tqsim::parallelism`]).
-    pub fn parallelism_degree(&self) -> usize {
-        self.parallelism
     }
 
     /// Plan the partition without executing (for inspection/reporting).

@@ -50,7 +50,7 @@ use crate::{ChunkSink, JobPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tqsim::{Counts, RunResult, TreeStructure};
 use tqsim_circuit::Circuit;
@@ -169,8 +169,8 @@ fn child_hash(parent_hash: u64, index: u64) -> u64 {
 
 /// Start one planned job on the pool **without blocking**: root tasks are
 /// injected and `done` fires from a worker when the last node retires.
-/// This is the multi-tenant entry point — any number of jobs may be live
-/// on one pool, interleaving in the work-stealing deques.
+/// Every engine job reaches the pool through here — any number of jobs may
+/// be live on one pool, interleaving in the work-stealing deques.
 ///
 /// `peak_states`/`peak_memory_bytes` in the delivered result are the
 /// pool's high-water mark over the job's lifetime; when jobs overlap, the
@@ -226,39 +226,6 @@ pub(crate) fn launch_tree<B: PooledBackend>(
         let hash = child_hash(seed, index);
         pool.inject(move |ctx| run_node(&shared, Parent::Root, 0, hash, Vec::new(), ctx));
     }
-}
-
-/// Execute one planned job on the pool and block until it completes —
-/// the single-tenant path used by sequential batches. Memory metrics are
-/// phase-scoped: the pool high-water mark is reset first, so the reported
-/// peak is this job's own footprint.
-///
-/// # Panics
-///
-/// Re-raises the first panic any node task raised (via
-/// [`WorkerPool::wait_idle`]).
-pub(crate) fn run_tree<B: PooledBackend>(
-    pool: &WorkerPool<B>,
-    plan: &Arc<JobPlan>,
-    seed: u64,
-    leaf_samples: u32,
-) -> RunResult {
-    pool.pool_counters().reset_high_water();
-    let (tx, rx) = mpsc::channel();
-    launch_tree(
-        pool,
-        plan,
-        seed,
-        leaf_samples,
-        None,
-        Box::new(move |result| {
-            let _ = tx.send(result);
-        }),
-    );
-    // Blocks until the tree drains and re-raises any node panic; the
-    // completion callback has necessarily fired by then.
-    pool.wait_idle();
-    rx.recv().expect("job completion callback must have fired")
 }
 
 /// An error-free node riding on a sibling's task: its path hash and its RNG,
@@ -406,9 +373,31 @@ fn run_node<B: PooledBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use tqsim::Strategy;
     use tqsim_circuit::generators;
     use tqsim_noise::NoiseModel;
+
+    /// Run one job to completion, re-raising a node-task panic — what
+    /// `Engine::run_planned` does.
+    fn run_job(pool: &WorkerPool, plan: &Arc<JobPlan>, seed: u64, leaf_samples: u32) -> RunResult {
+        let (tx, rx) = mpsc::channel();
+        launch_tree(
+            pool,
+            plan,
+            seed,
+            leaf_samples,
+            None,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        let result = rx.recv().expect("job completion callback");
+        if let Some(payload) = pool.take_panic() {
+            std::panic::resume_unwind(payload);
+        }
+        result
+    }
 
     fn plan_for(arities: Vec<u64>, noise: &NoiseModel) -> Arc<JobPlan> {
         let circuit = generators::qft(6);
@@ -419,7 +408,7 @@ mod tests {
         let noise = NoiseModel::sycamore();
         let plan = plan_for(arities, &noise);
         let pool = WorkerPool::new(workers);
-        run_tree(&pool, &plan, seed, 1)
+        run_job(&pool, &plan, seed, 1)
     }
 
     #[test]
@@ -442,7 +431,7 @@ mod tests {
             .run(3);
         let plan = Arc::new(JobPlan::plan(&circuit, &noise, 8, &strategy).unwrap());
         let pool = WorkerPool::new(2);
-        let par = run_tree(&pool, &plan, 3, 1);
+        let par = run_job(&pool, &plan, 3, 1);
         // Identical op accounting (noiseless ⇒ even the RNG plays no role),
         // including the fused-path amp_passes/fused_gates counters: both
         // executors materialise one node per level under each root-level
@@ -558,7 +547,7 @@ mod tests {
                     assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
                     let runs: Vec<RunResult> = pools
                         .iter()
-                        .map(|pool| run_tree(pool, &plan, 17, leaf_samples))
+                        .map(|pool| run_job(pool, &plan, 17, leaf_samples))
                         .collect();
                     for (r, pool) in runs.iter().zip(&pools) {
                         let cell = format!("{cell} workers={}", pool.workers());
@@ -624,7 +613,6 @@ mod tests {
             }),
         );
         let result = rx.recv().unwrap();
-        pool.wait_idle();
         // Each node task acquires exactly one pooled state.
         let stats = pool.pool_stats();
         assert_eq!(stats.allocations + stats.reuses, 15);
@@ -666,7 +654,7 @@ mod tests {
         let isolated: Vec<RunResult> = (0..3u64)
             .map(|seed| {
                 let pool = WorkerPool::new(2);
-                run_tree(&pool, &plan, seed, 1)
+                run_job(&pool, &plan, seed, 1)
             })
             .collect();
 

@@ -25,12 +25,10 @@
 //!   leaf outcomes while the job is still running. This is what the
 //!   `tqsim-service` front-end schedules concurrent client jobs through.
 //!
-//! Multi-job batches **overlap** on the pool by default: jobs whose trees
+//! Multi-job batches **overlap** on the pool: jobs whose trees
 //! are too narrow to saturate the workers run concurrently (each with its
 //! own path-seeded RNG streams, so per-job `Counts` are bit-identical to a
-//! serial run), while a saturating job is admitted alone.
-//! [`Batch::sequential`] restores strict one-after-another execution with
-//! per-job phase-scoped memory metrics.
+//! job run alone), while a saturating job is admitted alone.
 //!
 //! The whole stack is **generic over the execution backend**
 //! ([`tqsim_statevec::PooledBackend`]): [`Engine::new`] pools single-node
@@ -61,21 +59,6 @@
 //! # Ok::<(), tqsim::PlanError>(())
 //! ```
 //!
-//! To parallelise a [`Tqsim`] builder description, set
-//! [`Tqsim::parallelism`] and hand it to the engine:
-//!
-//! ```
-//! use tqsim::Tqsim;
-//! use tqsim_engine::RunParallel;
-//! use tqsim_circuit::generators;
-//!
-//! let circuit = generators::qft(6);
-//! let sim = Tqsim::new(&circuit).shots(128).seed(9).parallelism(2);
-//! let result = sim.run_parallel()?;
-//! assert!(result.counts.total() >= 128);
-//! # Ok::<(), tqsim::PlanError>(())
-//! ```
-//!
 //! [`StatePool`]: tqsim_statevec::StatePool
 
 #![warn(missing_docs)]
@@ -87,7 +70,7 @@ pub use pool::{Task, WorkerCtx, WorkerPool};
 pub use tqsim_statevec::PoolStats;
 
 use std::sync::{mpsc, Arc};
-use tqsim::{Partition, PlanError, RunResult, Strategy, Tqsim, TreeStructure};
+use tqsim::{Partition, PlanError, RunResult, Strategy, TreeStructure};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::{CompiledCircuit, PooledBackend, SingleNode};
@@ -149,7 +132,7 @@ impl EngineConfig {
 }
 
 /// One simulation request: a circuit with noise, shot budget, partition
-/// strategy and seed. Defaults mirror [`Tqsim::new`]: Sycamore noise,
+/// strategy and seed. Defaults mirror [`tqsim::Tqsim::new`]: Sycamore noise,
 /// 1000 shots, DCP, seed 0, one sample per leaf.
 #[derive(Clone, Debug)]
 pub struct JobSpec<'c> {
@@ -358,58 +341,23 @@ pub struct BatchResult {
     pub plans: PlanStats,
 }
 
-/// Batch execution mode: overlapped (default) or strictly sequential.
-#[derive(Clone, Copy, Debug)]
-enum BatchMode {
-    /// Jobs overlap on the pool, bounded by the width heuristic (and by
-    /// `max_jobs` when explicitly set, which also disables the heuristic).
-    Overlapped { max_jobs: Option<usize> },
-    /// One job at a time with per-job phase-scoped memory metrics.
-    Sequential,
-}
-
 /// A set of jobs bound to an engine, ready to run.
 #[must_use = "a batch does nothing until run()"]
 pub struct Batch<'e, 'c, B: PooledBackend = SingleNode> {
     engine: &'e Engine<B>,
     jobs: Vec<JobSpec<'c>>,
-    mode: BatchMode,
 }
 
 impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
-    /// Run jobs strictly one after another (the pre-service behaviour):
-    /// each job's tree saturates the pool alone and its reported
-    /// `peak_states`/`peak_memory_bytes` are phase-scoped to that job.
-    /// Use for benchmarks that need per-job memory attribution.
-    pub fn sequential(mut self) -> Self {
-        self.mode = BatchMode::Sequential;
-        self
-    }
-
-    /// Overlap up to `n` jobs regardless of their tree widths (the default
-    /// mode caps overlap by the width heuristic instead: jobs are admitted
-    /// while the running jobs' root arities sum below the worker count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn concurrency(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one concurrent job");
-        self.mode = BatchMode::Overlapped { max_jobs: Some(n) };
-        self
-    }
-
     /// Plan (with dedup) and execute every job on the engine's pool.
     ///
-    /// By default jobs **overlap**: a job whose tree cannot saturate the
-    /// pool leaves workers free, so the scheduler admits further jobs
-    /// until the running root arities cover the worker count (or the
-    /// explicit [`Batch::concurrency`] cap is hit). Per-job `Counts` are
-    /// bit-identical to a sequential run — every node's RNG stream is
-    /// derived from its own job's seed and tree path, never from
-    /// scheduling. Memory metrics of overlapped jobs report the pool-wide
-    /// high-water mark across the batch (use [`Batch::sequential`] for
-    /// per-job attribution).
+    /// Jobs **overlap**: a job whose tree cannot saturate the pool leaves
+    /// workers free, so the scheduler admits further jobs until the running
+    /// root arities cover the worker count. Per-job `Counts` are
+    /// bit-identical to running each job alone — every node's RNG stream
+    /// is derived from its own job's seed and tree path, never from
+    /// scheduling. Every job's memory metrics report the pool-wide
+    /// high-water mark across the batch.
     ///
     /// # Errors
     ///
@@ -417,7 +365,7 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
     /// up-front, so no job executes unless every job plans.
     pub fn run(self) -> Result<BatchResult, PlanError> {
         // Serialize whole batches: concurrent submitters would otherwise
-        // reset each other's phase-scoped high-water marks and could
+        // reset each other's batch-scoped high-water marks and could
         // receive each other's task panics. A poisoned gate just means a
         // previous batch panicked; the pool itself is still healthy, so
         // continue.
@@ -462,21 +410,8 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
             }
         }
 
-        let results = match self.mode {
-            BatchMode::Sequential => self
-                .jobs
-                .iter()
-                .zip(&assignments)
-                .map(|(job, plan)| {
-                    exec::run_tree(&self.engine.pool, plan, job.seed, job.leaf_samples)
-                })
-                .collect(),
-            BatchMode::Overlapped { max_jobs } => {
-                run_overlapped(self.engine, &self.jobs, &assignments, max_jobs)
-            }
-        };
         Ok(BatchResult {
-            jobs: results,
+            jobs: run_overlapped(self.engine, &self.jobs, &assignments),
             plans: stats,
         })
     }
@@ -488,29 +423,19 @@ fn run_overlapped<B: PooledBackend>(
     engine: &Engine<B>,
     jobs: &[JobSpec<'_>],
     plans: &[Arc<JobPlan>],
-    max_jobs: Option<usize>,
 ) -> Vec<RunResult> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
     let workers = engine.pool.workers() as u64;
-    // An explicit concurrency cap replaces the width heuristic; the
-    // default cap is one job per worker (admission normally stops far
-    // earlier, once the running widths cover the pool).
-    let cap = max_jobs.unwrap_or(engine.pool.workers()).max(1);
-    let width_gated = max_jobs.is_none();
     // A job's appetite for workers: its root arity (the number of
-    // immediately runnable tasks), saturating at the pool size.
+    // immediately runnable tasks, at least one), saturating at the pool
+    // size — so a saturating job runs alone.
     let width = |idx: usize| plans[idx].partition.tree.arities()[0].min(workers);
 
     engine.pool.pool_counters().reset_high_water();
     let (tx, rx) = mpsc::channel::<(usize, RunResult)>();
     let mut results: Vec<Option<RunResult>> = jobs.iter().map(|_| None).collect();
-    let (mut next, mut running, mut running_width, mut completed) = (0usize, 0usize, 0u64, 0usize);
+    let (mut next, mut running_width, mut completed) = (0usize, 0u64, 0usize);
     while completed < jobs.len() {
-        while next < jobs.len()
-            && (running == 0 || (running < cap && (!width_gated || running_width < workers)))
-        {
+        while next < jobs.len() && running_width < workers {
             let job = &jobs[next];
             let tx = tx.clone();
             let idx = next;
@@ -524,25 +449,21 @@ fn run_overlapped<B: PooledBackend>(
                     let _ = tx.send((idx, result));
                 }),
             );
-            running += 1;
             running_width += width(next);
             next += 1;
         }
         let (idx, result) = rx.recv().expect("job completion callback");
         results[idx] = Some(result);
-        running -= 1;
         running_width -= width(idx);
         completed += 1;
     }
     // A panicking node abandons its subtree but still drains its job's
-    // task count, so every job completes (with partial counts) and the
-    // payload surfaces here — same propagation point as wait_idle.
-    if let Some(payload) = engine.pool.take_panic() {
-        std::panic::resume_unwind(payload);
-    }
+    // task count, so every job completes (with partial counts) and is
+    // settled here, once the whole batch has drained.
     results
         .into_iter()
-        .map(|r| r.expect("every job completed"))
+        .zip(jobs)
+        .map(|(r, job)| engine.settle(r.expect("every job completed"), job.leaf_samples))
         .collect()
 }
 
@@ -601,11 +522,7 @@ impl<B: PooledBackend> Engine<B> {
 
     /// Bind a set of jobs to this engine (execute with [`Batch::run`]).
     pub fn submit<'e, 'c>(&'e self, jobs: Vec<JobSpec<'c>>) -> Batch<'e, 'c, B> {
-        Batch {
-            engine: self,
-            jobs,
-            mode: BatchMode::Overlapped { max_jobs: None },
-        }
+        Batch { engine: self, jobs }
     }
 
     /// Start a planned job **without blocking** (the multi-tenant entry
@@ -616,7 +533,7 @@ impl<B: PooledBackend> Engine<B> {
     /// outcomes as soon as it is sampled (streaming results).
     ///
     /// Determinism: the job's `Counts` are bit-identical to running it
-    /// alone (or through a sequential batch) with the same seed — node RNG
+    /// alone (or in any batch) with the same seed — node RNG
     /// streams depend only on the job seed and tree path. Memory metrics
     /// in the result are the pool-wide high-water mark, shared with
     /// whatever else overlapped the job.
@@ -653,10 +570,18 @@ impl<B: PooledBackend> Engine<B> {
             let _ = tx.send(result);
         });
         let result = rx.recv().expect("job completion callback must fire");
-        let expected = result.tree.outcomes() * u64::from(job.leaf_samples);
+        self.settle(result, job.leaf_samples)
+    }
+
+    /// Re-raise a node-task panic, or refuse a result that one truncated
+    /// (the pool's panic slot is shared, so a concurrent caller may have
+    /// drained the payload): a healthy run yields exactly
+    /// `tree.outcomes() × leaf_samples` samples.
+    fn settle(&self, result: RunResult, leaf_samples: u32) -> RunResult {
         if let Some(payload) = self.take_panic() {
             std::panic::resume_unwind(payload);
         }
+        let expected = result.tree.outcomes() * u64::from(leaf_samples);
         let produced = result.counts.total();
         assert!(
             produced >= expected,
@@ -668,29 +593,11 @@ impl<B: PooledBackend> Engine<B> {
 
     /// Take the first panic payload any task raised since the last check,
     /// if any — for callers of the non-blocking [`Engine::start`] path,
-    /// which has no `wait_idle` to re-raise through. A panicking node
+    /// which returns before the job's tasks have run. A panicking node
     /// abandons its own subtree; its job still completes (with partial
     /// counts) and the pool stays healthy.
     pub fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
         self.pool.take_panic()
-    }
-
-    /// Run a single [`Tqsim`] description on this engine (the
-    /// `.parallelism(n)` builder option selects the worker count only when
-    /// the engine is constructed via [`run_parallel`][RunParallel]; an
-    /// explicit engine's own pool is used as-is).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] for unplannable inputs.
-    pub fn run_sim(&self, sim: &Tqsim<'_>) -> Result<RunResult, PlanError> {
-        let job = JobSpec::new(sim.circuit_ref())
-            .noise(sim.noise_ref().clone())
-            .shots(sim.shots_count())
-            .strategy(sim.strategy_ref().clone())
-            .seed(sim.seed_value());
-        let mut result = self.submit(vec![job]).run()?;
-        Ok(result.jobs.remove(0))
     }
 
     /// Pre-fill every worker's buffer pool for `n_qubits`-wide jobs with
@@ -718,28 +625,9 @@ impl<B: PooledBackend> Engine<B> {
         self.pool.pool_stats()
     }
 
-    /// Direct access to the worker pool (shot-level helpers, custom tasks).
+    /// Direct access to the worker pool (its backend, custom tasks).
     pub fn worker_pool(&self) -> &WorkerPool<B> {
         &self.pool
-    }
-}
-
-/// Extension trait wiring [`Tqsim::parallelism`] to this engine.
-pub trait RunParallel {
-    /// Plan and execute on a transient engine honouring the builder's
-    /// `.parallelism(n)` option. For repeated runs, build one [`Engine`]
-    /// and use [`Engine::run_sim`] to amortise pool spin-up and keep warm
-    /// buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] for unplannable inputs.
-    fn run_parallel(&self) -> Result<RunResult, PlanError>;
-}
-
-impl RunParallel for Tqsim<'_> {
-    fn run_parallel(&self) -> Result<RunResult, PlanError> {
-        Engine::new(EngineConfig::default().parallelism(self.parallelism_degree())).run_sim(self)
     }
 }
 
@@ -803,9 +691,8 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_batches_match_sequential_bit_for_bit() {
-        // The satellite fix for ROADMAP's "Batch::run executes jobs
-        // sequentially": overlapping must never change any job's output.
+    fn overlapped_batches_match_jobs_run_alone_bit_for_bit() {
+        // Overlapping must never change any job's output.
         let qft = generators::qft(6);
         let bv = generators::bv(6);
         let engine = Engine::new(EngineConfig::default().parallelism(4));
@@ -831,16 +718,20 @@ mod tests {
                     .seed(3),
             ]
         };
-        let sequential = engine.submit(jobs()).sequential().run().unwrap();
         let overlapped = engine.submit(jobs()).run().unwrap();
-        let pinned = engine.submit(jobs()).concurrency(3).run().unwrap();
-        assert_eq!(sequential.plans, overlapped.plans);
-        for (i, (s, o)) in sequential.jobs.iter().zip(&overlapped.jobs).enumerate() {
-            assert_eq!(s.counts, o.counts, "job {i} (default overlap)");
-            assert_eq!(s.ops, o.ops, "job {i}");
-        }
-        for (i, (s, p)) in sequential.jobs.iter().zip(&pinned.jobs).enumerate() {
-            assert_eq!(s.counts, p.counts, "job {i} (explicit concurrency)");
+        assert_eq!(
+            overlapped.plans,
+            PlanStats {
+                planned: 2,
+                reused: 1
+            }
+        );
+        for (i, (spec, o)) in jobs().iter().zip(&overlapped.jobs).enumerate() {
+            let plan =
+                JobPlan::plan(spec.circuit, &spec.noise, spec.shots, &spec.strategy).unwrap();
+            let alone = engine.run_planned(&PlannedJob::new(Arc::new(plan)).seed(spec.seed));
+            assert_eq!(alone.counts, o.counts, "job {i}");
+            assert_eq!(alone.ops, o.ops, "job {i}");
         }
     }
 
@@ -856,17 +747,15 @@ mod tests {
                 })
                 .seed(seed)
         };
-        // Sequential mode: the zero-alloc provisioning bound is per job
+        // One job per batch: the zero-alloc provisioning bound is per job
         // (overlapped jobs legitimately hold more buffers live at once).
-        engine.submit(vec![spec(1)]).sequential().run().unwrap();
+        engine.submit(vec![spec(1)]).run().unwrap();
         engine.prewarm(8, 3);
         let warm = engine.pool_stats().allocations;
         // …so further runs must be allocation-free.
-        engine
-            .submit(vec![spec(2), spec(3)])
-            .sequential()
-            .run()
-            .unwrap();
+        for seed in [2, 3] {
+            engine.submit(vec![spec(seed)]).run().unwrap();
+        }
         let stats = engine.pool_stats();
         assert_eq!(
             stats.allocations, warm,
@@ -898,17 +787,6 @@ mod tests {
         let reference = run(1);
         assert_eq!(reference.counts.total(), 4 * reference.tree.outcomes());
         assert_eq!(run(4).counts, reference.counts);
-    }
-
-    #[test]
-    fn run_sim_honours_the_builder() {
-        let circuit = generators::qft(6);
-        let engine = Engine::new(EngineConfig::default().parallelism(2));
-        let sim = Tqsim::new(&circuit).shots(64).seed(5);
-        let r = engine.run_sim(&sim).unwrap();
-        assert!(r.counts.total() >= 64);
-        let r2 = sim.run_parallel().unwrap();
-        assert_eq!(r.counts, r2.counts, "same seed ⇒ same outcomes on any pool");
     }
 
     #[test]
@@ -1078,7 +956,5 @@ mod tests {
         let result = engine.submit(Vec::new()).run().unwrap();
         assert!(result.jobs.is_empty());
         assert_eq!(result.plans, PlanStats::default());
-        let result = engine.submit(Vec::new()).sequential().run().unwrap();
-        assert!(result.jobs.is_empty());
     }
 }

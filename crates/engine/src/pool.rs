@@ -88,18 +88,15 @@ struct Shared<B: PooledBackend> {
     /// *before* the push and decremented only after a successful pop, so
     /// it may transiently over-count but never wraps below zero.
     queued: AtomicUsize,
-    /// Tasks queued or currently running; 0 ⇔ pool idle.
-    pending: AtomicUsize,
     /// Workers currently parked on `work_cv`. Producers skip the wake
     /// lock entirely while this is zero (the common case on a busy pool).
     sleepers: AtomicUsize,
     /// Guards sleep/wake transitions (prevents lost wakeups).
     sleep: Mutex<bool>, // the bool is the shutdown flag
     work_cv: Condvar,
-    done_cv: Condvar,
-    /// First panic payload from a task, re-raised by `wait_idle` (matching
-    /// rayon's propagate-first-panic semantics; without this, a panicking
-    /// task would leave `pending` undrained and deadlock the submitter).
+    /// First panic payload from a task, held until the job's submitter
+    /// takes it with [`WorkerPool::take_panic`] (matching rayon's
+    /// propagate-first-panic semantics).
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     counters: Arc<PoolCounters>,
     /// Per-worker busy/idle/steal instruments (None ⇒ uninstrumented).
@@ -115,7 +112,6 @@ impl<B: PooledBackend> Shared<B> {
     /// the other's write, so either the worker re-loops or the producer
     /// takes the lock and notifies.
     fn publish(&self, queue: &Mutex<VecDeque<Task<B>>>, task: Task<B>) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
         self.queued.fetch_add(1, Ordering::SeqCst);
         queue.lock().expect("queue lock").push_back(task);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
@@ -227,11 +223,9 @@ impl<B: PooledBackend> WorkerPool<B> {
             injector: Mutex::new(VecDeque::new()),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             queued: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
             sleep: Mutex::new(false),
             work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
             panic: Mutex::new(None),
             counters: Arc::clone(&counters),
             metrics,
@@ -266,37 +260,11 @@ impl<B: PooledBackend> WorkerPool<B> {
         self.shared.publish(&self.shared.injector, Box::new(task));
     }
 
-    /// Block until every queued and spawned task has finished.
-    ///
-    /// Intended for one submitter at a time (the engine runs jobs
-    /// sequentially); concurrent submitters would wait for each other's
-    /// work too, which is safe but rarely what you want.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic any task raised since the last
-    /// `wait_idle` (the panicking task's subtree is abandoned; other tasks
-    /// run to completion first, and the pool stays usable afterwards).
-    pub fn wait_idle(&self) {
-        let mut guard = self.shared.sleep.lock().expect("sleep lock");
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            guard = self.shared.done_cv.wait(guard).expect("done wait");
-        }
-        drop(guard);
-        // Take the payload in its own statement: `if let` would keep the
-        // lock guard alive across `resume_unwind`, poisoning the mutex.
-        let payload = self.take_panic();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// Take the first stored task panic without blocking, if any. The
-    /// non-blocking job path ([`tqsim-engine`'s multi-tenant scheduler])
-    /// has no `wait_idle` to re-raise through, so it polls this after job
-    /// completion instead.
-    ///
-    /// [`tqsim-engine`'s multi-tenant scheduler]: self
+    /// Take the first stored task panic without blocking, if any. Work
+    /// reports its own completion (the tree executor counts its job's
+    /// outstanding tasks and fires a callback), so the submitter polls this
+    /// once its job has completed; a panicking task abandons only its own
+    /// follow-up work and the pool stays usable.
     pub fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
         // Recover from poison: this lock is only ever taken on panic
         // paths, and `.expect` here would double-panic while already
@@ -306,35 +274,6 @@ impl<B: PooledBackend> WorkerPool<B> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take()
-    }
-
-    /// Run `count` indexed iterations across the pool and block until all
-    /// complete. `f(i, ctx)` is called exactly once for every
-    /// `i ∈ 0..count`, from whichever worker picked the strip containing
-    /// `i`; iterations are striped into `~8 × workers` contiguous chunks so
-    /// stealing can rebalance uneven iteration costs.
-    pub fn for_each_index<F>(&self, count: u64, f: F)
-    where
-        F: Fn(u64, &WorkerCtx<'_, B>) + Send + Sync + 'static,
-    {
-        if count == 0 {
-            return;
-        }
-        let f = Arc::new(f);
-        let strips = (self.workers() as u64 * 8).min(count);
-        let chunk = count.div_ceil(strips);
-        let mut start = 0;
-        while start < count {
-            let end = (start + chunk).min(count);
-            let f = Arc::clone(&f);
-            self.inject(move |ctx| {
-                for i in start..end {
-                    f(i, ctx);
-                }
-            });
-            start = end;
-        }
-        self.wait_idle();
     }
 
     /// The execution backend the per-worker state pools allocate through.
@@ -411,9 +350,8 @@ fn worker_loop<B: PooledBackend>(index: usize, state_pool: &StatePool<B>, shared
     loop {
         if let Some(task) = find_task(index, shared) {
             let started = shared.metrics.as_ref().map(|_| Instant::now());
-            // Catch unwinds so a panicking task cannot kill the worker
-            // with `pending` undrained (which would deadlock the
-            // submitter); the payload is re-raised by `wait_idle`.
+            // Catch unwinds so a panicking task cannot kill the worker;
+            // the payload waits in the panic slot for `take_panic`.
             if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 amp_pool.install(|| task(&ctx))
             })) {
@@ -433,12 +371,6 @@ fn worker_loop<B: PooledBackend>(index: usize, state_pool: &StatePool<B>, shared
                 w.tasks.inc();
                 w.busy_ns.add(ns);
                 metrics.task_ns.record(ns);
-            }
-            if shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last task of the batch: wake the submitter. Taking the
-                // lock orders this notify against `wait_idle`'s check.
-                let _guard = shared.sleep.lock().expect("sleep lock");
-                shared.done_cv.notify_all();
             }
             continue;
         }
@@ -502,17 +434,68 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// A test-local stand-in for a job's own completion accounting: every
+    /// task holds one [`Tick`], and [`Countdown::wait`] returns once all of
+    /// them have dropped (a panicking task drops its tick while unwinding).
+    struct Countdown {
+        left: Mutex<u64>,
+        zero: Condvar,
+    }
+
+    struct Tick(Arc<Countdown>);
+
+    impl Drop for Tick {
+        fn drop(&mut self) {
+            let mut left = self
+                .0
+                .left
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            *left -= 1;
+            if *left == 0 {
+                self.0.zero.notify_all();
+            }
+        }
+    }
+
+    impl Countdown {
+        fn new(tasks: u64) -> Arc<Self> {
+            Arc::new(Countdown {
+                left: Mutex::new(tasks),
+                zero: Condvar::new(),
+            })
+        }
+
+        fn tick(self: &Arc<Self>) -> Tick {
+            Tick(Arc::clone(self))
+        }
+
+        fn wait(&self) {
+            let mut left = self.left.lock().expect("countdown lock");
+            while *left > 0 {
+                left = self.zero.wait(left).expect("countdown wait");
+            }
+        }
+    }
+
+    /// Inject `count` tasks that each bump `hits`, and wait for all of them.
+    fn run_hits(pool: &WorkerPool, count: u64, hits: &Arc<AtomicU64>) {
+        let done = Countdown::new(count);
+        for _ in 0..count {
+            let (tick, hits) = (done.tick(), Arc::clone(hits));
+            pool.inject(move |_| {
+                let _tick = tick;
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        done.wait();
+    }
+
     #[test]
     fn runs_every_injected_task() {
         let pool = WorkerPool::new(4);
         let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let hits = Arc::clone(&hits);
-            pool.inject(move |_| {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.wait_idle();
+        run_hits(&pool, 100, &hits);
         assert_eq!(hits.load(Ordering::SeqCst), 100);
     }
 
@@ -520,32 +503,27 @@ mod tests {
     fn spawned_subtasks_complete_before_wait_returns() {
         let pool = WorkerPool::new(3);
         let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
+        // One root, ten children, ten grandchildren.
+        let done = Countdown::new(21);
+        let (h, root) = (Arc::clone(&hits), done.tick());
+        let d = Arc::clone(&done);
         pool.inject(move |ctx| {
+            let _tick = root;
             for _ in 0..10 {
-                let h = Arc::clone(&h);
+                let (h, child, grandchild) = (Arc::clone(&h), d.tick(), d.tick());
                 ctx.spawn(move |ctx2| {
+                    let _tick = child;
                     let h2 = Arc::clone(&h);
                     ctx2.spawn(move |_| {
+                        let _tick = grandchild;
                         h2.fetch_add(1, Ordering::SeqCst);
                     });
                     h.fetch_add(1, Ordering::SeqCst);
                 });
             }
         });
-        pool.wait_idle();
+        done.wait();
         assert_eq!(hits.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn for_each_index_covers_exactly_once() {
-        let pool = WorkerPool::new(2);
-        let seen: Arc<Vec<AtomicU64>> = Arc::new((0..500).map(|_| AtomicU64::new(0)).collect());
-        let s = Arc::clone(&seen);
-        pool.for_each_index(500, move |i, _| {
-            s[i as usize].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
@@ -554,10 +532,16 @@ mod tests {
         pool.prewarm(5, 2);
         let warmed = pool.pool_stats().allocations;
         for _ in 0..3 {
-            pool.for_each_index(50, |_, ctx| {
-                let mut sv = ctx.acquire(5);
-                sv.reset_zero();
-            });
+            let done = Countdown::new(50);
+            for _ in 0..50 {
+                let tick = done.tick();
+                pool.inject(move |ctx| {
+                    let _tick = tick;
+                    let mut sv = ctx.acquire(5);
+                    sv.reset_zero();
+                });
+            }
+            done.wait();
         }
         let stats = pool.pool_stats();
         assert_eq!(stats.allocations, warmed, "steady state must not allocate");
@@ -570,19 +554,9 @@ mod tests {
         let pool = WorkerPool::new(2);
         let hits = Arc::new(AtomicU64::new(0));
         for round in 1..=3u64 {
-            let h = Arc::clone(&hits);
-            pool.for_each_index(10, move |_, _| {
-                h.fetch_add(1, Ordering::SeqCst);
-            });
+            run_hits(&pool, 10, &hits);
             assert_eq!(hits.load(Ordering::SeqCst), round * 10);
         }
-    }
-
-    #[test]
-    fn wait_idle_on_empty_pool_returns_immediately() {
-        let pool = WorkerPool::new(1);
-        pool.wait_idle();
-        pool.wait_idle();
     }
 
     #[test]
@@ -590,11 +564,11 @@ mod tests {
         let registry = Registry::new();
         let pool = WorkerPool::with_backend_observed(2, SingleNode, Some((&registry, "test")));
         let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        pool.for_each_index(64, move |_, _| {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
+        run_hits(&pool, 64, &hits);
         assert_eq!(hits.load(Ordering::SeqCst), 64);
+        // A worker records a task's metrics after the task returns; joining
+        // the workers makes every record visible.
+        drop(pool);
         let snap = registry.snapshot();
         let per_worker = |name: &str| -> u64 {
             (0..2)
@@ -609,8 +583,8 @@ mod tests {
         let hist = snap
             .histogram("tqsim_engine_task_ns", &[("engine", "test")])
             .expect("task histogram registered");
+        assert_eq!(tasks, 64);
         assert_eq!(tasks, hist.count, "every task records one latency sample");
-        assert!(tasks >= 1, "striped batch must run tasks");
         assert!(per_worker("tqsim_engine_busy_ns_total") > 0);
         // Steals/parks are scheduling-dependent — just present and sane.
         let _ = per_worker("tqsim_engine_steals_total");
@@ -619,22 +593,20 @@ mod tests {
 
     #[test]
     fn task_panic_propagates_instead_of_deadlocking() {
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        pool.inject(move |_| {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
+        // One worker runs the injector FIFO: it stores the panic payload
+        // before it takes the healthy task, so the healthy task's tick
+        // orders the payload before `take_panic`.
+        let pool = WorkerPool::new(1);
         pool.inject(|_| panic!("task exploded"));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.wait_idle()));
-        let payload = caught.expect_err("wait_idle must re-raise the task panic");
+        let hits = Arc::new(AtomicU64::new(0));
+        run_hits(&pool, 1, &hits);
+        let payload = pool.take_panic().expect("the task panic is kept");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"task exploded"));
+        assert!(pool.take_panic().is_none(), "a payload is taken once");
         // The healthy task still ran, and the pool remains usable.
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        let h = Arc::clone(&hits);
-        pool.for_each_index(5, move |_, _| {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
+        run_hits(&pool, 5, &hits);
         assert_eq!(hits.load(Ordering::SeqCst), 6);
+        assert!(pool.take_panic().is_none());
     }
 }

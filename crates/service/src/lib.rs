@@ -121,7 +121,6 @@ mod tests {
         let engine = Engine::new(EngineConfig::default().parallelism(2));
         let reference = engine
             .submit(vec![JobSpec::new(&circuit).shots(64).seed(11)])
-            .sequential()
             .run()
             .unwrap()
             .jobs

@@ -40,29 +40,21 @@ fn main() {
 
     let n_jobs = jobs.len();
     let t0 = Instant::now();
-    // Sequential mode so the per-job "peak states" column below is each
-    // job's own phase-scoped footprint; the default overlapped mode would
-    // report the batch-wide pool high-water mark for every row (drop
-    // `.sequential()` to let narrow-tree jobs interleave on the pool).
-    let result = engine
-        .submit(jobs)
-        .sequential()
-        .run()
-        .expect("all jobs plannable");
+    // Narrow-tree jobs interleave on the pool; a saturating one runs alone.
+    let result = engine.submit(jobs).run().expect("all jobs plannable");
     let elapsed = t0.elapsed();
 
     println!(
-        "{:>4}  {:>14}  {:>8}  {:>9}  {:>12}",
-        "job", "tree", "outcomes", "gates", "peak states"
+        "{:>4}  {:>14}  {:>8}  {:>9}",
+        "job", "tree", "outcomes", "gates"
     );
     for (i, job) in result.jobs.iter().enumerate() {
         println!(
-            "{:>4}  {:>14}  {:>8}  {:>9}  {:>12}",
+            "{:>4}  {:>14}  {:>8}  {:>9}",
             i,
             job.tree.to_string(),
             job.counts.total(),
             job.ops.total_gates(),
-            job.peak_states,
         );
     }
 
@@ -78,10 +70,15 @@ fn main() {
         100.0 * result.plans.reused as f64 / n_jobs as f64
     );
     println!(
-        "state pool: {} allocations, {} reuses ({:.1} reuses per allocation), peak {} live buffers",
+        "state pool: {} allocations, {} reuses ({:.1} reuses per allocation)",
         pool.allocations,
         pool.reuses,
         pool.reuses as f64 / pool.allocations.max(1) as f64,
+    );
+    // Overlapped jobs share the pool, so the footprint is the batch's.
+    println!(
+        "batch peak: {} live buffers ({:.1} KiB), the pool high-water mark",
         pool.high_water,
+        pool.high_water_bytes as f64 / 1024.0,
     );
 }

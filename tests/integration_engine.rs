@@ -3,9 +3,10 @@
 //! allocations, and the batched job API must agree with the single-run
 //! paths.
 
-use tqsim::{Counts, Strategy, Tqsim};
+use tqsim::{Counts, Strategy};
+use tqsim_baselines::run_baseline;
 use tqsim_circuit::{generators, Circuit};
-use tqsim_engine::{Engine, EngineConfig, JobSpec, RunParallel};
+use tqsim_engine::{Engine, EngineConfig, JobSpec};
 use tqsim_noise::NoiseModel;
 
 fn engine_run(circuit: &Circuit, shots: u64, seed: u64, workers: usize) -> tqsim::RunResult {
@@ -146,21 +147,38 @@ fn counts_merge_rejects_width_mismatch() {
     a.merge(&Counts::new(5));
 }
 
-/// The `.parallelism(n)` builder option routes through the engine and
-/// produces the same outcomes as an explicit engine run.
+/// Shots in flight at once (the paper's Fig. 8) are the flat tree `(N)` on
+/// the pool. Different RNG streams from the independent serial runner, same
+/// physics: BV-8's secret frequency must agree within sampling noise.
 #[test]
-fn tqsim_builder_parallelism_wiring() {
+fn parallel_baseline_matches_serial_distribution() {
     let circuit = generators::bv(8);
-    let sim = Tqsim::new(&circuit)
-        .noise(NoiseModel::sycamore())
-        .shots(300)
-        .seed(21)
-        .parallelism(4);
-    let via_builder = sim.run_parallel().unwrap();
-    let engine = Engine::new(EngineConfig::default().parallelism(1));
-    let via_engine = engine.run_sim(&sim).unwrap();
-    assert_eq!(via_builder.counts, via_engine.counts);
-    assert!(via_builder.counts.total() >= 300);
+    let noise = NoiseModel::sycamore();
+    let shots = 1500u64;
+    let serial = run_baseline(&circuit, &noise, shots, 1).counts;
+    let engine = Engine::new(EngineConfig::default().parallelism(4));
+    let job = JobSpec::new(&circuit)
+        .noise(noise)
+        .shots(shots)
+        .strategy(Strategy::Baseline)
+        .seed(2);
+    let parallel = engine
+        .submit(vec![job])
+        .run()
+        .unwrap()
+        .jobs
+        .remove(0)
+        .counts;
+    assert_eq!(parallel.total(), shots);
+    // The 7-bit secret, with the ancilla (bit 7) either way.
+    let secret = 0b111_1110u64;
+    let frequency = |counts: &Counts| {
+        (0..2u64)
+            .map(|a| counts.get(secret | (a << 7)))
+            .sum::<u64>() as f64
+            / shots as f64
+    };
+    assert!((frequency(&serial) - frequency(&parallel)).abs() < 0.06);
 }
 
 /// Batched submission: per-job results match the same jobs run one by one

@@ -74,7 +74,7 @@ fn noise_for(idx: usize) -> NoiseModel {
     }
 }
 
-/// Serial reference: one-worker engine, strictly sequential batch.
+/// Serial reference: one batch on a one-worker engine.
 fn serial_reference(circuit: &Circuit, noise: &NoiseModel, seeds: &[u64]) -> Vec<RunResult> {
     let engine = Engine::new(EngineConfig::default().parallelism(1));
     engine
@@ -92,7 +92,6 @@ fn serial_reference(circuit: &Circuit, noise: &NoiseModel, seeds: &[u64]) -> Vec
                 })
                 .collect(),
         )
-        .sequential()
         .run()
         .unwrap()
         .jobs
@@ -410,7 +409,6 @@ fn serial_reference_for_smoke(circuit: &Circuit) -> RunResult {
                 arities: vec![6, 4],
             })
             .seed(7)])
-        .sequential()
         .run()
         .unwrap()
         .jobs
