@@ -4,13 +4,11 @@
 //!    tree depth and the achievable speedup (§3.6's central trade);
 //! 2. margin (ε) sensitivity — Eq. 5's accuracy knob vs A0;
 //! 3. shot-count sensitivity — the paper's §4.3 1000/3200/32000 sweep;
-//! 4. leaf oversampling — outcomes-per-leaf beyond the paper's semantics;
-//! 5. gate-fusion interaction — §6's claim that TQSim composes with
-//!    single-shot optimisations.
+//! 4. leaf oversampling — outcomes-per-leaf beyond the paper's semantics.
 
 use tqsim::{metrics, speedup, DcpConfig, ExecOptions, Strategy, Tqsim, TreeExecutor};
 use tqsim_bench::{banner, head_to_head, wall_speedup, Scale, Table};
-use tqsim_circuit::{generators, transpile};
+use tqsim_circuit::generators;
 use tqsim_noise::NoiseModel;
 
 fn main() {
@@ -145,25 +143,4 @@ fn main() {
     }
     t.print();
     println!("finding: at fixed outcome budget, oversampling leaves cuts gate work ~3×\nwith no fidelity loss here — leaf states already differ through upstream noise.\nThe correlation penalty only bites when A0 itself shrinks (Fig. 17's 250-1-1).");
-
-    // ---- 5. gate fusion interaction -------------------------------------------
-    println!("\n(5) single-shot gate fusion × multi-shot reuse (§6 composition claim):");
-    let mut t = Table::new(&["pipeline", "gates", "baseline", "tqsim", "speedup"]);
-    let raw = generators::mul(3, 3, 2); // fusion-friendly: dense 1q runs
-    let (fused, fstats) = transpile::optimize(&raw);
-    for (name, c) in [("raw", &raw), ("fused", &fused)] {
-        let (b, tr) = head_to_head(c, &noise, scale.dcp_strategy(), 1_000, 0xAB6);
-        t.row(&[
-            name.to_string(),
-            c.len().to_string(),
-            tqsim_bench::fmt_secs(b.wall_time.as_secs_f64()),
-            tqsim_bench::fmt_secs(tr.wall_time.as_secs_f64()),
-            format!("{:.2}×", wall_speedup(&b, &tr)),
-        ]);
-    }
-    t.print();
-    println!(
-        "fusion saved {} gates before partitioning; TQSim's relative speedup survives\non the optimised circuit — the two accelerations compose.",
-        fstats.gates_saved()
-    );
 }

@@ -1,6 +1,6 @@
 //! The [`Circuit`] IR: an ordered gate list on a fixed-width qubit register.
 
-use crate::gate::{Gate, GateError, GateKind, MAX_ARITY};
+use crate::gate::{Gate, GateError, GateKind};
 use crate::math::{Mat2, Mat4};
 use std::fmt;
 use std::ops::Range;
@@ -151,15 +151,6 @@ impl Circuit {
     /// Number of gates acting on ≥ 2 qubits.
     pub fn two_qubit_count(&self) -> usize {
         self.gates.iter().filter(|g| g.arity() >= 2).count()
-    }
-
-    /// Gate counts bucketed by arity: `[single, two, three]`-qubit.
-    pub fn counts_by_arity(&self) -> [usize; MAX_ARITY] {
-        let mut counts = [0usize; MAX_ARITY];
-        for g in &self.gates {
-            counts[g.arity() - 1] += 1;
-        }
-        counts
     }
 
     /// Stable 64-bit content hash of the circuit: register width plus every
@@ -390,7 +381,6 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).ccx(0, 1, 2).rz(0.5, 2);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.counts_by_arity(), [2, 1, 1]);
         assert_eq!(c.two_qubit_count(), 2);
     }
 

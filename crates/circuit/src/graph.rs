@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// A simple undirected graph on `n` vertices, edge-list representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,15 +152,6 @@ impl Graph {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Seeded random (β, γ) QAOA angles in the canonical ranges.
-pub fn random_angles(seed: u64) -> (f64, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (
-        rng.random_range(0.0..std::f64::consts::PI),
-        rng.random_range(0.0..2.0 * std::f64::consts::PI),
-    )
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@ pub mod gate;
 pub mod generators;
 pub mod graph;
 pub mod math;
-pub mod transpile;
 
 pub use circuit::{Circuit, CircuitError};
 pub use gate::{Gate, GateError, GateKind};

@@ -34,7 +34,7 @@ pub type Task<B = SingleNode> = Box<dyn FnOnce(&WorkerCtx<'_, B>) + Send + 'stat
 
 /// One worker's observability instruments (see [`PoolMetrics`]).
 struct WorkerInstruments {
-    /// Tasks this worker executed.
+    /// Tasks this worker took, counted before each one runs.
     tasks: Arc<Counter>,
     /// Tasks it took from a sibling's deque.
     steals: Arc<Counter>,
@@ -349,7 +349,13 @@ fn worker_loop<B: PooledBackend>(index: usize, state_pool: &StatePool<B>, shared
         .expect("amplitude thread budget");
     loop {
         if let Some(task) = find_task(index, shared) {
-            let started = shared.metrics.as_ref().map(|_| Instant::now());
+            // Count the task before it runs: its completion callback may
+            // deliver the job's result, and a reader that saw the job
+            // finish must see every one of its tasks counted.
+            let started = shared.metrics.as_ref().map(|metrics| {
+                metrics.workers[index].tasks.inc();
+                Instant::now()
+            });
             // Catch unwinds so a panicking task cannot kill the worker;
             // the payload waits in the panic slot for `take_panic`.
             if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -367,9 +373,7 @@ fn worker_loop<B: PooledBackend>(index: usize, state_pool: &StatePool<B>, shared
             }
             if let (Some(metrics), Some(started)) = (&shared.metrics, started) {
                 let ns = elapsed_ns(started);
-                let w = &metrics.workers[index];
-                w.tasks.inc();
-                w.busy_ns.add(ns);
+                metrics.workers[index].busy_ns.add(ns);
                 metrics.task_ns.record(ns);
             }
             continue;
@@ -566,7 +570,7 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         run_hits(&pool, 64, &hits);
         assert_eq!(hits.load(Ordering::SeqCst), 64);
-        // A worker records a task's metrics after the task returns; joining
+        // A worker records a task's latency after the task returns; joining
         // the workers makes every record visible.
         drop(pool);
         let snap = registry.snapshot();
@@ -589,6 +593,37 @@ mod tests {
         // Steals/parks are scheduling-dependent — just present and sane.
         let _ = per_worker("tqsim_engine_steals_total");
         let _ = per_worker("tqsim_engine_parks_total");
+    }
+
+    #[test]
+    fn tasks_total_is_counted_before_the_task_completes() {
+        let registry = Registry::new();
+        let pool = WorkerPool::with_backend_observed(1, SingleNode, Some((&registry, "test")));
+        let tasks_total = || {
+            registry
+                .snapshot()
+                .counter(
+                    "tqsim_engine_tasks_total",
+                    &[("engine", "test"), ("worker", "0")],
+                )
+                .expect("worker instrument registered")
+        };
+        // The task reports completion, then stays inside the worker until
+        // the reader has looked: a counter bumped after the task returned
+        // would read one short here.
+        let done = Countdown::new(1);
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let tick = done.tick();
+        pool.inject(move |_| {
+            drop(tick);
+            let _ = hold.recv();
+        });
+        done.wait();
+        let seen_at_completion = tasks_total();
+        release.send(()).expect("task is waiting");
+        drop(pool);
+        assert_eq!(seen_at_completion, 1);
+        assert_eq!(seen_at_completion, tasks_total());
     }
 
     #[test]

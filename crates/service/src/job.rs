@@ -479,14 +479,6 @@ impl Ticket {
         self.record.state.lock().expect("job state").streamed
     }
 
-    /// Drain whatever outcomes have streamed in since the last drain,
-    /// without blocking. Empty means "nothing new yet", not "finished" —
-    /// combine with [`Ticket::status`].
-    pub fn try_chunk(&self) -> Vec<u64> {
-        let mut st = self.record.state.lock().expect("job state");
-        std::mem::take(&mut st.pending)
-    }
-
     /// Block until at least one new outcome is available and drain the
     /// buffer, or return `None` once the job is terminal with nothing
     /// left to drain. Looping on this yields every outcome of the job,

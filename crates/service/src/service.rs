@@ -192,7 +192,8 @@ pub struct ServiceConfig {
     /// Whether to run the observability layer (per-stage latency
     /// histograms, engine/cluster instruments, the `metrics` wire verb).
     /// On by default; off skips every instrument for a zero-overhead
-    /// baseline (the `obs` bench measures the difference).
+    /// baseline. The only measure of the difference is `perf/`'s
+    /// `service_mix` row `obs.overhead_frac` (on vs off, same process).
     pub observability: bool,
 }
 

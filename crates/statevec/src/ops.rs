@@ -72,20 +72,6 @@ impl OpCounts {
     pub fn merge(&mut self, other: &OpCounts) {
         *self += *other;
     }
-
-    /// Total work in *gate equivalents*: gates count 1 (by arity weight),
-    /// noise ops `noise_weight`, copies/resets `copy_cost`, samples 0.5.
-    ///
-    /// This is the currency of the paper's §3.6 trade-off analysis, where
-    /// the state-copy cost is expressed in "number of gates".
-    pub fn gate_equivalents(&self, copy_cost: f64, noise_weight: f64) -> f64 {
-        self.gates_1q as f64
-            + 1.8 * self.gates_2q as f64
-            + 2.2 * self.gates_3q as f64
-            + noise_weight * self.noise_ops as f64
-            + copy_cost * (self.state_copies + self.state_resets) as f64
-            + 0.5 * self.samples as f64
-    }
 }
 
 impl Add for OpCounts {
@@ -140,17 +126,6 @@ mod tests {
         assert_eq!(c.state_copies, 4);
         let s: OpCounts = [a, b].into_iter().sum();
         assert_eq!(s, c);
-    }
-
-    #[test]
-    fn gate_equivalents_weights_copies() {
-        let ops = OpCounts {
-            gates_1q: 10,
-            state_copies: 2,
-            ..Default::default()
-        };
-        let ge = ops.gate_equivalents(20.0, 2.5);
-        assert!((ge - (10.0 + 40.0)).abs() < 1e-12);
     }
 
     #[test]

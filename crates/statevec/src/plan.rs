@@ -714,14 +714,6 @@ impl Fuser {
     }
 }
 
-/// Apply one fused operation to any [`QuantumState`] backend, charging one
-/// amplitude pass. Pristine ops (never folded) dispatch through the
-/// backend's full gate path for bit-identity with unfused execution.
-pub fn apply_fused_op<S: QuantumState + ?Sized>(sv: &mut S, op: &FusedOp, ops: &mut OpCounts) {
-    ops.amp_passes += 1;
-    apply_fused_op_raw(sv, op);
-}
-
 /// Apply one fused operation without touching any counter — the replay
 /// sinks charge `amp_passes` themselves so that noise-only sweeps (fired
 /// Kraus branches, accounted under `noise_ops` like the unfused path)
@@ -850,19 +842,9 @@ impl CompiledCircuit {
         }
     }
 
-    /// The instruction stream.
-    pub fn plan_ops(&self) -> &[PlanOp] {
-        &self.plan
-    }
-
     /// Register width the plan was compiled for.
     pub fn n_qubits(&self) -> u16 {
         self.n_qubits
-    }
-
-    /// Total source gates of the compiled subcircuit.
-    pub fn source_gates(&self) -> u64 {
-        self.src_gates.iter().sum()
     }
 
     /// Gates absorbed by static (compile-time) fusion.

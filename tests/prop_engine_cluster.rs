@@ -6,12 +6,14 @@
 //! oversampled leaves — because node RNG streams derive only from the job
 //! seed and tree path, and plan replay is arithmetic-identical on every
 //! backend. Also checks the pool-counter high-water mark against the
-//! schedule's bound on each backend.
+//! schedule's bound on each backend, and that tree reuse survives the
+//! distributed backend: a reuse tree replays far fewer amplitude passes
+//! than per-shot Monte-Carlo through the same cluster engine.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tqsim::Strategy as PlanStrategy;
-use tqsim_circuit::{Circuit, Gate, GateKind};
+use tqsim_circuit::{generators, Circuit, Gate, GateKind};
 use tqsim_cluster::{ClusterBackend, InterconnectModel};
 use tqsim_engine::{Engine, EngineConfig, JobPlan, PlannedJob};
 use tqsim_noise::NoiseModel;
@@ -153,5 +155,40 @@ proptest! {
         );
         prop_assert_eq!(&r.counts, &reference.counts);
         prop_assert_eq!(r.ops.samples, reference.ops.samples);
+    }
+}
+
+#[test]
+fn cluster_engine_tree_reuse_cuts_amp_passes_versus_per_shot_monte_carlo() {
+    // The flat Baseline tree is per-shot Monte-Carlo: every shot replays
+    // the whole circuit. A (4, 4, 2) reuse tree over the same 32 shots
+    // shares each prefix among its descendants.
+    let circuit = generators::qft(10);
+    let noise = NoiseModel::sycamore();
+    let (shots, seed) = (32, 13);
+    let plan = |strategy: &PlanStrategy| {
+        Arc::new(JobPlan::plan(&circuit, &noise, shots, strategy).unwrap())
+    };
+    let tree = plan(&PlanStrategy::Custom {
+        arities: vec![4, 4, 2],
+    });
+    let flat = plan(&PlanStrategy::Baseline);
+    for nodes in [2usize, 4] {
+        let engine = Engine::with_backend(
+            EngineConfig::default().parallelism(2),
+            ClusterBackend::new(nodes, InterconnectModel::commodity_cluster()),
+        );
+        let tree_passes = engine
+            .run_planned(&PlannedJob::new(Arc::clone(&tree)).seed(seed))
+            .ops
+            .amp_passes;
+        let flat_passes = engine
+            .run_planned(&PlannedJob::new(Arc::clone(&flat)).seed(seed))
+            .ops
+            .amp_passes;
+        assert!(
+            tree_passes as f64 * 1.5 <= flat_passes as f64,
+            "{nodes} nodes: tree {tree_passes} vs per-shot {flat_passes} amp passes"
+        );
     }
 }
