@@ -341,14 +341,14 @@ mod tests {
         .unwrap();
         let model = InterconnectModel::commodity_cluster();
         let r = run_distributed(&circuit, &noise, &partition, 4, model, 3).unwrap();
-        assert_eq!(r.counters.exchanges, 4_140);
-        assert_eq!(r.counters.bytes_exchanged, 542_638_080);
-        assert_eq!(r.counters.local_gates, 7_722);
-        assert_eq!(r.counters.global_gates, 1_960);
+        assert_eq!(r.counters.exchanges, 3_920);
+        assert_eq!(r.counters.bytes_exchanged, 513_802_240);
+        assert_eq!(r.counters.local_gates, 2_582);
+        assert_eq!(r.counters.global_gates, 1_850);
         assert_eq!(r.counters.state_copies, 146);
-        assert_eq!(r.counters.amp_ops, 161_021_952);
-        assert_eq!(r.counters.simulated_seconds.to_bits(), 4585818856184292217);
-        assert_eq!(r.ops.amp_passes, 9_682);
+        assert_eq!(r.counters.amp_ops, 75_005_952);
+        assert_eq!(r.counters.simulated_seconds.to_bits(), 4583581190035331902);
+        assert_eq!(r.ops.amp_passes, 4_432);
         let serial = tqsim::TreeExecutor::new(&circuit, &noise, partition)
             .unwrap()
             .run(3);

@@ -83,6 +83,19 @@ where
         dsv.apply_mat4(hi, lo, &fsim);
         sv.apply_mat4(hi, lo, &fsim);
     }
+    // FSim rows have at most two nonzeros; a dense matrix's four-term rows
+    // show the order they are summed in, which a remap onto scratch
+    // qubits must not change (either operand order, local and global).
+    let (u, w) = (
+        GateKind::U3(0.3, 0.7, 1.1).matrix1().unwrap(),
+        GateKind::U3(1.9, -0.2, 0.5).matrix1().unwrap(),
+    );
+    let dense = u.kron(&w).mul(&fsim).mul(&w.kron(&u));
+    for (hi, lo) in [(N - 1, N - 2), (N - 2, N - 1), (1, N - 1), (0, 2)] {
+        dsv.apply_mat4(hi, lo, &dense);
+        sv.apply_mat4(hi, lo, &dense);
+        same(&dsv, &sv, &format!("dense mat4({hi},{lo})"));
+    }
     let mut run = DiagRun::new();
     run.push1(1, GateKind::T.diag1().unwrap());
     run.push1(N - 1, GateKind::S.diag1().unwrap());

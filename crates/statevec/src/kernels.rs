@@ -28,11 +28,15 @@
 //! span (shared `Cell` borrows where combinations share a span), so the
 //! body poses no aliasing question for the optimiser to give up on.
 //!
-//! **No fused multiply-add, no reassociation.** `Vf` offers lane-wise
-//! `add`/`sub`/`mul` only and the bodies spell out the scalar sequence
-//! (`re = ar·br − ai·bi`, rows summed left to right), so every tier is
-//! bit-identical to every other, to the scalar code it replaced, and
-//! therefore across thread counts, backends and retries.
+//! **Fused multiply-add, no reassociation.** A dense row (`mat2`, `mat4`)
+//! is the `C64` product of its first term, then one fused multiply-add
+//! (`Vf::mul_add`/`neg_mul_add`, one rounding) per real product of every
+//! remaining term, left to right, and a `mat4` row is summed in *logical*
+//! column order whatever the physical order of its operands. So every tier
+//! is bit-identical to every other, and a gate gives the same bits on every
+//! operand placement — across thread counts, backends (a distributed state
+//! remaps an operand onto another qubit) and retries. Results are not
+//! bit-identical to unfused scalar `C64` loops.
 //!
 //! The multi-term diagonal sweep (`apply_diag_table`) is the one body
 //! that is plain autovectorised Rust; it is compiled per tier through the
@@ -287,6 +291,18 @@ impl<V: Vf> Cv<V> {
         Cv {
             re: mr.mul(self.re).sub(mi.mul(self.im)),
             im: mr.mul(self.im).add(mi.mul(self.re)),
+        }
+    }
+
+    /// `self + m * x`: each of the four real products is fused into the
+    /// running sum with one rounding, in `C64::mul`'s operation order
+    /// (`re += mr·xr`, `re −= mi·xi`, `im += mr·xi`, `im += mi·xr`).
+    #[inline(always)]
+    fn mul_add_left(self, m: C64, x: Self) -> Self {
+        let (mr, mi) = (V::splat(m.re), V::splat(m.im));
+        Cv {
+            re: mi.neg_mul_add(x.im, mr.mul_add(x.re, self.re)),
+            im: mi.mul_add(x.re, mr.mul_add(x.im, self.im)),
         }
     }
 
@@ -722,16 +738,24 @@ pub fn marginal_one_amps(amps: &[C64], q: usize) -> f64 {
 
 // ---- gate kernels ---------------------------------------------------------
 
+/// A dense row: the product of its first term, then one fused
+/// multiply-add per remaining term, left to right (see [`Cv::mul_add_left`]).
+#[inline(always)]
+fn dense_row<V: Vf, const N: usize>(row: &[C64; N], x: [Cv<V>; N]) -> Cv<V> {
+    let mut acc = x[0].mul_left(row[0]);
+    for k in 1..N {
+        acc = acc.mul_add_left(row[k], x[k]);
+    }
+    acc
+}
+
 struct Mat2Op<'m>(&'m Mat2);
 
 impl TileOp<2> for Mat2Op<'_> {
     #[inline(always)]
-    fn apply<V: Vf>(&self, [x, y]: [Cv<V>; 2]) -> [Cv<V>; 2] {
-        let [[m00, m01], [m10, m11]] = self.0 .0;
-        [
-            x.mul_left(m00).add(y.mul_left(m01)),
-            x.mul_left(m10).add(y.mul_left(m11)),
-        ]
+    fn apply<V: Vf>(&self, v: [Cv<V>; 2]) -> [Cv<V>; 2] {
+        let [r0, r1] = &self.0 .0;
+        [dense_row(r0, v), dense_row(r1, v)]
     }
 }
 
@@ -846,18 +870,27 @@ pub fn apply_swap(amps: &mut [C64], p: usize, q: usize) {
     sweep_quad(amps, p.min(q), p.max(q), SwapOp);
 }
 
-struct Mat4Op<'m>(&'m Mat4);
+/// A dense two-qubit matrix on a tile. Tile slots are indexed by
+/// (upper qubit, lower qubit); `SWAPPED` says the matrix's more significant
+/// bit is the *lower* tile qubit, so slot `s` holds logical index
+/// `LOGICAL[s]`. Each row is summed in logical column order whatever the
+/// physical order, so a gate gives the same bits on every placement of its
+/// operands (a remapped operand on a distributed state included).
+struct Mat4Op<'m, const SWAPPED: bool>(&'m Mat4);
 
-impl TileOp<4> for Mat4Op<'_> {
+impl<const SWAPPED: bool> Mat4Op<'_, SWAPPED> {
+    /// Tile slot ↔ logical index (an involution).
+    const LOGICAL: [usize; 4] = if SWAPPED { [0, 2, 1, 3] } else { [0, 1, 2, 3] };
+}
+
+impl<const SWAPPED: bool> TileOp<4> for Mat4Op<'_, SWAPPED> {
     #[inline(always)]
     fn apply<V: Vf>(&self, v: [Cv<V>; 4]) -> [Cv<V>; 4] {
+        let p = Self::LOGICAL;
+        let logical = [v[p[0]], v[p[1]], v[p[2]], v[p[3]]];
         let mut out = v;
-        for (o, row) in out.iter_mut().zip(&self.0 .0) {
-            *o = v[0]
-                .mul_left(row[0])
-                .add(v[1].mul_left(row[1]))
-                .add(v[2].mul_left(row[2]))
-                .add(v[3].mul_left(row[3]));
+        for (o, &l) in out.iter_mut().zip(&p) {
+            *o = dense_row(&self.0 .0[l], logical);
         }
         out
     }
@@ -866,12 +899,10 @@ impl TileOp<4> for Mat4Op<'_> {
 /// Generic two-qubit unitary. `q_hi` indexes the more significant matrix
 /// bit (the gate's first qubit), `q_lo` the less significant.
 pub fn apply_mat4(amps: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
-    // Tiles index by (upper qubit, lower qubit); permute the matrix when
-    // the gate's hi qubit is the numerically smaller one.
     if q_hi > q_lo {
-        sweep_quad(amps, q_lo, q_hi, Mat4Op(m));
+        sweep_quad(amps, q_lo, q_hi, Mat4Op::<false>(m));
     } else {
-        sweep_quad(amps, q_hi, q_lo, Mat4Op(&m.swapped_qubits()));
+        sweep_quad(amps, q_hi, q_lo, Mat4Op::<true>(m));
     }
 }
 
@@ -1080,6 +1111,20 @@ mod tests {
         dense2().kron(&other).mul(&fsim).mul(&other.kron(&dense2()))
     }
 
+    /// The dense-row sequence in scalar `f64`: the `C64` product of the
+    /// first term, then one `f64::mul_add` per real product of each
+    /// remaining term, in `C64::mul`'s order.
+    fn naive_row(row: &[C64], x: &[C64]) -> C64 {
+        let mut acc = row[0] * x[0];
+        for (m, x) in row.iter().zip(x).skip(1) {
+            acc.re = m.re.mul_add(x.re, acc.re);
+            acc.re = (-m.im).mul_add(x.im, acc.re);
+            acc.im = m.re.mul_add(x.im, acc.im);
+            acc.im = m.im.mul_add(x.re, acc.im);
+        }
+        acc
+    }
+
     /// Naive index-arithmetic reference for a pair-shape gate: `f(x, y)`
     /// on every `(i, i | 1 << q)` with bit `q` of `i` clear.
     fn naive_pair(v: &mut [C64], q: usize, f: impl Fn(C64, C64) -> (C64, C64)) {
@@ -1105,15 +1150,27 @@ mod tests {
         }
     }
 
+    /// Naive reference for a dense `mat4`, indexed by logical bits
+    /// (`q_hi` the more significant), each row summed in column order.
     fn naive_mat4(v: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
-        let (q0, q1, m) = if q_hi > q_lo {
-            (q_lo, q_hi, *m)
+        for i in 0..v.len() {
+            if i >> q_hi & 1 == 0 && i >> q_lo & 1 == 0 {
+                let at = [i, i | 1 << q_lo, i | 1 << q_hi, i | 1 << q_hi | 1 << q_lo];
+                let x = at.map(|k| v[k]);
+                for (k, row) in at.into_iter().zip(&m.0) {
+                    v[k] = naive_row(row, &x);
+                }
+            }
+        }
+    }
+
+    /// `apply_mat4` on `tier`.
+    fn mat4_on(tier: Tier, v: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
+        if q_hi > q_lo {
+            sweep_gate_on(tier, v, &[q_lo, q_hi], &Mat4Op::<false>(m));
         } else {
-            (q_hi, q_lo, m.swapped_qubits())
-        };
-        naive_quad(v, q0, q1, |x| {
-            m.0.map(|r| r[0] * x[0] + r[1] * x[1] + r[2] * x[2] + r[3] * x[3])
-        });
+            sweep_gate_on(tier, v, &[q_hi, q_lo], &Mat4Op::<true>(m));
+        }
     }
 
     /// One kernel of the grid: how to run it on a tier, through the
@@ -1165,12 +1222,12 @@ mod tests {
                     },
                 );
             };
-            let [[m00, m01], [m10, m11]] = m2.0;
+            let [r0, r1] = &m2.0;
             pair(
                 "mat2",
                 &|t, v| sweep_gate_on(t, v, &[q], &Mat2Op(&m2)),
                 &|v| apply_mat2(v, q, &m2),
-                &|x, y| (m00 * x + m01 * y, m10 * x + m11 * y),
+                &|x, y| (naive_row(r0, &[x, y]), naive_row(r1, &[x, y])),
             );
             pair(
                 "h",
@@ -1224,12 +1281,11 @@ mod tests {
         for q_hi in 0..n {
             for q_lo in (0..n).filter(|&q| q != q_hi) {
                 let (q0, q1) = (q_hi.min(q_lo), q_hi.max(q_lo));
-                let ordered = if q_hi > q_lo { m4 } else { m4.swapped_qubits() };
                 check(
                     n,
                     &Case {
                         name: format!("mat4({q_hi},{q_lo})"),
-                        on_tier: &|t, v| sweep_gate_on(t, v, &[q0, q1], &Mat4Op(&ordered)),
+                        on_tier: &|t, v| mat4_on(t, v, q_hi, q_lo, &m4),
                         dispatched: &|v| apply_mat4(v, q_hi, q_lo, &m4),
                         naive: &|v| naive_mat4(v, q_hi, q_lo, &m4),
                     },
@@ -1338,6 +1394,35 @@ mod tests {
         }
         set_par_min_len(DEFAULT_PAR_MIN_LEN);
         grid(14);
+    }
+
+    /// A dense `mat4` gives the same bits whichever physical qubit carries
+    /// which operand: relabelling qubits `p` and `r` by a swap, applying the
+    /// gate with its operand roles exchanged and swapping back is
+    /// `apply_mat4(p, r)` itself, on every tier. (A distributed state
+    /// remaps a global operand onto a scratch qubit exactly this way.)
+    #[test]
+    fn mat4_is_bit_identical_under_operand_relabelling() {
+        let m4 = dense4();
+        for n in [6, 10] {
+            let init = scrambled(n);
+            for p in 0..n {
+                for r in (0..n).filter(|&r| r != p) {
+                    let mut want = init.clone();
+                    apply_mat4(&mut want, p, r, &m4);
+                    for (tier_name, tier) in Tier::all() {
+                        let Some(tier) = tier else { continue };
+                        let swap =
+                            |v: &mut [C64]| sweep_gate_on(tier, v, &[p.min(r), p.max(r)], &SwapOp);
+                        let mut got = init.clone();
+                        swap(&mut got);
+                        mat4_on(tier, &mut got, r, p, &m4);
+                        swap(&mut got);
+                        assert_eq!(got, want, "n={n} mat4({p},{r}) on {tier_name}");
+                    }
+                }
+            }
+        }
     }
 
     /// `DiagRun::apply_offset` on each quarter of the array equals

@@ -19,9 +19,11 @@ use std::cell::Cell;
 /// A vector of `f64` lanes holding one component (all real parts, or all
 /// imaginary parts) of [`Vf::LANES`] amplitudes.
 ///
-/// Only lane-wise `add`/`sub`/`mul` exist — no fused multiply-add — so every
-/// tier performs the scalar operation sequence lane by lane and results are
-/// bit-identical across tiers.
+/// Lane-wise `add`/`sub`/`mul` and the fused `mul_add`/`neg_mul_add`, each
+/// rounded once (the fused forms round the exact `a·b ± c`, as
+/// `f64::mul_add` does). Every tier performs the same scalar operation
+/// sequence lane by lane, so results are bit-identical across tiers; they
+/// are not bit-identical to unfused scalar `C64` arithmetic.
 pub(super) trait Vf: Copy {
     /// Amplitudes per `(re, im)` register pair.
     const LANES: usize;
@@ -38,6 +40,10 @@ pub(super) trait Vf: Copy {
     fn sub(self, o: Self) -> Self;
     /// Lane-wise `self * o`.
     fn mul(self, o: Self) -> Self;
+    /// Lane-wise `self * b + c`, rounded once.
+    fn mul_add(self, b: Self, c: Self) -> Self;
+    /// Lane-wise `c - self * b`, rounded once.
+    fn neg_mul_add(self, b: Self, c: Self) -> Self;
 
     /// Load `RAW` amplitudes at `s[i..]` and (vector tiers) `RAW` more at
     /// `s[j..]` as split `(re, im)` registers. Lane bit 0 selects the
@@ -71,6 +77,14 @@ impl Vf for f64 {
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
         self * o
+    }
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        f64::mul_add(self, b, c)
+    }
+    #[inline(always)]
+    fn neg_mul_add(self, b: Self, c: Self) -> Self {
+        f64::mul_add(-self, b, c)
     }
     #[inline(always)]
     fn load2(s: &[Cell<C64>], i: usize, _j: usize) -> (Self, Self) {
@@ -131,7 +145,7 @@ impl Tier {
         let mut tiers = vec![("portable", Some(Tier(Isa::Portable)))];
         #[cfg(target_arch = "x86_64")]
         {
-            let avx2 = is_x86_feature_detected!("avx2");
+            let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
             let avx512 = is_x86_feature_detected!("avx512f");
             tiers.push(("avx2", avx2.then_some(Tier(Isa::Avx2))));
             tiers.push(("avx512f", avx512.then_some(Tier(Isa::Avx512))));
@@ -147,7 +161,7 @@ impl Tier {
             if is_x86_feature_detected!("avx512f") {
                 return Tier(Isa::Avx512);
             }
-            if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                 return Tier(Isa::Avx2);
             }
         }
@@ -174,8 +188,8 @@ pub(super) fn run_tier<K: Kernel>(tier: Tier, k: &K, task: Task<'_>) {
         Isa::Portable => k.run::<f64>(task),
         // SAFETY: a `Tier` naming an x86 ISA is only ever constructed by
         // `Tier::all`/`Tier::best` after `is_x86_feature_detected!` reported
-        // that feature on this CPU, which is the whole contract of calling a
-        // `#[target_feature]` function.
+        // its features on this CPU (AVX2 *and* FMA for this one), which is
+        // the whole contract of calling a `#[target_feature]` function.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { x86::run_avx2(k, task) },
         // SAFETY: as above, for `avx512f`.
@@ -189,7 +203,7 @@ mod x86 {
     use super::{Cell, Kernel, Task, Vf, C64};
     use std::arch::x86_64::*;
 
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) fn run_avx2<K: Kernel>(k: &K, task: Task<'_>) {
         k.run::<F64x4>(task)
     }
@@ -199,7 +213,7 @@ mod x86 {
         k.run::<F64x8>(task)
     }
 
-    /// Four `f64` lanes (AVX). Private: nameable only by `run_avx2`.
+    /// Four `f64` lanes (AVX2 + FMA). Private: nameable only by `run_avx2`.
     #[derive(Clone, Copy)]
     pub(super) struct F64x4(__m256d);
 
@@ -237,6 +251,16 @@ mod x86 {
         fn mul(self, o: Self) -> Self {
             // SAFETY: AVX was detected.
             Self(unsafe { _mm256_mul_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul_add(self, b: Self, c: Self) -> Self {
+            // SAFETY: FMA was detected.
+            Self(unsafe { _mm256_fmadd_pd(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
+        fn neg_mul_add(self, b: Self, c: Self) -> Self {
+            // SAFETY: FMA was detected.
+            Self(unsafe { _mm256_fnmadd_pd(self.0, b.0, c.0) })
         }
         #[inline(always)]
         fn load2(s: &[Cell<C64>], i: usize, j: usize) -> (Self, Self) {
@@ -303,6 +327,16 @@ mod x86 {
         fn mul(self, o: Self) -> Self {
             // SAFETY: AVX-512F was detected.
             Self(unsafe { _mm512_mul_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul_add(self, b: Self, c: Self) -> Self {
+            // SAFETY: AVX-512F was detected.
+            Self(unsafe { _mm512_fmadd_pd(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
+        fn neg_mul_add(self, b: Self, c: Self) -> Self {
+            // SAFETY: AVX-512F was detected.
+            Self(unsafe { _mm512_fnmadd_pd(self.0, b.0, c.0) })
         }
         #[inline(always)]
         fn load2(s: &[Cell<C64>], i: usize, j: usize) -> (Self, Self) {

@@ -15,7 +15,13 @@
 //! - single-qubit gates absorbed into a neighbouring two-qubit `Mat4` on a
 //!   shared qubit;
 //! - runs of diagonal gates (Z/S/T/Rz/Phase/CZ/CPhase/Rzz) → one
-//!   [`DiagRun`] applied in a **single indexed sweep** however long the run.
+//!   [`DiagRun`] applied in a **single indexed sweep** however long the run;
+//! - a diagonal into a dense op on its qubits, from either side: after the
+//!   op it scales the pending matrix's rows; before it, the pending run's
+//!   terms on the incoming op's qubits scale its columns and the rest of
+//!   the run (disjoint from the op, so commuting with it) stays pending. A
+//!   pending two-qubit term with one qubit in the op and one outside still
+//!   forces a flush.
 //!
 //! Noise sites become [`PlanOp::Noise`] markers that preserve the exact
 //! per-gate RNG draw order of unfused execution. At replay time the same
@@ -88,12 +94,6 @@ impl DiagRun {
         self.terms1.len() + self.terms2.len()
     }
 
-    /// Whether any term touches qubit `q`.
-    pub fn touches(&self, q: u16) -> bool {
-        self.terms1.iter().any(|&(tq, _)| tq == q)
-            || self.terms2.iter().any(|&(a, b, _)| a == q || b == q)
-    }
-
     /// Absorb a single-qubit diagonal on `q` (applied after the run, which
     /// for diagonals is an elementwise product).
     pub fn push1(&mut self, q: u16, d: [C64; 2]) {
@@ -163,6 +163,33 @@ impl DiagRun {
                 .terms2
                 .iter()
                 .all(|(a, b, _)| qs.contains(a) && qs.contains(b))
+    }
+
+    /// Remove and return the terms that touch `qs`, provided every one of
+    /// them lies within `qs`; `None`, leaving the run as it is, when a
+    /// two-qubit term has one qubit in `qs` and one outside.
+    fn take_within(&mut self, qs: &[u16]) -> Option<DiagRun> {
+        let inside = |q: &u16| qs.contains(q);
+        if self.terms2.iter().any(|(a, b, _)| inside(a) != inside(b)) {
+            return None;
+        }
+        // In place: a push that takes nothing allocates nothing.
+        let mut taken = DiagRun::new();
+        self.terms1.retain(|&term| {
+            let keep = !inside(&term.0);
+            if !keep {
+                taken.terms1.push(term);
+            }
+            keep
+        });
+        self.terms2.retain(|&term| {
+            let keep = !inside(&term.0);
+            if !keep {
+                taken.terms2.push(term);
+            }
+            keep
+        });
+        Some(taken)
     }
 
     /// The run as a diagonal `[d0, d1]` on qubit `q` (support must be `{q}`).
@@ -399,7 +426,8 @@ impl Dense {
 ///
 /// Pending state is at most one dense 1q/2q operation plus one diagonal
 /// run, with the invariant that the dense op precedes the run in program
-/// order (safe because pushes that would violate ordering force a flush).
+/// order (safe because a dense push first absorbs the run's terms on its
+/// qubits, or flushes when a term straddles them).
 ///
 /// The emit sink receives `(op, noise_only)`; `noise_only` is true when
 /// the emitted operation consists purely of fired noise-branch Paulis
@@ -425,15 +453,18 @@ impl Fuser {
     }
 
     /// Feed one circuit operation; emits any operations that must
-    /// materialise to preserve ordering. Returns `true` when the op merged
-    /// into pending state (i.e. it will not cost a sweep of its own).
-    pub fn push(&mut self, op: &FusedOp, emit: &mut impl FnMut(&FusedOp, bool)) -> bool {
+    /// materialise to preserve ordering. Returns how many operations this
+    /// push relieved of a sweep of their own: 1 when the op merged into
+    /// pending state, plus 1 when it absorbed the whole pending diagonal
+    /// run (whose first op had been counted as a sweep). So over a stream,
+    /// operations pushed = operations emitted + the sum of the returns.
+    pub fn push(&mut self, op: &FusedOp, emit: &mut impl FnMut(&FusedOp, bool)) -> u64 {
         self.push_from(op, false, emit)
     }
 
     /// Feed a fired noise-branch operation (not charged to `amp_passes`
     /// unless a circuit gate later joins the same pending slot).
-    pub fn push_noise(&mut self, op: &FusedOp, emit: &mut impl FnMut(&FusedOp, bool)) -> bool {
+    pub fn push_noise(&mut self, op: &FusedOp, emit: &mut impl FnMut(&FusedOp, bool)) -> u64 {
         self.push_from(op, true, emit)
     }
 
@@ -442,7 +473,7 @@ impl Fuser {
         op: &FusedOp,
         from_noise: bool,
         emit: &mut impl FnMut(&FusedOp, bool),
-    ) -> bool {
+    ) -> u64 {
         match op {
             FusedOp::FusedDiag(run) => {
                 // A diagonal inside the pending dense op's support folds
@@ -462,7 +493,7 @@ impl Fuser {
                         ]);
                         *src = None;
                         *noise_only &= from_noise;
-                        return true;
+                        return 1;
                     }
                     Some(Dense::Two {
                         q_hi,
@@ -479,7 +510,7 @@ impl Fuser {
                         }
                         *src = None;
                         *noise_only &= from_noise;
-                        return true;
+                        return 1;
                     }
                     _ => {}
                 }
@@ -493,7 +524,7 @@ impl Fuser {
                     from_noise
                 };
                 self.diag.merge(run);
-                joined
+                u64::from(joined)
             }
             FusedOp::Unitary1 { q, m, src } => self.push_dense1(*q, m, *src, from_noise, emit),
             FusedOp::Unitary2 { q_hi, q_lo, m, src } => {
@@ -502,8 +533,28 @@ impl Fuser {
             FusedOp::Passthrough(_) => {
                 self.flush(emit);
                 emit(op, from_noise);
-                false
+                0
             }
+        }
+    }
+
+    /// The pending diagonal terms on the incoming dense op's qubits `qs`,
+    /// removed from the run so the op can absorb them — they apply before
+    /// it, and the terms left behind are disjoint from `qs`, so they
+    /// commute with it and stay pending. A term with one qubit in `qs` and
+    /// one outside cannot be absorbed: everything pending is flushed
+    /// instead. `None` when nothing is left to absorb.
+    fn take_pending_diag(
+        &mut self,
+        qs: &[u16],
+        emit: &mut impl FnMut(&FusedOp, bool),
+    ) -> Option<DiagRun> {
+        match self.diag.take_within(qs) {
+            None => {
+                self.flush(emit);
+                None
+            }
+            Some(run) => (!run.is_empty()).then_some(run),
         }
     }
 
@@ -511,15 +562,26 @@ impl Fuser {
         &mut self,
         q: u16,
         m: &Mat2,
-        src: Option<Gate>,
-        from_noise: bool,
+        mut src: Option<Gate>,
+        mut from_noise: bool,
         emit: &mut impl FnMut(&FusedOp, bool),
-    ) -> bool {
-        if self.diag.touches(q) {
-            // The pending diagonal must apply before this gate.
-            self.flush(emit);
+    ) -> u64 {
+        let mut m = *m;
+        let mut absorbed = 0;
+        if let Some(run) = self.take_pending_diag(&[q], emit) {
+            // `m · diag(d)`: the diagonal scales the matrix's columns.
+            let d = run.as_diag1(q);
+            for row in &mut m.0 {
+                for (cell, x) in row.iter_mut().zip(d) {
+                    *cell *= x;
+                }
+            }
+            src = None;
+            from_noise &= self.diag_noise_only;
+            absorbed = u64::from(self.diag.is_empty());
         }
-        match self.dense.take() {
+        let m = &m;
+        let merged = match self.dense.take() {
             None => {
                 self.dense = Some(Dense::One {
                     q,
@@ -589,7 +651,8 @@ impl Fuser {
                 });
                 false
             }
-        }
+        };
+        absorbed + u64::from(merged)
     }
 
     fn push_dense2(
@@ -597,14 +660,25 @@ impl Fuser {
         qa: u16,
         qb: u16,
         m: &Mat4,
-        src: Option<Gate>,
-        from_noise: bool,
+        mut src: Option<Gate>,
+        mut from_noise: bool,
         emit: &mut impl FnMut(&FusedOp, bool),
-    ) -> bool {
-        if self.diag.touches(qa) || self.diag.touches(qb) {
-            self.flush(emit);
+    ) -> u64 {
+        let mut m = *m;
+        let mut absorbed = 0;
+        if let Some(run) = self.take_pending_diag(&[qa, qb], emit) {
+            let e = run.as_diag2(qa, qb);
+            for row in &mut m.0 {
+                for (cell, x) in row.iter_mut().zip(e) {
+                    *cell *= x;
+                }
+            }
+            src = None;
+            from_noise &= self.diag_noise_only;
+            absorbed = u64::from(self.diag.is_empty());
         }
-        match self.dense.take() {
+        let m = &m;
+        let merged = match self.dense.take() {
             None => {
                 self.dense = Some(Dense::Two {
                     q_hi: qa,
@@ -667,7 +741,8 @@ impl Fuser {
                 });
                 false
             }
-        }
+        };
+        absorbed + u64::from(merged)
     }
 
     /// Number of amplitude passes the pending state would cost if flushed
@@ -787,9 +862,8 @@ impl<S: QuantumState + ?Sized> FlushCtx<'_, S> {
         if let Some(op) = classify(gate) {
             let sv = &mut *self.sv;
             let ops = &mut *self.ops;
-            if self.fuser.push_noise(&op, &mut apply_sink(sv, ops)) {
-                self.ops.fused_gates += 1;
-            }
+            let merged = self.fuser.push_noise(&op, &mut apply_sink(sv, ops));
+            self.ops.fused_gates += merged;
         }
     }
 }
@@ -822,11 +896,9 @@ impl CompiledCircuit {
         for gate in circuit {
             src_gates[gate.arity() - 1] += 1;
             if let Some(op) = classify(gate) {
-                if fuser.push(&op, &mut |o: &FusedOp, _| {
+                static_fused += fuser.push(&op, &mut |o: &FusedOp, _| {
                     plan.push(PlanOp::Gate(o.clone()))
-                }) {
-                    static_fused += 1;
-                }
+                });
             }
             if noise_site(gate) {
                 fuser.flush(&mut |o: &FusedOp, _| plan.push(PlanOp::Gate(o.clone())));
@@ -898,9 +970,7 @@ impl CompiledCircuit {
                         let ops = &mut *ops;
                         fuser.push(fop, &mut apply_sink(sv, ops))
                     };
-                    if merged {
-                        ops.fused_gates += 1;
-                    }
+                    ops.fused_gates += merged;
                 }
                 PlanOp::Noise(gate) => {
                     let mut ctx = FlushCtx {
@@ -969,6 +1039,18 @@ mod tests {
         let mut fused = StateVector::zero(c.n_qubits());
         let mut ops = OpCounts::new();
         compiled.replay_ideal(&mut fused, &mut ops);
+        (reference, fused, ops)
+    }
+
+    /// `c` per gate and as a fused replay, both from the state `prep`
+    /// leaves (prepared per gate, outside the counters).
+    fn apply_both_from(prep: &Circuit, c: &Circuit) -> (StateVector, StateVector, OpCounts) {
+        let mut reference = StateVector::zero(c.n_qubits());
+        reference.apply_circuit(prep);
+        let mut fused = reference.clone();
+        reference.apply_circuit(c);
+        let mut ops = OpCounts::new();
+        CompiledCircuit::compile(c, |_| false).replay_ideal(&mut fused, &mut ops);
         (reference, fused, ops)
     }
 
@@ -1186,6 +1268,7 @@ mod tests {
 
     #[test]
     fn amp_pass_estimate_matches_ideal_replay() {
+        use tqsim_circuit::generators;
         let n = 6u16;
         let mut c = Circuit::new(n);
         for i in 0..n {
@@ -1194,11 +1277,97 @@ mod tests {
                 c.cp(0.3, j, i);
             }
         }
-        let compiled = CompiledCircuit::compile(&c, |_| false);
-        let mut sv = StateVector::zero(n);
+        // The generators' QFT and QPE decompose every controlled phase, so
+        // their replays are made of folds.
+        for c in [
+            c,
+            generators::qft(8),
+            generators::qpe(6, 0.3),
+            generators::qv(6, 2),
+            generators::qsc(6, 60, 3),
+        ] {
+            let compiled = CompiledCircuit::compile(&c, |_| false);
+            let mut sv = StateVector::zero(c.n_qubits());
+            let mut ops = OpCounts::new();
+            compiled.replay_ideal(&mut sv, &mut ops);
+            assert_eq!(compiled.amp_pass_estimate(), ops.amp_passes);
+        }
+    }
+
+    #[test]
+    fn decomposed_controlled_phases_cost_one_mat4_pass_each() {
+        // `p(c); cx(c,t); p(t); cx(c,t); p(t)`: the leading phase folds
+        // into the first CX's columns, the rest into the pending Mat4.
+        // Neighbouring phases share one qubit or none.
+        let pairs = [(0, 1), (1, 2), (0, 2), (3, 1), (2, 3), (1, 0)];
+        let mut prep = Circuit::new(4);
+        for q in 0..4 {
+            prep.ry(0.3 + 0.4 * f64::from(q), q);
+        }
+        let mut c = Circuit::new(4);
+        for (k, &(ctl, tgt)) in pairs.iter().enumerate() {
+            c.cp_decomposed(0.9 - 0.35 * k as f64, ctl, tgt);
+        }
+        let (reference, fused, ops) = apply_both_from(&prep, &c);
+        assert_close(&reference, &fused, 1e-12);
+        assert_eq!(ops.amp_passes, pairs.len() as u64, "one pass per phase");
+        assert_eq!(ops.fused_gates, 4 * pairs.len() as u64, "the rest merged");
+    }
+
+    #[test]
+    fn a_straddling_pending_phase_still_flushes() {
+        // The pending CPhase(0, 1) term has one qubit inside h(0)'s support
+        // and one outside, so it cannot be absorbed; the disjoint t(2)
+        // term rides along in the same (flushed) run.
+        let mut prep = Circuit::new(3);
+        prep.h(0).h(1).h(2);
+        let mut c = Circuit::new(3);
+        c.t(2).cp(0.7, 0, 1).h(0);
+        let (reference, fused, ops) = apply_both_from(&prep, &c);
+        assert_close(&reference, &fused, 1e-12);
+        assert_eq!(ops.amp_passes, 2, "diagonal run, then h(0)");
+        assert_eq!(ops.fused_gates, 1, "only t(2) + cp(0, 1) merged");
+    }
+
+    #[test]
+    fn a_folded_noise_branch_costs_its_circuit_gate_one_pass() {
+        let mut ry = Circuit::new(1);
+        ry.ry(0.4, 0);
+        let ket = |c: &Circuit| {
+            let mut sv = StateVector::zero(1);
+            sv.apply_circuit(c);
+            sv
+        };
+        // A fired Z (noise work, pending as a diagonal) folds into the
+        // next circuit gate, h(0): one sweep, charged to the circuit.
+        let mut c = Circuit::new(1);
+        c.push(GateKind::Id, &[0]).h(0);
+        let compiled = CompiledCircuit::compile(&c, |g| matches!(g.kind(), GateKind::Id));
+        let mut sv = ket(&ry);
         let mut ops = OpCounts::new();
-        compiled.replay_ideal(&mut sv, &mut ops);
-        assert_eq!(compiled.amp_pass_estimate(), ops.amp_passes);
+        compiled.replay(&mut sv, &mut ops, |gate, ctx| {
+            ctx.push_branch_gate(&Gate::new(GateKind::Z, gate.qubits()));
+            1
+        });
+        assert_eq!((ops.amp_passes, ops.noise_ops), (1, 1));
+        let mut want = ry.clone();
+        want.z(0).h(0);
+        assert_close(&ket(&want), &sv, 1e-12);
+        // A fired X (noise work) absorbing a pending circuit t(0) is
+        // charged too: the sweep carries circuit work.
+        let mut c = Circuit::new(1);
+        c.t(0);
+        let compiled = CompiledCircuit::compile(&c, |_| true);
+        let mut sv = ket(&ry);
+        let mut ops = OpCounts::new();
+        compiled.replay(&mut sv, &mut ops, |gate, ctx| {
+            ctx.push_branch_gate(&Gate::new(GateKind::X, gate.qubits()));
+            1
+        });
+        assert_eq!((ops.amp_passes, ops.noise_ops), (1, 1));
+        let mut want = ry.clone();
+        want.t(0).x(0);
+        assert_close(&ket(&want), &sv, 1e-12);
     }
 
     #[test]
