@@ -23,7 +23,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
-use tqsim_circuit::Gate;
 use tqsim_obs::{Counter, Registry};
 use tqsim_statevec::{DiagRun, PooledBackend, QuantumState, StateVector};
 
@@ -619,11 +618,6 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
         self.n_qubits
     }
 
-    fn apply_gate(&mut self, gate: &Gate) {
-        let kind = *gate.kind();
-        self.apply_dense(gate.qubits(), |ps| SliceOp::Gate(Gate::new(kind, ps)));
-    }
-
     fn apply_mat2(&mut self, q: u16, m: &Mat2) {
         self.apply_dense(&[q], |ps| SliceOp::Mat2(ps[0], m));
     }
@@ -638,6 +632,10 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
         // run touches node-selecting (global) qubits.
         self.sweep(&SliceOp::DiagRun(run));
         self.note_local_gate();
+    }
+
+    fn apply_ccx(&mut self, c1: u16, c2: u16, t: u16) {
+        self.apply_dense(&[c1, c2, t], |ps| SliceOp::Ccx(ps[0], ps[1], ps[2]));
     }
 
     fn marginal_one(&self, q: u16) -> f64 {
@@ -720,7 +718,7 @@ impl<T: SliceTransport> fmt::Debug for DistributedStateVector<T> {
 mod tests {
     use super::*;
     use tqsim_circuit::generators;
-    use tqsim_circuit::{Circuit, GateKind};
+    use tqsim_circuit::{Circuit, Gate, GateKind};
 
     /// The `perf` `dist_cluster` shape — 14 qubits over 4 nodes, slices of
     /// 2^12 — runs every slice and every partner pair on the caller's

@@ -13,21 +13,17 @@
 //! transports compute the same amplitudes by construction.
 
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
-use tqsim_circuit::Gate;
 use tqsim_statevec::{kernels, DiagRun};
 
 /// A node-local operation on one slice. Qubits are slice-local except in
 /// [`SliceOp::DiagRun`], which resolves global qubits against the slice's
 /// base index.
-// One op lives on the stack for one sweep; boxing the gate would put a
-// heap allocation on every gate.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Copy, Debug)]
 pub enum SliceOp<'a> {
     /// `|0…0⟩`: zero the slice; the slice at base 0 also gets amplitude 1.
     Reset,
-    /// A gate.
-    Gate(Gate),
+    /// `Ccx(c1, c2, t)`: a Toffoli, flipping `t` where `c1` and `c2` read 1.
+    Ccx(u16, u16, u16),
     /// `Mat2(q, m)`: a dense single-qubit unitary.
     Mat2(u16, &'a Mat2),
     /// `Mat4(hi, lo, m)`: a dense two-qubit unitary, `hi` the more
@@ -57,7 +53,9 @@ impl SliceOp<'_> {
                     slice[0] = c64(1.0, 0.0);
                 }
             }
-            SliceOp::Gate(gate) => kernels::apply_gate_amps(slice, &gate),
+            SliceOp::Ccx(c1, c2, t) => {
+                kernels::apply_ccx(slice, c1.into(), c2.into(), t.into());
+            }
             SliceOp::Mat2(q, m) => kernels::apply_mat2(slice, q as usize, m),
             SliceOp::Mat4(hi, lo, m) => kernels::apply_mat4(slice, hi as usize, lo as usize, m),
             SliceOp::DiagRun(run) => run.apply_offset(slice, base),

@@ -2,7 +2,7 @@
 //!
 //! Every channel supports two consumption modes:
 //!
-//! 1. **Trajectory sampling** on a [`StateVector`] (the pure-state stochastic
+//! 1. **Trajectory sampling** on a [`QuantumState`] (the pure-state stochastic
 //!    method of paper §2.4): one Kraus branch is selected with its Born
 //!    probability and the state renormalised.
 //! 2. **Exact Kraus enumeration** for the density-matrix ground truth

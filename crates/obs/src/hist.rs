@@ -122,7 +122,8 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Largest recorded value (exact).
     pub max: u64,
-    /// Per-bucket sample counts (see the [module docs](self) for edges).
+    /// Per-bucket sample counts: bucket `0` holds the value `0`, bucket
+    /// `i ≥ 1` the values in `[2^(i-1), 2^i)`, the top one everything above.
     pub buckets: [u64; BUCKETS],
 }
 

@@ -21,8 +21,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
-use tqsim_circuit::{Gate, GateKind};
-use tqsim_json::{num, num_u64, obj, str_val, Value};
+use tqsim_json::{num, num_u64, obj, Value};
 use tqsim_statevec::DiagRun;
 
 // ------------------------------------------------------------ line plane
@@ -125,51 +124,6 @@ pub fn read_amps<R: Read>(r: &mut R, expected: usize, out: &mut Vec<C64>) -> io:
         out.extend(cells.map(|cell| c64(f64_at(&cell[..8]), f64_at(&cell[8..]))));
     }
     Ok(())
-}
-
-// ------------------------------------------------------------ gate codec
-
-/// Encode a gate as `[name, params…, qubits…]`.
-pub fn gate_to_value(gate: &Gate) -> Value {
-    let mut cells = vec![str_val(gate.kind().name())];
-    cells.extend(gate.kind().params().into_iter().map(num));
-    cells.extend(gate.qubits().iter().map(|&q| num_u64(u64::from(q))));
-    Value::Arr(cells)
-}
-
-/// Decode a gate (see [`gate_to_value`]).
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn gate_from_value(value: &Value) -> Result<Gate, String> {
-    let parts = value.as_arr().ok_or("gate is not an array")?;
-    let name = parts
-        .first()
-        .and_then(Value::as_str)
-        .ok_or("gate lacks a name")?;
-    let (n_params, arity) =
-        GateKind::shape(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?;
-    if parts.len() != 1 + n_params + arity {
-        return Err(format!(
-            "gate {name}: expected {n_params} params + {arity} qubits, got {} cells",
-            parts.len() - 1
-        ));
-    }
-    let params: Vec<f64> = parts[1..1 + n_params]
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| format!("gate {name}: bad param")))
-        .collect::<Result<_, _>>()?;
-    let qubits: Vec<u16> = parts[1 + n_params..]
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|q| u16::try_from(q).ok())
-                .ok_or_else(|| format!("gate {name}: bad qubit"))
-        })
-        .collect::<Result<_, _>>()?;
-    let kind = GateKind::from_parts(name, &params).expect("shape-checked mnemonic");
-    Gate::try_new(kind, &qubits).map_err(|e| format!("gate {name}: {e}"))
 }
 
 // ---------------------------------------------------------- matrix codec
@@ -289,24 +243,8 @@ pub fn diag_run_from_value(value: &Value) -> Result<DiagRun, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gate_round_trip_covers_the_mnemonic_table() {
-        let gates = [
-            Gate::new(GateKind::H, &[3]),
-            Gate::new(GateKind::Rz(0.1234567891234), &[0]),
-            Gate::new(GateKind::U3(0.1, -2.5, 3.75), &[2]),
-            Gate::new(GateKind::Cx, &[5, 1]),
-            Gate::new(GateKind::FSim(0.5, -0.25), &[4, 0]),
-            Gate::new(GateKind::Ccx, &[2, 1, 0]),
-        ];
-        for g in &gates {
-            let v = gate_to_value(g);
-            let back = gate_from_value(&v).unwrap();
-            assert_eq!(back.kind(), g.kind());
-            assert_eq!(back.qubits(), g.qubits());
-        }
-    }
+    use tqsim_circuit::GateKind;
+    use tqsim_json::str_val;
 
     #[test]
     fn dense_unitaries_round_trip_bit_exactly() {
@@ -360,12 +298,6 @@ mod tests {
         frame.extend_from_slice(&[0u8; 32]);
         let err = read_amps(&mut &frame[..], 2, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn repeated_gate_qubits_are_a_decode_error() {
-        let v = tqsim_json::parse(r#"["cx", 1, 1]"#).unwrap();
-        assert!(gate_from_value(&v).is_err());
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl ShardSlices {
         let pair = |a: C64, b: C64| proto::c64s_to_value([&a, &b]);
         let (name, fields) = match *op {
             SliceOp::Reset => ("reset", vec![]),
-            SliceOp::Gate(gate) => ("gate", vec![("g", proto::gate_to_value(&gate))]),
+            SliceOp::Ccx(c1, c2, t) => ("ccx", vec![("c1", q(c1)), ("c2", q(c2)), ("t", q(t))]),
             SliceOp::Mat2(t, m) => ("mat2", vec![("q", q(t)), ("m", proto::mat2_to_value(m))]),
             SliceOp::Mat4(hi, lo, m) => (
                 "mat4",

@@ -142,7 +142,9 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
 /// register — what [`SliceOp::apply`] assumes of it.
 fn op_fits(op: &SliceOp<'_>, local_n: u16, n_qubits: u16) -> bool {
     match *op {
-        SliceOp::Gate(gate) => gate.qubits().iter().all(|&q| q < local_n),
+        SliceOp::Ccx(c1, c2, t) => {
+            [c1, c2, t].iter().all(|&q| q < local_n) && c1 != c2 && c1 != t && c2 != t
+        }
         SliceOp::Mat2(q, _) | SliceOp::Diag1(q, ..) | SliceOp::Antidiag1(q, ..) => q < local_n,
         SliceOp::Mat4(hi, lo, _) => hi < local_n && lo < local_n && hi != lo,
         SliceOp::DiagRun(run) => {
@@ -234,10 +236,9 @@ impl Worker {
                 copied
             }
             "reset" => self.sweep(msg, SliceOp::Reset),
-            "gate" => {
-                let g = msg.get("g").unwrap_or(&Value::Null);
-                let gate = proto::gate_from_value(g).map_err(|e| wire_err("gate", e))?;
-                self.sweep(msg, SliceOp::Gate(gate))
+            "ccx" => {
+                let ccx = SliceOp::Ccx(qubit("c1")?, qubit("c2")?, qubit("t")?);
+                self.sweep(msg, ccx)
             }
             "mat2" => {
                 let m = need(msg, "m", |v| proto::mat2_from_value(v).ok())?;
@@ -466,8 +467,16 @@ mod tests {
         assert!(refused(send(&mut w, &mat4(3, 0))), "qubit 3 of 3 local");
         assert!(refused(send(&mut w, &mat4(1, 1))), "repeated operand");
         assert!(send(&mut w, &mat4(2, 0)).is_ok());
+        assert!(send(&mut w, r#"{"v":"ccx","sid":1,"c1":2,"c2":0,"t":1}"#).is_ok());
         for line in [
-            r#"{"v":"gate","sid":1,"g":["h",7]}"#,
+            // The retired verb is refused.
+            r#"{"v":"gate","sid":1,"g":["h",1]}"#,
+            // A Toffoli with a repeated control, a target past the slice's
+            // 3 local qubits, no target, and a qubit no u16 holds.
+            r#"{"v":"ccx","sid":1,"c1":1,"c2":1,"t":0}"#,
+            r#"{"v":"ccx","sid":1,"c1":0,"c2":1,"t":3}"#,
+            r#"{"v":"ccx","sid":1,"c1":0,"c2":1}"#,
+            r#"{"v":"ccx","sid":1,"c1":70000,"c2":1,"t":0}"#,
             r#"{"v":"diag1","sid":1,"q":3,"d":[1,0,1,0]}"#,
             r#"{"v":"msum","sid":1,"q":40,"acc":0}"#,
             // Rank 1's slice starts at index 8: a walk cannot resume at 2.

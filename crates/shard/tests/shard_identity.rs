@@ -60,8 +60,10 @@ where
         );
     };
 
-    // Gates: local ones sweep `SliceOp::Gate`; every operand on a global
-    // qubit is remapped by `PairOp::HalfSwap` rounds there and back.
+    // Gates, as `classify` makes them: a diagonal sweeps a one-term
+    // `DiagRun` wherever its qubits are; a matrix (`SliceOp::Mat2`/`Mat4`)
+    // or a Toffoli (`SliceOp::Ccx`) sweeps locally, every operand on a
+    // global qubit remapped by `PairOp::HalfSwap` rounds there and back.
     let mut gates: Vec<Gate> = generators::qsc(N, 40, 3).iter().copied().collect();
     gates.push(Gate::new(GateKind::Ccx, &[7, 6, 0]));
     gates.push(Gate::new(GateKind::Swap, &[N - 1, 1]));
@@ -70,6 +72,19 @@ where
         sv.apply_gate(gate);
     }
     same(&dsv, &sv, "gate stream");
+    let exchanges = dsv.counters.exchanges;
+    for gate in [
+        Gate::new(GateKind::Rz(0.7), &[N - 1]),
+        Gate::new(GateKind::Cz, &[N - 1, 0]),
+    ] {
+        dsv.apply_gate(&gate);
+        sv.apply_gate(&gate);
+    }
+    assert_eq!(
+        dsv.counters.exchanges, exchanges,
+        "a diagonal gate on a node-selecting qubit exchanged"
+    );
+    same(&dsv, &sv, "diagonal gates on a node-selecting qubit");
 
     // Dense fused matrices, local and global, and a diagonal run over
     // local and node-selecting qubits.

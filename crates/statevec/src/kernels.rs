@@ -3,8 +3,9 @@
 //! # Shapes, tiles and tiers
 //!
 //! The hot kernels come in two *gate shapes*: a **pair** shape (one gate
-//! qubit: `mat2`, `h`, `x`, `y`, `antidiag1`, `diag1`) and a **quad** shape
-//! (two gate qubits: `mat4`, `diag2`, `swap`). Both are one body,
+//! qubit: [`apply_mat2`], [`apply_antidiag1`], [`apply_diag1`]) and a
+//! **quad** shape (two gate qubits: [`apply_mat4`], [`apply_diag2`]). Both
+//! are one body,
 //! `Tiles`, written against the lane-vector trait `simd::Vf` and
 //! instantiated three times — `portable` (scalar `f64`), `avx2` (4 lanes)
 //! and `avx512f` (8 lanes); targets other than x86-64 build the portable
@@ -38,10 +39,19 @@
 //! remaps an operand onto another qubit) and retries. Results are not
 //! bit-identical to unfused scalar `C64` loops.
 //!
+//! **Selection by matrix.** A gate reaches the kernels as its matrix, and
+//! [`apply_mat2`] / [`apply_mat4`] pick the body by *exact* equality: an X
+//! swaps the pair, a Y is an anti-diagonal, an H a scaled sum and
+//! difference, a CX (control on the more significant matrix bit) swaps
+//! under its control, a SWAP trades the `01` and `10` amplitudes; any other
+//! matrix — a fused product, or one a rounding away from those — takes the
+//! dense row body. The choice depends on the matrix alone, so every
+//! backend and tier makes the same one.
+//!
 //! The multi-term diagonal sweep (`apply_diag_table`) is the one body
 //! that is plain autovectorised Rust; it is compiled per tier through the
-//! same dispatch. `cx`/`ccx` keep a per-element closure driver
-//! ([`for_each_pair_indexed`]) that shares the pool split below.
+//! same dispatch. The CX body and [`apply_ccx`] keep a per-element closure
+//! driver (`for_each_pair_indexed`) that shares the pool split below.
 //!
 //! # The pool
 //!
@@ -63,8 +73,9 @@ mod simd;
 use rayon::prelude::*;
 use simd::{Kernel, Tier, Vf};
 use std::cell::Cell;
+use std::f64::consts::FRAC_1_SQRT_2;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tqsim_circuit::math::{Mat2, Mat4, C64};
+use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 
 /// Default serial/parallel switch point, in amplitudes: the first power of
 /// two at which the pool beats one thread on the `kernels` bench ladder
@@ -249,7 +260,7 @@ fn sweep_on<K: Kernel>(tier: Tier, amps: &mut [C64], k: &K) {
 /// the `lo` element — used by controlled gates to test control bits (which
 /// are identical for both pair members since controls ≠ target).
 #[inline]
-pub fn for_each_pair_indexed<F>(amps: &mut [C64], q: usize, f: F)
+fn for_each_pair_indexed<F>(amps: &mut [C64], q: usize, f: F)
 where
     F: Fn(usize, &mut C64, &mut C64) + Sync + Send,
 {
@@ -759,9 +770,45 @@ impl TileOp<2> for Mat2Op<'_> {
     }
 }
 
-/// Generic single-qubit unitary on qubit `q`.
+/// The matrices that take a cheaper body than the dense one.
+const PAULI_X: Mat2 = Mat2::pauli_x();
+const PAULI_Y: Mat2 = Mat2::pauli_y();
+const HADAMARD: Mat2 = {
+    let h = c64(FRAC_1_SQRT_2, 0.0);
+    Mat2([[h, h], [h, c64(-FRAC_1_SQRT_2, 0.0)]])
+};
+const CX: Mat4 = permutation([0, 1, 3, 2]);
+const SWAP: Mat4 = permutation([0, 2, 1, 3]);
+
+/// The 4×4 permutation matrix with a one at `(r, to[r])` in every row.
+const fn permutation(to: [usize; 4]) -> Mat4 {
+    let mut m = [[c64(0.0, 0.0); 4]; 4];
+    let mut r = 0;
+    while r < 4 {
+        m[r][to[r]] = c64(1.0, 0.0);
+        r += 1;
+    }
+    Mat4(m)
+}
+
+/// Single-qubit unitary `m` on qubit `q`. An exact X, Y or H takes its own
+/// body, any other matrix the dense one (see the module docs).
 pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
-    sweep_pair(amps, q, Mat2Op(m));
+    mat2_on(Tier::best(), amps, q, m);
+}
+
+/// [`apply_mat2`] on `tier`.
+fn mat2_on(tier: Tier, amps: &mut [C64], q: usize, m: &Mat2) {
+    if *m == PAULI_X {
+        sweep_gate_on(tier, amps, &[q], &XOp);
+    } else if *m == PAULI_Y {
+        let [[_, a01], [a10, _]] = PAULI_Y.0;
+        sweep_gate_on(tier, amps, &[q], &AntiDiagOp(a01, a10));
+    } else if *m == HADAMARD {
+        sweep_gate_on(tier, amps, &[q], &HOp);
+    } else {
+        sweep_gate_on(tier, amps, &[q], &Mat2Op(m));
+    }
 }
 
 struct XOp;
@@ -771,11 +818,6 @@ impl TileOp<2> for XOp {
     fn apply<V: Vf>(&self, [x, y]: [Cv<V>; 2]) -> [Cv<V>; 2] {
         [y, x]
     }
-}
-
-/// Pauli X on qubit `q` (pair swap).
-pub fn apply_x(amps: &mut [C64], q: usize) {
-    sweep_pair(amps, q, XOp);
 }
 
 /// `[[0, a01], [a10, 0]]`.
@@ -788,24 +830,13 @@ impl TileOp<2> for AntiDiagOp {
     }
 }
 
-/// Pauli Y on qubit `q`.
-pub fn apply_y(amps: &mut [C64], q: usize) {
-    sweep_pair(amps, q, AntiDiagOp(C64::new(0.0, -1.0), C64::new(0.0, 1.0)));
-}
-
 struct HOp;
 
 impl TileOp<2> for HOp {
     #[inline(always)]
     fn apply<V: Vf>(&self, [x, y]: [Cv<V>; 2]) -> [Cv<V>; 2] {
-        let s = std::f64::consts::FRAC_1_SQRT_2;
-        [x.add(y).scale(s), x.sub(y).scale(s)]
+        [x.add(y).scale(FRAC_1_SQRT_2), x.sub(y).scale(FRAC_1_SQRT_2)]
     }
-}
-
-/// Hadamard on qubit `q`.
-pub fn apply_h(amps: &mut [C64], q: usize) {
-    sweep_pair(amps, q, HOp);
 }
 
 /// `diag(d[0], …, d[N-1])` over the gate-bit combinations.
@@ -834,7 +865,7 @@ pub fn apply_antidiag1(amps: &mut [C64], q: usize, a01: C64, a10: C64) {
 }
 
 /// CNOT with control `c`, target `t`.
-pub fn apply_cx(amps: &mut [C64], c: usize, t: usize) {
+fn apply_cx(amps: &mut [C64], c: usize, t: usize) {
     let cmask = 1usize << c;
     for_each_pair_indexed(amps, t, move |idx, a, b| {
         if idx & cmask != 0 {
@@ -855,6 +886,7 @@ pub fn apply_diag2(amps: &mut [C64], q_hi: usize, q_lo: usize, d: [C64; 4]) {
     }
 }
 
+/// Exchanges the `01` and `10` amplitudes of a tile.
 struct SwapOp;
 
 impl TileOp<4> for SwapOp {
@@ -862,12 +894,6 @@ impl TileOp<4> for SwapOp {
     fn apply<V: Vf>(&self, [a00, a01, a10, a11]: [Cv<V>; 4]) -> [Cv<V>; 4] {
         [a00, a10, a01, a11]
     }
-}
-
-/// SWAP of qubits `p` and `q`.
-pub fn apply_swap(amps: &mut [C64], p: usize, q: usize) {
-    // Exchange |01> and |10> amplitudes.
-    sweep_quad(amps, p.min(q), p.max(q), SwapOp);
 }
 
 /// A dense two-qubit matrix on a tile. Tile slots are indexed by
@@ -896,13 +922,25 @@ impl<const SWAPPED: bool> TileOp<4> for Mat4Op<'_, SWAPPED> {
     }
 }
 
-/// Generic two-qubit unitary. `q_hi` indexes the more significant matrix
-/// bit (the gate's first qubit), `q_lo` the less significant.
+/// Two-qubit unitary `m`. `q_hi` indexes the more significant matrix bit
+/// (the gate's first qubit), `q_lo` the less significant. An exact CX
+/// (controlled by `q_hi`) or SWAP takes its own body, any other matrix the
+/// dense one (see the module docs).
 pub fn apply_mat4(amps: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
-    if q_hi > q_lo {
-        sweep_quad(amps, q_lo, q_hi, Mat4Op::<false>(m));
+    mat4_on(Tier::best(), amps, q_hi, q_lo, m);
+}
+
+/// [`apply_mat4`] on `tier` (the CX body has no tiers).
+fn mat4_on(tier: Tier, amps: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
+    let (q0, q1) = (q_hi.min(q_lo), q_hi.max(q_lo));
+    if *m == CX {
+        apply_cx(amps, q_hi, q_lo);
+    } else if *m == SWAP {
+        sweep_gate_on(tier, amps, &[q0, q1], &SwapOp);
+    } else if q_hi > q_lo {
+        sweep_gate_on(tier, amps, &[q0, q1], &Mat4Op::<false>(m));
     } else {
-        sweep_quad(amps, q_hi, q_lo, Mat4Op::<true>(m));
+        sweep_gate_on(tier, amps, &[q0, q1], &Mat4Op::<true>(m));
     }
 }
 
@@ -914,51 +952,6 @@ pub fn apply_ccx(amps: &mut [C64], c1: usize, c2: usize, t: usize) {
             std::mem::swap(a, b);
         }
     });
-}
-
-/// Apply any [`tqsim_circuit::Gate`] to a raw amplitude slice, dispatching
-/// to the specialised kernel when one exists. This is the single dispatch
-/// point shared by [`crate::StateVector`] and the distributed engine's
-/// per-node slices.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if a gate qubit does not fit the slice length;
-/// callers validate widths.
-pub fn apply_gate_amps(amps: &mut [C64], gate: &tqsim_circuit::Gate) {
-    use tqsim_circuit::GateKind;
-    let qs = gate.qubits();
-    // Diagonal kinds share one classification with the fusion planner
-    // (`GateKind::diag1`/`diag2`), so fused and unfused dispatch agree on
-    // the exact diagonal entries.
-    if !matches!(gate.kind(), GateKind::Id) {
-        if let Some(d) = gate.kind().diag1() {
-            return apply_diag1(amps, qs[0] as usize, d[0], d[1]);
-        }
-        if let Some(d) = gate.kind().diag2() {
-            return apply_diag2(amps, qs[0] as usize, qs[1] as usize, d);
-        }
-    }
-    match *gate.kind() {
-        GateKind::Id => {}
-        GateKind::X => apply_x(amps, qs[0] as usize),
-        GateKind::Y => apply_y(amps, qs[0] as usize),
-        GateKind::H => apply_h(amps, qs[0] as usize),
-        GateKind::Cx => apply_cx(amps, qs[0] as usize, qs[1] as usize),
-        GateKind::Swap => apply_swap(amps, qs[0] as usize, qs[1] as usize),
-        GateKind::Ccx => apply_ccx(amps, qs[0] as usize, qs[1] as usize, qs[2] as usize),
-        ref k => match k.arity() {
-            1 => {
-                let m = k.matrix1().expect("single-qubit kind has a matrix");
-                apply_mat2(amps, qs[0] as usize, &m);
-            }
-            2 => {
-                let m = k.matrix2().expect("two-qubit kind has a matrix");
-                apply_mat4(amps, qs[0] as usize, qs[1] as usize, &m);
-            }
-            a => unreachable!("no generic kernel for arity {a}"),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -1000,7 +993,7 @@ mod tests {
     #[test]
     fn x_flips_bit() {
         let mut v = basis(3, 0b000);
-        apply_x(&mut v, 1);
+        apply_mat2(&mut v, 1, &PAULI_X);
         assert_eq!(v[0b010], c64(1.0, 0.0));
     }
 
@@ -1027,35 +1020,16 @@ mod tests {
     #[test]
     fn swap_exchanges() {
         let mut v = basis(2, 0b01);
-        apply_swap(&mut v, 0, 1);
+        apply_mat4(&mut v, 0, 1, &SWAP);
         assert_eq!(v[0b10], c64(1.0, 0.0));
     }
 
     #[test]
     fn h_twice_is_identity() {
         let mut v = basis(4, 0b1010);
-        apply_h(&mut v, 3);
-        apply_h(&mut v, 3);
+        apply_mat2(&mut v, 3, &HADAMARD);
+        apply_mat2(&mut v, 3, &HADAMARD);
         assert!((v[0b1010] - c64(1.0, 0.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn mat4_matches_specialised_cx() {
-        let m = tqsim_circuit::GateKind::Cx.matrix2().unwrap();
-        for (c, t) in [(0usize, 2usize), (2, 0)] {
-            for start in 0..8 {
-                let mut a = basis(3, start);
-                let mut b = basis(3, start);
-                apply_cx(&mut a, c, t);
-                apply_mat4(&mut b, c, t, &m);
-                for i in 0..8 {
-                    assert!(
-                        (a[i] - b[i]).norm() < 1e-12,
-                        "c={c} t={t} start={start} i={i}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1164,15 +1138,6 @@ mod tests {
         }
     }
 
-    /// `apply_mat4` on `tier`.
-    fn mat4_on(tier: Tier, v: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
-        if q_hi > q_lo {
-            sweep_gate_on(tier, v, &[q_lo, q_hi], &Mat4Op::<false>(m));
-        } else {
-            sweep_gate_on(tier, v, &[q_hi, q_lo], &Mat4Op::<true>(m));
-        }
-    }
-
     /// One kernel of the grid: how to run it on a tier, through the
     /// dispatched entry point, and naively.
     struct Case<'a> {
@@ -1232,19 +1197,19 @@ mod tests {
             pair(
                 "h",
                 &|t, v| sweep_gate_on(t, v, &[q], &HOp),
-                &|v| apply_h(v, q),
+                &|v| apply_mat2(v, q, &HADAMARD),
                 &|x, y| ((x + y) * s, (x - y) * s),
             );
             pair(
                 "x",
                 &|t, v| sweep_gate_on(t, v, &[q], &XOp),
-                &|v| apply_x(v, q),
+                &|v| apply_mat2(v, q, &PAULI_X),
                 &|x, y| (y, x),
             );
             pair(
                 "y",
                 &|t, v| sweep_gate_on(t, v, &[q], &AntiDiagOp(mi, i)),
-                &|v| apply_y(v, q),
+                &|v| apply_mat2(v, q, &PAULI_Y),
                 &|x, y| (mi * y, i * x),
             );
             pair(
@@ -1266,7 +1231,7 @@ mod tests {
                     &Case {
                         name: format!("cx({c},{q})"),
                         on_tier: &|_, v| apply_cx(v, c, q),
-                        dispatched: &|v| apply_cx(v, c, q),
+                        dispatched: &|v| apply_mat4(v, c, q, &CX),
                         naive: &|v| {
                             for k in 0..v.len() {
                                 if k >> q & 1 == 0 && k >> c & 1 == 1 {
@@ -1313,7 +1278,7 @@ mod tests {
                     &Case {
                         name: format!("swap({q_hi},{q_lo})"),
                         on_tier: &|t, v| sweep_gate_on(t, v, &[q0, q1], &SwapOp),
-                        dispatched: &|v| apply_swap(v, q_hi, q_lo),
+                        dispatched: &|v| apply_mat4(v, q_hi, q_lo, &SWAP),
                         naive: &|v| naive_quad(v, q0, q1, |[a, b, c, d]| [a, c, b, d]),
                     },
                 );
@@ -1394,6 +1359,91 @@ mod tests {
         }
         set_par_min_len(DEFAULT_PAR_MIN_LEN);
         grid(14);
+    }
+
+    /// The dense `Mat4Op` body on `tier`, whatever the matrix.
+    fn dense_mat4_on(tier: Tier, v: &mut [C64], q_hi: usize, q_lo: usize, m: &Mat4) {
+        if q_hi > q_lo {
+            sweep_gate_on(tier, v, &[q_lo, q_hi], &Mat4Op::<false>(m));
+        } else {
+            sweep_gate_on(tier, v, &[q_hi, q_lo], &Mat4Op::<true>(m));
+        }
+    }
+
+    fn assert_close(got: &[C64], want: &[C64], tol: f64, what: &str) {
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!((a - b).norm() < tol, "{what}: amplitude {k}: {a} vs {b}");
+        }
+    }
+
+    /// A kernel applied in place.
+    type Body<'a> = &'a dyn Fn(&mut [C64]);
+
+    /// `apply_mat2` / `apply_mat4` pick the X, Y, H, CX and SWAP bodies by
+    /// exact matrix equality, on every tier and qubit placement: each pick
+    /// is bit for bit its body — a CX keeps its control on the more
+    /// significant matrix bit whichever qubit is lower — and within 1e-15
+    /// of the dense body, and a matrix one ulp off H takes the dense body.
+    #[test]
+    fn selection_by_matrix_is_exact_and_keeps_orientation() {
+        assert_eq!(PAULI_X, tqsim_circuit::GateKind::X.matrix1().unwrap());
+        assert_eq!(PAULI_Y, tqsim_circuit::GateKind::Y.matrix1().unwrap());
+        assert_eq!(HADAMARD, tqsim_circuit::GateKind::H.matrix1().unwrap());
+        assert_eq!(CX, tqsim_circuit::GateKind::Cx.matrix2().unwrap());
+        assert_eq!(SWAP, tqsim_circuit::GateKind::Swap.matrix2().unwrap());
+        let mut near_h = HADAMARD;
+        near_h.0[0][0].re = f64::from_bits(FRAC_1_SQRT_2.to_bits() + 1);
+        let (i, mi) = (c64(0.0, 1.0), c64(0.0, -1.0));
+        for n in [6, 10] {
+            let init = scrambled(n);
+            let run = |f: &dyn Fn(&mut [C64])| {
+                let mut v = init.clone();
+                f(&mut v);
+                v
+            };
+            for (tier_name, tier) in Tier::all() {
+                let Some(tier) = tier else { continue };
+                for q in 0..n {
+                    let bodies: [(&str, Mat2, Body<'_>); 3] = [
+                        ("x", PAULI_X, &|v| sweep_gate_on(tier, v, &[q], &XOp)),
+                        ("y", PAULI_Y, &|v| {
+                            sweep_gate_on(tier, v, &[q], &AntiDiagOp(mi, i))
+                        }),
+                        ("h", HADAMARD, &|v| sweep_gate_on(tier, v, &[q], &HOp)),
+                    ];
+                    for (name, m, body) in bodies {
+                        let what = format!("{name}({q}) n={n} on {tier_name}");
+                        let got = run(&|v| mat2_on(tier, v, q, &m));
+                        assert_eq!(got, run(body), "{what}: not its own body");
+                        let dense = run(&|v| sweep_gate_on(tier, v, &[q], &Mat2Op(&m)));
+                        assert_close(&got, &dense, 1e-15, &what);
+                    }
+                    let got = run(&|v| mat2_on(tier, v, q, &near_h));
+                    let dense = run(&|v| sweep_gate_on(tier, v, &[q], &Mat2Op(&near_h)));
+                    assert_eq!(got, dense, "near-H({q}) n={n} on {tier_name}");
+                    let h_body = run(&|v| sweep_gate_on(tier, v, &[q], &HOp));
+                    assert_ne!(got, h_body, "near-H({q}) took the H body");
+                }
+                for q_hi in 0..n {
+                    for q_lo in (0..n).filter(|&q| q != q_hi) {
+                        let (q0, q1) = (q_hi.min(q_lo), q_hi.max(q_lo));
+                        let bodies: [(&str, Mat4, Body<'_>); 2] = [
+                            ("cx", CX, &|v| apply_cx(v, q_hi, q_lo)),
+                            ("swap", SWAP, &|v| {
+                                sweep_gate_on(tier, v, &[q0, q1], &SwapOp)
+                            }),
+                        ];
+                        for (name, m, body) in bodies {
+                            let what = format!("{name}({q_hi},{q_lo}) n={n} on {tier_name}");
+                            let got = run(&|v| mat4_on(tier, v, q_hi, q_lo, &m));
+                            assert_eq!(got, run(body), "{what}: not its own body");
+                            let dense = run(&|v| dense_mat4_on(tier, v, q_hi, q_lo, &m));
+                            assert_close(&got, &dense, 1e-15, &what);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A dense `mat4` gives the same bits whichever physical qubit carries

@@ -41,8 +41,11 @@
 //!   structure and `Counts` match the unfused executor;
 //! - amplitudes match unfused execution to floating-point reordering
 //!   (~1e-13): a fused product `(B·A)|ψ⟩` rounds differently from
-//!   `B(A|ψ⟩)`. When no fusion opportunity fires, dispatch falls back to
-//!   the pristine per-gate kernels and amplitudes are bit-identical too.
+//!   `B(A|ψ⟩)`. An unfused gate reaches the kernel as its own matrix (or
+//!   one-term diagonal run, or Toffoli) — exactly what
+//!   [`QuantumState::apply_gate`] applies — and the kernel picks the body
+//!   by matrix, so when no fusion opportunity fires amplitudes are
+//!   bit-identical too.
 
 use crate::kernels;
 use crate::ops::OpCounts;
@@ -319,23 +322,22 @@ impl DiagRun {
 }
 
 /// A fused executable operation — the currency of plans and of the
-/// [`Fuser`]'s input/output streams.
+/// [`Fuser`]'s input/output streams, and the only form in which a gate
+/// reaches a [`QuantumState`] backend: a matrix, a diagonal run or a
+/// Toffoli, never a [`Gate`]. A lone gate's matrix is the gate's own, and
+/// the kernels pick a cheaper body for an exact X, Y, H, CX or SWAP.
 ///
 /// The `Mat4` variant dominates the size (256 bytes inline); keeping it
 /// unboxed is deliberate — ops are constructed on the replay hot path,
 /// where a per-emit heap allocation would cost more than the copy.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FusedOp {
-    /// Dense single-qubit unitary. `src` is the original gate when the
-    /// matrix was never folded (pristine dispatch uses its specialised
-    /// kernel).
+    /// Dense single-qubit unitary.
     Unitary1 {
         /// Target qubit.
         q: u16,
         /// The (possibly product-of-many) matrix.
         m: Mat2,
-        /// Original gate if the matrix is an unfused single gate.
-        src: Option<Gate>,
     },
     /// Dense two-qubit unitary; `q_hi` indexes the more significant matrix
     /// bit.
@@ -346,14 +348,19 @@ pub enum FusedOp {
         q_lo: u16,
         /// The (possibly product-of-many) matrix.
         m: Mat4,
-        /// Original gate if the matrix is an unfused single gate.
-        src: Option<Gate>,
     },
     /// A coalesced diagonal run (one sweep).
     FusedDiag(DiagRun),
-    /// A gate with no 1q/2q matrix form (Toffoli); applied via its
-    /// specialised kernel, never fused.
-    Passthrough(Gate),
+    /// A Toffoli: flip `t` where `c1` and `c2` both read 1. It has no 1q/2q
+    /// matrix form, so it is applied by its own kernel and never fused.
+    Ccx {
+        /// First control.
+        c1: u16,
+        /// Second control.
+        c2: u16,
+        /// Target.
+        t: u16,
+    },
 }
 
 /// Classify a gate into its fusible form. `None` for the identity, which
@@ -378,15 +385,18 @@ pub fn classify(gate: &Gate) -> Option<FusedOp> {
         1 => Some(FusedOp::Unitary1 {
             q: qs[0],
             m: gate.kind().matrix1().expect("1q kind has a matrix"),
-            src: Some(*gate),
         }),
         2 => Some(FusedOp::Unitary2 {
             q_hi: qs[0],
             q_lo: qs[1],
             m: gate.kind().matrix2().expect("2q kind has a matrix"),
-            src: Some(*gate),
         }),
-        _ => Some(FusedOp::Passthrough(*gate)),
+        // The Toffoli is the only three-qubit kind.
+        _ => Some(FusedOp::Ccx {
+            c1: qs[0],
+            c2: qs[1],
+            t: qs[2],
+        }),
     }
 }
 
@@ -400,14 +410,12 @@ enum Dense {
     One {
         q: u16,
         m: Mat2,
-        src: Option<Gate>,
         noise_only: bool,
     },
     Two {
         q_hi: u16,
         q_lo: u16,
         m: Mat4,
-        src: Option<Gate>,
         noise_only: bool,
     },
 }
@@ -430,8 +438,9 @@ impl Dense {
 /// qubits, or flushes when a term straddles them).
 ///
 /// The emit sink receives `(op, noise_only)`; `noise_only` is true when
-/// the emitted operation consists purely of fired noise-branch Paulis
-/// (see [`Dense`]).
+/// the emitted operation consists purely of fired noise-branch Paulis,
+/// whose sweeps the unfused path accounts as noise work, not as
+/// amplitude passes.
 #[derive(Clone, Debug, Default)]
 pub struct Fuser {
     dense: Option<Dense>,
@@ -480,18 +489,12 @@ impl Fuser {
                 // straight into its matrix (valid because the pending diag
                 // run — if any — commutes with the incoming diagonal).
                 match &mut self.dense {
-                    Some(Dense::One {
-                        q,
-                        m,
-                        src,
-                        noise_only,
-                    }) if run.support_within(&[*q]) => {
+                    Some(Dense::One { q, m, noise_only }) if run.support_within(&[*q]) => {
                         let d = run.as_diag1(*q);
                         *m = Mat2([
                             [d[0] * m.0[0][0], d[0] * m.0[0][1]],
                             [d[1] * m.0[1][0], d[1] * m.0[1][1]],
                         ]);
-                        *src = None;
                         *noise_only &= from_noise;
                         return 1;
                     }
@@ -499,7 +502,6 @@ impl Fuser {
                         q_hi,
                         q_lo,
                         m,
-                        src,
                         noise_only,
                     }) if run.support_within(&[*q_hi, *q_lo]) => {
                         let e = run.as_diag2(*q_hi, *q_lo);
@@ -508,7 +510,6 @@ impl Fuser {
                                 *cell *= e[r];
                             }
                         }
-                        *src = None;
                         *noise_only &= from_noise;
                         return 1;
                     }
@@ -526,11 +527,11 @@ impl Fuser {
                 self.diag.merge(run);
                 u64::from(joined)
             }
-            FusedOp::Unitary1 { q, m, src } => self.push_dense1(*q, m, *src, from_noise, emit),
-            FusedOp::Unitary2 { q_hi, q_lo, m, src } => {
-                self.push_dense2(*q_hi, *q_lo, m, *src, from_noise, emit)
+            FusedOp::Unitary1 { q, m } => self.push_dense1(*q, m, from_noise, emit),
+            FusedOp::Unitary2 { q_hi, q_lo, m } => {
+                self.push_dense2(*q_hi, *q_lo, m, from_noise, emit)
             }
-            FusedOp::Passthrough(_) => {
+            FusedOp::Ccx { .. } => {
                 self.flush(emit);
                 emit(op, from_noise);
                 0
@@ -562,7 +563,6 @@ impl Fuser {
         &mut self,
         q: u16,
         m: &Mat2,
-        mut src: Option<Gate>,
         mut from_noise: bool,
         emit: &mut impl FnMut(&FusedOp, bool),
     ) -> u64 {
@@ -576,7 +576,6 @@ impl Fuser {
                     *cell *= x;
                 }
             }
-            src = None;
             from_noise &= self.diag_noise_only;
             absorbed = u64::from(self.diag.is_empty());
         }
@@ -586,7 +585,6 @@ impl Fuser {
                 self.dense = Some(Dense::One {
                     q,
                     m: *m,
-                    src,
                     noise_only: from_noise,
                 });
                 false
@@ -600,7 +598,6 @@ impl Fuser {
                 self.dense = Some(Dense::One {
                     q,
                     m: m.mul(&pm),
-                    src: None,
                     noise_only: noise_only && from_noise,
                 });
                 true
@@ -616,7 +613,6 @@ impl Fuser {
                     q_hi: pq,
                     q_lo: q,
                     m: pm.kron(m),
-                    src: None,
                     noise_only: noise_only && from_noise,
                 });
                 true
@@ -634,7 +630,6 @@ impl Fuser {
                     q_hi,
                     q_lo,
                     m: expanded.mul(&pm),
-                    src: None,
                     noise_only: noise_only && from_noise,
                 });
                 true
@@ -646,7 +641,6 @@ impl Fuser {
                 self.dense = Some(Dense::One {
                     q,
                     m: *m,
-                    src,
                     noise_only: from_noise,
                 });
                 false
@@ -660,7 +654,6 @@ impl Fuser {
         qa: u16,
         qb: u16,
         m: &Mat4,
-        mut src: Option<Gate>,
         mut from_noise: bool,
         emit: &mut impl FnMut(&FusedOp, bool),
     ) -> u64 {
@@ -673,7 +666,6 @@ impl Fuser {
                     *cell *= x;
                 }
             }
-            src = None;
             from_noise &= self.diag_noise_only;
             absorbed = u64::from(self.diag.is_empty());
         }
@@ -684,7 +676,6 @@ impl Fuser {
                     q_hi: qa,
                     q_lo: qb,
                     m: *m,
-                    src,
                     noise_only: from_noise,
                 });
                 false
@@ -701,7 +692,6 @@ impl Fuser {
                     q_hi: qa,
                     q_lo: qb,
                     m: m.mul(&expanded),
-                    src: None,
                     noise_only: noise_only && from_noise,
                 });
                 true
@@ -722,7 +712,6 @@ impl Fuser {
                     q_hi,
                     q_lo,
                     m: aligned.mul(&pm),
-                    src: None,
                     noise_only: noise_only && from_noise,
                 });
                 true
@@ -736,7 +725,6 @@ impl Fuser {
                     q_hi: qa,
                     q_lo: qb,
                     m: *m,
-                    src,
                     noise_only: from_noise,
                 });
                 false
@@ -766,22 +754,12 @@ impl Fuser {
     fn emit_dense(dense: &Dense, emit: &mut impl FnMut(&FusedOp, bool)) {
         let noise_only = dense.noise_only();
         match dense {
-            Dense::One { q, m, src, .. } => emit(
-                &FusedOp::Unitary1 {
-                    q: *q,
-                    m: *m,
-                    src: *src,
-                },
-                noise_only,
-            ),
-            Dense::Two {
-                q_hi, q_lo, m, src, ..
-            } => emit(
+            Dense::One { q, m, .. } => emit(&FusedOp::Unitary1 { q: *q, m: *m }, noise_only),
+            Dense::Two { q_hi, q_lo, m, .. } => emit(
                 &FusedOp::Unitary2 {
                     q_hi: *q_hi,
                     q_lo: *q_lo,
                     m: *m,
-                    src: *src,
                 },
                 noise_only,
             ),
@@ -792,19 +770,14 @@ impl Fuser {
 /// Apply one fused operation without touching any counter — the replay
 /// sinks charge `amp_passes` themselves so that noise-only sweeps (fired
 /// Kraus branches, accounted under `noise_ops` like the unfused path)
-/// don't inflate the gate-pass metric.
-fn apply_fused_op_raw<S: QuantumState + ?Sized>(sv: &mut S, op: &FusedOp) {
-    match op {
-        FusedOp::Unitary1 { q, m, src } => match src {
-            Some(gate) => sv.apply_gate(gate),
-            None => sv.apply_mat2(*q, m),
-        },
-        FusedOp::Unitary2 { q_hi, q_lo, m, src } => match src {
-            Some(gate) => sv.apply_gate(gate),
-            None => sv.apply_mat4(*q_hi, *q_lo, m),
-        },
-        FusedOp::FusedDiag(run) => sv.apply_diag_run(run),
-        FusedOp::Passthrough(gate) => sv.apply_gate(gate),
+/// don't inflate the gate-pass metric. [`QuantumState::apply_gate`] applies
+/// a lone gate through here too.
+pub(crate) fn apply_fused_op_raw<S: QuantumState + ?Sized>(sv: &mut S, op: &FusedOp) {
+    match *op {
+        FusedOp::Unitary1 { q, ref m } => sv.apply_mat2(q, m),
+        FusedOp::Unitary2 { q_hi, q_lo, ref m } => sv.apply_mat4(q_hi, q_lo, m),
+        FusedOp::FusedDiag(ref run) => sv.apply_diag_run(run),
+        FusedOp::Ccx { c1, c2, t } => sv.apply_ccx(c1, c2, t),
     }
 }
 
@@ -1134,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_toffoli_is_exact() {
+    fn toffoli_is_exact() {
         let mut c = Circuit::new(3);
         c.h(0).h(1).ccx(0, 1, 2).x(2);
         let (reference, fused, ops) = apply_both(&c);
@@ -1146,8 +1119,8 @@ mod tests {
     fn pristine_single_gates_are_bit_identical() {
         // A circuit with no fusion opportunity (the Toffoli flushes, and
         // neighbours never share a full qubit set): every gate flushes
-        // alone and must dispatch through its original specialised kernel,
-        // making fused and unfused execution bit-identical.
+        // alone as its own matrix, the same op per-gate application
+        // builds, so fused and unfused execution are bit-identical.
         let mut c = Circuit::new(3);
         c.h(0).cx(1, 2).ccx(0, 1, 2).x(1);
         let (reference, fused, ops) = apply_both(&c);

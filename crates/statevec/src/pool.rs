@@ -9,7 +9,7 @@
 //! [`PooledState::reset_zero`] APIs, and drops it back to the pool.
 //!
 //! The pool is generic over a [`PooledBackend`]: the default
-//! [`SingleNode`] backend pools plain [`StateVector`]s, while
+//! [`SingleNode`] backend pools plain [`crate::StateVector`]s, while
 //! `tqsim-cluster`'s backend pools distributed state vectors whose slices
 //! span a simulated node group — the same pool (and the same `tqsim-engine`
 //! executor above it) runs trees whose states exceed one node's memory.
@@ -132,7 +132,7 @@ struct PoolShared<B: PooledBackend> {
 }
 
 /// A width-keyed free list of state buffers for one [`PooledBackend`]
-/// (plain [`StateVector`]s on the default [`SingleNode`] backend).
+/// (plain [`crate::StateVector`]s on the default [`SingleNode`] backend).
 ///
 /// Cloning a `StatePool` clones the *handle*: both handles drain and refill
 /// the same free list. See the [module docs](self) for the usage pattern.

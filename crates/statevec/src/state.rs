@@ -1,6 +1,7 @@
 //! The [`StateVector`] type: a 2^n-amplitude pure quantum state.
 
 use crate::kernels;
+use crate::traits::QuantumState;
 use std::fmt;
 use tqsim_circuit::math::{c64, C64};
 use tqsim_circuit::{Circuit, Gate};
@@ -229,21 +230,14 @@ impl StateVector {
 
     // ---- gate application --------------------------------------------------
 
-    /// Apply a single gate, dispatching to a specialised kernel when one
-    /// exists and to the generic dense kernels otherwise.
+    /// Apply a single gate: [`QuantumState::apply_gate`], the op plan
+    /// replay would apply for it.
     ///
     /// # Panics
     ///
     /// Panics if the gate touches a qubit outside the register.
     pub fn apply_gate(&mut self, gate: &Gate) {
-        for &q in gate.qubits() {
-            assert!(
-                q < self.n_qubits,
-                "gate {gate} out of range for {} qubits",
-                self.n_qubits
-            );
-        }
-        kernels::apply_gate_amps(&mut self.amps, gate);
+        QuantumState::apply_gate(self, gate);
     }
 
     /// Apply every gate of `circuit` in order.

@@ -5,10 +5,13 @@
 //!
 //! The trait covers three surfaces:
 //!
-//! 1. **Gate application** — [`QuantumState::apply_gate`] plus the fused-op
-//!    surface ([`QuantumState::apply_mat2`]/[`QuantumState::apply_mat4`]/
-//!    [`QuantumState::apply_diag_run`]) that
-//!    [`crate::plan::CompiledCircuit::replay`] drives;
+//! 1. **Gate application** — the op surface
+//!    ([`QuantumState::apply_mat2`]/[`QuantumState::apply_mat4`]/
+//!    [`QuantumState::apply_diag_run`]/[`QuantumState::apply_ccx`]) that
+//!    [`crate::plan::CompiledCircuit::replay`] drives. A backend sees no
+//!    [`Gate`]: the provided [`QuantumState::apply_gate`] classifies a gate
+//!    into one of those ops ([`crate::classify`]) and applies it exactly as
+//!    replay would;
 //! 2. **Trajectory noise** — marginals, (anti-)diagonal Kraus branches and
 //!    renormalisation;
 //! 3. **Measurement** — CDF sampling, batched
@@ -37,13 +40,24 @@ pub trait QuantumState {
     /// Register width.
     fn n_qubits(&self) -> u16;
 
-    /// Apply a unitary gate.
+    /// Apply a unitary gate as the op [`crate::classify`] makes of it — its
+    /// own `Mat2`/`Mat4` (the kernels pick the X/Y/H/CX/SWAP body by
+    /// matrix), a one-term diagonal run, or a Toffoli — through the same
+    /// function plan replay applies ops with. The identity costs nothing.
     ///
     /// # Panics
     ///
-    /// Implementations panic when the gate touches a qubit outside the
-    /// register.
-    fn apply_gate(&mut self, gate: &Gate);
+    /// Panics when the gate touches a qubit outside the register.
+    fn apply_gate(&mut self, gate: &Gate) {
+        let n = self.n_qubits();
+        assert!(
+            gate.qubits().iter().all(|&q| q < n),
+            "gate {gate} out of range for {n} qubits"
+        );
+        if let Some(op) = crate::plan::classify(gate) {
+            crate::plan::apply_fused_op_raw(self, &op);
+        }
+    }
 
     /// Apply a dense (possibly product-of-many) single-qubit unitary on `q`
     /// — the fused `Mat2` surface of plan replay.
@@ -57,6 +71,9 @@ pub trait QuantumState {
     /// amplitudes, so distributed implementations can run this node-local
     /// even when the run touches globally-sliced qubits.
     fn apply_diag_run(&mut self, run: &DiagRun);
+
+    /// Apply a Toffoli: flip `t` where controls `c1` and `c2` both read 1.
+    fn apply_ccx(&mut self, c1: u16, c2: u16, t: u16);
 
     /// Marginal probability that qubit `q` reads 1.
     fn marginal_one(&self, q: u16) -> f64;
@@ -173,10 +190,6 @@ impl QuantumState for crate::StateVector {
         crate::StateVector::n_qubits(self)
     }
 
-    fn apply_gate(&mut self, gate: &Gate) {
-        crate::StateVector::apply_gate(self, gate);
-    }
-
     fn apply_mat2(&mut self, q: u16, m: &Mat2) {
         crate::kernels::apply_mat2(self.amplitudes_mut(), q as usize, m);
     }
@@ -187,6 +200,10 @@ impl QuantumState for crate::StateVector {
 
     fn apply_diag_run(&mut self, run: &DiagRun) {
         run.apply(self.amplitudes_mut());
+    }
+
+    fn apply_ccx(&mut self, c1: u16, c2: u16, t: u16) {
+        crate::kernels::apply_ccx(self.amplitudes_mut(), c1.into(), c2.into(), t.into());
     }
 
     fn marginal_one(&self, q: u16) -> f64 {
@@ -260,9 +277,6 @@ mod tests {
             fn n_qubits(&self) -> u16 {
                 self.0.n_qubits()
             }
-            fn apply_gate(&mut self, gate: &Gate) {
-                self.0.apply_gate(gate);
-            }
             fn apply_mat2(&mut self, q: u16, m: &Mat2) {
                 QuantumState::apply_mat2(&mut self.0, q, m);
             }
@@ -271,6 +285,9 @@ mod tests {
             }
             fn apply_diag_run(&mut self, run: &DiagRun) {
                 QuantumState::apply_diag_run(&mut self.0, run);
+            }
+            fn apply_ccx(&mut self, c1: u16, c2: u16, t: u16) {
+                QuantumState::apply_ccx(&mut self.0, c1, c2, t);
             }
             fn marginal_one(&self, q: u16) -> f64 {
                 self.0.marginal_one(q)

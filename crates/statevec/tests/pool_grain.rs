@@ -59,6 +59,7 @@ fn one_kernel_call_costs_a_bounded_number_of_pool_tasks() {
         .expect("amplitude pool");
     let m2: Mat2 = GateKind::U3(0.3, 0.7, 1.1).matrix1().expect("1q matrix");
     let m4: Mat4 = GateKind::FSim(0.5, 0.2).matrix2().expect("2q matrix");
+    let cx: Mat4 = GateKind::Cx.matrix2().expect("2q matrix");
     let (d0, d1) = (c64(0.6, -0.8), c64(-0.28, 0.96));
 
     for q in 0..N {
@@ -71,7 +72,7 @@ fn one_kernel_call_costs_a_bounded_number_of_pool_tasks() {
         });
         assert_eq!(t, TASKS_PER_CALL, "diag1({q})");
         let t = tasks_of(&pool, &format!("cx({},{q})", (q + 1) % N), |v| {
-            kernels::apply_cx(v, (q + 1) % N, q)
+            kernels::apply_mat4(v, (q + 1) % N, q, &cx)
         });
         assert_eq!(t, TASKS_PER_CALL, "cx onto {q}");
     }

@@ -296,7 +296,7 @@ pub mod prop {
             VecStrategy { element, len }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             len: Range<usize>,
