@@ -19,9 +19,10 @@
 //! nothing else is keyed. Fingerprint collisions cannot alias plans:
 //! entries store the full circuit and compare it by content on lookup.
 //!
-//! Eviction is LRU with a fixed capacity; hit/miss/eviction/compile
-//! counters surface in [`CacheStats`] (and from there in the service's
-//! `ServiceStats`).
+//! Eviction is LRU with a fixed capacity. Hits, misses, evictions and
+//! compiles are counted into `tqsim_plan_cache_*_total` counters of the
+//! registry the cache is built with; [`PlanCache::stats`] reads them back
+//! as [`CacheStats`] (and from there the service's `ServiceStats`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,6 +31,7 @@ use tqsim::{PlanError, Strategy};
 use tqsim_circuit::Circuit;
 use tqsim_engine::JobPlan;
 use tqsim_noise::NoiseModel;
+use tqsim_obs::{Counter, Registry};
 
 /// The full cache key (the fingerprint is the index; the rest disambiguates
 /// fingerprint collisions and distinct planning inputs).
@@ -90,7 +92,6 @@ struct Inner {
     in_flight: Vec<PlanKey>,
     clock: u64,
     len: usize,
-    stats: CacheStats,
 }
 
 /// A bounded, thread-safe, LRU plan cache. See the [module docs](self).
@@ -99,12 +100,18 @@ pub struct PlanCache {
     inner: Mutex<Inner>,
     /// Wakes waiters when an in-flight planning attempt lands or fails.
     landed: Condvar,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    compiled: Arc<Counter>,
 }
 
 impl PlanCache {
     /// A cache holding at most `capacity` plans (`capacity == 0` disables
-    /// caching: every lookup plans afresh and nothing is stored).
-    pub fn new(capacity: usize) -> Self {
+    /// caching: every lookup plans afresh and nothing is stored), counting
+    /// into `registry`'s `tqsim_plan_cache_{hits,misses,evictions,compiled}_total`.
+    pub fn new(capacity: usize, registry: &Registry) -> Self {
+        let c = |what: &str| registry.counter(&format!("tqsim_plan_cache_{what}_total"), &[]);
         PlanCache {
             capacity,
             inner: Mutex::new(Inner {
@@ -112,9 +119,12 @@ impl PlanCache {
                 in_flight: Vec::new(),
                 clock: 0,
                 len: 0,
-                stats: CacheStats::default(),
             }),
             landed: Condvar::new(),
+            hits: c("hits"),
+            misses: c("misses"),
+            evictions: c("evictions"),
+            compiled: c("compiled"),
         }
     }
 
@@ -145,14 +155,14 @@ impl PlanCache {
                     if let Some(entry) = bucket.iter_mut().find(|e| e.key.matches(key)) {
                         entry.last_used = clock;
                         let plan = Arc::clone(&entry.plan);
-                        inner.stats.hits += 1;
+                        self.hits.inc();
                         return Ok(plan);
                     }
                 }
                 if !inner.in_flight.iter().any(|k| k.matches(key)) {
                     // Ours to plan: mark in-flight and count the miss.
                     inner.in_flight.push(key.clone());
-                    inner.stats.misses += 1;
+                    self.misses.inc();
                     break;
                 }
                 // Someone is already planning this key: wait for it to
@@ -179,7 +189,7 @@ impl PlanCache {
             &key.strategy,
         )?);
         let mut inner = unmark.clear();
-        inner.stats.compiled += 1;
+        self.compiled.inc();
         if self.capacity == 0 {
             return Ok(plan);
         }
@@ -191,8 +201,8 @@ impl PlanCache {
             last_used: clock,
         });
         inner.len += 1;
-        if inner.len > self.capacity {
-            evict_lru(&mut inner);
+        if inner.len > self.capacity && evict_lru(&mut inner) {
+            self.evictions.inc();
         }
         Ok(plan)
     }
@@ -214,16 +224,18 @@ impl PlanCache {
             .find(|e| e.key.matches(key))?;
         entry.last_used = clock;
         let plan = Arc::clone(&entry.plan);
-        inner.stats.hits += 1;
+        self.hits.inc();
         Some(plan)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("plan cache lock");
         CacheStats {
-            entries: inner.len,
-            ..inner.stats
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            compiled: self.compiled.get(),
+            entries: self.inner.lock().expect("plan cache lock").len,
         }
     }
 
@@ -269,7 +281,8 @@ fn remove_marker(inner: &mut Inner, key: &PlanKey) {
     }
 }
 
-fn evict_lru(inner: &mut Inner) {
+/// Drop the least recently used entry; whether one was dropped.
+fn evict_lru(inner: &mut Inner) -> bool {
     let victim = inner
         .buckets
         .iter()
@@ -283,9 +296,10 @@ fn evict_lru(inner: &mut Inner) {
                 inner.buckets.remove(&fp);
             }
             inner.len -= 1;
-            inner.stats.evictions += 1;
+            return true;
         }
     }
+    false
 }
 
 #[cfg(test)]
@@ -307,7 +321,7 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_and_shares_the_plan() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::new(8, &Registry::new());
         let qft = Arc::new(generators::qft(6));
         let a = cache.get_or_plan(&key(Arc::clone(&qft), 12)).unwrap();
         // A separately built but structurally equal circuit also hits.
@@ -321,7 +335,7 @@ mod tests {
 
     #[test]
     fn distinct_inputs_are_distinct_plans() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::new(8, &Registry::new());
         let qft = Arc::new(generators::qft(6));
         let bv = Arc::new(generators::bv(6));
         cache.get_or_plan(&key(Arc::clone(&qft), 12)).unwrap();
@@ -335,7 +349,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest() {
-        let cache = PlanCache::new(2);
+        let cache = PlanCache::new(2, &Registry::new());
         let a = Arc::new(generators::qft(5));
         let b = Arc::new(generators::bv(5));
         let c = Arc::new(generators::qft(6));
@@ -354,7 +368,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let cache = PlanCache::new(0);
+        let cache = PlanCache::new(0, &Registry::new());
         let qft = Arc::new(generators::qft(5));
         cache.get_or_plan(&key(Arc::clone(&qft), 12)).unwrap();
         cache.get_or_plan(&key(qft, 12)).unwrap();
@@ -369,7 +383,7 @@ mod tests {
         // Single-flight: N racing threads on one key must yield exactly
         // one compile, one miss and N−1 hits — the deterministic
         // accounting the service tests and bench assert on.
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = Arc::new(PlanCache::new(8, &Registry::new()));
         let circuit = Arc::new(generators::qft(7));
         let threads = 8;
         let plans: Vec<Arc<JobPlan>> = std::thread::scope(|scope| {
@@ -394,7 +408,7 @@ mod tests {
 
     #[test]
     fn planning_errors_are_not_cached() {
-        let cache = PlanCache::new(4);
+        let cache = PlanCache::new(4, &Registry::new());
         let empty = Arc::new(Circuit::new(3));
         let k = key(empty, 12);
         assert!(cache.get_or_plan(&k).is_err());

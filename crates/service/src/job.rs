@@ -2,11 +2,10 @@
 //! buffer, and the completion rendezvous.
 
 use crate::metrics::ServiceMetrics;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tqsim::RunResult;
-use tqsim_obs::duration_ns;
+use tqsim_obs::{duration_ns, Counter};
 
 /// Service-assigned job identifier (unique for the service lifetime).
 pub type JobId = u64;
@@ -94,36 +93,6 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// Monotone counters shared by every job record (rendered into
-/// `ServiceStats`).
-#[derive(Debug, Default)]
-pub(crate) struct ServiceCounters {
-    pub submitted: AtomicU64,
-    pub rejected: AtomicU64,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
-    pub cancelled: AtomicU64,
-    /// Jobs terminally aborted by a contained worker panic (disjoint from
-    /// `failed`/`timed_out`; every failure-terminal job lands in exactly
-    /// one of the three).
-    pub aborted: AtomicU64,
-    /// Retry attempts started (one per re-dispatch, not per job).
-    pub retried: AtomicU64,
-    /// Jobs terminated by their deadline watchdog.
-    pub timed_out: AtomicU64,
-    /// Cluster jobs successfully re-placed onto the single-node engine
-    /// after a cluster fault.
-    pub degraded: AtomicU64,
-    pub chunks_streamed: AtomicU64,
-    pub outcomes_streamed: AtomicU64,
-    /// Jobs dispatched onto the single-node engine.
-    pub single_node_jobs: AtomicU64,
-    /// Jobs routed to the cluster-backed engine by the placement policy.
-    pub cluster_jobs: AtomicU64,
-    /// Finished job records dropped by the TTL sweep or explicit forget.
-    pub forgotten: AtomicU64,
-}
-
 struct JobState {
     status: JobStatus,
     result: Option<RunResult>,
@@ -146,11 +115,10 @@ struct JobState {
 pub(crate) struct JobRecord {
     id: JobId,
     client: String,
-    counters: Arc<ServiceCounters>,
     /// When the job was admitted (starts `queue_wait` and `e2e`).
     submitted_at: Instant,
-    /// Stage histograms + event ring; `None` when observability is off.
-    metrics: Option<Arc<ServiceMetrics>>,
+    /// Job counters, stage histograms and the event ring.
+    metrics: Arc<ServiceMetrics>,
     state: Mutex<JobState>,
     /// Notified on every state change (status transitions and new chunks).
     cv: Condvar,
@@ -162,19 +130,11 @@ pub(crate) struct JobRecord {
 }
 
 impl JobRecord {
-    pub(crate) fn new(
-        id: JobId,
-        client: &str,
-        counters: Arc<ServiceCounters>,
-        metrics: Option<Arc<ServiceMetrics>>,
-    ) -> Arc<Self> {
-        if let Some(m) = &metrics {
-            m.registry.events().record(id, "submitted");
-        }
+    pub(crate) fn new(id: JobId, client: &str, metrics: Arc<ServiceMetrics>) -> Arc<Self> {
+        metrics.registry.events().record(id, "submitted");
         Arc::new(JobRecord {
             id,
             client: client.to_string(),
-            counters,
             submitted_at: Instant::now(),
             metrics,
             state: Mutex::new(JobState {
@@ -192,12 +152,9 @@ impl JobRecord {
         })
     }
 
-    /// Record a lifecycle event into the observability ring (no-op when
-    /// observability is off).
+    /// Record a lifecycle event into the observability ring.
     fn event(&self, stage: &'static str) {
-        if let Some(m) = &self.metrics {
-            m.registry.events().record(self.id, stage);
-        }
+        self.metrics.registry.events().record(self.id, stage);
     }
 
     pub(crate) fn id(&self) -> JobId {
@@ -244,12 +201,11 @@ impl JobRecord {
         st.pending.extend_from_slice(outcomes);
         st.streamed += outcomes.len() as u64;
         st.last_chunk_at = Some(Instant::now());
-        self.counters
-            .chunks_streamed
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
+        self.metrics.jobs.chunks_streamed.inc();
+        self.metrics
+            .jobs
             .outcomes_streamed
-            .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
+            .add(outcomes.len() as u64);
         self.cv.notify_all();
     }
 
@@ -265,26 +221,25 @@ impl JobRecord {
         st.status = JobStatus::Done;
         let now = Instant::now();
         st.finished_at = Some(now);
-        if let Some(m) = &self.metrics {
-            // One record per *completed* job into every stage histogram
-            // (each histogram's count therefore equals the completed-job
-            // count), all derived from the same four instants so
-            // queue_wait + compile + execute sums exactly to e2e.
-            let popped = st.popped_at.unwrap_or(self.submitted_at);
-            let running = st.running_at.unwrap_or(popped);
-            let since = |later: Instant, earlier: Instant| {
-                duration_ns(later.saturating_duration_since(earlier))
-            };
-            m.queue_wait_ns.record(since(popped, self.submitted_at));
-            m.compile_ns.record(since(running, popped));
-            m.execute_ns.record(since(now, running));
-            m.stream_ns
-                .record(since(st.last_chunk_at.unwrap_or(running), running));
-            m.e2e_ns.record(since(now, self.submitted_at));
-            m.add_ops(&result.ops);
-        }
+        // One record per *completed* job into every stage histogram (each
+        // histogram's count therefore equals the completed-job count), all
+        // derived from the same four instants so queue_wait + compile +
+        // execute sums exactly to e2e.
+        let m = &self.metrics;
+        let popped = st.popped_at.unwrap_or(self.submitted_at);
+        let running = st.running_at.unwrap_or(popped);
+        let since = |later: Instant, earlier: Instant| {
+            duration_ns(later.saturating_duration_since(earlier))
+        };
+        m.queue_wait_ns.record(since(popped, self.submitted_at));
+        m.compile_ns.record(since(running, popped));
+        m.execute_ns.record(since(now, running));
+        m.stream_ns
+            .record(since(st.last_chunk_at.unwrap_or(running), running));
+        m.e2e_ns.record(since(now, self.submitted_at));
+        m.add_ops(&result.ops);
         st.result = Some(result);
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        m.jobs.completed.inc();
         self.cv.notify_all();
         drop(st);
         self.event("done");
@@ -302,19 +257,18 @@ impl JobRecord {
             if st.status.is_terminal() {
                 return;
             }
-            let (counter, stage): (&AtomicU64, &'static str) = match &error {
-                JobError::Aborted(_) => (&self.counters.aborted, "aborted"),
-                JobError::DeadlineExceeded => (&self.counters.timed_out, "deadline_exceeded"),
-                JobError::Cancelled => (&self.counters.cancelled, "cancelled"),
-                JobError::Failed(_) | JobError::BackendUnavailable(_) => {
-                    (&self.counters.failed, "failed")
-                }
+            let jobs = &self.metrics.jobs;
+            let (counter, stage): (&Counter, &'static str) = match &error {
+                JobError::Aborted(_) => (&jobs.aborted, "aborted"),
+                JobError::DeadlineExceeded => (&jobs.timed_out, "deadline_exceeded"),
+                JobError::Cancelled => (&jobs.cancelled, "cancelled"),
+                JobError::Failed(_) | JobError::BackendUnavailable(_) => (&jobs.failed, "failed"),
             };
             st.status = JobStatus::Failed(error);
             st.pending.clear();
             st.result = None;
             st.finished_at = Some(Instant::now());
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
             self.cv.notify_all();
             drop(st);
             self.event(stage);
@@ -348,7 +302,7 @@ impl JobRecord {
         if !self.rearm("retrying") {
             return false;
         }
-        self.counters.retried.fetch_add(1, Ordering::Relaxed);
+        self.metrics.jobs.retried.inc();
         true
     }
 
@@ -371,7 +325,7 @@ impl JobRecord {
             st.pending.clear();
             st.result = None;
             st.finished_at = Some(Instant::now());
-            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            self.metrics.jobs.cancelled.inc();
             self.cv.notify_all();
         }
         self.event("cancelled");

@@ -33,7 +33,8 @@
 //! - **Observability** ([`Service::metrics`], the `metrics` verb): a
 //!   workspace-wide registry ([`tqsim_obs`], re-exported as [`obs`]) of
 //!   per-stage job latency histograms (queue-wait / compile / execute /
-//!   stream / end-to-end, with p50/p90/p99), queue-depth and per-backend
+//!   stream / end-to-end, with p50/p90/p99), the job and plan-cache
+//!   counters [`Service::stats`] reads back, queue-depth and per-backend
 //!   in-flight gauges, engine worker busy/steal counters and cluster
 //!   exchange totals — as a structured snapshot or a Prometheus-style
 //!   text exposition.
@@ -528,9 +529,10 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
             let idle = service.stats().running_now == 0
-                && service.metrics().is_none_or(|s| {
-                    s.gauge("tqsim_jobs_inflight", &[("backend", "single_node")]) == Some(0)
-                });
+                && service
+                    .metrics()
+                    .gauge("tqsim_jobs_inflight", &[("backend", "single_node")])
+                    == Some(0);
             if idle || std::time::Instant::now() > deadline {
                 break;
             }
@@ -553,7 +555,7 @@ mod tests {
                 .unwrap();
         }
         wait_drained(&service);
-        let snap = service.metrics().expect("observability defaults on");
+        let snap = service.metrics();
         // Every stage histogram records exactly once per completed job —
         // never on failure or cancellation — so counts match completions.
         let mut sums = std::collections::HashMap::new();
@@ -569,7 +571,7 @@ mod tests {
             sums["queue_wait"] + sums["compile"] + sums["execute"],
             sums["e2e"]
         );
-        // Mirrored counters agree with the stats snapshot.
+        // The job counters are the ones the stats snapshot reads.
         assert_eq!(snap.counter("tqsim_jobs_completed_total", &[]), Some(3));
         assert_eq!(
             snap.counter("tqsim_jobs_placed_total", &[("backend", "single_node")]),
@@ -585,7 +587,7 @@ mod tests {
             snap.gauge("tqsim_jobs_inflight", &[("backend", "single_node")]),
             Some(0)
         );
-        // The process-wide amplitude pool's stats are mirrored too.
+        // The process-wide amplitude pool's stats are refreshed in too.
         assert!(snap.counter("tqsim_amp_pool_tasks", &[]).is_some());
         assert!(snap.counter("tqsim_amp_pool_busy_ns", &[]).is_some());
         assert!(snap.gauge("tqsim_amp_pool_threads", &[]).unwrap() >= 1);
@@ -597,16 +599,19 @@ mod tests {
             )
             .is_some());
         // Exposition and events are live too.
-        let text = service.metrics_text().unwrap();
+        let text = service.metrics_text();
         assert!(text.contains("# TYPE tqsim_job_stage_ns histogram"));
         assert!(text.contains("tqsim_jobs_completed_total 3"));
-        let events = service.metrics_events().unwrap();
+        let events = service.metrics_events();
         assert!(events.iter().any(|e| e.stage == "done"));
         service.shutdown();
     }
 
     #[test]
-    fn disabled_observability_reports_none() {
+    fn observability_off_drops_only_the_engine_instruments() {
+        // The switch decides whether the engines register their per-worker
+        // instruments; the service's own counters and histograms are the
+        // store `stats` reads, so they are always served.
         let service = Service::start(
             ServiceConfig::default()
                 .parallelism(1)
@@ -619,9 +624,131 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(service.metrics().is_none());
-        assert!(service.metrics_text().is_none());
-        assert!(service.metrics_events().is_none());
+        wait_drained(&service);
+        let snap = service.metrics();
+        assert_eq!(snap.counter("tqsim_jobs_completed_total", &[]), Some(1));
+        for stage in crate::metrics::STAGES {
+            let h = snap
+                .histogram(crate::metrics::STAGE_HIST, &[("stage", stage)])
+                .unwrap_or_else(|| panic!("stage {stage} registered"));
+            assert_eq!(h.count, 1, "stage {stage}");
+        }
+        assert!(
+            snap.counters
+                .iter()
+                .all(|c| c.name != "tqsim_engine_tasks_total"),
+            "no engine worker instruments without observability"
+        );
+        assert!(service
+            .metrics_text()
+            .contains("tqsim_jobs_completed_total 1"));
+        assert!(service.metrics_events().iter().any(|e| e.stage == "done"));
+        service.shutdown();
+    }
+
+    #[test]
+    fn every_stats_counter_is_its_registry_instrument() {
+        // One scenario that moves every entry below except `aborted`,
+        // `retried` and `degraded`, which need injected faults
+        // (`tests/integration_chaos.rs` moves those).
+        let service = Service::start(
+            ServiceConfig::default()
+                .parallelism(1)
+                .max_concurrent_jobs(1)
+                .queue_capacity(1)
+                .cache_capacity(1)
+                .backend_policy(BackendPolicy::cluster_above(8, 2)),
+        );
+        let narrow = Arc::new(generators::bv(5));
+        let request = |seed| JobRequest::new(Arc::clone(&narrow)).shots(8).seed(seed);
+        // Miss, then hit: single-node.
+        let first = service.submit("a", request(1)).unwrap();
+        first.wait().unwrap();
+        service.submit("a", request(2)).unwrap().wait().unwrap();
+        // Miss that evicts the first plan: cluster.
+        let wide = JobRequest::new(Arc::new(generators::qft(8))).shots(8);
+        service.submit("a", wide).unwrap().wait().unwrap();
+        // Plan failure.
+        let empty = JobRequest::new(Arc::new(tqsim_circuit::Circuit::new(3)));
+        assert!(service.submit("a", empty).unwrap().wait().is_err());
+        // Cancel, queue-full reject and deadline, all while queued.
+        service.pause_scheduling();
+        let queued = service.submit("a", request(3)).unwrap();
+        assert!(service.submit("a", request(4)).is_err());
+        assert!(queued.cancel());
+        let late = request(5).deadline(std::time::Duration::from_millis(1));
+        let late = service.submit("a", late).unwrap();
+        assert_eq!(late.wait().unwrap_err(), JobError::DeadlineExceeded);
+        service.resume_scheduling();
+        assert!(service.forget(first.id()));
+        wait_drained(&service);
+
+        let stats = service.stats();
+        let snap = service.metrics();
+        type Labels<'a> = &'a [(&'a str, &'a str)];
+        let single: Labels = &[("backend", "single_node")];
+        let cluster: Labels = &[("backend", "cluster")];
+        #[rustfmt::skip]
+        let counters: [(&str, u64, &str, Labels); 18] = [
+            ("submitted", stats.submitted, "tqsim_jobs_submitted_total", &[]),
+            ("rejected", stats.rejected, "tqsim_jobs_rejected_total", &[]),
+            ("completed", stats.completed, "tqsim_jobs_completed_total", &[]),
+            ("failed", stats.failed, "tqsim_jobs_failed_total", &[]),
+            ("cancelled", stats.cancelled, "tqsim_jobs_cancelled_total", &[]),
+            ("aborted", stats.aborted, "tqsim_jobs_aborted_total", &[]),
+            ("retried", stats.retried, "tqsim_jobs_retried_total", &[]),
+            ("timed_out", stats.timed_out, "tqsim_jobs_timed_out_total", &[]),
+            ("degraded", stats.degraded, "tqsim_jobs_degraded_total", &[]),
+            ("forgotten", stats.forgotten, "tqsim_jobs_forgotten_total", &[]),
+            ("chunks_streamed", stats.chunks_streamed, "tqsim_chunks_streamed_total", &[]),
+            ("outcomes_streamed", stats.outcomes_streamed, "tqsim_outcomes_streamed_total", &[]),
+            ("single_node_jobs", stats.single_node_jobs, "tqsim_jobs_placed_total", single),
+            ("cluster_jobs", stats.cluster_jobs, "tqsim_jobs_placed_total", cluster),
+            ("cache.hits", stats.cache.hits, "tqsim_plan_cache_hits_total", &[]),
+            ("cache.misses", stats.cache.misses, "tqsim_plan_cache_misses_total", &[]),
+            ("cache.evictions", stats.cache.evictions, "tqsim_plan_cache_evictions_total", &[]),
+            ("cache.compiled", stats.cache.compiled, "tqsim_plan_cache_compiled_total", &[]),
+        ];
+        for (field, value, name, labels) in counters {
+            assert_eq!(snap.counter(name, labels), Some(value), "{field} vs {name}");
+            let needs_faults = matches!(field, "aborted" | "retried" | "degraded");
+            assert_eq!(value > 0, !needs_faults, "{field} = {value}");
+        }
+        #[rustfmt::skip]
+        let gauges: [(&str, usize, &str); 5] = [
+            ("queued_now", stats.queued_now, "tqsim_queue_depth"),
+            ("running_now", stats.running_now, "tqsim_jobs_running"),
+            ("running_high_water", stats.running_high_water, "tqsim_running_high_water"),
+            ("retained_jobs", stats.retained_jobs, "tqsim_retained_jobs"),
+            ("cache.entries", stats.cache.entries, "tqsim_plan_cache_entries"),
+        ];
+        for (field, value, name) in gauges {
+            assert_eq!(
+                snap.gauge(name, &[]),
+                Some(value as i64),
+                "{field} vs {name}"
+            );
+        }
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.rejected,
+                stats.completed,
+                stats.failed
+            ),
+            (6, 1, 3, 1)
+        );
+        assert_eq!(
+            (stats.cancelled, stats.timed_out, stats.forgotten),
+            (1, 1, 1)
+        );
+        assert_eq!((stats.single_node_jobs, stats.cluster_jobs), (2, 1));
+        assert_eq!(
+            (stats.cache.hits, stats.cache.misses, stats.cache.evictions),
+            (1, 3, 1)
+        );
+        assert_eq!((stats.cache.compiled, stats.cache.entries), (2, 1));
+        assert_eq!(stats.running_high_water, 1);
         service.shutdown();
     }
 

@@ -1,22 +1,29 @@
 //! Service-side observability: one shared [`Registry`] holding the
-//! per-stage job latency histograms, scheduler gauges, engine worker
-//! instruments, cluster communication totals and mirrored service/cache/
-//! pool counters.
+//! service's job counters and per-stage latency histograms, the plan
+//! cache's counters, scheduler gauges, engine worker instruments, cluster
+//! communication totals and pool statistics.
 //!
 //! Two kinds of instruments live here:
 //!
-//! - **Live** instruments are held as `Arc`s by the hot paths and updated
-//!   as events happen: the five `tqsim_job_stage_ns{stage=…}` histograms
-//!   (recorded once per completed job, so each histogram's `count` equals
-//!   the completed-job count), the queue-depth and per-backend in-flight
-//!   gauges, the `tqsim_ops_total{kind=…}` operation counters and the
-//!   `tqsim_cluster_*_total` counters (incremented inside the distributed
-//!   state vector). The engine's per-worker busy/steal/idle counters are
-//!   registered by the engines themselves via `EngineConfig::observe`.
-//! - **Mirrored** values already have an authoritative home elsewhere
-//!   (`ServiceCounters`, `CacheStats`, the engines' `PoolStats`, scheduler
-//!   lock state); [`ServiceMetrics::refresh`] copies them into the registry
-//!   at snapshot time so one exposition covers everything.
+//! - **Live** instruments are held as `Arc`s by the code that counts and
+//!   are the only store of what they count: the `tqsim_jobs_*_total`,
+//!   `tqsim_chunks_streamed_total` / `tqsim_outcomes_streamed_total` and
+//!   `tqsim_jobs_placed_total{backend=…}` counters ([`JobCounters`], read
+//!   back by `Service::stats`), the plan cache's
+//!   `tqsim_plan_cache_*_total` counters (held by the cache itself), the
+//!   five `tqsim_job_stage_ns{stage=…}` histograms (recorded once per
+//!   completed job, so each histogram's `count` equals the completed-job
+//!   count), the per-backend in-flight gauges, the running high water
+//!   (raised at scheduler pop), the `tqsim_ops_total{kind=…}` operation
+//!   counters and the `tqsim_cluster_*_total` counters (incremented inside
+//!   the distributed state vector). The engine's per-worker
+//!   busy/steal/idle counters are registered by the engines themselves via
+//!   `EngineConfig::observe`.
+//! - **Refreshed** values have their home in another crate or behind a
+//!   lock: the engines' `PoolStats`, the process-wide amplitude pool, and
+//!   the queue depth, running jobs, retained records and cache occupancy.
+//!   [`ServiceMetrics::refresh`] copies them into the registry at snapshot
+//!   time so one exposition covers everything.
 //!
 //! Stage semantics (all nanoseconds, from the same four instants, so
 //! `queue_wait + compile + execute == e2e` exactly):
@@ -29,14 +36,11 @@
 //! | `stream` | execution start → last streamed chunk (0 if none) |
 //! | `e2e` | admission → terminal |
 
-use crate::cache::CacheStats;
-use crate::job::ServiceCounters;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tqsim::OpCounts;
 use tqsim_cluster::ClusterObs;
 use tqsim_engine::PoolStats;
-use tqsim_obs::{Gauge, Histogram, Registry};
+use tqsim_obs::{Counter, Gauge, Histogram, Registry};
 
 /// The per-stage latency histogram family name.
 pub(crate) const STAGE_HIST: &str = "tqsim_job_stage_ns";
@@ -48,6 +52,8 @@ pub(crate) const STAGES: [&str; 5] = ["queue_wait", "compile", "execute", "strea
 pub(crate) struct ServiceMetrics {
     /// The instrument directory everything registers into.
     pub registry: Arc<Registry>,
+    /// Job lifecycle counters (the store behind `ServiceStats`).
+    pub jobs: JobCounters,
     /// admission → scheduler pop.
     pub queue_wait_ns: Arc<Histogram>,
     /// scheduler pop → execution start.
@@ -58,8 +64,8 @@ pub(crate) struct ServiceMetrics {
     pub stream_ns: Arc<Histogram>,
     /// admission → terminal.
     pub e2e_ns: Arc<Histogram>,
-    /// Jobs waiting for a scheduler slot right now.
-    pub queue_depth: Arc<Gauge>,
+    /// Most jobs ever executing at once.
+    pub running_high_water: Arc<Gauge>,
     /// Jobs executing on the single-node engine right now.
     pub inflight_single: Arc<Gauge>,
     /// Jobs executing on the cluster engine right now.
@@ -70,19 +76,62 @@ pub(crate) struct ServiceMetrics {
     pub cluster: Arc<ClusterObs>,
 }
 
+/// The job counters: one registry counter per `ServiceStats` counter of
+/// the same name, incremented where the event happens.
+pub(crate) struct JobCounters {
+    pub submitted: Arc<Counter>,
+    pub rejected: Arc<Counter>,
+    pub completed: Arc<Counter>,
+    pub failed: Arc<Counter>,
+    pub cancelled: Arc<Counter>,
+    pub aborted: Arc<Counter>,
+    pub retried: Arc<Counter>,
+    pub timed_out: Arc<Counter>,
+    pub degraded: Arc<Counter>,
+    pub forgotten: Arc<Counter>,
+    pub chunks_streamed: Arc<Counter>,
+    pub outcomes_streamed: Arc<Counter>,
+    pub single_node_jobs: Arc<Counter>,
+    pub cluster_jobs: Arc<Counter>,
+}
+
+impl JobCounters {
+    fn register(registry: &Registry) -> Self {
+        let c = |name: &str| registry.counter(name, &[]);
+        let placed =
+            |backend: &str| registry.counter("tqsim_jobs_placed_total", &[("backend", backend)]);
+        JobCounters {
+            submitted: c("tqsim_jobs_submitted_total"),
+            rejected: c("tqsim_jobs_rejected_total"),
+            completed: c("tqsim_jobs_completed_total"),
+            failed: c("tqsim_jobs_failed_total"),
+            cancelled: c("tqsim_jobs_cancelled_total"),
+            aborted: c("tqsim_jobs_aborted_total"),
+            retried: c("tqsim_jobs_retried_total"),
+            timed_out: c("tqsim_jobs_timed_out_total"),
+            degraded: c("tqsim_jobs_degraded_total"),
+            forgotten: c("tqsim_jobs_forgotten_total"),
+            chunks_streamed: c("tqsim_chunks_streamed_total"),
+            outcomes_streamed: c("tqsim_outcomes_streamed_total"),
+            single_node_jobs: placed("single_node"),
+            cluster_jobs: placed("cluster"),
+        }
+    }
+}
+
 /// `tqsim_ops_total{kind=…}` counters, one per [`OpCounts`] field,
 /// pre-registered so the completion path stays lock-free.
 struct OpTotals {
-    gates_1q: Arc<tqsim_obs::Counter>,
-    gates_2q: Arc<tqsim_obs::Counter>,
-    gates_3q: Arc<tqsim_obs::Counter>,
-    noise_ops: Arc<tqsim_obs::Counter>,
-    state_copies: Arc<tqsim_obs::Counter>,
-    state_resets: Arc<tqsim_obs::Counter>,
-    samples: Arc<tqsim_obs::Counter>,
-    amp_passes: Arc<tqsim_obs::Counter>,
-    fused_gates: Arc<tqsim_obs::Counter>,
-    nodes_shared: Arc<tqsim_obs::Counter>,
+    gates_1q: Arc<Counter>,
+    gates_2q: Arc<Counter>,
+    gates_3q: Arc<Counter>,
+    noise_ops: Arc<Counter>,
+    state_copies: Arc<Counter>,
+    state_resets: Arc<Counter>,
+    samples: Arc<Counter>,
+    amp_passes: Arc<Counter>,
+    fused_gates: Arc<Counter>,
+    nodes_shared: Arc<Counter>,
 }
 
 impl OpTotals {
@@ -103,16 +152,17 @@ impl OpTotals {
     }
 }
 
-/// Scheduler-lock values copied into gauges by [`ServiceMetrics::refresh`].
+/// Values read at snapshot time (under the scheduler, registry and cache
+/// locks) and copied into gauges by [`ServiceMetrics::refresh`].
 pub(crate) struct GaugeRefresh {
     /// Jobs waiting for a slot.
     pub queued: usize,
     /// Jobs executing right now.
     pub running: usize,
-    /// Most jobs ever executing at once.
-    pub running_high_water: usize,
     /// Terminal records retained in the registry.
     pub retained: usize,
+    /// Plans resident in the cache.
+    pub cache_entries: usize,
 }
 
 impl ServiceMetrics {
@@ -121,12 +171,13 @@ impl ServiceMetrics {
         let registry = Registry::new();
         let stage = |s: &str| registry.histogram(STAGE_HIST, &[("stage", s)]);
         Arc::new(ServiceMetrics {
+            jobs: JobCounters::register(&registry),
             queue_wait_ns: stage(STAGES[0]),
             compile_ns: stage(STAGES[1]),
             execute_ns: stage(STAGES[2]),
             stream_ns: stage(STAGES[3]),
             e2e_ns: stage(STAGES[4]),
-            queue_depth: registry.gauge("tqsim_queue_depth", &[]),
+            running_high_water: registry.gauge("tqsim_running_high_water", &[]),
             inflight_single: registry.gauge("tqsim_jobs_inflight", &[("backend", "single_node")]),
             inflight_cluster: registry.gauge("tqsim_jobs_inflight", &[("backend", "cluster")]),
             ops: OpTotals::register(&registry),
@@ -149,49 +200,11 @@ impl ServiceMetrics {
         self.ops.nodes_shared.add(ops.nodes_shared);
     }
 
-    /// Copy the mirrored values (service counters, cache stats, per-engine
-    /// pool stats, scheduler gauges) into the registry, so the next
+    /// Copy the refreshed values (per-engine pool stats, the amplitude
+    /// pool, snapshot-time gauges) into the registry, so the next
     /// snapshot / exposition is a complete, coherent view.
-    pub(crate) fn refresh(
-        &self,
-        counters: &ServiceCounters,
-        cache: &CacheStats,
-        pools: &[(&'static str, PoolStats)],
-        gauges: GaugeRefresh,
-    ) {
+    pub(crate) fn refresh(&self, pools: &[(&'static str, PoolStats)], gauges: GaugeRefresh) {
         let r = &self.registry;
-        let mirror = |name: &str, v: u64| r.counter(name, &[]).set(v);
-        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        mirror("tqsim_jobs_submitted_total", load(&counters.submitted));
-        mirror("tqsim_jobs_rejected_total", load(&counters.rejected));
-        mirror("tqsim_jobs_completed_total", load(&counters.completed));
-        mirror("tqsim_jobs_failed_total", load(&counters.failed));
-        mirror("tqsim_jobs_cancelled_total", load(&counters.cancelled));
-        mirror("tqsim_jobs_aborted_total", load(&counters.aborted));
-        mirror("tqsim_jobs_retried_total", load(&counters.retried));
-        mirror("tqsim_jobs_timed_out_total", load(&counters.timed_out));
-        mirror("tqsim_jobs_degraded_total", load(&counters.degraded));
-        mirror("tqsim_jobs_forgotten_total", load(&counters.forgotten));
-        mirror(
-            "tqsim_chunks_streamed_total",
-            load(&counters.chunks_streamed),
-        );
-        mirror(
-            "tqsim_outcomes_streamed_total",
-            load(&counters.outcomes_streamed),
-        );
-        r.counter("tqsim_jobs_placed_total", &[("backend", "single_node")])
-            .set(load(&counters.single_node_jobs));
-        r.counter("tqsim_jobs_placed_total", &[("backend", "cluster")])
-            .set(load(&counters.cluster_jobs));
-
-        mirror("tqsim_plan_cache_hits_total", cache.hits);
-        mirror("tqsim_plan_cache_misses_total", cache.misses);
-        mirror("tqsim_plan_cache_evictions_total", cache.evictions);
-        mirror("tqsim_plan_cache_compiled_total", cache.compiled);
-        r.gauge("tqsim_plan_cache_entries", &[])
-            .set(cache.entries as i64);
-
         for (scope, pool) in pools {
             let labels = [("engine", *scope)];
             r.counter("tqsim_state_pool_allocations_total", &labels)
@@ -211,17 +224,17 @@ impl ServiceMetrics {
         // The process-wide amplitude worker pool (the rayon shim): one
         // pool under every engine, so the totals are process-level.
         let amp = rayon::pool_stats();
-        mirror("tqsim_amp_pool_tasks", amp.tasks);
-        mirror("tqsim_amp_pool_busy_ns", amp.busy_ns);
+        r.counter("tqsim_amp_pool_tasks", &[]).set(amp.tasks);
+        r.counter("tqsim_amp_pool_busy_ns", &[]).set(amp.busy_ns);
         r.gauge("tqsim_amp_pool_threads", &[])
             .set(amp.threads as i64);
 
-        self.queue_depth.set(gauges.queued as i64);
+        r.gauge("tqsim_queue_depth", &[]).set(gauges.queued as i64);
         r.gauge("tqsim_jobs_running", &[])
             .set(gauges.running as i64);
-        r.gauge("tqsim_running_high_water", &[])
-            .set_max(gauges.running_high_water as i64);
         r.gauge("tqsim_retained_jobs", &[])
             .set(gauges.retained as i64);
+        r.gauge("tqsim_plan_cache_entries", &[])
+            .set(gauges.cache_entries as i64);
     }
 }

@@ -222,14 +222,13 @@ impl FairQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::ServiceCounters;
+    use crate::metrics::ServiceMetrics;
     use crate::service::JobRequest;
     use tqsim_circuit::generators;
 
     fn job(id: u64, client: &str) -> PendingJob {
-        let counters = Arc::new(ServiceCounters::default());
         PendingJob {
-            record: JobRecord::new(id, client, counters, None),
+            record: JobRecord::new(id, client, ServiceMetrics::new()),
             request: JobRequest::new(Arc::new(generators::bv(4))),
         }
     }

@@ -2,11 +2,11 @@
 //! engine, and the stats snapshot.
 
 use crate::cache::{CacheStats, PlanCache, PlanKey};
-use crate::job::{JobError, JobId, JobRecord, ServiceCounters, Ticket};
+use crate::job::{JobError, JobId, JobRecord, Ticket};
 use crate::metrics::{GaugeRefresh, ServiceMetrics};
 use crate::queue::{FairQueue, PendingJob, SubmitError};
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -189,11 +189,13 @@ pub struct ServiceConfig {
     /// stats snapshots (plus [`Service::sweep_retention`] for explicit
     /// control); `None` retains records for the service lifetime.
     pub retention_ttl: Option<Duration>,
-    /// Whether to run the observability layer (per-stage latency
-    /// histograms, engine/cluster instruments, the `metrics` wire verb).
-    /// On by default; off skips every instrument for a zero-overhead
-    /// baseline. The only measure of the difference is `perf/`'s
-    /// `service_mix` row `obs.overhead_frac` (on vs off, same process).
+    /// Whether the service's engines and cluster backends register their
+    /// per-worker and communication instruments (`EngineConfig::observe`,
+    /// the backends' `observed`). On by default. The service's own job
+    /// counters, stage histograms, gauges and the `metrics` verb are
+    /// always on: they are the only store `stats` reads. The switch
+    /// stays because `perf/`'s `service_mix` compares a rep with it off
+    /// (`obs.overhead_frac`); it goes when that rep does.
     pub observability: bool,
 }
 
@@ -286,8 +288,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Toggle the observability layer (default on; see
-    /// [`ServiceConfig::observability`]).
+    /// Toggle the engines' and cluster backends' instruments (default on;
+    /// see [`ServiceConfig::observability`]).
     pub fn observability(mut self, enabled: bool) -> Self {
         self.observability = enabled;
         self
@@ -654,13 +656,9 @@ pub(crate) struct Shared {
     cluster: Option<ClusterEngine>,
     cache: PlanCache,
     cfg: ServiceConfig,
-    counters: Arc<ServiceCounters>,
-    /// The observability layer (`None` when disabled by config).
-    metrics: Option<Arc<ServiceMetrics>>,
-    /// Most jobs ever executing at once, maintained with an atomic
-    /// monotonic max (`fetch_max`) so concurrent readers never observe a
-    /// torn or regressed high water.
-    running_high_water: AtomicUsize,
+    /// Job counters, stage histograms and gauges: the only store of what
+    /// [`Service::stats`] and [`Service::metrics`] report.
+    metrics: Arc<ServiceMetrics>,
     /// Monotone [`Service::stats`] snapshot sequence.
     snapshot_seq: AtomicU64,
     state: Mutex<SchedState>,
@@ -689,6 +687,30 @@ impl Shared {
         self.work_cv.notify_all();
     }
 
+    /// The snapshot-time gauges, after an opportunistic retention sweep.
+    fn gauges(&self) -> GaugeRefresh {
+        self.sweep_retention(false);
+        let (queued, running) = {
+            let st = self.state.lock().expect("scheduler state");
+            (st.queue.len(), st.running)
+        };
+        // Count only terminal records: live (queued/running) jobs are in
+        // the registry too but are not "retained" in the TTL sense.
+        let retained = self
+            .jobs
+            .lock()
+            .expect("job registry")
+            .values()
+            .filter(|record| record.is_terminal())
+            .count();
+        GaugeRefresh {
+            queued,
+            running,
+            retained,
+            cache_entries: self.cache.stats().entries,
+        }
+    }
+
     /// Drop expired finished-job records (no-op without a TTL). Runs
     /// opportunistically on submissions and stats snapshots — throttled to
     /// once a second unless `force`d (the explicit
@@ -715,12 +737,10 @@ impl Shared {
         let mut jobs = self.jobs.lock().expect("job registry");
         let before = jobs.len();
         jobs.retain(|_, record| !record.expired(ttl));
-        let dropped = (before - jobs.len()) as u64;
-        if dropped > 0 {
-            self.counters
-                .forgotten
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
+        self.metrics
+            .jobs
+            .forgotten
+            .add((before - jobs.len()) as u64);
     }
 }
 
@@ -767,25 +787,26 @@ impl Service {
         // Arm any operator-configured failpoints (`TQSIM_FAILPOINTS`);
         // idempotent and free when the variable is unset.
         tqsim_faults::init_from_env();
-        let metrics = cfg.observability.then(ServiceMetrics::new);
+        let metrics = ServiceMetrics::new();
         let mut engine_cfg = EngineConfig::default().parallelism(cfg.parallelism);
-        if let Some(m) = &metrics {
-            engine_cfg = engine_cfg.observe(Arc::clone(&m.registry), "single_node");
+        let mut cluster_cfg =
+            EngineConfig::default().parallelism(cfg.backend_policy.cluster_parallelism);
+        // The engines' and backends' own instruments, when configured.
+        let mut cluster_obs = None;
+        if cfg.observability {
+            engine_cfg = engine_cfg.observe(Arc::clone(&metrics.registry), "single_node");
+            cluster_cfg = cluster_cfg.observe(Arc::clone(&metrics.registry), "cluster");
+            cluster_obs = Some(Arc::clone(&metrics.cluster));
         }
         let cluster = cfg.backend_policy.cluster_min_qubits.map(|_| {
-            let mut cluster_cfg =
-                EngineConfig::default().parallelism(cfg.backend_policy.cluster_parallelism);
-            if let Some(m) = &metrics {
-                cluster_cfg = cluster_cfg.observe(Arc::clone(&m.registry), "cluster");
-            }
             match cfg.backend_policy.cluster_transport {
                 ClusterTransport::InProcess => {
                     let mut backend = ClusterBackend::new(
                         cfg.backend_policy.cluster_nodes,
                         InterconnectModel::commodity_cluster(),
                     );
-                    if let Some(m) = &metrics {
-                        backend = backend.observed(Arc::clone(&m.cluster));
+                    if let Some(obs) = cluster_obs {
+                        backend = backend.observed(obs);
                     }
                     ClusterEngine::InProcess(Engine::with_backend(cluster_cfg, backend))
                 }
@@ -795,8 +816,8 @@ impl Service {
                     // not something to degrade silently around.
                     let mut backend = ShardBackend::spawn(cfg.backend_policy.cluster_nodes)
                         .unwrap_or_else(|e| panic!("spawning shard workers failed: {e}"));
-                    if let Some(m) = &metrics {
-                        backend = backend.observed(Arc::clone(&m.cluster));
+                    if let Some(obs) = cluster_obs {
+                        backend = backend.observed(obs);
                     }
                     ClusterEngine::MultiProcess(Engine::with_backend(cluster_cfg, backend))
                 }
@@ -805,10 +826,8 @@ impl Service {
         let shared = Arc::new(Shared {
             engine: Engine::new(engine_cfg),
             cluster,
-            cache: PlanCache::new(cfg.cache_capacity),
-            counters: Arc::new(ServiceCounters::default()),
+            cache: PlanCache::new(cfg.cache_capacity, &metrics.registry),
             metrics,
-            running_high_water: AtomicUsize::new(0),
             snapshot_seq: AtomicU64::new(0),
             state: Mutex::new(SchedState {
                 queue: FairQueue::new(cfg.queue_capacity, cfg.per_client_capacity),
@@ -856,17 +875,12 @@ impl Service {
         shared.sweep_retention(false);
         let mut st = shared.state.lock().expect("scheduler state");
         if st.shutdown {
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.jobs.rejected.inc();
             return Err(SubmitError::ShuttingDown);
         }
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = request.deadline;
-        let record = JobRecord::new(
-            id,
-            client,
-            Arc::clone(&shared.counters),
-            shared.metrics.clone(),
-        );
+        let record = JobRecord::new(id, client, Arc::clone(&shared.metrics));
         match st.queue.push(
             client,
             PendingJob {
@@ -875,10 +889,7 @@ impl Service {
             },
         ) {
             Ok(()) => {
-                shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &shared.metrics {
-                    m.queue_depth.set(st.queue.len() as i64);
-                }
+                shared.metrics.jobs.submitted.inc();
                 shared.work_cv.notify_all();
                 drop(st);
                 // Eager queued-cancel removal: a cancellation arriving
@@ -890,9 +901,6 @@ impl Service {
                     if let Some(shared) = weak.upgrade() {
                         let mut st = shared.state.lock().expect("scheduler state");
                         if st.queue.remove(id) {
-                            if let Some(m) = &shared.metrics {
-                                m.queue_depth.set(st.queue.len() as i64);
-                            }
                             shared.work_cv.notify_all();
                         }
                     }
@@ -920,7 +928,7 @@ impl Service {
                 Ok(Ticket { record })
             }
             Err(err) => {
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.jobs.rejected.inc();
                 Err(err)
             }
         }
@@ -941,108 +949,69 @@ impl Service {
     }
 
     /// Observability snapshot (also runs the retention sweep, so
-    /// `retained_jobs` reflects the TTL).
+    /// `retained_jobs` reflects the TTL). A typed read of the same
+    /// instruments [`Service::metrics`] serves.
     pub fn stats(&self) -> ServiceStats {
         let shared = &self.shared;
-        shared.sweep_retention(false);
-        let (queued_now, running_now) = {
-            let st = shared.state.lock().expect("scheduler state");
-            (st.queue.len(), st.running)
-        };
-        let running_high_water = shared.running_high_water.load(Ordering::Relaxed);
-        // Count only terminal records: live (queued/running) jobs are in
-        // the registry too but are not "retained" in the TTL sense.
-        let retained_jobs = shared
-            .jobs
-            .lock()
-            .expect("job registry")
-            .values()
-            .filter(|record| record.is_terminal())
-            .count();
-        let c = &shared.counters;
+        let now = shared.gauges();
+        let m = &shared.metrics;
+        let jobs = &m.jobs;
         ServiceStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            aborted: c.aborted.load(Ordering::Relaxed),
-            retried: c.retried.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed),
-            queued_now,
-            running_now,
-            running_high_water,
-            chunks_streamed: c.chunks_streamed.load(Ordering::Relaxed),
-            outcomes_streamed: c.outcomes_streamed.load(Ordering::Relaxed),
+            submitted: jobs.submitted.get(),
+            rejected: jobs.rejected.get(),
+            completed: jobs.completed.get(),
+            failed: jobs.failed.get(),
+            cancelled: jobs.cancelled.get(),
+            aborted: jobs.aborted.get(),
+            retried: jobs.retried.get(),
+            timed_out: jobs.timed_out.get(),
+            degraded: jobs.degraded.get(),
+            queued_now: now.queued,
+            running_now: now.running,
+            running_high_water: m.running_high_water.get() as usize,
+            chunks_streamed: jobs.chunks_streamed.get(),
+            outcomes_streamed: jobs.outcomes_streamed.get(),
             cache: shared.cache.stats(),
             workers: shared.engine.parallelism(),
             max_concurrent_jobs: shared.cfg.max_concurrent_jobs,
-            single_node_jobs: c.single_node_jobs.load(Ordering::Relaxed),
-            cluster_jobs: c.cluster_jobs.load(Ordering::Relaxed),
-            retained_jobs,
-            forgotten: c.forgotten.load(Ordering::Relaxed),
+            single_node_jobs: jobs.single_node_jobs.get(),
+            cluster_jobs: jobs.cluster_jobs.get(),
+            retained_jobs: now.retained,
+            forgotten: jobs.forgotten.get(),
             uptime_secs: shared.started.elapsed().as_secs(),
             snapshot_seq: shared.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1,
         }
     }
 
-    /// A structured metrics snapshot: per-stage latency histograms, queue
-    /// and in-flight gauges, engine worker instruments, cluster
-    /// communication totals and mirrored service/cache/pool counters.
-    /// `None` when observability is disabled (see
-    /// [`ServiceConfig::observability`]).
-    pub fn metrics(&self) -> Option<tqsim_obs::Snapshot> {
-        let m = self.refreshed_metrics()?;
-        Some(m.registry.snapshot())
+    /// A structured metrics snapshot: per-stage latency histograms, job,
+    /// cache and operation counters, queue and in-flight gauges, engine
+    /// worker instruments, cluster communication totals and pool stats.
+    pub fn metrics(&self) -> tqsim_obs::Snapshot {
+        self.refreshed_registry().snapshot()
     }
 
     /// The Prometheus-style text exposition of [`Service::metrics`].
-    /// `None` when observability is disabled.
-    pub fn metrics_text(&self) -> Option<String> {
-        let m = self.refreshed_metrics()?;
-        Some(m.registry.render_text())
+    pub fn metrics_text(&self) -> String {
+        self.refreshed_registry().render_text()
     }
 
     /// The per-job lifecycle event timeline (a bounded ring; the most
-    /// recent events, oldest first). `None` when observability is disabled.
-    pub fn metrics_events(&self) -> Option<Vec<tqsim_obs::Event>> {
-        let m = self.shared.metrics.as_ref()?;
-        Some(m.registry.events().snapshot())
+    /// recent events, oldest first).
+    pub fn metrics_events(&self) -> Vec<tqsim_obs::Event> {
+        self.shared.metrics.registry.events().snapshot()
     }
 
-    /// Refresh the mirrored instruments and hand back the metrics layer.
-    fn refreshed_metrics(&self) -> Option<&ServiceMetrics> {
+    /// Copy the state other crates and locks own into the registry and
+    /// hand the registry back.
+    fn refreshed_registry(&self) -> &tqsim_obs::Registry {
         let shared = &self.shared;
-        let m = shared.metrics.as_ref()?;
-        shared.sweep_retention(false);
-        let (queued, running) = {
-            let st = shared.state.lock().expect("scheduler state");
-            (st.queue.len(), st.running)
-        };
-        let retained = shared
-            .jobs
-            .lock()
-            .expect("job registry")
-            .values()
-            .filter(|record| record.is_terminal())
-            .count();
+        let gauges = shared.gauges();
         let mut pools = vec![("single_node", shared.engine.pool_stats())];
         if let Some(cluster) = &shared.cluster {
             pools.push(("cluster", cluster.pool_stats()));
         }
-        m.refresh(
-            &shared.counters,
-            &shared.cache.stats(),
-            &pools,
-            GaugeRefresh {
-                queued,
-                running,
-                running_high_water: shared.running_high_water.load(Ordering::Relaxed),
-                retained,
-            },
-        );
-        Some(m)
+        shared.metrics.refresh(&pools, gauges);
+        &shared.metrics.registry
     }
 
     /// Drop finished-job records older than the configured TTL now (the
@@ -1059,10 +1028,7 @@ impl Service {
         let forgettable = jobs.get(&id).is_some_and(|record| record.is_terminal());
         if forgettable {
             jobs.remove(&id);
-            self.shared
-                .counters
-                .forgotten
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.jobs.forgotten.inc();
         }
         forgettable
     }
@@ -1139,12 +1105,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
                         st.running += 1;
                         // Atomic monotonic max: concurrent stats readers
                         // never see the high water regress.
-                        shared
-                            .running_high_water
-                            .fetch_max(st.running, Ordering::Relaxed);
-                        if let Some(m) = &shared.metrics {
-                            m.queue_depth.set(st.queue.len() as i64);
-                        }
+                        shared.metrics.running_high_water.set_max(st.running as i64);
                         break job;
                     }
                 }
@@ -1182,10 +1143,7 @@ fn dispatch(shared: &Arc<Shared>, pending: PendingJob) {
     // RAII span: planning wall time (cache-miss dispatches only) lands in
     // the `tqsim_plan_ns` histogram when the guard drops.
     let plan = {
-        let _span = shared
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span("tqsim_plan_ns", &[]));
+        let _span = shared.metrics.registry.span("tqsim_plan_ns", &[]);
         shared.cache.get_or_plan(&pending.request.plan_key())
     };
     let plan = match plan {
@@ -1286,21 +1244,17 @@ fn start_attempt(
     };
     // Count each *job* once per backend; retries and degradation re-runs
     // are tracked by their own counters.
+    let m = &shared.metrics;
+    let (placed, inflight) = match placement {
+        Placement::SingleNode => (&m.jobs.single_node_jobs, &m.inflight_single),
+        Placement::Cluster => (&m.jobs.cluster_jobs, &m.inflight_cluster),
+    };
     if attempt == 1 && forced.is_none() {
-        match placement {
-            Placement::SingleNode => &shared.counters.single_node_jobs,
-            Placement::Cluster => &shared.counters.cluster_jobs,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        placed.inc();
     }
     // Per-backend in-flight gauge: up here, down in the completion hook.
-    let inflight = shared.metrics.as_ref().map(|m| match placement {
-        Placement::SingleNode => Arc::clone(&m.inflight_single),
-        Placement::Cluster => Arc::clone(&m.inflight_cluster),
-    });
-    if let Some(gauge) = &inflight {
-        gauge.inc();
-    }
+    let inflight = Arc::clone(inflight);
+    inflight.inc();
     record.set_running();
     let sink: ChunkSink = {
         let record = Arc::clone(&record);
@@ -1326,9 +1280,7 @@ fn start_attempt(
         let produced = result.counts.total();
         if produced >= expected {
             record.finish(result);
-            if let Some(gauge) = &inflight {
-                gauge.dec();
-            }
+            inflight.dec();
             done_shared.job_slot_freed();
             return;
         }
@@ -1344,9 +1296,7 @@ fn start_attempt(
             .map(|payload| panic_message(&payload))
             .unwrap_or_else(|| "node task panicked".into());
         let detail = format!("execution aborted ({produced}/{expected} outcomes): {detail}");
-        if let Some(gauge) = &inflight {
-            gauge.dec();
-        }
+        inflight.dec();
         attempt_failed(
             &done_shared,
             done_record,
@@ -1424,7 +1374,7 @@ fn attempt_failed(
             shared.job_slot_freed();
             return;
         }
-        shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.jobs.degraded.inc();
         start_attempt(
             shared,
             record,

@@ -16,11 +16,14 @@
 //! | `{"op":"cancel","job":1}` | `{"ok":true,"cancelled":true}` |
 //! | `{"op":"forget","job":1}` | `{"ok":true,"forgotten":true}` (drops a finished job's record; live jobs are refused with `"forgotten":false`) |
 //! | `{"op":"stats"}` | `{"ok":true,"submitted":…,"uptime_secs":…,"snapshot_seq":…,"cache":{"hits":…},…}` |
-//! | `{"op":"metrics"}` | `{"ok":true,"uptime_secs":…,"counters":[{"name":…,"labels":{…},"value":…}],"gauges":[…],"histograms":[{"name":"tqsim_job_stage_ns","labels":{"stage":"execute"},"count":…,"p50_ns":…,"p90_ns":…,"p99_ns":…,…}]}` (add `"events":true` for the lifecycle timeline; `"format":"text"` returns `{"ok":true,"text":"<Prometheus exposition>"}`; refused when observability is disabled) |
+//! | `{"op":"metrics"}` | `{"ok":true,"uptime_secs":…,"counters":[{"name":…,"labels":{…},"value":…}],"gauges":[…],"histograms":[{"name":"tqsim_job_stage_ns","labels":{"stage":"execute"},"count":…,"p50_ns":…,"p90_ns":…,"p99_ns":…,…}]}` (add `"events":true` for the lifecycle timeline; `"format":"text"` returns `{"ok":true,"text":"<Prometheus exposition>"}`) |
 //!
 //! Error responses carry a stable machine-readable `"code"` alongside the
 //! human-readable `"error"` — clients branch on the code, never on message
-//! text. Admission refusals use `queue_full` / `client_queue_full` /
+//! text. Malformed requests (an overlong line, unparsable JSON, bad submit
+//! fields, an unknown `op` or metrics `format`, a missing `job` id) use
+//! `bad_request`; a job id the service does not know uses `unknown_job`.
+//! Admission refusals use `queue_full` / `client_queue_full` /
 //! `shutting_down` (the first two add a `"retry_after_ms"` backoff hint);
 //! terminal job failures use `job_failed` / `job_aborted` /
 //! `job_cancelled` / `deadline_exceeded` / `backend_unavailable`.
@@ -241,7 +244,11 @@ pub fn request_from_json(value: &Value) -> Result<(String, JobRequest), String> 
         request = request.strategy(strategy_from_json(strategy)?);
     }
     if let Some(shots) = value.get("shots") {
-        request = request.shots(shots.as_u64().ok_or("shots must be a positive integer")?);
+        let shots = shots
+            .as_u64()
+            .filter(|&n| n >= 1)
+            .ok_or("shots must be a positive integer")?;
+        request = request.shots(shots);
     }
     if let Some(seed) = value.get("seed") {
         request = request.seed(seed.as_u64().ok_or("seed must be an integer ≤ 2^53")?);
@@ -425,15 +432,9 @@ fn events_to_json(events: &[tqsim_obs::Event]) -> Value {
     )
 }
 
-fn error_json(message: impl std::fmt::Display) -> Value {
-    obj(vec![
-        ("ok", Value::Bool(false)),
-        ("error", str_val(message.to_string())),
-    ])
-}
-
-/// [`error_json`] plus the stable machine-readable `"code"` (clients
-/// branch on the code, never on message text).
+/// An error reply: the human-readable `"error"` and the stable
+/// machine-readable `"code"` (clients branch on the code, never on message
+/// text).
 fn coded_error_json(message: impl std::fmt::Display, code: &'static str) -> Value {
     obj(vec![
         ("ok", Value::Bool(false)),
@@ -441,6 +442,9 @@ fn coded_error_json(message: impl std::fmt::Display, code: &'static str) -> Valu
         ("code", str_val(code)),
     ])
 }
+
+/// The error code of a malformed request.
+const BAD_REQUEST: &str = "bad_request";
 
 /// How long a refused submitter should back off before retrying. One
 /// scheduler pop frees one admission slot, so a couple of poll intervals
@@ -662,7 +666,10 @@ fn handle_connection(service: &Service, stream: TcpStream) {
         }
         let overlong = !line.ends_with('\n') && line.len() as u64 >= MAX_LINE_BYTES;
         if overlong {
-            let _ = write_line(&mut writer, &error_json("request line too long"));
+            let _ = write_line(
+                &mut writer,
+                &coded_error_json("request line too long", BAD_REQUEST),
+            );
             let _ = writer.flush();
             return;
         }
@@ -690,12 +697,12 @@ fn handle_line(
 ) -> std::io::Result<()> {
     let request = match json::parse(line) {
         Ok(v) => v,
-        Err(e) => return write_line(writer, &error_json(e)),
+        Err(e) => return write_line(writer, &coded_error_json(e, BAD_REQUEST)),
     };
     let op = request.get("op").and_then(Value::as_str).unwrap_or("");
     match op {
         "submit" => match request_from_json(&request) {
-            Err(msg) => write_line(writer, &error_json(msg)),
+            Err(msg) => write_line(writer, &coded_error_json(msg, BAD_REQUEST)),
             Ok((client, job_request)) => match service.submit(&client, job_request) {
                 Ok(ticket) => write_line(
                     writer,
@@ -811,33 +818,32 @@ fn handle_line(
                 .and_then(Value::as_str)
                 .unwrap_or("json");
             let reply = match format {
-                "text" => match service.metrics_text() {
-                    Some(text) => obj(vec![("ok", Value::Bool(true)), ("text", str_val(text))]),
-                    None => error_json("observability disabled"),
-                },
-                "json" => match service.metrics() {
-                    Some(snap) => {
-                        let mut reply = metrics_to_json(&snap);
-                        let want_events = request
-                            .get("events")
-                            .and_then(Value::as_bool)
-                            .unwrap_or(false);
-                        if want_events {
-                            if let (Value::Obj(fields), Some(events)) =
-                                (&mut reply, service.metrics_events())
-                            {
-                                fields.push(("events".to_string(), events_to_json(&events)));
-                            }
+                "text" => obj(vec![
+                    ("ok", Value::Bool(true)),
+                    ("text", str_val(service.metrics_text())),
+                ]),
+                "json" => {
+                    let mut reply = metrics_to_json(&service.metrics());
+                    let want_events = request
+                        .get("events")
+                        .and_then(Value::as_bool)
+                        .unwrap_or(false);
+                    if want_events {
+                        if let Value::Obj(fields) = &mut reply {
+                            let events = events_to_json(&service.metrics_events());
+                            fields.push(("events".to_string(), events));
                         }
-                        reply
                     }
-                    None => error_json("observability disabled"),
-                },
-                other => error_json(format!("unknown metrics format {other:?}")),
+                    reply
+                }
+                other => coded_error_json(format!("unknown metrics format {other:?}"), BAD_REQUEST),
             };
             write_line(writer, &reply)
         }
-        other => write_line(writer, &error_json(format!("unknown op {other:?}"))),
+        other => write_line(
+            writer,
+            &coded_error_json(format!("unknown op {other:?}"), BAD_REQUEST),
+        ),
     }
 }
 
@@ -848,11 +854,17 @@ fn with_ticket(
     f: impl FnOnce(Ticket, &mut dyn Write) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let Some(id) = request.get("job").and_then(Value::as_u64) else {
-        return write_line(writer, &error_json("request needs a numeric \"job\""));
+        return write_line(
+            writer,
+            &coded_error_json("request needs a numeric \"job\"", BAD_REQUEST),
+        );
     };
     match service.lookup(id) {
         Some(ticket) => f(ticket, writer),
-        None => write_line(writer, &error_json(format!("unknown job {id}"))),
+        None => write_line(
+            writer,
+            &coded_error_json(format!("unknown job {id}"), "unknown_job"),
+        ),
     }
 }
 
@@ -998,5 +1010,66 @@ mod tests {
         assert_eq!(request.shots, 64);
         assert_eq!(request.seed, 0);
         assert_eq!(request.noise, NoiseModel::sycamore());
+    }
+
+    #[test]
+    fn submit_decode_refuses_out_of_range_fields() {
+        let circuit = r#""circuit":{"n":1,"gates":[["h",0]]}"#;
+        for (field, bad) in [
+            ("shots", r#""shots":0"#),
+            ("shots", r#""shots":-1"#),
+            ("leaf_samples", r#""leaf_samples":0"#),
+            ("retry_max_attempts", r#""retry_max_attempts":0"#),
+            ("deadline_ms", r#""deadline_ms":0"#),
+        ] {
+            let value = json::parse(&format!(r#"{{"op":"submit",{circuit},{bad}}}"#)).unwrap();
+            let err = request_from_json(&value).expect_err(bad);
+            assert!(err.contains(field), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn stats_reply_keys_are_pinned() {
+        // Clients (and `perf`'s service view) read these keys by name.
+        let keys = |value: &Value| -> Vec<String> {
+            match value {
+                Value::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+                other => panic!("not an object: {other:?}"),
+            }
+        };
+        let reply = stats_to_json(&ServiceStats::default());
+        assert_eq!(
+            keys(&reply),
+            [
+                "ok",
+                "submitted",
+                "rejected",
+                "completed",
+                "failed",
+                "cancelled",
+                "aborted",
+                "retried",
+                "timed_out",
+                "degraded",
+                "queued_now",
+                "running_now",
+                "running_high_water",
+                "chunks_streamed",
+                "outcomes_streamed",
+                "uptime_secs",
+                "snapshot_seq",
+                "workers",
+                "max_concurrent_jobs",
+                "single_node_jobs",
+                "cluster_jobs",
+                "retained_jobs",
+                "forgotten",
+                "cache",
+            ]
+        );
+        assert_eq!(
+            keys(reply.get("cache").unwrap()),
+            ["hits", "misses", "evictions", "compiled", "entries"]
+        );
     }
 }

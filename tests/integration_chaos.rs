@@ -110,11 +110,9 @@ fn assert_quiescent(service: &Service) {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    if let Some(snap) = service.metrics() {
-        for gauge in &snap.gauges {
-            if gauge.name == "tqsim_jobs_inflight" {
-                assert_eq!(gauge.value, 0, "in-flight gauge {:?} drained", gauge.labels);
-            }
+    for gauge in &service.metrics().gauges {
+        if gauge.name == "tqsim_jobs_inflight" {
+            assert_eq!(gauge.value, 0, "in-flight gauge {:?} drained", gauge.labels);
         }
     }
 }
@@ -122,7 +120,6 @@ fn assert_quiescent(service: &Service) {
 fn counter_value(service: &Service, name: &str) -> u64 {
     service
         .metrics()
-        .expect("observability on")
         .counters
         .iter()
         .filter(|c| c.name == name)
@@ -194,8 +191,7 @@ fn injected_panic_fails_one_job_while_concurrent_tcp_clients_complete() {
     let service = Service::start(
         ServiceConfig::default()
             .parallelism(2)
-            .max_concurrent_jobs(2)
-            .observability(true),
+            .max_concurrent_jobs(2),
     );
     let server = wire::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     // Exactly one node task — of whichever job gets there first — panics.
@@ -307,8 +303,7 @@ fn amplitude_worker_panic_aborts_job_and_leaves_pool_healthy() {
     let service = Service::start(
         ServiceConfig::default()
             .parallelism(2)
-            .max_concurrent_jobs(1)
-            .observability(true),
+            .max_concurrent_jobs(1),
     );
     tqsim_faults::configure("par.worker", FaultConfig::panic().nth(1));
     let err = service
@@ -556,7 +551,6 @@ fn persistent_cluster_fault_degrades_to_single_node() {
         ServiceConfig::default()
             .parallelism(2)
             .max_concurrent_jobs(1)
-            .observability(true)
             .backend_policy(BackendPolicy::cluster_above(8, 4)),
     );
     // Every exchange fails: both cluster attempts die, then degradation
@@ -709,8 +703,7 @@ fn failure_counters_match_injected_fault_counts_exactly() {
     let service = Service::start(
         ServiceConfig::default()
             .parallelism(2)
-            .max_concurrent_jobs(1)
-            .observability(true),
+            .max_concurrent_jobs(1),
     );
     let mut injected = 0u64;
     let mut fired = 0u64;
@@ -770,7 +763,6 @@ fn chaos_matrix() {
         ServiceConfig::default()
             .parallelism(2)
             .max_concurrent_jobs(2)
-            .observability(true)
             .backend_policy(BackendPolicy::cluster_above(8, 4)),
     );
     let (site, config) = match mode.as_str() {

@@ -320,17 +320,25 @@ fn tcp_loopback_smoke() {
     );
     assert!(stats.get("cache").is_some());
 
-    // Error paths stay on-protocol.
-    let unknown = client.request(r#"{"op":"poll","job":999999}"#);
-    assert_eq!(
-        unknown.get("ok").and_then(json::Value::as_bool),
-        Some(false)
-    );
-    let garbage = client.request("not json at all");
-    assert_eq!(
-        garbage.get("ok").and_then(json::Value::as_bool),
-        Some(false)
-    );
+    // Error paths stay on-protocol, each with its code.
+    for (line, code) in [
+        (r#"{"op":"poll","job":999999}"#, "unknown_job"),
+        ("not json at all", "bad_request"),
+        (r#"{"op":"poll"}"#, "bad_request"),
+        (r#"{"op":"launch"}"#, "bad_request"),
+        (
+            r#"{"op":"submit","shots":0,"circuit":{"n":1,"gates":[["h",0]]}}"#,
+            "bad_request",
+        ),
+    ] {
+        let reply = client.request(line);
+        assert_eq!(reply.get("ok").and_then(json::Value::as_bool), Some(false));
+        assert_eq!(
+            reply.get("code").and_then(json::Value::as_str),
+            Some(code),
+            "{line}"
+        );
+    }
     let cancel = client.request(&format!("{{\"op\":\"cancel\",\"job\":{job}}}"));
     assert_eq!(
         cancel.get("cancelled").and_then(json::Value::as_bool),
@@ -577,12 +585,18 @@ fn wire_forget_drops_finished_records_and_liveness_reclaims_abandoned_waits() {
         unknown.get("ok").and_then(json::Value::as_bool),
         Some(false)
     );
+    assert_eq!(
+        unknown.get("code").and_then(json::Value::as_str),
+        Some("unknown_job")
+    );
     // A forgotten (or never-existing) id errors like every other job verb
     // — forgotten:false is reserved for "still live, cancel first".
     let gone = client.request(&format!("{{\"op\":\"forget\",\"job\":{job}}}"));
     assert_eq!(gone.get("ok").and_then(json::Value::as_bool), Some(false));
-    let msg = gone.get("error").and_then(json::Value::as_str).unwrap();
-    assert!(msg.contains("unknown job"), "{msg}");
+    assert_eq!(
+        gone.get("code").and_then(json::Value::as_str),
+        Some("unknown_job")
+    );
     let stats = client.request("{\"op\":\"stats\"}");
     assert_eq!(
         stats.get("retained_jobs").and_then(json::Value::as_u64),
