@@ -145,12 +145,8 @@ pub fn estimate_shot_seconds(
     let mut t = 0.0;
     for gate in circuit {
         t += gate_seconds(gate, local_n, slice_len, half_bytes, model);
-        let n_channels = if gate.arity() == 1 {
-            noise.channels_1q().len()
-        } else {
-            noise.channels_2q().len() * gate.arity().min(2)
-        } as f64;
-        t += n_channels * (3.0 * model.compute_time(slice_len) + model.allreduce_time(n_nodes));
+        let applications = noise.sites(gate).count() as f64;
+        t += applications * (3.0 * model.compute_time(slice_len) + model.allreduce_time(n_nodes));
     }
     t
 }
@@ -193,7 +189,7 @@ pub fn estimate_tree_seconds(
 mod tests {
     use super::*;
     use tqsim::Strategy;
-    use tqsim_circuit::generators;
+    use tqsim_circuit::{generators, GateKind};
 
     #[test]
     fn distributed_baseline_matches_single_node_statistics() {
@@ -254,6 +250,34 @@ mod tests {
             "communication must erode ideal scaling, got {s32}"
         );
         assert!(s32 > s8 * 0.5, "still roughly monotone");
+    }
+
+    #[test]
+    fn estimator_charges_each_noise_site_once() {
+        // A CX under sycamore draws one joint depolarizing site; a CCX under
+        // amplitude damping damps each of its three qubits.
+        let model = InterconnectModel::commodity_cluster();
+        let (n, n_nodes) = (12u16, 4usize);
+        let slice_len = 1u64 << (n - 2);
+        let price = 3.0 * model.compute_time(slice_len) + model.allreduce_time(n_nodes);
+        let noise_cost = |kind, qubits: &[u16], noise: &NoiseModel| {
+            let mut circuit = Circuit::new(n);
+            circuit.push(kind, qubits);
+            estimate_shot_seconds(&circuit, noise, n_nodes, &model)
+                - estimate_shot_seconds(&circuit, &NoiseModel::ideal(), n_nodes, &model)
+        };
+        let cx = noise_cost(GateKind::Cx, &[0, 11], &NoiseModel::sycamore());
+        let ccx = noise_cost(
+            GateKind::Ccx,
+            &[0, 5, 11],
+            &NoiseModel::amplitude_damping(0.01),
+        );
+        assert!((cx - price).abs() <= 1e-12 * price, "CX: {cx} vs {price}");
+        assert!(
+            (ccx - 3.0 * price).abs() <= 1e-12 * price,
+            "CCX: {ccx} vs {}",
+            3.0 * price
+        );
     }
 
     #[test]

@@ -212,8 +212,11 @@ impl DensityMatrix {
         self.vec.amplitudes_mut().copy_from_slice(&acc);
     }
 
-    /// Apply a noise model's channels exactly after `gate` (mirroring
-    /// [`NoiseModel::apply_after_gate`]'s trajectory convention).
+    /// Apply a noise model's channels exactly after `gate`, with the
+    /// trajectory convention of [`NoiseModel::sites`]. This copy of the
+    /// convention is deliberate: the density matrix is the independent
+    /// oracle the trajectory engines are checked against, so it does not
+    /// share their channel-binding code.
     pub fn apply_noise_after_gate(&mut self, noise: &NoiseModel, gate: &Gate) {
         let qs = gate.qubits();
         if gate.arity() == 1 {

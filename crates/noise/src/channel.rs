@@ -4,17 +4,20 @@
 //!
 //! 1. **Trajectory sampling** on a [`QuantumState`] (the pure-state stochastic
 //!    method of paper §2.4): one Kraus branch is selected with its Born
-//!    probability and the state renormalised.
+//!    probability and the state renormalised. A [`Site`] (one channel
+//!    application after a gate) is sampled in two halves: [`draw`] picks a
+//!    state-free branch before the state is touched (depolarizing), and only
+//!    damping families read the state to pick theirs, in [`Site::apply`].
 //! 2. **Exact Kraus enumeration** for the density-matrix ground truth
 //!    ([`Channel::kraus_1q`]).
 //!
-//! All our single-qubit channels have *diagonal* `K†K` products, so branch
-//! probabilities reduce to the qubit's one-bit marginal — one pass to read
-//! the marginal, one to apply the branch, one to renormalise.
+//! All our single-qubit channels have *diagonal* `K†K` products, so damping
+//! branch probabilities reduce to the qubit's one-bit marginal — one pass to
+//! read the marginal, one to apply the branch, one to renormalise.
 
 use rand::{Rng, RngExt};
 use tqsim_circuit::math::{c64, Mat2};
-use tqsim_circuit::GateKind;
+use tqsim_circuit::{Gate, GateKind};
 use tqsim_statevec::QuantumState;
 
 /// A single error channel. Probabilities/ratios are validated at
@@ -52,35 +55,110 @@ pub enum Channel {
     },
 }
 
-/// Outcome of sampling a channel's trajectory branch *without* consulting
-/// the state — the first half of the `sample_branch`/`apply_branch` split
-/// that the fused executor's noise-adaptive flush relies on.
-///
-/// `Paulis` carries its (16-byte) payload inline by design: branch samples
-/// are drawn once per gate on the execution hot path, where a heap
-/// indirection would cost more than the copy.
-#[allow(clippy::large_enum_variant)]
+/// A Pauli fired by a depolarizing branch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pauli {
+    /// Bit flip.
+    X,
+    /// Bit and phase flip.
+    Y,
+    /// Phase flip.
+    Z,
+}
+
+impl Pauli {
+    /// The gate kind that applies this Pauli.
+    pub fn kind(self) -> GateKind {
+        match self {
+            Pauli::X => GateKind::X,
+            Pauli::Y => GateKind::Y,
+            Pauli::Z => GateKind::Z,
+        }
+    }
+}
+
+/// Slot codes of a depolarizing draw: 0 = I, 1 = X, 2 = Y, 3 = Z.
+const PAULI_CODES: [Option<Pauli>; 4] = [None, Some(Pauli::X), Some(Pauli::Y), Some(Pauli::Z)];
+
+/// One channel application after a gate, as [`crate::NoiseModel::sites`]
+/// lists them: `channel` on `qubit`, or, for depolarizing after a wider
+/// gate, drawn jointly on `(qubit, partner)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BranchSample {
+pub struct Site {
+    /// The channel applied.
+    pub channel: Channel,
+    /// The qubit it acts on (the first of a joint pair).
+    pub qubit: u16,
+    /// The second qubit of a joint two-qubit depolarizing draw.
+    pub partner: Option<u16>,
+}
+
+/// The trajectory branch a [`Site`] draws, before the state is touched.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Branch {
     /// The identity branch fired: nothing to apply, fusion may continue
     /// across this noise point.
     Identity,
-    /// Pauli operators to apply to the touched qubits, in slot order
-    /// (single-qubit sampling fills only the first slot).
-    Paulis([Option<GateKind>; 2]),
-    /// This channel's branch probabilities depend on the state (damping
-    /// families): the caller must materialise the state and use
-    /// [`Channel::apply_1q`].
+    /// Paulis for `[qubit, partner]`, in slot order (a one-qubit site
+    /// fills only the first slot).
+    Paulis([Option<Pauli>; 2]),
+    /// The branch probabilities depend on the state (damping families): no
+    /// draw was consumed, and [`Site::apply`] reads the state to pick one.
     NeedsState,
 }
 
-/// Pauli kind for a uniform draw in `0..3` (0 = X, 1 = Y, 2 = Z).
-#[inline]
-fn pauli_kind(which: u32) -> GateKind {
-    match which {
-        0 => GateKind::X,
-        1 => GateKind::Y,
-        _ => GateKind::Z,
+/// Draw `site`'s branch. This is the only code that consumes state-free
+/// noise draws: depolarizing takes one uniform against `p`, then on a
+/// fire one `0..3` (one qubit) or `1..16` (joint pair: the 15 non-identity
+/// pairs, two bits per slot) draw. Damping sites draw nothing here.
+pub fn draw<R: Rng + ?Sized>(site: &Site, rng: &mut R) -> Branch {
+    let Channel::Depolarizing { p } = site.channel else {
+        return Branch::NeedsState;
+    };
+    if rng.random::<f64>() >= p {
+        return Branch::Identity;
+    }
+    Branch::Paulis(match site.partner {
+        None => [PAULI_CODES[rng.random_range(0..3u32) as usize + 1], None],
+        Some(_) => {
+            let combo = usize::from(rng.random_range(1..16u8));
+            [PAULI_CODES[combo >> 2], PAULI_CODES[combo & 0b11]]
+        }
+    })
+}
+
+impl Site {
+    /// The Pauli gates a fired branch applies, in slot order.
+    pub(crate) fn pauli_gates(&self, paulis: [Option<Pauli>; 2]) -> impl Iterator<Item = Gate> {
+        let qubits = [self.qubit, self.partner.unwrap_or(self.qubit)];
+        qubits
+            .into_iter()
+            .zip(paulis)
+            .filter_map(|(q, pauli)| Some(Gate::new(pauli?.kind(), &[q])))
+    }
+
+    /// Draw this site's branch and apply it to `sv`, renormalising: the
+    /// fired Paulis, or the channel's state-reading damping step. Returns
+    /// `true` if a non-trivial (jump or non-identity Pauli) branch fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a qubit is out of range for `sv`.
+    pub fn apply<S, R>(&self, sv: &mut S, rng: &mut R) -> bool
+    where
+        S: QuantumState + ?Sized,
+        R: Rng + ?Sized,
+    {
+        match draw(self, rng) {
+            Branch::Identity => false,
+            Branch::Paulis(paulis) => {
+                for gate in self.pauli_gates(paulis) {
+                    sv.apply_gate(&gate);
+                }
+                true
+            }
+            Branch::NeedsState => self.channel.damp(sv, self.qubit, rng),
+        }
     }
 }
 
@@ -171,113 +249,23 @@ impl Channel {
         matches!(self, Channel::Depolarizing { .. })
     }
 
-    /// Sample the single-qubit trajectory branch without a state,
-    /// consuming RNG draws in exactly the order [`Channel::apply_1q`]
-    /// would (the apply path is implemented on top of this).
-    pub fn sample_branch_1q<R: Rng + ?Sized>(&self, rng: &mut R) -> BranchSample {
-        match *self {
-            Channel::Depolarizing { p } => {
-                if rng.random::<f64>() < p {
-                    BranchSample::Paulis([Some(pauli_kind(rng.random_range(0..3))), None])
-                } else {
-                    BranchSample::Identity
-                }
-            }
-            _ => BranchSample::NeedsState,
-        }
-    }
-
-    /// Sample the joint two-qubit branch without a state (depolarizing:
-    /// uniform over the 15 non-identity Pauli pairs), with the draw order
-    /// of [`Channel::apply_2q`].
-    pub fn sample_branch_2q<R: Rng + ?Sized>(&self, rng: &mut R) -> BranchSample {
-        match *self {
-            Channel::Depolarizing { p } => {
-                if rng.random::<f64>() < p {
-                    // Uniform over the 15 non-identity pairs (I,P), (P,I), (P,P').
-                    let combo = rng.random_range(1..16u8);
-                    let (pa, pb) = (combo >> 2, combo & 0b11);
-                    BranchSample::Paulis([
-                        (pa > 0).then(|| pauli_kind(u32::from(pa) - 1)),
-                        (pb > 0).then(|| pauli_kind(u32::from(pb) - 1)),
-                    ])
-                } else {
-                    BranchSample::Identity
-                }
-            }
-            _ => BranchSample::NeedsState,
-        }
-    }
-
-    /// Sample one trajectory branch and apply it to qubit `q` of `sv`,
-    /// renormalising. Returns `true` if a non-trivial (jump or non-identity
-    /// Pauli) branch fired — callers use this for error-event accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range for `sv`.
-    pub fn apply_1q<S, R>(&self, sv: &mut S, q: u16, rng: &mut R) -> bool
+    /// The state-reading trajectory step: amplitude damping by `γ`, then
+    /// phase damping by `λ` (thermal relaxation has both; a zero ratio
+    /// reads and draws nothing, so depolarizing is a no-op here).
+    pub(crate) fn damp<S, R>(&self, sv: &mut S, q: u16, rng: &mut R) -> bool
     where
         S: QuantumState + ?Sized,
         R: Rng + ?Sized,
     {
-        match *self {
-            Channel::Depolarizing { .. } => match self.sample_branch_1q(rng) {
-                BranchSample::Identity => false,
-                BranchSample::Paulis(paulis) => {
-                    apply_branch_paulis(sv, [q, q], paulis);
-                    true
-                }
-                BranchSample::NeedsState => unreachable!("depolarizing is state-free"),
-            },
-            Channel::AmplitudeDamping { gamma } => apply_amplitude_damping(sv, q, gamma, rng),
-            Channel::PhaseDamping { lambda } => apply_phase_damping(sv, q, lambda, rng),
-            Channel::ThermalRelaxation { t1, t2, gate_time } => {
-                let (gamma, lambda) = thermal_params(t1, t2, gate_time);
-                let a = apply_amplitude_damping(sv, q, gamma, rng);
-                let b = apply_phase_damping(sv, q, lambda, rng);
-                a || b
-            }
-        }
-    }
-
-    /// Sample one *joint* two-qubit branch (depolarizing picks one of the 15
-    /// non-identity Pauli pairs; damping-style channels act independently
-    /// per qubit). Returns `true` on a non-trivial branch.
-    pub fn apply_2q<S, R>(&self, sv: &mut S, qa: u16, qb: u16, rng: &mut R) -> bool
-    where
-        S: QuantumState + ?Sized,
-        R: Rng + ?Sized,
-    {
-        match *self {
-            Channel::Depolarizing { .. } => match self.sample_branch_2q(rng) {
-                BranchSample::Identity => false,
-                BranchSample::Paulis(paulis) => {
-                    apply_branch_paulis(sv, [qa, qb], paulis);
-                    true
-                }
-                BranchSample::NeedsState => unreachable!("depolarizing is state-free"),
-            },
-            _ => {
-                let a = self.apply_1q(sv, qa, rng);
-                let b = self.apply_1q(sv, qb, rng);
-                a || b
-            }
-        }
-    }
-}
-
-/// Apply a sampled Pauli pair to its qubits, in slot order — the second
-/// half of the `sample_branch`/`apply_branch` split.
-pub fn apply_branch_paulis<S: QuantumState + ?Sized>(
-    sv: &mut S,
-    qubits: [u16; 2],
-    paulis: [Option<GateKind>; 2],
-) {
-    for (q, kind) in qubits.into_iter().zip(paulis) {
-        if let Some(kind) = kind {
-            sv.apply_gate(&tqsim_circuit::Gate::new(kind, &[q]));
-        }
+        let (gamma, lambda) = match *self {
+            Channel::Depolarizing { .. } => (0.0, 0.0),
+            Channel::AmplitudeDamping { gamma } => (gamma, 0.0),
+            Channel::PhaseDamping { lambda } => (0.0, lambda),
+            Channel::ThermalRelaxation { t1, t2, gate_time } => thermal_params(t1, t2, gate_time),
+        };
+        let a = apply_amplitude_damping(sv, q, gamma, rng);
+        let b = apply_phase_damping(sv, q, lambda, rng);
+        a || b
     }
 }
 
@@ -371,6 +359,14 @@ mod tests {
     use tqsim_circuit::math::ZERO;
     use tqsim_statevec::StateVector;
 
+    fn on(channel: Channel, qubit: u16) -> Site {
+        Site {
+            channel,
+            qubit,
+            partner: None,
+        }
+    }
+
     fn kraus_completeness(ch: &Channel) {
         let mut sum = Mat2([[ZERO; 2]; 2]);
         for k in ch.kraus_1q() {
@@ -440,7 +436,7 @@ mod tests {
             prep.h(0).cx(0, 1).ry(0.7, 2);
             sv.apply_circuit(&prep);
             for _ in 0..50 {
-                ch.apply_1q(&mut sv, 1, &mut rng);
+                on(ch, 1).apply(&mut sv, &mut rng);
                 assert!((sv.norm_sqr() - 1.0).abs() < 1e-9, "{ch:?}");
             }
         }
@@ -452,7 +448,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut sv = StateVector::basis(1, 1);
         for _ in 0..2000 {
-            Channel::AmplitudeDamping { gamma: 0.05 }.apply_1q(&mut sv, 0, &mut rng);
+            on(Channel::AmplitudeDamping { gamma: 0.05 }, 0).apply(&mut sv, &mut rng);
         }
         assert!((sv.probability(0) - 1.0).abs() < 1e-9);
     }
@@ -466,7 +462,7 @@ mod tests {
         sv.apply_circuit(&prep);
         let before: Vec<f64> = sv.probabilities();
         for _ in 0..100 {
-            Channel::PhaseDamping { lambda: 0.2 }.apply_1q(&mut sv, 0, &mut rng);
+            on(Channel::PhaseDamping { lambda: 0.2 }, 0).apply(&mut sv, &mut rng);
         }
         // PD branches are diagonal: the |ψ_x|² can redistribute only within
         // fixed bit-values of q... in fact every branch is diagonal, so each
@@ -489,42 +485,17 @@ mod tests {
         let trials = 4000;
         for _ in 0..trials {
             let mut sv = StateVector::zero(2);
-            if ch.apply_2q(&mut sv, 0, 1, &mut rng) {
+            let site = Site {
+                channel: ch,
+                qubit: 0,
+                partner: Some(1),
+            };
+            if site.apply(&mut sv, &mut rng) {
                 fired += 1;
             }
         }
         let rate = f64::from(fired) / f64::from(trials);
         assert!((rate - 0.3).abs() < 0.03, "rate = {rate}");
-    }
-
-    #[test]
-    fn sample_branch_consumes_the_same_draws_as_apply() {
-        // Two RNG clones: one drives sample_branch + apply_branch_paulis,
-        // the other the classic apply path. States and RNG positions must
-        // stay identical draw for draw.
-        let ch = Channel::Depolarizing { p: 0.4 };
-        let mut rng_a = StdRng::seed_from_u64(13);
-        let mut rng_b = StdRng::seed_from_u64(13);
-        let mut sv_a = StateVector::zero(2);
-        let mut sv_b = StateVector::zero(2);
-        let mut prep = tqsim_circuit::Circuit::new(2);
-        prep.h(0).cx(0, 1);
-        sv_a.apply_circuit(&prep);
-        sv_b.apply_circuit(&prep);
-        for _ in 0..200 {
-            match ch.sample_branch_2q(&mut rng_a) {
-                BranchSample::Identity => {}
-                BranchSample::Paulis(paulis) => apply_branch_paulis(&mut sv_a, [0, 1], paulis),
-                BranchSample::NeedsState => unreachable!(),
-            }
-            ch.apply_2q(&mut sv_b, 0, 1, &mut rng_b);
-            assert_eq!(sv_a.amplitudes(), sv_b.amplitudes());
-        }
-        // Same RNG position afterwards: the next draws agree.
-        assert_eq!(
-            rand::RngExt::random::<f64>(&mut rng_a),
-            rand::RngExt::random::<f64>(&mut rng_b)
-        );
     }
 
     #[test]
@@ -541,8 +512,16 @@ mod tests {
         ] {
             assert!(!ch.samples_state_free());
             let mut rng = StdRng::seed_from_u64(0);
-            assert_eq!(ch.sample_branch_1q(&mut rng), BranchSample::NeedsState);
+            let mut untouched = rng.clone();
+            assert_eq!(draw(&on(ch, 0), &mut rng), Branch::NeedsState);
+            assert_eq!(
+                rand::RngExt::random::<u64>(&mut rng),
+                rand::RngExt::random::<u64>(&mut untouched),
+                "no draw consumed"
+            );
         }
+        // A branch is returned once per draw on the replay hot path.
+        assert!(std::mem::size_of::<Branch>() <= 4);
     }
 
     #[test]

@@ -9,6 +9,17 @@
 //! pure-state engines) and exact Kraus operators (for the density-matrix
 //! ground truth).
 //!
+//! One function binds channels to gates, [`NoiseModel::sites`]: it lists a
+//! gate's channel applications ([`Site`]s) in draw order. One function
+//! consumes state-free noise draws, [`draw`]: it picks a site's [`Branch`]
+//! before the state is touched, and damping sites draw nothing there, since
+//! only their state-reading step can pick a branch. The
+//! per-gate path ([`NoiseModel::apply_after_gate`]), the fused-replay hook
+//! ([`NoiseModel::apply_after_gate_deferred`]) and the error-free probe
+//! ([`NoiseModel::draws_error_free`]) are loops over the two, so they
+//! consume the same draws in the same order. `tqsim-densmat` keeps its own
+//! copy of the binding convention on purpose: it is the independent oracle.
+//!
 //! ```
 //! use rand::SeedableRng;
 //! use tqsim_circuit::Circuit;
@@ -32,5 +43,5 @@
 pub mod channel;
 pub mod model;
 
-pub use channel::Channel;
+pub use channel::{draw, Branch, Channel, Pauli, Site};
 pub use model::{fig16_models, NoiseModel, ReadoutError};

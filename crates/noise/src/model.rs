@@ -1,6 +1,6 @@
 //! [`NoiseModel`]: binding channels to gates, plus readout error.
 
-use crate::channel::{BranchSample, Channel};
+use crate::channel::{draw, Branch, Channel, Site};
 use rand::{Rng, RngExt};
 use tqsim_circuit::{Circuit, Gate};
 use tqsim_statevec::plan::{CompiledCircuit, FlushCtx};
@@ -192,7 +192,9 @@ impl NoiseModel {
         combine(self.channels_2q.iter().map(Channel::error_probability))
     }
 
-    /// The per-gate error rate `e_i` DCP's Eq. 4 consumes for `gate`.
+    /// The per-gate error rate `e_i` DCP's Eq. 4 consumes for `gate`: each
+    /// bound channel counts once per gate, not once per
+    /// [`NoiseModel::sites`] application.
     pub fn gate_error_rate(&self, gate: &Gate) -> f64 {
         if gate.arity() == 1 {
             self.error_rate_1q()
@@ -201,46 +203,49 @@ impl NoiseModel {
         }
     }
 
+    /// The channel applications after `gate`, in draw order. This is the
+    /// only code that binds channels to gates (paper Fig. 2):
+    /// - a single-qubit gate gets each 1q channel on its qubit;
+    /// - a wider gate gets each 2q channel: depolarizing drawn jointly on
+    ///   `(q0, q1)`, plus `(q0, q2)` for a Toffoli's third qubit, and
+    ///   damping-style channels once per touched qubit.
+    #[inline]
+    pub fn sites<'a>(&'a self, gate: &'a Gate) -> impl Iterator<Item = Site> + 'a {
+        let qs = gate.qubits();
+        let channels = if qs.len() == 1 {
+            &self.channels_1q
+        } else {
+            &self.channels_2q
+        };
+        channels.iter().flat_map(move |&channel| {
+            // After a wider gate, depolarizing pairs q0 with each other qubit.
+            let (anchor, targets) = match (channel, qs) {
+                (Channel::Depolarizing { .. }, [q0, rest @ ..]) if !rest.is_empty() => {
+                    (Some(*q0), rest)
+                }
+                _ => (None, qs),
+            };
+            targets.iter().map(move |&q| Site {
+                channel,
+                qubit: anchor.unwrap_or(q),
+                partner: anchor.and(Some(q)),
+            })
+        })
+    }
+
     /// Stochastically apply the model's channels after `gate` was executed
-    /// on `sv`. Returns the number of noise-operator applications performed
-    /// (for [`tqsim_statevec::OpCounts`] accounting).
-    ///
-    /// Convention (paper Fig. 2): single-qubit gates draw from the 1q
-    /// channel set on their qubit; wider gates draw from the 2q channel set
-    /// — depolarizing jointly over the first two qubits, damping-style
-    /// channels independently per touched qubit.
+    /// on `sv`, site by site ([`NoiseModel::sites`]). Returns the number of
+    /// noise-operator applications performed (for
+    /// [`tqsim_statevec::OpCounts`] accounting).
     pub fn apply_after_gate<S, R>(&self, sv: &mut S, gate: &Gate, rng: &mut R) -> u64
     where
         S: QuantumState + ?Sized,
         R: Rng + ?Sized,
     {
-        let qs = gate.qubits();
         let mut ops = 0u64;
-        if gate.arity() == 1 {
-            for ch in &self.channels_1q {
-                ch.apply_1q(sv, qs[0], rng);
-                ops += 1;
-            }
-        } else {
-            for ch in &self.channels_2q {
-                match ch {
-                    Channel::Depolarizing { .. } => {
-                        ch.apply_2q(sv, qs[0], qs[1], rng);
-                        ops += 1;
-                        // Toffoli's third qubit shares the two-qubit rate.
-                        if let Some(&q3) = qs.get(2) {
-                            ch.apply_2q(sv, qs[0], q3, rng);
-                            ops += 1;
-                        }
-                    }
-                    _ => {
-                        for &q in qs {
-                            ch.apply_1q(sv, q, rng);
-                            ops += 1;
-                        }
-                    }
-                }
-            }
+        for site in self.sites(gate) {
+            site.apply(sv, rng);
+            ops += 1;
         }
         ops
     }
@@ -249,11 +254,7 @@ impl NoiseModel {
     /// (readout error is separate and applies at sampling time). This is
     /// the predicate that places noise markers in compiled plans.
     pub fn has_gate_channels(&self, gate: &Gate) -> bool {
-        if gate.arity() == 1 {
-            !self.channels_1q.is_empty()
-        } else {
-            !self.channels_2q.is_empty()
-        }
+        self.sites(gate).next().is_some()
     }
 
     /// Compile `circuit` into a fused replay plan
@@ -265,8 +266,8 @@ impl NoiseModel {
     }
 
     /// The fused-execution counterpart of [`NoiseModel::apply_after_gate`]:
-    /// semantically identical (same channels, same RNG draws in the same
-    /// order), but branches are **sampled before the state is touched**.
+    /// semantically identical (same sites, same RNG draws in the same
+    /// order), but each branch is **drawn before the state is touched**.
     /// Identity branches leave the fusion buffer pending — fusion continues
     /// across the noise point — fired Paulis are fed back into the buffer,
     /// and only state-dependent channels (damping families) force
@@ -282,41 +283,18 @@ impl NoiseModel {
         S: QuantumState + ?Sized,
         R: Rng + ?Sized,
     {
-        let qs = gate.qubits();
         let mut ops = 0u64;
-        if gate.arity() == 1 {
-            for ch in &self.channels_1q {
-                ops += 1;
-                match ch.sample_branch_1q(rng) {
-                    BranchSample::Identity => {}
-                    BranchSample::Paulis([pauli, _]) => {
-                        if let Some(kind) = pauli {
-                            ctx.push_branch_gate(&Gate::new(kind, &[qs[0]]));
-                        }
-                    }
-                    BranchSample::NeedsState => {
-                        ch.apply_1q(ctx.flush(), qs[0], rng);
+        for site in self.sites(gate) {
+            ops += 1;
+            match draw(&site, rng) {
+                Branch::Identity => {}
+                Branch::Paulis(paulis) => {
+                    for pauli in site.pauli_gates(paulis) {
+                        ctx.push_branch_gate(&pauli);
                     }
                 }
-            }
-        } else {
-            for ch in &self.channels_2q {
-                match ch {
-                    Channel::Depolarizing { .. } => {
-                        ops += 1;
-                        deferred_2q(ch, qs[0], qs[1], ctx, rng);
-                        // Toffoli's third qubit shares the two-qubit rate.
-                        if let Some(&q3) = qs.get(2) {
-                            ops += 1;
-                            deferred_2q(ch, qs[0], q3, ctx, rng);
-                        }
-                    }
-                    _ => {
-                        for &q in qs {
-                            ops += 1;
-                            ch.apply_1q(ctx.flush(), q, rng);
-                        }
-                    }
+                Branch::NeedsState => {
+                    site.channel.damp(ctx.flush(), site.qubit, rng);
                 }
             }
         }
@@ -324,28 +302,19 @@ impl NoiseModel {
     }
 
     /// Whether this model's realization of `subcircuit` on `rng` is
-    /// error-free: every channel after every gate draws its identity
-    /// branch. Consumes exactly the draws [`NoiseModel::apply_after_gate`]
-    /// and [`NoiseModel::apply_after_gate_deferred`] consume for such a
+    /// error-free: every site after every gate draws its identity branch.
+    /// Consumes exactly the draws [`NoiseModel::apply_after_gate`] and
+    /// [`NoiseModel::apply_after_gate_deferred`] consume for such a
     /// realization, so on `true` `rng` sits where a replay of the
     /// subcircuit leaves it; returns `false` at the first fired branch or
-    /// the first channel whose branch depends on the state (damping
+    /// the first site whose branch depends on the state (damping
     /// families), with `rng` part-way through. Executors call it on a
     /// clone of a tree node's RNG: error-free nodes of one parent state
     /// are the same state bit for bit.
     pub fn draws_error_free<R: Rng + ?Sized>(&self, subcircuit: &Circuit, rng: &mut R) -> bool {
         subcircuit.gates().iter().all(|gate| {
-            if gate.arity() == 1 {
-                self.channels_1q
-                    .iter()
-                    .all(|ch| ch.sample_branch_1q(rng) == BranchSample::Identity)
-            } else {
-                // One joint draw over the first two qubits, one more for a
-                // Toffoli's third; non-depolarizing channels need the state.
-                self.channels_2q.iter().all(|ch| {
-                    (1..gate.arity()).all(|_| ch.sample_branch_2q(rng) == BranchSample::Identity)
-                })
-            }
+            self.sites(gate)
+                .all(|site| draw(&site, rng) == Branch::Identity)
         })
     }
 
@@ -376,27 +345,6 @@ impl NoiseModel {
 
 fn combine(rates: impl Iterator<Item = f64>) -> f64 {
     1.0 - rates.fold(1.0, |acc, e| acc * (1.0 - e))
-}
-
-/// Deferred joint two-qubit branch: sample first, then either keep fusing
-/// (identity) or feed the fired Paulis into the fusion buffer in the slot
-/// order the unfused path applies them.
-fn deferred_2q<S, R>(ch: &Channel, qa: u16, qb: u16, ctx: &mut FlushCtx<'_, S>, rng: &mut R)
-where
-    S: QuantumState + ?Sized,
-    R: Rng + ?Sized,
-{
-    match ch.sample_branch_2q(rng) {
-        BranchSample::Identity => {}
-        BranchSample::Paulis(paulis) => {
-            for (q, pauli) in [qa, qb].into_iter().zip(paulis) {
-                if let Some(kind) = pauli {
-                    ctx.push_branch_gate(&Gate::new(kind, &[q]));
-                }
-            }
-        }
-        BranchSample::NeedsState => unreachable!("only depolarizing is deferred jointly"),
-    }
 }
 
 /// The nine noise-model combinations of the paper's Fig. 16, in x-axis
@@ -663,6 +611,93 @@ mod tests {
                 assert!(!noise.draws_error_free(&circuit, &mut probe));
             }
         }
+    }
+
+    #[test]
+    fn sites_and_draws_follow_the_pinned_order() {
+        use crate::channel::Pauli;
+        use rand::{Rng, RngExt};
+        let (p1, p2) = (0.4, 0.6);
+        let ad = Channel::AmplitudeDamping { gamma: 0.01 };
+        let noise = NoiseModel::depolarizing(p1, p2)
+            .with_channel_1q(ad)
+            .with_channel_2q(ad);
+        let (dc1, dc2) = (
+            Channel::Depolarizing { p: p1 },
+            Channel::Depolarizing { p: p2 },
+        );
+        let site = |channel, qubit, partner| Site {
+            channel,
+            qubit,
+            partner,
+        };
+        let h = Gate::new(GateKind::H, &[3]);
+        let cx = Gate::new(GateKind::Cx, &[2, 0]);
+        let ccx = Gate::new(GateKind::Ccx, &[1, 3, 0]);
+        let sites = |gate| noise.sites(gate).collect::<Vec<_>>();
+        assert_eq!(sites(&h), [site(dc1, 3, None), site(ad, 3, None)]);
+        assert_eq!(
+            sites(&cx),
+            [site(dc2, 2, Some(0)), site(ad, 2, None), site(ad, 0, None)]
+        );
+        assert_eq!(
+            sites(&ccx),
+            [
+                site(dc2, 1, Some(3)),
+                site(dc2, 1, Some(0)),
+                site(ad, 1, None),
+                site(ad, 3, None),
+                site(ad, 0, None),
+            ]
+        );
+
+        // The raw draws: one uniform against p, then on a fire a Pauli code
+        // (0 = I, 1 = X, 2 = Y, 3 = Z) per slot. Damping draws nothing.
+        let code = |c: u8| [None, Some(Pauli::X), Some(Pauli::Y), Some(Pauli::Z)][usize::from(c)];
+        let one = |raw: &mut StdRng, p: f64| {
+            if raw.random::<f64>() < p {
+                Branch::Paulis([code(raw.random_range(0..3u32) as u8 + 1), None])
+            } else {
+                Branch::Identity
+            }
+        };
+        let pair = |raw: &mut StdRng, p: f64| {
+            if raw.random::<f64>() < p {
+                let combo = raw.random_range(1..16u8);
+                Branch::Paulis([code(combo >> 2), code(combo & 0b11)])
+            } else {
+                Branch::Identity
+            }
+        };
+        let mut fired = 0;
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raw = rng.clone();
+            let expected = [
+                one(&mut raw, p1),
+                Branch::NeedsState,
+                pair(&mut raw, p2),
+                Branch::NeedsState,
+                Branch::NeedsState,
+                pair(&mut raw, p2),
+                pair(&mut raw, p2),
+                Branch::NeedsState,
+                Branch::NeedsState,
+                Branch::NeedsState,
+            ];
+            let drawn: Vec<Branch> = [&h, &cx, &ccx]
+                .into_iter()
+                .flat_map(|gate| noise.sites(gate))
+                .map(|site| draw(&site, &mut rng))
+                .collect();
+            assert_eq!(drawn, expected, "seed {seed}");
+            assert_eq!(rng.next_u64(), raw.next_u64(), "seed {seed}");
+            fired += drawn
+                .iter()
+                .filter(|b| matches!(b, Branch::Paulis(_)))
+                .count();
+        }
+        assert!(fired > 0 && fired < 64 * 4, "both branches drawn: {fired}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tqsim_circuit::math::{Mat2, ZERO};
 use tqsim_circuit::Circuit;
-use tqsim_noise::{Channel, NoiseModel, ReadoutError};
+use tqsim_noise::{Channel, NoiseModel, ReadoutError, Site};
 use tqsim_statevec::StateVector;
 
 fn arb_channel() -> impl Strategy<Value = Channel> {
@@ -23,6 +23,14 @@ fn arb_channel() -> impl Strategy<Value = Channel> {
             }
         }),
     ]
+}
+
+fn on(channel: Channel, qubit: u16) -> Site {
+    Site {
+        channel,
+        qubit,
+        partner: None,
+    }
 }
 
 fn scrambled(n: u16, picks: &[u8]) -> StateVector {
@@ -69,7 +77,7 @@ proptest! {
         let mut sv = scrambled(4, &picks);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..10 {
-            ch.apply_1q(&mut sv, q, &mut rng);
+            on(ch, q).apply(&mut sv, &mut rng);
             prop_assert!((sv.norm_sqr() - 1.0).abs() < 1e-8, "{ch:?}");
         }
     }
@@ -111,7 +119,7 @@ fn depolarizing_ensemble_statistics_match_kraus() {
     let mut ones = 0u32;
     for _ in 0..trials {
         let mut sv = StateVector::zero(1);
-        ch.apply_1q(&mut sv, 0, &mut rng);
+        on(ch, 0).apply(&mut sv, &mut rng);
         if sv.probability(1) > 0.5 {
             ones += 1;
         }
@@ -130,7 +138,7 @@ fn amplitude_damping_ensemble_matches_gamma() {
     let mut decayed = 0u32;
     for _ in 0..trials {
         let mut sv = StateVector::basis(1, 1);
-        ch.apply_1q(&mut sv, 0, &mut rng);
+        on(ch, 0).apply(&mut sv, &mut rng);
         if sv.probability(0) > 0.5 {
             decayed += 1;
         }

@@ -18,7 +18,7 @@
 use crate::proto;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -30,10 +30,12 @@ use tqsim_json::{num_u64, obj, str_val, Value};
 /// 1. `TQSIM_SHARD_WORKER_BIN` (explicit override, e.g. in CI);
 /// 2. a `tqsim-shard-worker` binary next to any ancestor of the current
 ///    executable (covers `cargo test`/`cargo bench` runs, whose test
-///    binaries live in `target/<profile>/deps/`);
+///    binaries live in `<target>/<profile>/deps/`);
 /// 3. `cargo build -p tqsim-shard --bin tqsim-shard-worker`, matching the
 ///    current profile — dependent crates' test profiles don't build our
-///    binary target, so build it once on demand.
+///    binary target, so build it once on demand — then step 2 again: cargo
+///    writes into the same target directory (`CARGO_TARGET_DIR` included)
+///    the current executable came from.
 fn worker_binary() -> &'static PathBuf {
     static BIN: OnceLock<PathBuf> = OnceLock::new();
     BIN.get_or_init(|| {
@@ -41,19 +43,11 @@ fn worker_binary() -> &'static PathBuf {
             return PathBuf::from(path);
         }
         let bin_name = format!("tqsim-shard-worker{}", std::env::consts::EXE_SUFFIX);
-        let exe = std::env::current_exe().ok();
-        if let Some(exe) = &exe {
-            for dir in exe.ancestors().skip(1) {
-                let candidate = dir.join(&bin_name);
-                if candidate.is_file() {
-                    return candidate;
-                }
-            }
+        let exe = std::env::current_exe().expect("current executable path");
+        if let Some(found) = beside_an_ancestor(&exe, &bin_name) {
+            return found;
         }
-        let release = exe
-            .as_deref()
-            .map(|p| p.components().any(|c| c.as_os_str() == "release"))
-            .unwrap_or(false);
+        let release = exe.components().any(|c| c.as_os_str() == "release");
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
         let mut cmd = Command::new(cargo);
         cmd.args(["build", "-p", "tqsim-shard", "--bin", "tqsim-shard-worker"])
@@ -65,17 +59,22 @@ fn worker_binary() -> &'static PathBuf {
             .status()
             .expect("failed to run cargo to build the shard worker");
         assert!(status.success(), "building the shard worker binary failed");
-        let target = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target")
-            .join(if release { "release" } else { "debug" })
-            .join(&bin_name);
-        assert!(
-            target.is_file(),
-            "built shard worker not found at {}",
-            target.display()
-        );
-        target
+        beside_an_ancestor(&exe, &bin_name).unwrap_or_else(|| {
+            panic!(
+                "built shard worker not found beside any ancestor of {}",
+                exe.display()
+            )
+        })
     })
+}
+
+/// The first file named `name` in a directory that is an ancestor of
+/// `exe`, nearest first.
+fn beside_an_ancestor(exe: &Path, name: &str) -> Option<PathBuf> {
+    exe.ancestors()
+        .skip(1)
+        .map(|dir| dir.join(name))
+        .find(|candidate| candidate.is_file())
 }
 
 /// Panic on transport errors — the coordinator-side choke point every
@@ -378,5 +377,29 @@ impl Drop for ShardCluster {
 impl std::fmt::Debug for ShardCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ShardCluster[{} workers]", self.n_workers)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_lookup_finds_the_binary_beside_a_profile_directory() {
+        // The layout cargo leaves in any target directory: test binaries in
+        // `<profile>/deps/`, the worker binary in `<profile>/`.
+        let root = std::env::temp_dir().join(format!("tqsim-worker-lookup-{}", std::process::id()));
+        let deps = root.join("release").join("deps");
+        std::fs::create_dir_all(&deps).unwrap();
+        let exe = deps.join("integration_chaos-0123abcd");
+        std::fs::write(&exe, b"").unwrap();
+        assert_eq!(beside_an_ancestor(&exe, "tqsim-shard-worker"), None);
+
+        let worker = root.join("release").join("tqsim-shard-worker");
+        std::fs::write(&worker, b"").unwrap();
+        assert_eq!(beside_an_ancestor(&exe, "tqsim-shard-worker"), Some(worker));
+        // A directory of that name is not a binary.
+        assert_eq!(beside_an_ancestor(&exe, "deps"), None);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

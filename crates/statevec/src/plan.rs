@@ -23,16 +23,20 @@
 //!   pending two-qubit term with one qubit in the op and one outside still
 //!   forces a flush.
 //!
-//! Noise sites become [`PlanOp::Noise`] markers that preserve the exact
-//! per-gate RNG draw order of unfused execution. At replay time the same
-//! [`Fuser`] runs *dynamically* with **noise-adaptive flush**: at each noise
-//! marker the Kraus branch is sampled *first* (see
-//! `tqsim_noise::NoiseModel::apply_after_gate_deferred`), and when the
-//! sampled branch is the identity — the overwhelming case at ~0.1 % error
-//! rates — fusion simply continues across the noise point. Only a fired
-//! branch whose sampling needs the state forces the pending buffer to
-//! materialise ([`FlushCtx::flush`]); fired Paulis are themselves fed back
-//! into the fuser ([`FlushCtx::push_branch_gate`]).
+//! A gate the noise model binds channels to is followed by a
+//! [`PlanOp::Noise`] marker that carries the source gate, so replay keeps
+//! the exact per-gate RNG draw order of unfused execution. The marker stays
+//! a `Gate` because this crate cannot name a channel: the replay hook
+//! (`tqsim_noise::NoiseModel::apply_after_gate_deferred`) expands it into
+//! its channel applications with `NoiseModel::sites` and draws each one
+//! with `tqsim_noise::draw`, the same two functions the per-gate path and
+//! the error-free probe use. At replay time the same [`Fuser`] runs
+//! *dynamically* with **noise-adaptive flush**: each branch is drawn
+//! *first*, and when it is the identity — the overwhelming case at ~0.1 %
+//! error rates — fusion simply continues across the noise point. Only a
+//! branch whose sampling needs the state (damping families) forces the
+//! pending buffer to materialise ([`FlushCtx::flush`]); fired Paulis are
+//! themselves fed back into the fuser ([`FlushCtx::push_branch_gate`]).
 //!
 //! Invariants:
 //!
@@ -787,9 +791,9 @@ pub(crate) fn apply_fused_op_raw<S: QuantumState + ?Sized>(sv: &mut S, op: &Fuse
 pub enum PlanOp {
     /// Apply (or buffer, at replay time) a fused operation.
     Gate(FusedOp),
-    /// Stochastic-noise site of the given source gate: the replay hook
-    /// samples the Kraus branch here, in exactly the order unfused
-    /// execution would.
+    /// Stochastic-noise marker after the given source gate: the replay
+    /// hook draws that gate's channel applications here, in exactly the
+    /// order unfused execution would.
     Noise(Gate),
 }
 
