@@ -1,13 +1,13 @@
-//! The cross-request **plan cache**: the paper's computational reuse,
-//! pushed one level up the stack.
+//! The **plan cache**: the paper's computational reuse, pushed one level
+//! up the stack.
 //!
-//! TQSim reuses intermediate *states* across the shots of one run; the
-//! engine's batch layer reuses *plans* across the jobs of one batch; this
-//! cache reuses plans across **every request the service ever sees**.
-//! Identical circuits submitted by different clients at different times
-//! compile once — DCP planning, subcircuit materialisation and
-//! `CompiledCircuit` fusion all happen on the first request and are
-//! replayed everywhere else.
+//! TQSim reuses intermediate *states* across the shots of one run; this
+//! cache reuses *plans* across every job an [`Engine`] is given — the jobs
+//! of one batch, the batches after it, and (through the `tqsim-service`
+//! front-end, which plans through its engine's cache) every client request
+//! the service ever sees. DCP planning, subcircuit materialisation and
+//! `CompiledCircuit` fusion all happen on the first request for a key and
+//! are replayed everywhere else.
 //!
 //! Keying: `(circuit fingerprint, noise model, strategy, shots)`.
 //! The fingerprint ([`Circuit::fingerprint`]) is a stable content hash, so
@@ -15,23 +15,27 @@
 //! built; the remaining components are compared by value (two noise models
 //! or DCP configs differing in any parameter are distinct plans). `shots`
 //! is part of the key because the planned tree shape depends on the shot
-//! budget. Nothing else a request carries reaches [`JobPlan::plan`], so
+//! budget. Nothing else a job carries reaches [`JobPlan::plan`], so
 //! nothing else is keyed. Fingerprint collisions cannot alias plans:
 //! entries store the full circuit and compare it by content on lookup.
 //!
-//! Eviction is LRU with a fixed capacity. Hits, misses, evictions and
-//! compiles are counted into `tqsim_plan_cache_*_total` counters of the
-//! registry the cache is built with; [`PlanCache::stats`] reads them back
-//! as [`CacheStats`] (and from there the service's `ServiceStats`).
+//! Eviction is LRU with a fixed capacity ([`PLAN_CACHE_CAPACITY`] for an
+//! engine's cache). Hits, misses, evictions and compiles are counted into
+//! `tqsim_plan_cache_*_total` counters of the registry the cache is built
+//! with; [`PlanCache::stats`] reads them back as [`CacheStats`].
+//!
+//! [`Engine`]: crate::Engine
+//! [`PLAN_CACHE_CAPACITY`]: crate::PLAN_CACHE_CAPACITY
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use tqsim::{PlanError, Strategy};
 use tqsim_circuit::Circuit;
-use tqsim_engine::JobPlan;
 use tqsim_noise::NoiseModel;
 use tqsim_obs::{Counter, Registry};
+
+use crate::JobPlan;
 
 /// The full cache key (the fingerprint is the index; the rest disambiguates
 /// fingerprint collisions and distinct planning inputs).
@@ -51,6 +55,18 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
+    /// The key for planning `circuit` under `noise` with `strategy` for
+    /// `shots` (fingerprints the circuit).
+    pub fn new(circuit: Arc<Circuit>, noise: NoiseModel, strategy: Strategy, shots: u64) -> Self {
+        PlanKey {
+            fingerprint: circuit.fingerprint(),
+            circuit,
+            noise,
+            strategy,
+            shots,
+        }
+    }
+
     fn matches(&self, other: &PlanKey) -> bool {
         self.fingerprint == other.fingerprint
             && self.shots == other.shots
@@ -107,9 +123,8 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans (`capacity == 0` disables
-    /// caching: every lookup plans afresh and nothing is stored), counting
-    /// into `registry`'s `tqsim_plan_cache_{hits,misses,evictions,compiled}_total`.
+    /// A cache holding at most `capacity` plans, counting into
+    /// `registry`'s `tqsim_plan_cache_{hits,misses,evictions,compiled}_total`.
     pub fn new(capacity: usize, registry: &Registry) -> Self {
         let c = |what: &str| registry.counter(&format!("tqsim_plan_cache_{what}_total"), &[]);
         PlanCache {
@@ -126,11 +141,6 @@ impl PlanCache {
             evictions: c("evictions"),
             compiled: c("compiled"),
         }
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Look up the plan for `key`, planning and compiling on a miss.
@@ -173,10 +183,11 @@ impl PlanCache {
         // Always clear the in-flight marker — also on an error return or a
         // panic inside planning — or same-key waiters would hang forever.
         let unmark = InFlightGuard { cache: self, key };
-        // Failpoint covering plan compilation: this one *has* an error
-        // channel, so an injected fault surfaces as a structured
-        // `PlanError` and fails only the requesting job(s), never the
-        // service (and errors are not cached — a retry replans).
+        // Failpoint covering plan compilation (named for the service, whose
+        // chaos tests arm it): this one *has* an error channel, so an
+        // injected fault surfaces as a structured `PlanError` and fails
+        // only the requesting job(s), never the service (and errors are
+        // not cached — a retry replans).
         tqsim_faults::trigger("service.plan")
             .map_err(|fault| PlanError::BadConfig(fault.to_string()))?;
         // Plan outside the lock: planning is O(gates) and compilation is
@@ -190,9 +201,6 @@ impl PlanCache {
         )?);
         let mut inner = unmark.clear();
         self.compiled.inc();
-        if self.capacity == 0 {
-            return Ok(plan);
-        }
         let clock = inner.clock;
         let bucket = inner.buckets.entry(key.fingerprint).or_default();
         bucket.push(Entry {
@@ -228,6 +236,20 @@ impl PlanCache {
         Some(plan)
     }
 
+    /// A shared copy of `circuit` to key a lookup with: the resident copy
+    /// when an entry already holds an equal circuit, else a fresh one. A
+    /// caller that only borrows its circuits (a batch) so copies each one
+    /// once per cache lifetime, not once per lookup.
+    pub fn intern(&self, circuit: &Circuit) -> Arc<Circuit> {
+        let inner = self.inner.lock().expect("plan cache lock");
+        inner
+            .buckets
+            .get(&circuit.fingerprint())
+            .and_then(|bucket| bucket.iter().find(|e| *e.key.circuit == *circuit))
+            .map(|e| Arc::clone(&e.key.circuit))
+            .unwrap_or_else(|| Arc::new(circuit.clone()))
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -237,13 +259,6 @@ impl PlanCache {
             compiled: self.compiled.get(),
             entries: self.inner.lock().expect("plan cache lock").len,
         }
-    }
-
-    /// Drop every entry (counters survive; `entries` drops to zero).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        inner.buckets.clear();
-        inner.len = 0;
     }
 }
 
@@ -308,15 +323,10 @@ mod tests {
     use tqsim_circuit::generators;
 
     fn key(circuit: Arc<Circuit>, shots: u64) -> PlanKey {
-        PlanKey {
-            fingerprint: circuit.fingerprint(),
-            circuit,
-            noise: NoiseModel::sycamore(),
-            strategy: Strategy::Custom {
-                arities: vec![4, 3],
-            },
-            shots,
-        }
+        let strategy = Strategy::Custom {
+            arities: vec![4, 3],
+        };
+        PlanKey::new(circuit, NoiseModel::sycamore(), strategy, shots)
     }
 
     #[test]
@@ -328,6 +338,9 @@ mod tests {
         let rebuilt = Arc::new(generators::qft(6));
         let b = cache.get_or_plan(&key(rebuilt, 12)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "one compilation, shared everywhere");
+        // A borrowed equal circuit interns to the resident copy.
+        assert!(Arc::ptr_eq(&cache.intern(&generators::qft(6)), &qft));
+        assert!(!Arc::ptr_eq(&cache.intern(&generators::bv(6)), &qft));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.compiled), (1, 1, 1));
         assert_eq!(stats.entries, 1);
@@ -367,22 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_storage() {
-        let cache = PlanCache::new(0, &Registry::new());
-        let qft = Arc::new(generators::qft(5));
-        cache.get_or_plan(&key(Arc::clone(&qft), 12)).unwrap();
-        cache.get_or_plan(&key(qft, 12)).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 0);
-    }
-
-    #[test]
     fn concurrent_same_key_lookups_compile_once() {
         // Single-flight: N racing threads on one key must yield exactly
         // one compile, one miss and N−1 hits — the deterministic
-        // accounting the service tests and bench assert on.
+        // accounting the engine and service tests assert on.
         let cache = Arc::new(PlanCache::new(8, &Registry::new()));
         let circuit = Arc::new(generators::qft(7));
         let threads = 8;

@@ -66,8 +66,8 @@ struct TreeShared {
     n_qubits: u16,
     subcircuits: Arc<Vec<Circuit>>,
     /// Per-subcircuit fused plans — compiled **once** per distinct plan and
-    /// replayed by every node (shared across jobs by plan dedup and the
-    /// service's cross-request plan cache).
+    /// replayed by every node (shared across jobs, batches and service
+    /// requests by the engine's plan cache).
     plans: Arc<Vec<CompiledCircuit>>,
     arities: Vec<u64>,
     tree: TreeStructure,

@@ -14,10 +14,11 @@
 //!   dataflow task with a path-derived RNG stream, so output `Counts` are
 //!   **bit-identical at every parallelism level** for a fixed seed;
 //! - [`Engine`] / [`JobSpec`] / [`Batch`] — submit many
-//!   `(circuit, noise, shots, strategy)` jobs at once; identical partition
-//!   plans are computed once and shared (cross-*job* reuse, one step beyond
-//!   the paper's cross-shot reuse), with [`PlanStats`] reporting the
-//!   dedup win;
+//!   `(circuit, noise, shots, strategy)` jobs at once; every job plans
+//!   through the engine's [`PlanCache`], so identical partition plans are
+//!   computed once and shared across jobs and batches (cross-*job* reuse,
+//!   one step beyond the paper's cross-shot reuse), with
+//!   [`Engine::plan_cache`]'s [`CacheStats`] reporting the win;
 //! - [`JobPlan`] / [`PlannedJob`] / [`Engine::start`] — the **multi-tenant**
 //!   surface: pre-planned jobs start without blocking, any number can share
 //!   the pool at once, each fires a completion callback from the worker
@@ -54,8 +55,8 @@
 //! ]);
 //! let result = batch.run()?;
 //! assert_eq!(result.jobs.len(), 3);
-//! assert_eq!(result.plans.planned, 2);
-//! assert_eq!(result.plans.reused, 1);
+//! let plans = engine.plan_cache().stats();
+//! assert_eq!((plans.misses, plans.hits), (2, 1));
 //! # Ok::<(), tqsim::PlanError>(())
 //! ```
 //!
@@ -63,12 +64,15 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 mod exec;
 pub mod pool;
 
+pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use pool::{Task, WorkerCtx, WorkerPool};
 pub use tqsim_statevec::PoolStats;
 
+use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use tqsim::{Partition, PlanError, RunResult, Strategy, TreeStructure};
 use tqsim_circuit::Circuit;
@@ -81,13 +85,19 @@ use tqsim_statevec::{CompiledCircuit, PooledBackend, SingleNode};
 /// of streamed outcomes always equals the job's final histogram.
 pub type ChunkSink = Arc<dyn Fn(&[u64]) + Send + Sync>;
 
+/// Plans an [`Engine`]'s cache holds before evicting the least recently
+/// used one.
+pub const PLAN_CACHE_CAPACITY: usize = 64;
+
 /// Engine construction options.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     parallelism: usize,
     /// Observability target: workers report per-worker busy/idle/steal
     /// counters and task latencies into this registry under the given
-    /// `engine` scope label (None ⇒ uninstrumented; the default).
+    /// `engine` scope label, and the plan cache its unlabelled
+    /// `tqsim_plan_cache_*_total` counters (None ⇒ uninstrumented; the
+    /// default).
     observe: Option<(Arc<tqsim_obs::Registry>, String)>,
 }
 
@@ -123,7 +133,7 @@ impl EngineConfig {
     /// Report worker-pool metrics into `registry`, labeling every
     /// instrument with `engine=scope` (so several engines — e.g. the
     /// service's single-node and cluster pools — share one registry
-    /// without colliding). See
+    /// without colliding), and count the plan cache into it. See
     /// [`WorkerPool::with_backend_observed`][crate::WorkerPool::with_backend_observed].
     pub fn observe(mut self, registry: Arc<tqsim_obs::Registry>, scope: &str) -> Self {
         self.observe = Some((registry, scope.to_string()));
@@ -198,13 +208,14 @@ impl<'c> JobSpec<'c> {
 /// subcircuits and the per-subcircuit **compiled fused plans**, plus the
 /// planning inputs they were derived from. Shareable (via `Arc`) across
 /// any number of jobs, batches and service requests whose planning inputs
-/// are identical — sharing a `JobPlan` is what makes plan dedup also dedup
+/// are identical — sharing a `JobPlan` is what makes plan reuse also skip
 /// DCP planning *and* compilation.
 ///
-/// Unlike [`JobSpec`], a `JobPlan` borrows nothing: the `tqsim-service`
-/// front-end caches these across requests for the lifetime of the service
-/// (keyed by circuit fingerprint + noise + strategy + shots), so a
-/// repeated circuit skips planning and compilation entirely.
+/// Unlike [`JobSpec`], a `JobPlan` borrows nothing: each [`Engine`]'s
+/// [`PlanCache`] holds these across batches (and across requests, for the
+/// `tqsim-service` front-end), keyed by circuit fingerprint + noise +
+/// strategy + shots, so a repeated circuit skips planning and compilation
+/// entirely.
 pub struct JobPlan {
     pub(crate) partition: Partition,
     pub(crate) subcircuits: Arc<Vec<Circuit>>,
@@ -321,24 +332,12 @@ impl PlannedJob {
     }
 }
 
-/// How much planning work the batch shared across jobs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Distinct `(circuit, noise, shots, strategy)` plans computed.
-    pub planned: usize,
-    /// Jobs that reused an already-computed plan (and its materialised
-    /// subcircuits) instead of planning again.
-    pub reused: usize,
-}
-
 /// Results of a [`Batch::run`]: one [`RunResult`] per job, in submission
-/// order, plus planning-reuse statistics.
+/// order.
 #[derive(Clone, Debug)]
 pub struct BatchResult {
     /// Per-job results, in the order the jobs were submitted.
     pub jobs: Vec<RunResult>,
-    /// Plan-dedup statistics.
-    pub plans: PlanStats,
 }
 
 /// A set of jobs bound to an engine, ready to run.
@@ -349,7 +348,8 @@ pub struct Batch<'e, 'c, B: PooledBackend = SingleNode> {
 }
 
 impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
-    /// Plan (with dedup) and execute every job on the engine's pool.
+    /// Plan every job through the engine's [`PlanCache`], then execute
+    /// them all on the engine's pool.
     ///
     /// Jobs **overlap**: a job whose tree cannot saturate the pool leaves
     /// workers free, so the scheduler admits further jobs until the running
@@ -364,6 +364,26 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
     /// Returns the first [`PlanError`] encountered; planning happens
     /// up-front, so no job executes unless every job plans.
     pub fn run(self) -> Result<BatchResult, PlanError> {
+        // A cache key owns its circuit: one per circuit the batch borrows,
+        // however many jobs share it.
+        let cache = &self.engine.plan_cache;
+        let mut owned: HashMap<*const Circuit, Arc<Circuit>> = HashMap::new();
+        let plans = self
+            .jobs
+            .iter()
+            .map(|job| {
+                let circuit = owned
+                    .entry(job.circuit)
+                    .or_insert_with(|| cache.intern(job.circuit));
+                let key = PlanKey::new(
+                    Arc::clone(circuit),
+                    job.noise.clone(),
+                    job.strategy.clone(),
+                    job.shots,
+                );
+                cache.get_or_plan(&key)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         // Serialize whole batches: concurrent submitters would otherwise
         // reset each other's batch-scoped high-water marks and could
         // receive each other's task panics. A poisoned gate just means a
@@ -373,46 +393,8 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        // Plan with dedup: linear scan over the first job of each distinct
-        // plan is fine at batch sizes where planning cost matters
-        // (planning is O(gates), and so is the content comparison).
-        let mut planned: Vec<(usize, Arc<JobPlan>)> = Vec::new();
-        let mut stats = PlanStats::default();
-        let mut assignments: Vec<Arc<JobPlan>> = Vec::with_capacity(self.jobs.len());
-        for job in &self.jobs {
-            let existing = planned.iter().find(|&&(idx, _)| {
-                let prev = &self.jobs[idx];
-                prev.shots == job.shots
-                    && prev.strategy == job.strategy
-                    && prev.noise == job.noise
-                    // Pointer equality is the cheap common case (one
-                    // circuit threaded through a seed sweep); fall back to
-                    // content equality so separately built but identical
-                    // circuits still share a plan.
-                    && (std::ptr::eq(prev.circuit, job.circuit) || prev.circuit == job.circuit)
-            });
-            match existing {
-                Some((_, plan)) => {
-                    stats.reused += 1;
-                    assignments.push(Arc::clone(plan));
-                }
-                None => {
-                    let plan = Arc::new(JobPlan::plan(
-                        job.circuit,
-                        &job.noise,
-                        job.shots,
-                        &job.strategy,
-                    )?);
-                    stats.planned += 1;
-                    assignments.push(Arc::clone(&plan));
-                    planned.push((assignments.len() - 1, plan));
-                }
-            }
-        }
-
         Ok(BatchResult {
-            jobs: run_overlapped(self.engine, &self.jobs, &assignments),
-            plans: stats,
+            jobs: run_overlapped(self.engine, &self.jobs, &plans),
         })
     }
 }
@@ -467,8 +449,9 @@ fn run_overlapped<B: PooledBackend>(
         .collect()
 }
 
-/// The parallel tree-execution engine: a persistent [`WorkerPool`] plus the
-/// batched job front-end. See the [crate docs](self) for an example.
+/// The parallel tree-execution engine: a persistent [`WorkerPool`], the
+/// [`PlanCache`] every batch plans through, and the batched job
+/// front-end. See the [crate docs](self) for an example.
 ///
 /// `Engine` is `Sync`. Concurrent [`Batch::run`] calls from several
 /// threads are **serialized** against each other (keeping per-batch memory
@@ -478,6 +461,7 @@ fn run_overlapped<B: PooledBackend>(
 /// client requests.
 pub struct Engine<B: PooledBackend = SingleNode> {
     pool: WorkerPool<B>,
+    plan_cache: PlanCache,
     /// Serializes batch execution; see the struct docs.
     run_gate: std::sync::Mutex<()>,
 }
@@ -509,8 +493,13 @@ impl<B: PooledBackend> Engine<B> {
             .observe
             .as_ref()
             .map(|(registry, scope)| (registry.as_ref(), scope.as_str()));
+        let plan_cache = match observe {
+            Some((registry, _)) => PlanCache::new(PLAN_CACHE_CAPACITY, registry),
+            None => PlanCache::new(PLAN_CACHE_CAPACITY, &tqsim_obs::Registry::new()),
+        };
         Engine {
             pool: WorkerPool::with_backend_observed(cfg.parallelism, backend, observe),
+            plan_cache,
             run_gate: std::sync::Mutex::new(()),
         }
     }
@@ -518,6 +507,13 @@ impl<B: PooledBackend> Engine<B> {
     /// Worker count.
     pub fn parallelism(&self) -> usize {
         self.pool.workers()
+    }
+
+    /// The cache every [`Batch::run`] plans through (and the service
+    /// front-end's planning path). A [`JobPlan`] is backend-free, so one
+    /// engine's cache can serve jobs that run on another.
+    pub fn plan_cache(&self) -> &PlanCache {
+        &self.plan_cache
     }
 
     /// Bind a set of jobs to this engine (execute with [`Batch::run`]).
@@ -652,13 +648,8 @@ mod tests {
             ])
             .run()
             .unwrap();
-        assert_eq!(
-            result.plans,
-            PlanStats {
-                planned: 3,
-                reused: 2
-            }
-        );
+        let plans = engine.plan_cache().stats();
+        assert_eq!((plans.misses, plans.hits), (3, 2));
         assert_eq!(result.jobs.len(), 5);
         assert_eq!(result.jobs[0].tree, result.jobs[1].tree);
         assert_ne!(
@@ -719,13 +710,8 @@ mod tests {
             ]
         };
         let overlapped = engine.submit(jobs()).run().unwrap();
-        assert_eq!(
-            overlapped.plans,
-            PlanStats {
-                planned: 2,
-                reused: 1
-            }
-        );
+        let plans = engine.plan_cache().stats();
+        assert_eq!((plans.misses, plans.hits), (2, 1));
         for (i, (spec, o)) in jobs().iter().zip(&overlapped.jobs).enumerate() {
             let plan =
                 JobPlan::plan(spec.circuit, &spec.noise, spec.shots, &spec.strategy).unwrap();
@@ -928,7 +914,7 @@ mod tests {
 
     #[test]
     fn cluster_backend_batches_and_streaming_work() {
-        // Batches (plan dedup, overlap) and streaming sinks are
+        // Batches (plan cache, overlap) and streaming sinks are
         // backend-agnostic: the same surface works on the cluster engine.
         use tqsim_cluster::{ClusterBackend, InterconnectModel};
         let circuit = generators::qft(8);
@@ -943,8 +929,8 @@ mod tests {
             ])
             .run()
             .unwrap();
-        assert_eq!(result.plans.planned, 1);
-        assert_eq!(result.plans.reused, 1);
+        let plans = engine.plan_cache().stats();
+        assert_eq!((plans.misses, plans.hits), (1, 1));
         for job in &result.jobs {
             assert!(job.counts.total() >= 12);
         }
@@ -955,6 +941,30 @@ mod tests {
         let engine = Engine::new(EngineConfig::default().parallelism(1));
         let result = engine.submit(Vec::new()).run().unwrap();
         assert!(result.jobs.is_empty());
-        assert_eq!(result.plans, PlanStats::default());
+        assert_eq!(engine.plan_cache().stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn a_repeated_batch_hits_the_cache_and_repeats_its_results() {
+        let qft = generators::qft(6);
+        let bv = generators::bv(6);
+        let engine = Engine::new(EngineConfig::default().parallelism(2));
+        let jobs = || {
+            vec![
+                JobSpec::new(&qft).shots(40).seed(1),
+                JobSpec::new(&bv).shots(40).seed(2),
+                JobSpec::new(&qft).shots(40).seed(3),
+            ]
+        };
+        let first = engine.submit(jobs()).run().unwrap();
+        let before = engine.plan_cache().stats();
+        let second = engine.submit(jobs()).run().unwrap();
+        let after = engine.plan_cache().stats();
+        assert_eq!(after.hits - before.hits, jobs().len() as u64);
+        assert_eq!(after.misses, before.misses, "no job plans again");
+        for (i, (a, b)) in first.jobs.iter().zip(&second.jobs).enumerate() {
+            assert_eq!(a.counts, b.counts, "job {i}");
+            assert_eq!(a.ops, b.ops, "job {i}");
+        }
     }
 }

@@ -210,9 +210,9 @@ impl JobRecord {
     }
 
     /// Completion callback target (engine worker thread). A job already
-    /// terminal (cancelled, or failed by the deadline watchdog while the
-    /// engine was still finishing) keeps its terminal state — the late
-    /// result is discarded.
+    /// terminal (cancelled, or failed by its deadline while the engine was
+    /// still finishing) keeps its terminal state — the late result is
+    /// discarded.
     pub(crate) fn finish(&self, result: RunResult) {
         let mut st = self.state.lock().expect("job state");
         if st.status.is_terminal() {

@@ -19,17 +19,18 @@
 //!   saturate the workers overlap; every job's `Counts` stay bit-identical
 //!   to a serial `Engine::submit` run because node RNG streams derive only
 //!   from the job's own seed and tree path.
-//! - **Cross-request plan cache** ([`PlanCache`], [`CacheStats`]): plans
-//!   keyed by `(circuit fingerprint, noise, strategy, shots)` are
-//!   compiled once per distinct key for the whole service lifetime, with
-//!   LRU eviction and hit/miss/eviction counters in [`ServiceStats`].
+//! - **Cross-request plan reuse**: every job plans through the
+//!   single-node engine's [`PlanCache`], whichever engine runs it, so plans
+//!   keyed by `(circuit fingerprint, noise, strategy, shots)` are compiled
+//!   once per distinct key and replayed for every later request (LRU
+//!   eviction, hit/miss/eviction counters in [`ServiceStats`]).
 //! - **Streaming results** ([`Ticket`]): leaf-batch outcome chunks are
 //!   delivered to the client handle while the job is still executing;
 //!   [`Ticket::wait`] returns the full histogram at the end.
 //! - **Wire protocol** ([`wire`]): a std-only `TcpListener` front-end
-//!   speaking line-delimited JSON (hand-rolled — no serde in the offline
-//!   workspace) with `submit`/`poll`/`stream`/`cancel`/`result`/`stats`/
-//!   `metrics` verbs.
+//!   speaking line-delimited JSON ([`tqsim_json`], hand-rolled — no serde
+//!   in the offline workspace) with `submit`/`poll`/`stream`/`cancel`/
+//!   `result`/`stats`/`metrics` verbs.
 //! - **Observability** ([`Service::metrics`], the `metrics` verb): a
 //!   workspace-wide registry ([`tqsim_obs`], re-exported as [`obs`]) of
 //!   per-stage job latency histograms (queue-wait / compile / execute /
@@ -75,12 +76,11 @@
 //!
 //! [`tqsim-engine`]: tqsim_engine
 //! [`Engine::start`]: tqsim_engine::Engine::start
+//! [`PlanCache`]: tqsim_engine::PlanCache
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod job;
-pub mod json;
 mod metrics;
 mod queue;
 pub mod service;
@@ -91,7 +91,6 @@ pub mod wire;
 /// without a separate dependency).
 pub use tqsim_obs as obs;
 
-pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use job::{ChunkPoll, JobError, JobId, JobStatus, Ticket};
 pub use queue::SubmitError;
 pub use service::{
@@ -656,7 +655,6 @@ mod tests {
                 .parallelism(1)
                 .max_concurrent_jobs(1)
                 .queue_capacity(1)
-                .cache_capacity(1)
                 .backend_policy(BackendPolicy::cluster_above(8, 2)),
         );
         let narrow = Arc::new(generators::bv(5));
@@ -665,9 +663,16 @@ mod tests {
         let first = service.submit("a", request(1)).unwrap();
         first.wait().unwrap();
         service.submit("a", request(2)).unwrap().wait().unwrap();
-        // Miss that evicts the first plan: cluster.
+        // Miss: cluster.
         let wide = JobRequest::new(Arc::new(generators::qft(8))).shots(8);
         service.submit("a", wide).unwrap().wait().unwrap();
+        // Fill the cache: the last of these distinct plans is one past
+        // its capacity and evicts the coldest.
+        let fill = tqsim_engine::PLAN_CACHE_CAPACITY as u64 - 1;
+        for shots in 9..9 + fill {
+            let distinct = JobRequest::new(Arc::clone(&narrow)).shots(shots);
+            service.submit("a", distinct).unwrap().wait().unwrap();
+        }
         // Plan failure.
         let empty = JobRequest::new(Arc::new(tqsim_circuit::Circuit::new(3)));
         assert!(service.submit("a", empty).unwrap().wait().is_err());
@@ -736,19 +741,46 @@ mod tests {
                 stats.completed,
                 stats.failed
             ),
-            (6, 1, 3, 1)
+            (6 + fill, 1, 3 + fill, 1)
         );
         assert_eq!(
             (stats.cancelled, stats.timed_out, stats.forgotten),
             (1, 1, 1)
         );
-        assert_eq!((stats.single_node_jobs, stats.cluster_jobs), (2, 1));
+        assert_eq!((stats.single_node_jobs, stats.cluster_jobs), (2 + fill, 1));
         assert_eq!(
             (stats.cache.hits, stats.cache.misses, stats.cache.evictions),
-            (1, 3, 1)
+            (1, 3 + fill, 1)
         );
-        assert_eq!((stats.cache.compiled, stats.cache.entries), (2, 1));
+        assert_eq!(
+            (stats.cache.compiled, stats.cache.entries),
+            (2 + fill, tqsim_engine::PLAN_CACHE_CAPACITY)
+        );
         assert_eq!(stats.running_high_water, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_pending_deadline_does_not_pin_a_forgotten_job() {
+        let service = small_service(1);
+        let request = JobRequest::new(Arc::new(generators::bv(5)))
+            .shots(8)
+            .deadline(std::time::Duration::from_secs(3600));
+        let ticket = service.submit("a", request).unwrap();
+        ticket.wait().unwrap();
+        assert!(service.forget(ticket.id()));
+        let record = Arc::downgrade(&ticket.record);
+        drop(ticket);
+        // The engine drops its completion wiring just after the ticket
+        // wakes; give it a moment, far short of the deadline.
+        let until = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while record.upgrade().is_some() && std::time::Instant::now() < until {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(
+            record.upgrade().is_none(),
+            "the pending deadline keeps the forgotten record (and its result) alive"
+        );
         service.shutdown();
     }
 

@@ -10,7 +10,8 @@
 //!   `tqsim_chunks_streamed_total` / `tqsim_outcomes_streamed_total` and
 //!   `tqsim_jobs_placed_total{backend=…}` counters ([`JobCounters`], read
 //!   back by `Service::stats`), the plan cache's
-//!   `tqsim_plan_cache_*_total` counters (held by the cache itself), the
+//!   `tqsim_plan_cache_*_total` counters (held by the single-node engine's
+//!   cache, and registered here only when observability is on), the
 //!   five `tqsim_job_stage_ns{stage=…}` histograms (recorded once per
 //!   completed job, so each histogram's `count` equals the completed-job
 //!   count), the per-backend in-flight gauges, the running high water

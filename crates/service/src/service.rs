@@ -1,19 +1,18 @@
-//! The service core: admission, the scheduler thread, job overlap on the
-//! engine, and the stats snapshot.
+//! The service core: admission, the scheduler thread (dispatch, deadlines
+//! and retry backoffs), job overlap on the engine, and the stats snapshot.
 
-use crate::cache::{CacheStats, PlanCache, PlanKey};
 use crate::job::{JobError, JobId, JobRecord, Ticket};
 use crate::metrics::{GaugeRefresh, ServiceMetrics};
 use crate::queue::{FairQueue, PendingJob, SubmitError};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tqsim::Strategy;
 use tqsim_circuit::Circuit;
 use tqsim_cluster::{ClusterBackend, InterconnectModel};
-use tqsim_engine::{ChunkSink, Engine, EngineConfig, PlannedJob};
+use tqsim_engine::{CacheStats, ChunkSink, Engine, EngineConfig, PlanKey, PlannedJob};
 use tqsim_noise::NoiseModel;
 use tqsim_shard::ShardBackend;
 
@@ -180,8 +179,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-client queued-job bound (fairness guard).
     pub per_client_capacity: usize,
-    /// Plan-cache capacity in plans (0 disables caching).
-    pub cache_capacity: usize,
     /// Backend placement policy (default: everything single-node).
     pub backend_policy: BackendPolicy,
     /// How long finished job records stay queryable after reaching a
@@ -191,8 +188,11 @@ pub struct ServiceConfig {
     pub retention_ttl: Option<Duration>,
     /// Whether the service's engines and cluster backends register their
     /// per-worker and communication instruments (`EngineConfig::observe`,
-    /// the backends' `observed`). On by default. The service's own job
-    /// counters, stage histograms, gauges and the `metrics` verb are
+    /// the backends' `observed`). On by default. With it off, the plan
+    /// cache's `tqsim_plan_cache_*_total` counters leave the `metrics`
+    /// exposition along with the other engine instruments (the cache is
+    /// the single-node engine's); `stats` is unchanged. The service's own
+    /// job counters, stage histograms, gauges and the `metrics` verb are
     /// always on: they are the only store `stats` reads. The switch
     /// stays because `perf/`'s `service_mix` compares a rep with it off
     /// (`obs.overhead_frac`); it goes when that rep does.
@@ -209,7 +209,6 @@ impl Default for ServiceConfig {
             max_concurrent_jobs: parallelism,
             queue_capacity: 256,
             per_client_capacity: 64,
-            cache_capacity: 64,
             backend_policy: BackendPolicy::default(),
             retention_ttl: Some(Duration::from_secs(900)),
             observability: true,
@@ -254,12 +253,6 @@ impl ServiceConfig {
     /// Set the per-client queue bound.
     pub fn per_client_capacity(mut self, n: usize) -> Self {
         self.per_client_capacity = n;
-        self
-    }
-
-    /// Set the plan-cache capacity (0 disables caching).
-    pub fn cache_capacity(mut self, n: usize) -> Self {
-        self.cache_capacity = n;
         self
     }
 
@@ -317,7 +310,7 @@ pub struct JobRequest {
     /// Execution retry policy (defaults to no retries).
     pub retry: RetryPolicy,
     /// Wall-clock budget measured from admission; when it passes before
-    /// the job completes, the watchdog fails it with
+    /// the job completes, the scheduler thread fails it with
     /// [`JobError::DeadlineExceeded`] (defaults to none).
     pub deadline: Option<Duration>,
 }
@@ -385,13 +378,12 @@ impl JobRequest {
     }
 
     fn plan_key(&self) -> PlanKey {
-        PlanKey {
-            fingerprint: self.circuit.fingerprint(),
-            circuit: Arc::clone(&self.circuit),
-            noise: self.noise.clone(),
-            strategy: self.strategy.clone(),
-            shots: self.shots,
-        }
+        PlanKey::new(
+            Arc::clone(&self.circuit),
+            self.noise.clone(),
+            self.strategy.clone(),
+            self.shots,
+        )
     }
 }
 
@@ -427,7 +419,8 @@ pub struct ServiceStats {
     pub chunks_streamed: u64,
     /// Total outcomes streamed to clients.
     pub outcomes_streamed: u64,
-    /// Cross-request plan-cache counters.
+    /// Plan-cache counters (the single-node engine's cache, which every
+    /// job plans through).
     pub cache: CacheStats,
     /// Engine worker threads.
     pub workers: usize,
@@ -453,147 +446,32 @@ struct SchedState {
     running: usize,
     shutdown: bool,
     paused: bool,
+    /// Pending deadlines and retry backoffs, earliest first (the sequence
+    /// number keeps equal instants in schedule order). The scheduler loop
+    /// sleeps until the first one is due.
+    timers: BTreeMap<(Instant, u64), Timer>,
+    timer_seq: u64,
 }
 
-/// Something the watchdog thread fires at a future instant.
-enum TimerTask {
+/// Something the scheduler loop fires at a future instant.
+enum Timer {
     /// Fail this job with [`JobError::DeadlineExceeded`] (a no-op if it
-    /// reached a terminal state first).
-    Deadline(Arc<JobRecord>),
+    /// reached a terminal state first). Held weakly, so a pending
+    /// deadline never keeps a finished, forgotten job's result alive.
+    Deadline(Weak<JobRecord>),
     /// Re-dispatch a retrying job after its backoff window.
     Retry(Box<dyn FnOnce() + Send>),
 }
 
-struct TimerEntry {
-    due: Instant,
-    /// Tie-breaker so equal deadlines fire in schedule order.
-    seq: u64,
-    task: TimerTask,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    /// Reversed, so the std max-heap pops the *earliest* due entry.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-struct WatchdogState {
-    heap: BinaryHeap<TimerEntry>,
-    seq: u64,
-    shutdown: bool,
-}
-
-/// One timer thread serving every per-job deadline and retry backoff: a
-/// min-heap of due instants and a condvar timed-wait until the earliest.
-/// On shutdown, pending retries fire immediately (their jobs hold
-/// scheduler slots that must drain) and pending deadlines are dropped
-/// (running jobs are allowed to finish).
-struct Watchdog {
-    state: Mutex<WatchdogState>,
-    cv: Condvar,
-}
-
-impl Watchdog {
-    fn new() -> Self {
-        Watchdog {
-            state: Mutex::new(WatchdogState {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Schedule `task` to fire at `due`. After shutdown the task is handed
-    /// back instead, and the caller must run (or drop) it itself — nothing
-    /// is silently lost.
-    fn schedule(&self, due: Instant, task: TimerTask) -> Result<(), TimerTask> {
-        let mut st = self.state.lock().expect("watchdog state");
-        if st.shutdown {
-            return Err(task);
-        }
-        st.seq += 1;
-        let seq = st.seq;
-        st.heap.push(TimerEntry { due, seq, task });
-        self.cv.notify_all();
-        Ok(())
-    }
-
-    fn begin_shutdown(&self) {
-        let mut st = self.state.lock().expect("watchdog state");
-        st.shutdown = true;
-        self.cv.notify_all();
-    }
-}
-
-fn watchdog_loop(shared: &Arc<Shared>) {
-    loop {
-        let mut fired: Vec<TimerTask> = Vec::new();
-        let shutting_down = {
-            let mut st = shared.watchdog.state.lock().expect("watchdog state");
-            loop {
-                let now = Instant::now();
-                while st.heap.peek().is_some_and(|e| e.due <= now) {
-                    fired.push(st.heap.pop().expect("peeked").task);
+impl Timer {
+    fn fire(self) {
+        match self {
+            Timer::Deadline(record) => {
+                if let Some(record) = record.upgrade() {
+                    record.fail(JobError::DeadlineExceeded);
                 }
-                if !fired.is_empty() {
-                    break false;
-                }
-                if st.shutdown {
-                    // Flush: retries fire now (their jobs hold scheduler
-                    // slots), deadlines are dropped (running jobs finish).
-                    while let Some(e) = st.heap.pop() {
-                        if matches!(e.task, TimerTask::Retry(_)) {
-                            fired.push(e.task);
-                        }
-                    }
-                    break true;
-                }
-                st = match st.heap.peek().map(|e| e.due) {
-                    Some(due) => {
-                        let wait = due.saturating_duration_since(Instant::now());
-                        shared
-                            .watchdog
-                            .cv
-                            .wait_timeout(st, wait)
-                            .expect("watchdog cv")
-                            .0
-                    }
-                    None => shared.watchdog.cv.wait(st).expect("watchdog cv"),
-                };
             }
-        };
-        // Fire outside the watchdog lock: deadline failure takes the job
-        // lock and the scheduler lock (dequeue hook); retries dispatch
-        // onto the engine.
-        for task in fired {
-            fire_timer(shared, task);
-        }
-        if shutting_down {
-            return;
-        }
-    }
-}
-
-fn fire_timer(shared: &Arc<Shared>, task: TimerTask) {
-    match task {
-        TimerTask::Deadline(record) => record.fail(JobError::DeadlineExceeded),
-        TimerTask::Retry(redispatch) => {
-            let _ = shared; // retries carry their own Arc<Shared>
-            redispatch();
+            Timer::Retry(redispatch) => redispatch(),
         }
     }
 }
@@ -651,10 +529,10 @@ impl ClusterEngine {
 pub(crate) struct Shared {
     engine: Engine,
     /// The cluster-backed engine, spun up only when the placement policy
-    /// can route anything to it. Shares nothing with the single-node pool
-    /// except the plan cache: the same `JobPlan` replays on either.
+    /// can route anything to it. Its own plan cache stays empty: every job
+    /// plans through the single-node engine's, since the same `JobPlan`
+    /// replays on either.
     cluster: Option<ClusterEngine>,
-    cache: PlanCache,
     cfg: ServiceConfig,
     /// Job counters, stage histograms and gauges: the only store of what
     /// [`Service::stats`] and [`Service::metrics`] report.
@@ -663,10 +541,8 @@ pub(crate) struct Shared {
     snapshot_seq: AtomicU64,
     state: Mutex<SchedState>,
     /// Wakes the scheduler: new submission, a slot freed, pause toggled,
-    /// shutdown.
+    /// a timer armed, shutdown.
     work_cv: Condvar,
-    /// Deadline + retry-backoff timer wheel (one thread; see [`Watchdog`]).
-    watchdog: Watchdog,
     /// Job registry for id-based lookups (wire protocol `poll`/`stream`/
     /// `cancel`/`result`/`forget`). Finished entries expire after
     /// `cfg.retention_ttl` (swept opportunistically) or an explicit forget.
@@ -685,6 +561,21 @@ impl Shared {
         let mut st = self.state.lock().expect("scheduler state");
         st.running -= 1;
         self.work_cv.notify_all();
+    }
+
+    /// Arm `timer` to fire from the scheduler loop at `due`. Once shutdown
+    /// has begun the timer is handed back instead, and the caller must run
+    /// (or drop) it itself — nothing is silently lost.
+    fn schedule(&self, due: Instant, timer: Timer) -> Result<(), Timer> {
+        let mut st = self.state.lock().expect("scheduler state");
+        if st.shutdown {
+            return Err(timer);
+        }
+        st.timer_seq += 1;
+        let seq = st.timer_seq;
+        st.timers.insert((due, seq), timer);
+        self.work_cv.notify_all();
+        Ok(())
     }
 
     /// The snapshot-time gauges, after an opportunistic retention sweep.
@@ -707,7 +598,7 @@ impl Shared {
             queued,
             running,
             retained,
-            cache_entries: self.cache.stats().entries,
+            cache_entries: self.engine.plan_cache().stats().entries,
         }
     }
 
@@ -745,8 +636,8 @@ impl Shared {
 }
 
 /// The multi-client simulation service: a bounded fair queue in front of a
-/// scheduler that overlaps jobs on one engine, with a cross-request plan
-/// cache and streaming results. See the [crate docs](crate) for the tour.
+/// scheduler that overlaps jobs on one engine, plans through that engine's
+/// plan cache, and streams results. See the [crate docs](crate) for the tour.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -765,7 +656,6 @@ impl Shared {
 pub struct Service {
     shared: Arc<Shared>,
     scheduler: Mutex<Option<JoinHandle<()>>>,
-    watchdog: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Service {
@@ -826,7 +716,6 @@ impl Service {
         let shared = Arc::new(Shared {
             engine: Engine::new(engine_cfg),
             cluster,
-            cache: PlanCache::new(cfg.cache_capacity, &metrics.registry),
             metrics,
             snapshot_seq: AtomicU64::new(0),
             state: Mutex::new(SchedState {
@@ -834,9 +723,10 @@ impl Service {
                 running: 0,
                 shutdown: false,
                 paused: false,
+                timers: BTreeMap::new(),
+                timer_seq: 0,
             }),
             work_cv: Condvar::new(),
-            watchdog: Watchdog::new(),
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             started: std::time::Instant::now(),
@@ -848,15 +738,9 @@ impl Service {
             .name("tqsim-service-scheduler".into())
             .spawn(move || scheduler_loop(&sched_shared))
             .expect("scheduler thread spawn");
-        let watchdog_shared = Arc::clone(&shared);
-        let watchdog = std::thread::Builder::new()
-            .name("tqsim-service-watchdog".into())
-            .spawn(move || watchdog_loop(&watchdog_shared))
-            .expect("watchdog thread spawn");
         Arc::new(Service {
             shared,
             scheduler: Mutex::new(Some(scheduler)),
-            watchdog: Mutex::new(Some(watchdog)),
         })
     }
 
@@ -915,15 +799,10 @@ impl Service {
                 // and runs the same eager-dequeue hook as a cancellation,
                 // so a job that times out while still queued frees its
                 // admission slot immediately.
-                if let Some(deadline) = deadline {
-                    if let Some(due) = Instant::now().checked_add(deadline) {
-                        // Err only after watchdog shutdown (racing a
-                        // concurrent Service::shutdown): the queue drain is
-                        // about to fail this job anyway.
-                        let _ = shared
-                            .watchdog
-                            .schedule(due, TimerTask::Deadline(Arc::clone(&record)));
-                    }
+                if let Some(due) = deadline.and_then(|d| Instant::now().checked_add(d)) {
+                    // Err only once a concurrent Service::shutdown began:
+                    // the queue drain fails this job anyway.
+                    let _ = shared.schedule(due, Timer::Deadline(Arc::downgrade(&record)));
                 }
                 Ok(Ticket { record })
             }
@@ -971,7 +850,7 @@ impl Service {
             running_high_water: m.running_high_water.get() as usize,
             chunks_streamed: jobs.chunks_streamed.get(),
             outcomes_streamed: jobs.outcomes_streamed.get(),
-            cache: shared.cache.stats(),
+            cache: shared.engine.plan_cache().stats(),
             workers: shared.engine.parallelism(),
             max_concurrent_jobs: shared.cfg.max_concurrent_jobs,
             single_node_jobs: jobs.single_node_jobs.get(),
@@ -1050,7 +929,8 @@ impl Service {
     }
 
     /// Graceful shutdown: refuse new submissions, fail everything still
-    /// queued, let running jobs finish, and join the scheduler thread.
+    /// queued, re-dispatch jobs waiting out a retry backoff, drop pending
+    /// deadlines, join the scheduler thread and let running jobs finish.
     /// Idempotent.
     pub fn shutdown(&self) {
         {
@@ -1059,13 +939,6 @@ impl Service {
             self.shared.work_cv.notify_all();
         }
         if let Some(handle) = self.scheduler.lock().expect("scheduler handle").take() {
-            let _ = handle.join();
-        }
-        // Flush the watchdog: jobs parked in retry backoff re-dispatch
-        // immediately (they hold running slots the quiesce below waits
-        // on), pending deadlines are dropped (running jobs may finish).
-        self.shared.watchdog.begin_shutdown();
-        if let Some(handle) = self.watchdog.lock().expect("watchdog handle").take() {
             let _ = handle.join();
         }
         // Wait for in-flight jobs so `shutdown` is a true quiesce point.
@@ -1084,33 +957,72 @@ impl Drop for Service {
 
 fn scheduler_loop(shared: &Arc<Shared>) {
     loop {
-        let pending = {
+        let (due, pending) = {
             let mut st = shared.state.lock().expect("scheduler state");
             loop {
                 if st.shutdown {
                     // Fail whatever is still queued so no ticket blocks
-                    // forever, then exit. Failing runs each job's eager
-                    // dequeue hook, which takes this lock — drain first,
-                    // fail after release.
+                    // forever, re-dispatch retries now (their jobs hold
+                    // running slots the shutdown quiesce waits on), drop
+                    // deadlines (running jobs may finish), then exit.
+                    // Failing runs each job's eager-dequeue hook, which
+                    // takes this lock — take everything first, act after
+                    // release.
                     let drained = st.queue.drain_all();
+                    let timers = std::mem::take(&mut st.timers);
                     drop(st);
                     for job in drained {
                         job.record
                             .fail(JobError::Failed("service shut down".into()));
                     }
+                    for timer in timers.into_values() {
+                        if let Timer::Retry(redispatch) = timer {
+                            redispatch();
+                        }
+                    }
                     return;
                 }
+                let now = Instant::now();
+                let mut due = Vec::new();
+                while let Some(timer) = st.timers.first_entry().filter(|t| t.key().0 <= now) {
+                    due.push(timer.remove());
+                }
+                let mut pending = None;
                 if !st.paused && st.running < shared.cfg.max_concurrent_jobs {
-                    if let Some(job) = st.queue.pop_fair() {
+                    pending = st.queue.pop_fair();
+                    if pending.is_some() {
                         st.running += 1;
                         // Atomic monotonic max: concurrent stats readers
                         // never see the high water regress.
                         shared.metrics.running_high_water.set_max(st.running as i64);
-                        break job;
                     }
                 }
-                st = shared.work_cv.wait(st).expect("scheduler state");
+                if !due.is_empty() || pending.is_some() {
+                    break (due, pending);
+                }
+                // Sleep until woken or the earliest timer is due — paused
+                // too, since a queued job's deadline must still fire.
+                st = match st.timers.keys().next() {
+                    Some(&(at, _)) => {
+                        let wait = at.saturating_duration_since(now);
+                        shared
+                            .work_cv
+                            .wait_timeout(st, wait)
+                            .expect("scheduler state")
+                            .0
+                    }
+                    None => shared.work_cv.wait(st).expect("scheduler state"),
+                };
             }
+        };
+        // Fire outside the state lock: a deadline failure runs the job's
+        // eager-dequeue hook, which takes it; a retry dispatches onto the
+        // engine.
+        for timer in due {
+            timer.fire();
+        }
+        let Some(pending) = pending else {
+            continue;
         };
         // The queue-wait stage ends here, whichever dispatch path follows.
         pending.record.set_scheduled();
@@ -1121,7 +1033,8 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         // head-of-line blocks dispatch of already-cached jobs behind it,
         // and concurrent misses on *different* keys plan in parallel (the
         // cache plans outside its lock; same-key misses single-flight).
-        match shared.cache.try_get(&pending.request.plan_key()) {
+        let key = pending.request.plan_key();
+        match shared.engine.plan_cache().try_get(&key) {
             Some(plan) => start_job(shared, pending, plan),
             None => {
                 // Live planner threads are bounded by max_concurrent_jobs
@@ -1131,20 +1044,20 @@ fn scheduler_loop(shared: &Arc<Shared>) {
                 let dispatch_shared = Arc::clone(shared);
                 std::thread::Builder::new()
                     .name("tqsim-service-planner".into())
-                    .spawn(move || dispatch(&dispatch_shared, pending))
+                    .spawn(move || dispatch(&dispatch_shared, pending, &key))
                     .expect("planner thread spawn");
             }
         }
     }
 }
 
-/// Plan (through the cross-request cache) and start one job on the engine.
-fn dispatch(shared: &Arc<Shared>, pending: PendingJob) {
+/// Plan (through the single-node engine's cache) and start one job.
+fn dispatch(shared: &Arc<Shared>, pending: PendingJob, key: &PlanKey) {
     // RAII span: planning wall time (cache-miss dispatches only) lands in
     // the `tqsim_plan_ns` histogram when the guard drops.
     let plan = {
         let _span = shared.metrics.registry.span("tqsim_plan_ns", &[]);
-        shared.cache.get_or_plan(&pending.request.plan_key())
+        shared.engine.plan_cache().get_or_plan(key)
     };
     let plan = match plan {
         Ok(plan) => plan,
@@ -1342,7 +1255,7 @@ fn attempt_failed(
         }
         let backoff = request.retry.backoff_after(attempt);
         let retry_shared = Arc::clone(shared);
-        let task = TimerTask::Retry(Box::new(move || {
+        let retry = Timer::Retry(Box::new(move || {
             start_attempt(
                 &retry_shared,
                 record,
@@ -1352,17 +1265,16 @@ fn attempt_failed(
                 Some(placement),
             );
         }));
+        // The slot stays held through the backoff wait: a retrying job is
+        // still "running" for admission purposes. Once shutdown has begun
+        // the retry runs inline, so the attempt chain still releases it.
         match Instant::now().checked_add(backoff) {
             Some(due) => {
-                // The slot stays held through the backoff wait: a
-                // retrying job is still "running" for admission purposes.
-                if let Err(task) = shared.watchdog.schedule(due, task) {
-                    // Shutdown raced the schedule — run the retry inline
-                    // so the slot is still released by the attempt chain.
-                    fire_timer(shared, task);
+                if let Err(retry) = shared.schedule(due, retry) {
+                    retry.fire();
                 }
             }
-            None => fire_timer(shared, task),
+            None => retry.fire(),
         }
         return;
     }

@@ -1,7 +1,7 @@
 //! The line-delimited JSON wire protocol and the `std::net` TCP front-end.
 //!
 //! One request per line, one (or for `stream`, many) response line(s) per
-//! request, every line a single JSON object. Hand-rolled on [`crate::json`]
+//! request, every line a single JSON object. Hand-rolled on [`tqsim_json`]
 //! — the offline workspace has no serde — and std-only: a plain
 //! `TcpListener` with one thread per connection, no async runtime.
 //!
@@ -51,7 +51,6 @@
 //! JSON layer refuses to emit anything larger rather than round silently.
 
 use crate::job::{ChunkPoll, JobStatus, Ticket};
-use crate::json::{self, num, num_u64, obj, str_val, Value};
 use crate::queue::SubmitError;
 use crate::service::{JobRequest, RetryPolicy, Service, ServiceStats};
 use std::io::{BufRead, BufReader, Write};
@@ -62,6 +61,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tqsim::{RunResult, Strategy};
 use tqsim_circuit::{Circuit, GateKind};
+use tqsim_json::{self as json, num, num_u64, obj, str_val, Value};
 use tqsim_noise::{NoiseModel, ReadoutError};
 
 // ---------------------------------------------------------------- codecs

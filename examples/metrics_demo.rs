@@ -9,8 +9,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use tqsim_json as json;
 use tqsim_repro::circuit::generators;
-use tqsim_repro::service::{json, wire, Service, ServiceConfig};
+use tqsim_repro::service::{wire, Service, ServiceConfig};
 
 /// One request/response round-trip on the line-delimited protocol.
 fn request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> json::Value {

@@ -1,12 +1,13 @@
 //! Batched multi-job submission on the `tqsim-engine` work-stealing pool,
-//! with plan-deduplication statistics.
+//! with the engine plan cache's hit and miss counts.
 //!
 //! A realistic service workload plans *many* related simulations at once —
 //! here a seed sweep (same circuit, same plan, different RNG streams) plus
-//! a shot-budget sweep and a second circuit family. The engine plans each
-//! distinct `(circuit, noise, shots, strategy)` combination once, shares
-//! the materialised subcircuits across jobs, and fans every simulation
-//! tree out over one persistent worker pool.
+//! a shot-budget sweep and a second circuit family. Every job plans
+//! through the engine's plan cache, so each distinct `(circuit, noise,
+//! shots, strategy)` combination is planned once and its materialised
+//! subcircuits are shared across jobs (and across later batches); every
+//! simulation tree fans out over one persistent worker pool.
 //!
 //! Run with: `cargo run --release --example parallel_engine`
 
@@ -63,11 +64,12 @@ fn main() {
         "\nbatch: {n_jobs} jobs in {:.1} ms",
         elapsed.as_secs_f64() * 1e3
     );
+    let plans = engine.plan_cache().stats();
     println!(
-        "plans: {} computed, {} reused (planning amortised {:.0}% of jobs)",
-        result.plans.planned,
-        result.plans.reused,
-        100.0 * result.plans.reused as f64 / n_jobs as f64
+        "plan cache: {} misses, {} hits (planning amortised {:.0}% of jobs)",
+        plans.misses,
+        plans.hits,
+        100.0 * plans.hits as f64 / n_jobs as f64
     );
     println!(
         "state pool: {} allocations, {} reuses ({:.1} reuses per allocation)",

@@ -2,16 +2,17 @@
 //! on a loopback TCP port, and drive three concurrent clients over the
 //! line-delimited JSON protocol — watching outcome chunks stream in while
 //! the jobs are still executing, then dumping the service stats (including
-//! the cross-request plan-cache hits: all three clients submit the same
-//! circuit, which compiles exactly once).
+//! the plan-cache hits: all three clients submit the same circuit, which
+//! compiles exactly once in the engine's plan cache).
 //!
 //! Run with: `cargo run --release --example service_demo`
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use tqsim_json as json;
 use tqsim_repro::circuit::generators;
-use tqsim_repro::service::{json, wire, Service, ServiceConfig};
+use tqsim_repro::service::{wire, Service, ServiceConfig};
 
 /// One request/response round-trip on the line-delimited protocol.
 fn request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> json::Value {
@@ -27,15 +28,14 @@ fn main() {
     let service = Service::start(
         ServiceConfig::default()
             .parallelism(2)
-            .max_concurrent_jobs(3)
-            .cache_capacity(16),
+            .max_concurrent_jobs(3),
     );
     let server = wire::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let addr = server.addr();
     println!("tqsim-service listening on {addr}\n");
 
     // Three clients, one shared circuit: the first submission compiles the
-    // plan, the other two hit the service-lifetime cache.
+    // plan, the other two hit the engine's plan cache.
     let circuit = generators::qft(8);
     let circuit_json = wire::circuit_to_json(&circuit).to_json();
 

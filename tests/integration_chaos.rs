@@ -18,8 +18,9 @@ use std::time::Duration;
 use tqsim::{Counts, Strategy as PlanStrategy};
 use tqsim_circuit::generators;
 use tqsim_faults::FaultConfig;
+use tqsim_json as json;
 use tqsim_service::{
-    json, wire, BackendPolicy, JobError, JobRequest, RetryPolicy, Service, ServiceConfig,
+    wire, BackendPolicy, JobError, JobRequest, RetryPolicy, Service, ServiceConfig,
 };
 
 // ------------------------------------------------------------- harness

@@ -194,8 +194,8 @@ fn batch_matches_individual_runs() {
         JobSpec::new(&bv).shots(100).seed(3),
     ];
     let batch = engine.submit(jobs.clone()).run().unwrap();
-    assert_eq!(batch.plans.planned, 2);
-    assert_eq!(batch.plans.reused, 1);
+    let plans = engine.plan_cache().stats();
+    assert_eq!((plans.misses, plans.hits), (2, 1));
     for (job, batched) in jobs.into_iter().zip(&batch.jobs) {
         let solo = engine.submit(vec![job]).run().unwrap().jobs.remove(0);
         assert_eq!(solo.counts, batched.counts);

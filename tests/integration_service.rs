@@ -10,8 +10,9 @@ use std::sync::Arc;
 use tqsim::{Counts, RunResult, Strategy as PlanStrategy};
 use tqsim_circuit::{generators, Circuit, Gate, GateKind};
 use tqsim_engine::{Engine, EngineConfig, JobSpec};
+use tqsim_json as json;
 use tqsim_noise::NoiseModel;
-use tqsim_service::{json, wire, BackendPolicy, JobRequest, Service, ServiceConfig, Ticket};
+use tqsim_service::{wire, BackendPolicy, JobRequest, Service, ServiceConfig, Ticket};
 
 /// Random gates over the wire-transportable catalogue.
 fn arb_gate(n: u16) -> impl Strategy<Value = Gate> {
