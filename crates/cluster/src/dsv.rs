@@ -3,12 +3,20 @@
 //!
 //! The full `2^n` amplitude array is split across `2^g` nodes; node `i`
 //! holds the contiguous slice of global indices `i·2^{n−g} .. (i+1)·2^{n−g}`,
-//! i.e. the **top `g` qubits select the node**. Gates on local (low) qubits
-//! need no communication; gates touching a global qubit are handled the way
-//! real distributed simulators do it — a *distributed swap* brings the
-//! global qubit down to a scratch local qubit (one pairwise half-slice
-//! exchange each way), the gate runs locally, and the swap is undone. Every
-//! exchange is counted and priced by the [`InterconnectModel`].
+//! i.e. the **top `g` bit positions select the node**. A dense op needs its
+//! operands on local (low) positions. A *distributed swap* (one pairwise
+//! half-slice exchange round) transposes a global position with a local
+//! one, and the [`Layout`] decides which transpositions to open and close:
+//! a global qubit brought down for one op stays down until another op
+//! needs its local position or [`QuantumState::settle`] restores the
+//! canonical layout, as real distributed simulators do it. Diagonals and
+//! Kraus branches run wherever their qubits sit. Every exchange is counted
+//! and priced by the [`InterconnectModel`].
+//!
+//! Ops are issued on physical positions, so neither transport sees the
+//! layout. [`DistributedStateVector::gather`] un-permutes an unsettled
+//! state locally; the other reads (norm, marginals, sampling) fold in rank
+//! order and need the canonical layout, so they panic on an unsettled state.
 //!
 //! This is the one distributed state: it makes every decision and does all
 //! the accounting, and its [`SliceTransport`] only moves and touches slices
@@ -17,6 +25,7 @@
 //! pairs of slices) run in turn on the caller's thread, and the kernels
 //! pool *inside* a slice once it reaches `kernels::par_min_len`.
 
+use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
 use crate::transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};
 use std::fmt;
@@ -69,9 +78,10 @@ pub struct ClusterObs {
     pub exchanges: Arc<Counter>,
     /// Modeled bytes moved over the interconnect.
     pub bytes_exchanged: Arc<Counter>,
-    /// Gates applied without communication (all qubits node-local).
+    /// Ops applied with no exchange round (diagonal runs included).
     pub local_gates: Arc<Counter>,
-    /// Gates that needed a global→local remap (distributed swaps each way).
+    /// Ops that triggered at least one exchange round (their operands
+    /// were not all on local positions).
     pub remapped_gates: Arc<Counter>,
     /// Parent→child intermediate-state copies (node-local memcpys).
     pub state_copies: Arc<Counter>,
@@ -171,6 +181,7 @@ pub struct DistributedStateVector<T: SliceTransport = LocalSlices> {
     n_qubits: u16,
     local_n: u16,
     slices: T,
+    layout: Layout,
     model: InterconnectModel,
     /// Operation counters, including modeled cluster time.
     pub counters: ClusterCounters,
@@ -218,6 +229,7 @@ impl<T: SliceTransport> DistributedStateVector<T> {
             n_qubits,
             local_n,
             slices: alloc(local_n),
+            layout: Layout::new(n_qubits, local_n),
             model,
             counters: ClusterCounters::default(),
             obs: None,
@@ -250,14 +262,45 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         self.local_n
     }
 
+    /// Where each qubit sits now: canonical unless ops since the last
+    /// [`QuantumState::settle`] left a global qubit on a local position.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
     /// Gather the full state onto "one node" (for verification / sampling
-    /// at small scale).
+    /// at small scale), in logical index order: each open transposition of
+    /// an unsettled state swaps two index bits back, an exact permutation
+    /// with no exchange.
     pub fn gather(&self) -> StateVector {
-        StateVector::from_amplitudes(self.slices.gather())
+        let mut amps = self.slices.gather();
+        for (gb, lq) in self.layout.open() {
+            let (g, l) = (1usize << (self.local_n + gb), 1usize << lq);
+            for i in 0..amps.len() {
+                if i & g == 0 && i & l != 0 {
+                    amps.swap(i, i ^ g ^ l);
+                }
+            }
+        }
+        StateVector::from_amplitudes(amps)
+    }
+
+    /// Panic unless the layout is canonical: `read` folds slices in rank
+    /// order, which a transposition would reorder.
+    fn assert_settled(&self, read: &str) {
+        assert!(
+            self.layout.is_canonical(),
+            "{read} on an unsettled distributed state: call settle() first"
+        );
     }
 
     /// Squared 2-norm: per-node sums folded in rank order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unsettled state (see [`QuantumState::settle`]).
     pub fn norm_sqr(&self) -> f64 {
+        self.assert_settled("norm_sqr");
         let n_nodes = self.n_nodes();
         self.slices.query(|ask| norm_fold(n_nodes, ask))
     }
@@ -266,10 +309,11 @@ impl<T: SliceTransport> DistributedStateVector<T> {
     /// retained).
     pub fn reset_zero(&mut self) {
         self.sweep(&SliceOp::Reset);
+        self.layout.clear();
     }
 
-    /// Overwrite with `src`'s amplitudes (node-local memcpy on every node;
-    /// this is TQSim's intermediate-state copy).
+    /// Overwrite with `src`'s amplitudes and layout (node-local memcpy on
+    /// every node; this is TQSim's intermediate-state copy).
     ///
     /// # Panics
     ///
@@ -285,6 +329,7 @@ impl<T: SliceTransport> DistributedStateVector<T> {
             panic!("{fault}");
         }
         self.slices.copy_from(&src.slices);
+        self.layout.clone_from(&src.layout);
         self.counters.state_copies += 1;
         if let Some(obs) = &self.obs {
             obs.state_copies.inc();
@@ -299,7 +344,12 @@ impl<T: SliceTransport> DistributedStateVector<T> {
     /// a draw lands on the identical basis state on every backend
     /// (floating-point addition is non-associative; a per-node pre-summed
     /// walk would diverge on edge draws).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unsettled state (see [`QuantumState::settle`]).
     pub fn sample_with(&self, u: f64) -> u64 {
+        self.assert_settled("sample_with");
         let n_nodes = self.n_nodes();
         self.slices.query(|ask| {
             let mut acc = 0.0f64;
@@ -325,7 +375,12 @@ impl<T: SliceTransport> DistributedStateVector<T> {
     /// same addition sequence (the walk's index and accumulator carried
     /// from rank to rank), so oversampled leaves stay bit-identical across
     /// backends.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unsettled state (see [`QuantumState::settle`]).
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
+        self.assert_settled("sample_many");
         let mut order: Vec<usize> = (0..us.len()).collect();
         order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
         let mut out = vec![0u64; us.len()];
@@ -372,7 +427,7 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         }
     }
 
-    /// Count one gate that needed a global→local remap.
+    /// Count one op that triggered at least one exchange round.
     #[inline]
     fn note_remapped_gate(&mut self) {
         self.counters.global_gates += 1;
@@ -419,47 +474,23 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         }
     }
 
-    /// Dense dispatch of an operand on qubits `qs`: distributed-swap every
-    /// global qubit of `qs` down to a scratch local qubit, sweep the op
-    /// `make` builds for the local positions, and swap back. All-local
-    /// operands need no swap and count as a local gate. Nothing here
-    /// touches the heap: an op has at most [`MAX_OP_QUBITS`] qubits.
+    /// Dense dispatch of an op on qubits `qs`: perform the exchange rounds
+    /// the [`Layout`] returns to bring every operand onto a local
+    /// position, then sweep the op `make` builds for those positions. The
+    /// operands stay where they are afterwards. An op that needs no round
+    /// counts as a local gate.
     fn apply_dense<'a>(&mut self, qs: &[u16], make: impl FnOnce(&[u16]) -> SliceOp<'a>) {
         assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        let local_n = self.local_n;
-        let k = qs.len();
-        let mut phys = [0u16; MAX_OP_QUBITS];
-        phys[..k].copy_from_slice(qs);
-        // `(global bit, local qubit)` of every swap made, in order.
-        let mut swaps = [(0u16, 0u16); MAX_OP_QUBITS];
-        let mut n_swaps = 0;
-        if qs.iter().any(|&q| q >= local_n) {
-            // Scratch = the `k` highest local qubits not used by the
-            // operation itself, handed out lowest first.
-            let mut scratch = [0u16; MAX_OP_QUBITS];
-            let mut n_scratch = 0;
-            for q in (0..local_n).rev().filter(|q| !qs.contains(q)).take(k) {
-                scratch[n_scratch] = q;
-                n_scratch += 1;
-            }
-            for q in &mut phys[..k] {
-                if *q >= local_n {
-                    n_scratch = n_scratch
-                        .checked_sub(1)
-                        .expect("constructor guarantees >= 3 local qubits");
-                    let (gb, lq) = (*q - local_n, scratch[n_scratch]);
-                    self.exchange_round(gb, PairOp::HalfSwap(lq));
-                    swaps[n_swaps] = (gb, lq);
-                    n_swaps += 1;
-                    *q = lq;
-                }
-            }
-        }
-        self.sweep(&make(&phys[..k]));
-        for &(gb, lq) in swaps[..n_swaps].iter().rev() {
+        let rounds = self.layout.place(qs);
+        for &(gb, lq) in &rounds {
             self.exchange_round(gb, PairOp::HalfSwap(lq));
         }
-        if n_swaps == 0 {
+        let mut phys = [0u16; MAX_OP_QUBITS];
+        for (p, &q) in phys.iter_mut().zip(qs) {
+            *p = self.layout.position(q);
+        }
+        self.sweep(&make(&phys[..qs.len()]));
+        if rounds.is_empty() {
             self.note_local_gate();
         } else {
             self.note_remapped_gate();
@@ -629,8 +660,14 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
     fn apply_diag_run(&mut self, run: &DiagRun) {
         // Diagonals never move amplitudes: each node sweeps its slice with
         // the slice's global base index — no communication even when the
-        // run touches node-selecting (global) qubits.
-        self.sweep(&SliceOp::DiagRun(run));
+        // run touches node-selecting (global) positions. On an unsettled
+        // layout the run is remapped term by term onto physical positions.
+        if self.layout.is_canonical() {
+            self.sweep(&SliceOp::DiagRun(run));
+        } else {
+            let run = run.remapped(|q| self.layout.position(q));
+            self.sweep(&SliceOp::DiagRun(&run));
+        }
         self.note_local_gate();
     }
 
@@ -640,6 +677,7 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
 
     fn marginal_one(&self, q: u16) -> f64 {
         assert!(q < self.n_qubits, "qubit out of range");
+        self.assert_settled("marginal_one");
         let (local_n, n_nodes) = (self.local_n, self.n_nodes());
         self.slices.query(|ask| {
             if q >= local_n {
@@ -659,27 +697,31 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
 
     fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
-        if q >= self.local_n {
+        let p = self.layout.position(q);
+        if p >= self.local_n {
             // Node-selecting bit: scale whole slices, no communication.
-            let mask = 1usize << (q - self.local_n);
+            let mask = 1usize << (p - self.local_n);
             self.sweep(&SliceOp::ScaleBit(mask, d0, d1));
         } else {
-            self.sweep(&SliceOp::Diag1(q, d0, d1));
+            self.sweep(&SliceOp::Diag1(p, d0, d1));
         }
     }
 
     fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
         assert!(q < self.n_qubits, "qubit out of range");
-        if q >= self.local_n {
+        let p = self.layout.position(q);
+        if p >= self.local_n {
             // Pairwise cross-node combine: an exchange round in which every
             // node ships its whole slice (no compute pass charged).
-            self.exchange_round(q - self.local_n, PairOp::Antidiag(a01, a10));
+            self.exchange_round(p - self.local_n, PairOp::Antidiag(a01, a10));
         } else {
-            self.sweep(&SliceOp::Antidiag1(q, a01, a10));
+            self.sweep(&SliceOp::Antidiag1(p, a01, a10));
         }
     }
 
+    /// Settles first: the norm folds in rank order.
     fn renormalize(&mut self) {
+        self.settle();
         let n_nodes = self.n_nodes();
         self.slices.query_then_sweep(|ask| {
             let n = norm_fold(n_nodes, ask);
@@ -700,6 +742,13 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
 
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         DistributedStateVector::sample_many(self, us)
+    }
+
+    /// Undo every open transposition, one exchange round each.
+    fn settle(&mut self) {
+        for (gb, lq) in self.layout.settle() {
+            self.exchange_round(gb, PairOp::HalfSwap(lq));
+        }
     }
 }
 
@@ -745,12 +794,15 @@ mod tests {
             assert_eq!(pairs, expect);
         }
         // The public sweeps sit on those rounds: a local quad sweep, a
-        // global pair sweep (a dswap each way) and a cross-node combine.
+        // global pair sweep (a dswap down), a cross-node combine, and the
+        // settle that swaps the first global qubit back.
         let h = GateKind::H.matrix1().unwrap();
         let cx = GateKind::Cx.matrix2().unwrap();
         QuantumState::apply_mat4(&mut dsv, 3, 1, &cx);
         QuantumState::apply_mat2(&mut dsv, 13, &h);
         dsv.apply_antidiag1(12, c64(0.0, 1.0), c64(0.0, -1.0));
+        assert_eq!(dsv.counters.exchanges, 2);
+        dsv.settle();
         assert_eq!(dsv.counters.exchanges, 3);
         assert!((dsv.norm_sqr() - 1.0).abs() < 1e-12);
     }
@@ -764,6 +816,115 @@ mod tests {
             .enumerate()
         {
             assert!((a - b).norm() < 1e-10, "amplitude {i}: {a} vs {b}");
+        }
+    }
+
+    /// Ry on every qubit at its own angle, then a CX from a global qubit:
+    /// qubit 5 stays down on a local position, the layout unsettled.
+    fn unsettled() -> (DistributedStateVector, StateVector) {
+        let m = InterconnectModel::commodity_cluster();
+        let mut dsv = DistributedStateVector::zero(6, 4, m).unwrap();
+        let mut sv = StateVector::zero(6);
+        let cx = GateKind::Cx.matrix2().unwrap();
+        for q in 0..6 {
+            let ry = GateKind::Ry(0.3 + 0.2 * f64::from(q)).matrix1().unwrap();
+            QuantumState::apply_mat2(&mut dsv, q, &ry);
+            QuantumState::apply_mat2(&mut sv, q, &ry);
+        }
+        QuantumState::apply_mat4(&mut dsv, 5, 0, &cx);
+        QuantumState::apply_mat4(&mut sv, 5, 0, &cx);
+        assert!(!dsv.layout().is_canonical());
+        (dsv, sv)
+    }
+
+    #[test]
+    fn gather_unpermutes_an_unsettled_state_without_exchanging() {
+        let (mut dsv, sv) = unsettled();
+        let exchanges = dsv.counters.exchanges;
+        assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
+        assert_eq!(dsv.counters.exchanges, exchanges);
+        dsv.settle();
+        assert!(dsv.layout().is_canonical());
+        assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
+    }
+
+    #[test]
+    #[should_panic(expected = "call settle() first")]
+    fn norm_sqr_on_an_unsettled_state_panics() {
+        unsettled().0.norm_sqr();
+    }
+
+    #[test]
+    #[should_panic(expected = "call settle() first")]
+    fn sample_with_on_an_unsettled_state_panics() {
+        unsettled().0.sample_with(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "call settle() first")]
+    fn sample_many_on_an_unsettled_state_panics() {
+        unsettled().0.sample_many(&[0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "call settle() first")]
+    fn marginal_one_on_an_unsettled_state_panics() {
+        QuantumState::marginal_one(&unsettled().0, 0);
+    }
+
+    /// Kraus branches run wherever their qubit sits, diagonal runs are
+    /// remapped term by term, and renormalising settles first.
+    #[test]
+    fn kraus_branches_and_diag_runs_on_an_unsettled_state_match_single_node() {
+        let (mut dsv, mut sv) = unsettled();
+        let (d0, d1) = (c64(0.9, 0.0), c64(0.0, 0.4));
+        for q in 0..6 {
+            dsv.apply_diag1(q, d0, d1);
+            sv.apply_diag1(q, d0, d1);
+            dsv.apply_antidiag1(q, d1, d0);
+            sv.apply_antidiag1(q, d1, d0);
+        }
+        let mut run = tqsim_statevec::DiagRun::new();
+        run.push1(5, GateKind::T.diag1().unwrap());
+        run.push2(5, 1, GateKind::Cz.diag2().unwrap());
+        run.push2(4, 0, GateKind::CPhase(0.7).diag2().unwrap());
+        QuantumState::apply_diag_run(&mut dsv, &run);
+        QuantumState::apply_diag_run(&mut sv, &run);
+        assert!(!dsv.layout().is_canonical());
+        assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
+        dsv.renormalize();
+        sv.renormalize();
+        assert!(dsv.layout().is_canonical());
+        assert_states_match(&dsv, &sv);
+    }
+
+    /// 7 qubits over 8 nodes leave 4 local positions. After ops on each
+    /// global qubit, three are held by open transpositions, and a Toffoli
+    /// on any three qubits needs positions they hold.
+    #[test]
+    fn toffolis_behind_open_transpositions_match_single_node() {
+        let m = InterconnectModel::commodity_cluster();
+        let cx = GateKind::Cx.matrix2().unwrap();
+        for c1 in 0..7u16 {
+            for c2 in (0..7).filter(|&q| q != c1) {
+                for t in (0..7).filter(|&q| q != c1 && q != c2) {
+                    let mut dsv = DistributedStateVector::zero(7, 8, m).unwrap();
+                    let mut sv = StateVector::zero(7);
+                    for q in 0..7 {
+                        let ry = GateKind::Ry(0.3 + 0.2 * f64::from(q)).matrix1().unwrap();
+                        QuantumState::apply_mat2(&mut dsv, q, &ry);
+                        QuantumState::apply_mat2(&mut sv, q, &ry);
+                    }
+                    QuantumState::apply_mat4(&mut dsv, 6, 4, &cx);
+                    QuantumState::apply_mat4(&mut sv, 6, 4, &cx);
+                    assert_eq!(dsv.layout().open().count(), 3);
+                    dsv.apply_ccx(c1, c2, t);
+                    sv.apply_ccx(c1, c2, t);
+                    assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
+                    dsv.settle();
+                    assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
+                }
+            }
         }
     }
 

@@ -5,8 +5,9 @@
 //!
 //! The full amplitude array is sliced across nodes; gates on global qubits
 //! perform the pairwise half-slice exchanges a real cluster would, with
-//! every byte counted and priced by an [`InterconnectModel`]. The one
-//! [`DistributedStateVector`] takes where its slices live as a
+//! every byte counted and priced by an [`InterconnectModel`], and a
+//! swapped-in qubit stays local until the lazy [`Layout`] must move it.
+//! The one [`DistributedStateVector`] takes where its slices live as a
 //! [`SliceTransport`] parameter: [`LocalSlices`] in this process, or
 //! `tqsim-shard`'s worker processes. Results are validated bit-exactly
 //! against the single-node engine, and an analytic estimator extrapolates
@@ -32,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod dsv;
+pub mod layout;
 pub mod model;
 pub mod runner;
 pub mod transport;
@@ -39,6 +41,7 @@ pub mod transport;
 pub use dsv::{
     check_layout, ClusterBackend, ClusterError, ClusterObs, DistributedStateVector, LocalSlices,
 };
+pub use layout::Layout;
 pub use model::{ClusterCounters, InterconnectModel};
 pub use runner::{
     estimate_shot_seconds, estimate_tree_seconds, run_distributed, run_distributed_with_options,

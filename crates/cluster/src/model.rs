@@ -48,9 +48,10 @@ impl InterconnectModel {
 /// time accumulated operation by operation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterCounters {
-    /// Gates applied entirely node-locally.
+    /// Ops applied with no exchange round (diagonal runs included).
     pub local_gates: u64,
-    /// Gates that required global-qubit exchanges.
+    /// Ops that triggered at least one exchange round (their operands were
+    /// not all on local positions).
     pub global_gates: u64,
     /// Pairwise distributed swaps performed.
     pub exchanges: u64,

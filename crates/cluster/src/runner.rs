@@ -1,14 +1,15 @@
 //! Distributed execution of baseline and TQSim tree simulations, plus the
 //! analytic scaling estimator behind Fig. 13.
 
-use crate::dsv::{ClusterBackend, ClusterError, DistributedStateVector};
+use crate::dsv::{check_layout, ClusterBackend, ClusterError, DistributedStateVector};
+use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tqsim::{Counts, ExecOptions, Partition};
-use tqsim_circuit::{Circuit, Gate};
+use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{CompiledCircuit, OpCounts, PooledBackend};
+use tqsim_statevec::{classify, CompiledCircuit, FusedOp, OpCounts, PooledBackend};
 
 /// Result of a distributed run.
 #[derive(Clone, Debug)]
@@ -93,7 +94,7 @@ pub fn run_distributed_with_options(
     let mut counts = Counts::new(n);
     let mut ops = OpCounts::new();
 
-    crate::dsv::check_layout(n, n_nodes)?;
+    check_layout(n, n_nodes)?;
     let backend = ClusterBackend::new(n_nodes, model);
     let mut states: Vec<DistributedStateVector> = (0..=k).map(|_| backend.allocate(n)).collect();
     ops.state_resets += 1;
@@ -126,41 +127,51 @@ pub fn run_distributed_with_options(
 // ---- analytic estimator (for widths too large to execute here) ------------
 
 /// Per-shot modeled cluster time of one full noisy pass over `circuit`
-/// (computed from the circuit's local/global gate mix without executing).
+/// (computed from the circuit's gates without executing).
 ///
-/// Noise is charged at 3 compute passes + 1 all-reduce per channel
-/// application — the marginal/branch/renormalise pattern of trajectory
-/// sampling.
+/// Every gate is charged one compute pass. A dense gate also pays for the
+/// exchange rounds the distributed state's [`Layout`] policy returns for it
+/// (a diagonal runs wherever its qubits sit), and the layout is settled
+/// where a replay settles it: after a gate with state-dependent noise, and
+/// at the end. Noise is charged at 3 compute passes + 1 all-reduce per
+/// channel application — the marginal/branch/renormalise pattern of
+/// trajectory sampling.
+///
+/// # Panics
+///
+/// Panics unless `n_nodes` is a power of two and at least 3 qubits stay
+/// node-local.
 pub fn estimate_shot_seconds(
     circuit: &Circuit,
     noise: &NoiseModel,
     n_nodes: usize,
     model: &InterconnectModel,
 ) -> f64 {
-    assert!(n_nodes.is_power_of_two() && n_nodes >= 1, "bad node count");
-    let g = n_nodes.trailing_zeros() as u16;
-    let local_n = circuit.n_qubits().saturating_sub(g);
+    let n = circuit.n_qubits();
+    if let Err(err) = check_layout(n, n_nodes) {
+        panic!("cannot estimate {n} qubits over {n_nodes} nodes: {err}");
+    }
+    let local_n = n - n_nodes.trailing_zeros() as u16;
     let slice_len = 1u64 << local_n;
-    let half_bytes = slice_len / 2 * 16;
+    let round = model.exchange_time(slice_len / 2 * 16);
+    let noise_site = 3.0 * model.compute_time(slice_len) + model.allreduce_time(n_nodes);
+    let mut layout = Layout::new(n, local_n);
     let mut t = 0.0;
     for gate in circuit {
-        t += gate_seconds(gate, local_n, slice_len, half_bytes, model);
-        let applications = noise.sites(gate).count() as f64;
-        t += applications * (3.0 * model.compute_time(slice_len) + model.allreduce_time(n_nodes));
+        t += model.compute_time(slice_len);
+        if !matches!(classify(gate), None | Some(FusedOp::FusedDiag(_))) {
+            t += layout.place(gate.qubits()).len() as f64 * round;
+        }
+        let mut settles = false;
+        for site in noise.sites(gate) {
+            t += noise_site;
+            settles |= !site.channel.samples_state_free();
+        }
+        if settles {
+            t += layout.settle().len() as f64 * round;
+        }
     }
-    t
-}
-
-fn gate_seconds(
-    gate: &Gate,
-    local_n: u16,
-    slice_len: u64,
-    half_bytes: u64,
-    model: &InterconnectModel,
-) -> f64 {
-    let globals = gate.qubits().iter().filter(|&&q| q >= local_n).count() as f64;
-    // Each global qubit costs a distributed swap there and back.
-    model.compute_time(slice_len) + 2.0 * globals * model.exchange_time(half_bytes)
+    t + layout.settle().len() as f64 * round
 }
 
 /// Modeled cluster time of a full tree execution: instances-weighted
@@ -351,9 +362,9 @@ mod tests {
         }
     }
 
-    /// The `perf` `dist_cluster` shape, counter for counter. How node
-    /// slices are dispatched must never show in what is exchanged or swept:
-    /// these are the values the thread-per-node dispatch returned.
+    /// The `perf` `dist_cluster` shape, counter for counter: how node
+    /// slices are dispatched must never show in what is exchanged or swept,
+    /// and the exchanges are the lazy layout's schedule.
     #[test]
     fn qft14_on_four_nodes_pins_the_exchange_schedule() {
         let circuit = generators::qft(14);
@@ -365,13 +376,13 @@ mod tests {
         .unwrap();
         let model = InterconnectModel::commodity_cluster();
         let r = run_distributed(&circuit, &noise, &partition, 4, model, 3).unwrap();
-        assert_eq!(r.counters.exchanges, 3_920);
-        assert_eq!(r.counters.bytes_exchanged, 513_802_240);
-        assert_eq!(r.counters.local_gates, 2_582);
-        assert_eq!(r.counters.global_gates, 1_850);
+        assert_eq!(r.counters.exchanges, 616);
+        assert_eq!(r.counters.bytes_exchanged, 80_740_352);
+        assert_eq!(r.counters.local_gates, 4_108);
+        assert_eq!(r.counters.global_gates, 324);
         assert_eq!(r.counters.state_copies, 146);
         assert_eq!(r.counters.amp_ops, 75_005_952);
-        assert_eq!(r.counters.simulated_seconds.to_bits(), 4583581190035331902);
+        assert_eq!(r.counters.simulated_seconds.to_bits(), 4578199442748638815);
         assert_eq!(r.ops.amp_passes, 4_432);
         let serial = tqsim::TreeExecutor::new(&circuit, &noise, partition)
             .unwrap()

@@ -1,7 +1,7 @@
 //! The slice transport: where a distributed state's node slices live.
 //!
 //! [`crate::DistributedStateVector`] decides everything — which op runs,
-//! which qubits are remapped, which partner rounds happen, the order every
+//! where each qubit sits, which partner rounds happen, the order every
 //! reduction folds in, and all accounting — and drives a
 //! [`SliceTransport`] that only moves and touches slices:
 //! [`crate::LocalSlices`] keeps every slice in this process, and
@@ -15,9 +15,10 @@
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_statevec::{kernels, DiagRun};
 
-/// A node-local operation on one slice. Qubits are slice-local except in
-/// [`SliceOp::DiagRun`], which resolves global qubits against the slice's
-/// base index.
+/// A node-local operation on one slice. Qubits are physical bit positions
+/// (the distributed state resolves its layout before issuing an op):
+/// slice-local, except in [`SliceOp::DiagRun`], which resolves global
+/// positions against the slice's base index.
 #[derive(Clone, Copy, Debug)]
 pub enum SliceOp<'a> {
     /// `|0…0⟩`: zero the slice; the slice at base 0 also gets amplitude 1.

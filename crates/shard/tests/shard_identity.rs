@@ -62,8 +62,9 @@ where
 
     // Gates, as `classify` makes them: a diagonal sweeps a one-term
     // `DiagRun` wherever its qubits are; a matrix (`SliceOp::Mat2`/`Mat4`)
-    // or a Toffoli (`SliceOp::Ccx`) sweeps locally, every operand on a
-    // global qubit remapped by `PairOp::HalfSwap` rounds there and back.
+    // or a Toffoli (`SliceOp::Ccx`) sweeps locally, a global operand first
+    // brought down by a `PairOp::HalfSwap` round; `apply_gate` settles the
+    // layout after each gate, which swaps it back up.
     let mut gates: Vec<Gate> = generators::qsc(N, 40, 3).iter().copied().collect();
     gates.push(Gate::new(GateKind::Ccx, &[7, 6, 0]));
     gates.push(Gate::new(GateKind::Swap, &[N - 1, 1]));
@@ -87,7 +88,9 @@ where
     same(&dsv, &sv, "diagonal gates on a node-selecting qubit");
 
     // Dense fused matrices, local and global, and a diagonal run over
-    // local and node-selecting qubits.
+    // local and node-selecting qubits. The ops leave global qubits on local
+    // positions (the lazy layout): the diagonal run is remapped onto them,
+    // and `gather` un-permutes the state.
     let ry = GateKind::Ry(0.3).matrix1().unwrap();
     let fsim = GateKind::FSim(0.4, -0.7).matrix2().unwrap();
     for q in [0, N - 1] {
@@ -118,6 +121,9 @@ where
     dsv.apply_diag_run(&run);
     sv.apply_diag_run(&run);
     same(&dsv, &sv, "fused ops");
+    assert!(!dsv.layout().is_canonical(), "a global qubit stays down");
+    dsv.settle();
+    same(&dsv, &sv, "settled");
 
     // Kraus-branch surface: (anti)diagonals on a local qubit (sweeps) and
     // on a node-selecting one (`ScaleBit` and the `PairOp::Antidiag` round).

@@ -96,6 +96,21 @@ impl DiagRun {
         &self.terms2
     }
 
+    /// The same run with every qubit `q` on `position(q)` (an injective
+    /// map) and the terms in the same order, so each amplitude's factor is
+    /// the same product computed in the same order — for a distributed
+    /// state whose qubits sit off their own bit positions.
+    pub fn remapped(&self, position: impl Fn(u16) -> u16) -> DiagRun {
+        DiagRun {
+            terms1: self.terms1.iter().map(|&(q, d)| (position(q), d)).collect(),
+            terms2: self
+                .terms2
+                .iter()
+                .map(|&(a, b, d)| (position(a), position(b), d))
+                .collect(),
+        }
+    }
+
     /// Number of merged terms (≤ number of absorbed gates).
     pub fn terms(&self) -> usize {
         self.terms1.len() + self.terms2.len()
@@ -820,13 +835,15 @@ pub struct FlushCtx<'a, S: QuantumState + ?Sized> {
 }
 
 impl<S: QuantumState + ?Sized> FlushCtx<'_, S> {
-    /// Materialise all pending fused operations and return the now-current
-    /// state. Idempotent; required before any state-dependent branch
-    /// sampling (damping-style channels) or direct Kraus application.
+    /// Materialise all pending fused operations and return the now-current,
+    /// settled ([`QuantumState::settle`]) state. Idempotent; required
+    /// before any state-dependent branch sampling (damping-style channels)
+    /// or direct Kraus application.
     pub fn flush(&mut self) -> &mut S {
         let sv = &mut *self.sv;
         let ops = &mut *self.ops;
         self.fuser.flush(&mut apply_sink(sv, ops));
+        self.sv.settle();
         self.sv
     }
 
@@ -916,7 +933,8 @@ impl CompiledCircuit {
     /// Gate tallies are charged from the compiled source counts,
     /// identically to unfused execution; `amp_passes` and `fused_gates`
     /// record what the fused sweep actually did. Pending ops are fully
-    /// materialised before returning.
+    /// materialised and the state settled ([`QuantumState::settle`])
+    /// before returning.
     ///
     /// The replay path is **backend-generic**: the single-node
     /// [`crate::StateVector`] and `tqsim-cluster`'s distributed state drive
@@ -965,6 +983,7 @@ impl CompiledCircuit {
             let ops = &mut *ops;
             fuser.flush(&mut apply_sink(sv, ops));
         }
+        sv.settle();
         ops.gates_1q += self.src_gates[0];
         ops.gates_2q += self.src_gates[1];
         ops.gates_3q += self.src_gates[2];

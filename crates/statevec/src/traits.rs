@@ -43,7 +43,9 @@ pub trait QuantumState {
     /// Apply a unitary gate as the op [`crate::classify`] makes of it — its
     /// own `Mat2`/`Mat4` (the kernels pick the X/Y/H/CX/SWAP body by
     /// matrix), a one-term diagonal run, or a Toffoli — through the same
-    /// function plan replay applies ops with. The identity costs nothing.
+    /// function plan replay applies ops with, then settles
+    /// ([`QuantumState::settle`]), so per-gate execution leaves every state
+    /// canonical. The identity costs nothing.
     ///
     /// # Panics
     ///
@@ -57,6 +59,7 @@ pub trait QuantumState {
         if let Some(op) = crate::plan::classify(gate) {
             crate::plan::apply_fused_op_raw(self, &op);
         }
+        self.settle();
     }
 
     /// Apply a dense (possibly product-of-many) single-qubit unitary on `q`
@@ -103,6 +106,15 @@ pub trait QuantumState {
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         us.iter().map(|&u| self.sample_with(u)).collect()
     }
+
+    /// Restore the canonical qubit layout. A backend may leave qubits off
+    /// their own positions between ops (the distributed state keeps a
+    /// swapped-in global qubit local until it must move), and its reads
+    /// may then require a settled state. Replay settles at its end and
+    /// before state-dependent noise ([`crate::FlushCtx::flush`]), and
+    /// [`QuantumState::apply_gate`] after each gate. The default does
+    /// nothing: a single-node state is always canonical.
+    fn settle(&mut self) {}
 }
 
 /// A factory + lifecycle surface for poolable execution states: how to

@@ -479,7 +479,7 @@ fn deadline_exceeded_fails_the_slow_job_and_frees_its_slot() {
         .unwrap();
     let err = slow
         .wait()
-        .expect_err("watchdog fails the job, not the service");
+        .expect_err("the deadline fails the job, not the service");
     assert_eq!(err, JobError::DeadlineExceeded);
     assert_eq!(err.code(), "deadline_exceeded");
     let stats = service.stats();

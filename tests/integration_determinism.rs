@@ -121,6 +121,11 @@ fn plan_is_a_pure_function_of_inputs() {
 // folding into the next dense op, `amp_passes`, `fused_gates` and the
 // cluster's `exchanges`, `bytes_exchanged`, `local_gates` and `global_gates`
 // were re-recorded. Every histogram and every other field read unchanged.
+//
+// The exchange schedule changed once on purpose: when the distributed state
+// began keeping a swapped-in global qubit local (the lazy layout) instead of
+// swapping it back after every op, the same four cluster fields were
+// re-recorded. Every histogram and every `OpCounts` field read unchanged.
 
 /// One pinned run: the histogram as a sorted `(outcome, count)` list and
 /// `OpCounts::{amp_passes, fused_gates, state_copies, nodes_shared,
@@ -337,6 +342,6 @@ const QAOA_ENGINE_7919: Pin = Pin {
     ],
 };
 
-const QFT_CLUSTER_1: [u64; 5] = [1524, 12484608, 996, 712, 93];
+const QFT_CLUSTER_1: [u64; 5] = [470, 3850240, 1419, 289, 93];
 
-const QFT_CLUSTER_7919: [u64; 5] = [1644, 13467648, 1068, 768, 99];
+const QFT_CLUSTER_7919: [u64; 5] = [506, 4145152, 1525, 311, 99];
