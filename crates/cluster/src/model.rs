@@ -65,11 +65,13 @@ pub struct ClusterCounters {
     pub state_copies: u64,
     /// Modeled wall-clock seconds under the configured interconnect.
     pub simulated_seconds: f64,
-    /// **Measured** wall-clock seconds spent in exchange rounds — in-memory
-    /// half-slice swaps on the in-process backend, TCP round-trips on the
-    /// multi-process shard backend. Kept alongside `simulated_seconds` so
-    /// model-vs-measured drift is directly visible; excluded from equality
-    /// (wall-clock is never deterministic).
+    /// **Measured** wall-clock seconds spent in exchange rounds — the
+    /// in-memory half-slice swaps on the in-process backend; on the
+    /// multi-process shard backend, the time to issue each round (encode,
+    /// queue and flush it to every worker), since rounds are not
+    /// acknowledged and their wire time overlaps the verbs that follow.
+    /// Kept alongside `simulated_seconds` so model-vs-measured drift is
+    /// visible; excluded from equality (wall-clock is never deterministic).
     pub measured_exchange_seconds: f64,
 }
 

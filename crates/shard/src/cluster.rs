@@ -7,16 +7,19 @@
 //! multi-node verbs are enqueued in the **same order on every worker's
 //! FIFO control socket** — the invariant that keeps pairwise mesh
 //! exchanges from cross-pairing when several engine threads drive states
-//! concurrently.
+//! concurrently, and that lets exchange rounds go unacknowledged.
+//! Messages are queued per socket and flushed once per round trip and
+//! after each exchange round (see [`ClusterLink`]).
 //!
-//! Transport failures (a worker process dying mid-job, an injected
-//! `shard.transport` failpoint) surface as panics, exactly like the
+//! Transport failures surface as panics — a worker process dying mid-job
+//! at the coordinator's next write or read on its socket, an injected
+//! `shard.transport` failpoint before any bytes move — exactly like the
 //! in-process backend's `cluster.exchange` faults: the engine's per-task
 //! panic isolation contains them to the running job, and the service's
 //! retry/degradation ladder takes it from there.
 
 use crate::proto;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -91,58 +94,78 @@ struct WorkerLink {
 }
 
 /// The mutable half of the cluster, held under the transport mutex.
+///
+/// Messages are encoded by [`crate::proto`] and queued in each control
+/// socket's write buffer. Every control socket is flushed before the
+/// coordinator waits for any reply and right after it issues an exchange
+/// round ([`ClusterLink::flush`]), so every worker holds a round before
+/// any worker can block on its partner, and no worker waits on bytes left
+/// in the coordinator.
 pub struct ClusterLink {
     links: Vec<WorkerLink>,
     children: Vec<Child>,
 }
 
 impl ClusterLink {
-    /// Send `value` to worker `rank` (no reply expected).
+    /// Queue message `msg` for worker `rank` (no reply expected). It
+    /// leaves at the next [`ClusterLink::flush`], or sooner if the
+    /// socket's write buffer fills.
     ///
     /// # Panics
     ///
-    /// On transport faults (including injected `shard.transport` faults).
-    pub fn send(&mut self, rank: usize, value: &Value) {
-        transport(
-            "send",
-            proto::send_line(&mut self.links[rank].writer, value),
-        );
+    /// On transport faults.
+    pub fn send(&mut self, rank: usize, msg: &[u8]) {
+        transport("send", self.links[rank].writer.write_all(msg));
     }
 
-    /// Read one reply line from worker `rank`.
+    /// Queue `msg` for every worker, in rank order (no replies).
+    pub fn broadcast(&mut self, msg: &[u8]) {
+        for rank in 0..self.links.len() {
+            self.send(rank, msg);
+        }
+    }
+
+    /// Put every queued message on its socket, in rank order.
+    ///
+    /// # Panics
+    ///
+    /// On transport faults.
+    pub fn flush(&mut self) {
+        for link in &mut self.links {
+            transport("flush", link.writer.flush());
+        }
+    }
+
+    /// Flush, then read one reply line from worker `rank`.
     ///
     /// # Panics
     ///
     /// On transport faults.
     pub fn recv(&mut self, rank: usize) -> Value {
-        transport("recv", proto::recv_line(&mut self.links[rank].reader))
-    }
-
-    /// Send to every worker in rank order (no replies).
-    pub fn broadcast(&mut self, value: &Value) {
-        for rank in 0..self.links.len() {
-            self.send(rank, value);
-        }
+        self.flush();
+        transport("recv", proto::read_line(&mut self.links[rank].reader))
     }
 
     /// Send to every worker, then collect one ack line from each.
-    pub fn broadcast_ack(&mut self, value: &Value) {
-        self.broadcast(value);
+    pub fn broadcast_ack(&mut self, msg: &[u8]) {
+        self.broadcast(msg);
         for rank in 0..self.links.len() {
             self.recv(rank);
         }
     }
 
-    /// Best-effort send that reports IO errors instead of panicking and
-    /// skips the failpoint — for teardown traffic (slice frees) that must
-    /// not blow up a `Drop` on an already-dead cluster.
-    pub fn try_send(&mut self, rank: usize, value: &Value) -> io::Result<()> {
-        proto::send_line(&mut self.links[rank].writer, value)
+    /// Best-effort send, flushed at once, that reports IO errors instead of
+    /// panicking and skips the failpoint — for teardown traffic (slice
+    /// frees) that must not blow up a `Drop` on an already-dead cluster.
+    pub fn try_send(&mut self, rank: usize, msg: &[u8]) -> io::Result<()> {
+        let writer = &mut self.links[rank].writer;
+        writer.write_all(msg)?;
+        writer.flush()
     }
 
     /// Send a query to `rank` and read its reply.
-    pub fn request(&mut self, rank: usize, value: &Value) -> Value {
-        self.send(rank, value);
+    pub fn request(&mut self, rank: usize, msg: &[u8]) -> Value {
+        self.send(rank, msg);
         self.recv(rank)
     }
 
@@ -153,10 +176,8 @@ impl ClusterLink {
     ///
     /// On transport faults, or a reply of another length.
     pub fn fetch(&mut self, rank: usize, sid: u64, slice_len: usize, out: &mut Vec<C64>) {
-        let header = self.request(
-            rank,
-            &obj(vec![("v", str_val("fetch")), ("sid", num_u64(sid))]),
-        );
+        let fetch = obj(vec![("v", str_val("fetch")), ("sid", num_u64(sid))]);
+        let header = self.request(rank, &proto::line(&fetch));
         let len = header
             .get("len")
             .and_then(Value::as_u64)
@@ -218,7 +239,7 @@ impl ShardCluster {
                 let (stream, _) = listener.accept()?;
                 stream.set_nodelay(true)?;
                 let mut reader = BufReader::new(stream.try_clone()?);
-                let hello = proto::recv_line(&mut reader)?;
+                let hello = proto::read_line_within(&mut reader, proto::HELLO_MAX_BYTES)?;
                 let rank = hello
                     .get("rank")
                     .and_then(Value::as_u64)
@@ -250,12 +271,13 @@ impl ShardCluster {
                     .map(|(_, mesh)| str_val(mesh.as_str()))
                     .collect(),
             );
-            let topo = obj(vec![("v", str_val("topo")), ("peers", peers)]);
+            let topo = proto::line(&obj(vec![("v", str_val("topo")), ("peers", peers)]));
             for (link, _) in links.iter_mut() {
-                proto::send_line(&mut link.writer, &topo)?;
+                link.writer.write_all(&topo)?;
+                link.writer.flush()?;
             }
             for (link, _) in links.iter_mut() {
-                proto::recv_line(&mut link.reader)?;
+                proto::read_line(&mut link.reader)?;
             }
             Ok(links.into_iter().map(|(link, _)| link).collect::<Vec<_>>())
         })();
@@ -286,9 +308,9 @@ impl ShardCluster {
     }
 
     /// Lock the transport for one multi-node operation. Every verb (or
-    /// atomic verb sequence, e.g. a dswap broadcast plus its acks) must
-    /// run under a single lock acquisition so all workers enqueue
-    /// multi-node operations in the same order.
+    /// atomic verb sequence, e.g. a query and its reply) must run under a
+    /// single lock acquisition so all workers enqueue multi-node operations
+    /// in the same order.
     ///
     /// This is also the `shard.transport` failpoint: it fires **before**
     /// the lock is taken and before any bytes move, so an injected fault
@@ -325,7 +347,7 @@ impl ShardCluster {
     /// On transport faults.
     pub fn ping(&self) {
         let mut link = self.link();
-        link.broadcast_ack(&obj(vec![("v", str_val("ping"))]));
+        link.broadcast_ack(&proto::line(&obj(vec![("v", str_val("ping"))])));
     }
 
     /// Kill worker `rank`'s process outright — the chaos hook for
@@ -351,9 +373,9 @@ impl Drop for ShardCluster {
         let link = self.inner.get_mut().unwrap_or_else(|p| p.into_inner());
         // Polite shutdown first; workers also exit on control-socket EOF,
         // and kill/wait below reaps anything unresponsive.
-        let bye = obj(vec![("v", str_val("bye"))]);
-        for l in link.links.iter_mut() {
-            let _ = proto::send_line(&mut l.writer, &bye);
+        let bye = proto::line(&obj(vec![("v", str_val("bye"))]));
+        for rank in 0..link.links.len() {
+            let _ = link.try_send(rank, &bye);
         }
         for child in link.children.iter_mut() {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);

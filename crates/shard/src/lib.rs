@@ -13,20 +13,24 @@
 //! counters, exchange schedules — is **bit-identical** to the in-process
 //! backend. The pieces:
 //!
-//! * [`proto`] — the wire protocol: line-delimited JSON control verbs
-//!   (the `tqsim-service` codec idiom, via `tqsim-json`) plus
-//!   length-prefixed binary amplitude frames;
+//! * [`proto`] — the wire protocol: a stream of line-delimited JSON
+//!   control verbs (the `tqsim-service` codec idiom, via `tqsim-json`)
+//!   holding integers, each followed by a length-prefixed binary
+//!   amplitude frame when the verb has complex operands; the same frames
+//!   carry exchange halves and slice fetches;
 //! * [`worker`] — the worker process runtime: owns one node slice per
 //!   state, checks each decoded verb against it, runs `tqsim-cluster`'s
 //!   slice arithmetic on it, and trades exchange frames peer-to-peer over
-//!   a lazily-dialed worker mesh;
+//!   a lazily-dialed worker mesh, pairing up by FIFO verb order alone;
 //! * [`cluster`] — process lifecycle: spawn/handshake/shutdown, the
-//!   single-mutex coordinator transport, and the `kill_worker` chaos hook;
-//! * [`state`] — [`ShardSlices`], the TCP `SliceTransport` (the verb
-//!   encoding, one verb per transport call), and [`ShardedStateVector`],
-//!   the one `tqsim_cluster::DistributedStateVector` over it — so layout
-//!   remaps, counters and the chained fp reductions are the in-process
-//!   backend's own code, not a copy;
+//!   single-mutex coordinator transport that queues messages and flushes
+//!   once per round trip, and the `kill_worker` chaos hook;
+//! * [`state`] — [`ShardSlices`], the TCP `SliceTransport` (silent
+//!   sweeps and exchange rounds, a round trip only for queries, `alloc`
+//!   and `gather`), and [`ShardedStateVector`], the one
+//!   `tqsim_cluster::DistributedStateVector` over it — so layout remaps,
+//!   counters and the chained fp reductions are the in-process backend's
+//!   own code, not a copy;
 //! * [`backend`] — [`ShardBackend`], the `PooledBackend` descriptor that
 //!   plugs the whole thing in behind the engine's executor seam.
 //!

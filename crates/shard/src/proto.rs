@@ -1,69 +1,136 @@
 //! Wire protocol shared by the shard coordinator and its worker processes.
 //!
-//! Two planes, two encodings:
+//! The coordinator drives each worker as one stream of messages on a TCP
+//! control socket. A message is one line-delimited JSON object with a
+//! `"v"` verb field, built on the shared [`tqsim_json`] codec (the idiom
+//! of `tqsim-service`'s wire module), and — for a verb with complex
+//! operands — one amplitude frame right after the line:
 //!
-//! * **Control plane** — one line-delimited JSON object per verb, built on
-//!   the shared [`tqsim_json`] codec (the exact idiom of `tqsim-service`'s
-//!   wire module). Every message is an object with a `"v"` verb field;
-//!   *silent* verbs (local kernel applications) get no reply so the
-//!   coordinator can pipeline them, *acked* verbs (anything involving the
-//!   worker mesh, allocation, shutdown) reply `{"ok":true}`, and *queries*
-//!   reply a result object.
-//! * **Data plane** — length-prefixed little-endian binary frames of
-//!   complex amplitudes: an 8-byte LE byte count followed by `f64` re/im
-//!   pairs. Used on the worker↔worker mesh for distributed-swap halves and
-//!   on the control socket for bulk slice fetches.
+//! * **Lines** of sweep and exchange verbs hold integers only: the verb,
+//!   the slice id, qubits, a mask, a partner step, a diagonal run's qubit
+//!   lists (and `scale`'s one real factor, which the JSON writer prints as
+//!   the shortest decimal that parses back to the same bits).
+//! * **Amplitude frames** are length-prefixed little-endian binary: an
+//!   8-byte LE byte count, then `f64` re/im pairs. They carry a verb's
+//!   complex operands (a dense matrix row-major, a diagonal run's entries,
+//!   a pair of diagonal or antidiagonal entries), the halves workers trade
+//!   peer-to-peer on the mesh, and bulk slice fetches. The reader always
+//!   knows how long a frame must be — from the verb and its line, or from
+//!   the slice — and refuses any other length before it allocates. Bit
+//!   patterns cross unchanged, which keeps the multi-process backend
+//!   bit-identical to the in-process one.
 //!
-//! Floating-point values on the JSON plane round-trip exactly: the writer
-//! emits the shortest decimal that parses back to the same bits, which is
-//! what lets the multi-process backend stay bit-identical to the
-//! in-process one.
+//! Sweeps and exchange rounds get no reply, so the coordinator queues them
+//! and puts bytes on a socket only before it waits for a reply and right
+//! after it issues an exchange round. Allocation, `ping` and `bye` reply
+//! `{"ok":true}`; queries and `fetch` reply a result. No writer here
+//! flushes: the caller decides when bytes leave.
 
 use std::io::{self, BufRead, Read, Write};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
-use tqsim_json::{num, num_u64, obj, Value};
+use tqsim_cluster::{PairOp, SliceOp};
+use tqsim_json::{num, num_u64, obj, str_val, Value};
 use tqsim_statevec::DiagRun;
 
 // ------------------------------------------------------------ line plane
 
-/// Write one control message: `value` as a single JSON line, flushed.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn send_line<W: Write>(w: &mut W, value: &Value) -> io::Result<()> {
+/// One control line: `value` as JSON text and its newline.
+pub fn line(value: &Value) -> Vec<u8> {
     let mut text = value.to_json();
     text.push('\n');
-    w.write_all(text.as_bytes())?;
-    w.flush()
+    text.into_bytes()
 }
 
-/// Read one control message (a JSON line). EOF before a full line is an
+/// Read one control line. EOF before a full line is an
 /// [`io::ErrorKind::UnexpectedEof`] — a peer vanished mid-protocol.
 ///
 /// # Errors
 ///
 /// Transport errors, EOF, or a malformed JSON line
 /// ([`io::ErrorKind::InvalidData`]).
-pub fn recv_line<R: BufRead>(r: &mut R) -> io::Result<Value> {
+pub fn read_line<R: BufRead>(r: &mut R) -> io::Result<Value> {
+    read_line_within(r, u64::MAX)
+}
+
+/// [`read_line`] for a line of at most `max_bytes` bytes, newline
+/// included: for hellos from connections anyone on the host can open.
+///
+/// # Errors
+///
+/// As [`read_line`], and a longer line ([`io::ErrorKind::InvalidData`]),
+/// refused once `max_bytes` bytes are read.
+pub fn read_line_within<R: BufRead>(r: &mut R, max_bytes: u64) -> io::Result<Value> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let n = r.take(max_bytes).read_line(&mut line)?;
+    if n == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "shard peer closed the connection",
         ));
     }
-    tqsim_json::parse(line.trim_end()).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("malformed shard control line: {e}"),
-        )
-    })
+    if n as u64 == max_bytes && !line.ends_with('\n') {
+        return Err(wire_err(
+            "shard control line",
+            format!("longer than {max_bytes} bytes"),
+        ));
+    }
+    tqsim_json::parse(line.trim_end())
+        .map_err(|e| wire_err("malformed shard control line", e.to_string()))
 }
+
+/// The longest hello line a listener reads, newline included: hellos
+/// arrive on listening sockets any process on the host can connect to.
+pub const HELLO_MAX_BYTES: u64 = 256;
 
 /// The canonical `{"ok":true}` acknowledgement.
 pub fn ack() -> Value {
     obj(vec![("ok", Value::Bool(true))])
+}
+
+/// An [`io::ErrorKind::InvalidData`] error: the peer broke the protocol.
+pub(crate) fn wire_err(context: &str, message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{context}: {message}"))
+}
+
+/// Field `key` of `line`, decoded by `get`.
+///
+/// # Errors
+///
+/// A missing or malformed field ([`io::ErrorKind::InvalidData`]).
+pub(crate) fn need<T>(
+    line: &Value,
+    key: &str,
+    get: impl FnOnce(&Value) -> Option<T>,
+) -> io::Result<T> {
+    line.get(key)
+        .and_then(get)
+        .ok_or_else(|| wire_err("shard verb", format!("missing or malformed {key:?}")))
+}
+
+/// Integer field `key` of `line` (see [`need`]).
+///
+/// # Errors
+///
+/// As [`need`].
+pub(crate) fn need_u64(line: &Value, key: &str) -> io::Result<u64> {
+    need(line, key, Value::as_u64)
+}
+
+/// Real field `key` of `line` (see [`need`]).
+///
+/// # Errors
+///
+/// As [`need`].
+pub(crate) fn need_f64(line: &Value, key: &str) -> io::Result<f64> {
+    need(line, key, Value::as_f64)
+}
+
+fn as_qubit(v: &Value) -> Option<u16> {
+    u16::try_from(v.as_u64()?).ok()
+}
+
+pub(crate) fn need_qubit(line: &Value, key: &str) -> io::Result<u16> {
+    need(line, key, as_qubit)
 }
 
 // ---------------------------------------------------------- binary plane
@@ -74,6 +141,10 @@ pub fn ack() -> Value {
 /// KiB), so it moves in one system call rather than buffer-sized pieces.
 const CHUNK_AMPS: usize = 4096;
 
+/// Frames of at most this many amplitudes (every operand frame) go
+/// through a 256-byte buffer instead, which costs nothing to zero.
+const OPERAND_AMPS: usize = 16;
+
 /// Write `amps` as one length-prefixed binary frame (8-byte LE byte
 /// count, then `f64` LE re/im pairs).
 ///
@@ -82,15 +153,23 @@ const CHUNK_AMPS: usize = 4096;
 /// Propagates transport errors.
 pub fn write_amps<W: Write>(w: &mut W, amps: &[C64]) -> io::Result<()> {
     w.write_all(&((amps.len() * 16) as u64).to_le_bytes())?;
-    let mut buf = [0u8; CHUNK_AMPS * 16];
-    for chunk in amps.chunks(CHUNK_AMPS) {
-        for (a, cell) in chunk.iter().zip(buf.chunks_exact_mut(16)) {
+    if amps.len() <= OPERAND_AMPS {
+        write_cells::<W, OPERAND_AMPS>(w, amps)
+    } else {
+        write_cells::<W, CHUNK_AMPS>(w, amps)
+    }
+}
+
+fn write_cells<W: Write, const N: usize>(w: &mut W, amps: &[C64]) -> io::Result<()> {
+    let mut buf = [[0u8; 16]; N];
+    for chunk in amps.chunks(N) {
+        for (a, cell) in chunk.iter().zip(&mut buf) {
             cell[..8].copy_from_slice(&a.re.to_le_bytes());
             cell[8..].copy_from_slice(&a.im.to_le_bytes());
         }
-        w.write_all(&buf[..chunk.len() * 16])?;
+        w.write_all(buf[..chunk.len()].as_flattened())?;
     }
-    w.flush()
+    Ok(())
 }
 
 /// Read one binary amplitude frame written by [`write_amps`], which must
@@ -107,167 +186,379 @@ pub fn read_amps<R: Read>(r: &mut R, expected: usize, out: &mut Vec<C64>) -> io:
     r.read_exact(&mut len)?;
     let bytes = u64::from_le_bytes(len);
     if Some(bytes) != (expected as u64).checked_mul(16) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("amplitude frame of {bytes} bytes, expected {expected} amplitudes"),
+        return Err(wire_err(
+            "amplitude frame",
+            format!("{bytes} bytes, expected {expected} amplitudes"),
         ));
     }
     out.reserve(expected);
+    if expected <= OPERAND_AMPS {
+        read_cells::<R, OPERAND_AMPS>(r, expected, out)
+    } else {
+        read_cells::<R, CHUNK_AMPS>(r, expected, out)
+    }
+}
+
+fn read_cells<R: Read, const N: usize>(r: &mut R, n: usize, out: &mut Vec<C64>) -> io::Result<()> {
     let f64_at = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte half"));
-    let mut buf = [0u8; CHUNK_AMPS * 16];
-    for n in (0..expected)
-        .step_by(CHUNK_AMPS)
-        .map(|i| CHUNK_AMPS.min(expected - i))
-    {
-        r.read_exact(&mut buf[..n * 16])?;
-        let cells = buf[..n * 16].chunks_exact(16);
-        out.extend(cells.map(|cell| c64(f64_at(&cell[..8]), f64_at(&cell[8..]))));
+    let mut buf = [[0u8; 16]; N];
+    for len in (0..n).step_by(N).map(|i| N.min(n - i)) {
+        r.read_exact(buf[..len].as_flattened_mut())?;
+        out.extend(
+            buf[..len]
+                .iter()
+                .map(|cell| c64(f64_at(&cell[..8]), f64_at(&cell[8..]))),
+        );
     }
     Ok(())
 }
 
-// ---------------------------------------------------------- matrix codec
+// ------------------------------------------------------ sweeps and rounds
 
-/// Encode complex values as a flat `[re, im, re, im, …]` array.
-pub fn c64s_to_value<'a>(xs: impl IntoIterator<Item = &'a C64>) -> Value {
-    Value::Arr(
-        xs.into_iter()
-            .flat_map(|x| [num(x.re), num(x.im)])
-            .collect(),
-    )
-}
-
-/// Decode a flat `[re, im, …]` array of expected complex length `n`.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn c64s_from_value(value: &Value, n: usize) -> Result<Vec<C64>, String> {
-    let cells = value.as_arr().ok_or("complex list is not an array")?;
-    if cells.len() != 2 * n {
-        return Err(format!(
-            "expected {n} complex values, got {} cells",
-            cells.len()
-        ));
+/// A verb's line for slice `sid`, then `frame` when the verb carries one.
+fn message(name: &str, sid: u64, fields: Vec<(&str, Value)>, frame: Option<&[C64]>) -> Vec<u8> {
+    let mut all = vec![("v", str_val(name)), ("sid", num_u64(sid))];
+    all.extend(fields);
+    let mut msg = line(&obj(all));
+    if let Some(amps) = frame {
+        write_amps(&mut msg, amps).expect("writing into a Vec cannot fail");
     }
-    cells
-        .chunks_exact(2)
-        .map(|p| match (p[0].as_f64(), p[1].as_f64()) {
-            (Some(re), Some(im)) => Ok(c64(re, im)),
-            _ => Err("non-numeric complex component".to_string()),
-        })
-        .collect()
+    msg
 }
 
-/// Encode a dense 2×2 matrix (row-major flat complex list).
-pub fn mat2_to_value(m: &Mat2) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 2×2 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat2_from_value(value: &Value) -> Result<Mat2, String> {
-    let v = c64s_from_value(value, 4)?;
-    Ok(Mat2([[v[0], v[1]], [v[2], v[3]]]))
-}
-
-/// Encode a dense 4×4 matrix (row-major flat complex list).
-pub fn mat4_to_value(m: &Mat4) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 4×4 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat4_from_value(value: &Value) -> Result<Mat4, String> {
-    let v = c64s_from_value(value, 16)?;
-    Ok(Mat4(std::array::from_fn(|r| {
-        std::array::from_fn(|c| v[r * 4 + c])
-    })))
-}
-
-/// The fields of a coalesced diagonal run:
-/// `"t1":[[q, re0, im0, re1, im1], …]` and `"t2":[[qh, ql, re0 … im3], …]`.
-pub fn diag_run_fields(run: &DiagRun) -> Vec<(&'static str, Value)> {
-    let term = |qs: &[u16], d: &[C64]| {
-        let qs = qs.iter().map(|&q| num_u64(u64::from(q)));
-        Value::Arr(
-            qs.chain(d.iter().flat_map(|x| [num(x.re), num(x.im)]))
-                .collect(),
-        )
+/// Encode `op` on slice `sid` as its sweep verb: the line, then the
+/// operand frame if `op` has complex operands.
+pub fn encode_sweep(sid: u64, op: &SliceOp<'_>) -> Vec<u8> {
+    let q = |q: u16| num_u64(u64::from(q));
+    let (name, fields, frame): (_, _, Option<Vec<C64>>) = match *op {
+        SliceOp::Reset => ("reset", vec![], None),
+        SliceOp::Ccx(c1, c2, t) => ("ccx", vec![("c1", q(c1)), ("c2", q(c2)), ("t", q(t))], None),
+        SliceOp::Mat2(t, m) => ("mat2", vec![("q", q(t))], Some(m.0.concat())),
+        SliceOp::Mat4(hi, lo, m) => (
+            "mat4",
+            vec![("hi", q(hi)), ("lo", q(lo))],
+            Some(m.0.concat()),
+        ),
+        SliceOp::DiagRun(run) => {
+            let t1 = run.terms1().iter().map(|&(a, _)| q(a));
+            let t2 = run
+                .terms2()
+                .iter()
+                .map(|&(a, b, _)| Value::Arr(vec![q(a), q(b)]));
+            let d1 = run.terms1().iter().flat_map(|(_, d)| d);
+            let d2 = run.terms2().iter().flat_map(|(.., d)| d);
+            (
+                "diagrun",
+                vec![
+                    ("t1", Value::Arr(t1.collect())),
+                    ("t2", Value::Arr(t2.collect())),
+                ],
+                Some(d1.chain(d2).copied().collect()),
+            )
+        }
+        SliceOp::Diag1(t, d0, d1) => ("diag1", vec![("q", q(t))], Some(vec![d0, d1])),
+        SliceOp::ScaleBit(mask, d0, d1) => (
+            "scale_bit",
+            vec![("mask", num_u64(mask as u64))],
+            Some(vec![d0, d1]),
+        ),
+        SliceOp::Antidiag1(t, a01, a10) => ("antidiag", vec![("q", q(t))], Some(vec![a01, a10])),
+        SliceOp::Scale(s) => ("scale", vec![("s", num(s))], None),
     };
-    let t1 = run.terms1().iter().map(|(q, d)| term(&[*q], d));
-    let t2 = run.terms2().iter().map(|(qh, ql, d)| term(&[*qh, *ql], d));
-    vec![
-        ("t1", Value::Arr(t1.collect())),
-        ("t2", Value::Arr(t2.collect())),
-    ]
+    message(name, sid, fields, frame.as_deref())
 }
 
-/// Decode a diagonal run (see [`diag_run_fields`]).
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn diag_run_from_value(value: &Value) -> Result<DiagRun, String> {
-    let mut run = DiagRun::new();
-    // A term on `n_q` qubits: the qubits, then `2^n_q` complex entries.
-    for (key, n_q) in [("t1", 1), ("t2", 2)] {
-        let terms = value.get(key).and_then(Value::as_arr);
-        for term in terms.ok_or_else(|| format!("diag run needs {key:?}"))? {
-            let decode = || {
-                let cells = term.as_arr().filter(|c| c.len() == 5 * n_q)?;
-                let qs: Option<Vec<u16>> = cells[..n_q]
-                    .iter()
-                    .map(|q| u16::try_from(q.as_u64()?).ok())
-                    .collect();
-                let d = c64s_from_value(&Value::Arr(cells[n_q..].to_vec()), 2 * n_q).ok()?;
-                Some((qs?, d))
-            };
-            let (q, d) = decode().ok_or_else(|| format!("bad {key} term"))?;
-            match *q.as_slice() {
-                [q] => run.push1(q, [d[0], d[1]]),
-                [qh, ql] => run.push2(qh, ql, [d[0], d[1], d[2], d[3]]),
-                _ => unreachable!("one or two qubits per term"),
-            }
+/// Encode one exchange round on slice `sid` across global bit `gb`.
+pub fn encode_exchange(sid: u64, gb: u16, op: PairOp) -> Vec<u8> {
+    match op {
+        PairOp::HalfSwap(lq) => {
+            let fields = vec![("gb", num_u64(gb.into())), ("lq", num_u64(lq.into()))];
+            message("dswap", sid, fields, None)
+        }
+        PairOp::Antidiag(a01, a10) => {
+            let fields = vec![("step", num_u64(1 << gb))];
+            message("antidiag_g", sid, fields, Some(&[a01, a10]))
         }
     }
-    Ok(run)
+}
+
+/// A decoded sweep verb, owning what its [`SliceOp`] borrows.
+#[derive(Debug)]
+pub enum OwnedSliceOp {
+    /// [`SliceOp::Mat2`].
+    Mat2(u16, Mat2),
+    /// [`SliceOp::Mat4`].
+    Mat4(u16, u16, Mat4),
+    /// [`SliceOp::DiagRun`].
+    DiagRun(DiagRun),
+    /// Every op that borrows nothing.
+    Plain(SliceOp<'static>),
+}
+
+impl OwnedSliceOp {
+    /// The op, borrowing its operands from `self`.
+    pub fn op(&self) -> SliceOp<'_> {
+        match self {
+            OwnedSliceOp::Mat2(q, m) => SliceOp::Mat2(*q, m),
+            OwnedSliceOp::Mat4(hi, lo, m) => SliceOp::Mat4(*hi, *lo, m),
+            OwnedSliceOp::DiagRun(run) => SliceOp::DiagRun(run),
+            OwnedSliceOp::Plain(op) => *op,
+        }
+    }
+}
+
+/// Read exactly `n` operands into `frame` (cleared first).
+fn operands<'a, R: Read>(r: &mut R, n: usize, frame: &'a mut Vec<C64>) -> io::Result<&'a [C64]> {
+    frame.clear();
+    read_amps(r, n, frame)?;
+    Ok(frame)
+}
+
+/// Read a frame of exactly two operands.
+fn pair<R: Read>(r: &mut R, frame: &mut Vec<C64>) -> io::Result<[C64; 2]> {
+    let d = operands(r, 2, frame)?;
+    Ok([d[0], d[1]])
+}
+
+/// Decode sweep verb `verb` whose line is `line`, reading its operand
+/// frame from `r` through the reusable `frame`; `None` if `verb` is not a
+/// sweep verb. The frame must hold exactly the operands the verb and its
+/// line call for.
+///
+/// # Errors
+///
+/// A malformed line, a frame of another length
+/// ([`io::ErrorKind::InvalidData`]) or a transport error, EOF included.
+pub fn read_sweep<R: Read>(
+    verb: &str,
+    line: &Value,
+    r: &mut R,
+    frame: &mut Vec<C64>,
+) -> io::Result<Option<OwnedSliceOp>> {
+    let op = match verb {
+        "reset" => OwnedSliceOp::Plain(SliceOp::Reset),
+        "ccx" => {
+            let (c1, c2, t) = (
+                need_qubit(line, "c1")?,
+                need_qubit(line, "c2")?,
+                need_qubit(line, "t")?,
+            );
+            OwnedSliceOp::Plain(SliceOp::Ccx(c1, c2, t))
+        }
+        "scale" => OwnedSliceOp::Plain(SliceOp::Scale(need_f64(line, "s")?)),
+        "mat2" => {
+            let t = need_qubit(line, "q")?;
+            let m = operands(r, 4, frame)?;
+            OwnedSliceOp::Mat2(t, Mat2([[m[0], m[1]], [m[2], m[3]]]))
+        }
+        "mat4" => {
+            let (hi, lo) = (need_qubit(line, "hi")?, need_qubit(line, "lo")?);
+            let m = operands(r, 16, frame)?;
+            let rows = std::array::from_fn(|row| std::array::from_fn(|col| m[row * 4 + col]));
+            OwnedSliceOp::Mat4(hi, lo, Mat4(rows))
+        }
+        "diagrun" => {
+            let t1: Vec<u16> = need(line, "t1", |v| v.as_arr()?.iter().map(as_qubit).collect())?;
+            let t2: Vec<(u16, u16)> = need(line, "t2", |v| {
+                v.as_arr()?
+                    .iter()
+                    .map(|pair| match pair.as_arr()? {
+                        [a, b] => Some((as_qubit(a)?, as_qubit(b)?)),
+                        _ => None,
+                    })
+                    .collect()
+            })?;
+            let d = operands(r, 2 * t1.len() + 4 * t2.len(), frame)?;
+            let (d1, d2) = d.split_at(2 * t1.len());
+            let mut run = DiagRun::new();
+            for (&q, d) in t1.iter().zip(d1.chunks_exact(2)) {
+                run.push1(q, [d[0], d[1]]);
+            }
+            for (&(a, b), d) in t2.iter().zip(d2.chunks_exact(4)) {
+                run.push2(a, b, [d[0], d[1], d[2], d[3]]);
+            }
+            OwnedSliceOp::DiagRun(run)
+        }
+        "diag1" => {
+            let t = need_qubit(line, "q")?;
+            let [d0, d1] = pair(r, frame)?;
+            OwnedSliceOp::Plain(SliceOp::Diag1(t, d0, d1))
+        }
+        "scale_bit" => {
+            let mask = need_u64(line, "mask")? as usize;
+            let [d0, d1] = pair(r, frame)?;
+            OwnedSliceOp::Plain(SliceOp::ScaleBit(mask, d0, d1))
+        }
+        "antidiag" => {
+            let t = need_qubit(line, "q")?;
+            let [a01, a10] = pair(r, frame)?;
+            OwnedSliceOp::Plain(SliceOp::Antidiag1(t, a01, a10))
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(op))
+}
+
+/// Decode exchange verb `verb` whose line is `line`, reading its operand
+/// frame from `r` through `frame`: the partner step (a power of two
+/// unless the line is bad; `0` for a step no `u64` holds) and the round's
+/// [`PairOp`]. `None` if `verb` is not an exchange verb.
+///
+/// # Errors
+///
+/// As [`read_sweep`].
+pub fn read_exchange<R: Read>(
+    verb: &str,
+    line: &Value,
+    r: &mut R,
+    frame: &mut Vec<C64>,
+) -> io::Result<Option<(u64, PairOp)>> {
+    Ok(Some(match verb {
+        "dswap" => {
+            let gb = u32::try_from(need_u64(line, "gb")?).unwrap_or(u32::MAX);
+            let step = 1u64.checked_shl(gb).unwrap_or(0);
+            (step, PairOp::HalfSwap(need_qubit(line, "lq")?))
+        }
+        "antidiag_g" => {
+            let step = need_u64(line, "step")?;
+            let [a01, a10] = pair(r, frame)?;
+            (step, PairOp::Antidiag(a01, a10))
+        }
+        _ => return Ok(None),
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tqsim_circuit::GateKind;
-    use tqsim_json::str_val;
 
-    #[test]
-    fn dense_unitaries_round_trip_bit_exactly() {
-        let m2 = GateKind::Sw.matrix1().unwrap();
-        let v = mat2_to_value(&m2);
-        let text = v.to_json();
-        let back = mat2_from_value(&tqsim_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.0, m2.0, "shortest-round-trip floats must be exact");
-        let m4 = GateKind::FSim(0.777, -1.3).matrix2().unwrap();
-        let back4 = mat4_from_value(&tqsim_json::parse(&mat4_to_value(&m4).to_json()).unwrap());
-        assert_eq!(back4.unwrap().0, m4.0);
+    /// −0.0, a subnormal, a quiet NaN with a payload and a signalling one.
+    fn awkward() -> [C64; 4] {
+        [
+            c64(-0.0, 5e-324),
+            c64(f64::from_bits(0x7ff8_0000_dead_beef), 1.0 / 3.0),
+            c64(f64::from_bits(0x7ff0_0000_0000_0001), -0.0),
+            c64(f64::MIN_POSITIVE / 3.0, f64::NEG_INFINITY),
+        ]
+    }
+
+    fn bits(xs: impl IntoIterator<Item = C64>) -> Vec<u64> {
+        xs.into_iter()
+            .flat_map(|x| [x.re.to_bits(), x.im.to_bits()])
+            .collect()
+    }
+
+    /// An op's variant, integers and operand bit patterns.
+    fn fingerprint(op: &SliceOp<'_>) -> (&'static str, Vec<u64>, Vec<u64>) {
+        let (variant, ints, amps): (_, Vec<u64>, Vec<C64>) = match *op {
+            SliceOp::Reset => ("reset", vec![], vec![]),
+            SliceOp::Ccx(c1, c2, t) => ("ccx", vec![c1.into(), c2.into(), t.into()], vec![]),
+            SliceOp::Mat2(t, m) => ("mat2", vec![t.into()], m.0.concat()),
+            SliceOp::Mat4(hi, lo, m) => ("mat4", vec![hi.into(), lo.into()], m.0.concat()),
+            SliceOp::DiagRun(run) => {
+                let t1 = run.terms1().iter().map(|&(q, _)| q.into());
+                let t2 = run
+                    .terms2()
+                    .iter()
+                    .flat_map(|&(a, b, _)| [a.into(), b.into()]);
+                let d1 = run.terms1().iter().flat_map(|(_, d)| *d);
+                let d2 = run.terms2().iter().flat_map(|(.., d)| *d);
+                let counts = [run.terms1().len() as u64, run.terms2().len() as u64];
+                (
+                    "diagrun",
+                    counts.into_iter().chain(t1).chain(t2).collect(),
+                    d1.chain(d2).collect(),
+                )
+            }
+            SliceOp::Diag1(t, a, b) => ("diag1", vec![t.into()], vec![a, b]),
+            SliceOp::ScaleBit(mask, a, b) => ("scale_bit", vec![mask as u64], vec![a, b]),
+            SliceOp::Antidiag1(t, a, b) => ("antidiag", vec![t.into()], vec![a, b]),
+            SliceOp::Scale(s) => ("scale", vec![s.to_bits()], vec![]),
+        };
+        (variant, ints, bits(amps))
+    }
+
+    /// Split `msg` into its line and what follows, as a worker reads it.
+    fn decode_sweep(msg: &[u8]) -> OwnedSliceOp {
+        let mut r = msg;
+        let line = read_line(&mut r).unwrap();
+        let verb = line.get("v").and_then(Value::as_str).unwrap().to_string();
+        let op = read_sweep(&verb, &line, &mut r, &mut Vec::new())
+            .unwrap()
+            .unwrap();
+        assert!(r.is_empty(), "{verb}: the frame is read to its end");
+        op
     }
 
     #[test]
-    fn diag_runs_round_trip() {
+    fn every_slice_op_round_trips_bit_for_bit() {
+        let [a, b, c, d] = awkward();
+        let m2 = Mat2([[a, b], [c, d]]);
+        let fsim = GateKind::FSim(0.777, -1.3).matrix2().unwrap().0;
+        let m4 = Mat4([[a, b, c, d], fsim[0], [d, c, b, a], fsim[3]]);
         let mut run = DiagRun::new();
-        run.push1(3, GateKind::T.diag1().unwrap());
-        run.push2(5, 1, GateKind::Cz.diag2().unwrap());
-        let back =
-            diag_run_from_value(&tqsim_json::parse(&obj(diag_run_fields(&run)).to_json()).unwrap())
+        run.push1(3, [a, b]);
+        run.push1(0, [c, d]);
+        run.push2(5, 1, [d, c, b, a]);
+        run.push2(2, 4, GateKind::Cz.diag2().unwrap());
+        let ops = [
+            SliceOp::Reset,
+            SliceOp::Ccx(2, 0, 1),
+            SliceOp::Mat2(7, &m2),
+            SliceOp::Mat4(1, 6, &m4),
+            SliceOp::DiagRun(&run),
+            SliceOp::DiagRun(&DiagRun::new()),
+            SliceOp::Diag1(4, a, b),
+            SliceOp::ScaleBit(0b10, c, d),
+            SliceOp::Antidiag1(0, b, a),
+            SliceOp::Scale(f64::MIN_POSITIVE / 7.0),
+            SliceOp::Scale(-0.0),
+        ];
+        for op in &ops {
+            let back = decode_sweep(&encode_sweep(9, op));
+            assert_eq!(fingerprint(&back.op()), fingerprint(op), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn every_pair_op_round_trips_bit_for_bit() {
+        let [a, b, ..] = awkward();
+        for (gb, op) in [(1, PairOp::HalfSwap(11)), (2, PairOp::Antidiag(a, b))] {
+            let msg = encode_exchange(4, gb, op);
+            let mut r = &msg[..];
+            let line = read_line(&mut r).unwrap();
+            let verb = line.get("v").and_then(Value::as_str).unwrap().to_string();
+            let (step, back) = read_exchange(&verb, &line, &mut r, &mut Vec::new())
+                .unwrap()
                 .unwrap();
-        assert_eq!(back.terms1(), run.terms1());
-        assert_eq!(back.terms2(), run.terms2());
+            assert!(r.is_empty());
+            assert_eq!(step, 1 << gb);
+            match (back, op) {
+                (PairOp::HalfSwap(x), PairOp::HalfSwap(y)) => assert_eq!(x, y),
+                (PairOp::Antidiag(x0, x1), PairOp::Antidiag(y0, y1)) => {
+                    assert_eq!(bits([x0, x1]), bits([y0, y1]));
+                }
+                pair => panic!("decoded another round: {pair:?}"),
+            }
+        }
+    }
+
+    /// Sweep and exchange lines carry integers; the operands ride the frame.
+    #[test]
+    fn operands_ride_the_frame_not_the_line() {
+        let m4 = GateKind::FSim(0.777, -1.3).matrix2().unwrap();
+        let msg = encode_sweep(3, &SliceOp::Mat4(2, 0, &m4));
+        let end = msg.iter().position(|&b| b == b'\n').unwrap() + 1;
+        assert_eq!(
+            &msg[..end],
+            b"{\"v\":\"mat4\",\"sid\":3,\"hi\":2,\"lo\":0}\n"
+        );
+        assert_eq!(
+            msg.len() - end,
+            8 + 16 * 16,
+            "length prefix and 16 amplitudes"
+        );
     }
 
     #[test]
@@ -282,7 +573,7 @@ mod tests {
         // A frame of another length is refused, not truncated or padded.
         assert!(read_amps(&mut &buf[..], 3, &mut back).is_err());
         // Frames longer than one stack chunk round-trip too.
-        let long: Vec<C64> = (0..1000).map(|i| c64(i as f64, -(i as f64))).collect();
+        let long: Vec<C64> = (0..5000).map(|i| c64(i as f64, -(i as f64))).collect();
         buf.clear();
         write_amps(&mut buf, &long).unwrap();
         back.clear();
@@ -303,10 +594,18 @@ mod tests {
     #[test]
     fn control_lines_round_trip() {
         let v = obj(vec![("v", str_val("dswap")), ("gb", num_u64(1))]);
-        let mut buf = Vec::new();
-        send_line(&mut buf, &v).unwrap();
-        let back = recv_line(&mut &buf[..]).unwrap();
+        let buf = line(&v);
+        let back = read_line(&mut &buf[..]).unwrap();
         assert_eq!(back.get("v").and_then(Value::as_str), Some("dswap"));
         assert_eq!(back.get("gb").and_then(Value::as_u64), Some(1));
+    }
+
+    #[test]
+    fn capped_lines_refuse_what_runs_past_the_cap() {
+        let hello = line(&obj(vec![("rank", num_u64(3))]));
+        let back = read_line_within(&mut &hello[..], hello.len() as u64).unwrap();
+        assert_eq!(back.get("rank").and_then(Value::as_u64), Some(3));
+        let err = read_line_within(&mut &hello[..], hello.len() as u64 - 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -1,9 +1,12 @@
 //! The TCP slice transport: [`ShardSlices`] keeps one node slice per shard
-//! worker process and encodes each transport call as one control verb
-//! under one transport lock. [`ShardedStateVector`] is the one distributed
-//! state over it, so it is bit-identical to the in-process backend by
-//! construction; only `measured_exchange_seconds` differs, because here it
-//! times real TCP round-trips.
+//! worker process and turns each transport call into control messages
+//! under one transport lock. Sweeps and exchange rounds are silent: they
+//! are queued, and an exchange round is flushed as soon as it is issued,
+//! so the coordinator never waits on a worker except for a query's reply.
+//! [`ShardedStateVector`] is the one distributed state over it, so it is
+//! bit-identical to the in-process backend by construction; only
+//! `measured_exchange_seconds` differs, because here it times issuing a
+//! round on real sockets.
 
 use crate::cluster::{ClusterLink, ShardCluster};
 use crate::proto;
@@ -15,10 +18,10 @@ use tqsim_json::{num, num_u64, obj, str_val, Value};
 /// A pure state sliced across shard worker **processes**, driven over TCP.
 pub type ShardedStateVector = DistributedStateVector<ShardSlices>;
 
-fn verb(name: &str, fields: Vec<(&str, Value)>) -> Value {
+fn verb(name: &str, fields: Vec<(&str, Value)>) -> Vec<u8> {
     let mut all = vec![("v", str_val(name))];
     all.extend(fields);
-    obj(all)
+    proto::line(&obj(all))
 }
 
 /// One slice id's node slices on a [`ShardCluster`]'s workers: the
@@ -51,35 +54,10 @@ impl ShardSlices {
     }
 
     /// `name` addressed to this slice id, then `fields`.
-    fn verb(&self, name: &str, fields: Vec<(&str, Value)>) -> Value {
+    fn verb(&self, name: &str, fields: Vec<(&str, Value)>) -> Vec<u8> {
         let mut all = vec![("sid", num_u64(self.sid))];
         all.extend(fields);
         verb(name, all)
-    }
-
-    fn op_verb(&self, op: &SliceOp<'_>) -> Value {
-        let q = |q: u16| num_u64(u64::from(q));
-        let pair = |a: C64, b: C64| proto::c64s_to_value([&a, &b]);
-        let (name, fields) = match *op {
-            SliceOp::Reset => ("reset", vec![]),
-            SliceOp::Ccx(c1, c2, t) => ("ccx", vec![("c1", q(c1)), ("c2", q(c2)), ("t", q(t))]),
-            SliceOp::Mat2(t, m) => ("mat2", vec![("q", q(t)), ("m", proto::mat2_to_value(m))]),
-            SliceOp::Mat4(hi, lo, m) => (
-                "mat4",
-                vec![("hi", q(hi)), ("lo", q(lo)), ("m", proto::mat4_to_value(m))],
-            ),
-            SliceOp::DiagRun(run) => ("diagrun", proto::diag_run_fields(run)),
-            SliceOp::Diag1(t, d0, d1) => ("diag1", vec![("q", q(t)), ("d", pair(d0, d1))]),
-            SliceOp::ScaleBit(mask, d0, d1) => (
-                "scale_bit",
-                vec![("mask", num_u64(mask as u64)), ("d", pair(d0, d1))],
-            ),
-            SliceOp::Antidiag1(t, a01, a10) => {
-                ("antidiag", vec![("q", q(t)), ("a", pair(a01, a10))])
-            }
-            SliceOp::Scale(s) => ("scale", vec![("s", num(s))]),
-        };
-        self.verb(name, fields)
     }
 
     /// Ask worker `rank` one query on `link` and decode its reply.
@@ -130,24 +108,19 @@ impl SliceTransport for ShardSlices {
     }
 
     fn sweep(&mut self, op: &SliceOp<'_>) {
-        let op = self.op_verb(op);
+        let op = proto::encode_sweep(self.sid, op);
         self.cluster.link().broadcast(&op);
     }
 
-    /// Broadcast and collect every worker's ack under one lock, so every
-    /// worker pairs up on the same exchange.
+    /// Queue the round for every worker under one lock, so every worker
+    /// pairs up on the same exchange in its FIFO verb order, and flush it:
+    /// no reply is awaited. A worker that fails mid-round ends its process,
+    /// and the coordinator panics at its next write or read on that socket.
     fn exchange(&mut self, gb: u16, op: PairOp) {
-        let round = match op {
-            PairOp::HalfSwap(lq) => {
-                let (gb, lq) = (num_u64(gb.into()), num_u64(lq.into()));
-                self.verb("dswap", vec![("gb", gb), ("lq", lq)])
-            }
-            PairOp::Antidiag(a01, a10) => {
-                let (step, a) = (num_u64(1 << gb), proto::c64s_to_value([&a01, &a10]));
-                self.verb("antidiag_g", vec![("step", step), ("a", a)])
-            }
-        };
-        self.cluster.link().broadcast_ack(&round);
+        let round = proto::encode_exchange(self.sid, gb, op);
+        let mut link = self.cluster.link();
+        link.broadcast(&round);
+        link.flush();
     }
 
     fn copy_from(&mut self, src: &Self) {
@@ -179,7 +152,7 @@ impl SliceTransport for ShardSlices {
     fn query_then_sweep(&mut self, fold: impl FnOnce(&mut Ask<'_>) -> SliceOp<'static>) {
         let mut link = self.cluster.link();
         let op = fold(&mut |rank, query| self.ask(&mut link, rank, query));
-        link.broadcast(&self.op_verb(&op));
+        link.broadcast(&proto::encode_sweep(self.sid, &op));
     }
 }
 

@@ -15,17 +15,25 @@
 //! 8, a partner rank that exists): a malformed verb is a wire error that
 //! ends the worker, never a panic inside a kernel.
 //!
-//! Control arrives as line-delimited JSON on the coordinator socket (FIFO
-//! per worker; the coordinator broadcasts under one lock so every worker
-//! sees multi-node verbs in the same order). Amplitudes move over a
+//! Control arrives on the coordinator socket as one FIFO stream of
+//! messages: a JSON line per verb, followed by an amplitude frame when
+//! the verb has complex operands (the frame's length follows from the verb
+//! and its line). The coordinator issues verbs under one lock, so every
+//! worker sees multi-node verbs in the same order. Sweeps and exchange
+//! rounds get no reply; queries, `alloc`, `fetch`, `ping` and `bye` do,
+//! and each reply is flushed at once. Amplitudes move over a
 //! lazily-established worker↔worker TCP mesh as length-prefixed binary
 //! frames; for each pair the lower rank connects and sends first, the
 //! higher rank accepts and receives first, so the pairwise exchanges can
-//! never deadlock.
+//! never deadlock. Partners pair up on an exchange round by their FIFO
+//! order alone, with no acknowledgement to the coordinator: a worker may
+//! run several rounds ahead of its coordinator, and a worker that fails
+//! mid-round ends its process, which the coordinator sees at its next
+//! write or read on that socket.
 
-use crate::proto;
+use crate::proto::{self, need, need_f64, need_qubit, need_u64, wire_err};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use tqsim_circuit::math::{c64, C64};
 use tqsim_cluster::{PairOp, Query, Reply, SliceOp};
@@ -46,25 +54,14 @@ struct Worker {
     /// Outgoing and incoming exchange frames, reused round after round so
     /// the data plane allocates nothing per exchange.
     frames: [Vec<C64>; 2],
+    /// The operand frame of the verb being decoded, reused verb after verb.
+    operands: Vec<C64>,
 }
 
-fn wire_err(context: &str, message: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{context}: {message}"))
-}
-
-/// Field `key` of `v`, decoded by `get`.
-fn need<T>(v: &Value, key: &str, get: impl FnOnce(&Value) -> Option<T>) -> io::Result<T> {
-    v.get(key)
-        .and_then(get)
-        .ok_or_else(|| wire_err("shard verb", format!("missing or malformed {key:?}")))
-}
-
-fn need_u64(v: &Value, key: &str) -> io::Result<u64> {
-    need(v, key, Value::as_u64)
-}
-
-fn need_f64(v: &Value, key: &str) -> io::Result<f64> {
-    need(v, key, Value::as_f64)
+/// Write `value` as one line and flush it at once: the peer waits for it.
+fn send_line<W: Write>(w: &mut W, value: &Value) -> io::Result<()> {
+    w.write_all(&proto::line(value))?;
+    w.flush()
 }
 
 /// Run one worker process to completion: connect to `coordinator`, open
@@ -82,7 +79,7 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
     let mut control_w = BufWriter::new(control);
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let mesh_addr = listener.local_addr()?.to_string();
-    proto::send_line(
+    send_line(
         &mut control_w,
         &obj(vec![
             ("v", tqsim_json::str_val("hello")),
@@ -90,7 +87,7 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
             ("mesh", tqsim_json::str_val(&mesh_addr)),
         ]),
     )?;
-    let topo = proto::recv_line(&mut control_r)?;
+    let topo = proto::read_line(&mut control_r)?;
     if topo.get("v").and_then(Value::as_str) != Some("topo") {
         return Err(wire_err("handshake", "expected topo".into()));
     }
@@ -106,7 +103,7 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
     if peers.len() != n_workers {
         return Err(wire_err("handshake", "peer list length mismatch".into()));
     }
-    proto::send_line(&mut control_w, &proto::ack())?;
+    send_line(&mut control_w, &proto::ack())?;
 
     let mut worker = Worker {
         rank,
@@ -115,9 +112,10 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
         mesh: HashMap::new(),
         slices: HashMap::new(),
         frames: Default::default(),
+        operands: Vec::new(),
     };
     loop {
-        let msg = match proto::recv_line(&mut control_r) {
+        let msg = match proto::read_line(&mut control_r) {
             Ok(msg) => msg,
             // The coordinator dropping the control socket (process exit,
             // cluster teardown without `bye`) is a normal shutdown.
@@ -129,11 +127,10 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
             .and_then(Value::as_str)
             .ok_or_else(|| wire_err("shard verb", "missing \"v\"".into()))?;
         if verb == "bye" {
-            proto::send_line(&mut control_w, &proto::ack())?;
-            return Ok(());
+            return send_line(&mut control_w, &proto::ack());
         }
-        if let Some(reply) = worker.dispatch(verb, &msg, &mut control_w)? {
-            proto::send_line(&mut control_w, &reply)?;
+        if let Some(answer) = worker.dispatch(verb, &msg, &mut control_r, &mut control_w)? {
+            send_line(&mut control_w, &answer)?;
         }
     }
 }
@@ -181,19 +178,21 @@ impl Worker {
         Ok((sid, slice))
     }
 
-    /// Handle one verb; `Some(reply)` is sent back on the control socket.
+    /// Handle one verb, reading its operand frame (if it carries one) from
+    /// `control_r`; `Some(reply)` is sent back on the control socket.
     fn dispatch(
         &mut self,
         verb: &str,
         msg: &Value,
+        control_r: &mut impl Read,
         control_w: &mut impl Write,
     ) -> io::Result<Option<Value>> {
-        let qubit = |key| need(msg, key, |v| v.as_u64().and_then(|q| u16::try_from(q).ok()));
-        let pair = |key| -> io::Result<[C64; 2]> {
-            need(msg, key, |v| {
-                proto::c64s_from_value(v, 2).ok()?.try_into().ok()
-            })
-        };
+        if let Some(op) = proto::read_sweep(verb, msg, control_r, &mut self.operands)? {
+            return self.sweep(msg, op.op());
+        }
+        if let Some((step, op)) = proto::read_exchange(verb, msg, control_r, &mut self.operands)? {
+            return self.exchange(msg, step, op);
+        }
         match verb {
             "ping" => Ok(Some(proto::ack())),
             "alloc" => {
@@ -235,48 +234,11 @@ impl Worker {
                 self.slices.insert(dst, to);
                 copied
             }
-            "reset" => self.sweep(msg, SliceOp::Reset),
-            "ccx" => {
-                let ccx = SliceOp::Ccx(qubit("c1")?, qubit("c2")?, qubit("t")?);
-                self.sweep(msg, ccx)
-            }
-            "mat2" => {
-                let m = need(msg, "m", |v| proto::mat2_from_value(v).ok())?;
-                self.sweep(msg, SliceOp::Mat2(qubit("q")?, &m))
-            }
-            "mat4" => {
-                let m = need(msg, "m", |v| proto::mat4_from_value(v).ok())?;
-                self.sweep(msg, SliceOp::Mat4(qubit("hi")?, qubit("lo")?, &m))
-            }
-            "diagrun" => {
-                let run = proto::diag_run_from_value(msg).map_err(|e| wire_err("diagrun", e))?;
-                self.sweep(msg, SliceOp::DiagRun(&run))
-            }
-            "diag1" => {
-                let [d0, d1] = pair("d")?;
-                self.sweep(msg, SliceOp::Diag1(qubit("q")?, d0, d1))
-            }
-            "scale_bit" => {
-                let [d0, d1] = pair("d")?;
-                let mask = need_u64(msg, "mask")? as usize;
-                self.sweep(msg, SliceOp::ScaleBit(mask, d0, d1))
-            }
-            "antidiag" => {
-                let [a01, a10] = pair("a")?;
-                self.sweep(msg, SliceOp::Antidiag1(qubit("q")?, a01, a10))
-            }
-            "scale" => self.sweep(msg, SliceOp::Scale(need_f64(msg, "s")?)),
-            "dswap" => {
-                let gb = u32::try_from(need_u64(msg, "gb")?).unwrap_or(u32::MAX);
-                let step = 1u64.checked_shl(gb).unwrap_or(0);
-                self.exchange(msg, step, PairOp::HalfSwap(qubit("lq")?))
-            }
-            "antidiag_g" => {
-                let [a01, a10] = pair("a")?;
-                self.exchange(msg, need_u64(msg, "step")?, PairOp::Antidiag(a01, a10))
-            }
             "psum" => self.answer(msg, Query::Psum),
-            "msum" => self.answer(msg, Query::Msum(qubit("q")?, need_f64(msg, "acc")?)),
+            "msum" => self.answer(
+                msg,
+                Query::Msum(need_qubit(msg, "q")?, need_f64(msg, "acc")?),
+            ),
             "pick" => self.answer(msg, Query::Pick(need_f64(msg, "u")?, need_f64(msg, "acc")?)),
             "walk" => {
                 let us: Vec<f64> = need(msg, "us", |v| {
@@ -293,8 +255,12 @@ impl Worker {
             }
             "fetch" => {
                 let (_, slice) = self.slice_mut(msg)?;
-                proto::send_line(control_w, &obj(vec![("len", num_u64(slice.len() as u64))]))?;
+                control_w.write_all(&proto::line(&obj(vec![(
+                    "len",
+                    num_u64(slice.len() as u64),
+                )])))?;
                 proto::write_amps(control_w, slice)?;
+                control_w.flush()?;
                 Ok(None)
             }
             other => Err(wire_err("shard verb", format!("unknown verb {other:?}"))),
@@ -346,7 +312,7 @@ impl Worker {
                 let stream = TcpStream::connect(&self.peers[peer])?;
                 stream.set_nodelay(true)?;
                 let mut writer = BufWriter::new(stream.try_clone()?);
-                proto::send_line(&mut writer, &obj(vec![("rank", num_u64(self.rank as u64))]))?;
+                send_line(&mut writer, &obj(vec![("rank", num_u64(self.rank as u64))]))?;
                 self.mesh.insert(
                     peer,
                     MeshConn {
@@ -359,8 +325,7 @@ impl Worker {
                     let (stream, _) = self.listener.accept()?;
                     stream.set_nodelay(true)?;
                     let mut reader = BufReader::new(stream.try_clone()?);
-                    let hello = proto::recv_line(&mut reader)?;
-                    let from = need_u64(&hello, "rank")? as usize;
+                    let from = mesh_hello(&mut reader)?;
                     self.mesh.insert(
                         from,
                         MeshConn {
@@ -403,25 +368,38 @@ impl Worker {
         let outcome = (|| {
             let conn = self.mesh_with(partner)?;
             let n = outgoing.len();
+            let mut send = |amps: &[C64]| {
+                proto::write_amps(&mut conn.writer, amps)?;
+                conn.writer.flush()
+            };
             if is_lo {
-                proto::write_amps(&mut conn.writer, &outgoing)?;
+                send(&outgoing)?;
                 proto::read_amps(&mut conn.reader, n, &mut incoming)?;
             } else {
                 proto::read_amps(&mut conn.reader, n, &mut incoming)?;
-                proto::write_amps(&mut conn.writer, &outgoing)?;
+                send(&outgoing)?;
             }
             op.land(&mut slice, is_lo, &incoming);
             Ok(())
         })();
         self.slices.insert(sid, slice);
         self.frames = [outgoing, incoming];
-        outcome.map(|()| Some(proto::ack()))
+        outcome.map(|()| None)
     }
+}
+
+/// The rank an inbound mesh connection announces in its hello line, read
+/// through a [`proto::HELLO_MAX_BYTES`] cap: the listener accepts any
+/// connection on the host, so a line without end is refused, not buffered.
+fn mesh_hello<R: BufRead>(r: &mut R) -> io::Result<usize> {
+    let hello = proto::read_line_within(r, proto::HELLO_MAX_BYTES)?;
+    Ok(need_u64(&hello, "rank")? as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tqsim_circuit::GateKind;
 
     /// Rank `rank` of a `n_workers` group, with no mesh peers dialled.
     fn worker(rank: usize, n_workers: usize) -> Worker {
@@ -432,17 +410,36 @@ mod tests {
             mesh: HashMap::new(),
             slices: HashMap::new(),
             frames: Default::default(),
+            operands: Vec::new(),
         }
     }
 
+    /// Hand `w` one message — a line and what follows it — as its control
+    /// socket would.
+    fn feed(w: &mut Worker, msg: &[u8]) -> io::Result<Option<Value>> {
+        let mut r = msg;
+        let line = proto::read_line(&mut r)?;
+        let verb = line.get("v").and_then(Value::as_str).unwrap().to_string();
+        w.dispatch(&verb, &line, &mut r, &mut io::sink())
+    }
+
+    /// `line`, then an amplitude frame of `amps`.
+    fn framed(line: &str, amps: &[C64]) -> Vec<u8> {
+        let mut msg = format!("{line}\n").into_bytes();
+        proto::write_amps(&mut msg, amps).unwrap();
+        msg
+    }
+
     fn send(w: &mut Worker, line: &str) -> io::Result<Option<Value>> {
-        let msg = tqsim_json::parse(line).unwrap();
-        let verb = msg.get("v").and_then(Value::as_str).unwrap().to_string();
-        w.dispatch(&verb, &msg, &mut io::sink())
+        feed(w, format!("{line}\n").as_bytes())
     }
 
     fn refused(result: io::Result<Option<Value>>) -> bool {
         result.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
+    }
+
+    fn ones(n: usize) -> Vec<C64> {
+        vec![c64(1.0, 0.0); n]
     }
 
     #[test]
@@ -461,32 +458,83 @@ mod tests {
     fn out_of_range_ops_are_wire_errors_not_kernel_panics() {
         let mut w = worker(1, 2);
         send(&mut w, r#"{"v":"alloc","sid":1,"len":8}"#).unwrap();
-        let cx = proto::mat4_to_value(&tqsim_circuit::GateKind::Cx.matrix2().unwrap()).to_json();
-        let mat4 =
-            |hi: u16, lo: u16| format!(r#"{{"v":"mat4","sid":1,"hi":{hi},"lo":{lo},"m":{cx}}}"#);
-        assert!(refused(send(&mut w, &mat4(3, 0))), "qubit 3 of 3 local");
-        assert!(refused(send(&mut w, &mat4(1, 1))), "repeated operand");
-        assert!(send(&mut w, &mat4(2, 0)).is_ok());
+        let cx = GateKind::Cx.matrix2().unwrap();
+        let mat4 = |hi: u16, lo: u16| proto::encode_sweep(1, &SliceOp::Mat4(hi, lo, &cx));
+        assert!(refused(feed(&mut w, &mat4(3, 0))), "qubit 3 of 3 local");
+        assert!(refused(feed(&mut w, &mat4(1, 1))), "repeated operand");
+        assert!(feed(&mut w, &mat4(2, 0)).is_ok());
         assert!(send(&mut w, r#"{"v":"ccx","sid":1,"c1":2,"c2":0,"t":1}"#).is_ok());
-        for line in [
+        for (line, frame) in [
             // The retired verb is refused.
-            r#"{"v":"gate","sid":1,"g":["h",1]}"#,
+            (r#"{"v":"gate","sid":1,"g":["h",1]}"#, None),
             // A Toffoli with a repeated control, a target past the slice's
             // 3 local qubits, no target, and a qubit no u16 holds.
-            r#"{"v":"ccx","sid":1,"c1":1,"c2":1,"t":0}"#,
-            r#"{"v":"ccx","sid":1,"c1":0,"c2":1,"t":3}"#,
-            r#"{"v":"ccx","sid":1,"c1":0,"c2":1}"#,
-            r#"{"v":"ccx","sid":1,"c1":70000,"c2":1,"t":0}"#,
-            r#"{"v":"diag1","sid":1,"q":3,"d":[1,0,1,0]}"#,
-            r#"{"v":"msum","sid":1,"q":40,"acc":0}"#,
+            (r#"{"v":"ccx","sid":1,"c1":1,"c2":1,"t":0}"#, None),
+            (r#"{"v":"ccx","sid":1,"c1":0,"c2":1,"t":3}"#, None),
+            (r#"{"v":"ccx","sid":1,"c1":0,"c2":1}"#, None),
+            (r#"{"v":"ccx","sid":1,"c1":70000,"c2":1,"t":0}"#, None),
+            (r#"{"v":"diag1","sid":1,"q":3}"#, Some(2)),
+            (r#"{"v":"msum","sid":1,"q":40,"acc":0}"#, None),
             // Rank 1's slice starts at index 8: a walk cannot resume at 2.
-            r#"{"v":"walk","sid":1,"us":[0.5],"idx":2,"acc":0,"total":16,"init":false}"#,
+            (
+                r#"{"v":"walk","sid":1,"us":[0.5],"idx":2,"acc":0,"total":16,"init":false}"#,
+                None,
+            ),
             // Two workers: no partner across global bit 1, or 2^70 away.
-            r#"{"v":"dswap","sid":1,"gb":1,"lq":0}"#,
-            r#"{"v":"dswap","sid":1,"gb":70,"lq":0}"#,
-            r#"{"v":"antidiag_g","sid":1,"step":3,"a":[1,0,1,0]}"#,
+            (r#"{"v":"dswap","sid":1,"gb":1,"lq":0}"#, None),
+            (r#"{"v":"dswap","sid":1,"gb":70,"lq":0}"#, None),
+            (r#"{"v":"antidiag_g","sid":1,"step":3}"#, Some(2)),
         ] {
-            assert!(refused(send(&mut w, line)), "{line}");
+            let msg = match frame {
+                Some(n) => framed(line, &ones(n)),
+                None => format!("{line}\n").into_bytes(),
+            };
+            assert!(refused(feed(&mut w, &msg)), "{line}");
         }
+    }
+
+    /// An operand frame must hold exactly what the verb and its line call
+    /// for: anything else ends the worker with a wire error before a
+    /// kernel runs or a buffer is sized.
+    #[test]
+    fn operand_frames_of_another_length_are_wire_errors() {
+        let mut w = worker(0, 2);
+        send(&mut w, r#"{"v":"alloc","sid":1,"len":8}"#).unwrap();
+        let mat4 = r#"{"v":"mat4","sid":1,"hi":1,"lo":0}"#;
+        for n in [15, 17] {
+            assert!(
+                refused(feed(&mut w, &framed(mat4, &ones(n)))),
+                "{n} amplitudes"
+            );
+        }
+        // A hostile length prefix sizes nothing.
+        let mut huge = format!("{mat4}\n").into_bytes();
+        huge.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        assert!(refused(feed(&mut w, &huge)));
+        // A line whose frame never comes.
+        let eof = feed(&mut w, format!("{mat4}\n").as_bytes());
+        assert!(eof.is_err_and(|e| e.kind() == io::ErrorKind::UnexpectedEof));
+        // A run on one qubit and one pair takes 2 + 4 entries, no other count.
+        let run = r#"{"v":"diagrun","sid":1,"t1":[0],"t2":[[2,1]]}"#;
+        for n in [0, 2, 4, 5, 7, 8] {
+            assert!(refused(feed(&mut w, &framed(run, &ones(n)))), "{n} entries");
+        }
+        assert_eq!(w.slices[&1][0], c64(1.0, 0.0), "nothing ran");
+        assert!(feed(&mut w, &framed(run, &ones(6))).is_ok());
+        assert!(feed(&mut w, &framed(mat4, &ones(16))).is_ok());
+    }
+
+    /// The mesh listener takes any connection on the host: a hello with no
+    /// end is refused at the cap, not buffered.
+    #[test]
+    fn an_endless_mesh_hello_is_refused() {
+        let endless = vec![b'a'; 1 << 20];
+        let mut r = &endless[..];
+        let err = mesh_hello(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let read = endless.len() - r.len();
+        assert_eq!(read as u64, proto::HELLO_MAX_BYTES, "nothing past the cap");
+        let hello = proto::line(&obj(vec![("rank", num_u64(1))]));
+        assert_eq!(mesh_hello(&mut &hello[..]).unwrap(), 1);
     }
 }

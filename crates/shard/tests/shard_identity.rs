@@ -204,8 +204,8 @@ fn shard_slices_conform_at_2_4_workers_with_in_process_counters() {
         // Deterministic counters agree exactly (`PartialEq` excludes the
         // wall-clock field)…
         assert_eq!(shard, conform(&ClusterBackend::new(workers, model())));
-        // …while the measured exchange time is real elapsed wall clock on
-        // a real wire, so it must accumulate.
+        // …while the measured exchange time is the real wall clock spent
+        // issuing each round on real sockets, so it must accumulate.
         assert!(shard.measured_exchange_seconds > 0.0);
     }
 }
