@@ -28,9 +28,9 @@
 use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
 use crate::transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};
-use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+use std::{fmt, io};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_obs::{Counter, Registry};
 use tqsim_statevec::{DiagRun, PooledBackend, QuantumState, StateVector};
@@ -138,7 +138,28 @@ impl LocalSlices {
     }
 }
 
+/// The in-process group is its node count: nothing starts.
 impl SliceTransport for LocalSlices {
+    type Group = usize;
+
+    fn spawn(n_nodes: usize) -> io::Result<usize> {
+        assert!(
+            n_nodes >= 1 && n_nodes.is_power_of_two(),
+            "node count {n_nodes} is not a power of two >= 1"
+        );
+        Ok(n_nodes)
+    }
+
+    fn group_nodes(&n_nodes: &usize) -> usize {
+        n_nodes
+    }
+
+    fn alloc(&n_nodes: &usize, local_n: u16) -> Self {
+        let mut slices = vec![vec![c64(0.0, 0.0); 1usize << local_n]; n_nodes];
+        slices[0][0] = c64(1.0, 0.0);
+        LocalSlices { local_n, slices }
+    }
+
     fn n_nodes(&self) -> usize {
         self.slices.len()
     }
@@ -201,9 +222,7 @@ impl DistributedStateVector {
         model: InterconnectModel,
     ) -> Result<Self, ClusterError> {
         Self::with_transport(n_qubits, n_nodes, model, |local_n| {
-            let mut slices = vec![vec![c64(0.0, 0.0); 1usize << local_n]; n_nodes];
-            slices[0][0] = c64(1.0, 0.0);
-            LocalSlices { local_n, slices }
+            LocalSlices::alloc(&n_nodes, local_n)
         })
     }
 }
@@ -528,51 +547,92 @@ pub fn check_layout(n_qubits: u16, n_nodes: usize) -> Result<(), ClusterError> {
     Ok(())
 }
 
-/// The distributed execution backend: a node-group descriptor (node count
-/// and interconnect model) implementing [`PooledBackend`] with
-/// [`DistributedStateVector`] states, so `tqsim_statevec::StatePool`, the
-/// `tqsim-engine` pooled tree executor and `tqsim`'s serial tree walk all
-/// run on the cluster unchanged. Parent→child state copies stay node-local
-/// slice memcpys ([`DistributedStateVector::copy_from`]) — intermediate
-/// states never round-trip through a dense global vector.
+/// The distributed execution backend: a node group (where its states put
+/// their slices, the transport `T`) and an interconnect model, implementing
+/// [`PooledBackend`] with [`DistributedStateVector`] states, so
+/// `tqsim_statevec::StatePool`, the `tqsim-engine` pooled tree executor and
+/// `tqsim`'s serial tree walk all run on the cluster unchanged. The default
+/// group is [`LocalSlices`] in this process; `tqsim-shard`'s `ShardBackend`
+/// is this backend over worker processes. Parent→child state copies stay
+/// node-local slice memcpys ([`DistributedStateVector::copy_from`]) —
+/// intermediate states never round-trip through a dense global vector.
 ///
 /// Construction does not validate a register width (the backend is
 /// width-agnostic until a state is allocated); call
 /// [`ClusterBackend::validate`] — or check [`ClusterBackend::supports`] —
 /// before pooling states of a given width.
-#[derive(Clone, Debug)]
-pub struct ClusterBackend {
-    n_nodes: usize,
+pub struct ClusterBackend<T: SliceTransport = LocalSlices> {
+    group: T::Group,
     model: InterconnectModel,
     obs: Option<Arc<ClusterObs>>,
 }
 
+impl<T: SliceTransport> Clone for ClusterBackend<T> {
+    fn clone(&self) -> Self {
+        ClusterBackend {
+            group: self.group.clone(),
+            model: self.model,
+            obs: self.obs.clone(),
+        }
+    }
+}
+
+impl<T: SliceTransport> fmt::Debug for ClusterBackend<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClusterBackend")
+            .field("group", &self.group)
+            .field("model", &self.model)
+            .field("observed", &self.obs.is_some())
+            .finish()
+    }
+}
+
 /// Backends compare by topology (node count, interconnect model); whether
-/// one is observed does not change what it computes.
-impl PartialEq for ClusterBackend {
+/// one is observed, or which live group of that size it runs on, does not
+/// change what it computes.
+impl<T: SliceTransport> PartialEq for ClusterBackend<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.n_nodes == other.n_nodes && self.model == other.model
+        self.n_nodes() == other.n_nodes() && self.model == other.model
     }
 }
 
 impl ClusterBackend {
-    /// A backend slicing every state across `n_nodes` simulated nodes,
-    /// pricing communication with `model`.
+    /// A backend slicing every state across `n_nodes` simulated nodes in
+    /// this process, pricing communication with `model`.
     ///
     /// # Panics
     ///
     /// Panics unless `n_nodes` is a power of two ≥ 1 (width-dependent
     /// validation is deferred to [`ClusterBackend::validate`]).
     pub fn new(n_nodes: usize, model: InterconnectModel) -> Self {
-        assert!(
-            n_nodes >= 1 && n_nodes.is_power_of_two(),
-            "node count {n_nodes} is not a power of two >= 1"
-        );
+        let group = LocalSlices::spawn(n_nodes).expect("in-process nodes start nothing");
         ClusterBackend {
-            n_nodes,
+            group,
             model,
             obs: None,
         }
+    }
+}
+
+impl<T: SliceTransport> ClusterBackend<T> {
+    /// Bring up a group of `n_nodes` nodes ([`SliceTransport::spawn`]: for
+    /// shard workers, processes on loopback) and price communication with
+    /// the commodity-cluster model.
+    ///
+    /// # Errors
+    ///
+    /// Spawn/handshake IO failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n_nodes` is a power of two ≥ 1, or if a worker
+    /// binary cannot be located or built.
+    pub fn spawn(n_nodes: usize) -> io::Result<Self> {
+        Ok(ClusterBackend {
+            group: T::spawn(n_nodes)?,
+            model: InterconnectModel::commodity_cluster(),
+            obs: None,
+        })
     }
 
     /// Mirror every allocated state's communication and gate activity into
@@ -585,7 +645,7 @@ impl ClusterBackend {
 
     /// Number of nodes states are sliced across.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        T::group_nodes(&self.group)
     }
 
     /// The interconnect model communication is priced with.
@@ -593,50 +653,57 @@ impl ClusterBackend {
         self.model
     }
 
+    /// The node group, shared with every clone of this backend (for shard
+    /// workers: the live processes, for health checks and chaos tests).
+    pub fn group(&self) -> &T::Group {
+        &self.group
+    }
+
     /// Check that `n_qubits`-wide states can be sliced across this node
     /// group (≥ 3 qubits must stay node-local).
     ///
     /// # Errors
     ///
-    /// The same conditions as [`DistributedStateVector::zero`].
+    /// The same conditions as [`DistributedStateVector::with_transport`].
     pub fn validate(&self, n_qubits: u16) -> Result<(), ClusterError> {
-        check_layout(n_qubits, self.n_nodes)
-    }
-
-    /// Whether `n_qubits`-wide states fit this node group (the infallible
-    /// form of [`ClusterBackend::validate`], for placement policies).
-    pub fn supports(&self, n_qubits: u16) -> bool {
-        self.validate(n_qubits).is_ok()
+        check_layout(n_qubits, self.n_nodes())
     }
 }
 
-impl PooledBackend for ClusterBackend {
-    type State = DistributedStateVector;
+impl<T: SliceTransport + Send + Sync + 'static> PooledBackend for ClusterBackend<T> {
+    type State = DistributedStateVector<T>;
 
+    /// Whether `n_qubits`-wide states fit this node group (the infallible
+    /// form of [`ClusterBackend::validate`], for placement policies).
     fn supports(&self, n_qubits: u16) -> bool {
-        ClusterBackend::supports(self, n_qubits)
+        self.validate(n_qubits).is_ok()
     }
 
-    fn allocate(&self, n_qubits: u16) -> DistributedStateVector {
-        let mut state = DistributedStateVector::zero(n_qubits, self.n_nodes, self.model)
-            .unwrap_or_else(|err| {
-                panic!("executors must gate on PooledBackend::supports before allocating: {err}")
-            });
+    fn allocate(&self, n_qubits: u16) -> DistributedStateVector<T> {
+        let mut state = DistributedStateVector::with_transport(
+            n_qubits,
+            self.n_nodes(),
+            self.model,
+            |local_n| T::alloc(&self.group, local_n),
+        )
+        .unwrap_or_else(|err| {
+            panic!("executors must gate on PooledBackend::supports before allocating: {err}")
+        });
         if let Some(obs) = &self.obs {
             state.observe(Arc::clone(obs));
         }
         state
     }
 
-    fn reset_zero(&self, state: &mut DistributedStateVector) {
+    fn reset_zero(&self, state: &mut DistributedStateVector<T>) {
         state.reset_zero();
     }
 
-    fn copy_into(&self, dst: &mut DistributedStateVector, src: &DistributedStateVector) {
+    fn copy_into(&self, dst: &mut DistributedStateVector<T>, src: &DistributedStateVector<T>) {
         dst.copy_from(src);
     }
 
-    fn state_bytes(&self, state: &DistributedStateVector) -> usize {
+    fn state_bytes(&self, state: &DistributedStateVector<T>) -> usize {
         state.bytes()
     }
 }

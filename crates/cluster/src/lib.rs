@@ -9,10 +9,13 @@
 //! swapped-in qubit stays local until the lazy [`Layout`] must move it.
 //! The one [`DistributedStateVector`] takes where its slices live as a
 //! [`SliceTransport`] parameter: [`LocalSlices`] in this process, or
-//! `tqsim-shard`'s worker processes. Results are validated bit-exactly
-//! against the single-node engine, and an analytic estimator extrapolates
-//! the Fig. 13 strong/weak-scaling curves to widths this environment cannot
-//! execute.
+//! `tqsim-shard`'s worker processes. So does the one [`ClusterBackend`]
+//! that pools those states for the engines, holding the transport's node
+//! group; `tqsim-shard`'s `ShardBackend` is `ClusterBackend<ShardSlices>`.
+//! [`run_distributed`] is the serial `tqsim::TreeExecutor` walk on a
+//! `ClusterBackend`. Results are validated bit-exactly against the
+//! single-node engine, and an analytic estimator extrapolates the Fig. 13
+//! strong/weak-scaling curves to widths this environment cannot execute.
 //!
 //! ```
 //! use tqsim_cluster::{DistributedStateVector, InterconnectModel};

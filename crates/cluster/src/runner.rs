@@ -1,15 +1,13 @@
 //! Distributed execution of baseline and TQSim tree simulations, plus the
 //! analytic scaling estimator behind Fig. 13.
 
-use crate::dsv::{check_layout, ClusterBackend, ClusterError, DistributedStateVector};
+use crate::dsv::{check_layout, ClusterBackend, ClusterError};
 use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tqsim::{Counts, ExecOptions, Partition};
+use tqsim::{Counts, ExecOptions, Partition, TreeExecutor};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{classify, CompiledCircuit, FusedOp, OpCounts, PooledBackend};
+use tqsim_statevec::{classify, FusedOp, OpCounts};
 
 /// Result of a distributed run.
 #[derive(Clone, Debug)]
@@ -55,14 +53,13 @@ pub fn run_distributed(
 }
 
 /// Execute a TQSim partition on the distributed engine (the baseline is the
-/// degenerate partition `(N)`). A thin wrapper over the backend-generic
-/// serial tree walk ([`tqsim::run_tree_nodes`] on a [`ClusterBackend`]) —
-/// the same walk the single-node [`tqsim::TreeExecutor`] drives — so each
+/// degenerate partition `(N)`). A thin wrapper over the one serial tree
+/// walk, [`tqsim::TreeExecutor::run_on`] on a [`ClusterBackend`]: each
 /// subcircuit is compiled **once**, its fused plan replayed per tree node
 /// through the shared generic driver ([`tqsim::run_subcircuit`]), and the
-/// RNG stream consumed identically: for the same seed the `Counts` are
-/// **bit-identical** to the serial executor's (property-tested in
-/// `tests/prop_backend.rs`).
+/// RNG stream consumed identically, so for the same seed the `Counts` are
+/// **bit-identical** to the single-node [`tqsim::TreeExecutor::run`]'s
+/// (property-tested in `tests/prop_backend.rs`).
 ///
 /// # Errors
 ///
@@ -81,46 +78,19 @@ pub fn run_distributed_with_options(
     seed: u64,
     options: ExecOptions,
 ) -> Result<DistRunResult, ClusterError> {
-    assert!(
-        options.leaf_samples >= 1,
-        "need at least one sample per leaf"
-    );
-    let subcircuits = partition.subcircuits(circuit);
-    // Compile once per subcircuit; every node of the tree replays the plan.
-    let compiled: Vec<CompiledCircuit> = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
-    let k = subcircuits.len();
-    let n = circuit.n_qubits();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = Counts::new(n);
-    let mut ops = OpCounts::new();
-
-    check_layout(n, n_nodes)?;
-    let backend = ClusterBackend::new(n_nodes, model);
-    let mut states: Vec<DistributedStateVector> = (0..=k).map(|_| backend.allocate(n)).collect();
-    ops.state_resets += 1;
-
-    tqsim::run_tree_nodes(
-        &backend,
-        &subcircuits,
-        &compiled,
-        &partition.tree,
-        noise,
-        &mut states,
-        &mut counts,
-        &mut ops,
-        &mut rng,
-        options,
-    );
-
+    check_layout(circuit.n_qubits(), n_nodes)?;
+    let exec = TreeExecutor::new(circuit, noise, partition.clone())
+        .unwrap_or_else(|err| panic!("the partition must cover the circuit: {err}"));
+    let (run, states) = exec.run_on(&ClusterBackend::new(n_nodes, model), seed, options);
     let mut counters = ClusterCounters::default();
     for s in &states {
         counters.merge(&s.counters);
     }
-    counters.noise_ops += ops.noise_ops;
+    counters.noise_ops += run.ops.noise_ops;
     Ok(DistRunResult {
-        counts,
+        counts: run.counts,
         counters,
-        ops,
+        ops: run.ops,
     })
 }
 
@@ -388,6 +358,16 @@ mod tests {
             .unwrap()
             .run(3);
         assert_eq!(r.counts, serial.counts);
+    }
+
+    #[test]
+    #[should_panic(expected = "the partition must cover the circuit")]
+    fn a_partition_that_misses_gates_panics() {
+        let circuit = generators::bv(6);
+        let noise = NoiseModel::ideal();
+        let partition = Partition::baseline(circuit.len() + 5, 5).unwrap();
+        let model = InterconnectModel::commodity_cluster();
+        let _ = run_distributed(&circuit, &noise, &partition, 2, model, 0);
     }
 
     #[test]

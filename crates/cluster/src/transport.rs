@@ -12,6 +12,7 @@
 //! them directly and the shard worker after decoding a verb, so both
 //! transports compute the same amplitudes by construction.
 
+use std::{fmt, io};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_statevec::{kernels, DiagRun};
 
@@ -251,7 +252,27 @@ pub type Ask<'a> = dyn FnMut(usize, Query<'_>) -> Reply + 'a;
 /// Where a distributed state's slices live. An implementation decides
 /// nothing and counts nothing: it runs what
 /// [`crate::DistributedStateVector`] asks, in rank order.
+///
+/// Its node **group** is what a [`crate::ClusterBackend`] holds to allocate
+/// states: the node count in process, the live worker processes for
+/// `tqsim-shard`.
 pub trait SliceTransport {
+    /// A node group, cheap to clone and shared by every state on it.
+    type Group: Clone + fmt::Debug + Send + Sync + 'static;
+
+    /// Bring up a group of `n_nodes` nodes.
+    ///
+    /// # Errors
+    ///
+    /// Process spawn or handshake failures (in process: none).
+    fn spawn(n_nodes: usize) -> io::Result<Self::Group>;
+
+    /// Nodes in `group`.
+    fn group_nodes(group: &Self::Group) -> usize;
+
+    /// `|0…0⟩` slices of `2^local_n` amplitudes on every node of `group`.
+    fn alloc(group: &Self::Group, local_n: u16) -> Self;
+
     /// Number of slices (= nodes), a power of two.
     fn n_nodes(&self) -> usize;
 

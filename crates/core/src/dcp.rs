@@ -166,7 +166,7 @@ pub fn plan_dcp(
     let mut arities = Vec::with_capacity(k + 1);
     arities.push(a0);
     arities.extend(std::iter::repeat_n(ar, k));
-    let tree = TreeStructure::new(arities).expect("arities are positive");
+    let tree = TreeStructure::new(arities)?;
 
     // Boundaries: prefix, then the remainder in k equal chunks.
     let mut boundaries = Vec::with_capacity(k + 2);
@@ -258,7 +258,7 @@ fn plan_dcp_pass_costed(
     let mut arities = Vec::with_capacity(k + 1);
     arities.push(a0);
     arities.extend(std::iter::repeat_n(ar, k));
-    let tree = TreeStructure::new(arities).expect("arities are positive");
+    let tree = TreeStructure::new(arities)?;
 
     // Boundaries at equal compiled-pass quantiles of the remainder, so
     // every subcircuit replays a comparable number of fused sweeps.

@@ -8,9 +8,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tqsim_circuit::{Circuit, GateKind};
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{
-    CompiledCircuit, OpCounts, PooledBackend, QuantumState, SingleNode, StateVector,
-};
+use tqsim_statevec::{CompiledCircuit, OpCounts, PooledBackend, QuantumState, SingleNode};
 
 /// Measurement histogram of a simulation run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -137,6 +135,17 @@ pub struct RunResult {
     pub wall_time: Duration,
 }
 
+impl RunResult {
+    /// Whether the run drew every outcome its tree owes:
+    /// `tree.outcomes() × leaf_samples` (saturating). A node-task panic
+    /// abandons its subtree, so a short histogram is how a contained panic
+    /// shows in a result.
+    pub fn is_complete(&self, leaf_samples: u32) -> bool {
+        let owed = self.tree.outcomes().saturating_mul(u64::from(leaf_samples));
+        self.counts.total() >= owed
+    }
+}
+
 /// Execution options beyond the partition itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
@@ -144,7 +153,7 @@ pub struct ExecOptions {
     /// above 1 oversample each leaf state: `∏A_j · leaf_samples` outcomes
     /// for the same gate work — a cheap-throughput / correlated-samples
     /// trade the `ablation_dcp` harness quantifies. Oversampled leaves are
-    /// drawn in one batched CDF walk ([`StateVector::sample_many`]).
+    /// drawn in one batched CDF walk ([`QuantumState::sample_many`]).
     pub leaf_samples: u32,
 }
 
@@ -222,6 +231,50 @@ impl<'a> TreeExecutor<'a> {
     ///
     /// Panics if `options.leaf_samples == 0`.
     pub fn run_with_options(&self, seed: u64, options: ExecOptions) -> RunResult {
+        self.run_on(&SingleNode, seed, options).0
+    }
+
+    /// Walk the tree depth-first on any pooled backend's states — the
+    /// **single** serial tree walk. [`TreeExecutor::run`] runs it on one
+    /// node, `tqsim-cluster`'s `run_distributed` on a `ClusterBackend`.
+    /// Returns the run and the `k + 1` states it walked (one per tree
+    /// level plus the root — exactly the "intermediate states in
+    /// otherwise-unused memory" trade of §3.4), whose per-state counters a
+    /// distributed backend keeps.
+    ///
+    /// Each node copies its parent's state through
+    /// [`PooledBackend::copy_into`] (node-local slice copies on distributed
+    /// backends — the contents never round-trip through a dense global
+    /// vector), replays its compiled subcircuit via [`run_subcircuit`] and
+    /// either samples ([`draw_leaf_outcomes`]) or recurses. One RNG seeded
+    /// from `seed` is threaded through the whole walk, so the `Counts` are
+    /// bit-identical on every backend.
+    ///
+    /// **Error-free sibling sharing.** Below the root level a node first
+    /// probes its noise draws on a clone of the RNG
+    /// ([`NoiseModel::draws_error_free`]). An error-free node is a
+    /// deterministic function of its parent's amplitudes, so when its
+    /// level's slot still holds the error-free child of this very parent
+    /// write, the node adopts the probed RNG and recurses with no copy and
+    /// no replay ([`OpCounts::nodes_shared`]); every other node runs in full
+    /// on live draws. Slots are tagged with write ids, so a slot overwritten
+    /// by an erroneous sibling, or computed from an earlier write of the
+    /// parent slot, is never reused; no state beyond the `k + 1` is kept.
+    /// Root-level nodes always execute (a flat plan stays the plain
+    /// per-shot reference) and state-dependent channels never probe
+    /// error-free. RNG stream, amplitudes and `Counts` are those of the
+    /// unshared walk bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.leaf_samples == 0`, or if `backend` cannot hold
+    /// states of the circuit's width.
+    pub fn run_on<B: PooledBackend>(
+        &self,
+        backend: &B,
+        seed: u64,
+        options: ExecOptions,
+    ) -> (RunResult, Vec<B::State>) {
         assert!(
             options.leaf_samples >= 1,
             "need at least one sample per leaf"
@@ -229,114 +282,32 @@ impl<'a> TreeExecutor<'a> {
         let t0 = Instant::now();
         let n = self.circuit.n_qubits();
         let k = self.subcircuits.len();
-        let mut counts = Counts::new(n);
-        let mut ops = OpCounts::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        // One live state per tree level (+ the root) — this is exactly the
-        // "intermediate states in otherwise-unused memory" trade of §3.4.
-        let backend = SingleNode;
-        let mut states: Vec<StateVector> = (0..=k).map(|_| backend.allocate(n)).collect();
-        ops.state_resets += 1;
-
-        run_tree_nodes(
-            &backend,
-            &self.subcircuits,
-            &self.compiled,
-            &self.partition.tree,
-            self.noise,
-            &mut states,
-            &mut counts,
-            &mut ops,
-            &mut rng,
+        let mut walk = TreeWalk {
+            backend,
+            exec: self,
             options,
-        );
+            states: (0..=k).map(|_| backend.allocate(n)).collect(),
+            writes: vec![SlotWrite::default(); k + 1],
+            last_write: 0,
+            counts: Counts::new(n),
+            ops: OpCounts::new(),
+            rng: StdRng::seed_from_u64(seed),
+        };
+        walk.ops.state_resets += 1;
+        walk.recurse_nodes(0);
 
-        let peak_states = k + 1;
-        let peak_memory_bytes = peak_states * (16usize << n);
-        RunResult {
-            counts,
-            ops,
+        let peak_states = walk.states.len();
+        let peak_memory_bytes = peak_states * backend.state_bytes(&walk.states[0]);
+        let run = RunResult {
+            counts: walk.counts,
+            ops: walk.ops,
             tree: self.partition.tree.clone(),
             peak_states,
             peak_memory_bytes,
             wall_time: t0.elapsed(),
-        }
+        };
+        (run, walk.states)
     }
-}
-
-/// Walk one partitioned simulation tree depth-first on any pooled backend —
-/// the **single** serial tree-walk implementation, shared by the
-/// single-node [`TreeExecutor`] and `tqsim-cluster`'s distributed runner
-/// (whose bespoke recursion this replaced).
-///
-/// `states` holds one preallocated state per tree level plus the root
-/// (`k + 1` entries for a `k`-subcircuit partition); `states[0]` must be
-/// `|0…0⟩`. Each node copies its parent's state through
-/// [`PooledBackend::copy_into`] (node-local slice copies on distributed
-/// backends — the contents never round-trip through a dense global
-/// vector), replays its compiled subcircuit via [`run_subcircuit`] and
-/// either samples ([`draw_leaf_outcomes`]) or recurses. One RNG is
-/// threaded through the whole walk, so for a fixed seed the `Counts` are
-/// bit-identical on every backend.
-///
-/// **Error-free sibling sharing.** Below the root level a node first
-/// probes its noise draws on a clone of the RNG
-/// ([`NoiseModel::draws_error_free`]). An error-free node is a
-/// deterministic function of its parent's amplitudes, so when its level's
-/// slot still holds the error-free child of this very parent write, the
-/// node adopts the probed RNG and recurses with no copy and no replay
-/// ([`OpCounts::nodes_shared`]); every other node runs in full on live
-/// draws. Slots are tagged with write ids, so a slot overwritten by an
-/// erroneous sibling, or computed from an earlier write of the parent
-/// slot, is never reused; no state beyond the `k + 1` is kept. Root-level
-/// nodes always execute (a flat plan stays the plain per-shot reference)
-/// and state-dependent channels never probe error-free. RNG stream,
-/// amplitudes and `Counts` are those of the unshared walk bit for bit.
-///
-/// # Panics
-///
-/// Panics if `states` is shorter than `subcircuits.len() + 1` or
-/// `options.leaf_samples == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_tree_nodes<B, R>(
-    backend: &B,
-    subcircuits: &[Circuit],
-    compiled: &[CompiledCircuit],
-    tree: &TreeStructure,
-    noise: &NoiseModel,
-    states: &mut [B::State],
-    counts: &mut Counts,
-    ops: &mut OpCounts,
-    rng: &mut R,
-    options: ExecOptions,
-) where
-    B: PooledBackend,
-    R: rand::Rng + Clone,
-{
-    assert!(
-        states.len() > subcircuits.len(),
-        "need one state per tree level plus the root"
-    );
-    assert!(
-        options.leaf_samples >= 1,
-        "need at least one sample per leaf"
-    );
-    TreeWalk {
-        backend,
-        subcircuits,
-        compiled,
-        tree,
-        noise,
-        options,
-        writes: vec![SlotWrite::default(); states.len()],
-        last_write: 0,
-        states,
-        counts,
-        ops,
-        rng,
-    }
-    .recurse_nodes(0);
 }
 
 /// What a level's state slot holds: the id of the write that produced it
@@ -349,41 +320,35 @@ struct SlotWrite {
     error_free_of: Option<u64>,
 }
 
-/// The state of one [`run_tree_nodes`] walk.
-struct TreeWalk<'a, B: PooledBackend, R> {
+/// The state of one [`TreeExecutor::run_on`] walk.
+struct TreeWalk<'a, B: PooledBackend> {
     backend: &'a B,
-    subcircuits: &'a [Circuit],
-    compiled: &'a [CompiledCircuit],
-    tree: &'a TreeStructure,
-    noise: &'a NoiseModel,
+    exec: &'a TreeExecutor<'a>,
     options: ExecOptions,
-    states: &'a mut [B::State],
+    states: Vec<B::State>,
     /// `writes[l]` describes `states[l]`.
     writes: Vec<SlotWrite>,
     last_write: u64,
-    counts: &'a mut Counts,
-    ops: &'a mut OpCounts,
-    rng: &'a mut R,
+    counts: Counts,
+    ops: OpCounts,
+    rng: StdRng,
 }
 
-impl<B, R> TreeWalk<'_, B, R>
-where
-    B: PooledBackend,
-    R: rand::Rng + Clone,
-{
+impl<B: PooledBackend> TreeWalk<'_, B> {
     /// Run the `arities[level]` children of the node whose state is
     /// `states[level]`.
     fn recurse_nodes(&mut self, level: usize) {
-        let k = self.subcircuits.len();
+        let exec = self.exec;
+        let k = exec.subcircuits.len();
         if level == k {
             let n = QuantumState::n_qubits(&self.states[k]);
-            let (counts, ops) = (&mut *self.counts, &mut *self.ops);
+            let (counts, ops) = (&mut self.counts, &mut self.ops);
             draw_leaf_outcomes(
                 &self.states[k],
-                self.noise,
+                exec.noise,
                 n,
                 self.options.leaf_samples,
-                self.rng,
+                &mut self.rng,
                 |outcome| {
                     counts.increment(outcome);
                     ops.samples += 1;
@@ -392,15 +357,15 @@ where
             return;
         }
         let parent_write = self.writes[level].id;
-        for _rep in 0..self.tree.arities()[level] {
+        for _rep in 0..exec.partition.tree.arities()[level] {
             let mut probe = self.rng.clone();
             let error_free = level >= 1
-                && self
+                && exec
                     .noise
-                    .draws_error_free(&self.subcircuits[level], &mut probe);
+                    .draws_error_free(&exec.subcircuits[level], &mut probe);
             if error_free && self.writes[level + 1].error_free_of == Some(parent_write) {
                 // The slot already holds this node's state.
-                *self.rng = probe;
+                self.rng = probe;
                 self.ops.nodes_shared += 1;
                 self.recurse_nodes(level + 1);
                 continue;
@@ -411,11 +376,11 @@ where
             self.ops.state_copies += 1;
             run_subcircuit(
                 child,
-                &self.subcircuits[level],
-                &self.compiled[level],
-                self.noise,
-                self.rng,
-                self.ops,
+                &exec.subcircuits[level],
+                &exec.compiled[level],
+                exec.noise,
+                &mut self.rng,
+                &mut self.ops,
                 true,
             );
             self.last_write += 1;

@@ -53,8 +53,7 @@ pub mod tree;
 
 pub use dcp::DcpConfig;
 pub use executor::{
-    draw_leaf_outcomes, run_subcircuit, run_tree_nodes, Counts, ExecOptions, RunResult,
-    TreeExecutor,
+    draw_leaf_outcomes, run_subcircuit, Counts, ExecOptions, RunResult, TreeExecutor,
 };
 pub use partition::{Partition, PlanError, Strategy};
 pub use sim::Tqsim;

@@ -1,7 +1,7 @@
 //! Circuit partitions and the planning strategies (UCP, XCP, DCP, custom).
 
 use crate::dcp::{plan_dcp, DcpConfig};
-use crate::tree::TreeStructure;
+use crate::tree::{TreeError, TreeStructure};
 use std::fmt;
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
@@ -41,6 +41,12 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+impl From<TreeError> for PlanError {
+    fn from(err: TreeError) -> Self {
+        PlanError::BadConfig(err.to_string())
+    }
+}
 
 impl Partition {
     /// Build from explicit boundaries and a tree shape.
@@ -188,11 +194,7 @@ impl Strategy {
                 equal_split(circuit.len(), arities)
             }
             Strategy::Dynamic(cfg) => plan_dcp(circuit, noise, shots, cfg),
-            Strategy::Custom { arities } => {
-                let tree = TreeStructure::new(arities.clone())
-                    .map_err(|e| PlanError::BadConfig(e.to_string()))?;
-                equal_split_tree(circuit.len(), tree)
-            }
+            Strategy::Custom { arities } => equal_split(circuit.len(), arities.clone()),
         }
     }
 }
@@ -221,28 +223,32 @@ fn exponential_arities(k: usize, shots: u64) -> Result<Vec<u64>, PlanError> {
         .floor() as u64;
     let mut a0 = a0.max(1);
     loop {
-        let arities: Vec<u64> = (0..k).map(|i| (a0 >> i).max(1)).collect();
-        if arities.iter().product::<u64>() >= shots {
+        let arities: Vec<u64> = (0..k)
+            .map(|i| a0.checked_shr(i as u32).unwrap_or(0).max(1))
+            .collect();
+        if product(&arities) >= shots {
             return Ok(arities);
         }
         a0 += 1;
     }
 }
 
+/// `∏ arities`, saturating: a product past `u64::MAX` covers any shot
+/// count, and [`TreeStructure::new`] then refuses the tree.
+fn product(arities: &[u64]) -> u64 {
+    arities.iter().fold(1, |p, &a| p.saturating_mul(a))
+}
+
 fn bump_until_covers(arities: &mut [u64], shots: u64) {
     let mut idx = 0;
-    while arities.iter().product::<u64>() < shots {
+    while product(arities) < shots {
         arities[idx] += 1;
         idx = (idx + 1) % arities.len();
     }
 }
 
 fn equal_split(len: usize, arities: Vec<u64>) -> Result<Partition, PlanError> {
-    let tree = TreeStructure::new(arities).map_err(|e| PlanError::BadConfig(e.to_string()))?;
-    equal_split_tree(len, tree)
-}
-
-fn equal_split_tree(len: usize, tree: TreeStructure) -> Result<Partition, PlanError> {
+    let tree = TreeStructure::new(arities)?;
     let k = tree.depth();
     if k > len {
         return Err(PlanError::BadBoundaries(format!(
@@ -355,5 +361,29 @@ mod tests {
         assert!(Strategy::Uniform { k: 100 }
             .plan(&c, &noise, 1 << 20)
             .is_err());
+    }
+
+    #[test]
+    fn arity_searches_refuse_trees_whose_node_count_overflows() {
+        let noise = NoiseModel::sycamore();
+        let c = generators::qft(14);
+        let overflow = PlanError::from(TreeError::TooManyNodes);
+        // XCP's root arity estimate saturates at u64::MAX for k = 64.
+        assert_eq!(
+            Strategy::Exponential { k: 64 }.plan(&c, &noise, 1000),
+            Err(overflow.clone())
+        );
+        // UCP's k-th root rounds up past the shot count: (2^32, 2^32).
+        assert_eq!(
+            Strategy::Uniform { k: 2 }.plan(&c, &noise, u64::MAX),
+            Err(overflow.clone())
+        );
+        assert_eq!(
+            Strategy::Custom {
+                arities: vec![1 << 32, 1 << 32]
+            }
+            .plan(&c, &noise, 1),
+            Err(overflow)
+        );
     }
 }

@@ -34,6 +34,8 @@ pub enum TreeError {
     ZeroArity,
     /// Text form could not be parsed.
     Parse(String),
+    /// The node count `1 + Σ_i ∏_{j≤i} A_j` does not fit in a `u64`.
+    TooManyNodes,
 }
 
 impl fmt::Display for TreeError {
@@ -42,6 +44,7 @@ impl fmt::Display for TreeError {
             TreeError::Empty => f.write_str("tree needs at least one level"),
             TreeError::ZeroArity => f.write_str("arities must be >= 1"),
             TreeError::Parse(s) => write!(f, "cannot parse tree structure from {s:?}"),
+            TreeError::TooManyNodes => f.write_str("tree node count overflows u64"),
         }
     }
 }
@@ -53,13 +56,20 @@ impl TreeStructure {
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError`] when the list is empty or contains a zero.
+    /// Returns [`TreeError`] when the list is empty, contains a zero, or
+    /// its node count overflows (then every count below would wrap).
     pub fn new(arities: Vec<u64>) -> Result<Self, TreeError> {
         if arities.is_empty() {
             return Err(TreeError::Empty);
         }
         if arities.contains(&0) {
             return Err(TreeError::ZeroArity);
+        }
+        // Counted from the root, as `total_nodes` counts.
+        let (mut level, mut nodes) = (1u64, 1u64);
+        for &a in &arities {
+            level = level.checked_mul(a).ok_or(TreeError::TooManyNodes)?;
+            nodes = nodes.checked_add(level).ok_or(TreeError::TooManyNodes)?;
         }
         Ok(TreeStructure { arities })
     }
@@ -189,6 +199,28 @@ mod tests {
     fn rejects_invalid() {
         assert_eq!(TreeStructure::new(vec![]), Err(TreeError::Empty));
         assert_eq!(TreeStructure::new(vec![4, 0]), Err(TreeError::ZeroArity));
+    }
+
+    #[test]
+    fn rejects_node_counts_that_overflow() {
+        // ∏ = 2^64 wraps to 0 unchecked.
+        assert_eq!(
+            TreeStructure::new(vec![1 << 32, 1 << 32]),
+            Err(TreeError::TooManyNodes)
+        );
+        // Every level fits, the sum of levels does not.
+        assert_eq!(
+            TreeStructure::new(vec![1 << 63, 1, 1]),
+            Err(TreeError::TooManyNodes)
+        );
+        // Nor does the root on top of a full level.
+        assert_eq!(
+            TreeStructure::new(vec![u64::MAX]),
+            Err(TreeError::TooManyNodes)
+        );
+        let widest = TreeStructure::new(vec![1 << 62, 2]).unwrap();
+        assert_eq!(widest.outcomes(), 1 << 63);
+        assert_eq!(widest.subcircuit_executions(), (1 << 62) + (1 << 63));
     }
 
     #[test]

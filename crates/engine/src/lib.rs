@@ -571,18 +571,17 @@ impl<B: PooledBackend> Engine<B> {
 
     /// Re-raise a node-task panic, or refuse a result that one truncated
     /// (the pool's panic slot is shared, so a concurrent caller may have
-    /// drained the payload): a healthy run yields exactly
-    /// `tree.outcomes() × leaf_samples` samples.
+    /// drained the payload): a healthy run is
+    /// [complete](RunResult::is_complete).
     fn settle(&self, result: RunResult, leaf_samples: u32) -> RunResult {
         if let Some(payload) = self.take_panic() {
             std::panic::resume_unwind(payload);
         }
-        let expected = result.tree.outcomes() * u64::from(leaf_samples);
-        let produced = result.counts.total();
         assert!(
-            produced >= expected,
-            "job aborted by a node-task panic ({produced}/{expected} outcomes; \
-             the payload surfaced at a concurrent caller)"
+            result.is_complete(leaf_samples),
+            "job aborted by a node-task panic after {} outcomes (the payload \
+             surfaced at a concurrent caller)",
+            result.counts.total()
         );
         result
     }

@@ -302,6 +302,33 @@ mod tests {
     }
 
     #[test]
+    fn a_strategy_whose_tree_overflows_fails_planning() {
+        // Unchecked, this wire strategy planned a root arity of u64::MAX
+        // and the engine set out to inject that many root tasks.
+        let strategy = wire::strategy_from_json(
+            &tqsim_json::parse(r#"{"kind":"exponential","k":64}"#).unwrap(),
+        )
+        .unwrap();
+        let service = small_service(1);
+        let ticket = service
+            .submit(
+                "a",
+                JobRequest::new(Arc::new(generators::qft(14))).strategy(strategy),
+            )
+            .unwrap();
+        match ticket.wait() {
+            Err(err @ JobError::Failed(_)) => {
+                assert_eq!(err.code(), "job_failed");
+                assert!(err.to_string().contains("overflows"), "{err}");
+            }
+            other => panic!("expected a planning failure, got {other:?}"),
+        }
+        let stats = service.stats();
+        assert_eq!((stats.failed, stats.completed), (1, 0));
+        service.shutdown();
+    }
+
+    #[test]
     fn shutdown_fails_queued_jobs_and_refuses_new_ones() {
         let service = Service::start(
             ServiceConfig::default()

@@ -11,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tqsim::Strategy;
 use tqsim_circuit::Circuit;
-use tqsim_cluster::{ClusterBackend, InterconnectModel};
+use tqsim_cluster::{ClusterBackend, ClusterObs, SliceTransport};
 use tqsim_engine::{CacheStats, ChunkSink, Engine, EngineConfig, PlanKey, PlannedJob};
 use tqsim_noise::NoiseModel;
 use tqsim_shard::ShardBackend;
@@ -477,9 +477,9 @@ impl Timer {
 }
 
 /// The cluster-backed engine behind whichever transport the backend
-/// policy selected. Both variants run the identical backend-generic
-/// executor over the identical plans, so everything above this enum
-/// (placement, retries, degradation, metrics) is transport-agnostic.
+/// policy selected: one arm per node group, each an engine over the one
+/// generic `ClusterBackend`, so everything above this enum (placement,
+/// retries, degradation, metrics) is transport-agnostic.
 enum ClusterEngine {
     /// Simulated nodes: slices of this process's memory, swept in turn on
     /// the engine worker's thread (kernels pool inside long slices).
@@ -488,15 +488,38 @@ enum ClusterEngine {
     MultiProcess(Engine<ShardBackend>),
 }
 
+/// `$body` on whichever engine `$cluster` holds.
+macro_rules! on_engine {
+    ($cluster:expr, $e:ident => $body:expr) => {
+        match $cluster {
+            ClusterEngine::InProcess($e) => $body,
+            ClusterEngine::MultiProcess($e) => $body,
+        }
+    };
+}
+
+/// An engine over a freshly brought-up group of `n_nodes` nodes. Worker
+/// processes must exist before the service can take jobs; a spawn failure
+/// is a loud startup error, not something to degrade silently around.
+fn cluster_engine<T: SliceTransport + Send + Sync + 'static>(
+    n_nodes: usize,
+    obs: Option<Arc<ClusterObs>>,
+    cfg: EngineConfig,
+) -> Engine<ClusterBackend<T>> {
+    let mut backend = ClusterBackend::spawn(n_nodes)
+        .unwrap_or_else(|e| panic!("spawning {n_nodes} cluster nodes failed: {e}"));
+    if let Some(obs) = obs {
+        backend = backend.observed(obs);
+    }
+    Engine::with_backend(cfg, backend)
+}
+
 impl ClusterEngine {
     /// Whether the node group can slice `n_qubits`-wide states (placement
     /// feasibility, read off the engine's own backend so there is no
     /// second copy to drift).
     fn supports(&self, n_qubits: u16) -> bool {
-        match self {
-            ClusterEngine::InProcess(e) => e.worker_pool().backend().supports(n_qubits),
-            ClusterEngine::MultiProcess(e) => e.worker_pool().backend().supports(n_qubits),
-        }
+        on_engine!(self, e => e.worker_pool().backend().validate(n_qubits).is_ok())
     }
 
     fn start(
@@ -505,24 +528,15 @@ impl ClusterEngine {
         sink: Option<ChunkSink>,
         on_done: impl FnOnce(tqsim::RunResult) + Send + 'static,
     ) {
-        match self {
-            ClusterEngine::InProcess(e) => e.start(job, sink, on_done),
-            ClusterEngine::MultiProcess(e) => e.start(job, sink, on_done),
-        }
+        on_engine!(self, e => e.start(job, sink, on_done))
     }
 
     fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        match self {
-            ClusterEngine::InProcess(e) => e.take_panic(),
-            ClusterEngine::MultiProcess(e) => e.take_panic(),
-        }
+        on_engine!(self, e => e.take_panic())
     }
 
     fn pool_stats(&self) -> tqsim_engine::PoolStats {
-        match self {
-            ClusterEngine::InProcess(e) => e.pool_stats(),
-            ClusterEngine::MultiProcess(e) => e.pool_stats(),
-        }
+        on_engine!(self, e => e.pool_stats())
     }
 }
 
@@ -689,27 +703,13 @@ impl Service {
             cluster_obs = Some(Arc::clone(&metrics.cluster));
         }
         let cluster = cfg.backend_policy.cluster_min_qubits.map(|_| {
+            let nodes = cfg.backend_policy.cluster_nodes;
             match cfg.backend_policy.cluster_transport {
                 ClusterTransport::InProcess => {
-                    let mut backend = ClusterBackend::new(
-                        cfg.backend_policy.cluster_nodes,
-                        InterconnectModel::commodity_cluster(),
-                    );
-                    if let Some(obs) = cluster_obs {
-                        backend = backend.observed(obs);
-                    }
-                    ClusterEngine::InProcess(Engine::with_backend(cluster_cfg, backend))
+                    ClusterEngine::InProcess(cluster_engine(nodes, cluster_obs, cluster_cfg))
                 }
                 ClusterTransport::MultiProcess => {
-                    // Worker processes must exist before the service can
-                    // take jobs; a spawn failure is a loud startup error,
-                    // not something to degrade silently around.
-                    let mut backend = ShardBackend::spawn(cfg.backend_policy.cluster_nodes)
-                        .unwrap_or_else(|e| panic!("spawning shard workers failed: {e}"));
-                    if let Some(obs) = cluster_obs {
-                        backend = backend.observed(obs);
-                    }
-                    ClusterEngine::MultiProcess(Engine::with_backend(cluster_cfg, backend))
+                    ClusterEngine::MultiProcess(cluster_engine(nodes, cluster_obs, cluster_cfg))
                 }
             }
         });
@@ -1184,14 +1184,11 @@ fn start_attempt(
     let on_done = move |result: tqsim::RunResult| {
         // A panicking node task abandons its subtree (the engine keeps
         // the pool healthy and completes the job with partial counts),
-        // so completeness is the per-job panic signal: every healthy
-        // run yields exactly outcomes × leaf_samples samples. Fail the
-        // attempt instead of handing the client a silently short
-        // histogram, and drain the executing pool's panic slot so the
-        // payload cannot resurface in an unrelated caller later.
-        let expected = result.tree.outcomes() * u64::from(leaf_samples);
-        let produced = result.counts.total();
-        if produced >= expected {
+        // so completeness is the per-job panic signal. Fail the attempt
+        // instead of handing the client a silently short histogram, and
+        // drain the executing pool's panic slot so the payload cannot
+        // resurface in an unrelated caller later.
+        if result.is_complete(leaf_samples) {
             record.finish(result);
             inflight.dec();
             done_shared.job_slot_freed();
@@ -1208,7 +1205,10 @@ fn start_attempt(
         let detail = payload
             .map(|payload| panic_message(&payload))
             .unwrap_or_else(|| "node task panicked".into());
-        let detail = format!("execution aborted ({produced}/{expected} outcomes): {detail}");
+        let detail = format!(
+            "execution aborted after {} outcomes: {detail}",
+            result.counts.total()
+        );
         inflight.dec();
         attempt_failed(
             &done_shared,

@@ -27,12 +27,12 @@
 //!   once per round trip, and the `kill_worker` chaos hook;
 //! * [`state`] — [`ShardSlices`], the TCP `SliceTransport` (silent
 //!   sweeps and exchange rounds, a round trip only for queries, `alloc`
-//!   and `gather`), and [`ShardedStateVector`], the one
-//!   `tqsim_cluster::DistributedStateVector` over it — so layout remaps,
-//!   counters and the chained fp reductions are the in-process backend's
-//!   own code, not a copy;
-//! * [`backend`] — [`ShardBackend`], the `PooledBackend` descriptor that
-//!   plugs the whole thing in behind the engine's executor seam.
+//!   and `gather`), whose node group is a live [`ShardCluster`];
+//!   [`ShardedStateVector`], the one `tqsim_cluster::DistributedStateVector`
+//!   over it; and [`ShardBackend`], the one `tqsim_cluster::ClusterBackend`
+//!   over it, which plugs the workers in behind the engine's executor
+//!   seam. Layout remaps, counters, the chained fp reductions, placement
+//!   checks and pooling are the in-process backend's own code, not a copy.
 //!
 //! Transport failures — a worker process dying mid-job, or an injected
 //! `shard.transport` failpoint — panic on the coordinator thread driving
@@ -41,12 +41,10 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod cluster;
 pub mod proto;
 pub mod state;
 pub mod worker;
 
-pub use backend::ShardBackend;
 pub use cluster::{ClusterLink, ShardCluster};
-pub use state::{ShardSlices, ShardedStateVector};
+pub use state::{ShardBackend, ShardSlices, ShardedStateVector};

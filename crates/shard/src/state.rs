@@ -10,13 +10,20 @@
 
 use crate::cluster::{ClusterLink, ShardCluster};
 use crate::proto;
+use std::io;
 use std::sync::Arc;
 use tqsim_circuit::math::C64;
-use tqsim_cluster::{Ask, DistributedStateVector, PairOp, Query, Reply, SliceOp, SliceTransport};
+use tqsim_cluster::{
+    Ask, ClusterBackend, DistributedStateVector, PairOp, Query, Reply, SliceOp, SliceTransport,
+};
 use tqsim_json::{num, num_u64, obj, str_val, Value};
 
 /// A pure state sliced across shard worker **processes**, driven over TCP.
 pub type ShardedStateVector = DistributedStateVector<ShardSlices>;
+
+/// The distributed backend over shard worker processes:
+/// [`ShardBackend::spawn`] starts the workers, and every clone shares them.
+pub type ShardBackend = ClusterBackend<ShardSlices>;
 
 fn verb(name: &str, fields: Vec<(&str, Value)>) -> Vec<u8> {
     let mut all = vec![("v", str_val(name))];
@@ -33,26 +40,6 @@ pub struct ShardSlices {
 }
 
 impl ShardSlices {
-    /// Allocate `|0…0⟩` slices of `2^local_n` amplitudes on every worker.
-    ///
-    /// # Panics
-    ///
-    /// On transport faults.
-    pub fn alloc(cluster: Arc<ShardCluster>, local_n: u16) -> Self {
-        let sid = cluster.next_sid();
-        let slice_len = 1usize << local_n;
-        let alloc = verb(
-            "alloc",
-            vec![("sid", num_u64(sid)), ("len", num_u64(slice_len as u64))],
-        );
-        cluster.link().broadcast_ack(&alloc);
-        ShardSlices {
-            cluster,
-            sid,
-            slice_len,
-        }
-    }
-
     /// `name` addressed to this slice id, then `fields`.
     fn verb(&self, name: &str, fields: Vec<(&str, Value)>) -> Vec<u8> {
         let mut all = vec![("sid", num_u64(self.sid))];
@@ -102,7 +89,37 @@ impl ShardSlices {
     }
 }
 
+/// The group is the live worker processes, shared by every state on them.
 impl SliceTransport for ShardSlices {
+    type Group = Arc<ShardCluster>;
+
+    /// Spawn `n_workers` worker processes on loopback.
+    fn spawn(n_workers: usize) -> io::Result<Arc<ShardCluster>> {
+        ShardCluster::spawn(n_workers).map(Arc::new)
+    }
+
+    fn group_nodes(cluster: &Arc<ShardCluster>) -> usize {
+        cluster.n_workers()
+    }
+
+    /// # Panics
+    ///
+    /// On transport faults.
+    fn alloc(cluster: &Arc<ShardCluster>, local_n: u16) -> Self {
+        let sid = cluster.next_sid();
+        let slice_len = 1usize << local_n;
+        let alloc = verb(
+            "alloc",
+            vec![("sid", num_u64(sid)), ("len", num_u64(slice_len as u64))],
+        );
+        cluster.link().broadcast_ack(&alloc);
+        ShardSlices {
+            cluster: Arc::clone(cluster),
+            sid,
+            slice_len,
+        }
+    }
+
     fn n_nodes(&self) -> usize {
         self.cluster.n_workers()
     }

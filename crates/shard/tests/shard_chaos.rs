@@ -103,7 +103,7 @@ fn killed_worker_fails_the_job_but_not_the_coordinator() {
     // A real node failure: kill one worker process outright. The next job
     // hits a broken pipe / EOF, panics on the driving task, and is
     // contained there — the coordinator process survives.
-    backend.cluster().kill_worker(1);
+    backend.group().kill_worker(1);
     let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         engine.run_planned(&PlannedJob::new(Arc::clone(&plan)).seed(5))
     }));

@@ -1,6 +1,7 @@
 //! The reference walks the property suites compare every executor with:
-//! the shared serial walk ([`run_tree_nodes`]) and an **unshared mirror**
-//! built here from the public primitives (`copy_into` → `run_subcircuit` →
+//! the one serial walk ([`TreeExecutor::run_on`], which shares error-free
+//! siblings) on any backend, and an **unshared mirror** built here from
+//! the public primitives (`copy_into` → `run_subcircuit` →
 //! `draw_leaf_outcomes`, one RNG — every node copied and replayed). With
 //! [`Walk::PerGate`] the mirror dispatches gate by gate: the walk that
 //! neither shares nor fuses, which every executor's `Counts` must equal bit
@@ -12,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tqsim::{
-    draw_leaf_outcomes, run_subcircuit, run_tree_nodes, Counts, ExecOptions, OpCounts, Partition,
+    draw_leaf_outcomes, run_subcircuit, Counts, ExecOptions, OpCounts, Partition, TreeExecutor,
 };
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
@@ -21,7 +22,7 @@ use tqsim_statevec::{CompiledCircuit, PooledBackend, QuantumState};
 /// How [`walk_on`] walks a tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Walk {
-    /// [`run_tree_nodes`]: error-free siblings share one execution.
+    /// [`TreeExecutor::run_on`]: error-free siblings share one execution.
     Shared,
     /// The unshared mirror, replaying the compiled plans.
     Fused,
@@ -100,46 +101,31 @@ pub fn walk_on<B: PooledBackend>(
     options: ExecOptions,
     walk: Walk,
 ) -> Walked<B> {
-    let n = circuit.n_qubits();
-    let subcircuits = partition.subcircuits(circuit);
-    let plans: Vec<CompiledCircuit> = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
-    let mut states: Vec<B::State> = (0..=subcircuits.len())
-        .map(|_| backend.allocate(n))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = Counts::new(n);
-    let mut ops = OpCounts::new();
+    let exec = TreeExecutor::new(circuit, noise, partition.clone()).expect("plan binds");
     if walk == Walk::Shared {
-        run_tree_nodes(
-            backend,
-            &subcircuits,
-            &plans,
-            &partition.tree,
-            noise,
-            &mut states,
-            &mut counts,
-            &mut ops,
-            &mut rng,
-            options,
-        );
+        let (run, states) = exec.run_on(backend, seed, options);
         return Walked {
-            counts,
-            ops,
+            counts: run.counts,
+            ops: run.ops,
             states,
         };
     }
+    let n = circuit.n_qubits();
+    let subcircuits = partition.subcircuits(circuit);
     let mut mirror = Mirror {
         backend,
         subcircuits: &subcircuits,
-        plans: &plans,
+        plans: exec.compiled_plans(),
         arities: partition.tree.arities(),
         noise,
         leaf_samples: options.leaf_samples,
         per_gate: walk == Walk::PerGate,
-        states,
-        rng,
-        counts,
-        ops,
+        states: (0..=subcircuits.len())
+            .map(|_| backend.allocate(n))
+            .collect(),
+        rng: StdRng::seed_from_u64(seed),
+        counts: Counts::new(n),
+        ops: OpCounts::new(),
     };
     mirror.walk(0);
     Walked {
