@@ -439,32 +439,57 @@ pub fn run_subcircuit<S, R>(
 /// feeding each to `sink`. A single draw walks the CDF directly;
 /// oversampled leaves batch all uniforms into one
 /// [`QuantumState::sample_many`] walk (uniforms first, then readout noise
-/// per outcome in draw order).
+/// per outcome in draw order: [`draw_leaf_uniforms`], then
+/// [`apply_leaf_readout`]).
 ///
 /// This is the **single** leaf-sampling implementation: the serial
 /// [`TreeExecutor`], the `tqsim-engine` node executor and the distributed
-/// runner all call it, and their count equivalence relies on consuming the
-/// RNG stream identically — do not fork the draw order.
+/// runner all call it (the engine calls its two halves directly when
+/// error-free sharers sample one leaf state), and their count equivalence
+/// relies on consuming the RNG stream identically — do not fork the draw
+/// order.
 pub fn draw_leaf_outcomes<S, R>(
     state: &S,
     noise: &NoiseModel,
     n_qubits: u16,
     leaf_samples: u32,
     rng: &mut R,
-    mut sink: impl FnMut(u64),
+    sink: impl FnMut(u64),
 ) where
     S: QuantumState + ?Sized,
     R: rand::Rng + ?Sized,
 {
     if leaf_samples == 1 {
         let outcome = state.sample_with(rand::RngExt::random(rng));
-        sink(noise.apply_readout(outcome, n_qubits, rng));
+        apply_leaf_readout(&[outcome], noise, n_qubits, rng, sink);
         return;
     }
-    let us: Vec<f64> = (0..leaf_samples)
-        .map(|_| rand::RngExt::random(rng))
-        .collect();
-    for outcome in state.sample_many(&us) {
+    let mut us = Vec::with_capacity(leaf_samples as usize);
+    draw_leaf_uniforms(leaf_samples, rng, &mut us);
+    apply_leaf_readout(&state.sample_many(&us), noise, n_qubits, rng, sink);
+}
+
+/// The uniform half of [`draw_leaf_outcomes`]: append `leaf_samples` CDF
+/// draws from `rng` to `us`.
+pub fn draw_leaf_uniforms<R>(leaf_samples: u32, rng: &mut R, us: &mut Vec<f64>)
+where
+    R: rand::Rng + ?Sized,
+{
+    us.extend((0..leaf_samples).map(|_| rand::RngExt::random::<f64>(rng)));
+}
+
+/// The readout half of [`draw_leaf_outcomes`]: pass each of `outcomes`, in
+/// order, through the readout channel on `rng` to `sink`.
+pub fn apply_leaf_readout<R>(
+    outcomes: &[u64],
+    noise: &NoiseModel,
+    n_qubits: u16,
+    rng: &mut R,
+    mut sink: impl FnMut(u64),
+) where
+    R: rand::Rng + ?Sized,
+{
+    for &outcome in outcomes {
         sink(noise.apply_readout(outcome, n_qubits, rng));
     }
 }

@@ -53,7 +53,8 @@ pub mod tree;
 
 pub use dcp::DcpConfig;
 pub use executor::{
-    draw_leaf_outcomes, run_subcircuit, Counts, ExecOptions, RunResult, TreeExecutor,
+    apply_leaf_readout, draw_leaf_outcomes, draw_leaf_uniforms, run_subcircuit, Counts,
+    ExecOptions, RunResult, TreeExecutor,
 };
 pub use partition::{Partition, PlanError, Strategy};
 pub use sim::Tqsim;

@@ -55,7 +55,9 @@ use std::time::Instant;
 use tqsim::{Counts, RunResult, TreeStructure};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{CompiledCircuit, OpCounts, PoolCounters, PooledBackend, PooledState};
+use tqsim_statevec::{
+    CompiledCircuit, OpCounts, PoolCounters, PooledBackend, PooledState, QuantumState,
+};
 
 /// Completion callback: invoked exactly once, from whichever worker retires
 /// the job's last node, with the fully merged result.
@@ -232,6 +234,40 @@ pub(crate) fn launch_tree<B: PooledBackend>(
 /// already past the subcircuit's (all-identity) noise draws.
 type Sharer = (u64, StdRng);
 
+/// Draw the leaf outcomes of a node (`rng`) and its error-free `sharers`
+/// from their one shared leaf state with one CDF walk: every member's
+/// uniforms on its own RNG, one [`QuantumState::sample_many`], then every
+/// member's readout on its own RNG, member by member. Each RNG sees
+/// [`tqsim::draw_leaf_outcomes`]' draw order (uniforms, then readout), and
+/// `sample_many` returns exactly `sample_with` per draw, so the outcomes
+/// are bit-identical to sampling member by member. A lone member takes
+/// `draw_leaf_outcomes` itself (a single draw walks the CDF directly).
+fn draw_shared_leaf<S: QuantumState + ?Sized>(
+    state: &S,
+    noise: &NoiseModel,
+    n_qubits: u16,
+    leaf_samples: u32,
+    rng: &mut StdRng,
+    sharers: &mut [Sharer],
+    sink: &mut dyn FnMut(u64),
+) {
+    if sharers.is_empty() {
+        tqsim::draw_leaf_outcomes(state, noise, n_qubits, leaf_samples, rng, sink);
+        return;
+    }
+    let mut us = Vec::with_capacity(leaf_samples as usize * (1 + sharers.len()));
+    tqsim::draw_leaf_uniforms(leaf_samples, rng, &mut us);
+    for (_, rng) in sharers.iter_mut() {
+        tqsim::draw_leaf_uniforms(leaf_samples, rng, &mut us);
+    }
+    let outcomes = state.sample_many(&us);
+    let mut batches = outcomes.chunks(leaf_samples as usize);
+    let rngs = std::iter::once(rng).chain(sharers.iter_mut().map(|(_, rng)| rng));
+    for (rng, batch) in rngs.zip(&mut batches) {
+        tqsim::apply_leaf_readout(batch, noise, n_qubits, rng, &mut *sink);
+    }
+}
+
 /// Materialise the node `hash` at `level` (executing subcircuit `level`),
 /// then sample (leaf) or spawn the children — for the node itself and for
 /// each of `sharers`, the error-free siblings whose state this is too.
@@ -283,19 +319,18 @@ fn run_node<B: PooledBackend>(
         &mut ops,
         true,
     );
-    let members = std::iter::once((hash, rng)).chain(sharers);
-
     if level + 1 == k {
-        // Leaf sampling shares draw_leaf_outcomes with the serial executor
-        // so both consume the RNG stream identically (batched CDF walk when
-        // oversampling); the sharers sample the same state.
-        let draw = |rng: &mut StdRng, sink: &mut dyn FnMut(u64)| {
-            tqsim::draw_leaf_outcomes(
+        // Every member samples the same leaf state: one CDF walk for all of
+        // them, each member's draws on its own RNG (`draw_shared_leaf`).
+        let mut sharers = sharers;
+        let mut draw = |sink: &mut dyn FnMut(u64)| {
+            draw_shared_leaf(
                 &*state,
                 &shared.noise,
                 shared.n_qubits,
                 shared.leaf_samples,
-                rng,
+                &mut rng,
+                &mut sharers,
                 sink,
             );
         };
@@ -303,13 +338,10 @@ fn run_node<B: PooledBackend>(
         // effectively uncontended (only this worker touches its slot until
         // the final merge), and it saves a throwaway histogram per leaf.
         // Only a streaming job buffers the leaf batch (the sink must not be
-        // called under the accumulator lock); the plain path stays
-        // allocation-free.
+        // called under the accumulator lock).
         if let Some(sink) = &shared.sink {
             let mut outcomes = Vec::with_capacity(shared.leaf_samples as usize * n_members);
-            for (_, mut rng) in members {
-                draw(&mut rng, &mut |outcome| outcomes.push(outcome));
-            }
+            draw(&mut |outcome| outcomes.push(outcome));
             drop(state); // back to the worker's pool
             ops.samples += outcomes.len() as u64;
             {
@@ -324,12 +356,10 @@ fn run_node<B: PooledBackend>(
             }
         } else {
             let mut accum = lock_recover(&shared.accums[ctx.index()]);
-            for (_, mut rng) in members {
-                draw(&mut rng, &mut |outcome| {
-                    accum.counts.increment(outcome);
-                    ops.samples += 1;
-                });
-            }
+            draw(&mut |outcome| {
+                accum.counts.increment(outcome);
+                ops.samples += 1;
+            });
             drop(accum);
             drop(state); // back to the worker's pool
         }
@@ -340,7 +370,8 @@ fn run_node<B: PooledBackend>(
         let child_level = &shared.subcircuits[level + 1];
         let mut tasks: Vec<(u64, Vec<Sharer>)> = Vec::new();
         let mut error_free: Vec<Sharer> = Vec::new();
-        for (member, _) in members {
+        let members = std::iter::once(hash).chain(sharers.into_iter().map(|(member, _)| member));
+        for member in members {
             for index in 0..shared.arities[level + 1] {
                 let child = child_hash(member, index);
                 let mut probe = StdRng::seed_from_u64(shared.seed ^ child);
@@ -506,6 +537,53 @@ mod tests {
             mirror.node(None, 0, child_hash(seed, index));
         }
         mirror
+    }
+
+    /// One CDF walk for a node and its sharers draws, member by member,
+    /// exactly the outcomes each member's own `draw_leaf_outcomes` would,
+    /// and leaves every RNG at the same point.
+    #[test]
+    fn shared_leaf_draws_equal_per_member_draws() {
+        use rand::RngExt;
+        use tqsim_noise::ReadoutError;
+        let mut circuit = generators::qft(6);
+        circuit.h(2).cx(2, 4).h(0).cx(0, 5);
+        let mut state = tqsim_statevec::StateVector::zero(6);
+        state.apply_circuit(&circuit);
+        let noise = NoiseModel::sycamore().with_readout(ReadoutError::symmetric(0.2));
+        let rngs = || (0..4u64).map(StdRng::seed_from_u64);
+        for leaf_samples in [1, 3] {
+            for members in 1..=4 {
+                let mut want = Vec::new();
+                let mut want_rngs: Vec<StdRng> = rngs().take(members).collect();
+                for rng in &mut want_rngs {
+                    tqsim::draw_leaf_outcomes(&state, &noise, 6, leaf_samples, rng, |o| {
+                        want.push(o)
+                    });
+                }
+                let mut got = Vec::new();
+                let mut got_rngs = rngs().take(members);
+                let mut rng = got_rngs.next().unwrap();
+                let mut sharers: Vec<Sharer> = got_rngs.map(|rng| (0, rng)).collect();
+                draw_shared_leaf(
+                    &state,
+                    &noise,
+                    6,
+                    leaf_samples,
+                    &mut rng,
+                    &mut sharers,
+                    &mut |o| got.push(o),
+                );
+                let what = format!("leaf_samples {leaf_samples}, {members} members");
+                assert_eq!(got, want, "{what}");
+                let after: Vec<u64> = std::iter::once(&mut rng)
+                    .chain(sharers.iter_mut().map(|(_, rng)| rng))
+                    .map(|rng| rng.random())
+                    .collect();
+                let want_after: Vec<u64> = want_rngs.iter_mut().map(|rng| rng.random()).collect();
+                assert_eq!(after, want_after, "{what}: RNG streams moved");
+            }
+        }
     }
 
     #[test]

@@ -4,40 +4,61 @@
 //!
 //! The hot kernels come in two *gate shapes*: a **pair** shape (one gate
 //! qubit: [`apply_mat2`], [`apply_antidiag1`], [`apply_diag1`]) and a
-//! **quad** shape (two gate qubits: [`apply_mat4`], [`apply_diag2`]). Both
-//! are one body,
-//! `Tiles`, written against the lane-vector trait `simd::Vf` and
-//! instantiated three times — `portable` (scalar `f64`), `avx2` (4 lanes)
-//! and `avx512f` (8 lanes); targets other than x86-64 build the portable
-//! instantiation only. The tier is observed from the CPU
-//! (`is_x86_feature_detected!`) and entered at one place, `simd::run_tier`,
-//! the crate's single `unsafe` call into `#[target_feature]` code (the
-//! vector load/store/arithmetic intrinsics behind `Vf` are the only other
-//! `unsafe`, sealed inside `simd`). No environment variable, Cargo feature
-//! or build flag selects a tier.
+//! **quad** shape (two gate qubits: [`apply_mat4`], [`apply_diag2`]). Each
+//! gate is one `TileOp`, written once against the complex-lane trait
+//! `CLanes` and run by the tile body its placement calls for, over the
+//! lane-vector trait `simd::Vf` instantiated three times — `portable`
+//! (scalar `f64`), `avx2` (4 lanes) and `avx512f` (8 lanes); targets other
+//! than x86-64 build the portable instantiation only. The tier is observed
+//! from the CPU (`is_x86_feature_detected!`) and entered at one place,
+//! `simd::run_tier`, the crate's single `unsafe` call into
+//! `#[target_feature]` code (the vector intrinsics and the unchecked
+//! amplitude accesses behind `Vf` are the only other `unsafe`, sealed
+//! inside `simd`). No environment variable, Cargo feature or build flag
+//! selects a tier.
 //!
-//! The body works on a **tile**: the `2^k` register pairs `(re, im)` — one
-//! per combination of the `k` gate bits — that hold `2^k · LANES`
-//! amplitudes related by the gate. Registers are loaded as contiguous runs
-//! and de-interleaved into split real/imaginary form on the way in; when a
-//! gate qubit is so low that a contiguous run is shorter than a register
-//! (`q ≤ 1` at 8 lanes) the tile borrows the next free index bit instead
-//! and exchanges it with the offending lane bit in-register
-//! (`Vf::swap_bit`), so every qubit placement runs the same full-width
-//! arithmetic. A tile is loaded whole before any of it is stored, and each
-//! gate-bit combination reads and writes through its own borrow of its
-//! span (shared `Cell` borrows where combinations share a span), so the
-//! body poses no aliasing question for the optimiser to give up on.
+//! A body works on a **tile**: one register's worth of amplitudes per
+//! combination of the `k` gate bits, related by the gate. Registers are
+//! loaded as contiguous *runs* (`RAW` amplitudes: 4 at 8 lanes, 2 at 4).
+//! The body follows from how many gate qubits lie inside a run (*lane
+//! qubits*: `q ≤ 1` at 8 lanes, `q = 0` at 4):
+//! - none: `RunTiles` keeps each run as it lies in memory, real and
+//!   imaginary parts in adjacent lanes (`Packed`), and pays one pair swap
+//!   per register for the complex products;
+//! - one: `LaneTiles` splits each pair of runs by the lane qubit with one
+//!   amplitude-granular permute per register (`Vf::load_split`) into
+//!   packed registers, and stores each amplitude straight back;
+//! - two, or the scalar tier: `Tiles` de-interleaves two runs into a split
+//!   `(re, im)` register pair (`Cv`); each lane qubit borrows the next free
+//!   index bit and is exchanged with it in-register (`Vf::swap_bit`, the
+//!   exchange written out).
+//!
+//! Every placement thus runs the same full-width arithmetic. A tile is
+//! loaded whole before any of it is stored.
+//!
+//! **One bounds check per task, tiles by a subset walk.** The index bits
+//! of a span that no load or gate bit uses are the plan's `free` mask, and
+//! the tile bases are exactly its subsets, visited in ascending order by
+//! `base = (base − free) & free` — one subtract and one AND per tile. A
+//! base never exceeds `free`, so no access reaches past `free + max(off) +
+//! RAW`; the safe `simd::TileCursor` asserts that once per task against
+//! every span the task touches, and its loads and stores are unchecked
+//! after that (the table sweep's `simd::FactorTable` does the same for its
+//! factor table). A gate's coefficients are copied out of its op once per
+//! task (`TileOp::coeffs`), so the loop's stores cannot make the optimiser
+//! re-read them.
 //!
 //! **Fused multiply-add, no reassociation.** A dense row (`mat2`, `mat4`)
 //! is the `C64` product of its first term, then one fused multiply-add
 //! (`Vf::mul_add`/`neg_mul_add`, one rounding) per real product of every
 //! remaining term, left to right, and a `mat4` row is summed in *logical*
-//! column order whatever the physical order of its operands. So every tier
-//! is bit-identical to every other, and a gate gives the same bits on every
-//! operand placement — across thread counts, backends (a distributed state
-//! remaps an operand onto another qubit) and retries. Results are not
-//! bit-identical to unfused scalar `C64` loops.
+//! column order whatever the physical order of its operands. The packed
+//! layouts perform the same rounded operations lane for lane (see
+//! `Packed`). So every tier and body is bit-identical to every other, and
+//! a gate gives the same bits on every operand placement — across thread
+//! counts, backends (a distributed state remaps an operand onto another
+//! qubit) and retries. Results are not bit-identical to unfused scalar
+//! `C64` loops.
 //!
 //! **Selection by matrix.** A gate reaches the kernels as its matrix, and
 //! [`apply_mat2`] / [`apply_mat4`] pick the body by *exact* equality: an X
@@ -71,7 +92,7 @@
 mod simd;
 
 use rayon::prelude::*;
-use simd::{Kernel, Tier, Vf};
+use simd::{FactorTable, Kernel, Tier, TileCursor, Vf};
 use std::cell::Cell;
 use std::f64::consts::FRAC_1_SQRT_2;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -287,6 +308,25 @@ where
 
 // ---- the gate-shape body ---------------------------------------------------
 
+/// The complex arithmetic a [`TileOp`] does on a tile's registers, written
+/// once for both register layouts: [`Cv`] (split) and [`Packed`].
+/// Both perform, lane by lane, the same rounded operations in the same
+/// order, so a gate gives the same bits in either layout.
+trait CLanes: Copy {
+    /// `m * self`, in `C64::mul`'s operation order with `m` on the left.
+    fn mul_left(self, m: C64) -> Self;
+    /// `self + m * x`: each of the four real products is fused into the
+    /// running sum with one rounding, in `C64::mul`'s operation order
+    /// (`re += mr·xr`, `re −= mi·xi`, `im += mr·xi`, `im += mi·xr`).
+    fn mul_add_left(self, m: C64, x: Self) -> Self;
+    /// `self * m`, in `C64::mul`'s operation order with `m` on the right.
+    fn mul_right(self, m: C64) -> Self;
+    /// `self * s` for a real `s`.
+    fn scale(self, s: f64) -> Self;
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+}
+
 /// A register pair: the real and imaginary parts of `V::LANES` amplitudes.
 #[derive(Clone, Copy)]
 struct Cv<V> {
@@ -294,8 +334,7 @@ struct Cv<V> {
     im: V,
 }
 
-impl<V: Vf> Cv<V> {
-    /// `m * self`, in `C64::mul`'s operation order with `m` on the left.
+impl<V: Vf> CLanes for Cv<V> {
     #[inline(always)]
     fn mul_left(self, m: C64) -> Self {
         let (mr, mi) = (V::splat(m.re), V::splat(m.im));
@@ -305,9 +344,6 @@ impl<V: Vf> Cv<V> {
         }
     }
 
-    /// `self + m * x`: each of the four real products is fused into the
-    /// running sum with one rounding, in `C64::mul`'s operation order
-    /// (`re += mr·xr`, `re −= mi·xi`, `im += mr·xi`, `im += mi·xr`).
     #[inline(always)]
     fn mul_add_left(self, m: C64, x: Self) -> Self {
         let (mr, mi) = (V::splat(m.re), V::splat(m.im));
@@ -317,7 +353,6 @@ impl<V: Vf> Cv<V> {
         }
     }
 
-    /// `self * m`, in `C64::mul`'s operation order with `m` on the right.
     #[inline(always)]
     fn mul_right(self, m: C64) -> Self {
         let (mr, mi) = (V::splat(m.re), V::splat(m.im));
@@ -327,7 +362,6 @@ impl<V: Vf> Cv<V> {
         }
     }
 
-    /// `self * s` for a real `s`.
     #[inline(always)]
     fn scale(self, s: f64) -> Self {
         let s = V::splat(s);
@@ -352,7 +386,9 @@ impl<V: Vf> Cv<V> {
             im: self.im.sub(o.im),
         }
     }
+}
 
+impl<V: Vf> Cv<V> {
     #[inline(always)]
     fn swap_bit<const J: usize>(x: Self, y: Self) -> (Self, Self) {
         let (lo_re, hi_re) = V::swap_bit::<J>(x.re, y.re);
@@ -370,47 +406,111 @@ impl<V: Vf> Cv<V> {
     }
 }
 
-/// What a gate does to one tile: `N = 2^k` register pairs in, `N` out,
-/// indexed by the gate-bit combination (bit 0 = the lower gate qubit).
+/// A packed register: `V::LANES / 2` amplitudes as they lie in memory,
+/// each real part in the lane before its imaginary part ([`RunTiles`],
+/// [`LaneTiles`]). A complex product multiplies the register and its
+/// pair-swapped copy by `[mr, mr]` and `[−mi, mi]`: lane for lane the
+/// products and sums of the split form (`a + (−b)` is `a − b` exactly, and
+/// `−mi·xi + acc` rounded once is `neg_mul_add`).
+#[derive(Clone, Copy)]
+struct Packed<V>(V);
+
+impl<V: Vf> Packed<V> {
+    /// `[m.re, m.re]` and `[−m.im, m.im]`.
+    #[inline(always)]
+    fn coeff(m: C64) -> (V, V) {
+        (V::splat(m.re), V::splat_pairs(-m.im, m.im))
+    }
+}
+
+impl<V: Vf> CLanes for Packed<V> {
+    #[inline(always)]
+    fn mul_left(self, m: C64) -> Self {
+        let (mr, mi) = Self::coeff(m);
+        Packed(mr.mul(self.0).add(mi.mul(self.0.swap_pairs())))
+    }
+
+    #[inline(always)]
+    fn mul_add_left(self, m: C64, x: Self) -> Self {
+        let (mr, mi) = Self::coeff(m);
+        Packed(mi.mul_add(x.0.swap_pairs(), mr.mul_add(x.0, self.0)))
+    }
+
+    #[inline(always)]
+    fn mul_right(self, m: C64) -> Self {
+        let (mr, mi) = Self::coeff(m);
+        Packed(self.0.mul(mr).add(self.0.swap_pairs().mul(mi)))
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Packed(self.0.mul(V::splat(s)))
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        Packed(self.0.add(o.0))
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        Packed(self.0.sub(o.0))
+    }
+}
+
+/// What a gate does to one tile: `N = 2^k` complex registers in (in any
+/// [`CLanes`] layout), `N` out, indexed by the gate-bit combination (bit 0
+/// = the lower gate qubit).
 ///
 /// Implementations must not do lane arithmetic inside a closure: a closure
 /// is a function of its own, compiled without the tier's target features,
 /// and every `Vf` operation in it would become a call.
 trait TileOp<const N: usize>: Sync {
-    fn apply<V: Vf>(&self, v: [Cv<V>; N]) -> [Cv<V>; N];
+    /// Everything `apply` reads, copied out of the op once per task. The
+    /// tile loop stores through raw pointers that the optimiser cannot
+    /// tell from the op's own memory, so coefficients read through `&self`
+    /// would be re-read (and re-broadcast) on every tile; a local copy
+    /// stays in registers.
+    type Coeffs: Copy;
+    fn coeffs(&self) -> Self::Coeffs;
+    fn apply<X: CLanes>(c: &Self::Coeffs, v: [X; N]) -> [X; N];
 }
 
 /// Where a tile's registers live, worked out once per kernel call.
 ///
 /// Index bits (of an amplitude's offset in its span) fall into: the `RAW`
-/// bits inside one contiguous load; *select* bits, one per register-pair
-/// half and one per gate qubit, which tell the tile's loads apart; and the
-/// rest, which enumerate tiles. A gate qubit inside the `RAW` bits cannot
-/// select a load, so it borrows the lowest free bit as its select bit and
-/// is exchanged with it in-register (`lane[g] != 0`).
+/// bits inside one contiguous load; *select* bits, one per gate qubit and
+/// (when a lane qubit needs two runs per register) one for the second run,
+/// which tell the tile's loads apart; and the rest, the `free` bits, which
+/// enumerate tiles. A gate qubit inside the `RAW` bits (a *lane qubit*,
+/// `lane[g] != 0`) cannot select a load. A lone lane qubit takes no select
+/// bit: its two values are split apart within each pair of loads
+/// ([`LaneTiles`]). Two lane qubits each borrow the lowest free bit as
+/// their select bit and are exchanged with it in-register ([`Tiles`] with
+/// `EXCHANGE`).
 #[derive(Clone, Copy)]
 struct TilePlan {
     /// Per gate-bit combination: which span, and the offsets of its two
-    /// contiguous loads from the tile base.
+    /// contiguous loads from the tile base (equal when there is no second
+    /// run: [`RunTiles`] and the scalar tier read one).
     span: [usize; 4],
     off: [[usize; 2]; 4],
-    /// Inner select bits, ascending, as masks of all higher bits: adding
-    /// `x & mask` to `x` opens a zero at that bit.
-    open: [usize; 3],
-    opens: usize,
-    /// Per gate qubit: the lane bit to exchange with its select bit, or 0.
+    /// The tile-enumerating index bits: the tile bases are exactly their
+    /// subsets, in ascending order.
+    free: usize,
+    /// Per gate qubit: its lane bit (`q + 1` for a lane qubit `q`), or 0.
     lane: [usize; 2],
-    /// Tiles in the task.
+    /// Tiles in the task (`2^popcount(free)`).
     tiles: usize,
 }
 
 impl TilePlan {
-    /// The plan for tiles of `tier`'s width of a gate on ascending `qubits`
-    /// over spans of `2^span_bits` amplitudes, or `None` when a span is too
-    /// short to hold a tile (tiny states; the caller drops to the scalar
-    /// tier, whose tile is one amplitude per register).
-    fn new(tier: Tier, qubits: &[usize], span_bits: usize) -> Option<TilePlan> {
-        let (raw, lanes) = tier.shape();
+    /// The plan for tiles of a tier's `(RAW, LANES)` shape (see
+    /// [`Tier::shape`]) of a gate on ascending `qubits` over spans of
+    /// `2^span_bits` amplitudes, or `None` when a span is too short to hold
+    /// a tile (tiny states; the caller drops to the scalar tier, whose tile
+    /// is one amplitude per register).
+    fn new((raw, lanes): (usize, usize), qubits: &[usize], span_bits: usize) -> Option<TilePlan> {
         let raw_bits = raw.trailing_zeros() as usize;
         let mut candidate = raw_bits;
         let mut borrow = || {
@@ -420,12 +520,19 @@ impl TilePlan {
             candidate += 1;
             (candidate <= span_bits).then_some(candidate - 1)
         };
-        let mut inner = [0usize; 3];
-        let mut inners = 0;
-        let half = if lanes > raw {
-            inner[inners] = borrow()?;
-            inners += 1;
-            1usize << inner[0]
+        if raw_bits > span_bits {
+            return None;
+        }
+        let lanes_used = qubits.iter().filter(|&&q| q < raw_bits).count();
+        let lone_lane = lanes_used == 1;
+        // A lane qubit's tile pairs two runs into one register's worth
+        // (split, or split by the lane qubit); with none, a run is a packed
+        // register.
+        let mut selects = 0usize;
+        let half = if lanes > raw && lanes_used > 0 {
+            let bit = borrow()?;
+            selects |= 1 << bit;
+            1 << bit
         } else {
             0
         };
@@ -441,22 +548,23 @@ impl TilePlan {
             }
             let select = if q < raw_bits {
                 lane[g] = q + 1;
+                if lone_lane {
+                    continue;
+                }
                 borrow()?
             } else {
                 q
             };
             weight[g] = (1 << select, 0);
-            inner[inners] = select;
-            inners += 1;
+            selects |= 1 << select;
         }
-        inner[..inners].sort_unstable();
+        let free = ((1usize << span_bits) - 1) & !(raw - 1) & !selects;
         let mut plan = TilePlan {
             span: [0; 4],
             off: [[0; 2]; 4],
-            open: inner.map(|b| !((1usize << b) - 1)),
-            opens: inners,
+            free,
             lane,
-            tiles: (1usize << span_bits) >> (raw_bits + inners),
+            tiles: 1 << free.count_ones(),
         };
         for c in 0..1usize << qubits.len() {
             for (g, w) in weight.iter().enumerate().take(qubits.len()) {
@@ -469,77 +577,148 @@ impl TilePlan {
         }
         Some(plan)
     }
-}
 
-/// Exchange each low gate qubit's lane bit with its borrowed select bit
-/// across the tile's register pairs. Its own inverse.
-#[inline(always)]
-fn exchange<V: Vf, const N: usize, const J0: usize, const J1: usize>(v: &mut [Cv<V>; N]) {
-    if J0 != 0 {
-        for c in (0..N).filter(|c| c & 1 == 0) {
-            (v[c], v[c + 1]) = Cv::swap_bit::<J0>(v[c], v[c + 1]);
-        }
-    }
-    if J1 != 0 {
-        for c in (0..N).filter(|c| c & 2 == 0 && c + 2 < N) {
-            (v[c], v[c + 2]) = Cv::swap_bit::<J1>(v[c], v[c + 2]);
-        }
-    }
-}
-
-/// **The** gate-shape body, as a tiered kernel: every tile of a task loaded
-/// whole, exchanged into gate-bit-free lanes (`J0`/`J1`: the lane bit of a
-/// low gate qubit, or 0), transformed by `op`, exchanged back and stored.
-///
-/// `ONE` says the task has a single span — every serial sweep, and pooled
-/// ones whose gate qubits all fit inside a span — so that copy of the body
-/// is compiled against one base pointer. Each `(J0, J1, ONE)` is a type of
-/// its own and so a tier function of its own, holding exactly one loop.
-struct Tiles<'p, Op, const N: usize, const J0: usize, const J1: usize, const ONE: bool> {
-    plan: &'p TilePlan,
-    op: &'p Op,
-}
-
-impl<Op: TileOp<N>, const N: usize, const J0: usize, const J1: usize, const ONE: bool> Kernel
-    for Tiles<'_, Op, N, J0, J1, ONE>
-{
+    /// The cursor over a task's tiles — the task's one bounds check.
+    /// `ONE`: every gate-bit combination lies in the task's first span.
     #[inline(always)]
-    fn run<V: Vf>(&self, task: Task<'_>) {
-        // A local copy: the loop's stores cannot alias it, so the offsets
-        // stay in registers instead of being re-read after every tile.
-        let plan = *self.plan;
-        let raw_bits = V::RAW.trailing_zeros() as usize;
+    fn cursor<'a, V: Vf, const N: usize, const ONE: bool>(
+        &self,
+        task: Task<'a>,
+    ) -> TileCursor<'a, V, N> {
         // As cells, the gate-bit combinations that share a span can each
-        // hold their own (shared) borrow of it, fixed before the loop.
+        // hold their own (shared) borrow of it.
         let spans = task
             .spans
             .map(|span| Cell::from_mut(span).as_slice_of_cells());
         let at: [&[Cell<C64>]; N] = if ONE {
             [spans[0]; N]
         } else {
-            std::array::from_fn(|c| spans[plan.span[c]])
+            std::array::from_fn(|c| spans[self.span[c]])
         };
-        for t in 0..plan.tiles {
-            let mut base = t << raw_bits;
-            for mask in &plan.open[..plan.opens] {
-                base += base & mask;
-            }
+        TileCursor::new(at, std::array::from_fn(|c| self.off[c]), self.free)
+    }
+}
+
+/// Exchange lane bits 1 and 2 with their borrowed select bits across a
+/// quad tile — the one shape with two lane qubits (qubits 0 and 1 on the
+/// 8-lane tier). Its own inverse. Written out, so every register pair
+/// stays a named value (in a register) rather than an element of an
+/// indexed array.
+#[inline(always)]
+fn exchange<V: Vf, const N: usize>(v: &mut [Cv<V>; N]) {
+    let [a00, a01, a10, a11] = v.as_mut_slice() else {
+        unreachable!("two lane qubits make a quad tile")
+    };
+    (*a00, *a01) = Cv::swap_bit::<1>(*a00, *a01);
+    (*a10, *a11) = Cv::swap_bit::<1>(*a10, *a11);
+    (*a00, *a10) = Cv::swap_bit::<2>(*a00, *a10);
+    (*a01, *a11) = Cv::swap_bit::<2>(*a01, *a11);
+}
+
+/// **The** gate-shape body, as a tiered kernel: every tile of a task loaded
+/// whole into split register pairs, exchanged into gate-bit-free lanes when
+/// two gate qubits are lane qubits (`EXCHANGE`), transformed by `op`,
+/// exchanged back and stored.
+///
+/// `ONE` says the task has a single span — every serial sweep, and pooled
+/// ones whose gate qubits all fit inside a span — so that copy of the body
+/// is compiled against one base pointer. Each `(EXCHANGE, ONE)` is a type
+/// of its own and so a tier function of its own, holding exactly one loop.
+struct Tiles<'p, Op, const N: usize, const EXCHANGE: bool, const ONE: bool> {
+    plan: &'p TilePlan,
+    op: &'p Op,
+}
+
+impl<Op: TileOp<N>, const N: usize, const EXCHANGE: bool, const ONE: bool> Kernel
+    for Tiles<'_, Op, N, EXCHANGE, ONE>
+{
+    #[inline(always)]
+    fn run<V: Vf>(&self, task: Task<'_>) {
+        let mut tile = self.plan.cursor::<V, N, ONE>(task);
+        let coeffs = self.op.coeffs();
+        for _ in 0..self.plan.tiles {
             let mut v = [Cv {
                 re: V::splat(0.0),
                 im: V::splat(0.0),
             }; N];
             for (c, x) in v.iter_mut().enumerate() {
-                let [i, j] = plan.off[c];
-                let (re, im) = V::load2(at[c], base + i, base + j);
+                let (re, im) = tile.load(c);
                 *x = Cv { re, im };
             }
-            exchange::<V, N, J0, J1>(&mut v);
-            let mut out = self.op.apply(v);
-            exchange::<V, N, J0, J1>(&mut out);
-            for (c, x) in out.iter().enumerate() {
-                let [i, j] = plan.off[c];
-                V::store2(x.re, x.im, at[c], base + i, base + j);
+            if EXCHANGE {
+                exchange(&mut v);
             }
+            let mut out = Op::apply(&coeffs, v);
+            if EXCHANGE {
+                exchange(&mut out);
+            }
+            for (c, x) in out.iter().enumerate() {
+                tile.store(c, x.re, x.im);
+            }
+            tile.advance();
+        }
+    }
+}
+
+/// The gate-shape body for a tile with no lane qubit on a vector tier: each
+/// gate-bit combination is one contiguous run, loaded and stored as it lies
+/// in memory and worked on packed ([`Packed`]), so a register costs one
+/// pair swap and no de-interleave.
+struct RunTiles<'p, Op, const N: usize, const ONE: bool> {
+    plan: &'p TilePlan,
+    op: &'p Op,
+}
+
+impl<Op: TileOp<N>, const N: usize, const ONE: bool> Kernel for RunTiles<'_, Op, N, ONE> {
+    #[inline(always)]
+    fn run<V: Vf>(&self, task: Task<'_>) {
+        let mut tile = self.plan.cursor::<V, N, ONE>(task);
+        let coeffs = self.op.coeffs();
+        for _ in 0..self.plan.tiles {
+            let mut v = [Packed(V::splat(0.0)); N];
+            for (c, x) in v.iter_mut().enumerate() {
+                *x = Packed(tile.load_run(c));
+            }
+            let out = Op::apply(&coeffs, v);
+            for (c, x) in out.iter().enumerate() {
+                tile.store_run(c, x.0);
+            }
+            tile.advance();
+        }
+    }
+}
+
+/// The gate-shape body for a tile whose one lane qubit is run-offset bit
+/// `Q` (gate bit 0). Each pair of contiguous loads holds both values of
+/// that qubit; one amplitude-granular permute per register splits them
+/// into packed registers ([`Packed`], [`Vf::load_split`]), and the way
+/// back stores each amplitude straight to its place, where an exchange
+/// would cost a second shuffle stage each way.
+struct LaneTiles<'p, Op, const N: usize, const Q: usize, const ONE: bool> {
+    plan: &'p TilePlan,
+    op: &'p Op,
+}
+
+impl<Op: TileOp<N>, const N: usize, const Q: usize, const ONE: bool> Kernel
+    for LaneTiles<'_, Op, N, Q, ONE>
+{
+    #[inline(always)]
+    fn run<V: Vf>(&self, task: Task<'_>) {
+        // Combinations `c` and `c + 1` differ only in the lane qubit, so
+        // they share their loads.
+        let mut tile = self.plan.cursor::<V, N, ONE>(task);
+        let coeffs = self.op.coeffs();
+        for _ in 0..self.plan.tiles {
+            let mut v = [Packed(V::splat(0.0)); N];
+            for c in (0..N).step_by(2) {
+                let (e0, e1) = tile.load_split::<Q>(c);
+                (v[c], v[c + 1]) = (Packed(e0), Packed(e1));
+            }
+            let out = Op::apply(&coeffs, v);
+            for c in (0..N).step_by(2) {
+                tile.store_split::<Q>(c, out[c].0, out[c + 1].0);
+            }
+            tile.advance();
         }
     }
 }
@@ -547,7 +726,9 @@ impl<Op: TileOp<N>, const N: usize, const J0: usize, const J1: usize, const ONE:
 /// Sweep a gate of shape `N = 2^k` on `k` ascending `qubits` on `tier`
 /// (or on the scalar tier, whose tile is one amplitude per register, when a
 /// span is too short for one of `tier`'s): plan the tiles once, then run
-/// the [`Tiles`] instantiation the plan calls for over every task.
+/// the body the plan calls for over every task — [`RunTiles`] with no lane
+/// qubit on a vector tier, [`LaneTiles`] with one, [`Tiles`] with two (or
+/// on the scalar tier).
 fn sweep_gate_on<Op: TileOp<N>, const N: usize>(
     tier: Tier,
     amps: &mut [C64],
@@ -556,31 +737,38 @@ fn sweep_gate_on<Op: TileOp<N>, const N: usize>(
 ) {
     debug_assert!(qubits.windows(2).all(|w| w[0] < w[1]), "gate qubits ascend");
     let split = Split::of(amps.len(), qubits);
-    let (tier, plan) = match TilePlan::new(tier, qubits, split.span_bits) {
+    let (tier, plan) = match TilePlan::new(tier.shape(), qubits, split.span_bits) {
         Some(plan) => (tier, plan),
         None => (
             Tier::PORTABLE,
-            TilePlan::new(Tier::PORTABLE, qubits, split.span_bits)
+            TilePlan::new(Tier::PORTABLE.shape(), qubits, split.span_bits)
                 .expect("a scalar tile always fits"),
         ),
     };
     macro_rules! run {
-        ($j0:literal, $j1:literal, $one:literal) => {{
-            let k = Tiles::<Op, N, $j0, $j1, $one> { plan: &plan, op };
+        ($body:ident, $one:literal) => {{
+            let k = $body::<Op, N, $one> { plan: &plan, op };
+            for_each_task(amps, qubits, split, |task| simd::run_tier(tier, &k, task))
+        }};
+        ($body:ident, $c:literal, $one:literal) => {{
+            let k = $body::<Op, N, $c, $one> { plan: &plan, op };
             for_each_task(amps, qubits, split, |task| simd::run_tier(tier, &k, task))
         }};
     }
     // The all-ones combination sits in span 0 only if every qubit is inner.
     let one_span = plan.span[N - 1] == 0;
+    let (raw, lanes) = tier.shape();
     match (plan.lane, one_span) {
-        ([0, 0], true) => run!(0, 0, true),
-        ([0, 0], false) => run!(0, 0, false),
-        ([1, 0], true) => run!(1, 0, true),
-        ([1, 0], false) => run!(1, 0, false),
-        ([2, 0], true) => run!(2, 0, true),
-        ([2, 0], false) => run!(2, 0, false),
-        ([1, 2], true) => run!(1, 2, true),
-        ([1, 2], false) => run!(1, 2, false),
+        ([0, 0], true) if lanes > raw => run!(RunTiles, true),
+        ([0, 0], false) if lanes > raw => run!(RunTiles, false),
+        ([0, 0], true) => run!(Tiles, false, true),
+        ([0, 0], false) => run!(Tiles, false, false),
+        ([1, 0], true) => run!(LaneTiles, 0, true),
+        ([1, 0], false) => run!(LaneTiles, 0, false),
+        ([2, 0], true) => run!(LaneTiles, 1, true),
+        ([2, 0], false) => run!(LaneTiles, 1, false),
+        ([1, 2], true) => run!(Tiles, true, true),
+        ([1, 2], false) => run!(Tiles, true, false),
         (lane, _) => unreachable!("lane bits {lane:?} for ascending qubits"),
     }
 }
@@ -622,9 +810,12 @@ impl Kernel for TableSweep<'_> {
     #[inline(always)]
     fn run<V: Vf>(&self, task: Task<'_>) {
         let [span, ..] = task.spans;
+        // The task's one bounds check: every index below is a gather of
+        // `support.len()` bits.
+        let table = FactorTable::new(self.table, self.support.len());
         if span.len() < TABLE_TILE {
             for (i, a) in span.iter_mut().enumerate() {
-                *a *= self.table[gather_bits(task.base + i, self.support)];
+                *a *= table.get(gather_bits(task.base + i, self.support));
             }
             return;
         }
@@ -644,7 +835,7 @@ impl Kernel for TableSweep<'_> {
             let row = gather_bits(task.base + t * TABLE_TILE, high) << lows;
             let (mut fr, mut fi) = ([0.0f64; TABLE_TILE], [0.0f64; TABLE_TILE]);
             for l in 0..TABLE_TILE {
-                let f = self.table[row + lane_offset[l]];
+                let f = table.get(row + lane_offset[l]);
                 (fr[l], fi[l]) = (f.re, f.im);
             }
             for l in 0..TABLE_TILE {
@@ -750,9 +941,10 @@ pub fn marginal_one_amps(amps: &[C64], q: usize) -> f64 {
 // ---- gate kernels ---------------------------------------------------------
 
 /// A dense row: the product of its first term, then one fused
-/// multiply-add per remaining term, left to right (see [`Cv::mul_add_left`]).
+/// multiply-add per remaining term, left to right (see
+/// [`CLanes::mul_add_left`]).
 #[inline(always)]
-fn dense_row<V: Vf, const N: usize>(row: &[C64; N], x: [Cv<V>; N]) -> Cv<V> {
+fn dense_row<X: CLanes, const N: usize>(row: &[C64; N], x: [X; N]) -> X {
     let mut acc = x[0].mul_left(row[0]);
     for k in 1..N {
         acc = acc.mul_add_left(row[k], x[k]);
@@ -763,9 +955,14 @@ fn dense_row<V: Vf, const N: usize>(row: &[C64; N], x: [Cv<V>; N]) -> Cv<V> {
 struct Mat2Op<'m>(&'m Mat2);
 
 impl TileOp<2> for Mat2Op<'_> {
+    type Coeffs = Mat2;
     #[inline(always)]
-    fn apply<V: Vf>(&self, v: [Cv<V>; 2]) -> [Cv<V>; 2] {
-        let [r0, r1] = &self.0 .0;
+    fn coeffs(&self) -> Mat2 {
+        *self.0
+    }
+    #[inline(always)]
+    fn apply<X: CLanes>(m: &Mat2, v: [X; 2]) -> [X; 2] {
+        let [r0, r1] = &m.0;
         [dense_row(r0, v), dense_row(r1, v)]
     }
 }
@@ -814,27 +1011,39 @@ fn mat2_on(tier: Tier, amps: &mut [C64], q: usize, m: &Mat2) {
 struct XOp;
 
 impl TileOp<2> for XOp {
+    type Coeffs = ();
     #[inline(always)]
-    fn apply<V: Vf>(&self, [x, y]: [Cv<V>; 2]) -> [Cv<V>; 2] {
+    fn coeffs(&self) {}
+    #[inline(always)]
+    fn apply<X: CLanes>(_: &(), [x, y]: [X; 2]) -> [X; 2] {
         [y, x]
     }
 }
 
 /// `[[0, a01], [a10, 0]]`.
+#[derive(Clone, Copy)]
 struct AntiDiagOp(C64, C64);
 
 impl TileOp<2> for AntiDiagOp {
+    type Coeffs = Self;
     #[inline(always)]
-    fn apply<V: Vf>(&self, [x, y]: [Cv<V>; 2]) -> [Cv<V>; 2] {
-        [y.mul_left(self.0), x.mul_left(self.1)]
+    fn coeffs(&self) -> Self {
+        *self
+    }
+    #[inline(always)]
+    fn apply<X: CLanes>(&AntiDiagOp(a01, a10): &Self, [x, y]: [X; 2]) -> [X; 2] {
+        [y.mul_left(a01), x.mul_left(a10)]
     }
 }
 
 struct HOp;
 
 impl TileOp<2> for HOp {
+    type Coeffs = ();
     #[inline(always)]
-    fn apply<V: Vf>(&self, [x, y]: [Cv<V>; 2]) -> [Cv<V>; 2] {
+    fn coeffs(&self) {}
+    #[inline(always)]
+    fn apply<X: CLanes>(_: &(), [x, y]: [X; 2]) -> [X; 2] {
         [x.add(y).scale(FRAC_1_SQRT_2), x.sub(y).scale(FRAC_1_SQRT_2)]
     }
 }
@@ -843,9 +1052,14 @@ impl TileOp<2> for HOp {
 struct DiagOp<const N: usize>([C64; N]);
 
 impl<const N: usize> TileOp<N> for DiagOp<N> {
+    type Coeffs = [C64; N];
     #[inline(always)]
-    fn apply<V: Vf>(&self, mut v: [Cv<V>; N]) -> [Cv<V>; N] {
-        for (x, &d) in v.iter_mut().zip(&self.0) {
+    fn coeffs(&self) -> [C64; N] {
+        self.0
+    }
+    #[inline(always)]
+    fn apply<X: CLanes>(d: &[C64; N], mut v: [X; N]) -> [X; N] {
+        for (x, &d) in v.iter_mut().zip(d) {
             *x = x.mul_right(d);
         }
         v
@@ -890,8 +1104,11 @@ pub fn apply_diag2(amps: &mut [C64], q_hi: usize, q_lo: usize, d: [C64; 4]) {
 struct SwapOp;
 
 impl TileOp<4> for SwapOp {
+    type Coeffs = ();
     #[inline(always)]
-    fn apply<V: Vf>(&self, [a00, a01, a10, a11]: [Cv<V>; 4]) -> [Cv<V>; 4] {
+    fn coeffs(&self) {}
+    #[inline(always)]
+    fn apply<X: CLanes>(_: &(), [a00, a01, a10, a11]: [X; 4]) -> [X; 4] {
         [a00, a10, a01, a11]
     }
 }
@@ -910,13 +1127,18 @@ impl<const SWAPPED: bool> Mat4Op<'_, SWAPPED> {
 }
 
 impl<const SWAPPED: bool> TileOp<4> for Mat4Op<'_, SWAPPED> {
+    type Coeffs = Mat4;
     #[inline(always)]
-    fn apply<V: Vf>(&self, v: [Cv<V>; 4]) -> [Cv<V>; 4] {
+    fn coeffs(&self) -> Mat4 {
+        *self.0
+    }
+    #[inline(always)]
+    fn apply<X: CLanes>(m: &Mat4, v: [X; 4]) -> [X; 4] {
         let p = Self::LOGICAL;
         let logical = [v[p[0]], v[p[1]], v[p[2]], v[p[3]]];
         let mut out = v;
         for (o, &l) in out.iter_mut().zip(&p) {
-            *o = dense_row(&self.0 .0[l], logical);
+            *o = dense_row(&m.0[l], logical);
         }
         out
     }
@@ -1349,7 +1571,9 @@ mod tests {
 
     /// The same grid with every sweep forced onto the amplitude pool, up to
     /// n = 14 (128 tasks, spans shorter than some gates' reach), and n = 14
-    /// once more at the production threshold (4 tasks of 4096).
+    /// once more with the threshold scaled so that it splits the way n = 17
+    /// does at [`DEFAULT_PAR_MIN_LEN`]: 4 tasks of `par_min_len / 4`
+    /// amplitudes, with qubits 12 and 13 outer (multi-span tasks).
     #[test]
     fn tier_parity_grid_pooled() {
         let _knob = ParKnob::hold();
@@ -1357,8 +1581,138 @@ mod tests {
         for n in [1, 2, 3, 4, 5, 6, 10, 14] {
             grid(n);
         }
-        set_par_min_len(DEFAULT_PAR_MIN_LEN);
+        // (pooled, span_bits) with no gate qubit, the second-highest and
+        // a low one with the highest.
+        let splits = |n: usize, min_len: usize| {
+            set_par_min_len(min_len);
+            [&[][..], &[n - 2], &[3, n - 1]].map(|qubits| {
+                let split = Split::of(1 << n, qubits);
+                (split.pooled, split.span_bits)
+            })
+        };
+        let production = splits(17, DEFAULT_PAR_MIN_LEN);
+        assert_eq!(production, [(true, 15), (true, 14), (true, 14)]);
+        let scaled = splits(14, DEFAULT_PAR_MIN_LEN >> 3);
+        assert_eq!(scaled, production.map(|(pooled, bits)| (pooled, bits - 3)));
         grid(14);
+    }
+
+    /// A plan's tile bases by index arithmetic, the reference for the
+    /// subset walk: tile `t` at `t << raw_bits`, with a zero opened at
+    /// each select bit, ascending.
+    fn open_mask_bases(plan: &TilePlan, raw_bits: usize, span_bits: usize) -> Vec<usize> {
+        let selects = ((1usize << span_bits) - 1) & !((1usize << raw_bits) - 1) & !plan.free;
+        (0..plan.tiles)
+            .map(|t| {
+                let mut base = t << raw_bits;
+                for b in (0..span_bits).filter(|b| selects >> b & 1 == 1) {
+                    base += base & !((1usize << b) - 1);
+                }
+                base
+            })
+            .collect()
+    }
+
+    /// For every tier shape, every ascending set of one or two qubits (lane
+    /// qubits included) and every split a threshold can give (serial, and
+    /// pooled with inner and outer qubits): the subset walk visits exactly
+    /// the bases the open-mask loop did and wraps to 0 after the last, no
+    /// load reaches past its span, and the tiles of all tasks together
+    /// touch every amplitude of the state exactly once.
+    #[test]
+    fn subset_walk_visits_the_open_mask_bases_and_stays_in_its_span() {
+        let _knob = ParKnob::hold();
+        for n in 1..=9 {
+            let len = 1usize << n;
+            let qubit_sets = (0..n)
+                .map(|q| vec![q])
+                .chain((0..n).flat_map(|a| (a + 1..n).map(move |b| vec![a, b])));
+            for qubits in qubit_sets {
+                for threshold in (0..=n + 1).map(|k| 1usize << k) {
+                    set_par_min_len(threshold);
+                    let split = Split::of(len, &qubits);
+                    for (raw, lanes) in [(1, 1), (2, 4), (4, 8)] {
+                        let what = format!(
+                            "n={n} {qubits:?} shape ({raw}, {lanes}) pooled={} span_bits={}",
+                            split.pooled, split.span_bits
+                        );
+                        let Some(plan) = TilePlan::new((raw, lanes), &qubits, split.span_bits)
+                        else {
+                            assert!(raw > 1, "{what}: a scalar tile always fits");
+                            continue;
+                        };
+                        let raw_bits = raw.trailing_zeros() as usize;
+                        let mut base = 0;
+                        let walk: Vec<usize> = (0..plan.tiles)
+                            .map(|_| {
+                                let at = base;
+                                base = simd::next_subset(base, plan.free);
+                                at
+                            })
+                            .collect();
+                        assert_eq!(
+                            walk,
+                            open_mask_bases(&plan, raw_bits, split.span_bits),
+                            "{what}"
+                        );
+                        assert_eq!(base, 0, "{what}: the walk does not wrap");
+                        let pairs = 1 << qubits.len();
+                        let halves = if plan.off[0][1] > plan.off[0][0] {
+                            2
+                        } else {
+                            1
+                        };
+                        let top = walk.last().unwrap()
+                            + plan.off[..pairs].iter().flatten().max().unwrap()
+                            + raw;
+                        assert!(top <= 1 << split.span_bits, "{what}: reach {top}");
+                        // Every amplitude exactly once, across every task.
+                        let mut amps = vec![C64::new(0.0, 0.0); len];
+                        let origin = amps.as_ptr() as usize;
+                        let tasks = if split.pooled {
+                            split_tasks(&mut amps, &qubits, split.span_bits)
+                        } else {
+                            vec![Task::whole(&mut amps)]
+                        };
+                        let mut touched = vec![0u32; len];
+                        for task in &tasks {
+                            for &tile in &walk {
+                                // A lone lane qubit (gate bit 0) shares its
+                                // two combinations' loads.
+                                let lone_lane = plan.lane[0] != 0 && plan.lane[1] == 0;
+                                for c in (0..pairs).filter(|c| !lone_lane || c & 1 == 0) {
+                                    let span = &task.spans[plan.span[c]];
+                                    let first = (span.as_ptr() as usize - origin) / 16;
+                                    for h in 0..halves {
+                                        for r in 0..raw {
+                                            touched[first + tile + plan.off[c][h] + r] += 1;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        assert!(touched.iter().all(|&t| t == 1), "{what}: {touched:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A task whose span is shorter than its plan reaches panics at the
+    /// cursor's once-per-task check, before any load.
+    #[test]
+    #[should_panic(expected = "a tile reaches beyond its span")]
+    fn a_span_shorter_than_its_plan_panics() {
+        let tier = Tier::best();
+        let plan = TilePlan::new(tier.shape(), &[4, 5], 6).unwrap();
+        let mut short = scrambled(5);
+        let task = Task::whole(&mut short);
+        let op = &SwapOp;
+        if tier == Tier::PORTABLE {
+            simd::run_tier(tier, &Tiles::<_, 4, false, true> { plan: &plan, op }, task);
+        } else {
+            simd::run_tier(tier, &RunTiles::<_, 4, true> { plan: &plan, op }, task);
+        }
     }
 
     /// The dense `Mat4Op` body on `tier`, whatever the matrix.

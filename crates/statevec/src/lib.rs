@@ -27,8 +27,9 @@
 
 #![warn(missing_docs)]
 // The crate's only `unsafe` is the ISA-tier dispatch and the vector
-// load/store/arithmetic intrinsics behind it (`kernels::simd`); every block
-// states why it is sound.
+// load/store/arithmetic intrinsics behind it (`kernels::simd`), whose
+// amplitude accesses go unchecked behind one bounds check per task; every
+// block states why it is sound.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
