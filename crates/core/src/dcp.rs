@@ -1,53 +1,50 @@
 //! Dynamic Circuit Partition (DCP) — paper §3.2.
 //!
-//! DCP operates in two phases: (1) the first subcircuit is the shortest
-//! prefix whose length covers the state-copy cost, and its shot count `A0`
-//! comes from the statistical sample-size bound (Eq. 5) applied to the
-//! prefix's aggregate error rate (Eq. 4); (2) the remainder is split into
-//! `k` equal subcircuits of uniform arity `Ar = ⌊(N/A0)^{1/k}⌋ ≥ 2`
-//! (Eq. 6), with `k` capped by both the shot budget and the per-subcircuit
-//! minimum length, and `A0` raised until the tree yields at least `N`
-//! outcomes.
+//! One planner over a **prefix-cost vector**: `costs[i]` prices the first
+//! `i` gates. By default the price is `i` itself, the paper's gate units;
+//! under [`DcpConfig::plan_aware`] it is the fused amplitude-pass count of
+//! the compiled prefix. DCP then operates in two phases: (1) the first
+//! subcircuit is the shortest prefix whose cost covers the state-copy cost,
+//! and its shot count `A0` comes from the statistical sample-size bound
+//! (Eq. 5) applied to the prefix's aggregate error rate (Eq. 4); (2) the
+//! remainder is cut into `k` subcircuits of equal cost and uniform arity
+//! `Ar = ⌊(N/A0)^{1/k}⌋ ≥ 2` (Eq. 6), with `k` capped by the shot budget,
+//! by one copy's cost per subcircuit and by one gate per subcircuit, and
+//! `A0` raised until the tree yields at least `N` outcomes.
 
 use crate::partition::{Partition, PlanError};
 use crate::tree::TreeStructure;
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
 
+/// Confidence level `z` for Eq. 5 (1.96 ≙ 95 %).
+pub const CONFIDENCE_Z: f64 = 1.96;
+
 /// Tunables of the DCP planner.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DcpConfig {
-    /// Confidence level `z` for Eq. 5 (1.96 ≙ 95 %).
-    pub confidence_z: f64,
     /// Margin of error `ε` for Eq. 5.
     pub margin: f64,
-    /// State-copy cost in gate-equivalents (Fig. 10; measure with
-    /// [`tqsim_statevec::profile`] or take a
-    /// [`tqsim_statevec::CostProfile`] ratio). Also the minimum subcircuit
-    /// length (§3.6).
+    /// State-copy cost in the units of the cost vector: gate-equivalents
+    /// by default (Fig. 10; measure with [`tqsim_statevec::profile`] or take
+    /// a [`tqsim_statevec::CostProfile`] ratio), amplitude passes under
+    /// `plan_aware`. Rounded up to a whole step of at least 1, it is also
+    /// the cost each subcircuit after the first must pay for (§3.6).
     pub copy_cost: f64,
-    /// Optional memory budget in bytes for the stored intermediate states
-    /// (the executor keeps `k + 1` live states of `16·2^n` bytes each).
-    pub memory_budget_bytes: Option<u64>,
-    /// Optional hard cap on the number of subcircuits.
-    pub max_subcircuits: Option<usize>,
-    /// Charge candidate subcircuits their **compiled amplitude-pass count**
-    /// (the fusion-aware [`tqsim_statevec::CompiledCircuit::amp_pass_estimate`]
-    /// cost) instead of their source gate count, so boundary placement
-    /// favours fusion-friendly splits and boundaries land on equal-pass
-    /// quantiles. `copy_cost` is then measured in amplitude passes rather
-    /// than gates. Off by default to preserve the paper-pinned plans.
+    /// Selects the cost vector, and nothing else: `false` charges a prefix
+    /// its source gate count (the paper's plans), `true` its compiled
+    /// amplitude-pass count (the fusion-aware
+    /// [`tqsim_statevec::CompiledCircuit::amp_pass_estimate`] of the
+    /// prefix), so cuts favour fusion-friendly splits and land on
+    /// equal-pass quantiles.
     pub plan_aware: bool,
 }
 
 impl Default for DcpConfig {
     fn default() -> Self {
         DcpConfig {
-            confidence_z: 1.96,
             margin: 0.03,
             copy_cost: 20.0,
-            memory_budget_bytes: None,
-            max_subcircuits: None,
             plan_aware: false,
         }
     }
@@ -58,13 +55,14 @@ impl DcpConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::BadConfig`] for non-positive `z`, `ε`, or copy
-    /// cost.
+    /// Returns [`PlanError::BadConfig`] unless `ε` and the copy cost are
+    /// both finite and positive.
     pub fn validate(&self) -> Result<(), PlanError> {
-        if self.confidence_z <= 0.0 || self.margin <= 0.0 || self.copy_cost <= 0.0 {
+        let ok = |x: f64| x.is_finite() && x > 0.0;
+        if !(ok(self.margin) && ok(self.copy_cost)) {
             return Err(PlanError::BadConfig(format!(
-                "z={}, margin={}, copy_cost={} must all be positive",
-                self.confidence_z, self.margin, self.copy_cost
+                "margin={}, copy_cost={} must both be finite and positive",
+                self.margin, self.copy_cost
             )));
         }
         Ok(())
@@ -98,8 +96,8 @@ pub fn aggregate_error_rate(
 /// Run the DCP planner.
 ///
 /// Falls back to the baseline partition `(N)` whenever reuse cannot pay for
-/// itself: the circuit is shorter than twice the copy cost, or `A0`
-/// already exhausts the shot budget.
+/// itself: no proper prefix covers the copy cost, or `A0` already exhausts
+/// the shot budget.
 ///
 /// # Errors
 ///
@@ -118,40 +116,33 @@ pub fn plan_dcp(
     if shots == 0 {
         return Err(PlanError::ZeroShots);
     }
-    if cfg.plan_aware {
-        return plan_dcp_pass_costed(circuit, noise, shots, cfg);
-    }
     let len = circuit.len();
-    let min_len = (cfg.copy_cost.ceil() as usize).max(1);
+    let costs: Vec<u64> = if cfg.plan_aware {
+        fused_prefix_costs(circuit)
+    } else {
+        (0..=len as u64).collect()
+    };
+    let step = (cfg.copy_cost.ceil() as u64).max(1);
 
     // Phase 1: first subcircuit = shortest prefix covering the copy cost.
-    let l0 = min_len;
-    if l0 >= len {
-        // Too short to partition at all.
+    let Some(l0) = (1..len).find(|&i| costs[i] as f64 >= cfg.copy_cost) else {
         return Partition::baseline(len, shots);
-    }
+    };
     let p_hat = aggregate_error_rate(circuit, 0..l0, noise);
-    let a0 = sample_size(cfg.confidence_z, cfg.margin, p_hat, shots);
+    let a0 = sample_size(CONFIDENCE_Z, cfg.margin, p_hat, shots);
 
-    // Phase 2: how many equal subcircuits can the remainder support?
-    let remaining = len - l0;
-    let k_gates = remaining / min_len;
+    // Phase 2: how many equal-cost subcircuits can the remainder support?
+    // Each covers one copy's cost and holds a gate, and each level at least
+    // doubles the outcomes (`2^k ≤ N / A0`). A pass-priced prefix can cost
+    // more than the whole circuit; its remainder then supports none.
+    let remaining = costs[len].saturating_sub(costs[l0]);
     let ratio = shots as f64 / a0 as f64;
     let k_shots = if ratio >= 2.0 {
         ratio.log2().floor() as usize
     } else {
         0
     };
-    let mut k = k_gates.min(k_shots);
-    if let Some(max_k) = cfg.max_subcircuits {
-        k = k.min(max_k.saturating_sub(1));
-    }
-    if let Some(budget) = cfg.memory_budget_bytes {
-        let state_bytes = 16u64 << circuit.n_qubits();
-        let max_states = (budget / state_bytes.max(1)).max(2) as usize;
-        // The executor keeps k + 1 live states.
-        k = k.min(max_states.saturating_sub(1));
-    }
+    let k = ((remaining / step) as usize).min(k_shots).min(len - l0);
     if k == 0 {
         return Partition::baseline(len, shots);
     }
@@ -168,13 +159,21 @@ pub fn plan_dcp(
     arities.extend(std::iter::repeat_n(ar, k));
     let tree = TreeStructure::new(arities)?;
 
-    // Boundaries: prefix, then the remainder in k equal chunks.
+    // Boundaries: the prefix, then the remainder cut at equal-cost
+    // quantiles. Under gate costs the cuts fall at `l0 + remaining·i/k`.
     let mut boundaries = Vec::with_capacity(k + 2);
-    boundaries.push(0);
-    boundaries.push(l0);
-    for i in 1..=k {
-        boundaries.push(l0 + remaining * i / k);
+    boundaries.extend([0, l0]);
+    for i in 1..k {
+        let prev = boundaries[i];
+        let target = costs[l0] + remaining * i as u64 / k as u64;
+        let cut = ((prev + 1)..len)
+            .find(|&j| costs[j] >= target)
+            .unwrap_or(len)
+            .min(len - (k - i)) // leave ≥ 1 gate per remaining subcircuit
+            .max(prev + 1);
+        boundaries.push(cut);
     }
+    boundaries.push(len);
     Partition::new(boundaries, tree)
 }
 
@@ -200,87 +199,6 @@ fn fused_prefix_costs(circuit: &Circuit) -> Vec<u64> {
         costs.push(emitted + fuser.pending_passes());
     }
     costs
-}
-
-/// Plan-aware DCP: identical statistical machinery (Eqs. 4–6), but every
-/// candidate subcircuit is charged its **compiled amplitude-pass count**
-/// instead of its source gate count. The executors replay fused plans, so
-/// passes — not gates — are what a subcircuit execution actually costs;
-/// charging passes keeps the copy-cost break-even honest on
-/// fusion-friendly circuits and places the remaining boundaries at equal
-/// *pass* quantiles rather than equal gate counts.
-fn plan_dcp_pass_costed(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    shots: u64,
-    cfg: &DcpConfig,
-) -> Result<Partition, PlanError> {
-    let len = circuit.len();
-    let costs = fused_prefix_costs(circuit);
-    let total = costs[len] as f64;
-
-    // Phase 1: first subcircuit = shortest prefix whose *compiled* cost
-    // covers the state-copy cost (now in pass units).
-    let Some(l0) = (1..len).find(|&i| costs[i] as f64 >= cfg.copy_cost) else {
-        return Partition::baseline(len, shots);
-    };
-    let p_hat = aggregate_error_rate(circuit, 0..l0, noise);
-    let a0 = sample_size(cfg.confidence_z, cfg.margin, p_hat, shots);
-
-    // Phase 2: how many equal-cost subcircuits can the remainder support?
-    let remaining_cost = total - costs[l0] as f64;
-    let k_cost = (remaining_cost / cfg.copy_cost).floor() as usize;
-    let ratio = shots as f64 / a0 as f64;
-    let k_shots = if ratio >= 2.0 {
-        ratio.log2().floor() as usize
-    } else {
-        0
-    };
-    // Every subcircuit still needs at least one source gate.
-    let mut k = k_cost.min(k_shots).min(len - l0);
-    if let Some(max_k) = cfg.max_subcircuits {
-        k = k.min(max_k.saturating_sub(1));
-    }
-    if let Some(budget) = cfg.memory_budget_bytes {
-        let state_bytes = 16u64 << circuit.n_qubits();
-        let max_states = (budget / state_bytes.max(1)).max(2) as usize;
-        k = k.min(max_states.saturating_sub(1));
-    }
-    if k == 0 {
-        return Partition::baseline(len, shots);
-    }
-
-    // Eq. 6 unchanged: uniform arity, A0 raised to cover the shot budget.
-    let ar = (ratio.powf(1.0 / k as f64).floor() as u64).max(2);
-    let reuse: u64 = ar.pow(k as u32);
-    let a0 = a0.max(shots.div_ceil(reuse));
-
-    let mut arities = Vec::with_capacity(k + 1);
-    arities.push(a0);
-    arities.extend(std::iter::repeat_n(ar, k));
-    let tree = TreeStructure::new(arities)?;
-
-    // Boundaries at equal compiled-pass quantiles of the remainder, so
-    // every subcircuit replays a comparable number of fused sweeps.
-    let mut boundaries = Vec::with_capacity(k + 2);
-    boundaries.push(0);
-    boundaries.push(l0);
-    let mut prev = l0;
-    for i in 1..=k {
-        let b = if i == k {
-            len
-        } else {
-            let target = costs[l0] as f64 + remaining_cost * i as f64 / k as f64;
-            ((prev + 1)..len)
-                .find(|&j| costs[j] as f64 >= target)
-                .unwrap_or(len)
-                .min(len - (k - i)) // leave ≥ 1 gate per remaining subcircuit
-                .max(prev + 1)
-        };
-        boundaries.push(b);
-        prev = b;
-    }
-    Partition::new(boundaries, tree)
 }
 
 #[cfg(test)]
@@ -348,33 +266,6 @@ mod tests {
         };
         let p = plan_dcp(&c, &noise, 32_000, &cfg).unwrap();
         assert_eq!(p.k(), 2, "tree = {}", p.tree);
-    }
-
-    #[test]
-    fn memory_budget_caps_depth() {
-        let c = generators::qft(14);
-        let noise = tqsim_noise::NoiseModel::sycamore();
-        // Room for only 3 states of 2^14 amplitudes (16·2^14 = 256 KiB each).
-        let cfg = DcpConfig {
-            copy_cost: 20.0,
-            memory_budget_bytes: Some(3 * 16 * (1 << 14)),
-            ..DcpConfig::default()
-        };
-        let p = plan_dcp(&c, &noise, 32_000, &cfg).unwrap();
-        assert!(p.k() <= 3, "k = {}", p.k());
-    }
-
-    #[test]
-    fn max_subcircuits_respected() {
-        let c = generators::qft(14);
-        let noise = tqsim_noise::NoiseModel::sycamore();
-        let cfg = DcpConfig {
-            copy_cost: 20.0,
-            max_subcircuits: Some(3),
-            ..DcpConfig::default()
-        };
-        let p = plan_dcp(&c, &noise, 32_000, &cfg).unwrap();
-        assert!(p.k() <= 3);
     }
 
     #[test]
@@ -460,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_aware_respects_caps_and_fallback() {
+    fn plan_aware_short_circuit_falls_back_to_baseline() {
         let noise = tqsim_noise::NoiseModel::sycamore();
         // Too short to cover the pass-denominated copy cost: baseline.
         let short = generators::bv(6);
@@ -476,20 +367,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.k(), 1);
-        // Caps still bite.
-        let c = generators::qft(14);
-        let p = plan_dcp(
-            &c,
-            &noise,
-            32_000,
-            &DcpConfig {
-                plan_aware: true,
-                max_subcircuits: Some(3),
-                ..DcpConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(p.k() <= 3);
     }
 
     #[test]
@@ -532,10 +409,30 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let bad = DcpConfig {
-            margin: 0.0,
-            ..DcpConfig::default()
-        };
-        assert!(bad.validate().is_err());
+        // `x <= 0.0` is false for NaN, so a sign check alone lets it
+        // through, and a NaN copy cost plans one-gate subcircuits.
+        let c = generators::qft(8);
+        let noise = tqsim_noise::NoiseModel::sycamore();
+        for x in [0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for bad in [
+                DcpConfig {
+                    margin: x,
+                    ..DcpConfig::default()
+                },
+                DcpConfig {
+                    copy_cost: x,
+                    ..DcpConfig::default()
+                },
+            ] {
+                assert!(bad.validate().is_err(), "{bad:?}");
+                assert!(
+                    matches!(
+                        plan_dcp(&c, &noise, 1000, &bad),
+                        Err(PlanError::BadConfig(_))
+                    ),
+                    "{bad:?}"
+                );
+            }
+        }
     }
 }

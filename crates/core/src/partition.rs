@@ -169,8 +169,8 @@ impl Strategy {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError`] on empty circuits, zero shots, `k` larger than
-    /// the gate count, or invalid custom arities.
+    /// Returns [`PlanError`] on empty circuits, zero shots, a UCP/XCP `k`
+    /// of zero or larger than the gate count, or invalid custom arities.
     pub fn plan(
         &self,
         circuit: &Circuit,
@@ -185,13 +185,19 @@ impl Strategy {
         }
         match self {
             Strategy::Baseline => Partition::baseline(circuit.len(), shots),
-            Strategy::Uniform { k } => {
-                let arities = uniform_arities(*k, shots)?;
-                equal_split(circuit.len(), arities)
+            // The depth is refused before anything is sized by it: a wire
+            // client's `k` may be as large as 2^53.
+            Strategy::Uniform { k } | Strategy::Exponential { k }
+                if *k == 0 || *k > circuit.len() =>
+            {
+                Err(PlanError::BadConfig(format!(
+                    "k = {k} subcircuits for {} gates",
+                    circuit.len()
+                )))
             }
+            Strategy::Uniform { k } => equal_split(circuit.len(), uniform_arities(*k, shots)),
             Strategy::Exponential { k } => {
-                let arities = exponential_arities(*k, shots)?;
-                equal_split(circuit.len(), arities)
+                equal_split(circuit.len(), exponential_arities(*k, shots))
             }
             Strategy::Dynamic(cfg) => plan_dcp(circuit, noise, shots, cfg),
             Strategy::Custom { arities } => equal_split(circuit.len(), arities.clone()),
@@ -199,23 +205,18 @@ impl Strategy {
     }
 }
 
-/// UCP arities: `k` equal values whose product covers `shots`
+/// UCP arities: `k ≥ 1` equal values whose product covers `shots`
 /// (floor of the k-th root, bumped round-robin until `∏ ≥ shots`).
-fn uniform_arities(k: usize, shots: u64) -> Result<Vec<u64>, PlanError> {
-    if k == 0 {
-        return Err(PlanError::BadConfig("k must be >= 1".into()));
-    }
+fn uniform_arities(k: usize, shots: u64) -> Vec<u64> {
     let base = (shots as f64).powf(1.0 / k as f64).floor() as u64;
     let mut arities = vec![base.max(1); k];
     bump_until_covers(&mut arities, shots);
-    Ok(arities)
+    arities
 }
 
-/// XCP arities: geometric halving `A, A/2, A/4, …` with `∏ ≥ shots`.
-fn exponential_arities(k: usize, shots: u64) -> Result<Vec<u64>, PlanError> {
-    if k == 0 {
-        return Err(PlanError::BadConfig("k must be >= 1".into()));
-    }
+/// XCP arities (`k ≥ 1`): geometric halving `A, A/2, A/4, …` with
+/// `∏ ≥ shots`.
+fn exponential_arities(k: usize, shots: u64) -> Vec<u64> {
     // Solve A^k / 2^{k(k-1)/2} = shots.
     let exponent = (k * (k - 1) / 2) as f64;
     let a0 = ((shots as f64) * 2f64.powf(exponent))
@@ -227,7 +228,7 @@ fn exponential_arities(k: usize, shots: u64) -> Result<Vec<u64>, PlanError> {
             .map(|i| a0.checked_shr(i as u32).unwrap_or(0).max(1))
             .collect();
         if product(&arities) >= shots {
-            return Ok(arities);
+            return arities;
         }
         a0 += 1;
     }
@@ -268,20 +269,20 @@ mod tests {
     #[test]
     fn ucp_paper_example() {
         // 1000 shots, 3 subcircuits → (10,10,10).
-        let arities = uniform_arities(3, 1000).unwrap();
+        let arities = uniform_arities(3, 1000);
         assert_eq!(arities, vec![10, 10, 10]);
     }
 
     #[test]
     fn xcp_paper_example() {
         // 1000 shots, 3 subcircuits → (20,10,5).
-        let arities = exponential_arities(3, 1000).unwrap();
+        let arities = exponential_arities(3, 1000);
         assert_eq!(arities, vec![20, 10, 5]);
     }
 
     #[test]
     fn ucp_covers_non_perfect_powers() {
-        let arities = uniform_arities(3, 1001).unwrap();
+        let arities = uniform_arities(3, 1001);
         assert!(arities.iter().product::<u64>() >= 1001);
     }
 
@@ -357,7 +358,16 @@ mod tests {
         assert!(Strategy::Custom { arities: vec![] }
             .plan(&c, &noise, 10)
             .is_err());
-        // More subcircuits than gates.
+        // More subcircuits than gates, refused before the arities are
+        // sized by `k`: at `k = 2^50` UCP's would take 8 PiB.
+        for k in [c.len() + 1, 1 << 50] {
+            for strat in [Strategy::Uniform { k }, Strategy::Exponential { k }] {
+                assert!(
+                    matches!(strat.plan(&c, &noise, 1000), Err(PlanError::BadConfig(_))),
+                    "{strat:?}"
+                );
+            }
+        }
         assert!(Strategy::Uniform { k: 100 }
             .plan(&c, &noise, 1 << 20)
             .is_err());

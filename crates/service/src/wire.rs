@@ -62,7 +62,7 @@ use std::time::Duration;
 use tqsim::{RunResult, Strategy};
 use tqsim_circuit::{Circuit, GateKind};
 use tqsim_json::{self as json, num, num_u64, obj, str_val, Value};
-use tqsim_noise::{NoiseModel, ReadoutError};
+use tqsim_noise::{Channel, NoiseModel, ReadoutError};
 
 // ---------------------------------------------------------------- codecs
 
@@ -162,18 +162,29 @@ pub fn noise_from_json(value: &Value) -> Result<NoiseModel, String> {
                 .get("kind")
                 .and_then(Value::as_str)
                 .ok_or("noise object needs a \"kind\"")?;
-            let f = |key: &str| -> Result<f64, String> {
-                value
+            // The model constructors panic on an out-of-range channel, so
+            // each parameter is validated through its channel first.
+            let f = |key: &str, channel: fn(f64) -> Channel| -> Result<f64, String> {
+                let x = value
                     .get(key)
                     .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("noise kind {kind:?} needs numeric {key:?}"))
+                    .ok_or_else(|| format!("noise kind {kind:?} needs numeric {key:?}"))?;
+                channel(x).validate()?;
+                Ok(x)
             };
+            let depolarizing = |p| Channel::Depolarizing { p };
             let model = match kind {
                 "ideal" => NoiseModel::ideal(),
                 "sycamore" => NoiseModel::sycamore(),
-                "depolarizing" => NoiseModel::depolarizing(f("p1")?, f("p2")?),
-                "amplitude-damping" => NoiseModel::amplitude_damping(f("gamma")?),
-                "phase-damping" => NoiseModel::phase_damping(f("lambda")?),
+                "depolarizing" => {
+                    NoiseModel::depolarizing(f("p1", depolarizing)?, f("p2", depolarizing)?)
+                }
+                "amplitude-damping" => NoiseModel::amplitude_damping(f("gamma", |gamma| {
+                    Channel::AmplitudeDamping { gamma }
+                })?),
+                "phase-damping" => NoiseModel::phase_damping(f("lambda", |lambda| {
+                    Channel::PhaseDamping { lambda }
+                })?),
                 other => return Err(format!("unknown noise kind {other:?}")),
             };
             with_readout(model, value)
@@ -939,6 +950,17 @@ mod tests {
             NoiseModel::sycamore()
         );
         assert!(noise_from_json(&json::parse("\"nope\"").unwrap()).is_err());
+        // Out-of-range channel parameters are refused, not passed to the
+        // model constructors, which panic on them.
+        for bad in [
+            r#"{"kind":"depolarizing","p1":5,"p2":0.01}"#,
+            r#"{"kind":"depolarizing","p1":0.001,"p2":-0.5}"#,
+            r#"{"kind":"amplitude-damping","gamma":1.5}"#,
+            r#"{"kind":"phase-damping","lambda":-1}"#,
+        ] {
+            let err = noise_from_json(&json::parse(bad).unwrap()).expect_err(bad);
+            assert!(err.contains("outside [0, 1]"), "{bad}: {err}");
+        }
         let dep = noise_from_json(
             &json::parse(r#"{"kind":"depolarizing","p1":0.001,"p2":0.015,"readout":0.02}"#)
                 .unwrap(),

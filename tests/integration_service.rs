@@ -331,6 +331,12 @@ fn tcp_loopback_smoke() {
             r#"{"op":"submit","shots":0,"circuit":{"n":1,"gates":[["h",0]]}}"#,
             "bad_request",
         ),
+        // The noise model constructors panic on this; the codec refuses it
+        // first, so the connection answers and serves the next line.
+        (
+            r#"{"op":"submit","circuit":{"n":1,"gates":[["h",0]]},"noise":{"kind":"depolarizing","p1":5,"p2":0.01}}"#,
+            "bad_request",
+        ),
     ] {
         let reply = client.request(line);
         assert_eq!(reply.get("ok").and_then(json::Value::as_bool), Some(false));
@@ -347,6 +353,35 @@ fn tcp_loopback_smoke() {
         "already done ⇒ cancel is a no-op"
     );
 
+    server.stop();
+    service.shutdown();
+}
+
+/// A UCP/XCP depth past the circuit's gate count fails its job in
+/// planning before anything is sized by it (at `k = 2^50` an arity vector
+/// would take 8 PiB, and a failed allocation aborts the process), and the
+/// service keeps answering.
+#[test]
+fn wire_job_deeper_than_its_circuit_fails_and_the_service_answers() {
+    let service = Service::start(ServiceConfig::default().parallelism(1));
+    let server = wire::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+    let mut client = WireClient::connect(server.addr());
+    for kind in ["uniform", "exponential"] {
+        let reply = client.request(&format!(
+            r#"{{"op":"submit","circuit":{{"n":1,"gates":[["h",0]]}},"strategy":{{"kind":"{kind}","k":{}}}}}"#,
+            1u64 << 50
+        ));
+        assert_eq!(reply.get("ok").and_then(json::Value::as_bool), Some(true));
+        let job = reply.get("job").and_then(json::Value::as_u64).unwrap();
+        let result = client.request(&format!(r#"{{"op":"result","job":{job}}}"#));
+        assert_eq!(
+            result.get("code").and_then(json::Value::as_str),
+            Some("job_failed"),
+            "{kind}"
+        );
+    }
+    let stats = client.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("failed").and_then(json::Value::as_u64), Some(2));
     server.stop();
     service.shutdown();
 }
