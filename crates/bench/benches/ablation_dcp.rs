@@ -6,10 +6,11 @@
 //! 3. shot-count sensitivity — the paper's §4.3 1000/3200/32000 sweep;
 //! 4. leaf oversampling — outcomes-per-leaf beyond the paper's semantics.
 
-use tqsim::{metrics, speedup, DcpConfig, ExecOptions, Strategy, Tqsim, TreeExecutor};
+use tqsim::{metrics, speedup, DcpConfig, Strategy, Tqsim, TreeExecutor};
 use tqsim_bench::{banner, head_to_head, wall_speedup, Scale, Table};
 use tqsim_circuit::generators;
 use tqsim_noise::NoiseModel;
+use tqsim_statevec::SingleNode;
 
 fn main() {
     let scale = Scale::from_env();
@@ -128,7 +129,7 @@ fn main() {
         let mut gap = 0.0;
         let mut desc = (String::new(), 0u64, 0u64);
         for rep in 0..reps {
-            let r = exec.run_with_options(0xAB5 + rep, ExecOptions { leaf_samples });
+            let r = exec.run_on(&SingleNode, 0xAB5 + rep, leaf_samples).0;
             let f = metrics::normalized_fidelity(&ideal9, &r.counts.to_distribution());
             gap += (f - f_ref).abs();
             desc = (r.tree.to_string(), r.counts.total(), r.ops.total_gates());

@@ -33,7 +33,7 @@ use std::time::Instant;
 use std::{fmt, io};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_obs::{Counter, Registry};
-use tqsim_statevec::{DiagRun, PooledBackend, QuantumState, StateVector};
+use tqsim_statevec::{sample_sorted, DiagRun, PooledBackend, QuantumState, StateVector};
 
 /// Error constructing a [`DistributedStateVector`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -356,84 +356,45 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         self.charge_compute_pass();
     }
 
-    /// Sample one outcome given a uniform draw, walking the cumulative
-    /// distribution amplitude by amplitude in global index order — one
-    /// accumulator carried from rank to rank, the **same accumulation
-    /// order** as [`StateVector::sample_with`] and every `sample_many`, so
-    /// a draw lands on the identical basis state on every backend
-    /// (floating-point addition is non-associative; a per-node pre-summed
-    /// walk would diverge on edge draws).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsettled state (see [`QuantumState::settle`]).
-    pub fn sample_with(&self, u: f64) -> u64 {
-        self.assert_settled("sample_with");
-        let n_nodes = self.n_nodes();
-        self.slices.query(|ask| {
-            let mut acc = 0.0f64;
-            for rank in 0..n_nodes {
-                match ask(rank, Query::Pick(u, acc)) {
-                    Reply::Hit(outcome) => return outcome,
-                    reply => acc = sum_of(reply),
-                }
-            }
-            // Over-range draw on a slightly sub-normalised state: last
-            // basis state, exactly like the single-node walk.
-            (1u64 << self.n_qubits) - 1
-        })
-    }
-
     /// Sample one outcome per uniform draw in `us`, walking the cumulative
-    /// distribution **once** across all node slices (vs one expected
-    /// half-walk per draw for repeated [`DistributedStateVector::sample_with`]).
-    ///
-    /// Mirrors [`StateVector::sample_many`] draw for draw — the draws are
-    /// sorted internally, `out[i]` is the outcome for `us[i]` in original
-    /// order, and the CDF is accumulated in global index order with the
-    /// same addition sequence (the walk's index and accumulator carried
-    /// from rank to rank), so oversampled leaves stay bit-identical across
-    /// backends.
+    /// distribution **once** across all node slices: the one walk
+    /// ([`tqsim_statevec::walk_cdf`]) asked of each rank in turn inside
+    /// [`sample_sorted`], its index and accumulator carried from rank to
+    /// rank. The CDF is accumulated in global index order with the same
+    /// addition sequence as [`StateVector::sample_many`] (floating-point
+    /// addition is non-associative; a per-node pre-summed walk would
+    /// diverge on edge draws), so every draw lands on the identical basis
+    /// state on every backend.
     ///
     /// # Panics
     ///
     /// Panics on an unsettled state (see [`QuantumState::settle`]).
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         self.assert_settled("sample_many");
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
-        if us.is_empty() {
-            return out;
-        }
-        let sorted: Vec<f64> = order.iter().map(|&slot| us[slot]).collect();
         let total = 1u64 << self.n_qubits;
         let n_nodes = self.n_nodes();
-        self.slices.query(|ask| {
-            let (mut done, mut idx, mut acc) = (0usize, 0u64, 0.0f64);
-            for rank in 0..n_nodes {
-                let walk = Query::Walk {
-                    us: &sorted[done..],
-                    idx,
-                    acc,
-                    total,
-                    init: rank == 0,
-                };
-                let Reply::Walk(resolved, reached, cdf) = ask(rank, walk) else {
-                    panic!("slice transport answered a walk with another reply");
-                };
-                for outcome in resolved {
-                    out[order[done]] = outcome;
-                    done += 1;
+        sample_sorted(us, |sorted, out| {
+            self.slices.query(|ask| {
+                let (mut idx, mut acc) = (0, 0.0);
+                for rank in 0..n_nodes {
+                    if out.len() == sorted.len() {
+                        break;
+                    }
+                    let walk = Query::Walk {
+                        us: &sorted[out.len()..],
+                        idx,
+                        acc,
+                        total,
+                        init: rank == 0,
+                    };
+                    let Reply::Walk(resolved, reached, cdf) = ask(rank, walk) else {
+                        panic!("slice transport answered a walk with another reply");
+                    };
+                    out.extend(resolved);
+                    (idx, acc) = (reached, cdf);
                 }
-                if done == order.len() {
-                    break;
-                }
-                (idx, acc) = (reached, cdf);
-            }
-            debug_assert_eq!(done, order.len(), "walk chain under-consumed draws");
-        });
-        out
+            });
+        })
     }
 
     /// Count one communication-free gate (per-state and, when observed,
@@ -803,10 +764,6 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
         DistributedStateVector::norm_sqr(self)
     }
 
-    fn sample_with(&self, u: f64) -> u64 {
-        DistributedStateVector::sample_with(self, u)
-    }
-
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         DistributedStateVector::sample_many(self, us)
     }
@@ -919,12 +876,6 @@ mod tests {
     #[should_panic(expected = "call settle() first")]
     fn norm_sqr_on_an_unsettled_state_panics() {
         unsettled().0.norm_sqr();
-    }
-
-    #[test]
-    #[should_panic(expected = "call settle() first")]
-    fn sample_with_on_an_unsettled_state_panics() {
-        unsettled().0.sample_with(0.5);
     }
 
     #[test]
@@ -1139,7 +1090,7 @@ mod tests {
         }
         let gathered = dsv.gather();
         for u in [0.01, 0.25, 0.5, 0.75, 0.99] {
-            assert_eq!(dsv.sample_with(u), gathered.sample_with(u), "u={u}");
+            assert_eq!(dsv.sample_many(&[u]), gathered.sample_many(&[u]), "u={u}");
         }
     }
 
@@ -1154,7 +1105,7 @@ mod tests {
         let us = [0.93, 0.02, 0.5, 0.500001, 0.02, 0.999_999_9, 0.0];
         let batch = dsv.sample_many(&us);
         for (u, got) in us.iter().zip(&batch) {
-            assert_eq!(*got, dsv.sample_with(*u), "u={u}");
+            assert_eq!(*got, dsv.sample_many(&[*u])[0], "u={u}");
         }
         // Draw-for-draw identical to the single-node batched walk.
         assert_eq!(batch, dsv.gather().sample_many(&us));

@@ -46,8 +46,5 @@ pub use dsv::{
 };
 pub use layout::Layout;
 pub use model::{ClusterCounters, InterconnectModel};
-pub use runner::{
-    estimate_shot_seconds, estimate_tree_seconds, run_distributed, run_distributed_with_options,
-    DistRunResult,
-};
+pub use runner::{estimate_shot_seconds, estimate_tree_seconds, run_distributed, DistRunResult};
 pub use transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};

@@ -4,7 +4,7 @@
 use crate::dsv::{check_layout, ClusterBackend, ClusterError};
 use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
-use tqsim::{Counts, ExecOptions, Partition, TreeExecutor};
+use tqsim::{Counts, Partition, TreeExecutor};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::{classify, FusedOp, OpCounts};
@@ -22,9 +22,15 @@ pub struct DistRunResult {
     pub ops: OpCounts,
 }
 
-/// Execute a TQSim partition on the distributed engine with default
-/// [`ExecOptions`] (one sample per leaf). See
-/// [`run_distributed_with_options`].
+/// Execute a TQSim partition on the distributed engine (the baseline is the
+/// degenerate partition `(N)`), one outcome per leaf. A thin wrapper over
+/// the one serial tree walk, [`tqsim::TreeExecutor::run_on`] on a
+/// [`ClusterBackend`]: each subcircuit is compiled **once**, its fused plan
+/// replayed per tree node through the shared generic driver
+/// ([`tqsim::run_subcircuit`]), and the RNG stream consumed identically, so
+/// for the same seed the `Counts` are **bit-identical** to the single-node
+/// [`tqsim::TreeExecutor::run`]'s (property-tested in
+/// `tests/prop_backend.rs`).
 ///
 /// # Errors
 ///
@@ -41,47 +47,10 @@ pub fn run_distributed(
     model: InterconnectModel,
     seed: u64,
 ) -> Result<DistRunResult, ClusterError> {
-    run_distributed_with_options(
-        circuit,
-        noise,
-        partition,
-        n_nodes,
-        model,
-        seed,
-        ExecOptions::default(),
-    )
-}
-
-/// Execute a TQSim partition on the distributed engine (the baseline is the
-/// degenerate partition `(N)`). A thin wrapper over the one serial tree
-/// walk, [`tqsim::TreeExecutor::run_on`] on a [`ClusterBackend`]: each
-/// subcircuit is compiled **once**, its fused plan replayed per tree node
-/// through the shared generic driver ([`tqsim::run_subcircuit`]), and the
-/// RNG stream consumed identically, so for the same seed the `Counts` are
-/// **bit-identical** to the single-node [`tqsim::TreeExecutor::run`]'s
-/// (property-tested in `tests/prop_backend.rs`).
-///
-/// # Errors
-///
-/// Returns [`ClusterError`] for invalid node configurations.
-///
-/// # Panics
-///
-/// Panics if the partition does not cover the circuit or
-/// `options.leaf_samples == 0`.
-pub fn run_distributed_with_options(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    partition: &Partition,
-    n_nodes: usize,
-    model: InterconnectModel,
-    seed: u64,
-    options: ExecOptions,
-) -> Result<DistRunResult, ClusterError> {
     check_layout(circuit.n_qubits(), n_nodes)?;
     let exec = TreeExecutor::new(circuit, noise, partition.clone())
         .unwrap_or_else(|err| panic!("the partition must cover the circuit: {err}"));
-    let (run, states) = exec.run_on(&ClusterBackend::new(n_nodes, model), seed, options);
+    let (run, states) = exec.run_on(&ClusterBackend::new(n_nodes, model), seed, 1);
     let mut counters = ClusterCounters::default();
     for s in &states {
         counters.merge(&s.counters);
@@ -305,15 +274,11 @@ mod tests {
             .plan(&circuit, &noise, 20)
             .unwrap();
             for leaf_samples in [1u32, 3] {
-                let options = tqsim::ExecOptions { leaf_samples };
-                let serial = tqsim::TreeExecutor::new(&circuit, &noise, partition.clone())
-                    .unwrap()
-                    .run_with_options(9, options);
+                let exec = tqsim::TreeExecutor::new(&circuit, &noise, partition.clone()).unwrap();
+                let serial = exec.run_on(&tqsim_statevec::SingleNode, 9, leaf_samples).0;
                 for nodes in [2usize, 4, 8] {
-                    let dist = run_distributed_with_options(
-                        &circuit, &noise, &partition, nodes, model, 9, options,
-                    )
-                    .unwrap();
+                    let backend = ClusterBackend::new(nodes, model);
+                    let dist = exec.run_on(&backend, 9, leaf_samples).0;
                     assert_eq!(
                         dist.counts,
                         serial.counts,

@@ -14,7 +14,7 @@
 
 use std::{fmt, io};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
-use tqsim_statevec::{kernels, DiagRun};
+use tqsim_statevec::{kernels, walk_cdf, DiagRun};
 
 /// A node-local operation on one slice. Qubits are physical bit positions
 /// (the distributed state resolves its layout before issuing an op):
@@ -165,9 +165,8 @@ pub enum Query<'a> {
     /// `Msum(q, acc)`: continue `acc` over the amplitudes whose local qubit
     /// `q` reads 1.
     Msum(u16, f64),
-    /// `Pick(u, acc)`: continue the CDF walk of draw `u` from `acc`.
-    Pick(f64, f64),
-    /// Continue the batched CDF walk of the pending draws.
+    /// Continue the batched CDF walk of the pending draws
+    /// ([`tqsim_statevec::walk_cdf`]).
     Walk {
         /// Pending draws, ascending.
         us: &'a [f64],
@@ -185,11 +184,8 @@ pub enum Query<'a> {
 /// A slice's answer to a [`Query`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Reply {
-    /// The continued sum or CDF: a psum, a msum, or a pick that ran past
-    /// this slice.
+    /// The continued sum: a psum or a msum.
     Acc(f64),
-    /// The global basis state a pick landed on.
-    Hit(u64),
     /// `Walk(out, idx, acc)`: the outcomes of the pending draws resolved in
     /// this slice, in draw order, and the index and CDF the walk reached.
     Walk(Vec<u64>, u64, f64),
@@ -207,40 +203,21 @@ impl Query<'_> {
                     .filter(|(i, _)| i & (1 << q) != 0)
                     .fold(acc, |acc, (_, p)| acc + p),
             ),
-            Query::Pick(u, mut acc) => {
-                for (i, p) in probs.enumerate() {
-                    acc += p;
-                    if u < acc {
-                        return Reply::Hit((base + i) as u64);
-                    }
-                }
-                Reply::Acc(acc)
-            }
             Query::Walk {
                 us,
-                mut idx,
-                mut acc,
+                idx,
+                acc,
                 total,
                 init,
             } => {
-                let (base, end) = (base as u64, (base + slice.len()) as u64);
-                if init {
-                    (idx, acc) = (0, slice[0].norm_sqr());
-                }
+                let mut at = if init {
+                    (0, slice[0].norm_sqr())
+                } else {
+                    (idx, acc)
+                };
                 let mut out = Vec::new();
-                for &u in us {
-                    // Smallest index with u < cdf(index); an over-range
-                    // draw falls back to the last basis state.
-                    while u >= acc && idx + 1 < total && idx + 1 < end {
-                        idx += 1;
-                        acc += slice[(idx - base) as usize].norm_sqr();
-                    }
-                    if u >= acc && idx + 1 < total {
-                        break;
-                    }
-                    out.push(idx);
-                }
-                Reply::Walk(out, idx, acc)
+                walk_cdf(slice, base as u64, total, &mut at, us, &mut out);
+                Reply::Walk(out, at.0, at.1)
             }
         }
     }

@@ -132,6 +132,6 @@ proptest! {
             dsv.apply_gate(gate);
         }
         let gathered = dsv.gather();
-        prop_assert_eq!(dsv.sample_with(u), gathered.sample_with(u));
+        prop_assert_eq!(dsv.sample_many(&[u]), gathered.sample_many(&[u]));
     }
 }

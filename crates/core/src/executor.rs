@@ -146,23 +146,6 @@ impl RunResult {
     }
 }
 
-/// Execution options beyond the partition itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Outcomes drawn per leaf (default 1, the paper's semantics). Values
-    /// above 1 oversample each leaf state: `∏A_j · leaf_samples` outcomes
-    /// for the same gate work — a cheap-throughput / correlated-samples
-    /// trade the `ablation_dcp` harness quantifies. Oversampled leaves are
-    /// drawn in one batched CDF walk ([`QuantumState::sample_many`]).
-    pub leaf_samples: u32,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { leaf_samples: 1 }
-    }
-}
-
 /// Executes a partitioned noisy simulation, reusing intermediate states.
 ///
 /// The executor walks the simulation tree depth-first keeping one state
@@ -220,18 +203,10 @@ impl<'a> TreeExecutor<'a> {
         &self.compiled
     }
 
-    /// Execute the full tree with a deterministic seed.
+    /// Execute the full tree with a deterministic seed, one outcome per
+    /// leaf, on one node.
     pub fn run(&self, seed: u64) -> RunResult {
-        self.run_with_options(seed, ExecOptions::default())
-    }
-
-    /// Execute with explicit [`ExecOptions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.leaf_samples == 0`.
-    pub fn run_with_options(&self, seed: u64, options: ExecOptions) -> RunResult {
-        self.run_on(&SingleNode, seed, options).0
+        self.run_on(&SingleNode, seed, 1).0
     }
 
     /// Walk the tree depth-first on any pooled backend's states — the
@@ -250,6 +225,11 @@ impl<'a> TreeExecutor<'a> {
     /// from `seed` is threaded through the whole walk, so the `Counts` are
     /// bit-identical on every backend.
     ///
+    /// Each leaf draws `leaf_samples` outcomes (1 is the paper's
+    /// semantics). More oversample each leaf state: `∏A_j · leaf_samples`
+    /// outcomes for the same gate work, a cheap-throughput /
+    /// correlated-samples trade the `ablation_dcp` harness quantifies.
+    ///
     /// **Error-free sibling sharing.** Below the root level a node first
     /// probes its noise draws on a clone of the RNG
     /// ([`NoiseModel::draws_error_free`]). An error-free node is a
@@ -267,25 +247,22 @@ impl<'a> TreeExecutor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `options.leaf_samples == 0`, or if `backend` cannot hold
-    /// states of the circuit's width.
+    /// Panics if `leaf_samples == 0`, or if `backend` cannot hold states
+    /// of the circuit's width.
     pub fn run_on<B: PooledBackend>(
         &self,
         backend: &B,
         seed: u64,
-        options: ExecOptions,
+        leaf_samples: u32,
     ) -> (RunResult, Vec<B::State>) {
-        assert!(
-            options.leaf_samples >= 1,
-            "need at least one sample per leaf"
-        );
+        assert!(leaf_samples >= 1, "need at least one sample per leaf");
         let t0 = Instant::now();
         let n = self.circuit.n_qubits();
         let k = self.subcircuits.len();
         let mut walk = TreeWalk {
             backend,
             exec: self,
-            options,
+            leaf_samples,
             states: (0..=k).map(|_| backend.allocate(n)).collect(),
             writes: vec![SlotWrite::default(); k + 1],
             last_write: 0,
@@ -324,7 +301,7 @@ struct SlotWrite {
 struct TreeWalk<'a, B: PooledBackend> {
     backend: &'a B,
     exec: &'a TreeExecutor<'a>,
-    options: ExecOptions,
+    leaf_samples: u32,
     states: Vec<B::State>,
     /// `writes[l]` describes `states[l]`.
     writes: Vec<SlotWrite>,
@@ -347,7 +324,7 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
                 &self.states[k],
                 exec.noise,
                 n,
-                self.options.leaf_samples,
+                self.leaf_samples,
                 &mut self.rng,
                 |outcome| {
                     counts.increment(outcome);
@@ -435,19 +412,8 @@ pub fn run_subcircuit<S, R>(
     }
 }
 
-/// Draw `leaf_samples` readout-corrected outcomes from a leaf state,
-/// feeding each to `sink`. A single draw walks the CDF directly;
-/// oversampled leaves batch all uniforms into one
-/// [`QuantumState::sample_many`] walk (uniforms first, then readout noise
-/// per outcome in draw order: [`draw_leaf_uniforms`], then
-/// [`apply_leaf_readout`]).
-///
-/// This is the **single** leaf-sampling implementation: the serial
-/// [`TreeExecutor`], the `tqsim-engine` node executor and the distributed
-/// runner all call it (the engine calls its two halves directly when
-/// error-free sharers sample one leaf state), and their count equivalence
-/// relies on consuming the RNG stream identically — do not fork the draw
-/// order.
+/// Draw `leaf_samples` readout-corrected outcomes from a leaf state on
+/// one RNG, feeding each to `sink`: [`draw_leaf_members`] for one member.
 pub fn draw_leaf_outcomes<S, R>(
     state: &S,
     noise: &NoiseModel,
@@ -459,38 +425,42 @@ pub fn draw_leaf_outcomes<S, R>(
     S: QuantumState + ?Sized,
     R: rand::Rng + ?Sized,
 {
-    if leaf_samples == 1 {
-        let outcome = state.sample_with(rand::RngExt::random(rng));
-        apply_leaf_readout(&[outcome], noise, n_qubits, rng, sink);
-        return;
-    }
-    let mut us = Vec::with_capacity(leaf_samples as usize);
-    draw_leaf_uniforms(leaf_samples, rng, &mut us);
-    apply_leaf_readout(&state.sample_many(&us), noise, n_qubits, rng, sink);
+    draw_leaf_members(state, noise, n_qubits, leaf_samples, &mut [rng], sink);
 }
 
-/// The uniform half of [`draw_leaf_outcomes`]: append `leaf_samples` CDF
-/// draws from `rng` to `us`.
-pub fn draw_leaf_uniforms<R>(leaf_samples: u32, rng: &mut R, us: &mut Vec<f64>)
-where
-    R: rand::Rng + ?Sized,
-{
-    us.extend((0..leaf_samples).map(|_| rand::RngExt::random::<f64>(rng)));
-}
-
-/// The readout half of [`draw_leaf_outcomes`]: pass each of `outcomes`, in
-/// order, through the readout channel on `rng` to `sink`.
-pub fn apply_leaf_readout<R>(
-    outcomes: &[u64],
+/// Draw `leaf_samples` readout-corrected outcomes per member RNG from one
+/// leaf state, feeding them to `sink` member by member: every member's
+/// uniforms, then one [`QuantumState::sample_many`] walk for all of them,
+/// then every member's readout noise on its own RNG, in draw order.
+///
+/// This is the **single** leaf-sampling implementation: the serial
+/// [`TreeExecutor`] and the distributed runner draw one member per leaf,
+/// the `tqsim-engine` node executor a node and its error-free sharers.
+/// Each RNG sees uniforms, then readout, so a member's outcomes are the
+/// ones it would draw alone, and every executor's `Counts` rely on this
+/// draw order — do not fork it.
+pub fn draw_leaf_members<S, R>(
+    state: &S,
     noise: &NoiseModel,
     n_qubits: u16,
-    rng: &mut R,
+    leaf_samples: u32,
+    rngs: &mut [&mut R],
     mut sink: impl FnMut(u64),
 ) where
+    S: QuantumState + ?Sized,
     R: rand::Rng + ?Sized,
 {
-    for &outcome in outcomes {
-        sink(noise.apply_readout(outcome, n_qubits, rng));
+    let per_member = leaf_samples as usize;
+    let mut us = Vec::with_capacity(per_member * rngs.len());
+    for rng in rngs.iter_mut() {
+        us.extend((0..per_member).map(|_| rand::RngExt::random::<f64>(&mut **rng)));
+    }
+    let outcomes = state.sample_many(&us);
+    // `max(1)`: no outcomes to hand out when `leaf_samples` is 0.
+    for (rng, batch) in rngs.iter_mut().zip(outcomes.chunks(per_member.max(1))) {
+        for &outcome in batch {
+            sink(noise.apply_readout(outcome, n_qubits, &mut **rng));
+        }
     }
 }
 
@@ -671,7 +641,7 @@ mod tests {
         .plan(&c, &noise, 10)
         .unwrap();
         let exec = TreeExecutor::new(&c, &noise, p).unwrap();
-        let r = exec.run_with_options(1, ExecOptions { leaf_samples: 4 });
+        let r = exec.run_on(&SingleNode, 1, 4).0;
         assert_eq!(r.counts.total(), 40);
         assert_eq!(r.ops.samples, 40);
         // Gate work is per materialised node, whatever the leaves draw.

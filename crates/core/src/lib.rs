@@ -53,8 +53,7 @@ pub mod tree;
 
 pub use dcp::DcpConfig;
 pub use executor::{
-    apply_leaf_readout, draw_leaf_outcomes, draw_leaf_uniforms, run_subcircuit, Counts,
-    ExecOptions, RunResult, TreeExecutor,
+    draw_leaf_members, draw_leaf_outcomes, run_subcircuit, Counts, RunResult, TreeExecutor,
 };
 pub use partition::{Partition, PlanError, Strategy};
 pub use sim::Tqsim;

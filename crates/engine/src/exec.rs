@@ -55,9 +55,7 @@ use std::time::Instant;
 use tqsim::{Counts, RunResult, TreeStructure};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::{
-    CompiledCircuit, OpCounts, PoolCounters, PooledBackend, PooledState, QuantumState,
-};
+use tqsim_statevec::{CompiledCircuit, OpCounts, PoolCounters, PooledBackend, PooledState};
 
 /// Completion callback: invoked exactly once, from whichever worker retires
 /// the job's last node, with the fully merged result.
@@ -234,40 +232,6 @@ pub(crate) fn launch_tree<B: PooledBackend>(
 /// already past the subcircuit's (all-identity) noise draws.
 type Sharer = (u64, StdRng);
 
-/// Draw the leaf outcomes of a node (`rng`) and its error-free `sharers`
-/// from their one shared leaf state with one CDF walk: every member's
-/// uniforms on its own RNG, one [`QuantumState::sample_many`], then every
-/// member's readout on its own RNG, member by member. Each RNG sees
-/// [`tqsim::draw_leaf_outcomes`]' draw order (uniforms, then readout), and
-/// `sample_many` returns exactly `sample_with` per draw, so the outcomes
-/// are bit-identical to sampling member by member. A lone member takes
-/// `draw_leaf_outcomes` itself (a single draw walks the CDF directly).
-fn draw_shared_leaf<S: QuantumState + ?Sized>(
-    state: &S,
-    noise: &NoiseModel,
-    n_qubits: u16,
-    leaf_samples: u32,
-    rng: &mut StdRng,
-    sharers: &mut [Sharer],
-    sink: &mut dyn FnMut(u64),
-) {
-    if sharers.is_empty() {
-        tqsim::draw_leaf_outcomes(state, noise, n_qubits, leaf_samples, rng, sink);
-        return;
-    }
-    let mut us = Vec::with_capacity(leaf_samples as usize * (1 + sharers.len()));
-    tqsim::draw_leaf_uniforms(leaf_samples, rng, &mut us);
-    for (_, rng) in sharers.iter_mut() {
-        tqsim::draw_leaf_uniforms(leaf_samples, rng, &mut us);
-    }
-    let outcomes = state.sample_many(&us);
-    let mut batches = outcomes.chunks(leaf_samples as usize);
-    let rngs = std::iter::once(rng).chain(sharers.iter_mut().map(|(_, rng)| rng));
-    for (rng, batch) in rngs.zip(&mut batches) {
-        tqsim::apply_leaf_readout(batch, noise, n_qubits, rng, &mut *sink);
-    }
-}
-
 /// Materialise the node `hash` at `level` (executing subcircuit `level`),
 /// then sample (leaf) or spawn the children — for the node itself and for
 /// each of `sharers`, the error-free siblings whose state this is too.
@@ -321,16 +285,18 @@ fn run_node<B: PooledBackend>(
     );
     if level + 1 == k {
         // Every member samples the same leaf state: one CDF walk for all of
-        // them, each member's draws on its own RNG (`draw_shared_leaf`).
+        // them, each member's draws on its own RNG.
         let mut sharers = sharers;
+        let mut rngs: Vec<&mut StdRng> = std::iter::once(&mut rng)
+            .chain(sharers.iter_mut().map(|(_, rng)| rng))
+            .collect();
         let mut draw = |sink: &mut dyn FnMut(u64)| {
-            draw_shared_leaf(
+            tqsim::draw_leaf_members(
                 &*state,
                 &shared.noise,
                 shared.n_qubits,
                 shared.leaf_samples,
-                &mut rng,
-                &mut sharers,
+                &mut rngs,
                 sink,
             );
         };
@@ -562,24 +528,14 @@ mod tests {
                     });
                 }
                 let mut got = Vec::new();
-                let mut got_rngs = rngs().take(members);
-                let mut rng = got_rngs.next().unwrap();
-                let mut sharers: Vec<Sharer> = got_rngs.map(|rng| (0, rng)).collect();
-                draw_shared_leaf(
-                    &state,
-                    &noise,
-                    6,
-                    leaf_samples,
-                    &mut rng,
-                    &mut sharers,
-                    &mut |o| got.push(o),
-                );
+                let mut got_rngs: Vec<StdRng> = rngs().take(members).collect();
+                let mut members_rngs: Vec<&mut StdRng> = got_rngs.iter_mut().collect();
+                tqsim::draw_leaf_members(&state, &noise, 6, leaf_samples, &mut members_rngs, |o| {
+                    got.push(o)
+                });
                 let what = format!("leaf_samples {leaf_samples}, {members} members");
                 assert_eq!(got, want, "{what}");
-                let after: Vec<u64> = std::iter::once(&mut rng)
-                    .chain(sharers.iter_mut().map(|(_, rng)| rng))
-                    .map(|rng| rng.random())
-                    .collect();
+                let after: Vec<u64> = got_rngs.iter_mut().map(|rng| rng.random()).collect();
                 let want_after: Vec<u64> = want_rngs.iter_mut().map(|rng| rng.random()).collect();
                 assert_eq!(after, want_after, "{what}: RNG streams moved");
             }

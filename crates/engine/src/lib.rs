@@ -192,7 +192,7 @@ impl<'c> JobSpec<'c> {
     }
 
     /// Outcomes drawn per leaf (cheap oversampling; see
-    /// [`tqsim::ExecOptions`]).
+    /// [`tqsim::TreeExecutor::run_on`]).
     ///
     /// # Panics
     ///

@@ -45,10 +45,6 @@ pub struct BackendPolicy {
     pub cluster_min_qubits: Option<u16>,
     /// Simulated node-group size for cluster-backed jobs (power of two).
     pub cluster_nodes: usize,
-    /// Worker threads of the cluster-backed engine (tree-level
-    /// parallelism; each distributed state additionally fans its node
-    /// slices out internally).
-    pub cluster_parallelism: usize,
     /// Whether cluster jobs run on in-process simulated nodes or real
     /// shard worker processes (see [`ClusterTransport`]).
     pub cluster_transport: ClusterTransport,
@@ -61,13 +57,17 @@ pub struct BackendPolicy {
     pub single_node_max_qubits: Option<u16>,
 }
 
+/// Worker threads of the cluster-backed engine (tree-level parallelism;
+/// each distributed state additionally fans its node slices out
+/// internally).
+const CLUSTER_PARALLELISM: usize = 2;
+
 impl Default for BackendPolicy {
     /// Single-node only.
     fn default() -> Self {
         BackendPolicy {
             cluster_min_qubits: None,
             cluster_nodes: 4,
-            cluster_parallelism: 2,
             cluster_transport: ClusterTransport::default(),
             single_node_max_qubits: None,
         }
@@ -108,7 +108,7 @@ impl BackendPolicy {
 /// a pure function of `(plan, seed)` — so a job that succeeds on attempt
 /// three returns results bit-identical to one that succeeds on attempt
 /// one. Backoff is exponential: `initial_backoff · 2^(attempt-1)`, capped
-/// at `max_backoff`. A retrying job keeps its scheduler slot through the
+/// at 2 s. A retrying job keeps its scheduler slot through the
 /// backoff window (it is still consuming service capacity, just not CPU).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -116,9 +116,10 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Backoff before the second attempt.
     pub initial_backoff: Duration,
-    /// Upper bound on any backoff.
-    pub max_backoff: Duration,
 }
+
+/// Upper bound on any retry backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
 impl Default for RetryPolicy {
     /// No retries.
@@ -126,7 +127,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             initial_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(2),
         }
     }
 }
@@ -151,18 +151,12 @@ impl RetryPolicy {
         self
     }
 
-    /// Set the backoff cap.
-    pub fn max_backoff(mut self, d: Duration) -> Self {
-        self.max_backoff = d;
-        self
-    }
-
     /// Backoff before attempt `failed_attempt + 1`.
     fn backoff_after(&self, failed_attempt: u32) -> Duration {
         let doublings = failed_attempt.saturating_sub(1).min(16);
         self.initial_backoff
             .saturating_mul(1 << doublings)
-            .min(self.max_backoff)
+            .min(MAX_BACKOFF)
     }
 }
 
@@ -260,16 +254,11 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the policy's node count is not a power of two ≥ 1 or its
-    /// cluster parallelism is zero.
+    /// Panics if the policy's node count is not a power of two ≥ 1.
     pub fn backend_policy(mut self, policy: BackendPolicy) -> Self {
         assert!(
             policy.cluster_nodes >= 1 && policy.cluster_nodes.is_power_of_two(),
             "cluster node count must be a power of two"
-        );
-        assert!(
-            policy.cluster_parallelism >= 1,
-            "cluster engine needs at least one worker"
         );
         self.backend_policy = policy;
         self
@@ -693,8 +682,7 @@ impl Service {
         tqsim_faults::init_from_env();
         let metrics = ServiceMetrics::new();
         let mut engine_cfg = EngineConfig::default().parallelism(cfg.parallelism);
-        let mut cluster_cfg =
-            EngineConfig::default().parallelism(cfg.backend_policy.cluster_parallelism);
+        let mut cluster_cfg = EngineConfig::default().parallelism(CLUSTER_PARALLELISM);
         // The engines' and backends' own instruments, when configured.
         let mut cluster_obs = None;
         if cfg.observability {

@@ -55,7 +55,6 @@ impl ShardSlices {
                 "msum",
                 vec![("q", num_u64(u64::from(q))), ("acc", num(acc))],
             ),
-            Query::Pick(u, acc) => ("pick", vec![("u", num(u)), ("acc", num(acc))]),
             Query::Walk {
                 us,
                 idx,
@@ -81,9 +80,7 @@ impl ShardSlices {
                 let out = out.iter().map(Value::as_u64).collect::<Option<_>>()?;
                 Some(Reply::Walk(out, u64_at("idx")?, f64_at("acc")?))
             }),
-            _ => u64_at("hit")
-                .map(Reply::Hit)
-                .or_else(|| f64_at("x").map(Reply::Acc)),
+            _ => f64_at("x").map(Reply::Acc),
         };
         decoded.unwrap_or_else(|| panic!("shard transport: malformed {name} reply"))
     }

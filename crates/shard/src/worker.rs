@@ -12,7 +12,8 @@
 //!
 //! A decoded verb is checked against the slice it addresses before it runs
 //! (qubits in range and distinct, a power-of-two slice length of at least
-//! 8, a partner rank that exists): a malformed verb is a wire error that
+//! 8, a partner rank that exists, a CDF walk that starts on rank 0 or
+//! resumes just below the slice): a malformed verb is a wire error that
 //! ends the worker, never a panic inside a kernel.
 //!
 //! Control arrives on the coordinator socket as one FIFO stream of
@@ -20,7 +21,8 @@
 //! the verb has complex operands (the frame's length follows from the verb
 //! and its line). The coordinator issues verbs under one lock, so every
 //! worker sees multi-node verbs in the same order. Sweeps and exchange
-//! rounds get no reply; queries, `alloc`, `fetch`, `ping` and `bye` do,
+//! rounds get no reply; the three queries (`psum`, `msum` and the batched
+//! CDF `walk`), `alloc`, `fetch`, `ping` and `bye` do,
 //! and each reply is flushed at once. Amplitudes move over a
 //! lazily-established worker↔worker TCP mesh as length-prefixed binary
 //! frames; for each pair the lower rank connects and sends first, the
@@ -159,7 +161,6 @@ fn op_fits(op: &SliceOp<'_>, local_n: u16, n_qubits: u16) -> bool {
 fn reply_value(reply: Reply) -> Value {
     match reply {
         Reply::Acc(x) => obj(vec![("x", num(x))]),
-        Reply::Hit(outcome) => obj(vec![("hit", num_u64(outcome))]),
         Reply::Walk(out, idx, acc) => obj(vec![
             ("out", Value::Arr(out.into_iter().map(num_u64).collect())),
             ("idx", num_u64(idx)),
@@ -239,7 +240,6 @@ impl Worker {
                 msg,
                 Query::Msum(need_qubit(msg, "q")?, need_f64(msg, "acc")?),
             ),
-            "pick" => self.answer(msg, Query::Pick(need_f64(msg, "u")?, need_f64(msg, "acc")?)),
             "walk" => {
                 let us: Vec<f64> = need(msg, "us", |v| {
                     v.as_arr()?.iter().map(Value::as_f64).collect()
@@ -289,11 +289,11 @@ impl Worker {
         let base = rank << local_n;
         let fits = match query {
             Query::Msum(q, _) => u32::from(q) < local_n,
-            // A carried walk stands on the index just below this slice.
-            Query::Walk { idx, init, .. } => {
-                init || idx.checked_add(1).is_some_and(|next| next >= base as u64)
-            }
-            Query::Psum | Query::Pick(..) => true,
+            // A walk starts on rank 0; a carried walk stands on the index
+            // just below this slice.
+            Query::Walk { init: true, .. } => rank == 0,
+            Query::Walk { idx, .. } => idx.checked_add(1).is_some_and(|next| next >= base as u64),
+            Query::Psum => true,
         };
         if !fits {
             let why = format!("{query:?} does not fit rank {rank}'s slice");
@@ -465,8 +465,9 @@ mod tests {
         assert!(feed(&mut w, &mat4(2, 0)).is_ok());
         assert!(send(&mut w, r#"{"v":"ccx","sid":1,"c1":2,"c2":0,"t":1}"#).is_ok());
         for (line, frame) in [
-            // The retired verb is refused.
+            // Retired verbs are refused.
             (r#"{"v":"gate","sid":1,"g":["h",1]}"#, None),
+            (r#"{"v":"pick","sid":1,"u":0.5,"acc":0}"#, None),
             // A Toffoli with a repeated control, a target past the slice's
             // 3 local qubits, no target, and a qubit no u16 holds.
             (r#"{"v":"ccx","sid":1,"c1":1,"c2":1,"t":0}"#, None),
@@ -475,9 +476,14 @@ mod tests {
             (r#"{"v":"ccx","sid":1,"c1":70000,"c2":1,"t":0}"#, None),
             (r#"{"v":"diag1","sid":1,"q":3}"#, Some(2)),
             (r#"{"v":"msum","sid":1,"q":40,"acc":0}"#, None),
-            // Rank 1's slice starts at index 8: a walk cannot resume at 2.
+            // Rank 1's slice starts at index 8: a walk cannot resume at 2,
+            // nor start there.
             (
                 r#"{"v":"walk","sid":1,"us":[0.5],"idx":2,"acc":0,"total":16,"init":false}"#,
+                None,
+            ),
+            (
+                r#"{"v":"walk","sid":1,"us":[0.5],"idx":0,"acc":0,"total":16,"init":true}"#,
                 None,
             ),
             // Two workers: no partner across global bit 1, or 2^70 away.

@@ -162,7 +162,7 @@ where
     us.extend([0.0, 0.999_999_9, 0.5, 0.5]);
     assert_eq!(dsv.sample_many(&us), sv.sample_many(&us));
     for &u in &us {
-        assert_eq!(dsv.sample_with(u), sv.sample_with(u), "u={u}");
+        assert_eq!(dsv.sample_many(&[u]), sv.sample_many(&[u]), "u={u}");
     }
     assert!(dsv.sample_many(&[]).is_empty());
 

@@ -48,5 +48,5 @@ pub use expectation::{expect_cut_value, expect_z_string, ZString};
 pub use ops::OpCounts;
 pub use plan::{classify, CompiledCircuit, DiagRun, FlushCtx, FusedOp, Fuser, PlanOp};
 pub use pool::{PoolCounters, PoolStats, PooledState, StatePool};
-pub use state::{StateVector, MAX_QUBITS};
+pub use state::{sample_sorted, walk_cdf, StateVector, MAX_QUBITS};
 pub use traits::{PooledBackend, QuantumState, SingleNode};

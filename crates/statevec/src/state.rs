@@ -178,54 +178,22 @@ impl StateVector {
         kernels::marginal_one_amps(&self.amps, q as usize)
     }
 
-    /// Sample one measurement outcome given a uniform draw `u ∈ [0, 1)` by
-    /// walking the cumulative distribution (expected half-pass over the
-    /// amplitudes; no allocation).
-    ///
-    /// A `u` at or beyond the accumulated total (possible when the state is
-    /// slightly sub-normalised) returns the last basis state.
-    pub fn sample_with(&self, u: f64) -> u64 {
-        debug_assert!((0.0..=1.0).contains(&u));
-        let mut acc = 0.0f64;
-        for (i, a) in self.amps.iter().enumerate() {
-            acc += a.norm_sqr();
-            if u < acc {
-                return i as u64;
-            }
-        }
-        (self.amps.len() - 1) as u64
-    }
-
-    /// Sample one outcome using the supplied RNG.
+    /// Sample one outcome using the supplied RNG: one uniform draw, one
+    /// [`StateVector::sample_many`].
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rand::RngExt::random(rng);
-        self.sample_with(u)
+        self.sample_many(&[rand::RngExt::random(rng)])[0]
     }
 
     /// Sample one outcome per uniform draw in `us`, walking the cumulative
-    /// distribution **once** regardless of the draw count (vs one expected
-    /// half-pass per draw for repeated [`StateVector::sample_with`]).
-    ///
-    /// The draws are sorted internally; `out[i]` is the outcome for `us[i]`
-    /// (original order), and each individual outcome is exactly what
-    /// `sample_with(us[i])` returns. Executors use this whenever
-    /// `leaf_samples > 1` makes per-leaf sampling the dominant cost.
+    /// distribution **once** whatever the draw count: [`walk_cdf`] over the
+    /// whole state inside [`sample_sorted`]. `out[i]` is the outcome for
+    /// `us[i]`.
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
-        let mut idx = 0usize;
-        let mut acc = self.amps[0].norm_sqr();
-        for &slot in &order {
-            // Mirror `sample_with`: smallest index with u < cdf(index),
-            // falling back to the last basis state for over-range draws.
-            while us[slot] >= acc && idx + 1 < self.amps.len() {
-                idx += 1;
-                acc += self.amps[idx].norm_sqr();
-            }
-            out[slot] = idx as u64;
-        }
-        out
+        let total = self.amps.len() as u64;
+        sample_sorted(us, |sorted, out| {
+            let mut at = (0, self.amps[0].norm_sqr());
+            walk_cdf(&self.amps, 0, total, &mut at, sorted, out);
+        })
     }
 
     // ---- gate application --------------------------------------------------
@@ -281,6 +249,76 @@ impl fmt::Debug for StateVector {
             self.norm_sqr()
         )
     }
+}
+
+/// The one CDF-walk loop of the workspace: resolve the ascending draws `us`
+/// against `slice`, the amplitudes at global indices `base..` of a
+/// `total`-amplitude state, pushing each draw's outcome onto `out`.
+///
+/// `at` is where the walk stands: a global index and the cumulative
+/// probability through it. The walk advances it amplitude by amplitude in
+/// global index order, so a walk carried from slice to slice adds the same
+/// numbers in the same order as one over the whole state. A draw's outcome
+/// is the smallest index whose cumulative probability exceeds it; an
+/// over-range draw (a slightly sub-normalised state) takes the last basis
+/// state. The walk stops at the first draw that needs an amplitude past
+/// the slice.
+pub fn walk_cdf(
+    slice: &[C64],
+    base: u64,
+    total: u64,
+    at: &mut (u64, f64),
+    us: &[f64],
+    out: &mut Vec<u64>,
+) {
+    let stop = (base + slice.len() as u64).min(total);
+    let (mut idx, mut acc) = *at;
+    for &u in us {
+        if u >= acc {
+            // One compare per amplitude and the index counted after the
+            // loop: bumping it per amplitude ran the walk 2.4x slower.
+            let ahead = slice.get((idx + 1 - base) as usize..stop.saturating_sub(base) as usize);
+            let ahead = ahead.unwrap_or(&[]);
+            let mut walked = ahead.len();
+            for (i, a) in ahead.iter().enumerate() {
+                acc += a.norm_sqr();
+                if u < acc {
+                    walked = i + 1;
+                    break;
+                }
+            }
+            idx += walked as u64;
+            if u >= acc && idx + 1 < total {
+                break;
+            }
+        }
+        out.push(idx);
+    }
+    *at = (idx, acc);
+}
+
+/// The sort around [`walk_cdf`]: `walk` gets the draws `us` in ascending
+/// order and fills an empty buffer with their outcomes in that order; the
+/// result holds them in the order of `us`. With no draws there is no walk.
+/// Every backend's [`QuantumState::sample_many`] is this around its walk.
+///
+/// # Panics
+///
+/// Panics if `walk` resolves a different number of draws.
+pub fn sample_sorted(us: &[f64], walk: impl FnOnce(&[f64], &mut Vec<u64>)) -> Vec<u64> {
+    if us.is_empty() {
+        return Vec::new();
+    }
+    let mut sorted = us.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let mut resolved = Vec::with_capacity(us.len());
+    walk(&sorted, &mut resolved);
+    assert_eq!(resolved.len(), us.len(), "draws left unresolved");
+    // Equal draws share an outcome, so a draw's is that of its first
+    // place among the sorted draws.
+    us.iter()
+        .map(|u| resolved[sorted.partition_point(|s| s.total_cmp(u).is_lt())])
+        .collect()
 }
 
 #[cfg(test)]
@@ -380,9 +418,9 @@ mod tests {
     fn sampling_follows_distribution() {
         let mut sv = StateVector::zero(1);
         sv.apply_gate(&Gate::new(GateKind::H, &[0]));
-        assert_eq!(sv.sample_with(0.2), 0);
-        assert_eq!(sv.sample_with(0.7), 1);
-        assert_eq!(sv.sample_with(0.999999), 1);
+        assert_eq!(sv.sample_many(&[0.2]), [0]);
+        assert_eq!(sv.sample_many(&[0.7]), [1]);
+        assert_eq!(sv.sample_many(&[0.999999]), [1]);
     }
 
     #[test]
@@ -394,14 +432,14 @@ mod tests {
         let us = [0.93, 0.02, 0.5, 0.500001, 0.02, 0.999_999_9, 0.0];
         let batch = sv.sample_many(&us);
         for (u, got) in us.iter().zip(&batch) {
-            assert_eq!(*got, sv.sample_with(*u), "u={u}");
+            assert_eq!(*got, sv.sample_many(&[*u])[0], "u={u}");
         }
     }
 
     #[test]
     fn sample_many_handles_over_range_draws() {
         // A slightly sub-normalised state: draws beyond the total fall back
-        // to the last basis state, exactly like `sample_with`.
+        // to the last basis state, one draw or many.
         let mut sv = StateVector::basis(2, 1);
         sv.amplitudes_mut()[1] = c64(0.99, 0.0);
         assert_eq!(sv.sample_many(&[0.999]), vec![3]);

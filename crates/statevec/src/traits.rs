@@ -14,8 +14,9 @@
 //!    replay would;
 //! 2. **Trajectory noise** — marginals, (anti-)diagonal Kraus branches and
 //!    renormalisation;
-//! 3. **Measurement** — CDF sampling, batched
-//!    ([`QuantumState::sample_many`]) and single-draw.
+//! 3. **Measurement** — [`QuantumState::sample_many`]: one batched
+//!    sorted-CDF walk for any number of draws, the one loop
+//!    [`crate::walk_cdf`] inside [`crate::sample_sorted`] on every backend.
 //!
 //! Implementations must keep the *arithmetic* of each operation identical
 //! to [`crate::StateVector`]'s kernels (same per-amplitude multiplication
@@ -95,17 +96,13 @@ pub trait QuantumState {
     /// Rescale to unit norm (after a non-unitary Kraus branch).
     fn renormalize(&mut self);
 
-    /// Sample one measurement outcome given a uniform draw `u ∈ [0, 1)` by
-    /// walking the cumulative distribution in global index order.
-    fn sample_with(&self, u: f64) -> u64;
-
-    /// Sample one outcome per uniform draw in `us`; `out[i]` must be
-    /// exactly what `sample_with(us[i])` returns. The default walks the
-    /// CDF once per draw; backends override with a batched sorted-CDF walk
-    /// (see [`crate::StateVector::sample_many`]).
-    fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        us.iter().map(|&u| self.sample_with(u)).collect()
-    }
+    /// Sample one outcome per uniform draw `u ∈ [0, 1)` in `us`: `out[i]`
+    /// is the smallest basis index whose cumulative probability, added up
+    /// in global index order, exceeds `us[i]` (the last basis state for an
+    /// over-range draw). Implementations run [`crate::walk_cdf`] inside
+    /// [`crate::sample_sorted`], so a draw lands on the same basis state on
+    /// every backend.
+    fn sample_many(&self, us: &[f64]) -> Vec<u64>;
 
     /// Restore the canonical qubit layout. A backend may leave qubits off
     /// their own positions between ops (the distributed state keeps a
@@ -238,10 +235,6 @@ impl QuantumState for crate::StateVector {
         crate::StateVector::renormalize(self);
     }
 
-    fn sample_with(&self, u: f64) -> u64 {
-        crate::StateVector::sample_with(self, u)
-    }
-
     fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         crate::StateVector::sample_many(self, us)
     }
@@ -279,51 +272,5 @@ mod tests {
         QuantumState::apply_mat4(&mut a, 0, 2, &m4);
         crate::kernels::apply_mat4(b.amplitudes_mut(), 0, 2, &m4);
         assert_eq!(a.amplitudes(), b.amplitudes());
-    }
-
-    #[test]
-    fn default_sample_many_matches_sample_with() {
-        // A throwaway impl relying on the provided default.
-        struct Wrap(StateVector);
-        impl QuantumState for Wrap {
-            fn n_qubits(&self) -> u16 {
-                self.0.n_qubits()
-            }
-            fn apply_mat2(&mut self, q: u16, m: &Mat2) {
-                QuantumState::apply_mat2(&mut self.0, q, m);
-            }
-            fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
-                QuantumState::apply_mat4(&mut self.0, q_hi, q_lo, m);
-            }
-            fn apply_diag_run(&mut self, run: &DiagRun) {
-                QuantumState::apply_diag_run(&mut self.0, run);
-            }
-            fn apply_ccx(&mut self, c1: u16, c2: u16, t: u16) {
-                QuantumState::apply_ccx(&mut self.0, c1, c2, t);
-            }
-            fn marginal_one(&self, q: u16) -> f64 {
-                self.0.marginal_one(q)
-            }
-            fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
-                self.0.apply_diag1(q, d0, d1);
-            }
-            fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
-                self.0.apply_antidiag1(q, a01, a10);
-            }
-            fn norm_sqr(&self) -> f64 {
-                self.0.norm_sqr()
-            }
-            fn renormalize(&mut self) {
-                self.0.renormalize();
-            }
-            fn sample_with(&self, u: f64) -> u64 {
-                self.0.sample_with(u)
-            }
-        }
-        let mut w = Wrap(StateVector::zero(3));
-        w.apply_gate(&Gate::new(GateKind::H, &[0]));
-        w.apply_gate(&Gate::new(GateKind::H, &[2]));
-        let us = [0.9, 0.1, 0.4, 0.7];
-        assert_eq!(w.sample_many(&us), w.0.sample_many(&us));
     }
 }

@@ -2,9 +2,9 @@
 //! amplitude thread pool**.
 //!
 //! This workspace builds in environments with no access to crates.io, so the
-//! parallel-iterator entry points the code uses (`par_iter`, `par_iter_mut`,
-//! `into_par_iter`, `par_chunks_mut`, `ThreadPoolBuilder`) are provided here
-//! on top of a lazily-initialized, std-only work-sharing pool:
+//! entry points the code uses (`par_iter` and `par_iter_mut` on slices,
+//! `ThreadPoolBuilder`) are provided here on top of a lazily-initialized,
+//! std-only work-sharing pool:
 //!
 //! - The pool is sized by [`std::thread::available_parallelism`] (read
 //!   once, at first use); [`ThreadPool::install`] caps it per calling
@@ -46,10 +46,7 @@ use std::time::Instant;
 
 /// The traits (`par_iter` and friends) — `use rayon::prelude::*;`.
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelIterator, ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator};
 }
 
 // ---------------------------------------------------------------------------
@@ -474,82 +471,6 @@ impl<'a, T: Send> ParallelIterator for ParIterMut<'a, T> {
     }
 }
 
-/// Parallel `chunks_mut` over a slice (see [`ParallelSliceMut`]). Splits at
-/// chunk boundaries, so chunk shapes match `std`'s `chunks_mut` exactly.
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk: usize,
-}
-
-impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
-    type Item = &'a mut [T];
-    type Seq = std::slice::ChunksMut<'a, T>;
-
-    fn weight(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let at = (index * self.chunk).min(self.slice.len());
-        let (l, r) = self.slice.split_at_mut(at);
-        (
-            ParChunksMut {
-                slice: l,
-                chunk: self.chunk,
-            },
-            ParChunksMut {
-                slice: r,
-                chunk: self.chunk,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::Seq {
-        self.slice.chunks_mut(self.chunk)
-    }
-}
-
-/// Parallel iterator over an integer range (see [`IntoParallelIterator`]).
-pub struct ParRange<T> {
-    range: std::ops::Range<T>,
-}
-
-macro_rules! par_range_impl {
-    ($($t:ty),*) => {$(
-        impl ParallelIterator for ParRange<$t> {
-            type Item = $t;
-            type Seq = std::ops::Range<$t>;
-
-            fn weight(&self) -> usize {
-                self.range.end.saturating_sub(self.range.start) as usize
-            }
-
-            fn split_at(self, index: usize) -> (Self, Self) {
-                let mid = self.range.start + index as $t;
-                (
-                    ParRange { range: self.range.start..mid },
-                    ParRange { range: mid..self.range.end },
-                )
-            }
-
-            fn into_seq(self) -> Self::Seq {
-                self.range
-            }
-        }
-
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Iter = ParRange<$t>;
-            type Item = $t;
-
-            fn into_par_iter(self) -> ParRange<$t> {
-                ParRange { range: self }
-            }
-        }
-    )*};
-}
-
-par_range_impl!(u32, u64, usize);
-
 /// Mapping adapter produced by [`ParallelIterator::map`].
 pub struct Map<I, F> {
     base: I,
@@ -689,17 +610,6 @@ impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
 // Entry-point traits.
 // ---------------------------------------------------------------------------
 
-/// `into_par_iter()` on owned iterables (integer ranges here).
-pub trait IntoParallelIterator {
-    /// Parallel iterator type produced.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Element type.
-    type Item: Send;
-
-    /// Consume `self` into a pool-driven parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
 /// `par_iter()` on borrowed slices (and anything derefing to one).
 pub trait IntoParallelRefIterator<'d> {
     /// Parallel iterator type produced.
@@ -737,22 +647,6 @@ impl<'d, T: Send + 'd> IntoParallelRefMutIterator<'d> for [T] {
 
     fn par_iter_mut(&'d mut self) -> ParIterMut<'d, T> {
         ParIterMut { slice: self }
-    }
-}
-
-/// Chunking entry points on mutable slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// `chunks_mut` under the parallel name, driven by the pool.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunksMut {
-            slice: self,
-            chunk: chunk_size,
-        }
     }
 }
 
@@ -849,17 +743,10 @@ mod tests {
     fn adapters_behave_like_std_iterators() {
         let v = [1u64, 2, 3, 4];
         assert_eq!(v.par_iter().sum::<u64>(), 10);
-        assert_eq!((0..5u64).into_par_iter().map(|x| x * x).sum::<u64>(), 30);
 
         let mut w = vec![1u64, 2, 3];
         w.par_iter_mut().for_each(|x| *x += 1);
         assert_eq!(w, vec![2, 3, 4]);
-
-        let mut a = [0u8; 8];
-        a.par_chunks_mut(4)
-            .enumerate()
-            .for_each(|(i, c)| c.fill(i as u8));
-        assert_eq!(a, [0, 0, 0, 0, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tqsim::{
-    draw_leaf_outcomes, run_subcircuit, Counts, ExecOptions, OpCounts, Partition, TreeExecutor,
-};
+use tqsim::{draw_leaf_outcomes, run_subcircuit, Counts, OpCounts, Partition, TreeExecutor};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::{CompiledCircuit, PooledBackend, QuantumState};
@@ -98,12 +96,12 @@ pub fn walk_on<B: PooledBackend>(
     noise: &NoiseModel,
     partition: &Partition,
     seed: u64,
-    options: ExecOptions,
+    leaf_samples: u32,
     walk: Walk,
 ) -> Walked<B> {
     let exec = TreeExecutor::new(circuit, noise, partition.clone()).expect("plan binds");
     if walk == Walk::Shared {
-        let (run, states) = exec.run_on(backend, seed, options);
+        let (run, states) = exec.run_on(backend, seed, leaf_samples);
         return Walked {
             counts: run.counts,
             ops: run.ops,
@@ -118,7 +116,7 @@ pub fn walk_on<B: PooledBackend>(
         plans: exec.compiled_plans(),
         arities: partition.tree.arities(),
         noise,
-        leaf_samples: options.leaf_samples,
+        leaf_samples,
         per_gate: walk == Walk::PerGate,
         states: (0..=subcircuits.len())
             .map(|_| backend.allocate(n))

@@ -6,10 +6,11 @@
 //! driver (`tqsim::run_subcircuit`) and consume the RNG stream identically.
 
 use proptest::prelude::*;
-use tqsim::{ExecOptions, Strategy as PlanStrategy, TreeExecutor};
+use tqsim::{Strategy as PlanStrategy, TreeExecutor};
 use tqsim_circuit::{Circuit, Gate, GateKind};
-use tqsim_cluster::{run_distributed_with_options, InterconnectModel};
+use tqsim_cluster::{ClusterBackend, InterconnectModel};
 use tqsim_noise::NoiseModel;
+use tqsim_statevec::SingleNode;
 
 /// Random gates over 7 qubits — wide enough that 8-node slicing (3 global
 /// qubits) exercises the remap fallback alongside node-local fused kernels.
@@ -98,16 +99,11 @@ proptest! {
         let partition = PlanStrategy::Custom { arities: vec![3, 2] }
             .plan(&circuit, &noise, 6)
             .unwrap();
-        let serial = TreeExecutor::new(&circuit, &noise, partition.clone())
-            .unwrap()
-            .run_with_options(seed, ExecOptions::default());
+        let exec = TreeExecutor::new(&circuit, &noise, partition).unwrap();
+        let serial = exec.run_on(&SingleNode, seed, 1).0;
         let model = InterconnectModel::commodity_cluster();
         for nodes in [2usize, 4, 8] {
-            let dist = run_distributed_with_options(
-                &circuit, &noise, &partition, nodes, model, seed,
-                ExecOptions::default(),
-            )
-            .unwrap();
+            let dist = exec.run_on(&ClusterBackend::new(nodes, model), seed, 1).0;
             prop_assert_eq!(&dist.counts, &serial.counts, "{} nodes", nodes);
             // One state-agnostic fuser → identical sweep accounting.
             prop_assert_eq!(dist.ops.amp_passes, serial.ops.amp_passes);
@@ -129,15 +125,10 @@ proptest! {
         let partition = PlanStrategy::Custom { arities: vec![3, 2] }
             .plan(&circuit, &noise, 6)
             .unwrap();
-        let options = ExecOptions { leaf_samples };
-        let serial = TreeExecutor::new(&circuit, &noise, partition.clone())
-            .unwrap()
-            .run_with_options(seed, options);
+        let exec = TreeExecutor::new(&circuit, &noise, partition).unwrap();
+        let serial = exec.run_on(&SingleNode, seed, leaf_samples).0;
         let model = InterconnectModel::commodity_cluster();
-        let dist = run_distributed_with_options(
-            &circuit, &noise, &partition, 4, model, seed, options,
-        )
-        .unwrap();
+        let dist = exec.run_on(&ClusterBackend::new(4, model), seed, leaf_samples).0;
         prop_assert_eq!(&dist.counts, &serial.counts);
         prop_assert_eq!(dist.ops.samples, serial.ops.samples);
     }

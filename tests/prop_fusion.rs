@@ -10,7 +10,7 @@ mod common;
 
 use common::{walk_on, Walk};
 use proptest::prelude::*;
-use tqsim::{ExecOptions, Strategy as PlanStrategy, TreeExecutor};
+use tqsim::{Strategy as PlanStrategy, TreeExecutor};
 use tqsim_circuit::{Circuit, Gate, GateKind};
 use tqsim_engine::{Engine, EngineConfig, JobSpec};
 use tqsim_noise::NoiseModel;
@@ -119,7 +119,7 @@ proptest! {
             .unwrap();
         let fused = TreeExecutor::new(&circuit, &noise, partition.clone()).unwrap().run(seed);
         let reference = walk_on(
-            &SingleNode, &circuit, &noise, &partition, seed, ExecOptions::default(), Walk::PerGate,
+            &SingleNode, &circuit, &noise, &partition, seed, 1, Walk::PerGate,
         );
         prop_assert_eq!(&fused.counts, &reference.counts);
         prop_assert_eq!(fused.ops.samples, reference.ops.samples);

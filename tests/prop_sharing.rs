@@ -13,7 +13,7 @@
 mod common;
 
 use common::{walk_on, Walk};
-use tqsim::{ExecOptions, Partition, Strategy, TreeExecutor};
+use tqsim::{Partition, Strategy, TreeExecutor};
 use tqsim_circuit::{generators, Circuit};
 use tqsim_cluster::{ClusterBackend, ClusterCounters, InterconnectModel};
 use tqsim_noise::{NoiseModel, ReadoutError};
@@ -80,25 +80,24 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                 let nodes = partition.tree.subcircuit_executions();
                 let exec =
                     TreeExecutor::new(&circuit, &noise, partition.clone()).expect("plan binds");
-                let walk = |options, how| {
+                let walk = |leaf_samples, how| {
                     walk_on(
                         &SingleNode,
                         &circuit,
                         &noise,
                         &partition,
                         SEED,
-                        options,
+                        leaf_samples,
                         how,
                     )
                 };
                 for leaf_samples in [1u32, 3] {
-                    let options = ExecOptions { leaf_samples };
                     let cell = format!(
                         "{name} {} {arities:?} leaf_samples={leaf_samples}",
                         noise.name()
                     );
-                    let shared = exec.run_with_options(SEED, options);
-                    let reference = walk(options, Walk::PerGate);
+                    let shared = exec.run_on(&SingleNode, SEED, leaf_samples).0;
+                    let reference = walk(leaf_samples, Walk::PerGate);
                     assert_eq!(shared.counts, reference.counts, "{cell}");
                     assert_eq!(reference.ops.state_copies, nodes, "{cell}");
                     assert_eq!(
@@ -117,7 +116,7 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                         // Root level and damping families never share: the
                         // walk is the fused mirror pass for pass, and the
                         // per-gate mirror gate for gate.
-                        let fused = walk(options, Walk::Fused);
+                        let fused = walk(leaf_samples, Walk::Fused);
                         assert_eq!(fused.counts, reference.counts, "{cell}");
                         assert_eq!(shared.ops.nodes_shared, 0, "{cell}");
                         assert_eq!(shared.ops.amp_passes, fused.ops.amp_passes, "{cell}");
@@ -157,7 +156,7 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                     }
                     if name == "qft" && (noise.is_ideal() || noise.name() == "sycamore-dc") {
                         // Fusion alone at least halves QFT's passes.
-                        let fused = walk(options, Walk::Fused);
+                        let fused = walk(leaf_samples, Walk::Fused);
                         assert!(
                             reference.ops.amp_passes >= 2 * fused.ops.amp_passes,
                             "{cell}: {} vs {}",
@@ -183,14 +182,13 @@ fn merged<'a>(counters: impl Iterator<Item = &'a ClusterCounters>) -> ClusterCou
 fn distributed_backends_share_the_same_nodes_and_exchange_the_same_bytes() {
     let model = InterconnectModel::commodity_cluster();
     let shard = ShardBackend::spawn(2).expect("spawn workers");
-    let options = ExecOptions::default();
     for (name, circuit) in [("qft+ccx", circuit()), ("qft", generators::qft(8))] {
         for noise in [NoiseModel::ideal(), NoiseModel::sycamore()] {
             for arities in [vec![4, 4, 4], vec![2, 2, 2, 2, 2]] {
                 let cell = format!("{name} {} {arities:?}", noise.name());
                 let partition = plan(&circuit, &noise, &arities);
                 let walk = |backend: &ClusterBackend, how| {
-                    walk_on(backend, &circuit, &noise, &partition, SEED, options, how)
+                    walk_on(backend, &circuit, &noise, &partition, SEED, 1, how)
                 };
                 let single = walk_on(
                     &SingleNode,
@@ -198,7 +196,7 @@ fn distributed_backends_share_the_same_nodes_and_exchange_the_same_bytes() {
                     &noise,
                     &partition,
                     SEED,
-                    options,
+                    1,
                     Walk::Shared,
                 );
                 assert!(single.ops.nodes_shared > 0, "{cell}");
@@ -232,28 +230,13 @@ fn distributed_backends_share_the_same_nodes_and_exchange_the_same_bytes() {
                 }
 
                 let cell = format!("{cell} on 2 shards");
-                let sharded = walk_on(
-                    &shard,
-                    &circuit,
-                    &noise,
-                    &partition,
-                    SEED,
-                    options,
-                    Walk::Shared,
-                );
+                let sharded = walk_on(&shard, &circuit, &noise, &partition, SEED, 1, Walk::Shared);
                 assert_eq!(sharded.counts, single.counts, "{cell}");
                 assert_eq!(sharded.ops, single.ops, "{cell}");
                 let counters = merged(sharded.states.iter().map(|s| &s.counters));
                 assert_eq!(counters, exchanges[0], "{cell}: vs 2 nodes");
-                let reference = walk_on(
-                    &shard,
-                    &circuit,
-                    &noise,
-                    &partition,
-                    SEED,
-                    options,
-                    Walk::PerGate,
-                );
+                let reference =
+                    walk_on(&shard, &circuit, &noise, &partition, SEED, 1, Walk::PerGate);
                 assert_eq!(reference.counts, single.counts, "{cell}");
             }
         }
