@@ -19,17 +19,16 @@
 //! nothing else is keyed. Fingerprint collisions cannot alias plans:
 //! entries store the full circuit and compare it by content on lookup.
 //!
-//! Eviction is LRU with a fixed capacity ([`PLAN_CACHE_CAPACITY`] for an
-//! engine's cache). Hits, misses, evictions and compiles are counted into
+//! Each key has one entry: planning while one thread plans it (a same-key
+//! lookup waits on it), then ready. Eviction is LRU over the ready entries
+//! with a fixed capacity ([`PLAN_CACHE_CAPACITY`] for an engine's cache). Hits, misses, evictions and compiles are counted into
 //! `tqsim_plan_cache_*_total` counters of the registry the cache is built
 //! with; [`PlanCache::stats`] reads them back as [`CacheStats`].
 //!
 //! [`Engine`]: crate::Engine
 //! [`PLAN_CACHE_CAPACITY`]: crate::PLAN_CACHE_CAPACITY
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use tqsim::{PlanError, Strategy};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
@@ -37,8 +36,8 @@ use tqsim_obs::{Counter, Registry};
 
 use crate::JobPlan;
 
-/// The full cache key (the fingerprint is the index; the rest disambiguates
-/// fingerprint collisions and distinct planning inputs).
+/// The full cache key (the fingerprint is compared first; the rest
+/// disambiguates fingerprint collisions and distinct planning inputs).
 #[derive(Clone, Debug)]
 pub struct PlanKey {
     /// Stable content hash of the circuit.
@@ -92,22 +91,49 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// What a key's entry holds.
+enum Slot {
+    /// Being planned; a same-key lookup waits on it (single flight).
+    Planning,
+    /// The resident plan.
+    Ready(Arc<JobPlan>),
+}
+
 struct Entry {
     key: PlanKey,
-    plan: Arc<JobPlan>,
+    slot: Slot,
     /// Logical timestamp of the last hit (monotone counter, not wall time).
     last_used: u64,
 }
 
 struct Inner {
-    /// Fingerprint-indexed buckets; collisions and same-circuit variant
-    /// keys share a bucket and are separated by full-key comparison.
-    buckets: HashMap<u64, Vec<Entry>>,
-    /// Keys currently being planned by some thread (single-flight markers:
-    /// a racing lookup of the same key waits instead of compiling twice).
-    in_flight: Vec<PlanKey>,
+    /// One entry per key, resident or in flight.
+    entries: Vec<Entry>,
     clock: u64,
-    len: usize,
+}
+
+impl Inner {
+    /// The entry whose key has `fingerprint` and satisfies `same` (checked
+    /// only on a fingerprint match) — the one lookup every caller shares.
+    fn find(&self, fingerprint: u64, same: impl Fn(&PlanKey) -> bool) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.key.fingerprint == fingerprint && same(&e.key))
+    }
+
+    /// The entry for `key`, counting a use of it.
+    fn touch(&mut self, key: &PlanKey) -> Option<usize> {
+        self.clock += 1;
+        let pos = self.find(key.fingerprint, |k| k.matches(key))?;
+        self.entries[pos].last_used = self.clock;
+        Some(pos)
+    }
+
+    /// Resident plans, in entry order (entries still planning are skipped).
+    fn resident(&self) -> impl Iterator<Item = (usize, &Entry)> {
+        let ready = |(_, e): &(usize, &Entry)| matches!(e.slot, Slot::Ready(_));
+        self.entries.iter().enumerate().filter(ready)
+    }
 }
 
 /// A bounded, thread-safe, LRU plan cache. See the [module docs](self).
@@ -130,10 +156,8 @@ impl PlanCache {
         PlanCache {
             capacity,
             inner: Mutex::new(Inner {
-                buckets: HashMap::new(),
-                in_flight: Vec::new(),
+                entries: Vec::new(),
                 clock: 0,
-                len: 0,
             }),
             landed: Condvar::new(),
             hits: c("hits"),
@@ -141,6 +165,10 @@ impl PlanCache {
             evictions: c("evictions"),
             compiled: c("compiled"),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("plan cache lock")
     }
 
     /// Look up the plan for `key`, planning and compiling on a miss.
@@ -156,33 +184,34 @@ impl PlanCache {
     /// Returns [`PlanError`] when the inputs are unplannable (the error is
     /// not cached; a later identical request retries).
     pub fn get_or_plan(&self, key: &PlanKey) -> Result<Arc<JobPlan>, PlanError> {
-        {
-            let mut inner = self.inner.lock().expect("plan cache lock");
-            loop {
-                inner.clock += 1;
-                let clock = inner.clock;
-                if let Some(bucket) = inner.buckets.get_mut(&key.fingerprint) {
-                    if let Some(entry) = bucket.iter_mut().find(|e| e.key.matches(key)) {
-                        entry.last_used = clock;
-                        let plan = Arc::clone(&entry.plan);
-                        self.hits.inc();
-                        return Ok(plan);
-                    }
-                }
-                if !inner.in_flight.iter().any(|k| k.matches(key)) {
-                    // Ours to plan: mark in-flight and count the miss.
-                    inner.in_flight.push(key.clone());
-                    self.misses.inc();
-                    break;
+        let mut inner = self.lock();
+        loop {
+            match inner.touch(key).map(|pos| &inner.entries[pos].slot) {
+                Some(Slot::Ready(plan)) => {
+                    self.hits.inc();
+                    return Ok(Arc::clone(plan));
                 }
                 // Someone is already planning this key: wait for it to
                 // land (→ hit on re-check) or fail (→ we take over).
-                inner = self.landed.wait(inner).expect("plan cache cv");
+                Some(Slot::Planning) => inner = self.landed.wait(inner).expect("plan cache cv"),
+                None => break,
             }
         }
-        // Always clear the in-flight marker — also on an error return or a
-        // panic inside planning — or same-key waiters would hang forever.
-        let unmark = InFlightGuard { cache: self, key };
+        // Ours to plan: hold the key's entry and count the miss.
+        inner.entries.push(Entry {
+            key: key.clone(),
+            slot: Slot::Planning,
+            last_used: 0, // stamped when it lands
+        });
+        self.misses.inc();
+        drop(inner);
+        // Always settle the entry — also on an error return or a panic
+        // inside planning — or same-key waiters would hang forever.
+        let mut planning = Planning {
+            cache: self,
+            key,
+            plan: None,
+        };
         // Failpoint covering plan compilation (named for the service, whose
         // chaos tests arm it): this one *has* an error channel, so an
         // injected fault surfaces as a structured `PlanError` and fails
@@ -199,19 +228,8 @@ impl PlanCache {
             key.shots,
             &key.strategy,
         )?);
-        let mut inner = unmark.clear();
         self.compiled.inc();
-        let clock = inner.clock;
-        let bucket = inner.buckets.entry(key.fingerprint).or_default();
-        bucket.push(Entry {
-            key: key.clone(),
-            plan: Arc::clone(&plan),
-            last_used: clock,
-        });
-        inner.len += 1;
-        if inner.len > self.capacity && evict_lru(&mut inner) {
-            self.evictions.inc();
-        }
+        planning.plan = Some(Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -222,99 +240,74 @@ impl PlanCache {
     /// single-flight wait). Lets a scheduler serve cache hits inline
     /// without ever risking a planning stall.
     pub fn try_get(&self, key: &PlanKey) -> Option<Arc<JobPlan>> {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner
-            .buckets
-            .get_mut(&key.fingerprint)?
-            .iter_mut()
-            .find(|e| e.key.matches(key))?;
-        entry.last_used = clock;
-        let plan = Arc::clone(&entry.plan);
-        self.hits.inc();
-        Some(plan)
+        let mut inner = self.lock();
+        let pos = inner.touch(key)?;
+        match &inner.entries[pos].slot {
+            Slot::Ready(plan) => {
+                self.hits.inc();
+                Some(Arc::clone(plan))
+            }
+            Slot::Planning => None,
+        }
     }
 
-    /// A shared copy of `circuit` to key a lookup with: the resident copy
-    /// when an entry already holds an equal circuit, else a fresh one. A
-    /// caller that only borrows its circuits (a batch) so copies each one
-    /// once per cache lifetime, not once per lookup.
+    /// A shared copy of `circuit` to key a lookup with: the copy an entry
+    /// already holds when its circuit is equal, else a fresh one. A caller
+    /// that only borrows its circuits (a batch) so copies each one once
+    /// per cache lifetime, not once per lookup.
     pub fn intern(&self, circuit: &Circuit) -> Arc<Circuit> {
-        let inner = self.inner.lock().expect("plan cache lock");
-        inner
-            .buckets
-            .get(&circuit.fingerprint())
-            .and_then(|bucket| bucket.iter().find(|e| *e.key.circuit == *circuit))
-            .map(|e| Arc::clone(&e.key.circuit))
-            .unwrap_or_else(|| Arc::new(circuit.clone()))
+        let fingerprint = circuit.fingerprint();
+        let inner = self.lock();
+        match inner.find(fingerprint, |k| *k.circuit == *circuit) {
+            Some(pos) => Arc::clone(&inner.entries[pos].key.circuit),
+            None => Arc::new(circuit.clone()),
+        }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
+        let resident = self.lock().resident().count();
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
             compiled: self.compiled.get(),
-            entries: self.inner.lock().expect("plan cache lock").len,
+            entries: resident,
         }
     }
 }
 
-/// Clears a single-flight marker exactly once: explicitly via
-/// [`InFlightGuard::clear`] on success, or on drop for the error/unwind
-/// paths — either way same-key waiters are woken.
-struct InFlightGuard<'a> {
+/// Settles a key's `Planning` entry exactly once, when the planner
+/// returns or unwinds: a landed plan becomes the entry's `Ready` slot
+/// (evicting the least recently used resident plan past capacity), and a
+/// failed attempt removes the entry. Either way same-key waiters wake.
+struct Planning<'a> {
     cache: &'a PlanCache,
     key: &'a PlanKey,
+    plan: Option<Arc<JobPlan>>,
 }
 
-impl<'a> InFlightGuard<'a> {
-    /// Remove the marker and hand the (re-acquired) cache lock to the
-    /// caller for the insert, consuming the drop obligation.
-    fn clear(self) -> MutexGuard<'a, Inner> {
-        let mut inner = self.cache.inner.lock().expect("plan cache lock");
-        remove_marker(&mut inner, self.key);
-        self.cache.landed.notify_all();
-        std::mem::forget(self);
-        inner
-    }
-}
-
-impl Drop for InFlightGuard<'_> {
+impl Drop for Planning<'_> {
     fn drop(&mut self) {
-        let mut inner = self.cache.inner.lock().expect("plan cache lock");
-        remove_marker(&mut inner, self.key);
-        self.cache.landed.notify_all();
-    }
-}
-
-fn remove_marker(inner: &mut Inner, key: &PlanKey) {
-    if let Some(pos) = inner.in_flight.iter().position(|k| k.matches(key)) {
-        inner.in_flight.swap_remove(pos);
-    }
-}
-
-/// Drop the least recently used entry; whether one was dropped.
-fn evict_lru(inner: &mut Inner) -> bool {
-    let victim = inner
-        .buckets
-        .iter()
-        .flat_map(|(fp, bucket)| bucket.iter().map(move |e| (*fp, e.last_used)))
-        .min_by_key(|&(_, used)| used);
-    if let Some((fp, used)) = victim {
-        let bucket = inner.buckets.get_mut(&fp).expect("victim bucket");
-        if let Some(pos) = bucket.iter().position(|e| e.last_used == used) {
-            bucket.remove(pos);
-            if bucket.is_empty() {
-                inner.buckets.remove(&fp);
+        let cache = self.cache;
+        let mut inner = cache.lock();
+        let pos = inner
+            .touch(self.key)
+            .expect("a planning entry stays until it settles");
+        match self.plan.take() {
+            Some(plan) => {
+                inner.entries[pos].slot = Slot::Ready(plan);
+                if inner.resident().count() > cache.capacity {
+                    let coldest = inner.resident().min_by_key(|(_, e)| e.last_used);
+                    let pos = coldest.map(|(pos, _)| pos).expect("a resident plan");
+                    inner.entries.swap_remove(pos);
+                    cache.evictions.inc();
+                }
             }
-            inner.len -= 1;
-            return true;
+            None => drop(inner.entries.swap_remove(pos)),
         }
+        cache.landed.notify_all();
     }
-    false
 }
 
 #[cfg(test)]

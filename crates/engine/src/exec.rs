@@ -173,10 +173,8 @@ fn child_hash(parent_hash: u64, index: u64) -> u64 {
 /// be live on one pool, interleaving in the work-stealing deques.
 ///
 /// `peak_states`/`peak_memory_bytes` in the delivered result are the
-/// pool's high-water mark over the job's lifetime; when jobs overlap, the
-/// mark reflects the *combined* footprint of everything sharing the pool
-/// (reset it between phases via [`WorkerPool::pool_counters`] for scoped
-/// measurements).
+/// pool's high-water mark since the pool started: the *combined* footprint
+/// of everything that has shared the pool, this job included.
 pub(crate) fn launch_tree<B: PooledBackend>(
     pool: &WorkerPool<B>,
     plan: &Arc<JobPlan>,

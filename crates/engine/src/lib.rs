@@ -26,10 +26,12 @@
 //!   leaf outcomes while the job is still running. This is what the
 //!   `tqsim-service` front-end schedules concurrent client jobs through.
 //!
-//! Multi-job batches **overlap** on the pool: jobs whose trees
-//! are too narrow to saturate the workers run concurrently (each with its
+//! Every job reaches the pool through [`Engine::start`]: a batch starts
+//! all of its jobs at once and [`Engine::run_planned`] starts one, so jobs
+//! **overlap** on the pool with whatever else is running (each with its
 //! own path-seeded RNG streams, so per-job `Counts` are bit-identical to a
-//! job run alone), while a saturating job is admitted alone.
+//! job run alone). Admission control, if any, is the caller's: the
+//! `tqsim-service` front-end caps how many jobs it runs at once.
 //!
 //! The whole stack is **generic over the execution backend**
 //! ([`tqsim_statevec::PooledBackend`]): [`Engine::new`] pools single-node
@@ -348,27 +350,31 @@ pub struct Batch<'e, 'c, B: PooledBackend = SingleNode> {
 }
 
 impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
-    /// Plan every job through the engine's [`PlanCache`], then execute
-    /// them all on the engine's pool.
+    /// Plan every job through the engine's [`PlanCache`], then start them
+    /// all at once through [`Engine::start`] and wait for every one.
     ///
-    /// Jobs **overlap**: a job whose tree cannot saturate the pool leaves
-    /// workers free, so the scheduler admits further jobs until the running
-    /// root arities cover the worker count. Per-job `Counts` are
-    /// bit-identical to running each job alone — every node's RNG stream
-    /// is derived from its own job's seed and tree path, never from
-    /// scheduling. Every job's memory metrics report the pool-wide
-    /// high-water mark across the batch.
+    /// Jobs **overlap** on the pool, with each other and with whatever
+    /// else the engine is running. Per-job `Counts` are bit-identical to
+    /// running each job alone — every node's RNG stream is derived from
+    /// its own job's seed and tree path, never from scheduling. Every
+    /// job's memory metrics are the pool's high-water mark, as
+    /// [`Engine::start`] reports them.
     ///
     /// # Errors
     ///
     /// Returns the first [`PlanError`] encountered; planning happens
     /// up-front, so no job executes unless every job plans.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a node-task panic that truncated one of the jobs (see
+    /// [`Engine::run_planned`]).
     pub fn run(self) -> Result<BatchResult, PlanError> {
         // A cache key owns its circuit: one per circuit the batch borrows,
         // however many jobs share it.
         let cache = &self.engine.plan_cache;
         let mut owned: HashMap<*const Circuit, Arc<Circuit>> = HashMap::new();
-        let plans = self
+        let jobs = self
             .jobs
             .iter()
             .map(|job| {
@@ -381,89 +387,29 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
                     job.strategy.clone(),
                     job.shots,
                 );
-                cache.get_or_plan(&key)
+                let plan = cache.get_or_plan(&key)?;
+                Ok(PlannedJob::new(plan)
+                    .seed(job.seed)
+                    .leaf_samples(job.leaf_samples))
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Serialize whole batches: concurrent submitters would otherwise
-        // reset each other's batch-scoped high-water marks and could
-        // receive each other's task panics. A poisoned gate just means a
-        // previous batch panicked; the pool itself is still healthy, so
-        // continue.
-        let _running = match self.engine.run_gate.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+            .collect::<Result<Vec<_>, PlanError>>()?;
         Ok(BatchResult {
-            jobs: run_overlapped(self.engine, &self.jobs, &plans),
+            jobs: self.engine.run_all(&jobs),
         })
     }
-}
-
-/// The overlapping batch scheduler: admit jobs while the pool has slack,
-/// collect completions in any order, return results in submission order.
-fn run_overlapped<B: PooledBackend>(
-    engine: &Engine<B>,
-    jobs: &[JobSpec<'_>],
-    plans: &[Arc<JobPlan>],
-) -> Vec<RunResult> {
-    let workers = engine.pool.workers() as u64;
-    // A job's appetite for workers: its root arity (the number of
-    // immediately runnable tasks, at least one), saturating at the pool
-    // size — so a saturating job runs alone.
-    let width = |idx: usize| plans[idx].partition.tree.arities()[0].min(workers);
-
-    engine.pool.pool_counters().reset_high_water();
-    let (tx, rx) = mpsc::channel::<(usize, RunResult)>();
-    let mut results: Vec<Option<RunResult>> = jobs.iter().map(|_| None).collect();
-    let (mut next, mut running_width, mut completed) = (0usize, 0u64, 0usize);
-    while completed < jobs.len() {
-        while next < jobs.len() && running_width < workers {
-            let job = &jobs[next];
-            let tx = tx.clone();
-            let idx = next;
-            exec::launch_tree(
-                &engine.pool,
-                &plans[next],
-                job.seed,
-                job.leaf_samples,
-                None,
-                Box::new(move |result| {
-                    let _ = tx.send((idx, result));
-                }),
-            );
-            running_width += width(next);
-            next += 1;
-        }
-        let (idx, result) = rx.recv().expect("job completion callback");
-        results[idx] = Some(result);
-        running_width -= width(idx);
-        completed += 1;
-    }
-    // A panicking node abandons its subtree but still drains its job's
-    // task count, so every job completes (with partial counts) and is
-    // settled here, once the whole batch has drained.
-    results
-        .into_iter()
-        .zip(jobs)
-        .map(|(r, job)| engine.settle(r.expect("every job completed"), job.leaf_samples))
-        .collect()
 }
 
 /// The parallel tree-execution engine: a persistent [`WorkerPool`], the
 /// [`PlanCache`] every batch plans through, and the batched job
 /// front-end. See the [crate docs](self) for an example.
 ///
-/// `Engine` is `Sync`. Concurrent [`Batch::run`] calls from several
-/// threads are **serialized** against each other (keeping per-batch memory
-/// metrics and panic delivery correctly scoped); the multi-tenant
-/// [`Engine::start`] path is not gated — any number of started jobs share
-/// the pool concurrently, which is how the service front-end overlaps
-/// client requests.
+/// `Engine` is `Sync`. Every job — a [`Batch::run`] member, a
+/// [`Engine::run_planned`] call or a service request — reaches the pool
+/// through [`Engine::start`], and any number of them share the pool at
+/// once, from any number of threads.
 pub struct Engine<B: PooledBackend = SingleNode> {
     pool: WorkerPool<B>,
     plan_cache: PlanCache,
-    /// Serializes batch execution; see the struct docs.
-    run_gate: std::sync::Mutex<()>,
 }
 
 impl<B: PooledBackend> std::fmt::Debug for Engine<B> {
@@ -500,7 +446,6 @@ impl<B: PooledBackend> Engine<B> {
         Engine {
             pool: WorkerPool::with_backend_observed(cfg.parallelism, backend, observe),
             plan_cache,
-            run_gate: std::sync::Mutex::new(()),
         }
     }
 
@@ -531,8 +476,8 @@ impl<B: PooledBackend> Engine<B> {
     /// Determinism: the job's `Counts` are bit-identical to running it
     /// alone (or in any batch) with the same seed — node RNG
     /// streams depend only on the job seed and tree path. Memory metrics
-    /// in the result are the pool-wide high-water mark, shared with
-    /// whatever else overlapped the job.
+    /// in the result are the pool-wide high-water mark since the engine
+    /// started, shared with whatever else ran on the pool.
     pub fn start(
         &self,
         job: &PlannedJob,
@@ -554,36 +499,56 @@ impl<B: PooledBackend> Engine<B> {
     ///
     /// # Panics
     ///
-    /// Re-raises a node-task panic instead of returning its partial
-    /// result. The pool's panic slot is shared, so under overlap a
-    /// concurrent caller may drain the payload first; completeness is
-    /// therefore also checked per job (a healthy run yields exactly
-    /// `tree.outcomes() × leaf_samples` samples) so a truncated result
-    /// can never be returned as success.
+    /// Re-raises a node-task panic instead of returning a result it
+    /// truncated. A [complete](RunResult::is_complete) result is returned
+    /// as it is, whatever else panicked on the shared pool meanwhile; a
+    /// truncated one re-raises the pool's panic payload, or panics with a
+    /// message of its own when a concurrent caller drained the payload
+    /// first.
     pub fn run_planned(&self, job: &PlannedJob) -> RunResult {
-        let (tx, rx) = mpsc::channel();
-        self.start(job, None, move |result| {
-            let _ = tx.send(result);
-        });
-        let result = rx.recv().expect("job completion callback must fire");
-        self.settle(result, job.leaf_samples)
+        self.run_all(std::slice::from_ref(job))
+            .pop()
+            .expect("one result per job")
     }
 
-    /// Re-raise a node-task panic, or refuse a result that one truncated
-    /// (the pool's panic slot is shared, so a concurrent caller may have
-    /// drained the payload): a healthy run is
-    /// [complete](RunResult::is_complete).
+    /// Start every job at once, wait for all of them, and settle each
+    /// result; results come back in `jobs` order. A truncated job is
+    /// settled only once every job has drained, so a panic never leaves
+    /// the caller's other jobs running behind it.
+    fn run_all(&self, jobs: &[PlannedJob]) -> Vec<RunResult> {
+        let (tx, rx) = mpsc::channel();
+        for (idx, job) in jobs.iter().enumerate() {
+            let tx = tx.clone();
+            self.start(job, None, move |result| {
+                let _ = tx.send((idx, result));
+            });
+        }
+        drop(tx);
+        let mut done: Vec<(usize, RunResult)> = rx.iter().collect();
+        assert_eq!(done.len(), jobs.len(), "job completion callback must fire");
+        done.sort_unstable_by_key(|&(idx, _)| idx);
+        done.into_iter()
+            .zip(jobs)
+            .map(|((_, result), job)| self.settle(result, job.leaf_samples))
+            .collect()
+    }
+
+    /// The completion rule: a [complete](RunResult::is_complete) result is
+    /// returned as it is. A truncated one re-raises the pool's panic
+    /// payload; the slot is shared, so a concurrent caller may have
+    /// drained it first, and then the truncation panics on its own.
     fn settle(&self, result: RunResult, leaf_samples: u32) -> RunResult {
+        if result.is_complete(leaf_samples) {
+            return result;
+        }
         if let Some(payload) = self.take_panic() {
             std::panic::resume_unwind(payload);
         }
-        assert!(
-            result.is_complete(leaf_samples),
+        panic!(
             "job aborted by a node-task panic after {} outcomes (the payload \
              surfaced at a concurrent caller)",
             result.counts.total()
         );
-        result
     }
 
     /// Take the first panic payload any task raised since the last check,
@@ -603,9 +568,10 @@ impl<B: PooledBackend> Engine<B> {
     /// holds at most `k + 1` buffers, and a worker whose chain is pinned
     /// by stolen children can start a second chain, so double the chain
     /// depth (plus slack) covers every schedule seen in practice. The
-    /// bound is per concurrently running job: overlapped jobs multiply it
-    /// (pass `k` summed over the jobs you expect to overlap, or accept
-    /// pool growth to the natural high-water mark). Never incorrect —
+    /// bound is per concurrently running job: every job of a batch runs at
+    /// once, so overlapped jobs multiply it (pass `k` summed over the jobs
+    /// you expect to overlap, or accept pool growth to the natural
+    /// high-water mark). Never incorrect —
     /// under-provisioning just falls back to allocating, visible in
     /// [`PoolStats::allocations`].
     ///
@@ -775,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_batches_on_one_engine_are_serialized_and_correct() {
+    fn concurrent_batches_on_one_engine_overlap_and_stay_correct() {
         let circuit = generators::qft(6);
         let engine = Engine::new(EngineConfig::default().parallelism(2));
         let reference = engine
@@ -801,9 +767,12 @@ mod tests {
                 let r = handle.join().unwrap();
                 assert_eq!(
                     r.counts, reference.counts,
-                    "serialized batches stay correct"
+                    "overlapping batches stay correct"
                 );
-                assert!(r.peak_states >= 1, "metrics scoped to the owning batch");
+                assert!(
+                    r.peak_states >= 1,
+                    "every job reports the pool's high-water mark"
+                );
             }
         });
     }
@@ -842,6 +811,58 @@ mod tests {
                 assert_eq!(r.ops, reference[seed].ops, "seed {seed}");
             }
         });
+    }
+
+    /// A healthy `[5,3,2]` qft(6) job.
+    fn healthy_plan() -> Arc<JobPlan> {
+        let strategy = Strategy::Custom {
+            arities: vec![5, 3, 2],
+        };
+        let plan = JobPlan::plan(&generators::qft(6), &NoiseModel::sycamore(), 30, &strategy);
+        Arc::new(plan.unwrap())
+    }
+
+    /// A one-worker engine whose pool catches a stray task's panic, which
+    /// no job of its own raised: the one worker runs the injector FIFO, so
+    /// the stray task panics before any job's task runs.
+    fn engine_with_a_stray_panic() -> Engine {
+        let engine = Engine::new(EngineConfig::default().parallelism(1));
+        engine.worker_pool().inject(|_| panic!("stray task"));
+        engine
+    }
+
+    fn assert_stray_payload_kept(engine: &Engine) {
+        let payload = engine
+            .take_panic()
+            .expect("the stray payload stays in the slot");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"stray task"));
+    }
+
+    #[test]
+    fn a_complete_job_ignores_another_tasks_panic() {
+        let job = PlannedJob::new(healthy_plan()).seed(4);
+        let clean = Engine::new(EngineConfig::default().parallelism(1)).run_planned(&job);
+        let engine = engine_with_a_stray_panic();
+        assert_eq!(engine.run_planned(&job).counts, clean.counts);
+        assert_stray_payload_kept(&engine);
+    }
+
+    #[test]
+    fn a_complete_batch_ignores_another_tasks_panic() {
+        let circuit = generators::qft(6);
+        let spec = || {
+            vec![JobSpec::new(&circuit)
+                .shots(30)
+                .strategy(Strategy::Custom {
+                    arities: vec![5, 3, 2],
+                })
+                .seed(4)]
+        };
+        let run = |engine: &Engine| engine.submit(spec()).run().unwrap().jobs.remove(0);
+        let clean = run(&Engine::new(EngineConfig::default().parallelism(1)));
+        let engine = engine_with_a_stray_panic();
+        assert_eq!(run(&engine).counts, clean.counts);
+        assert_stray_payload_kept(&engine);
     }
 
     #[test]

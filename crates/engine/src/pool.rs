@@ -287,7 +287,7 @@ impl<B: PooledBackend> WorkerPool<B> {
         self.shared.counters.stats()
     }
 
-    /// The shared counter block (for phase-scoped high-water measurement).
+    /// The shared counter block every job's memory metrics are read from.
     pub fn pool_counters(&self) -> &Arc<PoolCounters> {
         &self.shared.counters
     }

@@ -245,38 +245,11 @@ impl JobRecord {
         self.event("done");
     }
 
-    /// Terminate the job with a structured error. Counts the terminal
-    /// cause into exactly one failure counter, clears any partially
-    /// streamed outcomes (a failed job's partial data is misleading), and
-    /// — like [`JobRecord::cancel`] — runs the eager-dequeue hook so a
-    /// still-queued job (e.g. one timed out before ever being scheduled)
-    /// releases its admission slot immediately.
+    /// Terminate the job with a structured error (see
+    /// [`JobRecord::terminate`]). A still-queued job (e.g. one timed out
+    /// before ever being scheduled) releases its admission slot at once.
     pub(crate) fn fail(&self, error: JobError) {
-        {
-            let mut st = self.state.lock().expect("job state");
-            if st.status.is_terminal() {
-                return;
-            }
-            let jobs = &self.metrics.jobs;
-            let (counter, stage): (&Counter, &'static str) = match &error {
-                JobError::Aborted(_) => (&jobs.aborted, "aborted"),
-                JobError::DeadlineExceeded => (&jobs.timed_out, "deadline_exceeded"),
-                JobError::Cancelled => (&jobs.cancelled, "cancelled"),
-                JobError::Failed(_) | JobError::BackendUnavailable(_) => (&jobs.failed, "failed"),
-            };
-            st.status = JobStatus::Failed(error);
-            st.pending.clear();
-            st.result = None;
-            st.finished_at = Some(Instant::now());
-            counter.inc();
-            self.cv.notify_all();
-            drop(st);
-            self.event(stage);
-        }
-        // Outside the state lock, same lock-order argument as `cancel`.
-        if let Some(hook) = self.on_cancel.lock().expect("cancel hook").take() {
-            hook();
-        }
+        self.terminate(JobStatus::Failed(error));
     }
 
     /// Re-arm a running job for another execution attempt after a
@@ -316,19 +289,35 @@ impl JobRecord {
     /// Returns whether the cancellation took effect (the job had not
     /// already reached a terminal state).
     pub(crate) fn cancel(&self) -> bool {
+        self.terminate(JobStatus::Cancelled)
+    }
+
+    /// The one terminal transition, to `status` (`Cancelled` or `Failed`):
+    /// counts the cause into exactly one counter, clears any partially
+    /// streamed outcomes (a failed job's partial data is misleading), and
+    /// runs the eager-dequeue hook. Returns `false`, and does nothing, if
+    /// the job was already terminal.
+    fn terminate(&self, status: JobStatus) -> bool {
+        let jobs = &self.metrics.jobs;
+        let (counter, stage): (&Counter, &'static str) = match &status {
+            JobStatus::Cancelled => (&jobs.cancelled, "cancelled"),
+            JobStatus::Failed(JobError::Aborted(_)) => (&jobs.aborted, "aborted"),
+            JobStatus::Failed(JobError::DeadlineExceeded) => (&jobs.timed_out, "deadline_exceeded"),
+            _ => (&jobs.failed, "failed"),
+        };
         {
             let mut st = self.state.lock().expect("job state");
             if st.status.is_terminal() {
                 return false;
             }
-            st.status = JobStatus::Cancelled;
+            st.status = status;
             st.pending.clear();
             st.result = None;
             st.finished_at = Some(Instant::now());
-            self.metrics.jobs.cancelled.inc();
+            counter.inc();
             self.cv.notify_all();
         }
-        self.event("cancelled");
+        self.event(stage);
         // Outside the state lock: the hook takes the scheduler lock, and
         // the scheduler reads job status under it — holding both here
         // would invert that order and deadlock.

@@ -268,10 +268,10 @@ pub fn request_from_json(value: &Value) -> Result<(String, JobRequest), String> 
         let ls = ls
             .as_u64()
             .ok_or("leaf_samples must be a positive integer")?;
-        if ls == 0 || ls > u64::from(u32::MAX) {
+        if ls == 0 || ls > MAX_LEAF_SAMPLES {
             return Err("leaf_samples out of range".into());
         }
-        request = request.leaf_samples(ls as u32);
+        request = request.leaf_samples(ls as u32); // ≤ MAX_LEAF_SAMPLES
     }
     if let Some(attempts) = value.get("retry_max_attempts") {
         let attempts = attempts
@@ -562,6 +562,13 @@ pub fn serve(service: Arc<Service>, addr: &str) -> std::io::Result<ServerHandle>
 /// well under this). Bounds per-connection memory against a peer that
 /// streams bytes without ever sending a newline.
 const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// Largest accepted `leaf_samples`. Every leaf allocates `leaf_samples ×
+/// members` words for its uniforms, sorted draws and outcomes, so an
+/// unbounded value lets one request ask for tens of gigabytes — an
+/// allocation failure aborts the whole process. 2^16 is ample: the largest
+/// value any bench or test uses is 8.
+const MAX_LEAF_SAMPLES: u64 = 1 << 16;
 
 /// How often a blocking verb re-checks its connection while waiting on a
 /// non-terminal job.
@@ -1041,6 +1048,7 @@ mod tests {
             ("shots", r#""shots":0"#),
             ("shots", r#""shots":-1"#),
             ("leaf_samples", r#""leaf_samples":0"#),
+            ("leaf_samples", r#""leaf_samples":65537"#),
             ("retry_max_attempts", r#""retry_max_attempts":0"#),
             ("deadline_ms", r#""deadline_ms":0"#),
         ] {

@@ -46,8 +46,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Shared instrumentation for one or more [`StatePool`]s.
 ///
 /// All counters are monotone except `outstanding`/`outstanding_bytes`
-/// (currently live buffers) and the high-water marks, which can be re-armed
-/// with [`PoolCounters::reset_high_water`] to measure a single phase.
+/// (currently live buffers); the high-water marks are the peaks since the
+/// counters were made.
 #[derive(Debug, Default)]
 pub struct PoolCounters {
     allocations: AtomicU64,
@@ -67,12 +67,13 @@ pub struct PoolStats {
     pub reuses: u64,
     /// Buffers currently checked out.
     pub outstanding: usize,
-    /// Maximum simultaneously checked-out buffers since the last reset.
+    /// Maximum simultaneously checked-out buffers since the counters were
+    /// made.
     pub high_water: usize,
     /// Amplitude bytes currently checked out.
     pub outstanding_bytes: usize,
-    /// Maximum simultaneously checked-out amplitude bytes since the last
-    /// reset.
+    /// Maximum simultaneously checked-out amplitude bytes since the
+    /// counters were made.
     pub high_water_bytes: usize,
 }
 
@@ -110,17 +111,6 @@ impl PoolCounters {
             outstanding_bytes: self.outstanding_bytes.load(Ordering::Relaxed),
             high_water_bytes: self.high_water_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Re-arm the high-water marks at the current outstanding levels, so the
-    /// next [`PoolCounters::stats`] reports the peak of one phase only.
-    pub fn reset_high_water(&self) {
-        self.high_water
-            .store(self.outstanding.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.high_water_bytes.store(
-            self.outstanding_bytes.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
     }
 }
 
@@ -403,8 +393,6 @@ mod tests {
         drop(ba);
         drop(bb);
         assert_eq!(counters.stats().outstanding, 0);
-        counters.reset_high_water();
-        assert_eq!(counters.stats().high_water, 0);
     }
 
     #[test]

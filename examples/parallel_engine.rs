@@ -41,7 +41,7 @@ fn main() {
 
     let n_jobs = jobs.len();
     let t0 = Instant::now();
-    // Narrow-tree jobs interleave on the pool; a saturating one runs alone.
+    // Every job starts at once; their tasks interleave on the pool.
     let result = engine.submit(jobs).run().expect("all jobs plannable");
     let elapsed = t0.elapsed();
 
@@ -77,7 +77,8 @@ fn main() {
         pool.reuses,
         pool.reuses as f64 / pool.allocations.max(1) as f64,
     );
-    // Overlapped jobs share the pool, so the footprint is the batch's.
+    // Overlapped jobs share the pool; on this fresh engine its mark is the
+    // batch's footprint.
     println!(
         "batch peak: {} live buffers ({:.1} KiB), the pool high-water mark",
         pool.high_water,

@@ -331,6 +331,12 @@ fn tcp_loopback_smoke() {
             r#"{"op":"submit","shots":0,"circuit":{"n":1,"gates":[["h",0]]}}"#,
             "bad_request",
         ),
+        // Each leaf would allocate ~34 GB for this; the codec refuses it,
+        // so the connection answers and serves the next line.
+        (
+            r#"{"op":"submit","circuit":{"n":1,"gates":[["h",0]]},"leaf_samples":4294967295}"#,
+            "bad_request",
+        ),
         // The noise model constructors panic on this; the codec refuses it
         // first, so the connection answers and serves the next line.
         (
