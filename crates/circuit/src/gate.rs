@@ -111,16 +111,6 @@ impl GateKind {
         }
     }
 
-    /// Whether this kind is *diagonal* in the computational basis.
-    ///
-    /// Diagonal gates commute with Z-type noise and are cheaper to apply;
-    /// kernels and the fusion planner exploit this. Derived from
-    /// [`GateKind::diag1`]/[`GateKind::diag2`] so the classification has a
-    /// single source of truth.
-    pub fn is_diagonal(&self) -> bool {
-        self.diag1().is_some() || self.diag2().is_some()
-    }
-
     /// The diagonal entries `[d0, d1]` of a *diagonal single-qubit* kind,
     /// `None` for everything else.
     ///
@@ -431,11 +421,6 @@ impl Gate {
         self.kind.arity()
     }
 
-    /// Largest qubit index touched.
-    pub fn max_qubit(&self) -> u16 {
-        *self.qubits().iter().max().expect("arity >= 1")
-    }
-
     /// Absorb this gate's canonical encoding into `hasher`: the kind
     /// mnemonic (unique per [`GateKind`]), every continuous parameter as
     /// IEEE-754 bits, then the qubit placements in slot order. Two gates
@@ -616,7 +601,6 @@ mod tests {
         assert!(Gate::try_new(GateKind::Ccx, &[0, 1, 2]).is_ok());
         let g = Gate::new(GateKind::Cx, &[3, 7]);
         assert_eq!(g.qubits(), &[3, 7]);
-        assert_eq!(g.max_qubit(), 7);
     }
 
     #[test]
@@ -636,14 +620,6 @@ mod tests {
             Gate::new(GateKind::Rz(0.5), &[2]).to_string(),
             "rz(0.5000) q2"
         );
-    }
-
-    #[test]
-    fn diagonal_classification() {
-        assert!(GateKind::Cz.is_diagonal());
-        assert!(GateKind::Rz(0.1).is_diagonal());
-        assert!(!GateKind::Cx.is_diagonal());
-        assert!(!GateKind::H.is_diagonal());
     }
 
     #[test]

@@ -313,7 +313,7 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         );
     }
 
-    /// Squared 2-norm: per-node sums folded in rank order.
+    /// Squared 2-norm: one accumulator carried through the ranks.
     ///
     /// # Panics
     ///
@@ -478,11 +478,9 @@ impl<T: SliceTransport> DistributedStateVector<T> {
     }
 }
 
-/// Squared norm: per-rank sums folded in rank order.
+/// Squared norm: one accumulator carried through the ranks.
 fn norm_fold(n_nodes: usize, ask: &mut Ask<'_>) -> f64 {
-    (0..n_nodes)
-        .map(|rank| sum_of(ask(rank, Query::Psum)))
-        .sum()
+    (0..n_nodes).fold(0.0, |acc, rank| sum_of(ask(rank, Query::Psum(acc))))
 }
 
 /// The accumulator of a sum reply.
@@ -709,13 +707,12 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
         let (local_n, n_nodes) = (self.local_n, self.n_nodes());
         self.slices.query(|ask| {
             if q >= local_n {
-                // Node-selecting bit: the sums of the masked slices, folded
-                // in rank order.
+                // Node-selecting bit: one accumulator carried through the
+                // masked slices.
                 let mask = 1usize << (q - local_n);
                 (0..n_nodes)
                     .filter(|rank| rank & mask != 0)
-                    .map(|rank| sum_of(ask(rank, Query::Psum)))
-                    .sum()
+                    .fold(0.0, |acc, rank| sum_of(ask(rank, Query::Psum(acc))))
             } else {
                 // Local bit: one flat accumulator carried through the ranks.
                 (0..n_nodes).fold(0.0, |acc, rank| sum_of(ask(rank, Query::Msum(q, acc))))

@@ -12,7 +12,7 @@
 //! `tqsim-shard`'s worker processes. So does the one [`ClusterBackend`]
 //! that pools those states for the engines, holding the transport's node
 //! group; `tqsim-shard`'s `ShardBackend` is `ClusterBackend<ShardSlices>`.
-//! [`run_distributed`] is the serial `tqsim::TreeExecutor` walk on a
+//! [`run_distributed`] is the serial `tqsim::JobPlan` walk on a
 //! `ClusterBackend`. Results are validated bit-exactly against the
 //! single-node engine, and an analytic estimator extrapolates the Fig. 13
 //! strong/weak-scaling curves to widths this environment cannot execute.

@@ -24,12 +24,12 @@ pub struct DistRunResult {
 
 /// Execute a TQSim partition on the distributed engine (the baseline is the
 /// degenerate partition `(N)`), one outcome per leaf. A thin wrapper over
-/// the one serial tree walk, [`tqsim::TreeExecutor::run_on`] on a
+/// the one serial tree walk, [`tqsim::JobPlan::run_on`] on a
 /// [`ClusterBackend`]: each subcircuit is compiled **once**, its fused plan
 /// replayed per tree node through the shared generic driver
 /// ([`tqsim::run_subcircuit`]), and the RNG stream consumed identically, so
 /// for the same seed the `Counts` are **bit-identical** to the single-node
-/// [`tqsim::TreeExecutor::run`]'s (property-tested in
+/// [`tqsim::JobPlan::run`]'s (property-tested in
 /// `tests/prop_backend.rs`).
 ///
 /// # Errors

@@ -157,11 +157,14 @@ fn half_run(lq: u16, is_lo: bool) -> (usize, usize) {
 
 /// A read-only question to one slice: one link of a rank-ordered fold.
 /// Accumulators are carried from rank to rank, so a chained fold adds the
-/// same numbers in the same order as one walk over the gathered state.
+/// same numbers in the same order as one walk over the gathered state —
+/// the flat `StateVector`'s own serial sum, bit for bit. Above
+/// `par_min_len` amplitudes the flat sum runs in parallel chunks instead,
+/// and a state that wide rounds differently from the chain.
 #[derive(Clone, Copy, Debug)]
 pub enum Query<'a> {
-    /// `Σ|a|²` over the slice.
-    Psum,
+    /// `Psum(acc)`: continue `acc` over every `|a|²` of the slice.
+    Psum(f64),
     /// `Msum(q, acc)`: continue `acc` over the amplitudes whose local qubit
     /// `q` reads 1.
     Msum(u16, f64),
@@ -196,7 +199,7 @@ impl Query<'_> {
     pub fn answer(&self, slice: &[C64], base: usize) -> Reply {
         let probs = slice.iter().map(|a| a.norm_sqr());
         match *self {
-            Query::Psum => Reply::Acc(probs.sum()),
+            Query::Psum(acc) => Reply::Acc(probs.fold(acc, |acc, p| acc + p)),
             Query::Msum(q, acc) => Reply::Acc(
                 probs
                     .enumerate()

@@ -1,6 +1,7 @@
-//! DFS tree executor with intermediate-state reuse (paper §3.1/Fig. 7).
+//! The planned job ([`JobPlan`]) and its DFS tree walk with
+//! intermediate-state reuse (paper §3.1/Fig. 7).
 
-use crate::partition::{Partition, PlanError};
+use crate::partition::{Partition, PlanError, Strategy};
 use crate::tree::TreeStructure;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,11 +124,11 @@ pub struct RunResult {
     /// The tree that was executed.
     pub tree: TreeStructure,
     /// Maximum number of concurrently live state buffers. The serial
-    /// [`TreeExecutor`] always uses exactly `k + 1`; the `tqsim-engine`
-    /// parallel executor reports its *measured* pool high-water mark,
-    /// which in practice stays within `2 · workers · (k + 1)` under
-    /// stealing (each worker can have one chain pinned by thieves plus
-    /// one active chain).
+    /// [`JobPlan::run_on`] walk always uses exactly `k + 1`; the
+    /// `tqsim-engine` parallel executor reports its *measured* pool
+    /// high-water mark, which in practice stays within
+    /// `2 · workers · (k + 1)` under stealing (each worker can have one
+    /// chain pinned by thieves plus one active chain).
     pub peak_states: usize,
     /// Peak amplitude memory in bytes (same provenance as `peak_states`).
     pub peak_memory_bytes: usize,
@@ -146,33 +147,50 @@ impl RunResult {
     }
 }
 
-/// Executes a partitioned noisy simulation, reusing intermediate states.
+/// A planned and compiled job: the partition, its materialised
+/// subcircuits and one **compiled fused plan** per subcircuit, compiled
+/// once and replayed at every tree node (`∏_{j≤i} A_j` replays of plan
+/// `i`). The one plan object: [`JobPlan::run_on`] walks it serially, the
+/// `tqsim-engine` node tasks share it (via `Arc`) across a job's tree, and
+/// the engine's plan cache holds it across jobs, batches and service
+/// requests, so a repeated planning input skips DCP and compilation.
 ///
-/// The executor walks the simulation tree depth-first keeping one state
-/// buffer per level; a node at level `i` copies its parent's state
-/// (charging one state copy), runs subcircuit `i` with fresh stochastic
-/// noise, and hands the result to its `A_{i+1}` children. Leaves sample one
-/// outcome each, so the run yields `∏ A_j` outcomes.
-pub struct TreeExecutor<'a> {
-    circuit: &'a Circuit,
-    noise: &'a NoiseModel,
+/// It borrows nothing: the noise model is its own copy and the circuit is
+/// kept only as its subcircuits.
+pub struct JobPlan {
     partition: Partition,
     subcircuits: Vec<Circuit>,
-    /// One fused plan per subcircuit, compiled **once** and replayed at
-    /// every node of the tree (`∏_{j≤i} A_j` replays of plan `i`).
     compiled: Vec<CompiledCircuit>,
+    n_qubits: u16,
+    noise: NoiseModel,
 }
 
-impl<'a> TreeExecutor<'a> {
-    /// Bind a plan to a circuit and noise model.
+/// The serial executor's old name, kept only because `perf/` names it.
+pub type TreeExecutor<'a> = JobPlan;
+
+impl std::fmt::Debug for JobPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "JobPlan[{} qubits, {} subcircuits, tree {}]",
+            self.n_qubits,
+            self.subcircuits.len(),
+            self.partition.tree
+        )
+    }
+}
+
+impl JobPlan {
+    /// Bind a partition to a circuit and noise model, then materialise and
+    /// compile every subcircuit.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError::BadBoundaries`] if the partition does not cover
     /// exactly the circuit's gates.
     pub fn new(
-        circuit: &'a Circuit,
-        noise: &'a NoiseModel,
+        circuit: &Circuit,
+        noise: &NoiseModel,
         partition: Partition,
     ) -> Result<Self, PlanError> {
         if partition.covered_gates() != circuit.len() {
@@ -184,23 +202,54 @@ impl<'a> TreeExecutor<'a> {
         }
         let subcircuits = partition.subcircuits(circuit);
         let compiled = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
-        Ok(TreeExecutor {
-            circuit,
-            noise,
+        Ok(JobPlan {
             partition,
             subcircuits,
             compiled,
+            n_qubits: circuit.n_qubits(),
+            noise: noise.clone(),
         })
     }
 
-    /// The plan being executed.
+    /// Plan `circuit` for `shots` under `noise` with `strategy`, then
+    /// [`JobPlan::new`]: the expensive part of a job, done once per
+    /// distinct planning input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError`] for unplannable inputs.
+    pub fn plan(
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        shots: u64,
+        strategy: &Strategy,
+    ) -> Result<Self, PlanError> {
+        JobPlan::new(circuit, noise, strategy.plan(circuit, noise, shots)?)
+    }
+
+    /// The planned partition (its `tree` is the tree shape).
     pub fn partition(&self) -> &Partition {
         &self.partition
     }
 
-    /// The per-subcircuit compiled fused plans (for inspection/benchmarks).
+    /// The materialised subcircuits, one per tree level.
+    pub fn subcircuits(&self) -> &[Circuit] {
+        &self.subcircuits
+    }
+
+    /// The per-subcircuit compiled fused plans.
     pub fn compiled_plans(&self) -> &[CompiledCircuit] {
         &self.compiled
+    }
+
+    /// Register width of the planned circuit.
+    pub fn n_qubits(&self) -> u16 {
+        self.n_qubits
+    }
+
+    /// The noise model the plan was compiled against.
+    pub fn noise(&self) -> &NoiseModel {
+        &self.noise
     }
 
     /// Execute the full tree with a deterministic seed, one outcome per
@@ -210,7 +259,7 @@ impl<'a> TreeExecutor<'a> {
     }
 
     /// Walk the tree depth-first on any pooled backend's states — the
-    /// **single** serial tree walk. [`TreeExecutor::run`] runs it on one
+    /// **single** serial tree walk. [`JobPlan::run`] runs it on one
     /// node, `tqsim-cluster`'s `run_distributed` on a `ClusterBackend`.
     /// Returns the run and the `k + 1` states it walked (one per tree
     /// level plus the root — exactly the "intermediate states in
@@ -257,11 +306,11 @@ impl<'a> TreeExecutor<'a> {
     ) -> (RunResult, Vec<B::State>) {
         assert!(leaf_samples >= 1, "need at least one sample per leaf");
         let t0 = Instant::now();
-        let n = self.circuit.n_qubits();
+        let n = self.n_qubits;
         let k = self.subcircuits.len();
         let mut walk = TreeWalk {
             backend,
-            exec: self,
+            plan: self,
             leaf_samples,
             states: (0..=k).map(|_| backend.allocate(n)).collect(),
             writes: vec![SlotWrite::default(); k + 1],
@@ -297,10 +346,10 @@ struct SlotWrite {
     error_free_of: Option<u64>,
 }
 
-/// The state of one [`TreeExecutor::run_on`] walk.
+/// The state of one [`JobPlan::run_on`] walk.
 struct TreeWalk<'a, B: PooledBackend> {
     backend: &'a B,
-    exec: &'a TreeExecutor<'a>,
+    plan: &'a JobPlan,
     leaf_samples: u32,
     states: Vec<B::State>,
     /// `writes[l]` describes `states[l]`.
@@ -315,14 +364,14 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
     /// Run the `arities[level]` children of the node whose state is
     /// `states[level]`.
     fn recurse_nodes(&mut self, level: usize) {
-        let exec = self.exec;
-        let k = exec.subcircuits.len();
+        let plan = self.plan;
+        let k = plan.subcircuits.len();
         if level == k {
             let n = QuantumState::n_qubits(&self.states[k]);
             let (counts, ops) = (&mut self.counts, &mut self.ops);
             draw_leaf_outcomes(
                 &self.states[k],
-                exec.noise,
+                &plan.noise,
                 n,
                 self.leaf_samples,
                 &mut self.rng,
@@ -334,12 +383,12 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
             return;
         }
         let parent_write = self.writes[level].id;
-        for _rep in 0..exec.partition.tree.arities()[level] {
+        for _rep in 0..plan.partition.tree.arities()[level] {
             let mut probe = self.rng.clone();
             let error_free = level >= 1
-                && exec
+                && plan
                     .noise
-                    .draws_error_free(&exec.subcircuits[level], &mut probe);
+                    .draws_error_free(&plan.subcircuits[level], &mut probe);
             if error_free && self.writes[level + 1].error_free_of == Some(parent_write) {
                 // The slot already holds this node's state.
                 self.rng = probe;
@@ -353,9 +402,9 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
             self.ops.state_copies += 1;
             run_subcircuit(
                 child,
-                &exec.subcircuits[level],
-                &exec.compiled[level],
-                exec.noise,
+                &plan.subcircuits[level],
+                &plan.compiled[level],
+                &plan.noise,
                 &mut self.rng,
                 &mut self.ops,
                 true,
@@ -371,7 +420,7 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
 }
 
 /// Execute one subcircuit on any [`QuantumState`] backend: the **single**
-/// replay-driving implementation shared by the serial [`TreeExecutor`], the
+/// replay-driving implementation shared by the serial [`JobPlan`] walk, the
 /// `tqsim-engine` node executor, the Monte-Carlo baselines and
 /// `tqsim-cluster`'s distributed runner.
 ///
@@ -434,7 +483,7 @@ pub fn draw_leaf_outcomes<S, R>(
 /// then every member's readout noise on its own RNG, in draw order.
 ///
 /// This is the **single** leaf-sampling implementation: the serial
-/// [`TreeExecutor`] and the distributed runner draw one member per leaf,
+/// [`JobPlan`] walk and the distributed runner draw one member per leaf,
 /// the `tqsim-engine` node executor a node and its error-free sharers.
 /// Each RNG sees uniforms, then readout, so a member's outcomes are the
 /// ones it would draw alone, and every executor's `Counts` rely on this
@@ -644,6 +693,21 @@ mod tests {
         let r = exec.run_on(&SingleNode, 1, 4).0;
         assert_eq!(r.counts.total(), 40);
         assert_eq!(r.ops.samples, 40);
+        // The job description runs the same walk with its leaf samples.
+        let described = crate::Tqsim::new(&c)
+            .noise(noise.clone())
+            .shots(10)
+            .strategy(Strategy::Custom {
+                arities: vec![5, 2],
+            })
+            .seed(1)
+            .leaf_samples(3)
+            .run()
+            .unwrap();
+        let direct = exec.run_on(&SingleNode, 1, 3).0;
+        assert_eq!(described.counts, direct.counts);
+        assert_eq!(described.ops, direct.ops);
+        assert_eq!(described.counts.total(), 30);
         // Gate work is per materialised node, whatever the leaves draw.
         let lens = [c.len() as u64 / 2, c.len() as u64 - c.len() as u64 / 2];
         for r in [r, exec.run(1)] {

@@ -13,11 +13,15 @@
 //! - [`partition::Strategy`] — Baseline, UCP, XCP, **DCP** (the paper's
 //!   contribution) and custom tree shapes;
 //! - [`dcp`] — the Dynamic Circuit Partition planner (Eqs. 4–6);
-//! - [`executor::TreeExecutor`] — DFS execution with state reuse and full
-//!   cost accounting;
+//! - [`executor::JobPlan`] — the one planned-and-compiled job: a partition
+//!   with one compiled plan per subcircuit, walked depth-first with state
+//!   reuse and full cost accounting (and shared by the `tqsim-engine`
+//!   crate's parallel walk);
 //! - [`metrics`] — state fidelity (Eq. 8) and normalized fidelity (Eq. 9);
 //! - [`speedup`] — the §3.6 analytical speedup models;
-//! - [`sim::Tqsim`] — a one-stop builder.
+//! - [`sim::Tqsim`] — the one job description (circuit, noise, shots,
+//!   strategy, seed, leaf samples), run serially here or batched by the
+//!   `tqsim-engine` crate.
 //!
 //! ```
 //! use tqsim::{metrics, Strategy, Tqsim};
@@ -53,7 +57,7 @@ pub mod tree;
 
 pub use dcp::DcpConfig;
 pub use executor::{
-    draw_leaf_members, draw_leaf_outcomes, run_subcircuit, Counts, RunResult, TreeExecutor,
+    draw_leaf_members, draw_leaf_outcomes, run_subcircuit, Counts, JobPlan, RunResult, TreeExecutor,
 };
 pub use partition::{Partition, PlanError, Strategy};
 pub use sim::Tqsim;

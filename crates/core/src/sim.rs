@@ -1,17 +1,17 @@
-//! The [`Tqsim`] façade: a builder tying circuit, noise, shots, strategy and
-//! seed together.
+//! The [`Tqsim`] job description: circuit, noise, shots, strategy, seed
+//! and leaf samples.
 
 use crate::dcp::DcpConfig;
-use crate::executor::{RunResult, TreeExecutor};
+use crate::executor::{JobPlan, RunResult};
 use crate::partition::{Partition, PlanError, Strategy};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
+use tqsim_statevec::SingleNode;
 
-/// Builder for a TQSim run, executed serially by the reference
-/// [`TreeExecutor`]. Parallel execution goes through the `tqsim-engine`
-/// crate instead: submit the same circuit, noise, shots, strategy and seed
-/// as a `JobSpec` to an `Engine`, whose `EngineConfig` sets the worker
-/// count.
+/// One simulation job: the one job description. [`Tqsim::run`] plans it
+/// into a [`JobPlan`] and walks that serially; the `tqsim-engine` crate
+/// takes the same value (its `JobSpec` is this type) and runs a batch of
+/// them on its worker pool, planning each through its plan cache.
 ///
 /// ```
 /// use tqsim::{Strategy, Tqsim};
@@ -30,11 +30,18 @@ use tqsim_noise::NoiseModel;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tqsim<'a> {
-    circuit: &'a Circuit,
-    noise: NoiseModel,
-    shots: u64,
-    strategy: Strategy,
-    seed: u64,
+    /// The circuit to simulate.
+    pub circuit: &'a Circuit,
+    /// The noise model.
+    pub noise: NoiseModel,
+    /// The shot count `N` (the minimum number of outcomes produced).
+    pub shots: u64,
+    /// The partition strategy.
+    pub strategy: Strategy,
+    /// The RNG seed.
+    pub seed: u64,
+    /// Outcomes drawn per leaf (at least 1).
+    pub leaf_samples: u32,
 }
 
 impl Strategy {
@@ -45,8 +52,8 @@ impl Strategy {
 }
 
 impl<'a> Tqsim<'a> {
-    /// Start a run description for `circuit` with defaults: Sycamore
-    /// depolarizing noise, 1000 shots, DCP, seed 0.
+    /// Start a job description for `circuit` with defaults: Sycamore
+    /// depolarizing noise, 1000 shots, DCP, seed 0, one sample per leaf.
     pub fn new(circuit: &'a Circuit) -> Self {
         Tqsim {
             circuit,
@@ -54,6 +61,7 @@ impl<'a> Tqsim<'a> {
             shots: 1000,
             strategy: Strategy::default_dcp(),
             seed: 0,
+            leaf_samples: 1,
         }
     }
 
@@ -81,6 +89,18 @@ impl<'a> Tqsim<'a> {
         self
     }
 
+    /// Outcomes drawn per leaf (cheap oversampling; see
+    /// [`JobPlan::run_on`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn leaf_samples(mut self, n: u32) -> Self {
+        assert!(n >= 1, "need at least one sample per leaf");
+        self.leaf_samples = n;
+        self
+    }
+
     /// Plan the partition without executing (for inspection/reporting).
     ///
     /// # Errors
@@ -90,14 +110,14 @@ impl<'a> Tqsim<'a> {
         self.strategy.plan(self.circuit, &self.noise, self.shots)
     }
 
-    /// Plan and execute.
+    /// Plan and execute serially on one node.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError`] for unplannable inputs.
     pub fn run(&self) -> Result<RunResult, PlanError> {
-        let partition = self.plan()?;
-        Ok(TreeExecutor::new(self.circuit, &self.noise, partition)?.run(self.seed))
+        let plan = JobPlan::new(self.circuit, &self.noise, self.plan()?)?;
+        Ok(plan.run_on(&SingleNode, self.seed, self.leaf_samples).0)
     }
 }
 

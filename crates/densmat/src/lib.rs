@@ -106,11 +106,6 @@ impl DensityMatrix {
         (0..self.dim()).map(|i| self.entry(i, i).re).sum()
     }
 
-    /// `Tr ρ²` — 1 for pure states, `1/2^n` for the maximally mixed state.
-    pub fn purity(&self) -> f64 {
-        self.vec.amplitudes().iter().map(|a| a.norm_sqr()).sum()
-    }
-
     /// The measurement distribution `diag(ρ)`.
     pub fn probabilities(&self) -> Vec<f64> {
         (0..self.dim())
@@ -301,7 +296,6 @@ mod tests {
         for (a, b) in dm.vec.amplitudes().iter().zip(expect.vec.amplitudes()) {
             assert!((a - b).norm() < 1e-10);
         }
-        assert!((dm.purity() - 1.0).abs() < 1e-10);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Parallel execution of simulation trees on a [`WorkerPool`].
 //!
-//! The serial [`tqsim::TreeExecutor`] walks the tree depth-first with one
-//! RNG threaded through the whole walk, which is inherently sequential.
+//! The serial [`tqsim::JobPlan::run_on`] walks the tree depth-first with
+//! one RNG threaded through the whole walk, which is inherently sequential.
 //! Here every tree node is an independent **dataflow task**: it copies its
 //! parent's state (held alive in an `Arc` until the last child has copied
 //! it), applies its subcircuit with fresh stochastic noise, then either
@@ -52,10 +52,8 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tqsim::{Counts, RunResult, TreeStructure};
-use tqsim_circuit::Circuit;
-use tqsim_noise::NoiseModel;
-use tqsim_statevec::{CompiledCircuit, OpCounts, PoolCounters, PooledBackend, PooledState};
+use tqsim::{Counts, RunResult};
+use tqsim_statevec::{OpCounts, PoolCounters, PooledBackend, PooledState};
 
 /// Completion callback: invoked exactly once, from whichever worker retires
 /// the job's last node, with the fully merged result.
@@ -63,15 +61,10 @@ pub(crate) type DoneFn = Box<dyn FnOnce(RunResult) + Send>;
 
 /// Everything a node task needs, shared immutably across one job's tree.
 struct TreeShared {
-    n_qubits: u16,
-    subcircuits: Arc<Vec<Circuit>>,
-    /// Per-subcircuit fused plans — compiled **once** per distinct plan and
-    /// replayed by every node (shared across jobs, batches and service
-    /// requests by the engine's plan cache).
-    plans: Arc<Vec<CompiledCircuit>>,
-    arities: Vec<u64>,
-    tree: TreeStructure,
-    noise: NoiseModel,
+    /// The job's plan: subcircuits and fused plans compiled **once** per
+    /// distinct planning input and replayed by every node (shared across
+    /// jobs, batches and service requests by the engine's plan cache).
+    plan: Arc<JobPlan>,
     seed: u64,
     leaf_samples: u32,
     accums: Vec<Mutex<Accum>>,
@@ -123,7 +116,7 @@ fn lock_recover<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
 fn finish_job(shared: &TreeShared) {
     let done = lock_recover(&shared.done).take();
     let Some(done) = done else { return };
-    let mut counts = Counts::new(shared.n_qubits);
+    let mut counts = Counts::new(shared.plan.n_qubits());
     let mut ops = OpCounts::new();
     // Mirrors the serial executor: the initial |0…0⟩ materialisation is
     // charged once per run.
@@ -137,7 +130,7 @@ fn finish_job(shared: &TreeShared) {
     done(RunResult {
         counts,
         ops,
-        tree: shared.tree.clone(),
+        tree: shared.plan.partition().tree.clone(),
         peak_states: stats.high_water,
         peak_memory_bytes: stats.high_water_bytes,
         wall_time: shared.t0.elapsed(),
@@ -188,26 +181,20 @@ pub(crate) fn launch_tree<B: PooledBackend>(
     // node-local qubits for a cluster backend) is a static configuration
     // error, not something to panic over mid-tree on a worker.
     assert!(
-        pool.backend().supports(plan.n_qubits),
+        pool.backend().supports(plan.n_qubits()),
         "backend cannot materialise {}-qubit states (check PooledBackend::supports \
          before submitting)",
-        plan.n_qubits
+        plan.n_qubits()
     );
-    let arities = plan.partition.tree.arities().to_vec();
-    let roots = arities[0];
+    let roots = plan.partition().tree.arities()[0];
     let shared = Arc::new(TreeShared {
-        n_qubits: plan.n_qubits,
-        subcircuits: Arc::clone(&plan.subcircuits),
-        plans: Arc::clone(&plan.compiled),
-        arities,
-        tree: plan.partition.tree.clone(),
-        noise: plan.noise.clone(),
+        plan: Arc::clone(plan),
         seed,
         leaf_samples,
         accums: (0..pool.workers())
             .map(|_| {
                 Mutex::new(Accum {
-                    counts: Counts::new(plan.n_qubits),
+                    counts: Counts::new(plan.n_qubits()),
                     ops: OpCounts::new(),
                 })
             })
@@ -253,12 +240,13 @@ fn run_node<B: PooledBackend>(
     if let Err(fault) = tqsim_faults::trigger("engine.node_task") {
         panic!("{fault}");
     }
-    let k = shared.subcircuits.len();
+    let plan = &*shared.plan;
+    let k = plan.subcircuits().len();
     let mut ops = OpCounts::new();
     let n_members = 1 + sharers.len();
     ops.nodes_shared += sharers.len() as u64;
 
-    let mut state = ctx.acquire(shared.n_qubits);
+    let mut state = ctx.acquire(plan.n_qubits());
     match &parent {
         Parent::Root => state.reset_zero(),
         Parent::State(p) => ctx.backend().copy_into(&mut state, p),
@@ -274,9 +262,9 @@ fn run_node<B: PooledBackend>(
     // stream identically to the serial executor.
     tqsim::run_subcircuit(
         &mut *state,
-        &shared.subcircuits[level],
-        &shared.plans[level],
-        &shared.noise,
+        &plan.subcircuits()[level],
+        &plan.compiled_plans()[level],
+        plan.noise(),
         &mut rng,
         &mut ops,
         true,
@@ -291,8 +279,8 @@ fn run_node<B: PooledBackend>(
         let mut draw = |sink: &mut dyn FnMut(u64)| {
             tqsim::draw_leaf_members(
                 &*state,
-                &shared.noise,
-                shared.n_qubits,
+                plan.noise(),
+                plan.n_qubits(),
                 shared.leaf_samples,
                 &mut rngs,
                 sink,
@@ -331,15 +319,15 @@ fn run_node<B: PooledBackend>(
         let state = Arc::new(state);
         // Probe every child of every member before the first spawn: the
         // erroneous ones run alone, the error-free ones as one task.
-        let child_level = &shared.subcircuits[level + 1];
+        let child_level = &plan.subcircuits()[level + 1];
         let mut tasks: Vec<(u64, Vec<Sharer>)> = Vec::new();
         let mut error_free: Vec<Sharer> = Vec::new();
         let members = std::iter::once(hash).chain(sharers.into_iter().map(|(member, _)| member));
         for member in members {
-            for index in 0..shared.arities[level + 1] {
+            for index in 0..plan.partition().tree.arities()[level + 1] {
                 let child = child_hash(member, index);
                 let mut probe = StdRng::seed_from_u64(shared.seed ^ child);
-                if shared.noise.draws_error_free(child_level, &mut probe) {
+                if plan.noise().draws_error_free(child_level, &mut probe) {
                     error_free.push((child, probe));
                 } else {
                     tasks.push((child, Vec::new()));
@@ -452,8 +440,8 @@ mod tests {
     impl Mirror<'_> {
         fn node(&mut self, parent: Option<&tqsim_statevec::StateVector>, level: usize, hash: u64) {
             use tqsim_statevec::SingleNode;
-            let k = self.plan.subcircuits.len();
-            let mut state = SingleNode.allocate(self.plan.n_qubits);
+            let k = self.plan.subcircuits().len();
+            let mut state = SingleNode.allocate(self.plan.n_qubits());
             if let Some(parent) = parent {
                 SingleNode.copy_into(&mut state, parent);
             }
@@ -461,9 +449,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(self.seed ^ hash);
             tqsim::run_subcircuit(
                 &mut state,
-                &self.plan.subcircuits[level],
-                &self.plan.compiled[level],
-                &self.plan.noise,
+                &self.plan.subcircuits()[level],
+                &self.plan.compiled_plans()[level],
+                self.plan.noise(),
                 &mut rng,
                 &mut self.ops,
                 false,
@@ -472,8 +460,8 @@ mod tests {
                 let (counts, ops) = (&mut self.counts, &mut self.ops);
                 tqsim::draw_leaf_outcomes(
                     &state,
-                    &self.plan.noise,
-                    self.plan.n_qubits,
+                    self.plan.noise(),
+                    self.plan.n_qubits(),
                     self.leaf_samples,
                     &mut rng,
                     |outcome| {
@@ -482,7 +470,7 @@ mod tests {
                     },
                 );
             } else {
-                for index in 0..self.plan.partition.tree.arities()[level + 1] {
+                for index in 0..self.plan.partition().tree.arities()[level + 1] {
                     self.node(Some(&state), level + 1, child_hash(hash, index));
                 }
             }
@@ -494,10 +482,10 @@ mod tests {
             plan,
             seed,
             leaf_samples,
-            counts: Counts::new(plan.n_qubits),
+            counts: Counts::new(plan.n_qubits()),
             ops: OpCounts::new(),
         };
-        for index in 0..plan.partition.tree.arities()[0] {
+        for index in 0..plan.partition().tree.arities()[0] {
             mirror.node(None, 0, child_hash(seed, index));
         }
         mirror
@@ -572,7 +560,7 @@ mod tests {
                     arities: arities.clone(),
                 };
                 let plan = Arc::new(JobPlan::plan(&circuit, &noise, 1, &strategy).unwrap());
-                let nodes = plan.partition.tree.subcircuit_executions();
+                let nodes = plan.partition().tree.subcircuit_executions();
                 for leaf_samples in [1u32, 3] {
                     let cell = format!("{} {arities:?} leaf_samples={leaf_samples}", noise.name());
                     let mirror = unshared_mirror(&plan, 17, leaf_samples);

@@ -13,13 +13,17 @@
 //! - the tree executor (internal, see `exec`) — every tree node is a
 //!   dataflow task with a path-derived RNG stream, so output `Counts` are
 //!   **bit-identical at every parallelism level** for a fixed seed;
-//! - [`Engine`] / [`JobSpec`] / [`Batch`] — submit many
-//!   `(circuit, noise, shots, strategy)` jobs at once; every job plans
-//!   through the engine's [`PlanCache`], so identical partition plans are
-//!   computed once and shared across jobs and batches (cross-*job* reuse,
-//!   one step beyond the paper's cross-shot reuse), with
-//!   [`Engine::plan_cache`]'s [`CacheStats`] reporting the win;
-//! - [`JobPlan`] / [`PlannedJob`] / [`Engine::start`] — the **multi-tenant**
+//! - [`Engine`] / [`Batch`] — submit many jobs at once, each described by
+//!   [`tqsim::Tqsim`], the one job description ([`JobSpec`] is its old
+//!   name here); every job plans through the engine's [`PlanCache`] into a
+//!   [`JobPlan`], so identical partition plans are computed once and
+//!   shared across jobs and batches (cross-*job* reuse, one step beyond
+//!   the paper's cross-shot reuse), with [`Engine::plan_cache`]'s
+//!   [`CacheStats`] reporting the win;
+//! - [`JobPlan`] — `tqsim`'s one planned-and-compiled job, re-exported:
+//!   the cache holds it, a job's node tasks share it through one `Arc`,
+//!   and [`JobPlan::run_on`] is the serial walk over the same value;
+//! - [`PlannedJob`] / [`Engine::start`] — the **multi-tenant**
 //!   surface: pre-planned jobs start without blocking, any number can share
 //!   the pool at once, each fires a completion callback from the worker
 //!   that retires its last tree node, and an optional [`ChunkSink`] streams
@@ -44,16 +48,17 @@
 //! `tests/prop_engine_cluster.rs`).
 //!
 //! ```
-//! use tqsim_engine::{Engine, EngineConfig, JobSpec};
+//! use tqsim::Tqsim;
+//! use tqsim_engine::{Engine, EngineConfig};
 //! use tqsim_circuit::generators;
 //!
 //! let circuit = generators::qft(6);
 //! let engine = Engine::new(EngineConfig::default().parallelism(2));
 //! // Three jobs, two of which share one partition plan.
 //! let batch = engine.submit(vec![
-//!     JobSpec::new(&circuit).shots(64).seed(1),
-//!     JobSpec::new(&circuit).shots(64).seed(2),
-//!     JobSpec::new(&circuit).shots(256).seed(3),
+//!     Tqsim::new(&circuit).shots(64).seed(1),
+//!     Tqsim::new(&circuit).shots(64).seed(2),
+//!     Tqsim::new(&circuit).shots(256).seed(3),
 //! ]);
 //! let result = batch.run()?;
 //! assert_eq!(result.jobs.len(), 3);
@@ -72,14 +77,14 @@ pub mod pool;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use pool::{Task, WorkerCtx, WorkerPool};
+pub use tqsim::JobPlan;
 pub use tqsim_statevec::PoolStats;
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
-use tqsim::{Partition, PlanError, RunResult, Strategy, TreeStructure};
+use tqsim::{PlanError, RunResult};
 use tqsim_circuit::Circuit;
-use tqsim_noise::NoiseModel;
-use tqsim_statevec::{CompiledCircuit, PooledBackend, SingleNode};
+use tqsim_statevec::{PooledBackend, SingleNode};
 
 /// A streaming outcome sink: called from worker threads with each leaf
 /// batch's outcomes as soon as the leaf is sampled, long before the job
@@ -143,157 +148,13 @@ impl EngineConfig {
     }
 }
 
-/// One simulation request: a circuit with noise, shot budget, partition
-/// strategy and seed. Defaults mirror [`tqsim::Tqsim::new`]: Sycamore noise,
-/// 1000 shots, DCP, seed 0, one sample per leaf.
-#[derive(Clone, Debug)]
-pub struct JobSpec<'c> {
-    circuit: &'c Circuit,
-    noise: NoiseModel,
-    shots: u64,
-    strategy: Strategy,
-    seed: u64,
-    leaf_samples: u32,
-}
-
-impl<'c> JobSpec<'c> {
-    /// Describe a job for `circuit` with the default knobs.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        JobSpec {
-            circuit,
-            noise: NoiseModel::sycamore(),
-            shots: 1000,
-            strategy: Strategy::default_dcp(),
-            seed: 0,
-            leaf_samples: 1,
-        }
-    }
-
-    /// Set the noise model.
-    pub fn noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Set the shot count (minimum number of outcomes produced).
-    pub fn shots(mut self, shots: u64) -> Self {
-        self.shots = shots;
-        self
-    }
-
-    /// Set the partition strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Set the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Outcomes drawn per leaf (cheap oversampling; see
-    /// [`tqsim::TreeExecutor::run_on`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn leaf_samples(mut self, n: u32) -> Self {
-        assert!(n >= 1, "need at least one sample per leaf");
-        self.leaf_samples = n;
-        self
-    }
-}
-
-/// A fully planned, owned, immutable job: the partition, materialised
-/// subcircuits and the per-subcircuit **compiled fused plans**, plus the
-/// planning inputs they were derived from. Shareable (via `Arc`) across
-/// any number of jobs, batches and service requests whose planning inputs
-/// are identical — sharing a `JobPlan` is what makes plan reuse also skip
-/// DCP planning *and* compilation.
-///
-/// Unlike [`JobSpec`], a `JobPlan` borrows nothing: each [`Engine`]'s
-/// [`PlanCache`] holds these across batches (and across requests, for the
-/// `tqsim-service` front-end), keyed by circuit fingerprint + noise +
-/// strategy + shots, so a repeated circuit skips planning and compilation
-/// entirely.
-pub struct JobPlan {
-    pub(crate) partition: Partition,
-    pub(crate) subcircuits: Arc<Vec<Circuit>>,
-    pub(crate) compiled: Arc<Vec<CompiledCircuit>>,
-    pub(crate) n_qubits: u16,
-    pub(crate) noise: NoiseModel,
-    shots: u64,
-}
-
-impl std::fmt::Debug for JobPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "JobPlan[{} qubits, {} subcircuits, tree {}]",
-            self.n_qubits,
-            self.subcircuits.len(),
-            self.partition.tree
-        )
-    }
-}
-
-impl JobPlan {
-    /// Plan `circuit` for `shots` under `noise` with `strategy`, then
-    /// materialise and compile every subcircuit. The expensive part of a
-    /// job, done exactly once per distinct planning input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] for unplannable inputs.
-    pub fn plan(
-        circuit: &Circuit,
-        noise: &NoiseModel,
-        shots: u64,
-        strategy: &Strategy,
-    ) -> Result<JobPlan, PlanError> {
-        let partition = strategy.plan(circuit, noise, shots)?;
-        let subcircuits = Arc::new(partition.subcircuits(circuit));
-        let compiled = Arc::new(subcircuits.iter().map(|sc| noise.compile(sc)).collect());
-        Ok(JobPlan {
-            partition,
-            subcircuits,
-            compiled,
-            n_qubits: circuit.n_qubits(),
-            noise: noise.clone(),
-            shots,
-        })
-    }
-
-    /// The planned tree shape.
-    pub fn tree(&self) -> &TreeStructure {
-        &self.partition.tree
-    }
-
-    /// The underlying partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// Register width of the planned circuit.
-    pub fn n_qubits(&self) -> u16 {
-        self.n_qubits
-    }
-
-    /// The noise model the plan was compiled against.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    /// The shot budget the plan was sized for.
-    pub fn shots(&self) -> u64 {
-        self.shots
-    }
-}
+/// The job description's old engine-side name, kept only because `perf/`
+/// names it: a batch member is a [`tqsim::Tqsim`].
+pub type JobSpec<'c> = tqsim::Tqsim<'c>;
 
 /// An owned, ready-to-start job bound to a shared [`JobPlan`]: the
-/// multi-tenant counterpart of [`JobSpec`], consumed by [`Engine::start`].
+/// multi-tenant counterpart of a [`tqsim::Tqsim`] description, consumed by
+/// [`Engine::start`].
 #[derive(Clone, Debug)]
 pub struct PlannedJob {
     plan: Arc<JobPlan>,
@@ -317,7 +178,7 @@ impl PlannedJob {
         self
     }
 
-    /// Outcomes drawn per leaf (see [`JobSpec::leaf_samples`]).
+    /// Outcomes drawn per leaf (see [`tqsim::Tqsim::leaf_samples`]).
     ///
     /// # Panics
     ///
@@ -595,7 +456,9 @@ impl<B: PooledBackend> Engine<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tqsim::Strategy;
     use tqsim_circuit::generators;
+    use tqsim_noise::NoiseModel;
 
     #[test]
     fn batch_deduplicates_identical_plans() {

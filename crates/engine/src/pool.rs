@@ -299,13 +299,6 @@ impl<B: PooledBackend> WorkerPool<B> {
             pool.prewarm(n_qubits, per_worker);
         }
     }
-
-    /// Drop all pooled buffers on every worker.
-    pub fn shrink(&self) {
-        for pool in &self.state_pools {
-            pool.shrink();
-        }
-    }
 }
 
 impl<B: PooledBackend> Drop for WorkerPool<B> {

@@ -278,7 +278,7 @@ impl ServiceConfig {
     }
 }
 
-/// One client submission: everything [`tqsim_engine::JobSpec`] carries,
+/// One client submission: everything [`tqsim::Tqsim`] carries,
 /// owned (requests outlive the submitting call — they cross threads and,
 /// through the wire protocol, processes).
 #[derive(Clone, Debug)]
@@ -305,7 +305,7 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// A request with the default knobs (mirrors `JobSpec::new`).
+    /// A request with the default knobs (mirrors `Tqsim::new`).
     pub fn new(circuit: Arc<Circuit>) -> Self {
         JobRequest {
             circuit,

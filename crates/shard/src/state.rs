@@ -50,7 +50,7 @@ impl ShardSlices {
     /// Ask worker `rank` one query on `link` and decode its reply.
     fn ask(&self, link: &mut ClusterLink, rank: usize, query: Query<'_>) -> Reply {
         let (name, fields) = match query {
-            Query::Psum => ("psum", vec![]),
+            Query::Psum(acc) => ("psum", vec![("acc", num(acc))]),
             Query::Msum(q, acc) => (
                 "msum",
                 vec![("q", num_u64(u64::from(q))), ("acc", num(acc))],

@@ -235,7 +235,7 @@ impl Worker {
                 self.slices.insert(dst, to);
                 copied
             }
-            "psum" => self.answer(msg, Query::Psum),
+            "psum" => self.answer(msg, Query::Psum(need_f64(msg, "acc")?)),
             "msum" => self.answer(
                 msg,
                 Query::Msum(need_qubit(msg, "q")?, need_f64(msg, "acc")?),
@@ -293,7 +293,7 @@ impl Worker {
             // just below this slice.
             Query::Walk { init: true, .. } => rank == 0,
             Query::Walk { idx, .. } => idx.checked_add(1).is_some_and(|next| next >= base as u64),
-            Query::Psum => true,
+            Query::Psum(_) => true,
         };
         if !fits {
             let why = format!("{query:?} does not fit rank {rank}'s slice");
@@ -476,6 +476,8 @@ mod tests {
             (r#"{"v":"ccx","sid":1,"c1":70000,"c2":1,"t":0}"#, None),
             (r#"{"v":"diag1","sid":1,"q":3}"#, Some(2)),
             (r#"{"v":"msum","sid":1,"q":40,"acc":0}"#, None),
+            // A sum continues a carried accumulator; none is no query.
+            (r#"{"v":"psum","sid":1}"#, None),
             // Rank 1's slice starts at index 8: a walk cannot resume at 2,
             // nor start there.
             (

@@ -1,9 +1,8 @@
 //! One distributed state, two slice transports. The conformance body below
 //! drives every `SliceOp`, both `PairOp`s and every `Query` through a
 //! `DistributedStateVector<T>` and checks each result bit for bit against
-//! a flat `StateVector` driven through the same operations: amplitudes
-//! directly, reductions against the rank-ordered fold the distributed
-//! state documents. It runs on the in-process `LocalSlices` at 2, 4 and 8
+//! a flat `StateVector` driven through the same operations: amplitudes,
+//! norms, marginals and samples alike. It runs on the in-process `LocalSlices` at 2, 4 and 8
 //! nodes and on the TCP `ShardSlices` at 2 and 4 worker processes, whose
 //! deterministic counters must equal the in-process ones. One level up,
 //! the engine must return identical `Counts` on either backend.
@@ -32,16 +31,6 @@ fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// The documented fold: per-slice `Σ|a|²` over the slices `keep` selects,
-/// added in rank order.
-fn rank_fold(amps: &[C64], n_nodes: usize, keep: impl Fn(usize) -> bool) -> f64 {
-    amps.chunks(amps.len() / n_nodes)
-        .enumerate()
-        .filter(|&(rank, _)| keep(rank))
-        .map(|(_, slice)| slice.iter().map(|a| a.norm_sqr()).sum::<f64>())
-        .sum()
-}
-
 /// The conformance body: returns the state's counters for comparison
 /// across transports.
 fn conform<T, B>(backend: &B) -> ClusterCounters
@@ -51,7 +40,7 @@ where
 {
     let mut dsv = backend.allocate(N);
     let mut sv = StateVector::zero(N);
-    let (n_nodes, local_n) = (dsv.n_nodes(), dsv.local_qubits());
+    let n_nodes = dsv.n_nodes();
     let same = |dsv: &DistributedStateVector<T>, sv: &StateVector, what: &str| {
         assert_eq!(
             bits(dsv.gather().amplitudes()),
@@ -138,25 +127,14 @@ where
     }
     same(&dsv, &sv, "diagonals");
 
-    // Queries on the now sub-normalised state: norm and global marginals
-    // fold per-slice sums in rank order; a local marginal carries one
-    // accumulator through the ranks; sampling walks one CDF in global
-    // index order, so it is the flat state's own, draw for draw —
-    // including the over-range fallback to the last basis state.
-    let amps = sv.amplitudes();
-    assert_eq!(
-        dsv.norm_sqr().to_bits(),
-        rank_fold(amps, n_nodes, |_| true).to_bits()
-    );
+    // Queries on the now sub-normalised state: the norm and every marginal
+    // carry one accumulator through the ranks, and sampling walks one CDF
+    // in global index order, so each is the flat state's own — draw for
+    // draw, including the over-range fallback to the last basis state.
+    assert_eq!(dsv.norm_sqr().to_bits(), sv.norm_sqr().to_bits());
     for q in 0..N {
-        let expect = if q >= local_n {
-            let mask = 1usize << (q - local_n);
-            rank_fold(amps, n_nodes, |rank| rank & mask != 0)
-        } else {
-            let set = amps.iter().enumerate().filter(|(i, _)| i & (1 << q) != 0);
-            set.fold(0.0, |acc, (_, a)| acc + a.norm_sqr())
-        };
-        assert_eq!(dsv.marginal_one(q).to_bits(), expect.to_bits(), "q{q}");
+        let (got, want) = (dsv.marginal_one(q), sv.marginal_one(q));
+        assert_eq!(got.to_bits(), want.to_bits(), "q{q}");
     }
     let mut us: Vec<f64> = (0..40).map(|i| (i as f64 + 0.37) / 40.0).collect();
     us.extend([0.0, 0.999_999_9, 0.5, 0.5]);
@@ -167,12 +145,9 @@ where
     assert!(dsv.sample_many(&[]).is_empty());
 
     // Renormalisation scales by the folded norm (`Query::Psum`, then
-    // `SliceOp::Scale`).
-    let s = 1.0 / rank_fold(sv.amplitudes(), n_nodes, |_| true).sqrt();
+    // `SliceOp::Scale`): the flat state's own factor.
     dsv.renormalize();
-    for a in sv.amplitudes_mut() {
-        *a *= s;
-    }
+    sv.renormalize();
     same(&dsv, &sv, "renormalised");
 
     // State copies and resets (`SliceOp::Reset`).

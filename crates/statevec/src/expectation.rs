@@ -33,23 +33,9 @@ impl ZString {
         }
     }
 
-    /// An arbitrary Z-string from a qubit mask.
-    pub fn from_mask(mask: u64) -> Self {
-        ZString { mask }
-    }
-
     /// The underlying qubit mask.
     pub fn mask(&self) -> u64 {
         self.mask
-    }
-
-    /// Eigenvalue (±1) of this string on a basis state.
-    pub fn eigenvalue(&self, basis: u64) -> f64 {
-        if (basis & self.mask).count_ones().is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        }
     }
 }
 
@@ -167,15 +153,5 @@ mod tests {
     fn mask_bounds_checked() {
         let sv = StateVector::zero(2);
         assert!(std::panic::catch_unwind(|| expect_z_string(&sv, ZString::z(5))).is_err());
-    }
-
-    #[test]
-    fn eigenvalue_parity() {
-        let zs = ZString::from_mask(0b101);
-        assert_eq!(zs.eigenvalue(0b000), 1.0);
-        assert_eq!(zs.eigenvalue(0b001), -1.0);
-        assert_eq!(zs.eigenvalue(0b101), 1.0);
-        assert_eq!(zs.eigenvalue(0b111), 1.0);
-        assert_eq!(zs.eigenvalue(0b100), -1.0);
     }
 }

@@ -244,11 +244,6 @@ impl<B: PooledBackend> StatePool<B> {
             .sum()
     }
 
-    /// Drop all free buffers (e.g. between jobs of very different widths).
-    pub fn shrink(&self) {
-        self.shared.free.lock().expect("pool lock").clear();
-    }
-
     /// Counter snapshot (shared across pools created via
     /// [`StatePool::with_counters`] / [`StatePool::with_backend`]).
     pub fn stats(&self) -> PoolStats {
@@ -412,15 +407,6 @@ mod tests {
         std::thread::spawn(move || drop(buf)).join().unwrap();
         assert_eq!(pool.stats().outstanding, 0);
         assert_eq!(pool.free_buffers(), 1);
-    }
-
-    #[test]
-    fn shrink_empties_free_list() {
-        let pool = StatePool::new();
-        drop(pool.acquire(3));
-        assert_eq!(pool.free_buffers(), 1);
-        pool.shrink();
-        assert_eq!(pool.free_buffers(), 0);
     }
 
     #[test]

@@ -31,8 +31,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// Measure the state-copy and gate costs at a given width.
 ///
 /// The paper observes the ratio is roughly width-independent (§3.6), so a
-/// single mid-size measurement — or [`measure_copy_cost_avg`] — suffices as
-/// DCP input.
+/// single mid-size measurement suffices as DCP input.
 ///
 /// # Panics
 ///
@@ -69,21 +68,6 @@ pub fn measure_copy_cost(n_qubits: u16, trials: usize) -> HostCopyCost {
     }
 }
 
-/// Average copy-to-gate ratio over a range of widths — the single number
-/// DCP consumes ("we use an averaged state copy cost value for all circuit
-/// widths", §3.6).
-///
-/// # Panics
-///
-/// Panics if the range is empty.
-pub fn measure_copy_cost_avg(widths: std::ops::RangeInclusive<u16>, trials: usize) -> f64 {
-    let ratios: Vec<f64> = widths
-        .map(|n| measure_copy_cost(n, trials).ratio())
-        .collect();
-    assert!(!ratios.is_empty(), "empty width range");
-    ratios.iter().sum::<f64>() / ratios.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,12 +78,6 @@ mod tests {
         assert!(m.copy_ns > 0.0);
         assert!(m.gate_ns > 0.0);
         assert!(m.ratio() > 0.0);
-    }
-
-    #[test]
-    fn average_over_widths() {
-        let r = measure_copy_cost_avg(8..=10, 3);
-        assert!(r.is_finite() && r > 0.0);
     }
 
     #[test]

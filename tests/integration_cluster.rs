@@ -115,16 +115,37 @@ fn tqsim_beats_baseline_on_the_cluster_estimator() {
 #[test]
 fn cluster_noise_trajectories_preserve_norm() {
     // Failure-sensitive path: damping channels hit marginals, antidiagonal
-    // Kraus ops and renormalisation across node boundaries.
+    // Kraus ops and renormalisation across node boundaries. The trajectory
+    // is the flat state's, bit for bit after every gate: the norm and
+    // marginal folds add the flat state's numbers in its order.
     use rand::SeedableRng;
     let model = InterconnectModel::commodity_cluster();
-    let noise = tqsim_noise::NoiseModel::amplitude_damping(0.05);
-    let circuit = generators::qft(8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-    let mut dsv = DistributedStateVector::zero(8, 4, model).unwrap();
-    for gate in &circuit {
-        dsv.apply_gate(gate);
-        noise.apply_after_gate(&mut dsv, gate, &mut rng);
-        assert!((dsv.norm_sqr() - 1.0).abs() < 1e-8);
+    let bits = |sv: &StateVector| -> Vec<(u64, u64)> {
+        sv.amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    };
+    for noise in [
+        NoiseModel::amplitude_damping(0.05),
+        NoiseModel::phase_damping(0.05),
+        NoiseModel::thermal_relaxation_sycamore(),
+    ] {
+        for n in [8u16, 10] {
+            let circuit = generators::qft(n);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+            let mut flat_rng = rand::rngs::StdRng::seed_from_u64(23);
+            let mut dsv = DistributedStateVector::zero(n, 4, model).unwrap();
+            let mut flat = StateVector::zero(n);
+            for (i, gate) in circuit.iter().enumerate() {
+                dsv.apply_gate(gate);
+                noise.apply_after_gate(&mut dsv, gate, &mut rng);
+                flat.apply_gate(gate);
+                noise.apply_after_gate(&mut flat, gate, &mut flat_rng);
+                assert!((dsv.norm_sqr() - 1.0).abs() < 1e-8);
+                let cell = format!("{} qft({n}) gate {i}", noise.name());
+                assert_eq!(bits(&dsv.gather()), bits(&flat), "{cell}");
+            }
+        }
     }
 }
