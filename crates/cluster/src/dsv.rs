@@ -22,8 +22,9 @@
 //! the accounting, and its [`SliceTransport`] only moves and touches slices
 //! — [`LocalSlices`] (the default) in this process, `tqsim-shard`'s over
 //! worker processes. `LocalSlices` creates no thread: slices (and partner
-//! pairs of slices) run in turn on the caller's thread, and the kernels
-//! pool *inside* a slice once it reaches `kernels::par_min_len`.
+//! pairs of slices) run in turn on the caller's thread, and the gate
+//! sweeps pool *inside* a slice once it reaches `kernels::par_min_len`
+//! (the reductions never pool).
 
 use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
@@ -33,7 +34,9 @@ use std::time::Instant;
 use std::{fmt, io};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_obs::{Counter, Registry};
-use tqsim_statevec::{sample_sorted, DiagRun, PooledBackend, QuantumState, StateVector};
+use tqsim_statevec::{
+    sample_sorted, DiagRun, PooledBackend, QuantumState, StateVector, MAX_QUBITS,
+};
 
 /// Error constructing a [`DistributedStateVector`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,6 +46,14 @@ pub enum ClusterError {
     /// Each node must keep at least 2^3 amplitudes so three-qubit gates can
     /// be remapped locally.
     TooFewLocalQubits {
+        /// Requested register width.
+        n_qubits: u16,
+        /// Requested node count.
+        n_nodes: usize,
+    },
+    /// Each node's slice must fit one node's state, at most
+    /// [`tqsim_statevec::MAX_QUBITS`] local qubits.
+    TooManyLocalQubits {
         /// Requested register width.
         n_qubits: u16,
         /// Requested node count.
@@ -59,6 +70,11 @@ impl fmt::Display for ClusterError {
             ClusterError::TooFewLocalQubits { n_qubits, n_nodes } => write!(
                 f,
                 "{n_qubits} qubits over {n_nodes} nodes leaves fewer than 3 local qubits"
+            ),
+            ClusterError::TooManyLocalQubits { n_qubits, n_nodes } => write!(
+                f,
+                "{n_qubits} qubits over {n_nodes} nodes leaves more than {MAX_QUBITS} \
+                 local qubits"
             ),
         }
     }
@@ -276,11 +292,6 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         self.slice_len() * self.n_nodes() * std::mem::size_of::<C64>()
     }
 
-    /// Qubits that are node-local (the low `n − g`).
-    pub fn local_qubits(&self) -> u16 {
-        self.local_n
-    }
-
     /// Where each qubit sits now: canonical unless ops since the last
     /// [`QuantumState::settle`] left a global qubit on a local position.
     pub fn layout(&self) -> &Layout {
@@ -492,7 +503,8 @@ fn sum_of(reply: Reply) -> f64 {
 }
 
 /// The single source of truth for the slicing invariant: `n_nodes` must
-/// be a power of two ≥ 1 and at least 3 qubits must stay node-local.
+/// be a power of two ≥ 1, at least 3 qubits must stay node-local and at
+/// most [`MAX_QUBITS`] may.
 /// [`DistributedStateVector::with_transport`] (hence every transport),
 /// [`ClusterBackend::validate`] and the runner's pre-checks all delegate
 /// here, so the rule cannot drift.
@@ -500,8 +512,12 @@ pub fn check_layout(n_qubits: u16, n_nodes: usize) -> Result<(), ClusterError> {
     if n_nodes == 0 || !n_nodes.is_power_of_two() {
         return Err(ClusterError::BadNodeCount(n_nodes));
     }
-    if n_qubits < n_nodes.trailing_zeros() as u16 + 3 {
+    let global = n_nodes.trailing_zeros() as u16;
+    if n_qubits < global + 3 {
         return Err(ClusterError::TooFewLocalQubits { n_qubits, n_nodes });
+    }
+    if n_qubits - global > MAX_QUBITS {
+        return Err(ClusterError::TooManyLocalQubits { n_qubits, n_nodes });
     }
     Ok(())
 }

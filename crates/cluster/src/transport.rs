@@ -70,7 +70,7 @@ impl SliceOp<'_> {
             SliceOp::Antidiag1(q, a01, a10) => {
                 kernels::apply_antidiag1(slice, q as usize, a01, a10)
             }
-            SliceOp::Scale(s) => slice.iter_mut().for_each(|a| *a *= s),
+            SliceOp::Scale(s) => kernels::scale_amps(slice, s),
         }
     }
 }
@@ -156,11 +156,11 @@ fn half_run(lq: u16, is_lo: bool) -> (usize, usize) {
 }
 
 /// A read-only question to one slice: one link of a rank-ordered fold.
-/// Accumulators are carried from rank to rank, so a chained fold adds the
-/// same numbers in the same order as one walk over the gathered state —
-/// the flat `StateVector`'s own serial sum, bit for bit. Above
-/// `par_min_len` amplitudes the flat sum runs in parallel chunks instead,
-/// and a state that wide rounds differently from the chain.
+/// Accumulators are carried from rank to rank through the same folds the
+/// flat `StateVector` runs from 0.0 ([`kernels::norm_sqr_from`],
+/// [`kernels::marginal_one_from`], [`walk_cdf`]), so a chained fold adds
+/// the same numbers in the same order as one walk over the gathered state,
+/// bit for bit at every width.
 #[derive(Clone, Copy, Debug)]
 pub enum Query<'a> {
     /// `Psum(acc)`: continue `acc` over every `|a|²` of the slice.
@@ -197,15 +197,9 @@ pub enum Reply {
 impl Query<'_> {
     /// Answer for `slice`, whose first amplitude has global index `base`.
     pub fn answer(&self, slice: &[C64], base: usize) -> Reply {
-        let probs = slice.iter().map(|a| a.norm_sqr());
         match *self {
-            Query::Psum(acc) => Reply::Acc(probs.fold(acc, |acc, p| acc + p)),
-            Query::Msum(q, acc) => Reply::Acc(
-                probs
-                    .enumerate()
-                    .filter(|(i, _)| i & (1 << q) != 0)
-                    .fold(acc, |acc, (_, p)| acc + p),
-            ),
+            Query::Psum(acc) => Reply::Acc(kernels::norm_sqr_from(acc, slice)),
+            Query::Msum(q, acc) => Reply::Acc(kernels::marginal_one_from(acc, slice, q.into())),
             Query::Walk {
                 us,
                 idx,

@@ -339,6 +339,11 @@ impl<B: PooledBackend> Engine<B> {
     /// streams depend only on the job seed and tree path. Memory metrics
     /// in the result are the pool-wide high-water mark since the engine
     /// started, shared with whatever else ran on the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the calling thread, before any task starts, if the
+    /// backend cannot hold the job's width (see [`Engine::supports`]).
     pub fn start(
         &self,
         job: &PlannedJob,
@@ -445,6 +450,14 @@ impl<B: PooledBackend> Engine<B> {
     /// high-water across all workers).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.pool_stats()
+    }
+
+    /// Whether this engine's backend can hold `n_qubits`-wide states
+    /// ([`PooledBackend::supports`]). A job must pass this before it is
+    /// started: [`Engine::start`] refuses an unsupported width with a
+    /// panic on the calling thread.
+    pub fn supports(&self, n_qubits: u16) -> bool {
+        self.pool.backend().supports(n_qubits)
     }
 
     /// Direct access to the worker pool (its backend, custom tasks).

@@ -501,24 +501,46 @@ mod tests {
     fn infeasible_cluster_width_falls_back_to_single_node() {
         // 5 qubits over 8 nodes leaves < 3 local qubits: the policy says
         // cluster, feasibility says no — the job must still run (single-
-        // node) rather than fail.
-        let service = Service::start(
-            ServiceConfig::default()
-                .parallelism(1)
-                .max_concurrent_jobs(1)
-                .backend_policy(BackendPolicy::cluster_above(4, 8)),
-        );
-        let circuit = Arc::new(generators::bv(5));
-        let result = service
-            .submit("a", JobRequest::new(circuit).shots(8).seed(3))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(result.counts.total() >= 8);
-        let stats = service.stats();
-        assert_eq!(stats.cluster_jobs, 0);
-        assert_eq!(stats.single_node_jobs, 1);
-        service.shutdown();
+        // node) rather than fail. A job that no engine can hold is refused
+        // at placement instead, before any worker tries to allocate it:
+        // 31 qubits on a single-node service, and 34 qubits over 8 nodes
+        // (31 local qubits per node). One state holds at most 30.
+        let wide = |n: u16| {
+            let mut c = tqsim_circuit::Circuit::new(n);
+            c.h(0);
+            Arc::new(c)
+        };
+        for (policy, too_wide) in [
+            (BackendPolicy::default(), 31),
+            (BackendPolicy::cluster_above(4, 8), 34),
+        ] {
+            let service = Service::start(
+                ServiceConfig::default()
+                    .parallelism(1)
+                    .max_concurrent_jobs(1)
+                    .backend_policy(policy),
+            );
+            let refused = service
+                .submit("a", JobRequest::new(wide(too_wide)).shots(8).seed(3))
+                .unwrap()
+                .wait();
+            assert!(
+                matches!(refused, Err(JobError::BackendUnavailable(_))),
+                "{too_wide} qubits: {refused:?}"
+            );
+            let circuit = Arc::new(generators::bv(5));
+            let result = service
+                .submit("a", JobRequest::new(circuit).shots(8).seed(3))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert!(result.counts.total() >= 8);
+            let stats = service.stats();
+            assert_eq!(stats.aborted, 0, "{too_wide} qubits aborted a job");
+            assert_eq!(stats.cluster_jobs, 0);
+            assert_eq!(stats.single_node_jobs, 1);
+            service.shutdown();
+        }
     }
 
     #[test]

@@ -508,7 +508,7 @@ impl ClusterEngine {
     /// feasibility, read off the engine's own backend so there is no
     /// second copy to drift).
     fn supports(&self, n_qubits: u16) -> bool {
-        on_engine!(self, e => e.worker_pool().backend().validate(n_qubits).is_ok())
+        on_engine!(self, e => e.supports(n_qubits))
     }
 
     fn start(
@@ -1068,8 +1068,9 @@ enum Placement {
 /// Apply the backend policy: cluster when configured, the job is at or
 /// above the width threshold, and the node group can actually slice it
 /// (≥ 3 local qubits); single-node otherwise — unless the job is also
-/// wider than [`BackendPolicy::single_node_max_qubits`], in which case no
-/// engine can take it and placement itself fails.
+/// wider than the single-node engine holds or than
+/// [`BackendPolicy::single_node_max_qubits`], in which case no engine can
+/// take it and placement itself fails.
 fn place(shared: &Shared, n_qubits: u16) -> Result<Placement, JobError> {
     let over_threshold = shared
         .cfg
@@ -1086,20 +1087,22 @@ fn place(shared: &Shared, n_qubits: u16) -> Result<Placement, JobError> {
         Ok(Placement::SingleNode)
     } else {
         Err(JobError::BackendUnavailable(format!(
-            "{n_qubits}-qubit job exceeds the single-node cap and no \
-             feasible cluster placement exists"
+            "no engine can hold a {n_qubits}-qubit job: it does not fit the \
+             single-node engine and no feasible cluster placement exists"
         )))
     }
 }
 
-/// Whether the single-node engine is allowed to take a job of this width
-/// (no configured cap means it always is).
+/// Whether the single-node engine can hold a job of this width (its
+/// backend's limit) and is allowed to take it (the configured cap, if
+/// any).
 fn single_node_fits(shared: &Shared, n_qubits: u16) -> bool {
-    shared
-        .cfg
-        .backend_policy
-        .single_node_max_qubits
-        .is_none_or(|max| n_qubits <= max)
+    shared.engine.supports(n_qubits)
+        && shared
+            .cfg
+            .backend_policy
+            .single_node_max_qubits
+            .is_none_or(|max| n_qubits <= max)
 }
 
 /// Start one planned job on the placed engine with streaming + completion

@@ -6,7 +6,6 @@
 //! specific simulators use (§6.3).
 
 use crate::state::StateVector;
-use rayon::prelude::*;
 
 /// A Pauli-Z string: the observable `⊗_{q ∈ mask} Z_q` (diagonal, so its
 /// expectation is a single weighted pass over the probabilities).
@@ -52,19 +51,18 @@ pub fn expect_z_string(sv: &StateVector, zs: ZString) -> f64 {
         sv.n_qubits()
     );
     let mask = zs.mask();
-    let body = |(i, a): (usize, &tqsim_circuit::C64)| {
-        let sign = if (i as u64 & mask).count_ones().is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        sign * a.norm_sqr()
-    };
-    if sv.len() < crate::kernels::par_min_len() {
-        sv.amplitudes().iter().enumerate().map(body).sum()
-    } else {
-        sv.amplitudes().par_iter().enumerate().map(body).sum()
-    }
+    sv.amplitudes()
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let sign = if (i as u64 & mask).count_ones().is_multiple_of(2) {
+                1.0
+            } else {
+                -1.0
+            };
+            sign * a.norm_sqr()
+        })
+        .sum()
 }
 
 /// The QAOA max-cut cost `Σ_(a,b)∈edges (1 − ⟨Z_a Z_b⟩)/2` — the expected

@@ -84,10 +84,14 @@
 //! fit inside a span selects among the task's 2 or 4 spans instead, so the
 //! highest qubits split as evenly as the lowest. The serial path is the
 //! same body over a single whole-slice task. The threshold defaults to
-//! [`DEFAULT_PAR_MIN_LEN`] and is tunable with [`set_par_min_len`]. The
-//! reductions (`norm_sqr`, sampling, …) keep the
-//! pool's fixed-boundary chunking, which is what makes *them* thread-count
-//! invariant.
+//! [`DEFAULT_PAR_MIN_LEN`] and is tunable with [`set_par_min_len`].
+//!
+//! The pool runs sweeps only. Every amplitude sum is one serial fold in
+//! index order that carries an accumulator — [`norm_sqr_from`],
+//! [`marginal_one_from`] and the sampler's `walk_cdf` — and a distributed
+//! state's ranks continue the same folds from one slice to the next, so
+//! the flat and distributed states add the same numbers in the same order
+//! at every width and thread count.
 
 mod simd;
 
@@ -874,68 +878,31 @@ where
     });
 }
 
-// ---- reduction kernels ----------------------------------------------------
+// ---- norms, marginals and renormalisation ----------------------------------
 
-/// Squared 2-norm `Σ |a_i|²` with the standard [`par_min_len`] switch.
-pub fn norm_sqr_amps(amps: &[C64]) -> f64 {
-    if amps.len() < par_min_len() {
-        amps.iter().map(|a| a.norm_sqr()).sum()
-    } else {
-        amps.par_iter().map(|a| a.norm_sqr()).sum()
-    }
+/// Continue the squared 2-norm `acc + Σ |a_i|²` over `amps`, one serial
+/// fold in index order. The flat state starts it at 0.0; a distributed
+/// state carries `acc` from rank to rank, so both add the same numbers in
+/// the same order at every width.
+pub fn norm_sqr_from(acc: f64, amps: &[C64]) -> f64 {
+    amps.iter().fold(acc, |acc, a| acc + a.norm_sqr())
 }
 
-/// Scale every amplitude by the real factor `s`.
-pub fn scale_amps(amps: &mut [C64], s: f64) {
-    if amps.len() < par_min_len() {
-        amps.iter_mut().for_each(|a| *a *= s);
-    } else {
-        amps.par_iter_mut().for_each(|a| *a *= s);
-    }
-}
-
-/// Inner product `Σ conj(a_i)·b_i`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn inner_amps(a: &[C64], b: &[C64]) -> C64 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    if a.len() < par_min_len() {
-        a.iter().zip(b.iter()).map(|(x, y)| x.conj() * y).sum()
-    } else {
-        a.par_iter()
-            .zip(b.par_iter())
-            .map(|(x, y)| x.conj() * y)
-            .sum()
-    }
-}
-
-/// The outcome distribution `|a_i|²` as a dense vector.
-pub fn probabilities_amps(amps: &[C64]) -> Vec<f64> {
-    if amps.len() < par_min_len() {
-        amps.iter().map(|a| a.norm_sqr()).collect()
-    } else {
-        amps.par_iter().map(|a| a.norm_sqr()).collect()
-    }
-}
-
-/// Marginal probability that bit `q` of the index reads 1.
-pub fn marginal_one_amps(amps: &[C64], q: usize) -> f64 {
+/// Continue `acc` over `|a_i|²` of the amplitudes whose index has bit `q`
+/// set: the marginal probability that qubit `q` reads 1, folded as
+/// [`norm_sqr_from`] is.
+pub fn marginal_one_from(acc: f64, amps: &[C64], q: usize) -> f64 {
     let mask = 1usize << q;
-    if amps.len() < par_min_len() {
-        amps.iter()
-            .enumerate()
-            .filter(|(i, _)| i & mask != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
-    } else {
-        amps.par_iter()
-            .enumerate()
-            .filter(|(i, _)| i & mask != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
-    }
+    amps.iter()
+        .enumerate()
+        .filter(|(i, _)| i & mask != 0)
+        .fold(acc, |acc, (_, a)| acc + a.norm_sqr())
+}
+
+/// Scale every amplitude by the real factor `s`, split as the gate sweeps
+/// are.
+pub fn scale_amps(amps: &mut [C64], s: f64) {
+    for_each_span(amps, |_, span| span.iter_mut().for_each(|a| *a *= s));
 }
 
 // ---- gate kernels ---------------------------------------------------------

@@ -130,7 +130,7 @@ impl StateVector {
 
     /// Squared 2-norm `⟨ψ|ψ⟩` (1 for a normalised state).
     pub fn norm_sqr(&self) -> f64 {
-        kernels::norm_sqr_amps(&self.amps)
+        kernels::norm_sqr_from(0.0, &self.amps)
     }
 
     /// Scale all amplitudes so the state is normalised.
@@ -144,16 +144,6 @@ impl StateVector {
         kernels::scale_amps(&mut self.amps, 1.0 / n.sqrt());
     }
 
-    /// Inner product `⟨self|other⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn inner(&self, other: &StateVector) -> C64 {
-        assert_eq!(self.n_qubits, other.n_qubits, "width mismatch");
-        kernels::inner_amps(&self.amps, &other.amps)
-    }
-
     /// Probability of measuring basis state `idx`.
     ///
     /// # Panics
@@ -165,7 +155,7 @@ impl StateVector {
 
     /// The full outcome distribution `|ψ_x|²` (length `2^n`).
     pub fn probabilities(&self) -> Vec<f64> {
-        kernels::probabilities_amps(&self.amps)
+        self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
     /// Marginal probability that qubit `q` reads 1.
@@ -175,7 +165,7 @@ impl StateVector {
     /// Panics if `q` is out of range.
     pub fn marginal_one(&self, q: u16) -> f64 {
         assert!(q < self.n_qubits, "qubit {q} out of range");
-        kernels::marginal_one_amps(&self.amps, q as usize)
+        kernels::marginal_one_from(0.0, &self.amps, q as usize)
     }
 
     /// Sample one outcome using the supplied RNG: one uniform draw, one
@@ -455,14 +445,6 @@ mod tests {
         assert_eq!(a.amplitudes(), b.amplitudes());
         b.reset_zero();
         assert_eq!(b.probability(0), 1.0);
-    }
-
-    #[test]
-    fn inner_product_of_orthogonal_states() {
-        let a = StateVector::basis(2, 0);
-        let b = StateVector::basis(2, 3);
-        assert!((a.inner(&b)).norm() < 1e-15);
-        assert!((a.inner(&a) - c64(1.0, 0.0)).norm() < 1e-15);
     }
 
     #[test]

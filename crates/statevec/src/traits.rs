@@ -20,8 +20,11 @@
 //!
 //! Implementations must keep the *arithmetic* of each operation identical
 //! to [`crate::StateVector`]'s kernels (same per-amplitude multiplication
-//! order): the executors rely on replaying one plan on different backends
-//! producing bit-identical `Counts` for the same RNG stream.
+//! order) and run every sum through the same serial folds
+//! ([`crate::kernels::norm_sqr_from`], [`crate::kernels::marginal_one_from`],
+//! [`crate::walk_cdf`]) in index order, which makes the two identical at
+//! every width: the executors rely on replaying one plan on different
+//! backends producing bit-identical `Counts` for the same RNG stream.
 //!
 //! The companion [`PooledBackend`] trait covers the *lifecycle* side the
 //! tree executors need on top of [`QuantumState`]: allocating a state,
@@ -176,6 +179,11 @@ pub struct SingleNode;
 
 impl PooledBackend for SingleNode {
     type State = crate::StateVector;
+
+    /// Widths a [`crate::StateVector`] can take: 1 to [`crate::MAX_QUBITS`].
+    fn supports(&self, n_qubits: u16) -> bool {
+        (1..=crate::MAX_QUBITS).contains(&n_qubits)
+    }
 
     fn allocate(&self, n_qubits: u16) -> crate::StateVector {
         crate::StateVector::zero(n_qubits)

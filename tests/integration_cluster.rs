@@ -117,8 +117,18 @@ fn cluster_noise_trajectories_preserve_norm() {
     // Failure-sensitive path: damping channels hit marginals, antidiagonal
     // Kraus ops and renormalisation across node boundaries. The trajectory
     // is the flat state's, bit for bit after every gate: the norm and
-    // marginal folds add the flat state's numbers in its order.
+    // marginal folds add the flat state's numbers in its order. The grid
+    // runs twice: at the default split, and with `par_min_len` at 1 — the
+    // split a state of 2^17 amplitudes or more takes, at test size — where
+    // the flat state's gate sweeps pool but its sums stay serial folds.
     use rand::SeedableRng;
+    use tqsim_statevec::kernels::{set_par_min_len, DEFAULT_PAR_MIN_LEN};
+    struct RestoreSplit;
+    impl Drop for RestoreSplit {
+        fn drop(&mut self) {
+            set_par_min_len(DEFAULT_PAR_MIN_LEN);
+        }
+    }
     let model = InterconnectModel::commodity_cluster();
     let bits = |sv: &StateVector| -> Vec<(u64, u64)> {
         sv.amplitudes()
@@ -126,25 +136,32 @@ fn cluster_noise_trajectories_preserve_norm() {
             .map(|a| (a.re.to_bits(), a.im.to_bits()))
             .collect()
     };
-    for noise in [
-        NoiseModel::amplitude_damping(0.05),
-        NoiseModel::phase_damping(0.05),
-        NoiseModel::thermal_relaxation_sycamore(),
-    ] {
-        for n in [8u16, 10] {
-            let circuit = generators::qft(n);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-            let mut flat_rng = rand::rngs::StdRng::seed_from_u64(23);
-            let mut dsv = DistributedStateVector::zero(n, 4, model).unwrap();
-            let mut flat = StateVector::zero(n);
-            for (i, gate) in circuit.iter().enumerate() {
-                dsv.apply_gate(gate);
-                noise.apply_after_gate(&mut dsv, gate, &mut rng);
-                flat.apply_gate(gate);
-                noise.apply_after_gate(&mut flat, gate, &mut flat_rng);
-                assert!((dsv.norm_sqr() - 1.0).abs() < 1e-8);
-                let cell = format!("{} qft({n}) gate {i}", noise.name());
-                assert_eq!(bits(&dsv.gather()), bits(&flat), "{cell}");
+    for par_min_len in [DEFAULT_PAR_MIN_LEN, 1] {
+        let _restore = RestoreSplit;
+        set_par_min_len(par_min_len);
+        for noise in [
+            NoiseModel::amplitude_damping(0.05),
+            NoiseModel::phase_damping(0.05),
+            NoiseModel::thermal_relaxation_sycamore(),
+        ] {
+            for n in [8u16, 10] {
+                let circuit = generators::qft(n);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+                let mut flat_rng = rand::rngs::StdRng::seed_from_u64(23);
+                let mut dsv = DistributedStateVector::zero(n, 4, model).unwrap();
+                let mut flat = StateVector::zero(n);
+                for (i, gate) in circuit.iter().enumerate() {
+                    dsv.apply_gate(gate);
+                    noise.apply_after_gate(&mut dsv, gate, &mut rng);
+                    flat.apply_gate(gate);
+                    noise.apply_after_gate(&mut flat, gate, &mut flat_rng);
+                    assert!((dsv.norm_sqr() - 1.0).abs() < 1e-8);
+                    let cell = format!(
+                        "{} qft({n}) gate {i}, par_min_len {par_min_len}",
+                        noise.name()
+                    );
+                    assert_eq!(bits(&dsv.gather()), bits(&flat), "{cell}");
+                }
             }
         }
     }
