@@ -13,6 +13,8 @@ pub struct Partition {
     boundaries: Vec<usize>,
     /// Tree shape with one arity per subcircuit.
     pub tree: TreeStructure,
+    /// See [`Partition::per_shot`].
+    per_shot: bool,
 }
 
 /// Error from partition planning or construction.
@@ -71,11 +73,16 @@ impl Partition {
                 "not strictly increasing: {boundaries:?}"
             )));
         }
-        Ok(Partition { boundaries, tree })
+        Ok(Partition {
+            boundaries,
+            tree,
+            per_shot: false,
+        })
     }
 
-    /// The baseline plan: one subcircuit spanning the whole circuit,
-    /// executed `shots` times.
+    /// The flat plan: one subcircuit spanning the whole circuit, executed
+    /// `shots` times. DCP falls back to it, and it shares its error-free
+    /// shots unless [`Strategy::Baseline`] planned it.
     ///
     /// # Errors
     ///
@@ -88,6 +95,12 @@ impl Partition {
             return Err(PlanError::ZeroShots);
         }
         Partition::new(vec![0, circuit_len], TreeStructure::baseline(shots))
+    }
+
+    /// Whether every root node runs in full, error-free or not: the
+    /// per-shot reference, which only [`Strategy::Baseline`] plans.
+    pub fn per_shot(&self) -> bool {
+        self.per_shot
     }
 
     /// Number of subcircuits.
@@ -140,7 +153,8 @@ impl fmt::Display for Partition {
 /// A partition-planning strategy.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Strategy {
-    /// No reuse: the flat Monte-Carlo baseline `(N)`.
+    /// No reuse: the flat Monte-Carlo baseline `(N)`, the one strategy
+    /// whose root never shares ([`Partition::per_shot`]).
     Baseline,
     /// Uniform Circuit Partition: `k` equal subcircuits, equal arities
     /// (§3.2.1, e.g. `(10,10,10)` for 1000 shots).
@@ -184,7 +198,10 @@ impl Strategy {
             return Err(PlanError::ZeroShots);
         }
         match self {
-            Strategy::Baseline => Partition::baseline(circuit.len(), shots),
+            Strategy::Baseline => Ok(Partition {
+                per_shot: true,
+                ..Partition::baseline(circuit.len(), shots)?
+            }),
             // The depth is refused before anything is sized by it: a wire
             // client's `k` may be as large as 2^53.
             Strategy::Uniform { k } | Strategy::Exponential { k }

@@ -6,7 +6,7 @@ use crate::executor::{JobPlan, RunResult};
 use crate::partition::{Partition, PlanError, Strategy};
 use tqsim_circuit::Circuit;
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::SingleNode;
+use tqsim_statevec::{PooledBackend, SingleNode};
 
 /// One simulation job: the one job description. [`Tqsim::run`] plans it
 /// into a [`JobPlan`] and walks that serially; the `tqsim-engine` crate
@@ -114,8 +114,17 @@ impl<'a> Tqsim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError`] for unplannable inputs.
+    /// Returns [`PlanError`] for unplannable inputs, and
+    /// [`PlanError::BadConfig`] for a circuit wider than one node's state
+    /// holds ([`PooledBackend::supports`]), before anything is planned or
+    /// allocated.
     pub fn run(&self) -> Result<RunResult, PlanError> {
+        let n = self.circuit.n_qubits();
+        if !SingleNode.supports(n) {
+            return Err(PlanError::BadConfig(format!(
+                "a single node cannot hold {n}-qubit states"
+            )));
+        }
         let plan = JobPlan::new(self.circuit, &self.noise, self.plan()?)?;
         Ok(plan.run_on(&SingleNode, self.seed, self.leaf_samples).0)
     }
@@ -159,6 +168,17 @@ mod tests {
         // Low-shot regime: DCP = baseline, not worse.
         let few = Tqsim::new(&c).shots(64).seed(1).plan().unwrap();
         assert_eq!(few.k(), 1, "expected baseline fallback, got {}", few.tree);
+    }
+
+    #[test]
+    fn a_circuit_wider_than_one_node_is_refused_not_run() {
+        let mut wide = Circuit::new(31);
+        wide.h(0);
+        let refused = Tqsim::new(&wide).shots(1).run();
+        assert!(
+            matches!(refused, Err(PlanError::BadConfig(_))),
+            "{refused:?}"
+        );
     }
 
     #[test]

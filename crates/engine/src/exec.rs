@@ -33,13 +33,15 @@
 //! allocates, but those are O(bytes) against the O(2^n) amplitude buffers
 //! the pool eliminates.
 //!
-//! **Error-free sibling sharing.** Before an interior node spawns, it probes
-//! every child's path-derived stream ([`NoiseModel::draws_error_free`]):
+//! **Error-free sibling sharing.** Before a node spawns, it probes every
+//! child's path-derived stream ([`NoiseModel::draws_error_free`]):
 //! error-free children of one parent state are the same state bit for bit,
 //! so they travel as **one** task that materialises once and then samples
 //! or spawns for each member with that member's own RNG; erroneous children
-//! spawn alone. Root-level nodes always execute. Op accounting follows the
-//! serial executor: one `state_reset` per run, one `state_copy` per node
+//! spawn alone. The root nodes, the children of the implicit `|0…0⟩`
+//! parent, are grouped the same way on the launching thread, unless the
+//! plan is [per-shot](tqsim::Partition::per_shot). Op accounting follows
+//! the serial executor: one `state_reset` per run, one `state_copy` per node
 //! materialised, one `nodes_shared` per node served by a sibling's state —
 //! under ideal noise the two executors agree count for count.
 //!
@@ -69,7 +71,7 @@ struct TreeShared {
     leaf_samples: u32,
     accums: Vec<Mutex<Accum>>,
     /// Outstanding tasks of **this job** (not the pool): seeded with the
-    /// root count; interior nodes add their children *before* spawning
+    /// root task count; interior nodes add their children *before* spawning
     /// them; every node decrements once on retirement (a drop guard, so a
     /// panicking node still counts down and abandons only its own
     /// subtree). Zero ⇒ the job is complete.
@@ -160,8 +162,9 @@ fn child_hash(parent_hash: u64, index: u64) -> u64 {
     mix(parent_hash ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1))
 }
 
-/// Start one planned job on the pool **without blocking**: root tasks are
-/// injected and `done` fires from a worker when the last node retires.
+/// Start one planned job on the pool **without blocking**: the root nodes
+/// are probed and grouped into tasks on the calling thread, the tasks are
+/// injected, and `done` fires from a worker when the last node retires.
 /// Every engine job reaches the pool through here — any number of jobs may
 /// be live on one pool, interleaving in the work-stealing deques.
 ///
@@ -186,7 +189,9 @@ pub(crate) fn launch_tree<B: PooledBackend>(
          before submitting)",
         plan.n_qubits()
     );
-    let roots = plan.partition().tree.arities()[0];
+    let t0 = Instant::now();
+    // The root nodes: the children of the implicit `|0…0⟩` parent, hash `seed`.
+    let tasks = child_tasks(plan, seed, 0, std::iter::once(seed));
     let shared = Arc::new(TreeShared {
         plan: Arc::clone(plan),
         seed,
@@ -199,23 +204,60 @@ pub(crate) fn launch_tree<B: PooledBackend>(
                 })
             })
             .collect(),
-        remaining: AtomicU64::new(roots),
+        remaining: AtomicU64::new(tasks.len() as u64),
         done: Mutex::new(Some(done)),
         sink,
         counters: Arc::clone(pool.pool_counters()),
-        t0: Instant::now(),
+        t0,
     });
 
-    for index in 0..roots {
+    for (hash, sharers) in tasks {
         let shared = Arc::clone(&shared);
-        let hash = child_hash(seed, index);
-        pool.inject(move |ctx| run_node(&shared, Parent::Root, 0, hash, Vec::new(), ctx));
+        pool.inject(move |ctx| run_node(&shared, Parent::Root, 0, hash, sharers, ctx));
     }
 }
 
 /// An error-free node riding on a sibling's task: its path hash and its RNG,
 /// already past the subcircuit's (all-identity) noise draws.
 type Sharer = (u64, StdRng);
+
+/// The tasks for the `level` children of one parent state's members (their
+/// path hashes): each erroneous child alone, every error-free one in one
+/// task led by any of them (its live draws repeat its probe). A per-shot
+/// plan probes nothing.
+fn child_tasks(
+    plan: &JobPlan,
+    seed: u64,
+    level: usize,
+    members: impl Iterator<Item = u64>,
+) -> Vec<(u64, Vec<Sharer>)> {
+    let subcircuit = &plan.subcircuits()[level];
+    let arity = plan.partition().tree.arities()[level];
+    let probe = !plan.partition().per_shot();
+    let mut tasks: Vec<(u64, Vec<Sharer>)> = Vec::new();
+    // A job's largest buffer at a flat plan's root: reserved once, not grown
+    // by doubling (which holds both buffers); a refusal just grows it.
+    let mut error_free: Vec<Sharer> = Vec::new();
+    if probe {
+        let children = members.size_hint().0.saturating_mul(arity as usize);
+        let _ = error_free.try_reserve_exact(children);
+    }
+    for member in members {
+        for index in 0..arity {
+            let child = child_hash(member, index);
+            let mut rng = StdRng::seed_from_u64(seed ^ child);
+            if probe && plan.noise().draws_error_free(subcircuit, &mut rng) {
+                error_free.push((child, rng));
+            } else {
+                tasks.push((child, Vec::new()));
+            }
+        }
+    }
+    if let Some((child, _)) = error_free.pop() {
+        tasks.push((child, error_free));
+    }
+    tasks
+}
 
 /// Materialise the node `hash` at `level` (executing subcircuit `level`),
 /// then sample (leaf) or spawn the children — for the node itself and for
@@ -317,28 +359,8 @@ fn run_node<B: PooledBackend>(
         }
     } else {
         let state = Arc::new(state);
-        // Probe every child of every member before the first spawn: the
-        // erroneous ones run alone, the error-free ones as one task.
-        let child_level = &plan.subcircuits()[level + 1];
-        let mut tasks: Vec<(u64, Vec<Sharer>)> = Vec::new();
-        let mut error_free: Vec<Sharer> = Vec::new();
         let members = std::iter::once(hash).chain(sharers.into_iter().map(|(member, _)| member));
-        for member in members {
-            for index in 0..plan.partition().tree.arities()[level + 1] {
-                let child = child_hash(member, index);
-                let mut probe = StdRng::seed_from_u64(shared.seed ^ child);
-                if plan.noise().draws_error_free(child_level, &mut probe) {
-                    error_free.push((child, probe));
-                } else {
-                    tasks.push((child, Vec::new()));
-                }
-            }
-        }
-        // Any member can materialise the shared state: its live draws
-        // repeat its probe.
-        if let Some((child, _)) = error_free.pop() {
-            tasks.push((child, error_free));
-        }
+        let tasks = child_tasks(plan, shared.seed, level + 1, members);
         // Register the children before the first spawn: a fast child must
         // never observe the job count at zero while siblings are pending.
         shared
@@ -417,10 +439,10 @@ mod tests {
         let par = run_job(&pool, &plan, 3, 1);
         // Identical op accounting (noiseless ⇒ even the RNG plays no role),
         // including the fused-path amp_passes/fused_gates counters: both
-        // executors materialise one node per level under each root-level
-        // node and serve its sibling from the same state.
+        // executors materialise one node per level and serve every sibling,
+        // root nodes included, from the same state.
         assert_eq!(par.ops, serial.ops);
-        assert_eq!((par.ops.state_copies, par.ops.nodes_shared), (8, 4));
+        assert_eq!((par.ops.state_copies, par.ops.nodes_shared), (2, 10));
         // Ideal noise: identical leaf states ⇒ engine and serial agree on
         // which outcomes are possible, though RNG streams differ.
         assert_eq!(par.counts.total(), serial.counts.total());
@@ -588,18 +610,15 @@ mod tests {
                         state_dependent || ops.amp_passes < mirror.ops.amp_passes,
                         "{cell}"
                     );
-                    if arities.len() == 1 || state_dependent {
-                        // Root level and damping families never share: the
-                        // tree is the mirror, gate for gate.
+                    if state_dependent {
+                        // Damping families never share: the tree is the
+                        // mirror, gate for gate.
                         assert_eq!(ops.nodes_shared, 0, "{cell}");
                         assert_eq!(ops.total_gates(), mirror.ops.total_gates(), "{cell}");
                         assert_eq!(ops.noise_ops, mirror.ops.noise_ops, "{cell}");
                     } else if noise.is_ideal() {
-                        assert_eq!(
-                            ops.state_copies,
-                            arities[0] * arities.len() as u64,
-                            "{cell}"
-                        );
+                        // One task per level, the root's children included.
+                        assert_eq!(ops.state_copies, arities.len() as u64, "{cell}");
                     } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
                         assert!(ops.nodes_shared > 0, "{cell}");
                         assert!(ops.total_gates() < mirror.ops.total_gates(), "{cell}");
@@ -611,8 +630,8 @@ mod tests {
 
     #[test]
     fn error_free_siblings_travel_as_one_task() {
-        // Ideal noise: under each of the 5 root tasks the 3 children are one
-        // task, and so are their 6 children — 15 tasks for 50 nodes, each
+        // Ideal noise: the 5 root nodes are one task, their 15 children are
+        // one task, and so are the 30 leaves — 3 tasks for 50 nodes, each
         // streamed leaf still its own chunk.
         let plan = plan_for(vec![5, 3, 2], &NoiseModel::ideal());
         let pool = WorkerPool::new(2);
@@ -635,11 +654,57 @@ mod tests {
         let result = rx.recv().unwrap();
         // Each node task acquires exactly one pooled state.
         let stats = pool.pool_stats();
-        assert_eq!(stats.allocations + stats.reuses, 15);
-        assert_eq!(result.ops.state_copies, 15);
-        assert_eq!(result.ops.nodes_shared, 35);
+        assert_eq!(stats.allocations + stats.reuses, 3);
+        assert_eq!(result.ops.state_copies, 3);
+        assert_eq!(result.ops.nodes_shared, 47);
         assert_eq!(result.counts.total(), 60);
         assert_eq!(*chunks.lock().unwrap(), vec![2; 30]);
+    }
+
+    #[test]
+    fn a_flat_plan_shares_its_root_and_baseline_does_not() {
+        let circuit = generators::qft(6);
+        let shots = 40u64;
+        let seed = 5u64;
+        let flat = Strategy::Custom {
+            arities: vec![shots],
+        };
+        for noise in [NoiseModel::ideal(), NoiseModel::sycamore()] {
+            let plan = Arc::new(JobPlan::plan(&circuit, &noise, shots, &flat).unwrap());
+            let erroneous = (0..shots)
+                .filter(|&index| {
+                    let mut rng = StdRng::seed_from_u64(seed ^ child_hash(seed, index));
+                    !noise.draws_error_free(&plan.subcircuits()[0], &mut rng)
+                })
+                .count() as u64;
+            assert!(
+                erroneous < shots,
+                "{}: some root child is error-free",
+                noise.name()
+            );
+            // One task for every error-free root child, one per erroneous
+            // child; each acquires one pooled state.
+            let pool = WorkerPool::new(2);
+            let shared = run_job(&pool, &plan, seed, 1);
+            let stats = pool.pool_stats();
+            assert_eq!(
+                stats.allocations + stats.reuses,
+                1 + erroneous,
+                "{}",
+                noise.name()
+            );
+            assert_eq!(shared.ops.state_copies, 1 + erroneous);
+            assert_eq!(shared.counts, unshared_mirror(&plan, seed, 1).counts);
+            // `Strategy::Baseline` plans the same tree and runs every shot.
+            let baseline = Strategy::Baseline;
+            let baseline = Arc::new(JobPlan::plan(&circuit, &noise, shots, &baseline).unwrap());
+            let pool = WorkerPool::new(2);
+            let per_shot = run_job(&pool, &baseline, seed, 1);
+            let stats = pool.pool_stats();
+            assert_eq!(stats.allocations + stats.reuses, shots);
+            assert_eq!(per_shot.ops.nodes_shared, 0);
+            assert_eq!(per_shot.counts, shared.counts);
+        }
     }
 
     #[test]

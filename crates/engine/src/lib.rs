@@ -224,7 +224,9 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
     /// # Errors
     ///
     /// Returns the first [`PlanError`] encountered; planning happens
-    /// up-front, so no job executes unless every job plans.
+    /// up-front, so no job executes unless every job plans. A job wider
+    /// than the backend holds ([`Engine::supports`]) is
+    /// [`PlanError::BadConfig`], refused before it is planned.
     ///
     /// # Panics
     ///
@@ -239,6 +241,12 @@ impl<'c, B: PooledBackend> Batch<'_, 'c, B> {
             .jobs
             .iter()
             .map(|job| {
+                let n = job.circuit.n_qubits();
+                if !self.engine.supports(n) {
+                    return Err(PlanError::BadConfig(format!(
+                        "the backend cannot hold {n}-qubit states"
+                    )));
+                }
                 let circuit = owned
                     .entry(job.circuit)
                     .or_insert_with(|| cache.intern(job.circuit));
@@ -343,7 +351,9 @@ impl<B: PooledBackend> Engine<B> {
     /// # Panics
     ///
     /// Panics on the calling thread, before any task starts, if the
-    /// backend cannot hold the job's width (see [`Engine::supports`]).
+    /// backend cannot hold the job's width (see [`Engine::supports`]): a
+    /// caller's invariant, which [`Batch::run`] keeps by refusing such a
+    /// job with a [`PlanError`] and the service by failing its placement.
     pub fn start(
         &self,
         job: &PlannedJob,
@@ -838,6 +848,25 @@ mod tests {
         let result = engine.submit(Vec::new()).run().unwrap();
         assert!(result.jobs.is_empty());
         assert_eq!(engine.plan_cache().stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn a_job_wider_than_the_backend_is_refused_before_it_is_planned() {
+        let mut wide = Circuit::new(31);
+        wide.h(0);
+        let narrow = generators::bv(4);
+        let engine = Engine::new(EngineConfig::default().parallelism(1));
+        let refused = engine
+            .submit(vec![
+                JobSpec::new(&narrow).shots(10),
+                JobSpec::new(&wide).shots(1),
+            ])
+            .run();
+        assert!(
+            matches!(refused, Err(PlanError::BadConfig(_))),
+            "{refused:?}"
+        );
+        assert_eq!(engine.pool_stats().allocations, 0, "no job started");
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub struct OpCounts {
     pub fused_gates: u64,
     /// Tree nodes served without copy or replay: error-free realizations
     /// that reused the state a sibling had already computed from the same
-    /// parent state. Every other count stays *work done*, so
-    /// `state_copies + nodes_shared` counts the tree's nodes below the root.
+    /// parent state (the `|0…0⟩` root state included). Every other count
+    /// stays *work done*, so `state_copies + nodes_shared` counts every
+    /// node of the tree once.
     pub nodes_shared: u64,
 }
 

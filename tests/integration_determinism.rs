@@ -126,6 +126,12 @@ fn plan_is_a_pure_function_of_inputs() {
 // began keeping a swapped-in global qubit local (the lazy layout) instead of
 // swapping it back after every op, the same four cluster fields were
 // re-recorded. Every histogram and every `OpCounts` field read unchanged.
+//
+// The work done changed once on purpose: when error-free root nodes began
+// sharing one state, as error-free nodes below the root already did, every
+// `ops` row and the cluster's five fields were re-recorded (fewer copies,
+// passes and noise draws; `state_copies + nodes_shared` unchanged). Every
+// histogram read unchanged.
 
 /// One pinned run: the histogram as a sorted `(outcome, count)` list and
 /// `OpCounts::{amp_passes, fused_gates, state_copies, nodes_shared,
@@ -245,7 +251,7 @@ fn default_path_cluster_pins() {
 
 #[rustfmt::skip]
 const QFT_SERIAL_1: Pin = Pin {
-    ops: [1708, 7069, 93, 19, 8686, 64],
+    ops: [1568, 6517, 76, 36, 7994, 64],
     counts: &[
         (37, 1), (44, 1), (54, 1), (71, 1), (89, 1), (111, 1), (117, 1), (122, 1), (125, 1),
         (154, 1), (165, 1), (182, 1), (185, 1), (234, 1), (262, 1), (265, 1), (272, 2), (283, 1),
@@ -259,7 +265,7 @@ const QFT_SERIAL_1: Pin = Pin {
 
 #[rustfmt::skip]
 const QFT_SERIAL_7919: Pin = Pin {
-    ops: [1836, 7600, 99, 13, 9338, 64],
+    ops: [1732, 7188, 82, 30, 8822, 64],
     counts: &[
         (41, 1), (49, 1), (70, 1), (83, 1), (87, 1), (88, 1), (94, 1), (96, 1), (129, 1), (142, 1),
         (156, 2), (174, 1), (220, 1), (228, 1), (240, 1), (246, 1), (258, 1), (283, 1), (304, 1),
@@ -273,7 +279,7 @@ const QFT_SERIAL_7919: Pin = Pin {
 
 #[rustfmt::skip]
 const QAOA_SERIAL_1: Pin = Pin {
-    ops: [138, 185, 16, 36, 320, 32],
+    ops: [77, 106, 9, 43, 180, 32],
     counts: &[
         (4, 1), (71, 1), (72, 2), (98, 1), (123, 1), (124, 1), (143, 1), (144, 1), (173, 1),
         (175, 1), (177, 1), (195, 1), (204, 1), (208, 1), (225, 1), (233, 1), (241, 1), (253, 1),
@@ -284,7 +290,7 @@ const QAOA_SERIAL_1: Pin = Pin {
 
 #[rustfmt::skip]
 const QAOA_SERIAL_7919: Pin = Pin {
-    ops: [174, 233, 20, 32, 400, 32],
+    ops: [113, 154, 13, 39, 260, 32],
     counts: &[
         (52, 1), (59, 1), (75, 1), (83, 1), (144, 1), (167, 1), (183, 1), (188, 1), (223, 1),
         (225, 1), (228, 1), (229, 2), (238, 1), (254, 1), (257, 1), (270, 1), (291, 1), (303, 1),
@@ -295,7 +301,7 @@ const QAOA_SERIAL_7919: Pin = Pin {
 
 #[rustfmt::skip]
 const QFT_ENGINE_1: Pin = Pin {
-    ops: [1579, 6551, 87, 25, 8035, 64],
+    ops: [1147, 4811, 58, 54, 5863, 64],
     counts: &[
         (25, 1), (32, 1), (38, 1), (76, 1), (85, 1), (121, 1), (144, 1), (172, 1), (182, 1),
         (187, 1), (206, 1), (209, 1), (216, 1), (254, 1), (270, 1), (283, 1), (286, 1), (316, 1),
@@ -309,7 +315,7 @@ const QFT_ENGINE_1: Pin = Pin {
 
 #[rustfmt::skip]
 const QFT_ENGINE_7919: Pin = Pin {
-    ops: [1730, 7167, 94, 18, 8794, 64],
+    ops: [1272, 5325, 63, 49, 6494, 64],
     counts: &[
         (0, 1), (13, 1), (14, 1), (19, 1), (35, 1), (63, 1), (70, 1), (119, 1), (135, 1), (142, 1),
         (163, 1), (184, 1), (194, 1), (210, 1), (242, 1), (248, 1), (256, 1), (297, 1), (302, 1),
@@ -323,7 +329,7 @@ const QFT_ENGINE_7919: Pin = Pin {
 
 #[rustfmt::skip]
 const QAOA_ENGINE_1: Pin = Pin {
-    ops: [157, 216, 18, 34, 360, 32],
+    ops: [131, 182, 15, 37, 300, 32],
     counts: &[
         (7, 1), (21, 1), (39, 1), (62, 1), (94, 1), (99, 2), (131, 1), (161, 1), (166, 1),
         (171, 1), (184, 1), (192, 1), (226, 1), (228, 1), (253, 1), (254, 1), (282, 1), (287, 1),
@@ -334,7 +340,7 @@ const QAOA_ENGINE_1: Pin = Pin {
 
 #[rustfmt::skip]
 const QAOA_ENGINE_7919: Pin = Pin {
-    ops: [157, 214, 18, 34, 360, 32],
+    ops: [105, 146, 12, 40, 240, 32],
     counts: &[
         (18, 1), (34, 1), (35, 1), (56, 2), (67, 1), (71, 2), (78, 1), (93, 1), (135, 2), (164, 1),
         (167, 1), (176, 2), (208, 1), (219, 1), (229, 1), (262, 1), (266, 1), (282, 2), (285, 1),
@@ -342,6 +348,6 @@ const QAOA_ENGINE_7919: Pin = Pin {
     ],
 };
 
-const QFT_CLUSTER_1: [u64; 5] = [470, 3850240, 1419, 289, 93];
+const QFT_CLUSTER_1: [u64; 5] = [430, 3522560, 1307, 261, 76];
 
-const QFT_CLUSTER_7919: [u64; 5] = [506, 4145152, 1525, 311, 99];
+const QFT_CLUSTER_7919: [u64; 5] = [486, 3981312, 1435, 297, 82];

@@ -1,8 +1,9 @@
 //! Cross-crate speedup integration tests: the computational-reuse math must
 //! hold end to end (Fig. 11 / Table 3 shape at test scale).
 //!
-//! The baseline's work is not simulated here: a flat plan `(N)` executes
-//! every gate once per shot from its own state copy, exactly
+//! The baseline's work is not simulated here: `Strategy::Baseline`'s flat
+//! plan `(N)` executes every gate once per shot from its own state copy,
+//! exactly
 //! (`tree_executor_baseline_agrees_with_independent_flat_runner` pins that
 //! identity against the independent flat runner).
 
@@ -80,7 +81,7 @@ fn measured_speedup_tracks_predicted_speedup() {
     const COPY_COST: u64 = 5;
     let base = flat_gates(&circuit, shots) + COPY_COST * shots;
     let cost = |r: &RunResult| r.ops.total_gates() + COPY_COST * r.ops.state_copies;
-    assert_eq!((base, cost(&tree)), (484_000, 177_917));
+    assert_eq!((base, cost(&tree)), (484_000, 164_720));
     let measured = base as f64 / cost(&tree) as f64;
     let predicted = speedup::predicted_speedup(&plan, shots, COPY_COST as f64);
     assert!(measured > 1.2, "no speedup measured: {measured:.2}");
@@ -110,9 +111,37 @@ fn tree_executor_baseline_agrees_with_independent_flat_runner() {
     assert_eq!(tree.counts.total(), flat.counts.total());
     // Both draw one sample per shot.
     assert_eq!(tree.ops.samples, flat.ops.samples);
-    // A flat plan is the per-shot reference: root-level nodes never share.
+    // `Strategy::Baseline` is the per-shot reference: its root nodes never
+    // share.
     assert_eq!(tree.ops.nodes_shared, 0);
     assert_eq!(tree.ops.state_copies, shots);
+}
+
+#[test]
+fn baseline_and_a_flat_dcp_plan_draw_the_same_counts() {
+    // At 64 shots DCP falls back to the flat plan. That plan shares its
+    // error-free shots at the root; `Strategy::Baseline`'s is the per-shot
+    // reference and never shares. Sharing moves no RNG stream, so both
+    // draw the same histogram.
+    let circuit = generators::bv(8);
+    let shots = 64u64;
+    let run = |strategy| {
+        Tqsim::new(&circuit)
+            .noise(NoiseModel::sycamore())
+            .shots(shots)
+            .strategy(strategy)
+            .seed(5)
+            .run()
+            .unwrap()
+    };
+    let baseline = run(Strategy::Baseline);
+    let dcp = run(Strategy::default_dcp());
+    assert_eq!(dcp.tree, baseline.tree, "DCP falls back to the flat plan");
+    assert_eq!(dcp.counts, baseline.counts);
+    assert_eq!(baseline.ops.nodes_shared, 0);
+    assert_eq!(baseline.ops.state_copies, shots);
+    assert!(dcp.ops.nodes_shared > 0);
+    assert!(dcp.ops.amp_passes < baseline.ops.amp_passes);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! oversampling, the serial walk's `Counts` must be bit-identical to an
 //! **unshared per-gate mirror** of the walk ([`common::walk_on`]) — one
 //! that neither shares nor fuses.
-//! The op counters must say what was saved: nothing on flat plans or under
-//! state-dependent channels, whole subtrees under ideal noise, strictly
+//! The op counters must say what was saved: nothing under state-dependent
+//! channels, all but one node per level under ideal noise, strictly
 //! fewer amplitude passes under the paper's depolarizing rates, and at least
 //! half the passes from fusion on QFT. The distributed backends run the same
 //! walk, so they share the same nodes and exchange the same bytes as each
@@ -113,23 +113,26 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                         .iter()
                         .any(|ch| !ch.samples_state_free());
                     if arities.len() == 1 || state_dependent {
-                        // Root level and damping families never share: the
-                        // walk is the fused mirror pass for pass, and the
-                        // per-gate mirror gate for gate.
+                        // The fused mirror walks the same nodes.
                         let fused = walk(leaf_samples, Walk::Fused);
                         assert_eq!(fused.counts, reference.counts, "{cell}");
-                        assert_eq!(shared.ops.nodes_shared, 0, "{cell}");
-                        assert_eq!(shared.ops.amp_passes, fused.ops.amp_passes, "{cell}");
-                        assert_eq!(shared.ops.noise_ops, reference.ops.noise_ops, "{cell}");
-                        assert_eq!(
-                            shared.ops.total_gates(),
-                            reference.ops.total_gates(),
-                            "{cell}"
-                        );
-                        // Damping samples the state at every noise site, so
-                        // its plans flush gate by gate; every other model
-                        // fuses.
-                        if !state_dependent {
+                        assert!(shared.ops.amp_passes <= fused.ops.amp_passes, "{cell}");
+                        if state_dependent {
+                            // Damping families never share: the walk is the
+                            // fused mirror pass for pass, and the per-gate
+                            // mirror gate for gate.
+                            assert_eq!(shared.ops.nodes_shared, 0, "{cell}");
+                            assert_eq!(shared.ops.amp_passes, fused.ops.amp_passes, "{cell}");
+                            assert_eq!(shared.ops.noise_ops, reference.ops.noise_ops, "{cell}");
+                            assert_eq!(
+                                shared.ops.total_gates(),
+                                reference.ops.total_gates(),
+                                "{cell}"
+                            );
+                        } else {
+                            // Damping samples the state at every noise site,
+                            // so its plans flush gate by gate; every other
+                            // model fuses.
                             assert!(fused.ops.fused_gates > 0, "{cell}");
                             assert!(
                                 fused.ops.amp_passes < reference.ops.amp_passes,
@@ -138,13 +141,11 @@ fn shared_walk_counts_equal_the_unshared_mirror_on_the_full_grid() {
                                 reference.ops.amp_passes
                             );
                         }
-                    } else if noise.is_ideal() {
-                        // One node per level under each root-level node.
-                        assert_eq!(
-                            shared.ops.state_copies,
-                            arities[0] * arities.len() as u64,
-                            "{cell}"
-                        );
+                    }
+                    if noise.is_ideal() {
+                        // One node per level: every sibling, root nodes
+                        // included, is served from the same state.
+                        assert_eq!(shared.ops.state_copies, arities.len() as u64, "{cell}");
                     } else if arities.len() >= 3 && noise.name() == "sycamore-dc" {
                         assert!(shared.ops.nodes_shared > 0, "{cell}");
                         assert!(
