@@ -480,39 +480,60 @@ pub fn draw_leaf_outcomes<S, R>(
 }
 
 /// Draw `leaf_samples` readout-corrected outcomes per member RNG from one
-/// leaf state, feeding them to `sink` member by member: every member's
-/// uniforms, then one [`QuantumState::sample_many`] walk for all of them,
-/// then every member's readout noise on its own RNG, in draw order.
-///
-/// This is the **single** leaf-sampling implementation: the serial
-/// [`JobPlan`] walk and the distributed runner draw one member per leaf,
-/// the `tqsim-engine` node executor a node and its error-free sharers.
-/// Each RNG sees uniforms, then readout, so a member's outcomes are the
-/// ones it would draw alone, and every executor's `Counts` rely on this
-/// draw order — do not fork it.
+/// leaf state, feeding them to `sink` member by member:
+/// [`sample_leaf_members`] handed out one outcome at a time.
 pub fn draw_leaf_members<S, R>(
     state: &S,
     noise: &NoiseModel,
     n_qubits: u16,
     leaf_samples: u32,
     rngs: &mut [&mut R],
-    mut sink: impl FnMut(u64),
+    sink: impl FnMut(u64),
 ) where
     S: QuantumState + ?Sized,
     R: rand::Rng + ?Sized,
 {
+    sample_leaf_members(state, noise, n_qubits, leaf_samples, rngs)
+        .into_iter()
+        .for_each(sink);
+}
+
+/// The `leaf_samples` readout-corrected outcomes per member RNG from one
+/// leaf state, member by member: every member's uniforms, then one
+/// [`QuantumState::sample_many`] walk for all of them, then every member's
+/// readout noise on its own RNG, in draw order, applied in place over the
+/// walk's result.
+///
+/// This is the **single** leaf-sampling implementation: the serial
+/// [`JobPlan`] walk and the distributed runner draw one member per leaf
+/// ([`draw_leaf_outcomes`]), the `tqsim-engine` node executor a node and
+/// its error-free sharers. Each RNG sees uniforms, then readout, so a
+/// member's outcomes are the ones it would draw alone, and every
+/// executor's `Counts` rely on this draw order — do not fork it.
+pub fn sample_leaf_members<S, R>(
+    state: &S,
+    noise: &NoiseModel,
+    n_qubits: u16,
+    leaf_samples: u32,
+    rngs: &mut [R],
+) -> Vec<u64>
+where
+    S: QuantumState + ?Sized,
+    R: rand::Rng,
+{
     let per_member = leaf_samples as usize;
     let mut us = Vec::with_capacity(per_member * rngs.len());
     for rng in rngs.iter_mut() {
-        us.extend((0..per_member).map(|_| rand::RngExt::random::<f64>(&mut **rng)));
+        us.extend((0..per_member).map(|_| rand::RngExt::random::<f64>(rng)));
     }
-    let outcomes = state.sample_many(&us);
+    let mut outcomes = state.sample_many(&us);
     // `max(1)`: no outcomes to hand out when `leaf_samples` is 0.
-    for (rng, batch) in rngs.iter_mut().zip(outcomes.chunks(per_member.max(1))) {
-        for &outcome in batch {
-            sink(noise.apply_readout(outcome, n_qubits, &mut **rng));
+    for (rng, batch) in rngs.iter_mut().zip(outcomes.chunks_mut(per_member.max(1))) {
+        for outcome in batch {
+            *outcome = noise.apply_readout(*outcome, n_qubits, rng);
         }
     }
+    outcomes
 }
 
 #[cfg(test)]

@@ -57,7 +57,8 @@ pub mod tree;
 
 pub use dcp::DcpConfig;
 pub use executor::{
-    draw_leaf_members, draw_leaf_outcomes, run_subcircuit, Counts, JobPlan, RunResult, TreeExecutor,
+    draw_leaf_members, draw_leaf_outcomes, run_subcircuit, sample_leaf_members, Counts, JobPlan,
+    RunResult, TreeExecutor,
 };
 pub use partition::{Partition, PlanError, Strategy};
 pub use sim::Tqsim;

@@ -15,8 +15,8 @@
 //! before the state is touched, and damping sites draw nothing there, since
 //! only their state-reading step can pick a branch. The
 //! per-gate path ([`NoiseModel::apply_after_gate`]), the fused-replay hook
-//! ([`NoiseModel::apply_after_gate_deferred`]) and the error-free probe
-//! ([`NoiseModel::draws_error_free`]) are loops over the two, so they
+//! ([`NoiseModel::apply_after_gate_deferred`]) and the first-fired-marker
+//! probe ([`NoiseModel::first_fired_marker`]) are loops over the two, so they
 //! consume the same draws in the same order. `tqsim-densmat` keeps its own
 //! copy of the binding convention on purpose: it is the independent oracle.
 //!

@@ -301,21 +301,50 @@ impl NoiseModel {
         ops
     }
 
-    /// Whether this model's realization of `subcircuit` on `rng` is
-    /// error-free: every site after every gate draws its identity branch.
+    /// Where this model's realization of `subcircuit` on `rng` first leaves
+    /// the error-free path: the ordinal of the first noise marker (a gate
+    /// with channels, counted as [`NoiseModel::compile`] places markers)
+    /// where some site fires a branch or needs the state to pick one
+    /// (damping families), with `rng` put back to just before that
+    /// marker's draws. `None` when every site after every gate draws its
+    /// identity branch, with `rng` where a replay of the subcircuit leaves
+    /// it.
+    ///
     /// Consumes exactly the draws [`NoiseModel::apply_after_gate`] and
-    /// [`NoiseModel::apply_after_gate_deferred`] consume for such a
-    /// realization, so on `true` `rng` sits where a replay of the
-    /// subcircuit leaves it; returns `false` at the first fired branch or
-    /// the first site whose branch depends on the state (damping
-    /// families), with `rng` part-way through. Executors call it on a
-    /// clone of a tree node's RNG: error-free nodes of one parent state
-    /// are the same state bit for bit.
-    pub fn draws_error_free<R: Rng + ?Sized>(&self, subcircuit: &Circuit, rng: &mut R) -> bool {
-        subcircuit.gates().iter().all(|gate| {
-            self.sites(gate)
-                .all(|site| draw(&site, rng) == Branch::Identity)
-        })
+    /// [`NoiseModel::apply_after_gate_deferred`] consume up to that point.
+    /// Executors call it on a clone of a tree node's RNG: error-free nodes
+    /// of one parent state are the same state bit for bit, and an
+    /// erroneous node's replay equals the clean replay up to its marker, so
+    /// it can fork from a clean replay there and resume on the returned
+    /// `rng`.
+    pub fn first_fired_marker<R: Rng + Clone>(
+        &self,
+        subcircuit: &Circuit,
+        rng: &mut R,
+    ) -> Option<usize> {
+        let mut marker = 0;
+        for gate in subcircuit {
+            let before = rng.clone();
+            // One pass over the sites: a gate without any places no marker.
+            let mut marked = false;
+            let clean = self.sites(gate).all(|site| {
+                marked = true;
+                draw(&site, rng) == Branch::Identity
+            });
+            if !clean {
+                *rng = before;
+                return Some(marker);
+            }
+            marker += usize::from(marked);
+        }
+        None
+    }
+
+    /// Whether this model's realization of `subcircuit` on `rng` is
+    /// error-free: [`NoiseModel::first_fired_marker`] is `None`, and `rng`
+    /// sits where a replay of the subcircuit leaves it.
+    pub fn draws_error_free<R: Rng + Clone>(&self, subcircuit: &Circuit, rng: &mut R) -> bool {
+        self.first_fired_marker(subcircuit, rng).is_none()
     }
 
     /// Apply readout error (if configured) to a sampled outcome.
@@ -698,6 +727,69 @@ mod tests {
                 .count();
         }
         assert!(fired > 0 && fired < 64 * 4, "both branches drawn: {fired}");
+    }
+
+    #[test]
+    fn first_fired_marker_follows_the_pinned_draws() {
+        use rand::{Rng, RngExt};
+        let p2 = 0.3;
+        let dc2 = Channel::Depolarizing { p: p2 };
+        // Only the 2q gates carry channels, so the 1q gates place no marker:
+        // markers 0..4 are the CX, the CZ, the Toffoli (two pair draws) and
+        // the SWAP.
+        let mut circuit = Circuit::new(3);
+        circuit.cx(0, 1).h(2).cz(1, 2).ccx(0, 1, 2).swap(0, 2).t(1);
+        let dc = NoiseModel::ideal().with_channel_2q(dc2);
+        // With amplitude damping on 1q gates too, the H is marker 1 and
+        // needs the state: the probe stops there at the latest.
+        let damped = dc
+            .clone()
+            .with_channel_1q(Channel::AmplitudeDamping { gamma: 1e-9 });
+        // The hand-written draws of one pair site: a uniform against p, then
+        // on a fire a nonzero two-slot Pauli code.
+        let pair_fires = |raw: &mut StdRng| {
+            let fired = raw.random::<f64>() < p2;
+            if fired {
+                raw.random_range(1..16u8);
+            }
+            fired
+        };
+        let (mut forks, mut clean) = (0, 0);
+        for seed in 0..200u64 {
+            // Marker by marker: the draws of each marker's sites, stopping at
+            // the first fire, with the stream as it stood before it.
+            let mut raw = StdRng::seed_from_u64(seed);
+            let mut want = None;
+            for (marker, pairs) in [1, 1, 2, 1].into_iter().enumerate() {
+                let before = raw.clone();
+                if (0..pairs).any(|_| pair_fires(&mut raw)) {
+                    want = Some((marker, before));
+                    break;
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let got = dc.first_fired_marker(&circuit, &mut rng);
+            assert_eq!(got, want.as_ref().map(|w| w.0), "seed {seed}");
+            let mut after = want.map_or(raw, |w| w.1);
+            assert_eq!(rng.next_u64(), after.next_u64(), "seed {seed}: RNG moved");
+            match got {
+                Some(_) => forks += 1,
+                None => clean += 1,
+            }
+
+            // Damped: the CX draws, then the H needs the state.
+            let mut raw = StdRng::seed_from_u64(seed);
+            let before = raw.clone();
+            let (want, mut after) = if pair_fires(&mut raw) {
+                (0, before)
+            } else {
+                (1, raw)
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_eq!(damped.first_fired_marker(&circuit, &mut rng), Some(want));
+            assert_eq!(rng.next_u64(), after.next_u64(), "seed {seed}: RNG moved");
+        }
+        assert!(forks > 0 && clean > 0, "{forks} forks, {clean} clean");
     }
 
     #[test]

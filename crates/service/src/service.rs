@@ -1015,8 +1015,8 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         // The queue-wait stage ends here, whichever dispatch path follows.
         pending.record.set_scheduled();
         // Cache hits — the steady-state case — dispatch inline: a lookup
-        // plus the non-blocking Engine::start, which probes and injects the
-        // root nodes at well under a microsecond each. Only a
+        // plus the non-blocking Engine::start, which injects one root task
+        // (the root nodes are probed on a worker). Only a
         // miss (or an in-flight same-key plan) moves to a short-lived
         // planner thread, so planning a large novel circuit never
         // head-of-line blocks dispatch of already-cached jobs behind it,

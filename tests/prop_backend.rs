@@ -10,7 +10,7 @@ use tqsim::{Strategy as PlanStrategy, TreeExecutor};
 use tqsim_circuit::{Circuit, Gate, GateKind};
 use tqsim_cluster::{ClusterBackend, InterconnectModel};
 use tqsim_noise::NoiseModel;
-use tqsim_statevec::SingleNode;
+use tqsim_statevec::{FlushCtx, OpCounts, PooledBackend, QuantumState, ReplayCursor, SingleNode};
 
 /// Random gates over 7 qubits — wide enough that 8-node slicing (3 global
 /// qubits) exercises the remap fallback alongside node-local fused kernels.
@@ -86,8 +86,68 @@ fn noise_for(idx: usize) -> NoiseModel {
     }
 }
 
+/// The realization that fires Pauli `pauli` (0 = X, 1 = Y, 2 = Z) on the
+/// first qubit of the gate at noise marker `fire` and draws identity
+/// everywhere else, as a replay hook whose marker count starts at `from`.
+fn fire_at<S: QuantumState + ?Sized>(
+    from: usize,
+    fire: usize,
+    pauli: usize,
+) -> impl FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64 {
+    let kind = [GateKind::X, GateKind::Y, GateKind::Z][pauli];
+    let mut at = from;
+    move |gate, ctx| {
+        if at == fire {
+            ctx.push_branch_gate(&Gate::new(kind, &gate.qubits()[..1]));
+        }
+        at += 1;
+        1
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn a_forked_distributed_replay_equals_a_straight_one(
+        circuit in arb_circuit(7, 16),
+        nodes_log2 in 1u32..4,
+        pauli in 0usize..3,
+    ) {
+        let nodes = 1usize << nodes_log2;
+        // H on the top qubits first: by marker 2 the replay has swept a
+        // global qubit (6) onto a local position, so the fork there copies
+        // an unsettled layout.
+        let mut c = Circuit::new(7);
+        c.h(6).h(5).h(4);
+        c.append(&circuit);
+        let compiled = NoiseModel::sycamore().compile(&c);
+        let backend = ClusterBackend::new(nodes, InterconnectModel::commodity_cluster());
+        // One clean trajectory, forked at every marker in turn through the
+        // backend's copy.
+        let mut trajectory = backend.allocate(7);
+        let mut cursor = ReplayCursor::new();
+        let mut prefix = OpCounts::new();
+        for fire in 0..compiled.noise_points() {
+            cursor.run_to(&compiled, fire, &mut trajectory, &mut prefix, |_, _| 1);
+            if fire == 2 {
+                prop_assert!(!trajectory.layout().is_canonical(), "{} nodes", nodes);
+            }
+            let mut forked = backend.allocate(7);
+            backend.copy_into(&mut forked, &trajectory);
+            let mut ops = prefix;
+            cursor.clone().finish(&compiled, &mut forked, &mut ops, fire_at(fire, fire, pauli));
+            let mut straight = backend.allocate(7);
+            let mut want = OpCounts::new();
+            compiled.replay(&mut straight, &mut want, fire_at(0, fire, pauli));
+            prop_assert_eq!(
+                forked.gather().amplitudes(),
+                straight.gather().amplitudes(),
+                "{} nodes, fired at marker {}", nodes, fire
+            );
+            prop_assert_eq!(ops, want, "{} nodes, fired at marker {}", nodes, fire);
+        }
+    }
 
     #[test]
     fn distributed_fused_replay_is_bit_identical_to_serial(
