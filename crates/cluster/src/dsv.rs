@@ -9,8 +9,10 @@
 //! one, and the [`Layout`] decides which transpositions to open and close:
 //! a global qubit brought down for one op stays down until another op
 //! needs its local position or [`QuantumState::settle`] restores the
-//! canonical layout, as real distributed simulators do it. Diagonals and
-//! Kraus branches run wherever their qubits sit. Every exchange is counted
+//! canonical layout, as real distributed simulators do it. Diagonal runs
+//! run wherever their qubits sit. A sampled Kraus branch is one of these
+//! ops (a one-term diagonal run, or a `Mat2` for the amplitude-damping
+//! jump), so the half swap is the only exchange. Every exchange is counted
 //! and priced by the [`InterconnectModel`].
 //!
 //! Ops are issued on physical positions, so neither transport sees the
@@ -28,7 +30,7 @@
 
 use crate::layout::Layout;
 use crate::model::{ClusterCounters, InterconnectModel};
-use crate::transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};
+use crate::transport::{half_swap, Ask, Query, Reply, SliceOp, SliceTransport};
 use std::sync::Arc;
 use std::time::Instant;
 use std::{fmt, io};
@@ -89,8 +91,7 @@ impl std::error::Error for ClusterError {}
 /// [`tqsim_obs::Registry`] — a monitoring view across all runs.
 #[derive(Debug)]
 pub struct ClusterObs {
-    /// Pairwise half-slice exchange rounds (distributed swaps and
-    /// cross-node antidiagonal combines).
+    /// Pairwise half-slice exchange rounds (distributed swaps).
     pub exchanges: Arc<Counter>,
     /// Modeled bytes moved over the interconnect.
     pub bytes_exchanged: Arc<Counter>,
@@ -186,9 +187,9 @@ impl SliceTransport for LocalSlices {
         }
     }
 
-    fn exchange(&mut self, gb: u16, op: PairOp) {
+    fn exchange(&mut self, gb: u16, lq: u16) {
         for (lo, hi) in self.pairs(gb) {
-            op.apply_pair(lo, hi);
+            half_swap::apply_pair(lq, lo, hi);
         }
     }
 
@@ -439,9 +440,10 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         self.charge_compute_pass();
     }
 
-    /// One exchange round: `op` on every partner pair of node slices whose
-    /// node indices differ in global bit `gb`. Counted, timed and priced.
-    fn exchange_round(&mut self, gb: u16, op: PairOp) {
+    /// One exchange round: the half swap with local position `lq` on every
+    /// partner pair of node slices whose node indices differ in global bit
+    /// `gb`. Counted, timed and priced.
+    fn exchange_round(&mut self, gb: u16, lq: u16) {
         debug_assert!(1usize << gb < self.n_nodes());
         // Failpoint modelling an interconnect fault (dropped exchange,
         // slow link via the delay action). No error channel through the
@@ -451,9 +453,9 @@ impl<T: SliceTransport> DistributedStateVector<T> {
             panic!("{fault}");
         }
         let start = Instant::now();
-        self.slices.exchange(gb, op);
+        self.slices.exchange(gb, lq);
         let measured = start.elapsed().as_secs_f64();
-        let bytes_per_node = (op.frame_len(self.slice_len()) * 16) as u64;
+        let bytes_per_node = (self.slice_len() / 2 * 16) as u64;
         let simulated = self.model.exchange_time(bytes_per_node);
         let total_bytes = bytes_per_node * self.n_nodes() as u64;
         self.counters.exchanges += 1;
@@ -474,7 +476,7 @@ impl<T: SliceTransport> DistributedStateVector<T> {
         assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
         let rounds = self.layout.place(qs);
         for &(gb, lq) in &rounds {
-            self.exchange_round(gb, PairOp::HalfSwap(lq));
+            self.exchange_round(gb, lq);
         }
         let mut phys = [0u16; MAX_OP_QUBITS];
         for (p, &q) in phys.iter_mut().zip(qs) {
@@ -736,30 +738,6 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
         })
     }
 
-    fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        let p = self.layout.position(q);
-        if p >= self.local_n {
-            // Node-selecting bit: scale whole slices, no communication.
-            let mask = 1usize << (p - self.local_n);
-            self.sweep(&SliceOp::ScaleBit(mask, d0, d1));
-        } else {
-            self.sweep(&SliceOp::Diag1(p, d0, d1));
-        }
-    }
-
-    fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        let p = self.layout.position(q);
-        if p >= self.local_n {
-            // Pairwise cross-node combine: an exchange round in which every
-            // node ships its whole slice (no compute pass charged).
-            self.exchange_round(p - self.local_n, PairOp::Antidiag(a01, a10));
-        } else {
-            self.sweep(&SliceOp::Antidiag1(p, a01, a10));
-        }
-    }
-
     /// Settles first: the norm folds in rank order.
     fn renormalize(&mut self) {
         self.settle();
@@ -784,7 +762,7 @@ impl<T: SliceTransport> QuantumState for DistributedStateVector<T> {
     /// Undo every open transposition, one exchange round each.
     fn settle(&mut self) {
         for (gb, lq) in self.layout.settle() {
-            self.exchange_round(gb, PairOp::HalfSwap(lq));
+            self.exchange_round(gb, lq);
         }
     }
 }
@@ -830,18 +808,31 @@ mod tests {
                 .collect();
             assert_eq!(pairs, expect);
         }
-        // The public sweeps sit on those rounds: a local quad sweep, a
-        // global pair sweep (a dswap down), a cross-node combine, and the
-        // settle that swaps the first global qubit back.
+        // The public sweeps sit on those rounds: a local quad sweep, two
+        // global pair sweeps (a dswap down each), and the settle that swaps
+        // both global qubits back.
         let h = GateKind::H.matrix1().unwrap();
         let cx = GateKind::Cx.matrix2().unwrap();
+        let (zero, i) = (c64(0.0, 0.0), c64(0.0, 1.0));
         QuantumState::apply_mat4(&mut dsv, 3, 1, &cx);
         QuantumState::apply_mat2(&mut dsv, 13, &h);
-        dsv.apply_antidiag1(12, c64(0.0, 1.0), c64(0.0, -1.0));
+        QuantumState::apply_mat2(&mut dsv, 12, &Mat2([[zero, i], [-i, zero]]));
         assert_eq!(dsv.counters.exchanges, 2);
         dsv.settle();
-        assert_eq!(dsv.counters.exchanges, 3);
+        assert_eq!(dsv.counters.exchanges, 4);
         assert!((dsv.norm_sqr() - 1.0).abs() < 1e-12);
+    }
+
+    /// The amplitude-damping jump `K1 = [[0, √γ], [0, 0]]`.
+    fn jump(gamma: f64) -> Mat2 {
+        Mat2([[c64(0.0, 0.0), c64(gamma.sqrt(), 0.0)], [c64(0.0, 0.0); 2]])
+    }
+
+    /// `diag(d0, d1)` on `q`, as a damping channel applies it.
+    fn branch(q: u16, d0: C64, d1: C64) -> DiagRun {
+        let mut run = DiagRun::new();
+        run.push1(q, [d0, d1]);
+        run
     }
 
     fn assert_states_match(dsv: &DistributedStateVector, sv: &StateVector) {
@@ -903,17 +894,23 @@ mod tests {
         QuantumState::marginal_one(&unsettled().0, 0);
     }
 
-    /// Kraus branches run wherever their qubit sits, diagonal runs are
-    /// remapped term by term, and renormalising settles first.
+    /// Kraus branches (one-term runs and the damping jump's matrix) and
+    /// diagonal runs are remapped onto wherever their qubits sit, and
+    /// renormalising settles first.
     #[test]
     fn kraus_branches_and_diag_runs_on_an_unsettled_state_match_single_node() {
         let (mut dsv, mut sv) = unsettled();
         let (d0, d1) = (c64(0.9, 0.0), c64(0.0, 0.4));
+        let antidiag = Mat2([[c64(0.0, 0.0), d1], [d0, c64(0.0, 0.0)]]);
         for q in 0..6 {
-            dsv.apply_diag1(q, d0, d1);
-            sv.apply_diag1(q, d0, d1);
-            dsv.apply_antidiag1(q, d1, d0);
-            sv.apply_antidiag1(q, d1, d0);
+            QuantumState::apply_diag_run(&mut dsv, &branch(q, d0, d1));
+            QuantumState::apply_diag_run(&mut sv, &branch(q, d0, d1));
+            QuantumState::apply_mat2(&mut dsv, q, &antidiag);
+            QuantumState::apply_mat2(&mut sv, q, &antidiag);
+        }
+        for q in [1, 4] {
+            QuantumState::apply_mat2(&mut dsv, q, &jump(0.3));
+            QuantumState::apply_mat2(&mut sv, q, &jump(0.3));
         }
         let mut run = tqsim_statevec::DiagRun::new();
         run.push1(5, GateKind::T.diag1().unwrap());
@@ -1071,14 +1068,20 @@ mod tests {
         // Put qubit 5 (global) into |+>.
         dsv.apply_gate(&Gate::new(GateKind::H, &[5]));
         assert!((QuantumState::marginal_one(&dsv, 5) - 0.5).abs() < 1e-12);
-        // Project onto |1> via anti/diag Kraus mechanics.
-        dsv.apply_diag1(5, c64(0.0, 0.0), c64(1.0, 0.0));
+        // Project onto |1> with a one-term run: the slices scale by its
+        // entries, and nothing is exchanged.
+        let exchanges = dsv.counters.exchanges;
+        QuantumState::apply_diag_run(&mut dsv, &branch(5, c64(0.0, 0.0), c64(1.0, 0.0)));
         dsv.renormalize();
+        assert_eq!(dsv.counters.exchanges, exchanges);
         assert!((QuantumState::marginal_one(&dsv, 5) - 1.0).abs() < 1e-12);
     }
 
+    /// The damping jump on a node-selecting qubit costs two half-swap
+    /// rounds: the matrix brings its operand down, and renormalising
+    /// settles it back up. Both equal the flat state bit for bit.
     #[test]
-    fn antidiag_on_global_qubit_matches_single_node() {
+    fn damping_jump_on_global_qubit_matches_single_node() {
         let m = InterconnectModel::commodity_cluster();
         let mut c = Circuit::new(6);
         c.h(5).ry(0.9, 4).cx(5, 0);
@@ -1088,9 +1091,15 @@ mod tests {
         for g in &c {
             dsv.apply_gate(g);
         }
-        sv.apply_antidiag1(5, c64(0.5, 0.0), c64(0.25, 0.0));
-        dsv.apply_antidiag1(5, c64(0.5, 0.0), c64(0.25, 0.0));
-        assert_states_match(&dsv, &sv);
+        let before = dsv.counters.exchanges;
+        QuantumState::apply_mat2(&mut sv, 5, &jump(0.25));
+        QuantumState::apply_mat2(&mut dsv, 5, &jump(0.25));
+        assert_eq!(dsv.counters.exchanges, before + 1, "placed");
+        assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
+        sv.renormalize();
+        dsv.renormalize();
+        assert_eq!(dsv.counters.exchanges, before + 2, "settled");
+        assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! needs all its operands on local positions. [`Layout`] keeps a set of
 //! disjoint (global position ↔ local position) transpositions and decides
 //! which ones to open and close for each op; every open or close is one
-//! exchange round, a `PairOp::HalfSwap` of the local position with the
+//! exchange round, a `half_swap` of the local position with the
 //! global bit. A global qubit brought down for one op stays local until
 //! another op needs its local position or [`Layout::settle`] restores the
 //! canonical layout (Häner & Steiger, arXiv 1704.01127, keep swapped-in

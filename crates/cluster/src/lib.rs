@@ -47,4 +47,4 @@ pub use dsv::{
 pub use layout::Layout;
 pub use model::{ClusterCounters, InterconnectModel};
 pub use runner::{estimate_shot_seconds, estimate_tree_seconds, run_distributed, DistRunResult};
-pub use transport::{Ask, PairOp, Query, Reply, SliceOp, SliceTransport};
+pub use transport::{half_swap, Ask, Query, Reply, SliceOp, SliceTransport};

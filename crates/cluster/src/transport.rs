@@ -8,39 +8,36 @@
 //! `tqsim-shard`'s `ShardSlices` one slice per worker process.
 //!
 //! The per-slice arithmetic is written here once — [`SliceOp::apply`], the
-//! [`PairOp`] halves and [`Query::answer`]. The in-process transport calls
-//! them directly and the shard worker after decoding a verb, so both
-//! transports compute the same amplitudes by construction.
+//! [`half_swap`] halves and [`Query::answer`]. The in-process transport
+//! calls them directly and the shard worker after decoding a verb, so both
+//! transports compute the same amplitudes by construction. A sampled Kraus
+//! branch is one of these ops too (a one-term diagonal run or a `Mat2`), so
+//! the only exchange is the half swap.
 
 use std::{fmt, io};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
 use tqsim_statevec::{kernels, walk_cdf, DiagRun};
 
-/// A node-local operation on one slice. Qubits are physical bit positions
+/// A node-local operation on one slice: the fused ops of plan replay,
+/// `|0…0⟩` and renormalisation's scale. Qubits are physical bit positions
 /// (the distributed state resolves its layout before issuing an op):
 /// slice-local, except in [`SliceOp::DiagRun`], which resolves global
-/// positions against the slice's base index.
+/// positions against the slice's base index (a one-term run on a
+/// node-selecting position scales the whole slice by its entry).
 #[derive(Clone, Copy, Debug)]
 pub enum SliceOp<'a> {
     /// `|0…0⟩`: zero the slice; the slice at base 0 also gets amplitude 1.
     Reset,
     /// `Ccx(c1, c2, t)`: a Toffoli, flipping `t` where `c1` and `c2` read 1.
     Ccx(u16, u16, u16),
-    /// `Mat2(q, m)`: a dense single-qubit unitary.
+    /// `Mat2(q, m)`: a dense single-qubit matrix (a gate, or the
+    /// amplitude-damping jump).
     Mat2(u16, &'a Mat2),
     /// `Mat4(hi, lo, m)`: a dense two-qubit unitary, `hi` the more
     /// significant matrix bit.
     Mat4(u16, u16, &'a Mat4),
     /// A coalesced diagonal run over global qubits.
     DiagRun(&'a DiagRun),
-    /// `Diag1(q, d0, d1)`: `diag(d0, d1)`.
-    Diag1(u16, C64, C64),
-    /// `ScaleBit(mask, d0, d1)`: `diag(d0, d1)` on a node-selecting qubit —
-    /// the whole slice scales by `d1` when its rank has a bit of `mask`
-    /// set, else by `d0`.
-    ScaleBit(usize, C64, C64),
-    /// `Antidiag1(q, a01, a10)`: `[[0, a01], [a10, 0]]`.
-    Antidiag1(u16, C64, C64),
     /// Multiply every amplitude by a real factor.
     Scale(f64),
 }
@@ -61,98 +58,52 @@ impl SliceOp<'_> {
             SliceOp::Mat2(q, m) => kernels::apply_mat2(slice, q as usize, m),
             SliceOp::Mat4(hi, lo, m) => kernels::apply_mat4(slice, hi as usize, lo as usize, m),
             SliceOp::DiagRun(run) => run.apply_offset(slice, base),
-            SliceOp::Diag1(q, d0, d1) => kernels::apply_diag1(slice, q as usize, d0, d1),
-            SliceOp::ScaleBit(mask, d0, d1) => {
-                let rank = base >> slice.len().trailing_zeros();
-                let d = if rank & mask != 0 { d1 } else { d0 };
-                slice.iter_mut().for_each(|a| *a *= d);
-            }
-            SliceOp::Antidiag1(q, a01, a10) => {
-                kernels::apply_antidiag1(slice, q as usize, a01, a10)
-            }
             SliceOp::Scale(s) => kernels::scale_amps(slice, s),
         }
     }
 }
 
-/// One exchange round's operation on a partner pair: two slices whose
-/// ranks differ in one global bit, the lower rank called `lo`.
-#[derive(Clone, Copy, Debug)]
-pub enum PairOp {
-    /// `HalfSwap(lq)`: the distributed swap with local qubit `lq` — `lo`'s
-    /// `lq`-bit=1 half trades places with `hi`'s `lq`-bit=0 half.
-    HalfSwap(u16),
-    /// `Antidiag(a01, a10)`: `[[0, a01], [a10, 0]]` on the node-selecting
-    /// qubit, `lo' = a01·hi` and `hi' = a10·lo` — whole slices cross.
-    Antidiag(C64, C64),
-}
-
-impl PairOp {
-    /// Amplitudes each node sends its partner, for slices of `slice_len`.
-    pub fn frame_len(&self, slice_len: usize) -> usize {
-        match self {
-            PairOp::HalfSwap(_) => slice_len / 2,
-            PairOp::Antidiag(..) => slice_len,
-        }
-    }
+/// The one exchange round's arithmetic, on a partner pair: two slices whose
+/// ranks differ in one global bit, the lower rank called `lo`. The round is
+/// the distributed swap with local qubit `lq` — `lo`'s `lq`-bit=1 half
+/// trades places with `hi`'s `lq`-bit=0 half — so each side sends half its
+/// slice.
+pub mod half_swap {
+    use tqsim_circuit::math::C64;
 
     /// Apply to a pair held in one address space, in place.
-    pub fn apply_pair(&self, lo: &mut [C64], hi: &mut [C64]) {
-        match *self {
-            PairOp::HalfSwap(lq) => {
-                let sl = 1usize << lq;
-                for (ra, rb) in lo.chunks_exact_mut(sl * 2).zip(hi.chunks_exact_mut(sl * 2)) {
-                    ra[sl..].swap_with_slice(&mut rb[..sl]);
-                }
-            }
-            PairOp::Antidiag(a01, a10) => {
-                for (x, y) in lo.iter_mut().zip(hi) {
-                    (*x, *y) = (a01 * *y, a10 * *x);
-                }
-            }
+    pub fn apply_pair(lq: u16, lo: &mut [C64], hi: &mut [C64]) {
+        let sl = 1usize << lq;
+        for (ra, rb) in lo.chunks_exact_mut(sl * 2).zip(hi.chunks_exact_mut(sl * 2)) {
+            ra[sl..].swap_with_slice(&mut rb[..sl]);
         }
     }
 
-    /// Where each partner holds only its own slice: append the amplitudes
-    /// this side (`is_lo` for the lower rank) sends to `out`.
-    pub fn outgoing(&self, slice: &[C64], is_lo: bool, out: &mut Vec<C64>) {
-        match *self {
-            PairOp::HalfSwap(lq) => {
-                let (sl, off) = half_run(lq, is_lo);
-                for run in slice.chunks_exact(sl * 2) {
-                    out.extend_from_slice(&run[off..off + sl]);
-                }
-            }
-            PairOp::Antidiag(..) => out.extend_from_slice(slice),
+    /// Where each partner holds only its own slice: append the half this
+    /// side (`is_lo` for the lower rank) sends to `out`.
+    pub fn outgoing(lq: u16, slice: &[C64], is_lo: bool, out: &mut Vec<C64>) {
+        let (sl, off) = half(lq, is_lo);
+        for run in slice.chunks_exact(sl * 2) {
+            out.extend_from_slice(&run[off..off + sl]);
         }
     }
 
-    /// Land the partner's [`PairOp::outgoing`] amplitudes in this side's
-    /// slice: together, exactly [`PairOp::apply_pair`].
-    pub fn land(&self, slice: &mut [C64], is_lo: bool, incoming: &[C64]) {
-        match *self {
-            PairOp::HalfSwap(lq) => {
-                let (sl, off) = half_run(lq, is_lo);
-                let runs = slice.chunks_exact_mut(sl * 2);
-                for (run, theirs) in runs.zip(incoming.chunks_exact(sl)) {
-                    run[off..off + sl].copy_from_slice(theirs);
-                }
-            }
-            PairOp::Antidiag(a01, a10) => {
-                let d = if is_lo { a01 } else { a10 };
-                for (mine, theirs) in slice.iter_mut().zip(incoming) {
-                    *mine = d * *theirs;
-                }
-            }
+    /// Land the partner's [`outgoing`] half in this side's slice: together,
+    /// exactly [`apply_pair`].
+    pub fn land(lq: u16, slice: &mut [C64], is_lo: bool, incoming: &[C64]) {
+        let (sl, off) = half(lq, is_lo);
+        let runs = slice.chunks_exact_mut(sl * 2);
+        for (run, theirs) in runs.zip(incoming.chunks_exact(sl)) {
+            run[off..off + sl].copy_from_slice(theirs);
         }
     }
-}
 
-/// Run length and in-run offset of the half a half-swap side trades: the
-/// lower rank its `lq`-bit=1 half, the higher rank its `lq`-bit=0 half.
-fn half_run(lq: u16, is_lo: bool) -> (usize, usize) {
-    let sl = 1usize << lq;
-    (sl, if is_lo { sl } else { 0 })
+    /// Run length and in-run offset of the half a side trades: the lower
+    /// rank its `lq`-bit=1 half, the higher rank its `lq`-bit=0 half.
+    fn half(lq: u16, is_lo: bool) -> (usize, usize) {
+        let sl = 1usize << lq;
+        (sl, if is_lo { sl } else { 0 })
+    }
 }
 
 /// A read-only question to one slice: one link of a rank-ordered fold.
@@ -253,9 +204,9 @@ pub trait SliceTransport {
     /// Run `op` on every slice, in rank order.
     fn sweep(&mut self, op: &SliceOp<'_>);
 
-    /// One exchange round: `op` on every partner pair whose ranks differ in
-    /// global bit `gb`.
-    fn exchange(&mut self, gb: u16, op: PairOp);
+    /// One exchange round: the [`half_swap`] with local qubit `lq` on every
+    /// partner pair whose ranks differ in global bit `gb`.
+    fn exchange(&mut self, gb: u16, lq: u16);
 
     /// Overwrite every slice with `src`'s (a node-local copy).
     ///
@@ -286,27 +237,22 @@ mod tests {
         ((0..8).map(amp).collect(), (8..16).map(amp).collect())
     }
 
-    /// Each side sending its `outgoing` frame and landing its partner's is
-    /// exactly the in-place pair operation — the worker and the in-process
+    /// Each side sending its `outgoing` half and landing its partner's is
+    /// exactly the in-place half swap — the worker and the in-process
     /// transport exchange the same amplitudes.
     #[test]
     fn one_sided_halves_compose_to_the_in_place_pair_op() {
-        let a = c64(0.6, 0.0);
-        for op in [
-            PairOp::HalfSwap(0),
-            PairOp::HalfSwap(2),
-            PairOp::Antidiag(a, -a),
-        ] {
+        for lq in [0, 2] {
             let (mut lo, mut hi) = pair();
             let (mut lo_out, mut hi_out) = (Vec::new(), Vec::new());
-            op.outgoing(&lo, true, &mut lo_out);
-            op.outgoing(&hi, false, &mut hi_out);
-            assert_eq!(lo_out.len(), op.frame_len(8));
-            op.land(&mut lo, true, &hi_out);
-            op.land(&mut hi, false, &lo_out);
+            half_swap::outgoing(lq, &lo, true, &mut lo_out);
+            half_swap::outgoing(lq, &hi, false, &mut hi_out);
+            assert_eq!(lo_out.len(), 4);
+            half_swap::land(lq, &mut lo, true, &hi_out);
+            half_swap::land(lq, &mut hi, false, &lo_out);
             let (mut lo_ref, mut hi_ref) = pair();
-            op.apply_pair(&mut lo_ref, &mut hi_ref);
-            assert_eq!((lo, hi), (lo_ref, hi_ref), "{op:?}");
+            half_swap::apply_pair(lq, &mut lo_ref, &mut hi_ref);
+            assert_eq!((lo, hi), (lo_ref, hi_ref), "lq {lq}");
         }
     }
 }

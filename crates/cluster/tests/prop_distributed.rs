@@ -2,9 +2,10 @@
 //! single-node engine on randomised circuits and node counts.
 
 use proptest::prelude::*;
+use tqsim_circuit::math::Mat2;
 use tqsim_circuit::{Circuit, Gate, GateKind};
 use tqsim_cluster::{DistributedStateVector, InterconnectModel};
-use tqsim_statevec::{QuantumState, StateVector};
+use tqsim_statevec::{DiagRun, QuantumState, StateVector};
 
 fn arb_gate(n: u16) -> impl Strategy<Value = Gate> {
     let q = 0..n;
@@ -86,14 +87,17 @@ proptest! {
         for gate in &circuit {
             dsv.apply_gate(gate);
         }
-        sv.apply_diag1(q, c64(d0r, 0.0), c64(0.0, d1r));
-        dsv.apply_diag1(q, c64(d0r, 0.0), c64(0.0, d1r));
-        sv.apply_antidiag1(q, c64(0.3, 0.0), c64(0.0, 0.7));
-        dsv.apply_antidiag1(q, c64(0.3, 0.0), c64(0.0, 0.7));
-        let gathered = dsv.gather();
-        for (a, b) in gathered.amplitudes().iter().zip(sv.amplitudes()) {
-            prop_assert!((a - b).norm() < 1e-9);
-        }
+        // A Kraus branch's two forms: a one-term run and a `Mat2` with
+        // zero entries, on a local or a node-selecting position.
+        let mut run = DiagRun::new();
+        run.push1(q, [c64(d0r, 0.0), c64(0.0, d1r)]);
+        sv.apply_diag_run(&run);
+        dsv.apply_diag_run(&run);
+        let zero = c64(0.0, 0.0);
+        let k = Mat2([[zero, c64(0.3, 0.0)], [c64(0.0, 0.7), zero]]);
+        QuantumState::apply_mat2(&mut sv, q, &k);
+        QuantumState::apply_mat2(&mut dsv, q, &k);
+        prop_assert_eq!(dsv.gather().amplitudes(), sv.amplitudes());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use tqsim_cluster::Layout;
 
 /// Perform `rounds` on `held`, the logical qubit on each physical
-/// position, exactly as `PairOp::HalfSwap` rounds move amplitudes.
+/// position, exactly as `half_swap` rounds move amplitudes.
 fn perform(rounds: &[(u16, u16)], held: &mut [u16], g: u16, local_n: u16) {
     for &(gb, lq) in rounds {
         assert!(gb < g && lq < local_n, "round ({gb}, {lq})");

@@ -280,17 +280,21 @@ impl JobPlan {
     /// correlated-samples trade the `ablation_dcp` harness quantifies.
     ///
     /// **Error-free sibling sharing.** A node first probes its noise draws
-    /// on a clone of the RNG ([`NoiseModel::draws_error_free`]). An
+    /// on a clone of the RNG: it is error-free when
+    /// [`NoiseModel::first_fired_marker`] finds no fired marker. An
     /// error-free node is a deterministic function of its parent's
     /// amplitudes, so when its level's slot still holds the error-free
-    /// child of this very parent write, the node adopts the probed RNG and
-    /// recurses with no copy and no replay ([`OpCounts::nodes_shared`]);
-    /// every other node runs in full on live draws. Slots are tagged with
-    /// write ids, so a slot overwritten by an erroneous sibling, or
-    /// computed from an earlier write of the parent slot, is never reused;
-    /// no state beyond the `k + 1` is kept. Root nodes share too (their
-    /// parent is the `|0…0⟩` root state, write 0), so a flat plan from DCP
-    /// replays its error-free shots once; only a
+    /// child of the parent state as it stands, the node adopts the probed
+    /// RNG and recurses with no copy and no replay
+    /// ([`OpCounts::nodes_shared`]); every other node runs in full on live
+    /// draws. One flag per level says whether the slot holds that child: a
+    /// write sets it to whether the node was error-free and clears the
+    /// next level's flag (its parent slot changed), so a slot overwritten
+    /// by an erroneous sibling, or computed from an earlier parent state,
+    /// is never reused; no state beyond the `k + 1` is kept. Root nodes
+    /// share too (their parent is the `|0…0⟩` root state, never
+    /// rewritten), so a flat plan from DCP replays its error-free shots
+    /// once; only a
     /// [per-shot](Partition::per_shot) plan ([`Strategy::Baseline`]) runs
     /// every node, and state-dependent channels never probe error-free.
     /// RNG stream, amplitudes and `Counts` are those of the unshared walk
@@ -315,8 +319,7 @@ impl JobPlan {
             plan: self,
             leaf_samples,
             states: (0..=k).map(|_| backend.allocate(n)).collect(),
-            writes: vec![SlotWrite::default(); k + 1],
-            last_write: 0,
+            clean_child: vec![false; k + 1],
             counts: Counts::new(n),
             ops: OpCounts::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -338,25 +341,15 @@ impl JobPlan {
     }
 }
 
-/// What a level's state slot holds: the id of the write that produced it
-/// and, when that write was an error-free realization, the id of the parent
-/// write it was computed from. Ids are unique within a walk; the root state
-/// is write 0.
-#[derive(Clone, Copy, Default)]
-struct SlotWrite {
-    id: u64,
-    error_free_of: Option<u64>,
-}
-
 /// The state of one [`JobPlan::run_on`] walk.
 struct TreeWalk<'a, B: PooledBackend> {
     backend: &'a B,
     plan: &'a JobPlan,
     leaf_samples: u32,
     states: Vec<B::State>,
-    /// `writes[l]` describes `states[l]`.
-    writes: Vec<SlotWrite>,
-    last_write: u64,
+    /// `clean_child[l]`: `states[l]` holds the error-free child of
+    /// `states[l - 1]` as it stands now.
+    clean_child: Vec<bool>,
     counts: Counts,
     ops: OpCounts,
     rng: StdRng,
@@ -384,14 +377,14 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
             );
             return;
         }
-        let parent_write = self.writes[level].id;
         for _rep in 0..plan.partition.tree.arities()[level] {
             let mut probe = self.rng.clone();
             let error_free = !plan.partition.per_shot()
                 && plan
                     .noise
-                    .draws_error_free(&plan.subcircuits[level], &mut probe);
-            if error_free && self.writes[level + 1].error_free_of == Some(parent_write) {
+                    .first_fired_marker(&plan.subcircuits[level], &mut probe)
+                    .is_none();
+            if error_free && self.clean_child[level + 1] {
                 // The slot already holds this node's state.
                 self.rng = probe;
                 self.ops.nodes_shared += 1;
@@ -411,11 +404,10 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
                 &mut self.ops,
                 true,
             );
-            self.last_write += 1;
-            self.writes[level + 1] = SlotWrite {
-                id: self.last_write,
-                error_free_of: error_free.then_some(parent_write),
-            };
+            self.clean_child[level + 1] = error_free;
+            if let Some(grandchild) = self.clean_child.get_mut(level + 2) {
+                *grandchild = false;
+            }
             self.recurse_nodes(level + 1);
         }
     }

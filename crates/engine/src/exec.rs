@@ -758,7 +758,9 @@ mod tests {
             let erroneous = (0..shots)
                 .filter(|&index| {
                     let mut rng = StdRng::seed_from_u64(seed ^ child_hash(seed, index));
-                    !noise.draws_error_free(&plan.subcircuits()[0], &mut rng)
+                    noise
+                        .first_fired_marker(&plan.subcircuits()[0], &mut rng)
+                        .is_some()
                 })
                 .count() as u64;
             assert!(

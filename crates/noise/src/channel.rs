@@ -16,9 +16,9 @@
 //! read the marginal, one to apply the branch, one to renormalise.
 
 use rand::{Rng, RngExt};
-use tqsim_circuit::math::{c64, Mat2};
+use tqsim_circuit::math::{c64, Mat2, ZERO};
 use tqsim_circuit::{Gate, GateKind};
-use tqsim_statevec::QuantumState;
+use tqsim_statevec::{DiagRun, QuantumState};
 
 /// A single error channel. Probabilities/ratios are validated at
 /// construction via [`Channel::validate`].
@@ -263,8 +263,14 @@ impl Channel {
             Channel::PhaseDamping { lambda } => (0.0, lambda),
             Channel::ThermalRelaxation { t1, t2, gate_time } => thermal_params(t1, t2, gate_time),
         };
-        let a = apply_amplitude_damping(sv, q, gamma, rng);
-        let b = apply_phase_damping(sv, q, lambda, rng);
+        let a = damp_step(sv, q, gamma, rng, |sv| {
+            // K1 = [[0, √γ], [0, 0]]: |1⟩ decays to |0⟩.
+            sv.apply_mat2(q, &Mat2([[ZERO, c64(gamma.sqrt(), 0.0)], [ZERO, ZERO]]));
+        });
+        // K1 = diag(0, √λ): projection onto |1⟩ (a dephasing record).
+        let b = damp_step(sv, q, lambda, rng, |sv| {
+            apply_diag(sv, q, 0.0, lambda.sqrt())
+        });
         a || b
     }
 }
@@ -305,50 +311,36 @@ fn phase_damping_kraus(lambda: f64) -> Vec<Mat2> {
     ]
 }
 
-/// Amplitude-damping trajectory step. Jump probability `γ·P(q=1)`.
-fn apply_amplitude_damping<S, R>(sv: &mut S, q: u16, gamma: f64, rng: &mut R) -> bool
+/// One damping trajectory step with ratio `r` (`γ` or `λ`): with
+/// probability `r·P(q=1)` apply the `jump` branch, else the no-jump branch
+/// `diag(1, √(1−r))`, then renormalise. A zero ratio reads and draws
+/// nothing. Both branches reach the backend through the fused-op calls
+/// replay uses: a diagonal as a one-term [`DiagRun`], a matrix through
+/// [`QuantumState::apply_mat2`].
+fn damp_step<S, R>(sv: &mut S, q: u16, r: f64, rng: &mut R, jump: impl FnOnce(&mut S)) -> bool
 where
     S: QuantumState + ?Sized,
     R: Rng + ?Sized,
 {
-    if gamma <= 0.0 {
+    if r <= 0.0 {
         return false;
     }
-    let p1 = sv.marginal_one(q);
-    let p_jump = gamma * p1;
-    if rng.random::<f64>() < p_jump {
-        // K1 = [[0, √γ], [0, 0]]: |1⟩ decays to |0⟩.
-        sv.apply_antidiag1(q, c64(gamma.sqrt(), 0.0), c64(0.0, 0.0));
-        sv.renormalize();
-        true
+    let p_jump = r * sv.marginal_one(q);
+    let jumped = rng.random::<f64>() < p_jump;
+    if jumped {
+        jump(sv);
     } else {
-        sv.apply_diag1(q, c64(1.0, 0.0), c64((1.0 - gamma).sqrt(), 0.0));
-        sv.renormalize();
-        false
+        apply_diag(sv, q, 1.0, (1.0 - r).sqrt());
     }
+    sv.renormalize();
+    jumped
 }
 
-/// Phase-damping trajectory step. Jump probability `λ·P(q=1)`.
-fn apply_phase_damping<S, R>(sv: &mut S, q: u16, lambda: f64, rng: &mut R) -> bool
-where
-    S: QuantumState + ?Sized,
-    R: Rng + ?Sized,
-{
-    if lambda <= 0.0 {
-        return false;
-    }
-    let p1 = sv.marginal_one(q);
-    let p_jump = lambda * p1;
-    if rng.random::<f64>() < p_jump {
-        // K1 = diag(0, √λ): projection onto |1⟩ (a dephasing record).
-        sv.apply_diag1(q, c64(0.0, 0.0), c64(lambda.sqrt(), 0.0));
-        sv.renormalize();
-        true
-    } else {
-        sv.apply_diag1(q, c64(1.0, 0.0), c64((1.0 - lambda).sqrt(), 0.0));
-        sv.renormalize();
-        false
-    }
+/// `diag(d0, d1)` on `q` as a one-term diagonal run.
+fn apply_diag<S: QuantumState + ?Sized>(sv: &mut S, q: u16, d0: f64, d1: f64) {
+    let mut run = DiagRun::new();
+    run.push1(q, [c64(d0, 0.0), c64(d1, 0.0)]);
+    sv.apply_diag_run(&run);
 }
 
 #[cfg(test)]
@@ -356,7 +348,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tqsim_circuit::math::ZERO;
     use tqsim_statevec::StateVector;
 
     fn on(channel: Channel, qubit: u16) -> Site {

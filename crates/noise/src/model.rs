@@ -340,13 +340,6 @@ impl NoiseModel {
         None
     }
 
-    /// Whether this model's realization of `subcircuit` on `rng` is
-    /// error-free: [`NoiseModel::first_fired_marker`] is `None`, and `rng`
-    /// sits where a replay of the subcircuit leaves it.
-    pub fn draws_error_free<R: Rng + Clone>(&self, subcircuit: &Circuit, rng: &mut R) -> bool {
-        self.first_fired_marker(subcircuit, rng).is_none()
-    }
-
     /// Apply readout error (if configured) to a sampled outcome.
     pub fn apply_readout<R: Rng + ?Sized>(&self, outcome: u64, n_qubits: u16, rng: &mut R) -> u64 {
         match self.readout {
@@ -594,7 +587,7 @@ mod tests {
             let (mut clean, mut dirty) = (0, 0);
             for seed in 0..300u64 {
                 let mut probe = StdRng::seed_from_u64(seed);
-                if !noise.draws_error_free(&circuit, &mut probe) {
+                if noise.first_fired_marker(&circuit, &mut probe).is_some() {
                     dirty += 1;
                     continue;
                 }
@@ -637,7 +630,7 @@ mod tests {
         ] {
             for seed in 0..20u64 {
                 let mut probe = StdRng::seed_from_u64(seed);
-                assert!(!noise.draws_error_free(&circuit, &mut probe));
+                assert!(noise.first_fired_marker(&circuit, &mut probe).is_some());
             }
         }
     }

@@ -7,18 +7,19 @@
 //! operands — one amplitude frame right after the line:
 //!
 //! * **Lines** of sweep and exchange verbs hold integers only: the verb,
-//!   the slice id, qubits, a mask, a partner step, a diagonal run's qubit
-//!   lists (and `scale`'s one real factor, which the JSON writer prints as
-//!   the shortest decimal that parses back to the same bits).
+//!   the slice id, qubits, the exchange's global bit, a diagonal run's
+//!   qubit lists (and `scale`'s one real factor, which the JSON writer
+//!   prints as the shortest decimal that parses back to the same bits).
+//!   The one exchange verb, `dswap`, is the half swap and carries no
+//!   frame; a Kraus branch travels as the `diagrun` or `mat2` it is.
 //! * **Amplitude frames** are length-prefixed little-endian binary: an
 //!   8-byte LE byte count, then `f64` re/im pairs. They carry a verb's
-//!   complex operands (a dense matrix row-major, a diagonal run's entries,
-//!   a pair of diagonal or antidiagonal entries), the halves workers trade
-//!   peer-to-peer on the mesh, and bulk slice fetches. The reader always
-//!   knows how long a frame must be — from the verb and its line, or from
-//!   the slice — and refuses any other length before it allocates. Bit
-//!   patterns cross unchanged, which keeps the multi-process backend
-//!   bit-identical to the in-process one.
+//!   complex operands (a dense matrix row-major, a diagonal run's entries),
+//!   the halves workers trade peer-to-peer on the mesh, and bulk slice
+//!   fetches. The reader always knows how long a frame must be — from the
+//!   verb and its line, or from the slice — and refuses any other length
+//!   before it allocates. Bit patterns cross unchanged, which keeps the
+//!   multi-process backend bit-identical to the in-process one.
 //!
 //! Sweeps and exchange rounds get no reply, so the coordinator queues them
 //! and puts bytes on a socket only before it waits for a reply and right
@@ -28,7 +29,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 use tqsim_circuit::math::{c64, Mat2, Mat4, C64};
-use tqsim_cluster::{PairOp, SliceOp};
+use tqsim_cluster::SliceOp;
 use tqsim_json::{num, num_u64, obj, str_val, Value};
 use tqsim_statevec::DiagRun;
 
@@ -256,30 +257,16 @@ pub fn encode_sweep(sid: u64, op: &SliceOp<'_>) -> Vec<u8> {
                 Some(d1.chain(d2).copied().collect()),
             )
         }
-        SliceOp::Diag1(t, d0, d1) => ("diag1", vec![("q", q(t))], Some(vec![d0, d1])),
-        SliceOp::ScaleBit(mask, d0, d1) => (
-            "scale_bit",
-            vec![("mask", num_u64(mask as u64))],
-            Some(vec![d0, d1]),
-        ),
-        SliceOp::Antidiag1(t, a01, a10) => ("antidiag", vec![("q", q(t))], Some(vec![a01, a10])),
         SliceOp::Scale(s) => ("scale", vec![("s", num(s))], None),
     };
     message(name, sid, fields, frame.as_deref())
 }
 
-/// Encode one exchange round on slice `sid` across global bit `gb`.
-pub fn encode_exchange(sid: u64, gb: u16, op: PairOp) -> Vec<u8> {
-    match op {
-        PairOp::HalfSwap(lq) => {
-            let fields = vec![("gb", num_u64(gb.into())), ("lq", num_u64(lq.into()))];
-            message("dswap", sid, fields, None)
-        }
-        PairOp::Antidiag(a01, a10) => {
-            let fields = vec![("step", num_u64(1 << gb))];
-            message("antidiag_g", sid, fields, Some(&[a01, a10]))
-        }
-    }
+/// Encode one exchange round on slice `sid`: the half swap of global bit
+/// `gb` with local qubit `lq`.
+pub fn encode_exchange(sid: u64, gb: u16, lq: u16) -> Vec<u8> {
+    let fields = vec![("gb", num_u64(gb.into())), ("lq", num_u64(lq.into()))];
+    message("dswap", sid, fields, None)
 }
 
 /// A decoded sweep verb, owning what its [`SliceOp`] borrows.
@@ -312,12 +299,6 @@ fn operands<'a, R: Read>(r: &mut R, n: usize, frame: &'a mut Vec<C64>) -> io::Re
     frame.clear();
     read_amps(r, n, frame)?;
     Ok(frame)
-}
-
-/// Read a frame of exactly two operands.
-fn pair<R: Read>(r: &mut R, frame: &mut Vec<C64>) -> io::Result<[C64; 2]> {
-    let d = operands(r, 2, frame)?;
-    Ok([d[0], d[1]])
 }
 
 /// Decode sweep verb `verb` whose line is `line`, reading its operand
@@ -379,53 +360,25 @@ pub fn read_sweep<R: Read>(
             }
             OwnedSliceOp::DiagRun(run)
         }
-        "diag1" => {
-            let t = need_qubit(line, "q")?;
-            let [d0, d1] = pair(r, frame)?;
-            OwnedSliceOp::Plain(SliceOp::Diag1(t, d0, d1))
-        }
-        "scale_bit" => {
-            let mask = need_u64(line, "mask")? as usize;
-            let [d0, d1] = pair(r, frame)?;
-            OwnedSliceOp::Plain(SliceOp::ScaleBit(mask, d0, d1))
-        }
-        "antidiag" => {
-            let t = need_qubit(line, "q")?;
-            let [a01, a10] = pair(r, frame)?;
-            OwnedSliceOp::Plain(SliceOp::Antidiag1(t, a01, a10))
-        }
         _ => return Ok(None),
     };
     Ok(Some(op))
 }
 
-/// Decode exchange verb `verb` whose line is `line`, reading its operand
-/// frame from `r` through `frame`: the partner step (a power of two
-/// unless the line is bad; `0` for a step no `u64` holds) and the round's
-/// [`PairOp`]. `None` if `verb` is not an exchange verb.
+/// Decode the exchange verb `dswap` whose line is `line`: the partner
+/// step (`2^gb`, or `0` for a step no `u64` holds) and the half swap's
+/// local qubit. `None` for any other verb. The verb carries no frame.
 ///
 /// # Errors
 ///
-/// As [`read_sweep`].
-pub fn read_exchange<R: Read>(
-    verb: &str,
-    line: &Value,
-    r: &mut R,
-    frame: &mut Vec<C64>,
-) -> io::Result<Option<(u64, PairOp)>> {
-    Ok(Some(match verb {
-        "dswap" => {
-            let gb = u32::try_from(need_u64(line, "gb")?).unwrap_or(u32::MAX);
-            let step = 1u64.checked_shl(gb).unwrap_or(0);
-            (step, PairOp::HalfSwap(need_qubit(line, "lq")?))
-        }
-        "antidiag_g" => {
-            let step = need_u64(line, "step")?;
-            let [a01, a10] = pair(r, frame)?;
-            (step, PairOp::Antidiag(a01, a10))
-        }
-        _ => return Ok(None),
-    }))
+/// A malformed line ([`io::ErrorKind::InvalidData`]).
+pub fn read_exchange(verb: &str, line: &Value) -> io::Result<Option<(u64, u16)>> {
+    if verb != "dswap" {
+        return Ok(None);
+    }
+    let gb = u32::try_from(need_u64(line, "gb")?).unwrap_or(u32::MAX);
+    let step = 1u64.checked_shl(gb).unwrap_or(0);
+    Ok(Some((step, need_qubit(line, "lq")?)))
 }
 
 #[cfg(test)]
@@ -471,9 +424,6 @@ mod tests {
                     d1.chain(d2).collect(),
                 )
             }
-            SliceOp::Diag1(t, a, b) => ("diag1", vec![t.into()], vec![a, b]),
-            SliceOp::ScaleBit(mask, a, b) => ("scale_bit", vec![mask as u64], vec![a, b]),
-            SliceOp::Antidiag1(t, a, b) => ("antidiag", vec![t.into()], vec![a, b]),
             SliceOp::Scale(s) => ("scale", vec![s.to_bits()], vec![]),
         };
         (variant, ints, bits(amps))
@@ -509,9 +459,6 @@ mod tests {
             SliceOp::Mat4(1, 6, &m4),
             SliceOp::DiagRun(&run),
             SliceOp::DiagRun(&DiagRun::new()),
-            SliceOp::Diag1(4, a, b),
-            SliceOp::ScaleBit(0b10, c, d),
-            SliceOp::Antidiag1(0, b, a),
             SliceOp::Scale(f64::MIN_POSITIVE / 7.0),
             SliceOp::Scale(-0.0),
         ];
@@ -523,24 +470,14 @@ mod tests {
 
     #[test]
     fn every_pair_op_round_trips_bit_for_bit() {
-        let [a, b, ..] = awkward();
-        for (gb, op) in [(1, PairOp::HalfSwap(11)), (2, PairOp::Antidiag(a, b))] {
-            let msg = encode_exchange(4, gb, op);
+        for (gb, lq) in [(1, 11), (2, 0)] {
+            let msg = encode_exchange(4, gb, lq);
             let mut r = &msg[..];
             let line = read_line(&mut r).unwrap();
             let verb = line.get("v").and_then(Value::as_str).unwrap().to_string();
-            let (step, back) = read_exchange(&verb, &line, &mut r, &mut Vec::new())
-                .unwrap()
-                .unwrap();
-            assert!(r.is_empty());
-            assert_eq!(step, 1 << gb);
-            match (back, op) {
-                (PairOp::HalfSwap(x), PairOp::HalfSwap(y)) => assert_eq!(x, y),
-                (PairOp::Antidiag(x0, x1), PairOp::Antidiag(y0, y1)) => {
-                    assert_eq!(bits([x0, x1]), bits([y0, y1]));
-                }
-                pair => panic!("decoded another round: {pair:?}"),
-            }
+            let (step, back) = read_exchange(&verb, &line).unwrap().unwrap();
+            assert!(r.is_empty(), "a round carries no frame");
+            assert_eq!((step, back), (1 << gb, lq));
         }
     }
 

@@ -14,7 +14,7 @@ use std::io;
 use std::sync::Arc;
 use tqsim_circuit::math::C64;
 use tqsim_cluster::{
-    Ask, ClusterBackend, DistributedStateVector, PairOp, Query, Reply, SliceOp, SliceTransport,
+    Ask, ClusterBackend, DistributedStateVector, Query, Reply, SliceOp, SliceTransport,
 };
 use tqsim_json::{num, num_u64, obj, str_val, Value};
 
@@ -130,8 +130,8 @@ impl SliceTransport for ShardSlices {
     /// pairs up on the same exchange in its FIFO verb order, and flush it:
     /// no reply is awaited. A worker that fails mid-round ends its process,
     /// and the coordinator panics at its next write or read on that socket.
-    fn exchange(&mut self, gb: u16, op: PairOp) {
-        let round = proto::encode_exchange(self.sid, gb, op);
+    fn exchange(&mut self, gb: u16, lq: u16) {
+        let round = proto::encode_exchange(self.sid, gb, lq);
         let mut link = self.cluster.link();
         link.broadcast(&round);
         link.flush();

@@ -3,7 +3,7 @@
 //! A worker is deliberately *thin*. It owns the node's amplitude slices
 //! (keyed by slice id) and runs `tqsim-cluster`'s slice arithmetic on
 //! command: a sweep verb decodes to a [`SliceOp`] and runs
-//! [`SliceOp::apply`], an exchange verb to a [`PairOp`], a query verb to a
+//! [`SliceOp::apply`], the exchange verb to a [`half_swap`], a query verb to a
 //! [`Query`] answered by [`Query::answer`]. Every layout decision, counter,
 //! RNG draw and noise branch lives in the coordinator's
 //! [`tqsim_cluster::DistributedStateVector`], which drives the in-process
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use tqsim_circuit::math::{c64, C64};
-use tqsim_cluster::{PairOp, Query, Reply, SliceOp};
+use tqsim_cluster::{half_swap, Query, Reply, SliceOp};
 use tqsim_json::{num, num_u64, obj, Value};
 
 /// A cached mesh connection to one peer worker.
@@ -144,7 +144,7 @@ fn op_fits(op: &SliceOp<'_>, local_n: u16, n_qubits: u16) -> bool {
         SliceOp::Ccx(c1, c2, t) => {
             [c1, c2, t].iter().all(|&q| q < local_n) && c1 != c2 && c1 != t && c2 != t
         }
-        SliceOp::Mat2(q, _) | SliceOp::Diag1(q, ..) | SliceOp::Antidiag1(q, ..) => q < local_n,
+        SliceOp::Mat2(q, _) => q < local_n,
         SliceOp::Mat4(hi, lo, _) => hi < local_n && lo < local_n && hi != lo,
         SliceOp::DiagRun(run) => {
             run.terms1().iter().all(|&(q, _)| q < n_qubits)
@@ -153,7 +153,7 @@ fn op_fits(op: &SliceOp<'_>, local_n: u16, n_qubits: u16) -> bool {
                     .iter()
                     .all(|&(a, b, _)| a < n_qubits && b < n_qubits && a != b)
         }
-        SliceOp::Reset | SliceOp::ScaleBit(..) | SliceOp::Scale(_) => true,
+        SliceOp::Reset | SliceOp::Scale(_) => true,
     }
 }
 
@@ -191,8 +191,8 @@ impl Worker {
         if let Some(op) = proto::read_sweep(verb, msg, control_r, &mut self.operands)? {
             return self.sweep(msg, op.op());
         }
-        if let Some((step, op)) = proto::read_exchange(verb, msg, control_r, &mut self.operands)? {
-            return self.exchange(msg, step, op);
+        if let Some((step, lq)) = proto::read_exchange(verb, msg)? {
+            return self.exchange(msg, step, lq);
         }
         match verb {
             "ping" => Ok(Some(proto::ack())),
@@ -342,10 +342,11 @@ impl Worker {
         Ok(self.mesh.get_mut(&peer).expect("just inserted"))
     }
 
-    /// This worker's side of one exchange round: trade [`PairOp::outgoing`]
-    /// frames with the partner `step` ranks away and [`PairOp::land`] what
-    /// arrives. The lower rank sends first, the higher receives first.
-    fn exchange(&mut self, msg: &Value, step: u64, op: PairOp) -> io::Result<Option<Value>> {
+    /// This worker's side of one half-swap round on local qubit `lq`: trade
+    /// [`half_swap::outgoing`] frames with the partner `step` ranks away and
+    /// [`half_swap::land`] what arrives. The lower rank sends first, the
+    /// higher receives first.
+    fn exchange(&mut self, msg: &Value, step: u64, lq: u16) -> io::Result<Option<Value>> {
         let rank = self.rank;
         let partner = usize::try_from(step)
             .ok()
@@ -354,17 +355,15 @@ impl Worker {
             .filter(|&partner| partner < self.peers.len())
             .ok_or_else(|| wire_err("exchange", format!("no partner {step} ranks from {rank}")))?;
         let (sid, slice) = self.slice_mut(msg)?;
-        if let PairOp::HalfSwap(lq) = op {
-            if u32::from(lq) >= slice.len().trailing_zeros() {
-                return Err(wire_err("dswap", format!("local qubit {lq} out of range")));
-            }
+        if u32::from(lq) >= slice.len().trailing_zeros() {
+            return Err(wire_err("dswap", format!("local qubit {lq} out of range")));
         }
         let mut slice = std::mem::take(slice);
         let [mut outgoing, mut incoming] = std::mem::take(&mut self.frames);
         let is_lo = rank < partner;
         outgoing.clear();
         incoming.clear();
-        op.outgoing(&slice, is_lo, &mut outgoing);
+        half_swap::outgoing(lq, &slice, is_lo, &mut outgoing);
         let outcome = (|| {
             let conn = self.mesh_with(partner)?;
             let n = outgoing.len();
@@ -379,7 +378,7 @@ impl Worker {
                 proto::read_amps(&mut conn.reader, n, &mut incoming)?;
                 send(&outgoing)?;
             }
-            op.land(&mut slice, is_lo, &incoming);
+            half_swap::land(lq, &mut slice, is_lo, &incoming);
             Ok(())
         })();
         self.slices.insert(sid, slice);
@@ -465,16 +464,23 @@ mod tests {
         assert!(feed(&mut w, &mat4(2, 0)).is_ok());
         assert!(send(&mut w, r#"{"v":"ccx","sid":1,"c1":2,"c2":0,"t":1}"#).is_ok());
         for (line, frame) in [
-            // Retired verbs are refused.
+            // Retired verbs are refused, well-formed or not: a Kraus branch
+            // is a `diagrun` or a `mat2`, and the half swap is the only
+            // exchange.
             (r#"{"v":"gate","sid":1,"g":["h",1]}"#, None),
             (r#"{"v":"pick","sid":1,"u":0.5,"acc":0}"#, None),
+            (r#"{"v":"diag1","sid":1,"q":3}"#, Some(2)),
+            (r#"{"v":"diag1","sid":1,"q":0}"#, Some(2)),
+            (r#"{"v":"scale_bit","sid":1,"mask":1}"#, Some(2)),
+            (r#"{"v":"antidiag","sid":1,"q":0}"#, Some(2)),
+            (r#"{"v":"antidiag_g","sid":1,"step":3}"#, Some(2)),
+            (r#"{"v":"antidiag_g","sid":1,"step":1}"#, Some(2)),
             // A Toffoli with a repeated control, a target past the slice's
             // 3 local qubits, no target, and a qubit no u16 holds.
             (r#"{"v":"ccx","sid":1,"c1":1,"c2":1,"t":0}"#, None),
             (r#"{"v":"ccx","sid":1,"c1":0,"c2":1,"t":3}"#, None),
             (r#"{"v":"ccx","sid":1,"c1":0,"c2":1}"#, None),
             (r#"{"v":"ccx","sid":1,"c1":70000,"c2":1,"t":0}"#, None),
-            (r#"{"v":"diag1","sid":1,"q":3}"#, Some(2)),
             (r#"{"v":"msum","sid":1,"q":40,"acc":0}"#, None),
             // A sum continues a carried accumulator; none is no query.
             (r#"{"v":"psum","sid":1}"#, None),
@@ -491,7 +497,6 @@ mod tests {
             // Two workers: no partner across global bit 1, or 2^70 away.
             (r#"{"v":"dswap","sid":1,"gb":1,"lq":0}"#, None),
             (r#"{"v":"dswap","sid":1,"gb":70,"lq":0}"#, None),
-            (r#"{"v":"antidiag_g","sid":1,"step":3}"#, Some(2)),
         ] {
             let msg = match frame {
                 Some(n) => framed(line, &ones(n)),

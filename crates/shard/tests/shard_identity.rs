@@ -1,5 +1,5 @@
 //! One distributed state, two slice transports. The conformance body below
-//! drives every `SliceOp`, both `PairOp`s and every `Query` through a
+//! drives every `SliceOp`, the half-swap exchange and every `Query` through a
 //! `DistributedStateVector<T>` and checks each result bit for bit against
 //! a flat `StateVector` driven through the same operations: amplitudes,
 //! norms, marginals and samples alike. It runs on the in-process `LocalSlices` at 2, 4 and 8
@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use tqsim::Strategy;
-use tqsim_circuit::math::{c64, C64};
+use tqsim_circuit::math::{c64, Mat2, C64};
 use tqsim_circuit::{generators, Gate, GateKind};
 use tqsim_cluster::{
     ClusterBackend, ClusterCounters, DistributedStateVector, InterconnectModel, SliceTransport,
@@ -52,7 +52,7 @@ where
     // Gates, as `classify` makes them: a diagonal sweeps a one-term
     // `DiagRun` wherever its qubits are; a matrix (`SliceOp::Mat2`/`Mat4`)
     // or a Toffoli (`SliceOp::Ccx`) sweeps locally, a global operand first
-    // brought down by a `PairOp::HalfSwap` round; `apply_gate` settles the
+    // brought down by a half-swap round; `apply_gate` settles the
     // layout after each gate, which swaps it back up.
     let mut gates: Vec<Gate> = generators::qsc(N, 40, 3).iter().copied().collect();
     gates.push(Gate::new(GateKind::Ccx, &[7, 6, 0]));
@@ -114,18 +114,33 @@ where
     dsv.settle();
     same(&dsv, &sv, "settled");
 
-    // Kraus-branch surface: (anti)diagonals on a local qubit (sweeps) and
-    // on a node-selecting one (`ScaleBit` and the `PairOp::Antidiag` round).
-    let (d0, d1) = (c64(0.9, 0.0), c64(0.0, 0.4));
-    for q in [1, N - 1] {
-        dsv.apply_diag1(q, d0, d1);
-        sv.apply_diag1(q, d0, d1);
+    // Kraus branches take the fused-op calls, on a local qubit and on a
+    // node-selecting one: a diagonal branch is a one-term `DiagRun` (on a
+    // node-selecting position the slice scales by its entry, with no
+    // exchange), and the amplitude-damping jump K1 = [[0, √γ], [0, 0]] a
+    // `Mat2` (a node-selecting operand first comes down by a half swap).
+    let exchanges = dsv.counters.exchanges;
+    for (q, d) in [
+        (1, [c64(0.9, 0.0), c64(0.0, 0.4)]),
+        (N - 1, [c64(0.0, 0.0), c64(0.6, 0.0)]),
+    ] {
+        let mut branch = DiagRun::new();
+        branch.push1(q, d);
+        dsv.apply_diag_run(&branch);
+        sv.apply_diag_run(&branch);
     }
+    assert_eq!(
+        dsv.counters.exchanges, exchanges,
+        "a diagonal branch exchanged"
+    );
+    let k1 = Mat2([[c64(0.0, 0.0), c64(0.3, 0.0)], [c64(0.0, 0.0); 2]]);
     for q in [2, N - 1] {
-        dsv.apply_antidiag1(q, d1, d0);
-        sv.apply_antidiag1(q, d1, d0);
+        dsv.apply_mat2(q, &k1);
+        sv.apply_mat2(q, &k1);
     }
-    same(&dsv, &sv, "diagonals");
+    same(&dsv, &sv, "Kraus branches");
+    dsv.settle();
+    same(&dsv, &sv, "Kraus branches, settled");
 
     // Queries on the now sub-normalised state: the norm and every marginal
     // carry one accumulator through the ranks, and sampling walks one CDF

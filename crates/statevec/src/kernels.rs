@@ -3,7 +3,7 @@
 //! # Shapes, tiles and tiers
 //!
 //! The hot kernels come in two *gate shapes*: a **pair** shape (one gate
-//! qubit: [`apply_mat2`], [`apply_antidiag1`], [`apply_diag1`]) and a
+//! qubit: [`apply_mat2`], [`apply_diag1`]) and a
 //! **quad** shape (two gate qubits: [`apply_mat4`], [`apply_diag2`]). Each
 //! gate is one `TileOp`, written once against the complex-lane trait
 //! `CLanes` and run by the tile body its placement calls for, over the
@@ -1033,16 +1033,11 @@ impl<const N: usize> TileOp<N> for DiagOp<N> {
     }
 }
 
-/// Diagonal single-qubit operator `diag(d0, d1)` on qubit `q`
-/// (covers Z, S, T, RZ, phase and the diagonal Kraus branches).
+/// Diagonal single-qubit operator `diag(d0, d1)` on qubit `q`: the body
+/// of a one-term [`crate::DiagRun`] (Z, S, T, RZ, phase and the diagonal
+/// Kraus branches).
 pub fn apply_diag1(amps: &mut [C64], q: usize, d0: C64, d1: C64) {
     sweep_pair(amps, q, DiagOp([d0, d1]));
-}
-
-/// Anti-diagonal single-qubit operator `[[0, a01], [a10, 0]]` on qubit `q`
-/// (covers the jump branches of amplitude-damping-style Kraus channels).
-pub fn apply_antidiag1(amps: &mut [C64], q: usize, a01: C64, a10: C64) {
-    sweep_pair(amps, q, AntiDiagOp(a01, a10));
 }
 
 /// CNOT with control `c`, target `t`.
@@ -1237,10 +1232,11 @@ mod tests {
     }
 
     #[test]
-    fn antidiag_jump() {
-        // K = [[0, 1], [0, 0]] maps |1> to |0>.
+    fn damping_jump() {
+        // K = [[0, 1], [0, 0]] maps |1> to |0>: the dense body.
         let mut v = basis(1, 1);
-        apply_antidiag1(&mut v, 0, c64(1.0, 0.0), c64(0.0, 0.0));
+        let k = Mat2([[c64(0.0, 0.0), c64(1.0, 0.0)], [c64(0.0, 0.0); 2]]);
+        apply_mat2(&mut v, 0, &k);
         assert_eq!(v[0], c64(1.0, 0.0));
         assert_eq!(v[1], c64(0.0, 0.0));
     }
@@ -1402,9 +1398,9 @@ mod tests {
                 &|x, y| (mi * y, i * x),
             );
             pair(
-                "antidiag1",
+                "antidiag",
                 &|t, v| sweep_gate_on(t, v, &[q], &AntiDiagOp(d0, d1)),
-                &|v| apply_antidiag1(v, q, d0, d1),
+                &|v| sweep_pair(v, q, AntiDiagOp(d0, d1)),
                 &|x, y| (d0 * y, d1 * x),
             );
             pair(

@@ -341,10 +341,12 @@ impl DiagRun {
 }
 
 /// A fused executable operation — the currency of plans and of the
-/// [`Fuser`]'s input/output streams, and the only form in which a gate
-/// reaches a [`QuantumState`] backend: a matrix, a diagonal run or a
-/// Toffoli, never a [`Gate`]. A lone gate's matrix is the gate's own, and
-/// the kernels pick a cheaper body for an exact X, Y, H, CX or SWAP.
+/// [`Fuser`]'s input/output streams, and the only form in which a gate or
+/// a sampled Kraus branch reaches a [`QuantumState`] backend: a matrix, a
+/// diagonal run or a Toffoli, never a [`Gate`]. A lone gate's matrix is the
+/// gate's own, and the kernels pick a cheaper body for an exact X, Y, H, CX
+/// or SWAP. A damping branch is a one-term diagonal run, or the
+/// amplitude-damping jump's `Mat2`.
 ///
 /// The `Mat4` variant dominates the size (256 bytes inline); keeping it
 /// unboxed is deliberate — ops are constructed on the replay hot path,

@@ -214,20 +214,6 @@ impl StateVector {
             self.apply_gate(gate);
         }
     }
-
-    /// Apply a diagonal single-qubit operator (not necessarily unitary —
-    /// used by Kraus trajectory branches; renormalise afterwards).
-    pub fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
-        assert!(q < self.n_qubits);
-        kernels::apply_diag1(&mut self.amps, q as usize, d0, d1);
-    }
-
-    /// Apply an anti-diagonal single-qubit operator `[[0, a01], [a10, 0]]`
-    /// (not necessarily unitary — used by Kraus trajectory branches).
-    pub fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
-        assert!(q < self.n_qubits);
-        kernels::apply_antidiag1(&mut self.amps, q as usize, a01, a10);
-    }
 }
 
 impl fmt::Debug for StateVector {

@@ -12,8 +12,10 @@
 //!    [`Gate`]: the provided [`QuantumState::apply_gate`] classifies a gate
 //!    into one of those ops ([`crate::classify`]) and applies it exactly as
 //!    replay would;
-//! 2. **Trajectory noise** — marginals, (anti-)diagonal Kraus branches and
-//!    renormalisation;
+//! 2. **Trajectory noise** — marginals and renormalisation. A sampled
+//!    Kraus branch needs no surface of its own: it is a one-term
+//!    [`crate::DiagRun`] or a [`QuantumState::apply_mat2`] matrix, the ops
+//!    of surface 1;
 //! 3. **Measurement** — [`QuantumState::sample_many`]: one batched
 //!    sorted-CDF walk for any number of draws, the one loop
 //!    [`crate::walk_cdf`] inside [`crate::sample_sorted`] on every backend.
@@ -35,7 +37,7 @@
 //! backend.
 
 use crate::plan::DiagRun;
-use tqsim_circuit::math::{Mat2, Mat4, C64};
+use tqsim_circuit::math::{Mat2, Mat4};
 use tqsim_circuit::Gate;
 
 /// Operations a pure-state engine must expose for gate application,
@@ -66,8 +68,10 @@ pub trait QuantumState {
         self.settle();
     }
 
-    /// Apply a dense (possibly product-of-many) single-qubit unitary on `q`
-    /// — the fused `Mat2` surface of plan replay.
+    /// Apply a dense (possibly product-of-many) single-qubit matrix on `q`
+    /// — the fused `Mat2` surface of plan replay, and the
+    /// amplitude-damping jump `[[0, √γ], [0, 0]]` (not unitary;
+    /// renormalise afterwards).
     fn apply_mat2(&mut self, q: u16, m: &Mat2);
 
     /// Apply a dense two-qubit unitary; `q_hi` indexes the more significant
@@ -84,14 +88,6 @@ pub trait QuantumState {
 
     /// Marginal probability that qubit `q` reads 1.
     fn marginal_one(&self, q: u16) -> f64;
-
-    /// Apply a (possibly non-unitary) diagonal single-qubit operator
-    /// `diag(d0, d1)` on `q`.
-    fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64);
-
-    /// Apply a (possibly non-unitary) anti-diagonal single-qubit operator
-    /// `[[0, a01], [a10, 0]]` on `q`.
-    fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64);
 
     /// Squared 2-norm `⟨ψ|ψ⟩`.
     fn norm_sqr(&self) -> f64;
@@ -225,14 +221,6 @@ impl QuantumState for crate::StateVector {
 
     fn marginal_one(&self, q: u16) -> f64 {
         crate::StateVector::marginal_one(self, q)
-    }
-
-    fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
-        crate::StateVector::apply_diag1(self, q, d0, d1);
-    }
-
-    fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
-        crate::StateVector::apply_antidiag1(self, q, a01, a10);
     }
 
     fn norm_sqr(&self) -> f64 {

@@ -160,14 +160,18 @@ proptest! {
 
     #[test]
     fn diag_and_antidiag_compose_to_pauli(q in 0u16..4, circuit in arb_circuit(4, 10)) {
-        // X = antidiag(1,1); Z = diag(1,-1); their composition must equal Y
+        // The ops a Kraus branch takes: X = [[0,1],[1,0]] as a matrix and
+        // Z = diag(1,-1) as a one-term run. Their composition must equal Y
         // up to the global phase i: ZX = iY.
         use tqsim_circuit::c64;
+        use tqsim_statevec::{DiagRun, QuantumState};
         let mut a = StateVector::zero(4);
         a.apply_circuit(&circuit);
         let mut b = a.clone();
-        a.apply_antidiag1(q, c64(1.0, 0.0), c64(1.0, 0.0)); // X
-        a.apply_diag1(q, c64(1.0, 0.0), c64(-1.0, 0.0)); //     Z
+        QuantumState::apply_mat2(&mut a, q, &Mat2::pauli_x());
+        let mut z = DiagRun::new();
+        z.push1(q, [c64(1.0, 0.0), c64(-1.0, 0.0)]);
+        QuantumState::apply_diag_run(&mut a, &z);
         b.apply_gate(&Gate::new(GateKind::Y, &[q]));
         // a = ZX|ψ> = iY|ψ> ⇒ a = i·b.
         for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {

@@ -15,13 +15,13 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use tqsim::Strategy as PlanStrategy;
-use tqsim_circuit::math::{c64, C64};
+use tqsim_circuit::math::{c64, Mat2, C64};
 use tqsim_circuit::{generators, Circuit, Gate, GateKind};
 use tqsim_cluster::{ClusterBackend, ClusterCounters, DistributedStateVector, InterconnectModel};
 use tqsim_engine::{Engine, EngineConfig, JobPlan, PlannedJob};
 use tqsim_noise::NoiseModel;
 use tqsim_statevec::kernels::{set_par_min_len, DEFAULT_PAR_MIN_LEN};
-use tqsim_statevec::{OpCounts, PooledBackend, QuantumState};
+use tqsim_statevec::{DiagRun, OpCounts, PooledBackend, QuantumState};
 
 /// Serialises the tests in this binary: `par_min_len` is a process-wide
 /// knob, so only one test may hold it at 1 at a time.
@@ -228,8 +228,9 @@ const SERIAL_KERNELS: usize = usize::MAX;
 /// `2^10 >= 2^10`: each kernel pools inside its slice.
 const POOL_KERNELS: usize = 1 << 10;
 
-/// A noisy fused replay, a parent→child copy and a cross-node
-/// antidiagonal combine on the 4-node cluster, under whatever
+/// A noisy fused replay, a parent→child copy and the two damping branches
+/// on a node-selecting qubit (a one-term diagonal run, then the jump's
+/// `Mat2` and renormalisation) on the 4-node cluster, under whatever
 /// `par_min_len` and pool cap the caller holds.
 fn cluster_walk(circuit: &Circuit) -> (Vec<C64>, ClusterCounters) {
     use rand::SeedableRng;
@@ -244,7 +245,13 @@ fn cluster_walk(circuit: &Circuit) -> (Vec<C64>, ClusterCounters) {
     });
     let mut child: DistributedStateVector = backend.allocate(CLUSTER_QUBITS);
     backend.copy_into(&mut child, &parent);
-    child.apply_antidiag1(CLUSTER_QUBITS - 1, c64(0.0, 1.0), c64(0.0, -1.0));
+    let top = CLUSTER_QUBITS - 1;
+    let mut no_jump = DiagRun::new();
+    no_jump.push1(top, [c64(1.0, 0.0), c64(0.8, 0.0)]);
+    child.apply_diag_run(&no_jump);
+    let zero = c64(0.0, 0.0);
+    child.apply_mat2(top, &Mat2([[zero, c64(0.6, 0.0)], [zero, zero]]));
+    child.renormalize();
     compiled.replay(&mut child, &mut ops, |gate, ctx| {
         noise.apply_after_gate_deferred(gate, ctx, &mut rng)
     });
