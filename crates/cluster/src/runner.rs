@@ -26,11 +26,11 @@ pub struct DistRunResult {
 /// degenerate partition `(N)`), one outcome per leaf. A thin wrapper over
 /// the one serial tree walk, [`tqsim::JobPlan::run_on`] on a
 /// [`ClusterBackend`]: each subcircuit is compiled **once**, its fused plan
-/// replayed per tree node through the shared generic driver
-/// ([`tqsim::run_subcircuit`]), and the RNG stream consumed identically, so
-/// for the same seed the `Counts` are **bit-identical** to the single-node
-/// [`tqsim::JobPlan::run`]'s (property-tested in
-/// `tests/prop_backend.rs`).
+/// replayed per tree node through the backend-generic
+/// [`tqsim_statevec::CompiledCircuit::replay`], and the RNG stream
+/// consumed identically, so for the same seed the `Counts` are
+/// **bit-identical** to the single-node [`tqsim::JobPlan::run`]'s
+/// (property-tested in `tests/prop_backend.rs`).
 ///
 /// # Errors
 ///

@@ -400,7 +400,7 @@ mod tests {
             // `Mat4(a, b)` + `diag(b)`, then a gate on `(a, b)`: 2 → 1).
             assert!(costs.windows(2).all(|w| w[1] + 1 >= w[0]));
             // The full-circuit entry equals the compiled estimate.
-            let compiled = tqsim_statevec::CompiledCircuit::compile(&c, |_| false);
+            let compiled = tqsim_statevec::CompiledCircuit::compile(&c, |_| 0);
             assert_eq!(costs[c.len()], compiled.amp_pass_estimate());
             // And fusion makes it strictly cheaper than the gate count.
             assert!(costs[c.len()] < c.len() as u64);

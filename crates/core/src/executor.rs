@@ -147,19 +147,19 @@ impl RunResult {
     }
 }
 
-/// A planned and compiled job: the partition, its materialised
-/// subcircuits and one **compiled fused plan** per subcircuit, compiled
-/// once and replayed at every tree node (`∏_{j≤i} A_j` replays of plan
-/// `i`). The one plan object: [`JobPlan::run_on`] walks it serially, the
-/// `tqsim-engine` node tasks share it (via `Arc`) across a job's tree, and
-/// the engine's plan cache holds it across jobs, batches and service
-/// requests, so a repeated planning input skips DCP and compilation.
+/// A planned and compiled job: the partition and one **compiled fused
+/// plan** per subcircuit, compiled once and replayed at every tree node
+/// (`∏_{j≤i} A_j` replays of plan `i`); a compiled plan is the one
+/// description of its segment that executors read. The one plan object:
+/// [`JobPlan::run_on`] walks it serially, the `tqsim-engine` node tasks
+/// share it (via `Arc`) across a job's tree, and the engine's plan cache
+/// holds it across jobs, batches and service requests, so a repeated
+/// planning input skips DCP and compilation.
 ///
 /// It borrows nothing: the noise model is its own copy and the circuit is
-/// kept only as its subcircuits.
+/// kept only as its compiled segments.
 pub struct JobPlan {
     partition: Partition,
-    subcircuits: Vec<Circuit>,
     compiled: Vec<CompiledCircuit>,
     n_qubits: u16,
     noise: NoiseModel,
@@ -174,15 +174,15 @@ impl std::fmt::Debug for JobPlan {
             f,
             "JobPlan[{} qubits, {} subcircuits, tree {}]",
             self.n_qubits,
-            self.subcircuits.len(),
+            self.compiled.len(),
             self.partition.tree
         )
     }
 }
 
 impl JobPlan {
-    /// Bind a partition to a circuit and noise model, then materialise and
-    /// compile every subcircuit.
+    /// Bind a partition to a circuit and noise model, then compile every
+    /// subcircuit.
     ///
     /// # Errors
     ///
@@ -200,11 +200,13 @@ impl JobPlan {
                 circuit.len()
             )));
         }
-        let subcircuits = partition.subcircuits(circuit);
-        let compiled = subcircuits.iter().map(|sc| noise.compile(sc)).collect();
+        let compiled = partition
+            .subcircuits(circuit)
+            .iter()
+            .map(|sc| noise.compile(sc))
+            .collect();
         Ok(JobPlan {
             partition,
-            subcircuits,
             compiled,
             n_qubits: circuit.n_qubits(),
             noise: noise.clone(),
@@ -232,12 +234,7 @@ impl JobPlan {
         &self.partition
     }
 
-    /// The materialised subcircuits, one per tree level.
-    pub fn subcircuits(&self) -> &[Circuit] {
-        &self.subcircuits
-    }
-
-    /// The per-subcircuit compiled fused plans.
+    /// The per-subcircuit compiled fused plans, one per tree level.
     pub fn compiled_plans(&self) -> &[CompiledCircuit] {
         &self.compiled
     }
@@ -269,10 +266,11 @@ impl JobPlan {
     /// Each node copies its parent's state through
     /// [`PooledBackend::copy_into`] (node-local slice copies on distributed
     /// backends — the contents never round-trip through a dense global
-    /// vector), replays its compiled subcircuit via [`run_subcircuit`] and
-    /// either samples ([`draw_leaf_outcomes`]) or recurses. One RNG seeded
-    /// from `seed` is threaded through the whole walk, so the `Counts` are
-    /// bit-identical on every backend.
+    /// vector), replays its compiled subcircuit ([`CompiledCircuit::replay`]
+    /// with the engine forks' hook, [`NoiseModel::apply_after_gate_deferred`])
+    /// and either samples ([`draw_leaf_outcomes`]) or recurses. One RNG
+    /// seeded from `seed` is threaded through the whole walk, so the `Counts`
+    /// are bit-identical on every backend.
     ///
     /// Each leaf draws `leaf_samples` outcomes (1 is the paper's
     /// semantics). More oversample each leaf state: `∏A_j · leaf_samples`
@@ -313,7 +311,7 @@ impl JobPlan {
         assert!(leaf_samples >= 1, "need at least one sample per leaf");
         let t0 = Instant::now();
         let n = self.n_qubits;
-        let k = self.subcircuits.len();
+        let k = self.compiled.len();
         let mut walk = TreeWalk {
             backend,
             plan: self,
@@ -360,7 +358,7 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
     /// `states[level]`.
     fn recurse_nodes(&mut self, level: usize) {
         let plan = self.plan;
-        let k = plan.subcircuits.len();
+        let k = plan.compiled.len();
         if level == k {
             let n = QuantumState::n_qubits(&self.states[k]);
             let (counts, ops) = (&mut self.counts, &mut self.ops);
@@ -382,7 +380,7 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
             let error_free = !plan.partition.per_shot()
                 && plan
                     .noise
-                    .first_fired_marker(&plan.subcircuits[level], &mut probe)
+                    .first_fired_marker(&plan.compiled[level], &mut probe)
                     .is_none();
             if error_free && self.clean_child[level + 1] {
                 // The slot already holds this node's state.
@@ -395,15 +393,10 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
             let child = &mut children[0];
             self.backend.copy_into(child, &parents[level]);
             self.ops.state_copies += 1;
-            run_subcircuit(
-                child,
-                &plan.subcircuits[level],
-                &plan.compiled[level],
-                &plan.noise,
-                &mut self.rng,
-                &mut self.ops,
-                true,
-            );
+            plan.compiled[level].replay(child, &mut self.ops, |gate, ctx| {
+                plan.noise
+                    .apply_after_gate_deferred(gate, ctx, &mut self.rng)
+            });
             self.clean_child[level + 1] = error_free;
             if let Some(grandchild) = self.clean_child.get_mut(level + 2) {
                 *grandchild = false;
@@ -413,20 +406,15 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
     }
 }
 
-/// Execute one subcircuit on any [`QuantumState`] backend: the **single**
-/// replay-driving implementation shared by the serial [`JobPlan`] walk, the
-/// `tqsim-engine` node executor, the Monte-Carlo baselines and
-/// `tqsim-cluster`'s distributed runner.
+/// Execute one subcircuit on any [`QuantumState`] backend, kept only
+/// because `perf/src/layers.rs` names it; the Monte-Carlo baselines call it
+/// too. The tree executors replay the compiled plan themselves.
 ///
-/// Every executor passes `fusion = true`: the compiled `plan` is replayed
-/// with the noise-adaptive flush. `false` dispatches each source gate and
-/// applies its noise per gate ([`NoiseModel::apply_after_gate`]) — not a
-/// mode any executor offers, but the bit-exact reference the tests' unshared
-/// mirror walks. The argument stays because `perf/src/layers.rs` compiles
-/// against this signature. Both arms consume the RNG stream identically —
-/// the fused/per-gate and cross-backend `Counts` equivalences all rely on
-/// this function being the only fork point, so do not duplicate the loop or
-/// change the draw order.
+/// `fusion = true` replays the compiled `plan` with the noise-adaptive
+/// flush, exactly as the executors do. `false` dispatches each source gate
+/// and applies its noise per gate ([`NoiseModel::apply_after_gate`]) — not
+/// a mode any executor offers, but the bit-exact reference the tests'
+/// unshared mirror walks. Both arms consume the RNG stream identically.
 pub fn run_subcircuit<S, R>(
     state: &mut S,
     subcircuit: &Circuit,
@@ -456,7 +444,9 @@ pub fn run_subcircuit<S, R>(
 }
 
 /// Draw `leaf_samples` readout-corrected outcomes from a leaf state on
-/// one RNG, feeding each to `sink`: [`draw_leaf_members`] for one member.
+/// one RNG, feeding each to `sink`: [`sample_leaf_members`] for one member.
+/// Kept because `perf/src/layers.rs` names it; the serial walk and the
+/// test mirrors call it too.
 pub fn draw_leaf_outcomes<S, R>(
     state: &S,
     noise: &NoiseModel,
@@ -468,24 +458,7 @@ pub fn draw_leaf_outcomes<S, R>(
     S: QuantumState + ?Sized,
     R: rand::Rng + ?Sized,
 {
-    draw_leaf_members(state, noise, n_qubits, leaf_samples, &mut [rng], sink);
-}
-
-/// Draw `leaf_samples` readout-corrected outcomes per member RNG from one
-/// leaf state, feeding them to `sink` member by member:
-/// [`sample_leaf_members`] handed out one outcome at a time.
-pub fn draw_leaf_members<S, R>(
-    state: &S,
-    noise: &NoiseModel,
-    n_qubits: u16,
-    leaf_samples: u32,
-    rngs: &mut [&mut R],
-    sink: impl FnMut(u64),
-) where
-    S: QuantumState + ?Sized,
-    R: rand::Rng + ?Sized,
-{
-    sample_leaf_members(state, noise, n_qubits, leaf_samples, rngs)
+    sample_leaf_members(state, noise, n_qubits, leaf_samples, &mut [rng])
         .into_iter()
         .for_each(sink);
 }

@@ -35,11 +35,12 @@
 //!
 //! **Error-free sibling sharing.** Before a node spawns, it probes every
 //! child's path-derived stream for its first fired noise marker
-//! ([`first_fired_marker`]): error-free children of one parent state are
-//! the same state bit for bit, so they travel as **one** task that
-//! materialises once and then samples or spawns for each member with that
-//! member's own RNG. One root task probes and groups the root nodes, the
-//! children of the implicit `|0…0⟩` parent, on a worker, so
+//! ([`first_fired_marker`], a walk over the markers of the level's compiled
+//! plan, numbered as the replay numbers them): error-free children of one
+//! parent state are the same state bit for bit, so they travel as **one**
+//! task that materialises once and then samples or spawns for each member
+//! with that member's own RNG. One root task probes and groups the root
+//! nodes, the children of the implicit `|0…0⟩` parent, on a worker, so
 //! [`crate::Engine::start`] does O(1) work on the caller's thread. A
 //! [per-shot](tqsim::Partition::per_shot) plan probes nothing and runs
 //! every node alone. Op accounting follows the serial executor: one
@@ -49,18 +50,19 @@
 //!
 //! **Forked prefixes.** An erroneous child's replay is the clean replay up
 //! to its first fired marker. So the error-free members' task is a *clean
-//! trajectory*: it copies the parent once, replays the segment drawing
-//! nothing, and at each erroneous child's marker (children sorted by it)
-//! copies the state, clones the [`ReplayCursor`], leaves the rest of the
-//! trajectory to a continuation task that a thief can pick up, and resumes
-//! the child on its probe-positioned RNG. The last child to fork takes the
-//! trajectory's buffer when no error-free child follows, so `state_copies`
-//! and `nodes_shared` are the unforked rule's, and a parent state holds at
-//! most one trajectory buffer. A child whose first fired marker is marker 0
-//! — every damping-model child — has no prefix to share and runs alone from
-//! the parent. On the seven `paper_suite` DCP plans (1 000 shots, seed 1)
-//! forks cut the engine's amplitude passes from 64 469 to 49 132 (−23.8 %)
-//! and `noise_ops` from 319 988 to 241 594.
+//! trajectory*: it copies the parent once and replays the segment with a
+//! hook that draws nothing (the [`ReplayCursor`] charges each marker's site
+//! count to `noise_ops` on every path). At each erroneous child's marker
+//! (children sorted by it) it copies the state, clones the cursor, leaves
+//! the rest of the trajectory to a continuation task that a thief can pick
+//! up, and resumes the child on its probe-positioned RNG. The last child to
+//! fork takes the trajectory's buffer when no error-free child follows, so
+//! `state_copies` and `nodes_shared` are the unforked rule's, and a parent
+//! state holds at most one trajectory buffer. A child whose first fired
+//! marker is marker 0 — every damping-model child — has no prefix to share
+//! and runs alone from the parent. On the seven `paper_suite` DCP plans
+//! (1 000 shots, seed 1) forks cut the engine's amplitude passes from
+//! 64 469 to 49 132 (−23.8 %) and `noise_ops` from 319 988 to 241 594.
 //!
 //! [`StatePool`]: tqsim_statevec::StatePool
 //! [`first_fired_marker`]: tqsim_noise::NoiseModel::first_fired_marker
@@ -73,8 +75,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tqsim::{Counts, RunResult};
-use tqsim_circuit::Gate;
-use tqsim_statevec::{FlushCtx, OpCounts, PoolCounters, PooledBackend, PooledState, ReplayCursor};
+use tqsim_statevec::{OpCounts, PoolCounters, PooledBackend, PooledState, ReplayCursor};
 
 /// Completion callback: invoked exactly once, from whichever worker retires
 /// the job's last node, with the fully merged result.
@@ -82,9 +83,9 @@ pub(crate) type DoneFn = Box<dyn FnOnce(RunResult) + Send>;
 
 /// Everything a node task needs, shared immutably across one job's tree.
 struct TreeShared {
-    /// The job's plan: subcircuits and fused plans compiled **once** per
-    /// distinct planning input and replayed by every node (shared across
-    /// jobs, batches and service requests by the engine's plan cache).
+    /// The job's plan: fused plans compiled **once** per distinct planning
+    /// input and replayed by every node (shared across jobs, batches and
+    /// service requests by the engine's plan cache).
     plan: Arc<JobPlan>,
     seed: u64,
     leaf_samples: u32,
@@ -257,7 +258,7 @@ fn spawn_children<B: PooledBackend>(
     ctx: &WorkerCtx<'_, B>,
 ) {
     let plan = &*shared.plan;
-    let subcircuit = &plan.subcircuits()[level];
+    let compiled = &plan.compiled_plans()[level];
     let arity = plan.partition().tree.arities()[level];
     let probe = !plan.partition().per_shot();
     let (mut forks, mut error_free) = (Vec::new(), Vec::new());
@@ -271,7 +272,7 @@ fn spawn_children<B: PooledBackend>(
         for index in 0..arity {
             let hash = child_hash(member, index);
             let mut rng = StdRng::seed_from_u64(shared.seed ^ hash);
-            match probe.then(|| plan.noise().first_fired_marker(subcircuit, &mut rng)) {
+            match probe.then(|| plan.noise().first_fired_marker(compiled, &mut rng)) {
                 Some(None) => error_free.push((hash, rng)),
                 Some(Some(marker)) if marker > 0 => forks.push(Fork { marker, hash, rng }),
                 _ => {
@@ -344,16 +345,15 @@ impl<B: PooledBackend> Trajectory<B> {
         let level = self.level;
         let compiled = &plan.compiled_plans()[level];
         // Every marker on the clean path draws identity: nothing to apply.
-        let clean =
-            |gate: &Gate, _: &mut FlushCtx<'_, B::State>| plan.noise().sites(gate).count() as u64;
         let Some(fork) = self.forks.pop() else {
             // Spent: free the fork list before the members' leaf draw.
             self.forks = Vec::new();
-            self.cursor.finish(compiled, &mut *self.state, ops, clean);
+            self.cursor
+                .finish(compiled, &mut *self.state, ops, |_, _| {});
             return complete(shared, level, self.state, self.error_free, ops, ctx);
         };
         self.cursor
-            .run_to(compiled, fork.marker, &mut *self.state, ops, clean);
+            .run_to(compiled, fork.marker, &mut *self.state, ops, |_, _| {});
         let (mut state, cursor) = if self.forks.is_empty() && self.error_free.is_empty() {
             (self.state, self.cursor)
         } else {
@@ -425,7 +425,7 @@ fn complete<B: PooledBackend>(
 ) {
     let plan = &*shared.plan;
     ops.nodes_shared += members.len() as u64 - 1;
-    if level + 1 < plan.subcircuits().len() {
+    if level + 1 < plan.compiled_plans().len() {
         let members = members.into_iter().map(|(member, _)| member);
         spawn_children(shared, Some(Arc::new(state)), level + 1, members, ctx);
         return;
@@ -537,6 +537,7 @@ mod tests {
     /// dispatched gate by gate, so it neither shares nor fuses.
     struct Mirror<'a> {
         plan: &'a JobPlan,
+        subcircuits: Vec<tqsim_circuit::Circuit>,
         seed: u64,
         leaf_samples: u32,
         counts: Counts,
@@ -546,7 +547,7 @@ mod tests {
     impl Mirror<'_> {
         fn node(&mut self, parent: Option<&tqsim_statevec::StateVector>, level: usize, hash: u64) {
             use tqsim_statevec::SingleNode;
-            let k = self.plan.subcircuits().len();
+            let k = self.subcircuits.len();
             let mut state = SingleNode.allocate(self.plan.n_qubits());
             if let Some(parent) = parent {
                 SingleNode.copy_into(&mut state, parent);
@@ -555,7 +556,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(self.seed ^ hash);
             tqsim::run_subcircuit(
                 &mut state,
-                &self.plan.subcircuits()[level],
+                &self.subcircuits[level],
                 &self.plan.compiled_plans()[level],
                 self.plan.noise(),
                 &mut rng,
@@ -583,9 +584,15 @@ mod tests {
         }
     }
 
-    fn unshared_mirror(plan: &JobPlan, seed: u64, leaf_samples: u32) -> Mirror<'_> {
+    fn unshared_mirror<'a>(
+        plan: &'a JobPlan,
+        circuit: &tqsim_circuit::Circuit,
+        seed: u64,
+        leaf_samples: u32,
+    ) -> Mirror<'a> {
         let mut mirror = Mirror {
             plan,
+            subcircuits: plan.partition().subcircuits(circuit),
             seed,
             leaf_samples,
             counts: Counts::new(plan.n_qubits()),
@@ -622,9 +629,13 @@ mod tests {
                 let mut got = Vec::new();
                 let mut got_rngs: Vec<StdRng> = rngs().take(members).collect();
                 let mut members_rngs: Vec<&mut StdRng> = got_rngs.iter_mut().collect();
-                tqsim::draw_leaf_members(&state, &noise, 6, leaf_samples, &mut members_rngs, |o| {
-                    got.push(o)
-                });
+                got.extend(tqsim::sample_leaf_members(
+                    &state,
+                    &noise,
+                    6,
+                    leaf_samples,
+                    &mut members_rngs,
+                ));
                 let what = format!("leaf_samples {leaf_samples}, {members} members");
                 assert_eq!(got, want, "{what}");
                 let after: Vec<u64> = got_rngs.iter_mut().map(|rng| rng.random()).collect();
@@ -654,6 +665,10 @@ mod tests {
             NoiseModel::amplitude_damping(0.01),
             NoiseModel::phase_damping(0.01),
             NoiseModel::sycamore().with_readout(ReadoutError::symmetric(0.02)),
+            // Markers on 2q gates only: fork ordinals are not gate indices.
+            NoiseModel::ideal()
+                .with_channel_2q(tqsim_noise::Channel::Depolarizing { p: 0.2 })
+                .named("depolarizing-2q"),
         ] {
             for arities in [
                 vec![40],
@@ -669,7 +684,7 @@ mod tests {
                 let nodes = plan.partition().tree.subcircuit_executions();
                 for leaf_samples in [1u32, 3] {
                     let cell = format!("{} {arities:?} leaf_samples={leaf_samples}", noise.name());
-                    let mirror = unshared_mirror(&plan, 17, leaf_samples);
+                    let mirror = unshared_mirror(&plan, &circuit, 17, leaf_samples);
                     assert_eq!(mirror.ops.state_copies, nodes, "{cell}");
                     let runs: Vec<RunResult> = pools
                         .iter()
@@ -759,7 +774,7 @@ mod tests {
                 .filter(|&index| {
                     let mut rng = StdRng::seed_from_u64(seed ^ child_hash(seed, index));
                     noise
-                        .first_fired_marker(&plan.subcircuits()[0], &mut rng)
+                        .first_fired_marker(&plan.compiled_plans()[0], &mut rng)
                         .is_some()
                 })
                 .count() as u64;
@@ -780,7 +795,10 @@ mod tests {
                 noise.name()
             );
             assert_eq!(shared.ops.state_copies, 1 + erroneous);
-            assert_eq!(shared.counts, unshared_mirror(&plan, seed, 1).counts);
+            assert_eq!(
+                shared.counts,
+                unshared_mirror(&plan, &circuit, seed, 1).counts
+            );
             // `Strategy::Baseline` plans the same tree and runs every shot.
             let baseline = Strategy::Baseline;
             let baseline = Arc::new(JobPlan::plan(&circuit, &noise, shots, &baseline).unwrap());
@@ -803,15 +821,13 @@ mod tests {
             arities: vec![shots],
         };
         let plan = Arc::new(JobPlan::plan(&circuit, &noise, shots, &flat).unwrap());
-        let (subcircuit, compiled) = (&plan.subcircuits()[0], &plan.compiled_plans()[0]);
+        let compiled = &plan.compiled_plans()[0];
         // The parent rule: one replay for the error-free children, and a
         // whole replay of the segment for each erroneous one.
         let replay_passes = |rng: &mut StdRng| {
             let mut ops = OpCounts::new();
             let mut state = StateVector::zero(plan.n_qubits());
-            tqsim::run_subcircuit(
-                &mut state, subcircuit, compiled, &noise, rng, &mut ops, true,
-            );
+            tqsim::run_subcircuit(&mut state, &circuit, compiled, &noise, rng, &mut ops, true);
             ops.amp_passes
         };
         let mut parent_rule = 0;
@@ -819,7 +835,7 @@ mod tests {
         for index in 0..shots {
             let hash = child_hash(seed, index);
             let mut probe = StdRng::seed_from_u64(seed ^ hash);
-            match noise.first_fired_marker(subcircuit, &mut probe) {
+            match noise.first_fired_marker(compiled, &mut probe) {
                 None if clean => continue,
                 None => clean = true,
                 Some(marker) => {
@@ -844,7 +860,7 @@ mod tests {
                 "{workers} workers: {} passes, {parent_rule} by the parent rule",
                 r.ops.amp_passes
             );
-            assert_eq!(r.counts, unshared_mirror(&plan, seed, 1).counts);
+            assert_eq!(r.counts, unshared_mirror(&plan, &circuit, seed, 1).counts);
         }
     }
 

@@ -17,8 +17,10 @@
 //! per-gate path ([`NoiseModel::apply_after_gate`]), the fused-replay hook
 //! ([`NoiseModel::apply_after_gate_deferred`]) and the first-fired-marker
 //! probe ([`NoiseModel::first_fired_marker`]) are loops over the two, so they
-//! consume the same draws in the same order. `tqsim-densmat` keeps its own
-//! copy of the binding convention on purpose: it is the independent oracle.
+//! consume the same draws in the same order; the probe walks the replay's
+//! own marker list ([`tqsim_statevec::CompiledCircuit::markers`]).
+//! `tqsim-densmat` keeps its own copy of the binding convention on purpose:
+//! it is the independent oracle.
 //!
 //! ```
 //! use rand::SeedableRng;

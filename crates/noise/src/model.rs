@@ -250,19 +250,12 @@ impl NoiseModel {
         ops
     }
 
-    /// Whether this model injects any stochastic channel after `gate`
-    /// (readout error is separate and applies at sampling time). This is
-    /// the predicate that places noise markers in compiled plans.
-    pub fn has_gate_channels(&self, gate: &Gate) -> bool {
-        self.sites(gate).next().is_some()
-    }
-
     /// Compile `circuit` into a fused replay plan
-    /// ([`tqsim_statevec::plan`]) with noise markers exactly where this
-    /// model attaches channels. Replay the result with
+    /// ([`tqsim_statevec::plan`]) with a noise marker, and its site count,
+    /// exactly where this model attaches channels. Replay the result with
     /// [`NoiseModel::apply_after_gate_deferred`] as the noise hook.
     pub fn compile(&self, circuit: &Circuit) -> CompiledCircuit {
-        CompiledCircuit::compile(circuit, |g| self.has_gate_channels(g))
+        CompiledCircuit::compile(circuit, |g| self.sites(g).count())
     }
 
     /// The fused-execution counterpart of [`NoiseModel::apply_after_gate`]:
@@ -271,21 +264,18 @@ impl NoiseModel {
     /// Identity branches leave the fusion buffer pending — fusion continues
     /// across the noise point — fired Paulis are fed back into the buffer,
     /// and only state-dependent channels (damping families) force
-    /// [`FlushCtx::flush`]. Returns the noise-operator count, exactly as
-    /// the unfused path does.
+    /// [`FlushCtx::flush`]. The replay charges the marker's site count to
+    /// `noise_ops`, as the unfused path counts its applications.
     pub fn apply_after_gate_deferred<S, R>(
         &self,
         gate: &Gate,
         ctx: &mut FlushCtx<'_, S>,
         rng: &mut R,
-    ) -> u64
-    where
+    ) where
         S: QuantumState + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut ops = 0u64;
         for site in self.sites(gate) {
-            ops += 1;
             match draw(&site, rng) {
                 Branch::Identity => {}
                 Branch::Paulis(paulis) => {
@@ -298,17 +288,16 @@ impl NoiseModel {
                 }
             }
         }
-        ops
     }
 
-    /// Where this model's realization of `subcircuit` on `rng` first leaves
-    /// the error-free path: the ordinal of the first noise marker (a gate
-    /// with channels, counted as [`NoiseModel::compile`] places markers)
-    /// where some site fires a branch or needs the state to pick one
-    /// (damping families), with `rng` put back to just before that
-    /// marker's draws. `None` when every site after every gate draws its
-    /// identity branch, with `rng` where a replay of the subcircuit leaves
-    /// it.
+    /// Where this model's realization of `plan` on `rng` first leaves the
+    /// error-free path: the ordinal of the first of the plan's noise
+    /// markers ([`CompiledCircuit::markers`]) where some site fires a
+    /// branch or needs the state to pick one (damping families), with
+    /// `rng` put back to just before that marker's draws. `None` when every
+    /// site at every marker draws its identity branch, with `rng` where a
+    /// replay of the plan leaves it. `plan` must be this model's
+    /// [`NoiseModel::compile`] output.
     ///
     /// Consumes exactly the draws [`NoiseModel::apply_after_gate`] and
     /// [`NoiseModel::apply_after_gate_deferred`] consume up to that point.
@@ -319,25 +308,19 @@ impl NoiseModel {
     /// `rng`.
     pub fn first_fired_marker<R: Rng + Clone>(
         &self,
-        subcircuit: &Circuit,
+        plan: &CompiledCircuit,
         rng: &mut R,
     ) -> Option<usize> {
-        let mut marker = 0;
-        for gate in subcircuit {
+        plan.markers().iter().position(|(gate, _)| {
             let before = rng.clone();
-            // One pass over the sites: a gate without any places no marker.
-            let mut marked = false;
-            let clean = self.sites(gate).all(|site| {
-                marked = true;
-                draw(&site, rng) == Branch::Identity
-            });
-            if !clean {
+            let fired = !self
+                .sites(gate)
+                .all(|site| draw(&site, rng) == Branch::Identity);
+            if fired {
                 *rng = before;
-                return Some(marker);
             }
-            marker += usize::from(marked);
-        }
-        None
+            fired
+        })
     }
 
     /// Apply readout error (if configured) to a sampled outcome.
@@ -587,7 +570,7 @@ mod tests {
             let (mut clean, mut dirty) = (0, 0);
             for seed in 0..300u64 {
                 let mut probe = StdRng::seed_from_u64(seed);
-                if noise.first_fired_marker(&circuit, &mut probe).is_some() {
+                if noise.first_fired_marker(&compiled, &mut probe).is_some() {
                     dirty += 1;
                     continue;
                 }
@@ -628,9 +611,10 @@ mod tests {
             NoiseModel::thermal_relaxation_sycamore(),
             NoiseModel::sycamore().with_channel_1q(Channel::PhaseDamping { lambda: 1e-9 }),
         ] {
+            let compiled = noise.compile(&circuit);
             for seed in 0..20u64 {
                 let mut probe = StdRng::seed_from_u64(seed);
-                assert!(noise.first_fired_marker(&circuit, &mut probe).is_some());
+                assert!(noise.first_fired_marker(&compiled, &mut probe).is_some());
             }
         }
     }
@@ -738,6 +722,11 @@ mod tests {
         let damped = dc
             .clone()
             .with_channel_1q(Channel::AmplitudeDamping { gamma: 1e-9 });
+        let (dc_plan, damped_plan) = (dc.compile(&circuit), damped.compile(&circuit));
+        // The marker's source gate is the gate the pinned draw fires on.
+        let fired_at = |plan: &CompiledCircuit, marker: usize, gate: usize| {
+            assert_eq!(plan.markers()[marker].0, circuit.gates()[gate]);
+        };
         // The hand-written draws of one pair site: a uniform against p, then
         // on a fire a nonzero two-slot Pauli code.
         let pair_fires = |raw: &mut StdRng| {
@@ -753,16 +742,21 @@ mod tests {
             // the first fire, with the stream as it stood before it.
             let mut raw = StdRng::seed_from_u64(seed);
             let mut want = None;
-            for (marker, pairs) in [1, 1, 2, 1].into_iter().enumerate() {
+            // (gate index, pair sites) of each marker.
+            for (marker, (gate, pairs)) in [(0, 1), (2, 1), (3, 2), (4, 1)].into_iter().enumerate()
+            {
                 let before = raw.clone();
                 if (0..pairs).any(|_| pair_fires(&mut raw)) {
-                    want = Some((marker, before));
+                    want = Some((marker, before, gate));
                     break;
                 }
             }
             let mut rng = StdRng::seed_from_u64(seed);
-            let got = dc.first_fired_marker(&circuit, &mut rng);
+            let got = dc.first_fired_marker(&dc_plan, &mut rng);
             assert_eq!(got, want.as_ref().map(|w| w.0), "seed {seed}");
+            if let Some((marker, _, gate)) = want {
+                fired_at(&dc_plan, marker, gate);
+            }
             let mut after = want.map_or(raw, |w| w.1);
             assert_eq!(rng.next_u64(), after.next_u64(), "seed {seed}: RNG moved");
             match got {
@@ -779,7 +773,11 @@ mod tests {
                 (1, raw)
             };
             let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(damped.first_fired_marker(&circuit, &mut rng), Some(want));
+            assert_eq!(
+                damped.first_fired_marker(&damped_plan, &mut rng),
+                Some(want)
+            );
+            fired_at(&damped_plan, want, want); // the CX, then the H
             assert_eq!(rng.next_u64(), after.next_u64(), "seed {seed}: RNG moved");
         }
         assert!(forks > 0 && clean > 0, "{forks} forks, {clean} clean");
@@ -787,13 +785,15 @@ mod tests {
 
     #[test]
     fn channel_binding_predicate() {
+        // A gate gets a noise marker when it has sites.
+        let marked = |nm: &NoiseModel, gate| nm.sites(&gate).next().is_some();
         let nm = NoiseModel::sycamore();
-        assert!(nm.has_gate_channels(&Gate::new(GateKind::H, &[0])));
-        assert!(nm.has_gate_channels(&Gate::new(GateKind::Cx, &[0, 1])));
-        assert!(!NoiseModel::ideal().has_gate_channels(&Gate::new(GateKind::H, &[0])));
+        assert!(marked(&nm, Gate::new(GateKind::H, &[0])));
+        assert!(marked(&nm, Gate::new(GateKind::Cx, &[0, 1])));
+        assert!(!marked(&NoiseModel::ideal(), Gate::new(GateKind::H, &[0])));
         let only_2q = NoiseModel::ideal().with_channel_2q(Channel::Depolarizing { p: 0.01 });
-        assert!(!only_2q.has_gate_channels(&Gate::new(GateKind::H, &[0])));
-        assert!(only_2q.has_gate_channels(&Gate::new(GateKind::Ccx, &[0, 1, 2])));
+        assert!(!marked(&only_2q, Gate::new(GateKind::H, &[0])));
+        assert!(marked(&only_2q, Gate::new(GateKind::Ccx, &[0, 1, 2])));
     }
 
     #[test]

@@ -24,19 +24,21 @@
 //!   forces a flush.
 //!
 //! A gate the noise model binds channels to is followed by a
-//! [`PlanOp::Noise`] marker that carries the source gate, so replay keeps
-//! the exact per-gate RNG draw order of unfused execution. The marker stays
-//! a `Gate` because this crate cannot name a channel: the replay hook
-//! (`tqsim_noise::NoiseModel::apply_after_gate_deferred`) expands it into
-//! its channel applications with `NoiseModel::sites` and draws each one
-//! with `tqsim_noise::draw`, the same two functions the per-gate path and
-//! the error-free probe use. At replay time the same [`Fuser`] runs
-//! *dynamically* with **noise-adaptive flush**: each branch is drawn
-//! *first*, and when it is the identity — the overwhelming case at ~0.1 %
-//! error rates — fusion simply continues across the noise point. Only a
-//! branch whose sampling needs the state (damping families) forces the
-//! pending buffer to materialise ([`FlushCtx::flush`]); fired Paulis are
-//! themselves fed back into the fuser ([`FlushCtx::push_branch_gate`]).
+//! [`PlanOp::Noise`] marker, so replay keeps the exact per-gate RNG draw
+//! order of unfused execution. The plan lists its markers once
+//! ([`CompiledCircuit::markers`]): source gate and site count, charged to
+//! [`OpCounts::noise_ops`]. A marker names a `Gate` because this crate
+//! cannot name a channel: the replay hook
+//! (`tqsim_noise::NoiseModel::apply_after_gate_deferred`) and the probe
+//! (`NoiseModel::first_fired_marker`) expand it with `NoiseModel::sites`
+//! and draw with `tqsim_noise::draw`, as the per-gate path does. At replay
+//! time the same [`Fuser`] runs *dynamically* with **noise-adaptive
+//! flush**: each branch is drawn *first*, and when it is the identity —
+//! the overwhelming case at ~0.1 % error rates — fusion simply continues
+//! across the noise point. Only a branch whose sampling needs the state
+//! (damping families) forces the pending buffer to materialise
+//! ([`FlushCtx::flush`]); fired Paulis are themselves fed back into the
+//! fuser ([`FlushCtx::push_branch_gate`]).
 //!
 //! Invariants:
 //!
@@ -808,10 +810,10 @@ pub(crate) fn apply_fused_op_raw<S: QuantumState + ?Sized>(sv: &mut S, op: &Fuse
 pub enum PlanOp {
     /// Apply (or buffer, at replay time) a fused operation.
     Gate(FusedOp),
-    /// Stochastic-noise marker after the given source gate: the replay
-    /// hook draws that gate's channel applications here, in exactly the
-    /// order unfused execution would.
-    Noise(Gate),
+    /// Stochastic-noise marker, the next of [`CompiledCircuit::markers`]:
+    /// the replay hook draws its gate's channel applications here, in
+    /// exactly the order unfused execution would.
+    Noise,
 }
 
 /// A subcircuit compiled for replay: statically fused ops interleaved with
@@ -819,6 +821,8 @@ pub enum PlanOp {
 #[derive(Clone, Debug)]
 pub struct CompiledCircuit {
     plan: Vec<PlanOp>,
+    /// Per noise marker, in plan order: its source gate and site count.
+    markers: Box<[(Gate, u32)]>,
     /// Source gates by arity (1q, 2q, 3q) — includes identities, mirroring
     /// the unfused executors' accounting.
     src_gates: [u64; 3],
@@ -879,13 +883,14 @@ fn apply_sink<'s, S: QuantumState + ?Sized>(
 }
 
 impl CompiledCircuit {
-    /// Compile `circuit`, placing a noise marker after every gate for which
-    /// `noise_site` returns true (`tqsim_noise::NoiseModel::compile` wires
-    /// this to the model's channel bindings). Static fusion never crosses a
+    /// Compile `circuit`, placing a noise marker after every gate with
+    /// nonzero `noise_sites` (its channel applications, from
+    /// `tqsim_noise::NoiseModel::compile`). Static fusion never crosses a
     /// noise marker; the replay-time fuser re-fuses across markers whose
     /// sampled branch is the identity.
-    pub fn compile(circuit: &Circuit, mut noise_site: impl FnMut(&Gate) -> bool) -> Self {
+    pub fn compile(circuit: &Circuit, mut noise_sites: impl FnMut(&Gate) -> usize) -> Self {
         let mut plan: Vec<PlanOp> = Vec::new();
+        let mut markers = Vec::new();
         let mut fuser = Fuser::new();
         let mut src_gates = [0u64; 3];
         let mut static_fused = 0u64;
@@ -896,14 +901,17 @@ impl CompiledCircuit {
                     plan.push(PlanOp::Gate(o.clone()))
                 });
             }
-            if noise_site(gate) {
+            let sites = noise_sites(gate);
+            if sites > 0 {
                 fuser.flush(&mut |o: &FusedOp, _| plan.push(PlanOp::Gate(o.clone())));
-                plan.push(PlanOp::Noise(*gate));
+                plan.push(PlanOp::Noise);
+                markers.push((*gate, u32::try_from(sites).expect("site count fits u32")));
             }
         }
         fuser.flush(&mut |o: &FusedOp, _| plan.push(PlanOp::Gate(o.clone())));
         CompiledCircuit {
             plan,
+            markers: markers.into_boxed_slice(),
             src_gates,
             static_fused,
             n_qubits: circuit.n_qubits(),
@@ -920,23 +928,25 @@ impl CompiledCircuit {
         self.static_fused
     }
 
+    /// The noise markers in plan order: each one's source gate and its
+    /// number of channel applications.
+    pub fn markers(&self) -> &[(Gate, u32)] {
+        &self.markers
+    }
+
     /// Number of noise markers in the plan.
     pub fn noise_points(&self) -> usize {
-        self.plan
-            .iter()
-            .filter(|op| matches!(op, PlanOp::Noise(_)))
-            .count()
+        self.markers.len()
     }
 
     /// Replay the plan onto any [`QuantumState`] backend `sv`, invoking
     /// `on_noise` at every noise marker with the source gate and a
-    /// [`FlushCtx`]; the hook returns the number of noise-operator
-    /// applications it performed (accounted under [`OpCounts::noise_ops`]).
-    /// Gate tallies are charged from the compiled source counts,
-    /// identically to unfused execution; `amp_passes` and `fused_gates`
-    /// record what the fused sweep actually did. Pending ops are fully
-    /// materialised and the state settled ([`QuantumState::settle`])
-    /// before returning.
+    /// [`FlushCtx`], and charging the marker's site count to
+    /// [`OpCounts::noise_ops`]. Gate tallies are charged from the compiled
+    /// source counts, identically to unfused execution; `amp_passes` and
+    /// `fused_gates` record what the fused sweep actually did. Pending ops
+    /// are fully materialised and the state settled
+    /// ([`QuantumState::settle`]) before returning.
     ///
     /// This is a fresh [`ReplayCursor`] run to the end.
     ///
@@ -961,14 +971,14 @@ impl CompiledCircuit {
     pub fn replay<S, F>(&self, sv: &mut S, ops: &mut OpCounts, on_noise: F)
     where
         S: QuantumState + ?Sized,
-        F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
+        F: FnMut(&Gate, &mut FlushCtx<'_, S>),
     {
         ReplayCursor::new().finish(self, sv, ops, on_noise);
     }
 
     /// Replay with no noise hook (ideal-model plans, or tests).
     pub fn replay_ideal<S: QuantumState + ?Sized>(&self, sv: &mut S, ops: &mut OpCounts) {
-        self.replay(sv, ops, |_, _| 0);
+        self.replay(sv, ops, |_, _| {});
     }
 
     /// Estimated amplitude passes of one replay assuming every noise marker
@@ -1021,7 +1031,8 @@ impl ReplayCursor {
 
     /// Replay `plan` up to its noise marker number `marker` (counting from
     /// 0), stopping *before* that marker's hook runs, or to the plan's end
-    /// if it has no such marker; the hook runs at every marker on the way.
+    /// if it has no such marker; the hook runs at every marker on the way,
+    /// and each marker's site count goes to [`OpCounts::noise_ops`].
     /// Pending ops stay pending. A no-op when the cursor stands there.
     ///
     /// # Panics
@@ -1036,7 +1047,7 @@ impl ReplayCursor {
         mut on_noise: F,
     ) where
         S: QuantumState + ?Sized,
-        F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
+        F: FnMut(&Gate, &mut FlushCtx<'_, S>),
     {
         assert!(
             plan.n_qubits <= sv.n_qubits(),
@@ -1050,15 +1061,16 @@ impl ReplayCursor {
                     let merged = self.fuser.push(fop, &mut apply_sink(sv, ops));
                     ops.fused_gates += merged;
                 }
-                PlanOp::Noise(_) if self.marker == marker => return,
-                PlanOp::Noise(gate) => {
+                PlanOp::Noise if self.marker == marker => return,
+                PlanOp::Noise => {
+                    let (gate, sites) = &plan.markers[self.marker];
                     let mut ctx = FlushCtx {
                         sv,
                         fuser: &mut self.fuser,
                         ops,
                     };
-                    let noise_ops = on_noise(gate, &mut ctx);
-                    ops.noise_ops += noise_ops;
+                    on_noise(gate, &mut ctx);
+                    ops.noise_ops += u64::from(*sites);
                     self.marker += 1;
                 }
             }
@@ -1080,7 +1092,7 @@ impl ReplayCursor {
         on_noise: F,
     ) where
         S: QuantumState + ?Sized,
-        F: FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64,
+        F: FnMut(&Gate, &mut FlushCtx<'_, S>),
     {
         self.run_to(plan, usize::MAX, sv, ops, on_noise);
         self.fuser.flush(&mut apply_sink(sv, ops));
@@ -1101,7 +1113,7 @@ mod tests {
     fn apply_both(c: &Circuit) -> (StateVector, StateVector, OpCounts) {
         let mut reference = StateVector::zero(c.n_qubits());
         reference.apply_circuit(c);
-        let compiled = CompiledCircuit::compile(c, |_| false);
+        let compiled = CompiledCircuit::compile(c, |_| 0);
         let mut fused = StateVector::zero(c.n_qubits());
         let mut ops = OpCounts::new();
         compiled.replay_ideal(&mut fused, &mut ops);
@@ -1116,7 +1128,7 @@ mod tests {
         let mut fused = reference.clone();
         reference.apply_circuit(c);
         let mut ops = OpCounts::new();
-        CompiledCircuit::compile(c, |_| false).replay_ideal(&mut fused, &mut ops);
+        CompiledCircuit::compile(c, |_| 0).replay_ideal(&mut fused, &mut ops);
         (reference, fused, ops)
     }
 
@@ -1235,10 +1247,10 @@ mod tests {
     fn noise_markers_split_static_fusion() {
         let mut c = Circuit::new(1);
         c.t(0).t(0);
-        let every_gate = CompiledCircuit::compile(&c, |_| true);
+        let every_gate = CompiledCircuit::compile(&c, |_| 1);
         assert_eq!(every_gate.noise_points(), 2);
         assert_eq!(every_gate.static_fused(), 0, "markers block static fusion");
-        let none = CompiledCircuit::compile(&c, |_| false);
+        let none = CompiledCircuit::compile(&c, |_| 0);
         assert_eq!(none.noise_points(), 0);
         assert_eq!(none.static_fused(), 1);
     }
@@ -1247,11 +1259,11 @@ mod tests {
     fn replay_refuses_across_identity_noise_points() {
         let mut c = Circuit::new(1);
         c.t(0).t(0).t(0).t(0);
-        let compiled = CompiledCircuit::compile(&c, |_| true);
+        let compiled = CompiledCircuit::compile(&c, |_| 1);
         let mut sv = StateVector::zero(1);
         let mut ops = OpCounts::new();
         // Hook never fires a branch: dynamic fusion crosses all markers.
-        compiled.replay(&mut sv, &mut ops, |_, _| 1);
+        compiled.replay(&mut sv, &mut ops, |_, _| {});
         assert_eq!(ops.amp_passes, 1, "noise-adaptive flush kept fusing");
         assert_eq!(ops.noise_ops, 4);
         assert_eq!(ops.fused_gates, 3);
@@ -1265,14 +1277,13 @@ mod tests {
         from: usize,
         fire: usize,
         pauli: GateKind,
-    ) -> impl FnMut(&Gate, &mut FlushCtx<'_, StateVector>) -> u64 {
+    ) -> impl FnMut(&Gate, &mut FlushCtx<'_, StateVector>) {
         let mut at = from;
         move |gate, ctx| {
             if at == fire {
                 ctx.push_branch_gate(&Gate::new(pauli, &gate.qubits()[..1]));
             }
             at += 1;
-            1
         }
     }
 
@@ -1295,7 +1306,8 @@ mod tests {
             .t(1);
         // Markers after most gates, none after an S: the plan mixes marked
         // and unmarked gates.
-        let compiled = CompiledCircuit::compile(&c, |g| !matches!(g.kind(), GateKind::S));
+        let compiled =
+            CompiledCircuit::compile(&c, |g| usize::from(!matches!(g.kind(), GateKind::S)));
         let markers = compiled.noise_points();
         assert!(markers >= 10, "{markers} markers");
         for pauli in [GateKind::X, GateKind::Y, GateKind::Z] {
@@ -1304,7 +1316,7 @@ mod tests {
             let mut cursor = ReplayCursor::new();
             let mut prefix = OpCounts::new();
             for fire in 0..markers {
-                cursor.run_to(&compiled, fire, &mut trajectory, &mut prefix, |_, _| 1);
+                cursor.run_to(&compiled, fire, &mut trajectory, &mut prefix, |_, _| {});
                 let mut forked = trajectory.clone();
                 let mut ops = prefix;
                 cursor
@@ -1321,10 +1333,10 @@ mod tests {
                 assert_eq!(ops, want, "{pauli:?} at {fire}");
             }
             // The trajectory itself ends as the clean replay does.
-            cursor.finish(&compiled, &mut trajectory, &mut prefix, |_, _| 1);
+            cursor.finish(&compiled, &mut trajectory, &mut prefix, |_, _| {});
             let mut clean = StateVector::zero(4);
             let mut want = OpCounts::new();
-            compiled.replay(&mut clean, &mut want, |_, _| 1);
+            compiled.replay(&mut clean, &mut want, |_, _| {});
             assert_eq!(trajectory.amplitudes(), clean.amplitudes());
             assert_eq!(prefix, want);
         }
@@ -1334,7 +1346,7 @@ mod tests {
     fn forced_flush_materialises_pending_ops() {
         let mut c = Circuit::new(1);
         c.h(0).h(0);
-        let compiled = CompiledCircuit::compile(&c, |_| true);
+        let compiled = CompiledCircuit::compile(&c, |_| 1);
         let mut sv = StateVector::zero(1);
         let mut ops = OpCounts::new();
         let mut flushes = 0;
@@ -1342,7 +1354,6 @@ mod tests {
             let state = ctx.flush();
             assert!((state.norm_sqr() - 1.0).abs() < 1e-12);
             flushes += 1;
-            1
         });
         assert_eq!(flushes, 2);
         assert_eq!(ops.amp_passes, 2, "every gate flushed separately");
@@ -1353,7 +1364,7 @@ mod tests {
     fn branch_gates_feed_back_into_the_fuser() {
         let mut c = Circuit::new(1);
         c.h(0).h(0);
-        let compiled = CompiledCircuit::compile(&c, |_| true);
+        let compiled = CompiledCircuit::compile(&c, |_| 1);
         let mut sv = StateVector::zero(1);
         let mut ops = OpCounts::new();
         let mut first = true;
@@ -1362,7 +1373,6 @@ mod tests {
                 first = false;
                 ctx.push_branch_gate(&Gate::new(GateKind::Z, gate.qubits()));
             }
-            1
         });
         // H, Z, H all fused into one sweep: HZH = X, so |0> -> |1>.
         assert_eq!(ops.amp_passes, 1);
@@ -1394,13 +1404,13 @@ mod tests {
     fn amp_pass_estimate_refuses_across_markers() {
         let mut c = Circuit::new(1);
         c.t(0).t(0).t(0).t(0);
-        let marked = CompiledCircuit::compile(&c, |_| true);
+        let marked = CompiledCircuit::compile(&c, |_| 1);
         // Markers block static fusion (4 plan gates) but the estimate
         // re-fuses across them, matching an all-identity replay.
         assert_eq!(marked.amp_pass_estimate(), 1);
         let mut sv = StateVector::zero(1);
         let mut ops = OpCounts::new();
-        marked.replay(&mut sv, &mut ops, |_, _| 0);
+        marked.replay(&mut sv, &mut ops, |_, _| {});
         assert_eq!(ops.amp_passes, marked.amp_pass_estimate());
     }
 
@@ -1424,7 +1434,7 @@ mod tests {
             generators::qv(6, 2),
             generators::qsc(6, 60, 3),
         ] {
-            let compiled = CompiledCircuit::compile(&c, |_| false);
+            let compiled = CompiledCircuit::compile(&c, |_| 0);
             let mut sv = StateVector::zero(c.n_qubits());
             let mut ops = OpCounts::new();
             compiled.replay_ideal(&mut sv, &mut ops);
@@ -1480,12 +1490,12 @@ mod tests {
         // next circuit gate, h(0): one sweep, charged to the circuit.
         let mut c = Circuit::new(1);
         c.push(GateKind::Id, &[0]).h(0);
-        let compiled = CompiledCircuit::compile(&c, |g| matches!(g.kind(), GateKind::Id));
+        let compiled =
+            CompiledCircuit::compile(&c, |g| usize::from(matches!(g.kind(), GateKind::Id)));
         let mut sv = ket(&ry);
         let mut ops = OpCounts::new();
         compiled.replay(&mut sv, &mut ops, |gate, ctx| {
             ctx.push_branch_gate(&Gate::new(GateKind::Z, gate.qubits()));
-            1
         });
         assert_eq!((ops.amp_passes, ops.noise_ops), (1, 1));
         let mut want = ry.clone();
@@ -1495,12 +1505,11 @@ mod tests {
         // charged too: the sweep carries circuit work.
         let mut c = Circuit::new(1);
         c.t(0);
-        let compiled = CompiledCircuit::compile(&c, |_| true);
+        let compiled = CompiledCircuit::compile(&c, |_| 1);
         let mut sv = ket(&ry);
         let mut ops = OpCounts::new();
         compiled.replay(&mut sv, &mut ops, |gate, ctx| {
             ctx.push_branch_gate(&Gate::new(GateKind::X, gate.qubits()));
-            1
         });
         assert_eq!((ops.amp_passes, ops.noise_ops), (1, 1));
         let mut want = ry.clone();
@@ -1547,7 +1556,7 @@ mod tests {
     fn wide_plan_rejected_on_narrow_state() {
         let mut c = Circuit::new(3);
         c.h(2);
-        let compiled = CompiledCircuit::compile(&c, |_| false);
+        let compiled = CompiledCircuit::compile(&c, |_| 0);
         let mut sv = StateVector::zero(2);
         let mut ops = OpCounts::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -114,10 +114,11 @@ fn tqsim_beats_baseline_on_the_cluster_estimator() {
 
 #[test]
 fn cluster_noise_trajectories_preserve_norm() {
-    // Failure-sensitive path: damping channels hit marginals, antidiagonal
-    // Kraus ops and renormalisation across node boundaries. The trajectory
-    // is the flat state's, bit for bit after every gate: the norm and
-    // marginal folds add the flat state's numbers in its order. The grid
+    // Failure-sensitive path: damping channels hit marginals, Kraus
+    // branches (one-term diagonal runs, and the amplitude-damping jump as a
+    // dense `Mat2` sweep) and renormalisation across node boundaries. The
+    // trajectory is the flat state's, bit for bit after every gate: the norm
+    // and marginal folds add the flat state's numbers in its order. The grid
     // runs twice: at the default split, and with `par_min_len` at 1 — the
     // split a state of 2^17 amplitudes or more takes, at test size — where
     // the flat state's gate sweeps pool but its sums stay serial folds.

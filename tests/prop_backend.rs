@@ -93,7 +93,7 @@ fn fire_at<S: QuantumState + ?Sized>(
     from: usize,
     fire: usize,
     pauli: usize,
-) -> impl FnMut(&Gate, &mut FlushCtx<'_, S>) -> u64 {
+) -> impl FnMut(&Gate, &mut FlushCtx<'_, S>) {
     let kind = [GateKind::X, GateKind::Y, GateKind::Z][pauli];
     let mut at = from;
     move |gate, ctx| {
@@ -101,7 +101,6 @@ fn fire_at<S: QuantumState + ?Sized>(
             ctx.push_branch_gate(&Gate::new(kind, &gate.qubits()[..1]));
         }
         at += 1;
-        1
     }
 }
 
@@ -129,7 +128,7 @@ proptest! {
         let mut cursor = ReplayCursor::new();
         let mut prefix = OpCounts::new();
         for fire in 0..compiled.noise_points() {
-            cursor.run_to(&compiled, fire, &mut trajectory, &mut prefix, |_, _| 1);
+            cursor.run_to(&compiled, fire, &mut trajectory, &mut prefix, |_, _| {});
             if fire == 2 {
                 prop_assert!(!trajectory.layout().is_canonical(), "{} nodes", nodes);
             }

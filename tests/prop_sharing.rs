@@ -16,7 +16,7 @@ use common::{walk_on, Walk};
 use tqsim::{Partition, Strategy, TreeExecutor};
 use tqsim_circuit::{generators, Circuit};
 use tqsim_cluster::{ClusterBackend, ClusterCounters, InterconnectModel};
-use tqsim_noise::{NoiseModel, ReadoutError};
+use tqsim_noise::{Channel, NoiseModel, ReadoutError};
 use tqsim_shard::ShardBackend;
 use tqsim_statevec::SingleNode;
 
@@ -50,6 +50,12 @@ fn noises() -> Vec<NoiseModel> {
         NoiseModel::amplitude_damping(0.01),
         NoiseModel::phase_damping(0.01),
         NoiseModel::sycamore().with_readout(ReadoutError::symmetric(0.02)),
+        // Only 2q gates place markers, so marker ordinals are not gate
+        // indices: sharing (and, in the engine, forks) run at ordinals that
+        // differ from the gates they follow.
+        NoiseModel::ideal()
+            .with_channel_2q(Channel::Depolarizing { p: 0.2 })
+            .named("depolarizing-2q"),
     ]
 }
 
