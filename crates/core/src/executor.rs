@@ -249,6 +249,23 @@ impl JobPlan {
         &self.noise
     }
 
+    /// The rule for which children of one parent state share: the first
+    /// fired noise marker of a node at `level` on its stream `rng`
+    /// ([`NoiseModel::first_fired_marker`] over the level's compiled plan,
+    /// leaving `rng` where that function does), `None` for an error-free
+    /// node. A [per-shot](Partition::per_shot) plan ([`Strategy::Baseline`])
+    /// shares nothing: every node reads `Some(0)` and `rng` is not drawn.
+    pub fn first_fired_marker<R: rand::Rng + Clone>(
+        &self,
+        level: usize,
+        rng: &mut R,
+    ) -> Option<usize> {
+        if self.partition.per_shot() {
+            return Some(0);
+        }
+        self.noise.first_fired_marker(&self.compiled[level], rng)
+    }
+
     /// Execute the full tree with a deterministic seed, one outcome per
     /// leaf, on one node.
     pub fn run(&self, seed: u64) -> RunResult {
@@ -279,7 +296,7 @@ impl JobPlan {
     ///
     /// **Error-free sibling sharing.** A node first probes its noise draws
     /// on a clone of the RNG: it is error-free when
-    /// [`NoiseModel::first_fired_marker`] finds no fired marker. An
+    /// [`JobPlan::first_fired_marker`] finds no fired marker. An
     /// error-free node is a deterministic function of its parent's
     /// amplitudes, so when its level's slot still holds the error-free
     /// child of the parent state as it stands, the node adopts the probed
@@ -292,9 +309,8 @@ impl JobPlan {
     /// is never reused; no state beyond the `k + 1` is kept. Root nodes
     /// share too (their parent is the `|0…0⟩` root state, never
     /// rewritten), so a flat plan from DCP replays its error-free shots
-    /// once; only a
-    /// [per-shot](Partition::per_shot) plan ([`Strategy::Baseline`]) runs
-    /// every node, and state-dependent channels never probe error-free.
+    /// once; only a per-shot plan runs every node, and state-dependent
+    /// channels never probe error-free.
     /// RNG stream, amplitudes and `Counts` are those of the unshared walk
     /// bit for bit.
     ///
@@ -377,11 +393,7 @@ impl<B: PooledBackend> TreeWalk<'_, B> {
         }
         for _rep in 0..plan.partition.tree.arities()[level] {
             let mut probe = self.rng.clone();
-            let error_free = !plan.partition.per_shot()
-                && plan
-                    .noise
-                    .first_fired_marker(&plan.compiled[level], &mut probe)
-                    .is_none();
+            let error_free = plan.first_fired_marker(level, &mut probe).is_none();
             if error_free && self.clean_child[level + 1] {
                 // The slot already holds this node's state.
                 self.rng = probe;

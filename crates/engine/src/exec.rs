@@ -17,13 +17,14 @@
 //!    op-count addition commute, so scheduling cannot change the result.
 //!
 //! Since the service front-end landed, the executor is **multi-tenant**:
-//! several jobs can be in flight on one pool at once. Each job tracks its
-//! own outstanding-task count ([`TreeShared::remaining`]) and fires a
-//! completion callback from whichever worker retires its last node, so
-//! nobody has to wait for the whole pool to go idle — concurrent jobs'
-//! tasks interleave freely in the work-stealing deques. Determinism is
-//! unaffected: a node's RNG stream depends only on its own job's seed and
-//! its tree path, never on what else shares the pool.
+//! several jobs can be in flight on one pool at once. Every task of a job
+//! owns one `Arc` of the job's shared record, so the job is complete when
+//! its last task drops it: the record's `Drop` merges the accumulators and
+//! fires the completion callback on that thread, and nobody has to wait
+//! for the whole pool to go idle — concurrent jobs' tasks interleave
+//! freely in the work-stealing deques. Determinism is unaffected: a node's
+//! RNG stream depends only on its own job's seed and its tree path, never
+//! on what else shares the pool.
 //!
 //! State buffers come from the executing worker's [`StatePool`], so after
 //! warm-up a tree of thousands of nodes performs **zero state-buffer heap
@@ -35,53 +36,57 @@
 //!
 //! **Error-free sibling sharing.** Before a node spawns, it probes every
 //! child's path-derived stream for its first fired noise marker
-//! ([`first_fired_marker`], a walk over the markers of the level's compiled
-//! plan, numbered as the replay numbers them): error-free children of one
-//! parent state are the same state bit for bit, so they travel as **one**
-//! task that materialises once and then samples or spawns for each member
-//! with that member's own RNG. One root task probes and groups the root
-//! nodes, the children of the implicit `|0…0⟩` parent, on a worker, so
-//! [`crate::Engine::start`] does O(1) work on the caller's thread. A
-//! [per-shot](tqsim::Partition::per_shot) plan probes nothing and runs
-//! every node alone. Op accounting follows the serial executor: one
-//! `state_reset` per run, one `state_copy` per node materialised, one
-//! `nodes_shared` per node served by a sibling's state — under ideal noise
-//! the two executors agree count for count.
+//! ([`JobPlan::first_fired_marker`], a walk over the markers of the level's
+//! compiled plan, numbered as the replay numbers them): error-free children
+//! of one parent state are the same state bit for bit, so they ride **one**
+//! trajectory that materialises once and then samples or spawns for each
+//! of them with that child's own RNG. One root task probes the root nodes,
+//! the children of the implicit `|0…0⟩` parent, on a worker, so
+//! [`crate::Engine::start`] does O(1) work on the caller's thread. Op
+//! accounting follows the serial executor: one `state_reset` per run, one
+//! `state_copy` per node materialised, one `nodes_shared` per node served
+//! by a sibling's state — under ideal noise the two executors agree count
+//! for count.
 //!
 //! **Forked prefixes.** An erroneous child's replay is the clean replay up
-//! to its first fired marker. So the error-free members' task is a *clean
-//! trajectory*: it copies the parent once and replays the segment with a
-//! hook that draws nothing (the [`ReplayCursor`] charges each marker's site
-//! count to `noise_ops` on every path). At each erroneous child's marker
-//! (children sorted by it) it copies the state, clones the cursor, leaves
+//! to its first fired marker. So a parent state's children are one list,
+//! sorted by that marker (the error-free ones last), and one task runs a
+//! *clean trajectory* for them: it copies the parent once and replays the
+//! segment with a hook that draws nothing (the [`ReplayCursor`] charges
+//! each marker's site count to `noise_ops` on every path). At each
+//! erroneous child's marker it copies the state, clones the cursor, leaves
 //! the rest of the trajectory to a continuation task that a thief can pick
 //! up, and resumes the child on its probe-positioned RNG. The last child to
 //! fork takes the trajectory's buffer when no error-free child follows, so
 //! `state_copies` and `nodes_shared` are the unforked rule's, and a parent
 //! state holds at most one trajectory buffer. A child whose first fired
-//! marker is marker 0 — every damping-model child — has no prefix to share
-//! and runs alone from the parent. On the seven `paper_suite` DCP plans
-//! (1 000 shots, seed 1) forks cut the engine's amplitude passes from
-//! 64 469 to 49 132 (−23.8 %) and `noise_ops` from 319 988 to 241 594.
+//! marker is marker 0 — every child of a [per-shot](tqsim::Partition::per_shot)
+//! plan, and a damping model's child when the segment opens on a damped
+//! gate — has no prefix to share and gets a trajectory of its own. On the
+//! seven `paper_suite` DCP plans (1 000 shots, seed 1) forks cut the
+//! engine's amplitude passes from 64 469 to 49 132 (−23.8 %) and
+//! `noise_ops` from 319 988 to 241 594.
 //!
 //! [`StatePool`]: tqsim_statevec::StatePool
-//! [`first_fired_marker`]: tqsim_noise::NoiseModel::first_fired_marker
 
 use crate::pool::{WorkerCtx, WorkerPool};
 use crate::{ChunkSink, JobPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Reverse;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tqsim::{Counts, RunResult};
 use tqsim_statevec::{OpCounts, PoolCounters, PooledBackend, PooledState, ReplayCursor};
 
-/// Completion callback: invoked exactly once, from whichever worker retires
-/// the job's last node, with the fully merged result.
+/// Completion callback: invoked exactly once, on the thread that drops the
+/// job's last task, with the fully merged result.
 pub(crate) type DoneFn = Box<dyn FnOnce(RunResult) + Send>;
 
 /// Everything a node task needs, shared immutably across one job's tree.
+/// Every task owns one `Arc` of it, so the job is complete when the last
+/// task drops its `Arc` (a panicking task drops it while unwinding, and
+/// abandons only its own un-spawned work).
 struct TreeShared {
     /// The job's plan: fused plans compiled **once** per distinct planning
     /// input and replayed by every node (shared across jobs, batches and
@@ -90,13 +95,7 @@ struct TreeShared {
     seed: u64,
     leaf_samples: u32,
     accums: Vec<Mutex<Accum>>,
-    /// Outstanding tasks of **this job** (not the pool): seeded with 1,
-    /// the root task; a task registers each task it spawns *before*
-    /// spawning it; every task decrements once on retirement (a drop guard,
-    /// so a panicking task still counts down and abandons only its own
-    /// un-spawned work). Zero ⇒ the job is complete.
-    remaining: AtomicU64,
-    /// Taken by the retiring node; `None` afterwards.
+    /// Taken when the job completes.
     done: Mutex<Option<DoneFn>>,
     /// Optional streaming sink: each leaf's outcomes are delivered as soon
     /// as the leaf batch is drawn, long before the job completes.
@@ -110,53 +109,42 @@ struct Accum {
     ops: OpCounts,
 }
 
-/// Decrements the job's outstanding-task count when the node retires (or
-/// unwinds), firing the completion callback on the last one.
-struct NodeGuard {
-    shared: Arc<TreeShared>,
-}
-
-impl Drop for NodeGuard {
-    fn drop(&mut self) {
-        if self.shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            finish_job(&self.shared);
-        }
-    }
-}
-
-/// Lock a job-shared slot, recovering from poison: these locks are taken
-/// on panic paths by design (`finish_job` runs from `NodeGuard::drop`
-/// while a sibling may have unwound mid-merge), and a double panic inside
-/// a `Drop` aborts the process. A poisoned accumulator at worst loses the
-/// unwound node's partial tally — which the panicked job discards anyway.
+/// Lock a worker's accumulator, recovering from poison: a task that
+/// unwound while holding it at worst lost its own partial tally, which the
+/// panicked job discards anyway, and the job's other tasks still merge.
 fn lock_recover<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Merge the per-worker accumulators into the final [`RunResult`] and hand
-/// it to the job's completion callback.
-fn finish_job(shared: &TreeShared) {
-    let done = lock_recover(&shared.done).take();
-    let Some(done) = done else { return };
-    let mut counts = Counts::new(shared.plan.n_qubits());
-    let mut ops = OpCounts::new();
-    // Mirrors the serial executor: the initial |0…0⟩ materialisation is
-    // charged once per run.
-    ops.state_resets += 1;
-    for slot in &shared.accums {
-        let accum = lock_recover(slot);
-        counts.merge(&accum.counts);
-        ops.merge(&accum.ops);
+impl Drop for TreeShared {
+    /// The job's last task has dropped it: merge the per-worker
+    /// accumulators into the final [`RunResult`] and hand it to the job's
+    /// completion callback. Poison is recovered for [`lock_recover`]'s
+    /// reason, and because a panic here, on an unwinding task's drop,
+    /// would abort the process.
+    fn drop(&mut self) {
+        let done = self.done.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let Some(done) = done.take() else { return };
+        let mut counts = Counts::new(self.plan.n_qubits());
+        let mut ops = OpCounts::new();
+        // Mirrors the serial executor: the initial |0…0⟩ materialisation is
+        // charged once per run.
+        ops.state_resets += 1;
+        for slot in &mut self.accums {
+            let accum = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            counts.merge(&accum.counts);
+            ops.merge(&accum.ops);
+        }
+        let stats = self.counters.stats();
+        done(RunResult {
+            counts,
+            ops,
+            tree: self.plan.partition().tree.clone(),
+            peak_states: stats.high_water,
+            peak_memory_bytes: stats.high_water_bytes,
+            wall_time: self.t0.elapsed(),
+        });
     }
-    let stats = shared.counters.stats();
-    done(RunResult {
-        counts,
-        ops,
-        tree: shared.plan.partition().tree.clone(),
-        peak_states: stats.high_water,
-        peak_memory_bytes: stats.high_water_bytes,
-        wall_time: shared.t0.elapsed(),
-    });
 }
 
 /// A node's view of its parent state: `None` for the implicit `|0…0⟩`
@@ -180,9 +168,9 @@ fn child_hash(parent_hash: u64, index: u64) -> u64 {
 }
 
 /// Start one planned job on the pool **without blocking**: one root task is
-/// injected, which probes and groups the root nodes on a worker, and `done`
-/// fires from a worker when the last task retires. Every engine job reaches
-/// the pool through here — any number of jobs may be live on one pool,
+/// injected, which probes the root nodes on a worker, and `done` fires on
+/// the thread that drops the job's last task. Every engine job reaches the
+/// pool through here — any number of jobs may be live on one pool,
 /// interleaving in the work-stealing deques.
 ///
 /// `peak_states`/`peak_memory_bytes` in the delivered result are the
@@ -218,7 +206,6 @@ pub(crate) fn launch_tree<B: PooledBackend>(
                 })
             })
             .collect(),
-        remaining: AtomicU64::new(1),
         done: Mutex::new(Some(done)),
         sink,
         counters: Arc::clone(pool.pool_counters()),
@@ -232,74 +219,71 @@ pub(crate) fn launch_tree<B: PooledBackend>(
     });
 }
 
-/// A node whose state a task materialises: its path hash and its RNG, past
-/// the subcircuit's noise draws.
-type Member = (u64, StdRng);
+/// The marker of an error-free child: it rides its parent state's clean
+/// trajectory to the segment's end.
+const CLEAN: usize = usize::MAX;
 
-/// A child that follows its parent group's clean replay up to `marker`, its
-/// first noise marker off the error-free path, and forks from it there.
-struct Fork {
+/// A child of one parent state: its path hash and its RNG, positioned
+/// before the draws of `marker`, its first fired noise marker, or past the
+/// segment's draws when it is [`CLEAN`].
+struct Child {
     marker: usize,
     hash: u64,
-    /// Positioned before `marker`'s draws.
     rng: StdRng,
 }
 
 /// Probe the `level` children of one parent state's members (their path
 /// hashes) on their path-derived streams and spawn their tasks: one clean
 /// trajectory that the error-free children ride and the erroneous ones
-/// fork from, and one task for each child with no clean prefix to share —
-/// it fires at marker 0, or the plan is per-shot and probes nothing.
+/// fork from, and a trajectory of one for each child that fires at marker
+/// 0 and so has no clean prefix to share.
 fn spawn_children<B: PooledBackend>(
     shared: &Arc<TreeShared>,
     parent: Parent<B>,
     level: usize,
-    members: impl Iterator<Item = u64>,
+    members: impl ExactSizeIterator<Item = u64>,
     ctx: &WorkerCtx<'_, B>,
 ) {
     let plan = &*shared.plan;
-    let compiled = &plan.compiled_plans()[level];
     let arity = plan.partition().tree.arities()[level];
-    let probe = !plan.partition().per_shot();
-    let (mut forks, mut error_free) = (Vec::new(), Vec::new());
-    // A job's largest buffer at a flat plan's root: reserved once, not grown
-    // by doubling (which holds both buffers); a refusal just grows it.
-    if probe {
-        let children = members.size_hint().0.saturating_mul(arity as usize);
-        let _ = error_free.try_reserve_exact(children);
-    }
+    let mut to_probe = members.len().saturating_mul(arity as usize);
+    let mut children = Vec::new();
     for member in members {
         for index in 0..arity {
             let hash = child_hash(member, index);
             let mut rng = StdRng::seed_from_u64(shared.seed ^ hash);
-            match probe.then(|| plan.noise().first_fired_marker(compiled, &mut rng)) {
-                Some(None) => error_free.push((hash, rng)),
-                Some(Some(marker)) if marker > 0 => forks.push(Fork { marker, hash, rng }),
-                _ => {
-                    let alone = vec![Fork {
-                        marker: 0,
-                        hash,
-                        rng,
-                    }];
-                    spawn_trajectory(shared, parent.clone(), level, alone, Vec::new(), ctx);
+            let marker = plan.first_fired_marker(level, &mut rng).unwrap_or(CLEAN);
+            let child = Child { marker, hash, rng };
+            if marker == 0 {
+                spawn_trajectory(shared, parent.clone(), level, vec![child], ctx);
+            } else {
+                // A job's largest buffer at a flat plan's root: reserved
+                // once, for the children still to probe, not grown by
+                // doubling (which holds both buffers); a refusal just
+                // grows it.
+                if children.capacity() == 0 {
+                    let _ = children.try_reserve_exact(to_probe);
                 }
+                children.push(child);
             }
+            to_probe -= 1;
         }
     }
-    if !forks.is_empty() || !error_free.is_empty() {
-        forks.sort_by_key(|fork| std::cmp::Reverse(fork.marker));
-        spawn_trajectory(shared, parent, level, forks, error_free, ctx);
+    if !children.is_empty() {
+        // Latest marker first: the trajectory pops the next fork off the
+        // end, and the error-free children stay at the front.
+        children.sort_unstable_by_key(|child| Reverse(child.marker));
+        spawn_trajectory(shared, parent, level, children, ctx);
     }
 }
 
-/// Spawn a trajectory of `parent`'s children at `level` (`forks` latest
-/// marker first), materialising its state in the task.
+/// Spawn the trajectory of `parent`'s `children` at `level` (latest marker
+/// first), materialising its state in the task.
 fn spawn_trajectory<B: PooledBackend>(
     shared: &Arc<TreeShared>,
     parent: Parent<B>,
     level: usize,
-    forks: Vec<Fork>,
-    error_free: Vec<Member>,
+    children: Vec<Child>,
     ctx: &WorkerCtx<'_, B>,
 ) {
     spawn_task(shared, ctx, move |shared, ops, ctx| {
@@ -316,45 +300,43 @@ fn spawn_trajectory<B: PooledBackend>(
             level,
             state,
             cursor: ReplayCursor::new(),
-            forks,
-            error_free,
+            children,
         };
         trajectory.advance(shared, ops, ctx);
     });
 }
 
-/// One parent group's clean replay: its state and position, and the
+/// One parent state's clean replay: its state and position, and the
 /// children still to fork from it or to ride it to its end.
 struct Trajectory<B: PooledBackend> {
     level: usize,
     state: PooledState<B>,
     cursor: ReplayCursor,
-    forks: Vec<Fork>,
-    error_free: Vec<Member>,
+    children: Vec<Child>,
 }
 
 impl<B: PooledBackend> Trajectory<B> {
     /// Replay cleanly to the next fork and run that child on a copy of the
     /// state, leaving the rest of the trajectory to a continuation task that
-    /// a thief can pick up; the last child takes the state itself when no
-    /// error-free child follows. With no fork left, the error-free children
-    /// ride the trajectory to its end. So a parent group holds at most one
-    /// trajectory buffer, and every copy is in use by a running task.
+    /// a thief can pick up; the last child takes the state itself. Once
+    /// only error-free children are left, they ride the trajectory to its
+    /// end together. So a parent state holds at most one trajectory buffer,
+    /// and every copy is in use by a running task.
     fn advance(mut self, shared: &Arc<TreeShared>, ops: &mut OpCounts, ctx: &WorkerCtx<'_, B>) {
         let plan = &*shared.plan;
         let level = self.level;
         let compiled = &plan.compiled_plans()[level];
         // Every marker on the clean path draws identity: nothing to apply.
-        let Some(fork) = self.forks.pop() else {
-            // Spent: free the fork list before the members' leaf draw.
-            self.forks = Vec::new();
+        let Some(mut child) = self.children.pop_if(|child| child.marker != CLEAN) else {
+            // Free the forked children's slots before the members complete.
+            self.children.shrink_to_fit();
             self.cursor
                 .finish(compiled, &mut *self.state, ops, |_, _| {});
-            return complete(shared, level, self.state, self.error_free, ops, ctx);
+            return complete(shared, level, self.state, self.children, ops, ctx);
         };
         self.cursor
-            .run_to(compiled, fork.marker, &mut *self.state, ops, |_, _| {});
-        let (mut state, cursor) = if self.forks.is_empty() && self.error_free.is_empty() {
+            .run_to(compiled, child.marker, &mut *self.state, ops, |_, _| {});
+        let (mut state, cursor) = if self.children.is_empty() {
             (self.state, self.cursor)
         } else {
             let mut copy = ctx.acquire(plan.n_qubits());
@@ -366,27 +348,21 @@ impl<B: PooledBackend> Trajectory<B> {
             });
             (copy, cursor)
         };
-        let Fork { hash, mut rng, .. } = fork;
         cursor.finish(compiled, &mut *state, ops, |gate, flush| {
             plan.noise()
-                .apply_after_gate_deferred(gate, flush, &mut rng)
+                .apply_after_gate_deferred(gate, flush, &mut child.rng)
         });
-        complete(shared, level, state, vec![(hash, rng)], ops, ctx);
+        complete(shared, level, state, vec![child], ops, ctx);
     }
 }
 
-/// Run one task of the job: retire it on exit (a drop guard, declared
-/// first, so a panic anywhere below still counts down and abandons only
-/// this task's un-spawned work), then fold its op tallies into this
-/// worker's accumulator.
+/// Run one task of the job, then fold its op tallies into this worker's
+/// accumulator.
 fn run_task<B: PooledBackend>(
     shared: &Arc<TreeShared>,
     ctx: &WorkerCtx<'_, B>,
     body: impl FnOnce(&mut OpCounts),
 ) {
-    let _retire = NodeGuard {
-        shared: Arc::clone(shared),
-    };
     // Failpoint covering the whole task: a single relaxed load when
     // disarmed. There is no error channel out of a task, so an injected
     // error becomes a panic — contained by the worker's `catch_unwind`
@@ -399,15 +375,13 @@ fn run_task<B: PooledBackend>(
     lock_recover(&shared.accums[ctx.index()]).ops.merge(&ops);
 }
 
-/// Spawn a task of the job onto this worker's deque, registered first: the
-/// spawning task still holds its own count, so the job cannot complete
-/// while the new task is pending.
+/// Spawn a task of the job onto this worker's deque. It owns an `Arc` of
+/// the job from here on, so the job cannot complete while it is pending.
 fn spawn_task<B: PooledBackend>(
     shared: &Arc<TreeShared>,
     ctx: &WorkerCtx<'_, B>,
     task: impl FnOnce(&Arc<TreeShared>, &mut OpCounts, &WorkerCtx<'_, B>) + Send + 'static,
 ) {
-    shared.remaining.fetch_add(1, Ordering::AcqRel);
     let shared = Arc::clone(shared);
     ctx.spawn(move |ctx| run_task(&shared, ctx, |ops| task(&shared, ops, ctx)));
 }
@@ -419,20 +393,20 @@ fn complete<B: PooledBackend>(
     shared: &Arc<TreeShared>,
     level: usize,
     state: PooledState<B>,
-    mut members: Vec<Member>,
+    members: Vec<Child>,
     ops: &mut OpCounts,
     ctx: &WorkerCtx<'_, B>,
 ) {
     let plan = &*shared.plan;
     ops.nodes_shared += members.len() as u64 - 1;
     if level + 1 < plan.compiled_plans().len() {
-        let members = members.into_iter().map(|(member, _)| member);
+        let members = members.into_iter().map(|member| member.hash);
         spawn_children(shared, Some(Arc::new(state)), level + 1, members, ctx);
         return;
     }
     // Every member samples the same leaf state: one CDF walk for all of
-    // them, each member's draws on its own RNG.
-    let mut rngs: Vec<&mut StdRng> = members.iter_mut().map(|(_, rng)| rng).collect();
+    // them, each member's draws on its own RNG (collected in place).
+    let mut rngs: Vec<StdRng> = members.into_iter().map(|member| member.rng).collect();
     let outcomes = tqsim::sample_leaf_members(
         &*state,
         plan.noise(),
@@ -669,6 +643,12 @@ mod tests {
             NoiseModel::ideal()
                 .with_channel_2q(tqsim_noise::Channel::Depolarizing { p: 0.2 })
                 .named("depolarizing-2q"),
+            // Damping on 2q gates only: forks resume into a marker that
+            // samples the state, after clean 1q markers.
+            NoiseModel::ideal()
+                .with_channel_1q(tqsim_noise::Channel::Depolarizing { p: 0.05 })
+                .with_channel_2q(tqsim_noise::Channel::AmplitudeDamping { gamma: 0.05 })
+                .named("depolarizing-1q-damping-2q"),
         ] {
             for arities in [
                 vec![40],

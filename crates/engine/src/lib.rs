@@ -25,8 +25,8 @@
 //!   and [`JobPlan::run_on`] is the serial walk over the same value;
 //! - [`PlannedJob`] / [`Engine::start`] — the **multi-tenant**
 //!   surface: pre-planned jobs start without blocking, any number can share
-//!   the pool at once, each fires a completion callback from the worker
-//!   that retires its last tree node, and an optional [`ChunkSink`] streams
+//!   the pool at once, each fires a completion callback on the worker
+//!   that drops its last task, and an optional [`ChunkSink`] streams
 //!   leaf outcomes while the job is still running. This is what the
 //!   `tqsim-service` front-end schedules concurrent client jobs through.
 //!
@@ -336,10 +336,10 @@ impl<B: PooledBackend> Engine<B> {
     }
 
     /// Start a planned job **without blocking** (the multi-tenant entry
-    /// point): root tasks are injected immediately, any number of started
-    /// jobs interleave on the pool, and `on_done` fires exactly once —
-    /// from a worker thread — with the merged result when the job's last
-    /// tree node retires. An optional `sink` receives each leaf batch's
+    /// point): the root task is injected immediately, any number of
+    /// started jobs interleave on the pool, and `on_done` fires exactly
+    /// once with the merged result, on the thread that drops the job's
+    /// last task (a worker). An optional `sink` receives each leaf batch's
     /// outcomes as soon as it is sampled (streaming results).
     ///
     /// Determinism: the job's `Counts` are bit-identical to running it

@@ -261,10 +261,10 @@ impl<B: PooledBackend> WorkerPool<B> {
     }
 
     /// Take the first stored task panic without blocking, if any. Work
-    /// reports its own completion (the tree executor counts its job's
-    /// outstanding tasks and fires a callback), so the submitter polls this
-    /// once its job has completed; a panicking task abandons only its own
-    /// follow-up work and the pool stays usable.
+    /// reports its own completion (a tree job completes when its last task
+    /// drops the job's shared record, which fires a callback), so the
+    /// submitter polls this once its job has completed; a panicking task
+    /// abandons only its own follow-up work and the pool stays usable.
     pub fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
         // Recover from poison: this lock is only ever taken on panic
         // paths, and `.expect` here would double-panic while already

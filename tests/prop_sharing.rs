@@ -56,6 +56,13 @@ fn noises() -> Vec<NoiseModel> {
         NoiseModel::ideal()
             .with_channel_2q(Channel::Depolarizing { p: 0.2 })
             .named("depolarizing-2q"),
+        // Damping on 2q gates only: a node's first fired marker can follow
+        // clean 1q markers and need the state (in the engine, a fork
+        // resumes into it).
+        NoiseModel::ideal()
+            .with_channel_1q(Channel::Depolarizing { p: 0.05 })
+            .with_channel_2q(Channel::AmplitudeDamping { gamma: 0.05 })
+            .named("depolarizing-1q-damping-2q"),
     ]
 }
 
